@@ -1,19 +1,28 @@
 """Neural network layers with hand-derived backward passes.
 
-Shape conventions: sequence inputs are ``[T x C]`` (time on axis 0), weight
-matrices act on column vectors, and every ``forward`` returns a cache object
-that its matching ``backward`` consumes.  Backward passes return exact
-analytic gradients and are verified against central finite differences in
-the test suite.
+Shape conventions: inputs are batch-first.  Sequence inputs are
+``[B x T x C]`` (batch on axis 0, time on axis 1) and vector inputs are
+``[B x C]``; a single sample given without the batch axis (``[T x C]`` or
+``[C]``) is the B=1 view of the same code, and its outputs, caches and input
+gradients come back without the batch axis too.  Weight matrices act on
+column vectors, and every ``forward`` returns a cache object that its
+matching ``backward`` consumes.  Parameter gradients are summed over the
+batch.  Backward passes return exact analytic gradients and are verified
+against central finite differences in the test suite.
+
+Every sample's forward output is bitwise the same whatever other samples
+share its batch: products that mix rows are taken one sample (or one row)
+at a time, never as one matrix product over the batch.
 
 Layers hold parameters only; forward/backward are pure given (parameters,
-input, cache), so distinct samples can be evaluated concurrently as long as
-parameter updates stay single-writer.
+input, cache), so distinct batches can be evaluated concurrently as long as
+parameter updates stay single-writer.  Max pooling takes one ``[T x C]``
+sample at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,13 +33,26 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh saturates where exp would overflow, so no sign split is needed.
+    return 0.5 * (1.0 + np.tanh(x / 2.0))
+
+
+def _batched(x, sample_ndim: int) -> tuple[np.ndarray, bool]:
+    """``x`` as float64 with a leading batch axis, and whether one was added."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == sample_ndim:
+        return x[None], True
+    return x, False
+
+
+def rowwise_matmul(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """``x @ w_t`` over the last axis of ``x``, one row per product.
+
+    A single matrix product over many rows may sum a row in a different
+    order than it would for that row alone; stacking the rows as separate
+    ``[1 x F]`` products keeps each row's result independent of the batch.
+    """
+    return (x[..., None, :] @ w_t)[..., 0, :]
 
 
 def activation(kind: str, x) -> np.ndarray:
@@ -66,15 +88,15 @@ def activation_derivative(kind: str, x) -> np.ndarray:
 
 @dataclass
 class Conv1DCache:
-    x: np.ndarray       # [T x C_in] forward input
+    x: np.ndarray       # forward input, [B x T x C_in] or one [T x C_in] sample
     out_len: int
 
 
 class Conv1DLayer:
     """Cross-correlation over the time axis with valid padding.
 
-    ``y[t, c] = sum_m sum_n x[t+m, n] * kernels[c, m, n] + bias[c]`` for
-    ``t`` in ``[0, T-k]``.  No kernel flip is applied.
+    ``y[b, t, c] = sum_m sum_n x[b, t+m, n] * kernels[c, m, n] + bias[c]``
+    for ``t`` in ``[0, T-k]``.  No kernel flip is applied.
     """
 
     def __init__(self, kernels, bias):
@@ -112,36 +134,47 @@ class Conv1DLayer:
         return self.kernels.shape[2]
 
     def forward(self, x) -> tuple[np.ndarray, Conv1DCache]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.c_in:
+        """``x`` is ``[B x T x C_in]`` (or one ``[T x C_in]`` sample); the
+        output is ``[B x (T-k+1) x C_out]``."""
+        xb, single = _batched(x, 2)
+        if xb.ndim != 3 or xb.shape[2] != self.c_in:
             raise DimensionError(
-                f"conv input must be [T x {self.c_in}], got {list(x.shape)}"
+                f"conv input must be [B x T x {self.c_in}] or [T x {self.c_in}], "
+                f"got {list(np.shape(x))}"
             )
-        t_len, k = x.shape[0], self.k
+        t_len, k = xb.shape[1], self.k
         if t_len < k:
             raise DimensionError(f"conv window: input length {t_len} < kernel width {k}")
         out_len = t_len - k + 1
-        y = np.tile(self.bias, (out_len, 1))
+        y = np.empty((xb.shape[0], out_len, self.c_out))
+        y[...] = self.bias
         for m in range(k):
-            y += x[m:m + out_len] @ self.kernels[:, m, :].T
-        return y, Conv1DCache(x=x, out_len=out_len)
+            # One [out_len x C_in] product per sample, so samples stay independent.
+            y += xb[:, m:m + out_len] @ self.kernels[:, m, :].T
+        if single:
+            return y[0], Conv1DCache(x=xb[0], out_len=out_len)
+        return y, Conv1DCache(x=xb, out_len=out_len)
 
     def backward(self, cache: Conv1DCache, dy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dx, dkernels, dbias) for the cached forward call."""
+        """Returns (dx, dkernels, dbias) for the cached forward call; the
+        parameter gradients are summed over the batch."""
         dy = np.asarray(dy, dtype=np.float64)
-        if dy.shape != (cache.out_len, self.c_out):
+        expected = cache.x.shape[:-2] + (cache.out_len, self.c_out)
+        if dy.shape != expected:
             raise DimensionError(
-                f"conv upstream gradient must be [{cache.out_len} x {self.c_out}], "
-                f"got {list(dy.shape)}"
+                f"conv upstream gradient must be {list(expected)}, got {list(dy.shape)}"
             )
-        x, out_len, k = cache.x, cache.out_len, self.k
-        dbias = dy.sum(axis=0)
+        single = cache.x.ndim == 2
+        x, dy = (cache.x[None], dy[None]) if single else (cache.x, dy)
+        out_len, k = cache.out_len, self.k
+        dbias = dy.sum(axis=(0, 1))
         dkernels = np.empty_like(self.kernels)
         dx = np.zeros_like(x)
         for m in range(k):
-            dkernels[:, m, :] = dy.T @ x[m:m + out_len]
-            dx[m:m + out_len] += dy @ self.kernels[:, m, :]
-        return dx, dkernels, dbias
+            # One contraction over all B*out_len positions.
+            dkernels[:, m, :] = np.tensordot(dy, x[:, m:m + out_len], axes=([0, 1], [0, 1]))
+            dx[:, m:m + out_len] += dy @ self.kernels[:, m, :]
+        return (dx[0] if single else dx), dkernels, dbias
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +230,8 @@ def maxpool1d_backward(cache: MaxPool1DCache, dy) -> np.ndarray:
 
 @dataclass
 class LSTMCache:
+    """Forward activations, each with the same leading axes as ``xs``."""
+
     xs: np.ndarray
     h0: np.ndarray
     c0: np.ndarray
@@ -208,9 +243,12 @@ class LSTMCache:
     tanh_c: np.ndarray
     hs: np.ndarray
 
+    def _map(self, fn) -> "LSTMCache":
+        return LSTMCache(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
+
 
 class LSTMCell:
-    """Single-layer LSTM unrolled over a ``[T x F]`` sequence.
+    """Single-layer LSTM unrolled over ``[B x T x F]`` sequences.
 
     Gate blocks are stacked in the fixed order (i, f, g, o) along the first
     axis of ``w_x`` ``[4H x F]``, ``w_h`` ``[4H x H]`` and ``b`` ``[4H]``:
@@ -221,6 +259,12 @@ class LSTMCell:
         o   = sigmoid(z[3H:4H])
         c_t = f * c_{t-1} + i * g
         h_t = o * tanh(c_t)
+
+    The input projection ``w_x @ x_t + b`` does not depend on the recurrence,
+    so it is computed for every sample and step before the time loop
+    (Appleyard et al. 2016, arXiv:1604.01946); likewise backward builds the
+    weight gradients after the time loop, each as one contraction over all
+    B*T steps.
     """
 
     def __init__(self, w_x, w_h, b):
@@ -259,76 +303,101 @@ class LSTMCell:
         return self.w_x.shape[1]
 
     def forward(self, xs, h0, c0) -> tuple[np.ndarray, LSTMCache]:
-        xs = np.asarray(xs, dtype=np.float64)
+        """``xs`` is ``[B x T x F]`` with states ``[B x H]`` (or one ``[T x F]``
+        sample with ``[H]`` states); returns the hidden states ``[B x T x H]``."""
+        xb, single = _batched(xs, 2)
         h0 = np.asarray(h0, dtype=np.float64)
         c0 = np.asarray(c0, dtype=np.float64)
+        if single:
+            h0, c0 = h0[None], c0[None]
         hid = self.hidden_size
-        if xs.ndim != 2 or xs.shape[1] != self.input_size:
+        if xb.ndim != 3 or xb.shape[2] != self.input_size:
             raise DimensionError(
-                f"lstm input must be [T x {self.input_size}], got {list(xs.shape)}"
+                f"lstm input must be [B x T x {self.input_size}] or [T x {self.input_size}], "
+                f"got {list(np.shape(xs))}"
             )
-        if h0.shape != (hid,) or c0.shape != (hid,):
+        n, t_len = xb.shape[:2]
+        if h0.shape != (n, hid) or c0.shape != (n, hid):
             raise DimensionError(
-                f"lstm state must be [{hid}], got h0 {list(h0.shape)} c0 {list(c0.shape)}"
+                f"lstm state must be [{n} x {hid}] (or [{hid}] for one sample), "
+                f"got h0 {list(h0.shape)} c0 {list(c0.shape)}"
             )
-        t_len = xs.shape[0]
-        i_a = np.empty((t_len, hid))
-        f_a = np.empty((t_len, hid))
-        g_a = np.empty((t_len, hid))
-        o_a = np.empty((t_len, hid))
-        c_a = np.empty((t_len, hid))
-        tc_a = np.empty((t_len, hid))
-        hs = np.empty((t_len, hid))
+        # The input projection for every step at once, one [T x F] product per
+        # sample so that samples stay independent of each other.  Each step
+        # then adds its recurrent term and activates the gates in place.
+        gates = xb @ self.w_x.T
+        gates += self.b
+        w_h_t = self.w_h.T
+        # sigmoid(z) = (tanh(z * 0.5) + 1) * 0.5 on the i, f, o blocks and
+        # tanh(z) = (tanh(z * 1) + 0) * 1 on the g block: one tanh pass over
+        # all gates, with the arithmetic of _sigmoid.
+        scale = np.full(4 * hid, 0.5)
+        scale[2 * hid:3 * hid] = 1.0
+        shift = np.ones(4 * hid)
+        shift[2 * hid:3 * hid] = 0.0
+        c_a = np.empty((n, t_len, hid))
+        tc_a = np.empty((n, t_len, hid))
+        hs = np.empty((n, t_len, hid))
+        i_a, f_a, g_a, o_a = (gates[:, :, k * hid:(k + 1) * hid] for k in range(4))
         h, c = h0, c0
         for t in range(t_len):
-            z = self.w_x @ xs[t] + self.w_h @ h + self.b
-            i = _sigmoid(z[:hid])
-            f = _sigmoid(z[hid:2 * hid])
-            g = np.tanh(z[2 * hid:3 * hid])
-            o = _sigmoid(z[3 * hid:])
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            i_a[t], f_a[t], g_a[t], o_a[t] = i, f, g, o
-            c_a[t], tc_a[t], hs[t] = c, tc, h
-        cache = LSTMCache(xs=xs, h0=h0, c0=c0, i=i_a, f=f_a, g=g_a, o=o_a,
+            z = gates[:, t]
+            z += rowwise_matmul(h, w_h_t)
+            z *= scale
+            np.tanh(z, out=z)
+            z += shift
+            z *= scale
+            c = np.multiply(f_a[:, t], c, out=c_a[:, t])
+            c += i_a[:, t] * g_a[:, t]
+            np.tanh(c, out=tc_a[:, t])
+            h = np.multiply(o_a[:, t], tc_a[:, t], out=hs[:, t])
+        cache = LSTMCache(xs=xb, h0=h0, c0=c0, i=i_a, f=f_a, g=g_a, o=o_a,
                           c=c_a, tanh_c=tc_a, hs=hs)
+        if single:
+            return hs[0], cache._map(lambda a: a[0])
         return hs, cache
 
     def backward(self, cache: LSTMCache, dhs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Backpropagation through time; returns (dxs, dw_x, dw_h, db)."""
+        """Backpropagation through time; returns (dxs, dw_x, dw_h, db), the
+        weight gradients summed over the batch."""
         dhs = np.asarray(dhs, dtype=np.float64)
         if dhs.shape != cache.hs.shape:
             raise DimensionError(
                 f"lstm upstream gradient must be {list(cache.hs.shape)}, got {list(dhs.shape)}"
             )
+        single = cache.xs.ndim == 2
+        if single:
+            cache, dhs = cache._map(lambda a: a[None]), dhs[None]
         hid = self.hidden_size
-        t_len = cache.xs.shape[0]
-        dw_x = np.zeros_like(self.w_x)
-        dw_h = np.zeros_like(self.w_h)
-        db = np.zeros_like(self.b)
-        dxs = np.empty_like(cache.xs)
-        dh_next = np.zeros(hid)
-        dc_next = np.zeros(hid)
-        dz = np.empty(4 * hid)
+        n, t_len = cache.xs.shape[:2]
+        i, f, g, o, tc = cache.i, cache.f, cache.g, cache.o, cache.tanh_c
+        c_prev = np.concatenate([cache.c0[:, None], cache.c[:, :-1]], axis=1)
+        h_prev = np.concatenate([cache.h0[:, None], cache.hs[:, :-1]], axis=1)
+        # dz starts as the local derivatives of every step, dz/dc on the i, f, g
+        # blocks and dz/dh on the o block; the time loop scales each step by
+        # the recurrent dc and dh.
+        dz = np.empty((n, t_len, 4 * hid))
+        dz_blocks = dz.reshape(n, t_len, 4, hid)
+        np.multiply(g, i * (1.0 - i), out=dz_blocks[:, :, 0])
+        np.multiply(c_prev, f * (1.0 - f), out=dz_blocks[:, :, 1])
+        np.multiply(i, 1.0 - g * g, out=dz_blocks[:, :, 2])
+        np.multiply(tc, o * (1.0 - o), out=dz_blocks[:, :, 3])
+        dc_dh = o * (1.0 - tc * tc)
+        dh_next = np.zeros((n, hid))
+        dc_next = np.zeros((n, hid))
         for t in range(t_len - 1, -1, -1):
-            i, f, g, o = cache.i[t], cache.f[t], cache.g[t], cache.o[t]
-            tc = cache.tanh_c[t]
-            c_prev = cache.c[t - 1] if t > 0 else cache.c0
-            h_prev = cache.hs[t - 1] if t > 0 else cache.h0
-            dh = dhs[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            dz[:hid] = dc * g * i * (1.0 - i)
-            dz[hid:2 * hid] = dc * c_prev * f * (1.0 - f)
-            dz[2 * hid:3 * hid] = dc * i * (1.0 - g * g)
-            dz[3 * hid:] = dh * tc * o * (1.0 - o)
-            dw_x += np.outer(dz, cache.xs[t])
-            dw_h += np.outer(dz, h_prev)
-            db += dz
-            dxs[t] = self.w_x.T @ dz
-            dh_next = self.w_h.T @ dz
-            dc_next = dc * f
-        return dxs, dw_x, dw_h, db
+            dh = dhs[:, t] + dh_next
+            dc = dc_next + dh * dc_dh[:, t]
+            dz_blocks[:, t, :3] *= dc[:, None]
+            dz_blocks[:, t, 3] *= dh
+            dh_next = dz[:, t] @ self.w_h
+            dc_next = dc * f[:, t]
+        dz_flat = dz.reshape(n * t_len, 4 * hid)
+        dw_x = dz_flat.T @ cache.xs.reshape(n * t_len, -1)
+        dw_h = dz_flat.T @ h_prev.reshape(n * t_len, hid)
+        db = dz_flat.sum(axis=0)
+        dxs = dz @ self.w_x
+        return (dxs[0] if single else dxs), dw_x, dw_h, db
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +411,7 @@ class DenseCache:
 
 
 class DenseLayer:
-    """Affine map y = W x + b."""
+    """Affine map y = W x + b, applied to each row of a ``[B x in]`` batch."""
 
     def __init__(self, w, b):
         self.w = as_tensor(w)
@@ -361,21 +430,29 @@ class DenseLayer:
         return cls(w, np.zeros(out_size))
 
     def forward(self, x) -> tuple[np.ndarray, DenseCache]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.w.shape[1],):
+        """``x`` is ``[B x in]`` (or one ``[in]`` sample); returns ``[B x out]``."""
+        xb, single = _batched(x, 1)
+        if xb.ndim != 2 or xb.shape[1] != self.w.shape[1]:
             raise DimensionError(
-                f"dense input must be [{self.w.shape[1]}], got {list(x.shape)}"
+                f"dense input must be [B x {self.w.shape[1]}] or [{self.w.shape[1]}], "
+                f"got {list(np.shape(x))}"
             )
-        return self.w @ x + self.b, DenseCache(x=x)
+        y = rowwise_matmul(xb, self.w.T) + self.b
+        if single:
+            return y[0], DenseCache(x=xb[0])
+        return y, DenseCache(x=xb)
 
     def backward(self, cache: DenseCache, dy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dx, dw, db)."""
+        """Returns (dx, dw, db), with dw and db summed over the batch."""
         dy = np.asarray(dy, dtype=np.float64)
-        if dy.shape != (self.w.shape[0],):
+        expected = cache.x.shape[:-1] + (self.w.shape[0],)
+        if dy.shape != expected:
             raise DimensionError(
-                f"dense upstream gradient must be [{self.w.shape[0]}], got {list(dy.shape)}"
+                f"dense upstream gradient must be {list(expected)}, got {list(dy.shape)}"
             )
-        return self.w.T @ dy, np.outer(dy, cache.x), dy.copy()
+        x, dyb = np.atleast_2d(cache.x), np.atleast_2d(dy)
+        dx = dyb @ self.w
+        return (dx[0] if dy.ndim == 1 else dx), dyb.T @ x, dyb.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +474,10 @@ class DropoutSpec:
 
 def dropout_forward(spec: DropoutSpec, x, rng: SeededRng | None, mode: str):
     """Returns (y, mask).  The mask holds the applied scale factors
-    (0 or 1/(1-p)); in infer mode the mask is None and y is x unchanged."""
+    (0 or 1/(1-p)); in infer mode the mask is None and y is x unchanged.
+
+    The mask draws ``x.size`` uniforms in row-major order, so a ``[B x H]``
+    batch consumes the stream exactly as B one-sample calls in row order."""
     x = np.asarray(x, dtype=np.float64)
     if mode == "infer":
         return x, None

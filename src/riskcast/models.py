@@ -3,8 +3,15 @@
 Both models share a small duck-typed surface used by the trainer, the
 gradient checker, and persistence: ``params()`` returning live named
 parameter arrays, ``forward(x_seq, x_static, mode, rng)`` returning
-``(score, cache)``, and ``backward(cache, dscore)`` returning
+``(scores, cache)``, and ``backward(cache, dscores)`` returning
 ``(param_grads, dx_seq)``.
+
+Inputs are batch-first: ``x_seq`` is ``[B x T x F]`` and ``x_static`` is
+``[B x S]``, giving ``B`` scores, parameter gradients summed over the batch
+and ``dx_seq`` ``[B x T x F]``.  One sample given as ``[T x F]`` and ``[S]``
+is the B=1 view of the same code: it gives a float score, takes a float
+``dscore`` and returns ``dx_seq`` ``[T x F]``.  A sample's score does not
+depend on which other samples share its batch, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,10 +29,16 @@ from .layers import (
     LSTMCell,
     dropout_backward,
     dropout_forward,
+    rowwise_matmul,
 )
 from .features import SampleSet
 from .preprocess import Preprocess
 from .tensor import SeededRng, derive_seed
+
+# Windows per batched forward call when scoring a whole set: large enough to
+# amortise the per-step Python work of the LSTM, small enough that the
+# activation caches of one call stay a few MB.
+SCORE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -61,14 +74,11 @@ class ModelDims:
 
 @dataclass
 class HybridCache:
-    x_seq: np.ndarray
-    x_static: np.ndarray
     conv_cache: object
-    conv_pre: np.ndarray     # conv output before relu, [T x C_out]
+    conv_pre: np.ndarray     # conv output before relu, [B x T x C_out]
     lstm_cache: object
     dropout_mask: np.ndarray | None
     head_cache: object
-    pad: int
 
 
 @dataclass
@@ -137,56 +147,64 @@ class HybridModel:
     def n_params(self) -> int:
         return sum(p.size for p in self.params().values())
 
-    def _validate_sample(self, x_seq: np.ndarray, x_static: np.ndarray) -> None:
+    def _validate_batch(self, x_seq: np.ndarray, x_static: np.ndarray) -> None:
         d = self.dims
-        if x_seq.shape != (d.window, d.f_seq):
+        if x_seq.ndim != 3 or x_seq.shape[1:] != (d.window, d.f_seq):
             raise DimensionError(
-                f"x_seq must be [{d.window} x {d.f_seq}], got {list(x_seq.shape)}"
+                f"x_seq must be [B x {d.window} x {d.f_seq}] or [{d.window} x {d.f_seq}], "
+                f"got {list(x_seq.shape)}"
             )
-        if x_static.shape != (d.f_static,):
+        if x_static.shape != (x_seq.shape[0], d.f_static):
             raise DimensionError(
-                f"x_static must be [{d.f_static}], got {list(x_static.shape)}"
+                f"x_static must be [{x_seq.shape[0]} x {d.f_static}] (or [{d.f_static}] "
+                f"for one sample), got {list(x_static.shape)}"
             )
 
     def forward(self, x_seq, x_static, mode: str = "infer",
-                rng: SeededRng | None = None) -> tuple[float, HybridCache]:
+                rng: SeededRng | None = None) -> tuple[np.ndarray | float, HybridCache]:
         x_seq = np.asarray(x_seq, dtype=np.float64)
         x_static = np.asarray(x_static, dtype=np.float64)
-        self._validate_sample(x_seq, x_static)
+        single = x_seq.ndim == 2
+        if single:
+            x_seq, x_static = x_seq[None], x_static[None]
+        self._validate_batch(x_seq, x_static)
         d = self.dims
+        n = x_seq.shape[0]
         pad = d.kernel_width - 1
-        sent = x_seq[:, d.f_market:]
-        padded = np.vstack([np.zeros((pad, d.f_sentiment)), sent]) if pad else sent
-        conv_pre, conv_cache = self.conv.forward(padded)
-        conv_out = np.maximum(conv_pre, 0.0)
-        lstm_in = np.hstack([x_seq[:, :d.f_market], conv_out])
-        hs, lstm_cache = self.lstm.forward(
-            lstm_in, np.zeros(d.hidden_size), np.zeros(d.hidden_size)
-        )
-        h_last, mask = dropout_forward(self.dropout, hs[-1], rng, mode)
-        head_in = np.concatenate([h_last, x_static])
-        out, head_cache = self.head.forward(head_in)
-        cache = HybridCache(x_seq=x_seq, x_static=x_static, conv_cache=conv_cache,
-                            conv_pre=conv_pre, lstm_cache=lstm_cache,
-                            dropout_mask=mask, head_cache=head_cache, pad=pad)
-        return float(out[0]), cache
+        sent = x_seq[:, :, d.f_market:]
+        if pad:
+            sent = np.concatenate([np.zeros((n, pad, d.f_sentiment)), sent], axis=1)
+        conv_pre, conv_cache = self.conv.forward(sent)
+        lstm_in = np.concatenate([x_seq[:, :, :d.f_market], np.maximum(conv_pre, 0.0)], axis=2)
+        state = np.zeros((n, d.hidden_size))
+        hs, lstm_cache = self.lstm.forward(lstm_in, state, state)
+        h_last, mask = dropout_forward(self.dropout, hs[:, -1], rng, mode)
+        out, head_cache = self.head.forward(np.concatenate([h_last, x_static], axis=1))
+        cache = HybridCache(conv_cache=conv_cache, conv_pre=conv_pre, lstm_cache=lstm_cache,
+                            dropout_mask=mask, head_cache=head_cache)
+        scores = out[:, 0]
+        return (float(scores[0]) if single else scores), cache
 
-    def backward(self, cache: HybridCache, dscore: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    def backward(self, cache: HybridCache, dscore) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Chain rule through head, dropout, BPTT, the concat split, relu,
         and the conv branch.  Returns (param gradients, dL/dx_seq)."""
         d = self.dims
-        dhead_out = np.array([float(dscore)])
-        dhead_in, dw_head, db_head = self.head.backward(cache.head_cache, dhead_out)
-        dh_last = dropout_backward(cache.dropout_mask, dhead_in[:d.hidden_size])
-        dhs = np.zeros((d.window, d.hidden_size))
-        dhs[-1] = dh_last
+        n = cache.conv_pre.shape[0]
+        single = np.ndim(dscore) == 0
+        dscores = np.atleast_1d(np.asarray(dscore, dtype=np.float64))
+        if dscores.shape != (n,):
+            raise DimensionError(
+                f"upstream score gradient must be [{n}], got {list(dscores.shape)}"
+            )
+        dhead_in, dw_head, db_head = self.head.backward(cache.head_cache, dscores[:, None])
+        dh_last = dropout_backward(cache.dropout_mask, dhead_in[:, :d.hidden_size])
+        dhs = np.zeros((n, d.window, d.hidden_size))
+        dhs[:, -1] = dh_last
         dlstm_in, dw_x, dw_h, db = self.lstm.backward(cache.lstm_cache, dhs)
-        dconv_out = dlstm_in[:, d.f_market:]
-        dconv_pre = dconv_out * (cache.conv_pre > 0)
+        dconv_pre = dlstm_in[:, :, d.f_market:] * (cache.conv_pre > 0)
         dpadded, dkernels, dbias = self.conv.backward(cache.conv_cache, dconv_pre)
-        dx_seq = np.empty_like(cache.x_seq)
-        dx_seq[:, :d.f_market] = dlstm_in[:, :d.f_market]
-        dx_seq[:, d.f_market:] = dpadded[cache.pad:]
+        pad = d.kernel_width - 1
+        dx_seq = np.concatenate([dlstm_in[:, :, :d.f_market], dpadded[:, pad:]], axis=2)
         grads = {
             "conv.kernels": dkernels,
             "conv.bias": dbias,
@@ -196,7 +214,7 @@ class HybridModel:
             "head.w": dw_head,
             "head.b": db_head,
         }
-        return grads, dx_seq
+        return grads, (dx_seq[0] if single else dx_seq)
 
 
 class LinearRegressionModel:
@@ -227,22 +245,39 @@ class LinearRegressionModel:
     def n_params(self) -> int:
         return self.weights.size + 1
 
-    def _flatten(self, x_seq, x_static) -> np.ndarray:
-        flat = np.concatenate([np.ravel(x_seq), np.ravel(x_static)])
-        if flat.size != self.n_features:
-            raise DimensionError(
-                f"sample flattens to {flat.size} features, model expects {self.n_features}"
-            )
-        return flat
-
     def forward(self, x_seq, x_static, mode: str = "infer",
-                rng: SeededRng | None = None) -> tuple[float, np.ndarray]:
-        flat = self._flatten(x_seq, x_static)
-        return float(self.weights @ flat + self.bias[0]), flat
+                rng: SeededRng | None = None) -> tuple[np.ndarray | float, tuple]:
+        x_seq = np.asarray(x_seq, dtype=np.float64)
+        x_static = np.asarray(x_static, dtype=np.float64)
+        seq_shape = x_seq.shape
+        single = x_static.ndim == 1
+        if single:
+            x_seq, x_static = x_seq[None], x_static[None]
+        if x_seq.ndim != 3 or x_static.ndim != 2 or x_seq.shape[0] != x_static.shape[0]:
+            raise DimensionError(
+                f"x_seq {list(seq_shape)} and x_static {list(np.shape(x_static))} must be "
+                "[B x T x F] and [B x S], or one [T x F] and [S] sample"
+            )
+        n = x_seq.shape[0]
+        flat = np.concatenate([x_seq.reshape(n, -1), x_static], axis=1)
+        if flat.shape[1] != self.n_features:
+            raise DimensionError(
+                f"sample flattens to {flat.shape[1]} features, model expects {self.n_features}"
+            )
+        scores = rowwise_matmul(flat, self.weights[:, None])[:, 0] + self.bias[0]
+        return (float(scores[0]) if single else scores), (flat, seq_shape)
 
-    def backward(self, cache: np.ndarray, dscore: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        grads = {"weights": float(dscore) * cache, "bias": np.array([float(dscore)])}
-        return grads, cache
+    def backward(self, cache: tuple, dscore) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        flat, seq_shape = cache
+        dscores = np.atleast_1d(np.asarray(dscore, dtype=np.float64))
+        if dscores.shape != (flat.shape[0],):
+            raise DimensionError(
+                f"upstream score gradient must be [{flat.shape[0]}], got {list(dscores.shape)}"
+            )
+        grads = {"weights": dscores @ flat, "bias": np.array([dscores.sum()])}
+        n_seq = seq_shape[-2] * seq_shape[-1]
+        dx_seq = np.multiply.outer(dscores, self.weights[:n_seq]).reshape(seq_shape)
+        return grads, dx_seq
 
 
 def linreg_fit(samples: SampleSet, ridge_lambda: float = 1e-8) -> LinearRegressionModel:
@@ -273,14 +308,22 @@ def linreg_objective(model: LinearRegressionModel, samples: SampleSet) -> float:
     return float(resid @ resid + model.ridge_lambda * (beta @ beta))
 
 
-def predict_batch(model, samples: SampleSet) -> list[Prediction]:
-    """Inference-mode forward pass per sample; order preserved."""
-    out = []
-    for i in range(len(samples)):
-        score, _ = model.forward(samples.x_seq[i], samples.x_static[i], mode="infer")
-        out.append(Prediction(risk_score=score, sample_date=samples.dates[i]))
-    return out
-
-
 def prediction_scores(model, samples: SampleSet) -> np.ndarray:
-    return np.array([p.risk_score for p in predict_batch(model, samples)])
+    """Inference-mode scores, one per sample, order preserved.
+
+    Windows go through the model's batched forward ``SCORE_CHUNK`` at a
+    time, so peak memory stays flat however many windows are scored.
+    """
+    scores = np.empty(len(samples))
+    for start in range(0, len(samples), SCORE_CHUNK):
+        stop = start + SCORE_CHUNK
+        # Index the result so that no chunk's cache outlives its call.
+        scores[start:stop] = model.forward(samples.x_seq[start:stop],
+                                           samples.x_static[start:stop], mode="infer")[0]
+    return scores
+
+
+def predict_batch(model, samples: SampleSet) -> list[Prediction]:
+    """Inference-mode predictions, one per sample, order preserved."""
+    return [Prediction(risk_score=float(score), sample_date=date)
+            for score, date in zip(prediction_scores(model, samples), samples.dates)]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .features import SampleSet
+from .models import prediction_scores
 from .tensor import SeededRng, derive_seed, float_bits
 
 _SHUFFLE_TAG = 0x53484446
@@ -141,14 +142,14 @@ def _restore(params: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> Non
 
 
 def validation_mse(model, samples: SampleSet) -> float:
-    preds = np.empty(len(samples))
-    for i in range(len(samples)):
-        preds[i], _ = model.forward(samples.x_seq[i], samples.x_static[i], mode="infer")
-    return mse_loss(samples.y, preds)[0]
+    return mse_loss(samples.y, prediction_scores(model, samples))[0]
 
 
 def fit(model, train: SampleSet, val: SampleSet, cfg: TrainConfig):
     """Mini-batch Adam with early stopping on validation MSE.
+
+    Each minibatch makes one batched forward and one backward call; its
+    dropout masks draw from the stream in sample order.
 
     Stops once the validation MSE has failed to improve for ``cfg.patience``
     consecutive epochs, then restores the parameters of the best epoch.
@@ -174,24 +175,13 @@ def fit(model, train: SampleSet, val: SampleSet, cfg: TrainConfig):
         epoch_sse = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            preds = np.empty(len(batch))
-            caches = []
-            for j, idx in enumerate(batch):
-                preds[j], cache = model.forward(
-                    train.x_seq[idx], train.x_static[idx], mode="train", rng=dropout_rng
-                )
-                caches.append(cache)
+            preds, cache = model.forward(train.x_seq[batch], train.x_static[batch],
+                                         mode="train", rng=dropout_rng)
             batch_loss, dpred = mse_loss(train.y[batch], preds)
             epoch_sse += batch_loss * len(batch)
-            grads_total: dict[str, np.ndarray] = {
-                name: np.zeros_like(p) for name, p in params.items()
-            }
-            for j in range(len(batch)):
-                grads, _ = model.backward(caches[j], dpred[j])
-                for name in grads_total:
-                    grads_total[name] += grads[name]
+            grads, _ = model.backward(cache, dpred)
             for name in params:
-                adam_step(states[name], params[name], grads_total[name], cfg)
+                adam_step(states[name], params[name], grads[name], cfg)
 
         val_loss = validation_mse(model, val)
         if not np.isfinite(val_loss):

@@ -28,6 +28,12 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def normwise_rel_error(value: np.ndarray, reference: np.ndarray) -> float:
+    """||value - reference|| / ||reference||: unlike ``rel_error`` it does not
+    blow up on entries that are tiny because of cancellation in a sum."""
+    return float(np.linalg.norm(value - reference) / max(np.linalg.norm(reference), 1e-300))
+
+
 def tiny_dims(**overrides) -> ModelDims:
     base = dict(window=4, f_market=2, f_sentiment=3, f_static=3,
                 conv_channels=2, kernel_width=3, hidden_size=3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import numeric_grad, rel_error
+from conftest import normwise_rel_error, numeric_grad, rel_error
 from riskcast import DimensionError, ParameterError, SeededRng
 from riskcast.layers import (
     Conv1DLayer,
@@ -320,6 +320,87 @@ class TestDropout:
         dx = dropout_backward(mask, np.ones(1000))
         assert np.array_equal(dx, y)
         assert np.array_equal(dropout_backward(None, x), x)
+
+    def test_one_draw_of_b_rows_equals_b_draws_of_one_row(self):
+        batch = SeededRng(48).next_floats(5 * 7)
+        rng = SeededRng(48)
+        rows = np.concatenate([rng.next_floats(7) for _ in range(5)])
+        assert np.array_equal(batch, rows)
+
+    def test_batched_mask_follows_the_per_sample_stream(self):
+        x = SeededRng(49).normals(5 * 7).reshape(5, 7)
+        batch_rng, sample_rng = SeededRng(50), SeededRng(50)
+        y, mask = dropout_forward(DropoutSpec(0.4), x, batch_rng, "train")
+        for b in range(5):
+            y_b, mask_b = dropout_forward(DropoutSpec(0.4), x[b], sample_rng, "train")
+            assert np.array_equal(y_b, y[b])
+            assert np.array_equal(mask_b, mask[b])
+        assert batch_rng.state == sample_rng.state
+
+
+def _assert_batch_is_stacked_samples(layer, xs, dys, states=()):
+    """A [B x ...] call gives, bit for bit, the B one-sample outputs; its input
+    gradients match the per-sample ones and its parameter gradients match
+    their sum, each to 1e-12 relative."""
+    ys, cache = layer.forward(xs, *states)
+    dx, *param_grads = layer.backward(cache, dys)
+    totals = [np.zeros_like(g) for g in param_grads]
+    for b in range(len(xs)):
+        y_b, cache_b = layer.forward(xs[b], *(s[b] for s in states))
+        assert np.array_equal(y_b, ys[b])
+        dx_b, *grads_b = layer.backward(cache_b, dys[b])
+        assert normwise_rel_error(dx[b], dx_b) < 1e-12
+        for total, g in zip(totals, grads_b):
+            total += g
+    for g, total in zip(param_grads, totals):
+        assert normwise_rel_error(g, total) < 1e-12
+
+
+class TestBatchAxis:
+    def test_conv(self):
+        rng = SeededRng(51)
+        layer = Conv1DLayer.initialize(3, 4, 3, rng)
+        xs = rng.normals(5 * 9 * 3).reshape(5, 9, 3)
+        _assert_batch_is_stacked_samples(layer, xs, rng.normals(5 * 7 * 4).reshape(5, 7, 4))
+
+    def test_lstm(self):
+        rng = SeededRng(52)
+        cell = LSTMCell.initialize(3, 32, rng)
+        xs = rng.normals(5 * 6 * 3).reshape(5, 6, 3)
+        h0, c0 = rng.normals(5 * 32).reshape(5, 32), rng.normals(5 * 32).reshape(5, 32)
+        dhs = rng.normals(5 * 6 * 32).reshape(5, 6, 32)
+        _assert_batch_is_stacked_samples(cell, xs, dhs, states=(h0, c0))
+
+    def test_dense(self):
+        rng = SeededRng(53)
+        layer = DenseLayer.initialize(6, 2, rng)
+        xs = rng.normals(5 * 6).reshape(5, 6)
+        _assert_batch_is_stacked_samples(layer, xs, rng.normals(5 * 2).reshape(5, 2))
+
+    def test_lstm_batched_bptt_matches_finite_differences(self):
+        rng = SeededRng(54)
+        cell = LSTMCell.initialize(2, 3, rng)
+        xs = rng.normals(4 * 3 * 2).reshape(4, 3, 2)
+        h0, c0 = np.zeros((4, 3)), np.zeros((4, 3))
+        weights = rng.normals(4 * 3 * 3).reshape(4, 3, 3)
+
+        def loss():
+            hs, _ = cell.forward(xs, h0, c0)
+            return float(np.sum(hs * weights))
+
+        _, cache = cell.forward(xs, h0, c0)
+        dxs, dwx, dwh, db = cell.backward(cache, weights)
+        assert rel_error(dwx, numeric_grad(loss, cell.w_x)) < GRAD_TOL
+        assert rel_error(dwh, numeric_grad(loss, cell.w_h)) < GRAD_TOL
+        assert rel_error(db, numeric_grad(loss, cell.b)) < GRAD_TOL
+        assert rel_error(dxs, numeric_grad(loss, xs)) < GRAD_TOL
+
+    def test_mismatched_batch_state_rejected(self):
+        cell = LSTMCell.initialize(2, 3, SeededRng(55))
+        with pytest.raises(DimensionError):
+            cell.forward(np.zeros((4, 3, 2)), np.zeros((3, 3)), np.zeros((4, 3)))
+        with pytest.raises(DimensionError):
+            cell.forward(np.zeros((4, 3, 2)), np.zeros(3), np.zeros(3))
 
 
 def test_identity_conv_composed_with_unit_pool_is_identity():

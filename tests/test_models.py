@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_samples, rel_error, tiny_dims, tiny_hybrid
+from conftest import (
+    normwise_rel_error,
+    numeric_grad,
+    random_samples,
+    rel_error,
+    tiny_dims,
+    tiny_hybrid,
+)
 from riskcast import (
     DataError,
     DimensionError,
@@ -12,7 +19,7 @@ from riskcast import (
     predict_batch,
 )
 from riskcast.layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
-from riskcast.models import linreg_objective, prediction_scores
+from riskcast.models import SCORE_CHUNK, linreg_objective, prediction_scores
 from riskcast.training import mse_loss
 
 
@@ -199,6 +206,20 @@ class TestLinearRegression:
             )
             assert linreg_objective(perturbed, samples) >= base
 
+    def test_input_gradient_matches_finite_differences(self):
+        dims = tiny_dims()
+        model = linreg_fit(random_samples(40, dims, seed=37))
+        samples = random_samples(4, dims, seed=38)
+        upstream = SeededRng(39).normals(4)
+
+        def loss():
+            scores, _ = model.forward(samples.x_seq, samples.x_static)
+            return float(scores @ upstream)
+
+        _, cache = model.forward(samples.x_seq, samples.x_static)
+        _, dx_seq = model.backward(cache, upstream)
+        assert rel_error(dx_seq, numeric_grad(loss, samples.x_seq)) < 1e-6
+
     def test_needs_at_least_two_samples(self):
         samples = random_samples(1, tiny_dims(), seed=18)
         with pytest.raises(DataError):
@@ -227,3 +248,81 @@ class TestPredictBatch:
         preds = predict_batch(model, samples)
         assert len(preds) == 10
         assert all(np.isfinite(p.risk_score) for p in preds)
+
+    def test_scores_are_batch_invariant(self):
+        """Each window's score is bitwise the same scored alone, in its
+        chunk, and with the whole set, for a set size that is not a multiple
+        of the chunk size."""
+        dims = tiny_dims(window=10, conv_channels=8, hidden_size=32)
+        n = 2 * SCORE_CHUNK + 5
+        samples = random_samples(n, dims, seed=26)
+        for model in (tiny_hybrid(seed=25, window=10, conv_channels=8, hidden_size=32),
+                      linreg_fit(samples)):
+            scored = prediction_scores(model, samples)
+            whole, _ = model.forward(samples.x_seq, samples.x_static)
+            for start in range(0, n, SCORE_CHUNK):
+                chunk = slice(start, start + SCORE_CHUNK)
+                in_chunk, _ = model.forward(samples.x_seq[chunk], samples.x_static[chunk])
+                for j, score in enumerate(in_chunk):
+                    alone, _ = model.forward(samples.x_seq[start + j],
+                                             samples.x_static[start + j])
+                    assert score == alone == scored[start + j] == whole[start + j]
+
+
+class TestBatchedHybrid:
+    B = 5
+
+    def _batch(self, seed):
+        return random_samples(self.B, tiny_dims(), seed=seed)
+
+    def test_gradients_equal_sum_of_per_sample_gradients(self):
+        model = tiny_hybrid(seed=27)
+        samples = self._batch(28)
+        upstream = SeededRng(29).normals(self.B)
+        _, cache = model.forward(samples.x_seq, samples.x_static)
+        grads, dx_seq = model.backward(cache, upstream)
+        assert dx_seq.shape == samples.x_seq.shape
+        totals = {name: np.zeros_like(p) for name, p in model.params().items()}
+        for i in range(self.B):
+            _, cache_i = model.forward(samples.x_seq[i], samples.x_static[i])
+            grads_i, dx_i = model.backward(cache_i, upstream[i])
+            assert normwise_rel_error(dx_seq[i], dx_i) < 1e-12
+            for name in totals:
+                totals[name] += grads_i[name]
+        for name, total in totals.items():
+            assert normwise_rel_error(grads[name], total) < 1e-12, name
+
+    def test_batch_loss_gradients_match_finite_differences(self):
+        model = tiny_hybrid(seed=30)
+        samples = self._batch(31)
+
+        def loss():
+            scores, _ = model.forward(samples.x_seq, samples.x_static)
+            return mse_loss(samples.y, scores)[0]
+
+        scores, cache = model.forward(samples.x_seq, samples.x_static)
+        _, dpred = mse_loss(samples.y, scores)
+        grads, dx_seq = model.backward(cache, dpred)
+        for name, param in model.params().items():
+            assert rel_error(grads[name], numeric_grad(loss, param)) < 1e-4, name
+        assert rel_error(dx_seq, numeric_grad(loss, samples.x_seq)) < 1e-4
+
+    def test_train_mode_draws_dropout_in_per_sample_order(self):
+        model = tiny_hybrid(seed=32, dropout_p=0.5)
+        samples = self._batch(33)
+        batch_rng, sample_rng = SeededRng(34), SeededRng(34)
+        scores, _ = model.forward(samples.x_seq, samples.x_static, mode="train", rng=batch_rng)
+        for i in range(self.B):
+            solo, _ = model.forward(samples.x_seq[i], samples.x_static[i],
+                                    mode="train", rng=sample_rng)
+            assert solo == scores[i]
+        assert batch_rng.state == sample_rng.state
+
+    def test_mismatched_batch_sizes_rejected(self):
+        model = tiny_hybrid(seed=35)
+        samples = self._batch(36)
+        with pytest.raises(DimensionError):
+            model.forward(samples.x_seq, samples.x_static[:-1])
+        _, cache = model.forward(samples.x_seq, samples.x_static)
+        with pytest.raises(DimensionError):
+            model.backward(cache, np.ones(self.B - 1))
