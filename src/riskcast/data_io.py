@@ -74,7 +74,7 @@ def _load_numeric_csv(path, required: tuple[str, ...]) -> TimeSeriesFrame:
     """Shared loader: a ``date`` column plus named float columns.
 
     Extra columns are kept as floats.  Rows arriving out of order are
-    sorted with a warning; duplicate dates are rejected.
+    sorted with a warning; duplicate dates and non-finite values are rejected.
     """
     header, rows = _read_rows(path)
     if not header or header[0] != "date":
@@ -101,12 +101,17 @@ def _load_numeric_csv(path, required: tuple[str, ...]) -> TimeSeriesFrame:
     if len(set(days)) != len(days):
         dupes = sorted({d for d in days if days.count(d) > 1})
         raise SchemaError(f"{path}: duplicate dates {dupes[:5]}")
+    matrix = np.array([values for _, values in parsed])
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise SchemaError(f"{path}:{rows[row][0]}: non-finite value {float(matrix[row, col])} "
+                          f"in column {value_names[col]!r}")
     if any(days[i] > days[i + 1] for i in range(len(days) - 1)):
         warnings.warn(f"{path}: rows are out of date order; loading sorted", stacklevel=2)
-        parsed.sort(key=lambda item: item[0])
-    dates = [day for day, _ in parsed]
-    matrix = np.array([values for _, values in parsed])
-    return TimeSeriesFrame(dates, {name: matrix[:, i] for i, name in enumerate(value_names)})
+        order = sorted(range(len(days)), key=days.__getitem__)
+        days, matrix = [days[i] for i in order], matrix[order]
+    return TimeSeriesFrame(days, {name: matrix[:, i] for i, name in enumerate(value_names)})
 
 
 def load_market_csv(path) -> TimeSeriesFrame:

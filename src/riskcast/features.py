@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError, ParameterError
-from .frames import TimeSeriesFrame
+from .frames import TimeSeriesFrame, day_numbers
 from .lexicon import SentimentLexicon
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -50,8 +51,8 @@ def moving_average(series, window: int) -> np.ndarray:
             stacklevel=2,
         )
         return out
-    for t in range(window - 1, series.size):
-        out[t] = np.mean(series[t - window + 1:t + 1])
+    # Each row is reduced by the same pairwise sum as np.mean over that 1-d window.
+    out[window - 1:] = sliding_window_view(series, window).mean(axis=1)
     return out
 
 
@@ -78,10 +79,11 @@ def trailing_volatility(returns, window: int) -> np.ndarray:
     if window < 1:
         raise ParameterError(f"volatility window must be >= 1, got {window}")
     out = np.full(returns.size, np.nan)
-    for t in range(window - 1, returns.size):
-        chunk = returns[t - window + 1:t + 1]
-        if np.all(np.isfinite(chunk)):
-            out[t] = np.std(chunk)
+    if window > returns.size:
+        return out
+    windows = sliding_window_view(returns, window)
+    complete = np.isfinite(windows).all(axis=1)
+    out[window - 1:][complete] = windows[complete].std(axis=1)
     return out
 
 
@@ -108,13 +110,22 @@ def sentiment_score(text: str, lexicon: SentimentLexicon) -> SentimentScore:
     tokens = _TOKEN_RE.findall(text.lower())
     if not tokens:
         return SentimentScore(0.0, 0.0, 1.0, 0.0)
-    n_pos = sum(1 for tok in tokens if tok in lexicon.positive)
-    n_neg = sum(1 for tok in tokens if tok in lexicon.negative)
+    n_pos = sum(map(lexicon.positive.__contains__, tokens))
+    n_neg = sum(map(lexicon.negative.__contains__, tokens))
     pos = n_pos / len(tokens)
     neg = n_neg / len(tokens)
     neu = 1.0 - (pos + neg)
     compound = (n_pos - n_neg) / (n_pos + n_neg + 1)
     return SentimentScore(pos, neg, neu, compound)
+
+
+def _calendar_rows(days: list[dt.date]) -> tuple[np.ndarray, list[dt.date]]:
+    """Every calendar date from the earliest to the latest of ``days``, and
+    the row of each of ``days`` in that range."""
+    ordinals = day_numbers(days)
+    first = int(ordinals.min())
+    rows = ordinals - first
+    return rows, [dt.date.fromordinal(first + i) for i in range(int(rows.max()) + 1)]
 
 
 def aggregate_daily_sentiment(items: list[tuple[dt.date, SentimentScore]]) -> TimeSeriesFrame:
@@ -126,20 +137,17 @@ def aggregate_daily_sentiment(items: list[tuple[dt.date, SentimentScore]]) -> Ti
     """
     if not items:
         return TimeSeriesFrame([], {name: np.array([]) for name in SENTIMENT_COLUMNS})
-    by_day: dict[dt.date, list[SentimentScore]] = {}
-    for day, score in items:
-        by_day.setdefault(day, []).append(score)
-    first, last = min(by_day), max(by_day)
-    dates = [first + dt.timedelta(days=i) for i in range((last - first).days + 1)]
-    cols = {name: np.empty(len(dates)) for name in SENTIMENT_COLUMNS}
-    for row, day in enumerate(dates):
-        scores = by_day.get(day)
-        if scores:
-            for j, name in enumerate(SENTIMENT_COLUMNS):
-                cols[name][row] = sum(s[j] for s in scores) / len(scores)
-        else:
-            for name in SENTIMENT_COLUMNS:
-                cols[name][row] = _NEUTRAL_SENTIMENT[name]
+    rows, dates = _calendar_rows([day for day, _ in items])
+    counts = np.bincount(rows)
+    observed = counts > 0
+    scores = np.array([score for _, score in items], dtype=np.float64)
+    cols = {}
+    for j, name in enumerate(SENTIMENT_COLUMNS):
+        # bincount adds each day's items in item order, like a left-to-right sum.
+        sums = np.bincount(rows, weights=scores[:, j])
+        col = np.full(len(dates), _NEUTRAL_SENTIMENT[name])
+        col[observed] = sums[observed] / counts[observed]
+        cols[name] = col
     return TimeSeriesFrame(dates, cols)
 
 
@@ -220,13 +228,9 @@ def one_hot_encode(events: list[tuple[dt.date, str]], vocabulary: list[str]) -> 
     for day, cat in events:
         if cat not in col_index:
             raise ParameterError(f"unknown category {cat!r} on {day}")
-    first = min(day for day, _ in events)
-    last = max(day for day, _ in events)
-    dates = [first + dt.timedelta(days=i) for i in range((last - first).days + 1)]
+    rows, dates = _calendar_rows([day for day, _ in events])
     matrix = np.zeros((len(dates), len(vocabulary)))
-    row_index = {d: i for i, d in enumerate(dates)}
-    for day, cat in events:
-        matrix[row_index[day], col_index[cat]] = 1.0
+    matrix[rows, [col_index[cat] for _, cat in events]] = 1.0
     return TimeSeriesFrame(dates, {cat: matrix[:, i] for cat, i in col_index.items()})
 
 
@@ -235,21 +239,32 @@ def one_hot_encode(events: list[tuple[dt.date, str]], vocabulary: list[str]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _forward_fill_onto(dates: list[dt.date], source: TimeSeriesFrame) -> dict[str, np.ndarray]:
-    """Carry each column's most recent prior observation onto ``dates``.
-
-    Positions before a column's first observation stay NaN.
-    """
-    out = {name: np.full(len(dates), np.nan) for name in source.columns}
+def _forward_fill_onto(days: np.ndarray, source: TimeSeriesFrame) -> dict[str, np.ndarray]:
+    """Carry each column's most recent prior finite observation onto the date
+    ordinals ``days``; positions before its first finite observation stay NaN."""
+    source_days = day_numbers(source.dates)
+    out = {}
     for name, values in source.columns.items():
-        pos = 0
-        current = np.nan
-        for row, day in enumerate(dates):
-            while pos < len(source) and source.dates[pos] <= day:
-                if np.isfinite(values[pos]):
-                    current = values[pos]
-                pos += 1
-            out[name][row] = current
+        observed = np.isfinite(values)
+        prior = np.searchsorted(source_days[observed], days, side="right") - 1
+        have = prior >= 0
+        col = np.full(days.size, np.nan)
+        col[have] = values[observed][prior[have]]
+        out[name] = col
+    return out
+
+
+def _same_day_onto(days: np.ndarray, source: TimeSeriesFrame,
+                   fill: dict[str, float]) -> dict[str, np.ndarray]:
+    """Each column's finite value dated exactly on ``days``, else ``fill[name]``."""
+    _, rows, src = np.intersect1d(days, day_numbers(source.dates), assume_unique=True,
+                                  return_indices=True)
+    out = {}
+    for name, values in source.columns.items():
+        col = np.full(days.size, fill[name])
+        finite = np.isfinite(values[src])
+        col[rows[finite]] = values[src[finite]]
+        out[name] = col
     return out
 
 
@@ -277,10 +292,10 @@ def align_by_date(
         columns[name] = values
 
     drop_mask = np.zeros(len(market), dtype=bool)
+    days = day_numbers(market.dates)
 
     if financial is not None and financial.columns:
-        filled = _forward_fill_onto(market.dates, financial)
-        for name, values in filled.items():
+        for name, values in _forward_fill_onto(days, financial).items():
             _add(name, values)
             drop_mask |= ~np.isfinite(values)
 
@@ -291,24 +306,13 @@ def align_by_date(
                 f"sentiment frame has unrecognized columns {unknown}; "
                 f"expected a subset of {list(SENTIMENT_COLUMNS)}"
             )
-        index = sentiment.date_index()
-        for name, values in sentiment.columns.items():
-            col = np.full(len(market), _NEUTRAL_SENTIMENT[name])
-            for row, day in enumerate(market.dates):
-                pos = index.get(day)
-                if pos is not None and np.isfinite(values[pos]):
-                    col[row] = values[pos]
-            _add(name, col)
+        for name, values in _same_day_onto(days, sentiment, _NEUTRAL_SENTIMENT).items():
+            _add(name, values)
 
     if policy is not None and policy.columns:
-        index = policy.date_index()
-        for name, values in policy.columns.items():
-            col = np.zeros(len(market))
-            for row, day in enumerate(market.dates):
-                pos = index.get(day)
-                if pos is not None and np.isfinite(values[pos]):
-                    col[row] = values[pos]
-            _add(name, col)
+        no_event = dict.fromkeys(policy.columns, 0.0)
+        for name, values in _same_day_onto(days, policy, no_event).items():
+            _add(name, values)
 
     keep = np.flatnonzero(~drop_mask)
     if keep.size == 0:
@@ -369,9 +373,6 @@ class SampleSet:
     def static_width(self) -> int:
         return self.x_static.shape[1]
 
-    def sample(self, i: int) -> tuple[np.ndarray, np.ndarray, float, dt.date]:
-        return self.x_seq[i], self.x_static[i], float(self.y[i]), self.dates[i]
-
     def subset(self, start: int, stop: int) -> "SampleSet":
         return SampleSet(
             self.x_seq[start:stop],
@@ -410,15 +411,8 @@ def build_windows(
     for name, values in (("sequence", seq), ("static", static), ("target", target)):
         if not np.all(np.isfinite(values)):
             raise DataError(f"{name} columns contain missing values; trim warm-up rows first")
-    n = n_rows - window - horizon + 1
-    x_seq = np.empty((n, window, seq.shape[1]))
-    x_static = np.empty((n, static.shape[1]))
-    y = np.empty(n)
-    dates = []
-    for i in range(n):
-        end = i + window - 1
-        x_seq[i] = seq[i:end + 1]
-        x_static[i] = static[end]
-        y[i] = target[end + horizon]
-        dates.append(aligned.dates[end])
-    return SampleSet(x_seq, x_static, y, dates)
+    ends = slice(window - 1, n_rows - horizon)  # every admissible end row t
+    # sliding_window_view puts the window axis last: [N x F x T] -> [N x T x F].
+    x_seq = sliding_window_view(seq[:ends.stop], window, axis=0).transpose(0, 2, 1)
+    return SampleSet(np.ascontiguousarray(x_seq), static[ends],
+                     target[ends.start + horizon:].copy(), aligned.dates[ends])

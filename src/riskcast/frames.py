@@ -16,6 +16,11 @@ import numpy as np
 from .errors import DataError, DimensionError, ParameterError
 
 
+def day_numbers(dates: list[dt.date]) -> np.ndarray:
+    """Date ordinals as int64, for sorted-date searches."""
+    return np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
+
+
 @dataclass
 class TimeSeriesFrame:
     dates: list[dt.date]
@@ -23,12 +28,13 @@ class TimeSeriesFrame:
 
     def __post_init__(self):
         self.dates = list(self.dates)
-        for i in range(1, len(self.dates)):
-            if self.dates[i] <= self.dates[i - 1]:
-                raise DataError(
-                    f"dates must be strictly increasing: {self.dates[i - 1]} "
-                    f"followed by {self.dates[i]}"
-                )
+        out_of_order = np.diff(day_numbers(self.dates)) <= 0
+        if out_of_order.any():
+            i = int(out_of_order.argmax()) + 1
+            raise DataError(
+                f"dates must be strictly increasing: {self.dates[i - 1]} "
+                f"followed by {self.dates[i]}"
+            )
         cols = {}
         for name, values in self.columns.items():
             arr = np.asarray(values, dtype=np.float64)
@@ -78,10 +84,7 @@ def drop_incomplete_rows(frame: TimeSeriesFrame) -> TimeSeriesFrame:
     """Remove every row that has a NaN in any column (warm-up trimming)."""
     if not frame.columns:
         return frame
-    mask = np.ones(len(frame), dtype=bool)
-    for values in frame.columns.values():
-        mask &= np.isfinite(values)
-    keep = np.flatnonzero(mask)
+    keep = np.flatnonzero(np.isfinite(frame.matrix(frame.column_names)).all(axis=1))
     dates = [frame.dates[i] for i in keep]
     return TimeSeriesFrame(dates, {n: v[keep] for n, v in frame.columns.items()})
 
@@ -95,13 +98,11 @@ def merge_outer(a: TimeSeriesFrame, b: TimeSeriesFrame) -> TimeSeriesFrame:
     if overlap:
         raise ParameterError(f"duplicate column names in merge: {sorted(overlap)}")
     dates = sorted(set(a.dates) | set(b.dates))
+    days = day_numbers(dates)
     out: dict[str, np.ndarray] = {}
     for frame in (a, b):
-        idx = frame.date_index()
-        rows = np.array([idx.get(d, -1) for d in dates])
-        present = rows >= 0
+        rows = np.searchsorted(days, day_numbers(frame.dates))
         for name, values in frame.columns.items():
-            col = np.full(len(dates), np.nan)
-            col[present] = values[rows[present]]
-            out[name] = col
+            out[name] = np.full(len(dates), np.nan)
+            out[name][rows] = values
     return TimeSeriesFrame(dates, out)

@@ -174,6 +174,39 @@ class TestPredict:
         assert "no admissible prediction windows" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    @pytest.mark.parametrize("filename,column", [("market.csv", "close"),
+                                                 ("financial.csv", "profit")])
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_rejected_with_file_line_and_exit_3(self, workspace, tmp_path, capsys,
+                                                command, filename, column, token):
+        _, data_dir, _, linear = workspace
+        bad_dir = tmp_path / "bad"
+        bad_dir.mkdir()
+        for name in DATA_FILES:
+            (bad_dir / name).write_bytes((data_dir / name).read_bytes())
+        lines = (bad_dir / filename).read_text().splitlines()
+        col = lines[0].split(",").index(column)
+        row = len(lines) // 2
+        fields = lines[row].split(",")
+        fields[col] = token
+        lines[row] = ",".join(fields)
+        (bad_dir / filename).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if command == "predict":
+            argv = ["predict", "--model", str(linear), "--data", str(bad_dir),
+                    "--out", str(out)]
+        else:
+            argv = ["train", "--data", str(bad_dir), "--out", str(out),
+                    "--baseline", "linreg"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{filename}:{row + 1}: non-finite value {token}" in err
+        assert repr(column) in err
+        assert not out.exists()
+
+
 class TestCompare:
     def test_table_and_csv(self, workspace, capsys):
         tmp_path, data_dir, hybrid, linear = workspace

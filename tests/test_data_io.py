@@ -85,6 +85,29 @@ class TestMarketLoader:
         with pytest.raises(SchemaError, match=":3"):
             load_market_csv(path)
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_value_names_file_line_and_column(self, tmp_path, token):
+        path = tmp_path / "market.csv"
+        path.write_text(
+            "date,open,close,volume\n"
+            "2020-01-02,1.0,2.0,3.0\n"
+            f"2020-01-03,1.0,{token},3.0\n"
+            "2020-01-06,1.0,2.0,3.0\n"
+        )
+        with pytest.raises(SchemaError, match=r"market\.csv:3: non-finite .* column 'close'"):
+            load_market_csv(path)
+
+    def test_non_finite_line_is_the_file_line_when_rows_are_out_of_order(self, tmp_path):
+        path = tmp_path / "market.csv"
+        path.write_text(
+            "date,open,close,volume\n"
+            "2020-01-07,1.0,2.0,3.0\n"
+            "2020-01-02,1.0,2.0,3.0\n"
+            "2020-01-03,1.0,2.0,inf\n"
+        )
+        with pytest.raises(SchemaError, match=r"market\.csv:4: non-finite .* 'volume'"):
+            load_market_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "market.csv"
         path.write_text("")
