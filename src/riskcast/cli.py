@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import data_io, pipeline
 from .data_io import SplitSpec, load_bundle, load_model, save_model
 from .errors import (
@@ -33,7 +31,7 @@ from .evaluation import (
     report_csv,
     report_text,
 )
-from .frames import TimeSeriesFrame
+from .frames import drop_incomplete_rows
 from .lexicon import default_lexicon, load_lexicon
 from .models import HybridModel, ModelDims, linreg_fit, predict_batch, prediction_scores
 from .synth import SynthConfig, synth_generate
@@ -67,17 +65,6 @@ def _add_common_data_flags(sub):
 # ---------------------------------------------------------------------------
 
 
-def _extract_complete(frame: TimeSeriesFrame, columns: tuple[str, ...]) -> TimeSeriesFrame:
-    """Rows where every selected column is observed (used to unbundle the
-    outer-joined financial/macro frame back into per-file tables)."""
-    mask = np.ones(len(frame), dtype=bool)
-    for name in columns:
-        mask &= np.isfinite(frame.column(name))
-    keep = np.flatnonzero(mask)
-    return TimeSeriesFrame([frame.dates[i] for i in keep],
-                           {n: frame.column(n)[keep] for n in columns})
-
-
 def cmd_gen_data(args) -> int:
     cfg = SynthConfig(
         n_days=args.days,
@@ -94,10 +81,11 @@ def cmd_gen_data(args) -> int:
         return os.path.join(args.out, name)
 
     data_io.write_frame_csv(bundle.market, _path("market.csv"))
-    data_io.write_frame_csv(_extract_complete(bundle.financial, data_io.FINANCIAL_COLUMNS),
-                            _path("financial.csv"))
-    data_io.write_frame_csv(_extract_complete(bundle.financial, data_io.MACRO_COLUMNS),
-                            _path("macro.csv"))
+    # Unbundle the outer-joined financial/macro frame into its two files.
+    for columns, name in ((data_io.FINANCIAL_COLUMNS, "financial.csv"),
+                          (data_io.MACRO_COLUMNS, "macro.csv")):
+        data_io.write_frame_csv(drop_incomplete_rows(bundle.financial.select(list(columns))),
+                                _path(name))
     data_io.write_news_csv(bundle.news, _path("news.csv"))
     data_io.write_policy_csv(bundle.policy, _path("policy.csv"))
     manifest = {

@@ -52,13 +52,27 @@ def derive_seed(base: int, *parts: int) -> int:
     return h
 
 
+def unit_floats(bits: np.ndarray) -> np.ndarray:
+    """uint64 draws -> floats on [0, 1), as :meth:`SeededRng.next_float` maps each."""
+    return (bits >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
+
+
+def box_muller(u1: np.ndarray, u2: np.ndarray, mu: float = 0.0,
+               sigma: float = 1.0) -> np.ndarray:
+    """Normals from paired uniforms ``(u1[i], u2[i])``, as :meth:`SeededRng.normals`
+    computes them; exposed so a caller that walks pre-drawn uniforms gets the
+    same bits.  ``1 - u1`` lies in (0, 1], which keeps log() finite."""
+    return mu + sigma * np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+
+
 class SeededRng:
     """Deterministic SplitMix64 stream.
 
     State update: ``state += 0x9E3779B97F4A7C15 (mod 2**64)``; each output is
     ``mix64(state)``.  Identical seeds produce bitwise-identical draw
-    sequences across runs and platforms.  Instances are single-owner: to run
-    work in parallel, :meth:`split` off child generators instead of sharing.
+    sequences across runs and platforms.  Instances are single-owner: for
+    independent child streams, seed new generators from :func:`derive_seed`
+    instead of sharing one.
     """
 
     __slots__ = ("_state",)
@@ -69,10 +83,6 @@ class SeededRng:
     @property
     def state(self) -> int:
         return self._state
-
-    def split(self) -> "SeededRng":
-        """Child generator seeded from this stream; advances this stream."""
-        return SeededRng(self.next_uint64())
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -95,7 +105,7 @@ class SeededRng:
         return (self.next_uint64() >> 11) * _FLOAT_SCALE
 
     def next_floats(self, n: int) -> np.ndarray:
-        return (self.next_uint64s(n) >> np.uint64(11)).astype(np.float64) * _FLOAT_SCALE
+        return unit_floats(self.next_uint64s(n))
 
     def uniform(self, lo: float, hi: float) -> float:
         if not lo <= hi:
@@ -112,9 +122,7 @@ class SeededRng:
         if sigma < 0:
             raise ParameterError(f"normal sigma must be >= 0, got {sigma}")
         u = self.next_floats(2 * n)
-        u1 = 1.0 - u[0::2]  # (0, 1], keeps log() finite
-        u2 = u[1::2]
-        return mu + sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return box_muller(u[0::2], u[1::2], mu, sigma)
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         return float(self.normals(1, mu, sigma)[0])
@@ -130,9 +138,6 @@ class SeededRng:
         for i in range(len(values) - 1, 0, -1):
             j = self.next_uint64() % (i + 1)
             values[i], values[j] = values[j], values[i]
-
-    def choice(self, values: Sequence):
-        return values[self.randint(len(values))]
 
 
 def as_tensor(values, shape: Sequence[int] | None = None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -58,6 +59,25 @@ class TestGenData:
         again = _gen(tmp_path, days=420, seed=5)
         for name in DATA_FILES + ["manifest.json"]:
             assert (data_dir / name).read_bytes() == (again / name).read_bytes(), name
+
+    def test_files_match_pinned_digests(self, tmp_path):
+        """SHA-256 of every file ``gen-data --days 300 --seed 7`` writes.
+
+        The digests were recorded from the per-draw generator.  Unlike the
+        rerun test above, they also catch a change of draw order that is
+        stable from run to run."""
+        pinned = {
+            "market.csv": "b0d4fcc59a77fa393bc6d04a501502656ce069eeccfdc43ad5e697afcd80d4c2",
+            "financial.csv": "ca8a80095530a735558f66a90576f5616c596089963bb52ff911818ef886192f",
+            "macro.csv": "4366391e3369bc692163434b6ab29821018631321d2529b125faebb1741cae4e",
+            "news.csv": "1a766220702b4a93eb6c9f16cf25fa0f7577781d26a0cbf1fcaef595deaadb68",
+            "policy.csv": "bb1458ec2c1d8cf60078c03b19f32636b7312f3a4f22ad6b1d091ce2dac98069",
+            "manifest.json": "e46d5db6283c118915e333f776e240330aef39e91086f82a33cd895c27a98898",
+        }
+        out = _gen(tmp_path, days=300, seed=7)
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in pinned}
+        assert digests == pinned
 
     def test_days_below_minimum_is_a_parameter_error(self, tmp_path, capsys):
         rc = main(["gen-data", "--days", "50", "--out", str(tmp_path / "x")])

@@ -36,12 +36,6 @@ class TestSeededRng:
         vector = b.normals(64, 1.5, 2.0)
         assert np.array_equal(scalar, vector)
 
-    def test_split_streams_are_distinct_and_reproducible(self):
-        parent1, parent2 = SeededRng(7), SeededRng(7)
-        child1, child2 = parent1.split(), parent2.split()
-        assert child1.next_uint64() == child2.next_uint64()
-        assert parent1.next_uint64() != child1.next_uint64()
-
     def test_shuffle_is_a_deterministic_permutation(self):
         values = list(range(50))
         a = sorted(values)
