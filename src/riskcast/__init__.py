@@ -44,6 +44,7 @@ from .features import (
     moving_average,
     one_hot_encode,
     sentiment_score,
+    sentiment_scores,
 )
 from .frames import TimeSeriesFrame
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, ModelIOError, ParameterError, SchemaError
 from .features import SampleSet
-from .frames import TimeSeriesFrame
+from .frames import TimeSeriesFrame, day_numbers
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
 from .preprocess import Preprocess
@@ -43,15 +43,26 @@ MACRO_COLUMNS = ("gdp", "cpi", "interest_rate")
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    """Stripped header names and every non-blank data row of a CSV file."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        rows = [(reader.line_num, row) for row in reader if row]
+        rows = list(filter(None, reader))
     return [name.strip() for name in header], rows
+
+
+def _numbered_rows(path) -> list[tuple[int, list[str]]]:
+    """The data rows of :func:`_read_rows`, each with its csv line number
+    (the file line the row ends on, counting blank lines and the lines of
+    quoted multi-line fields)."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return [(reader.line_num, row) for row in reader if row]
 
 
 def _parse_date(token: str, path, lineno: int) -> dt.date:
@@ -70,11 +81,43 @@ def _parse_float(token: str, column: str, path, lineno: int) -> float:
         ) from exc
 
 
+def _check_rows(path, width: int, value_names: list[str]) -> None:
+    """Re-read ``path`` row by row and raise the ``file:line`` SchemaError of
+    its first bad row: wrong field count, bad date or bad value."""
+    for lineno, row in _numbered_rows(path):
+        if len(row) != width:
+            raise SchemaError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        _parse_date(row[0], path, lineno)
+        for name, tok in zip(value_names, row[1:]):
+            _parse_float(tok, name, path, lineno)
+
+
+def _columns(path, rows: list[list[str]], width: int, value_names: list[str]
+             ) -> tuple[list[dt.date], np.ndarray, list[tuple[str, ...]]]:
+    """Parse ``rows`` column by column: the dates, the ``value_names`` columns
+    as one ``[columns x rows]`` float matrix, and the remaining raw columns.
+
+    Any bad row is reported at its file line by :func:`_check_rows`.
+    """
+    try:
+        if set(map(len, rows)) != {width}:
+            raise ValueError("rows with the wrong field count")
+        columns = list(zip(*rows))
+        days = list(map(dt.date.fromisoformat, map(str.strip, columns[0])))
+        # numpy parses str with Python's float(), so the values are float()'s bits.
+        values = np.array(columns[1:len(value_names) + 1], dtype=np.float64)
+    except ValueError:
+        _check_rows(path, width, value_names)
+        raise
+    return days, values, columns[len(value_names) + 1:]
+
+
 def _load_numeric_csv(path, required: tuple[str, ...]) -> TimeSeriesFrame:
     """Shared loader: a ``date`` column plus named float columns.
 
     Extra columns are kept as floats.  Rows arriving out of order are
     sorted with a warning; duplicate dates and non-finite values are rejected.
+    A bad file is reported at its first bad row in file order.
     """
     header, rows = _read_rows(path)
     if not header or header[0] != "date":
@@ -82,36 +125,26 @@ def _load_numeric_csv(path, required: tuple[str, ...]) -> TimeSeriesFrame:
     for column in required:
         if column not in header[1:]:
             raise SchemaError(f"{path}: missing required column {column!r}")
-    value_names = header[1:]
-    parsed: list[tuple[dt.date, list[float]]] = []
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        day = _parse_date(row[0], path, lineno)
-        values = [
-            _parse_float(tok, name, path, lineno)
-            for name, tok in zip(value_names, row[1:])
-        ]
-        parsed.append((day, values))
-    if not parsed:
+    if not rows:
         raise SchemaError(f"{path}: no data rows")
-    days = [day for day, _ in parsed]
-    if len(set(days)) != len(days):
-        dupes = sorted({d for d in days if days.count(d) > 1})
+    value_names = header[1:]
+    days, matrix, _ = _columns(path, rows, len(header), value_names)
+    ordinals = day_numbers(days)
+    order = np.argsort(ordinals, kind="stable")
+    ranked = ordinals[order]
+    repeated = ranked[1:] == ranked[:-1]
+    if repeated.any():
+        dupes = [dt.date.fromordinal(int(d)) for d in np.unique(ranked[1:][repeated])]
         raise SchemaError(f"{path}: duplicate dates {dupes[:5]}")
-    matrix = np.array([values for _, values in parsed])
     finite = np.isfinite(matrix)
     if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise SchemaError(f"{path}:{rows[row][0]}: non-finite value {float(matrix[row, col])} "
-                          f"in column {value_names[col]!r}")
-    if any(days[i] > days[i + 1] for i in range(len(days) - 1)):
+        row, col = np.argwhere(~finite.T)[0]
+        raise SchemaError(f"{path}:{_numbered_rows(path)[row][0]}: non-finite value "
+                          f"{float(matrix[col, row])} in column {value_names[col]!r}")
+    if (np.diff(ordinals) < 0).any():
         warnings.warn(f"{path}: rows are out of date order; loading sorted", stacklevel=2)
-        order = sorted(range(len(days)), key=days.__getitem__)
-        days, matrix = [days[i] for i in order], matrix[order]
-    return TimeSeriesFrame(days, {name: matrix[:, i] for i, name in enumerate(value_names)})
+        days, matrix = [days[i] for i in order], matrix[:, order]
+    return TimeSeriesFrame(days, dict(zip(value_names, matrix)))
 
 
 def load_market_csv(path) -> TimeSeriesFrame:
@@ -126,28 +159,24 @@ def load_macro_csv(path) -> TimeSeriesFrame:
     return _load_numeric_csv(path, MACRO_COLUMNS)
 
 
-def load_news_csv(path) -> list[tuple[dt.date, str]]:
+def _load_dated_labels(path, label: str) -> tuple[list[dt.date], tuple[str, ...]]:
+    """The dates and labels of a ``date,<label>`` file, in file order."""
     header, rows = _read_rows(path)
-    if header[:2] != ["date", "text"]:
-        raise SchemaError(f"{path}: expected header date,text, got {header}")
-    items = []
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise SchemaError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        items.append((_parse_date(row[0], path, lineno), row[1]))
-    return items
+    if header[:2] != ["date", label]:
+        raise SchemaError(f"{path}: expected header date,{label}, got {header}")
+    if not rows:
+        return [], ()
+    days, _, (labels,) = _columns(path, rows, 2, [])
+    return days, labels
+
+
+def load_news_csv(path) -> list[tuple[dt.date, str]]:
+    return list(zip(*_load_dated_labels(path, "text")))
 
 
 def load_policy_csv(path) -> list[tuple[dt.date, str]]:
-    header, rows = _read_rows(path)
-    if header[:2] != ["date", "category"]:
-        raise SchemaError(f"{path}: expected header date,category, got {header}")
-    events = []
-    for lineno, row in rows:
-        if len(row) != 2:
-            raise SchemaError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        events.append((_parse_date(row[0], path, lineno), row[1].strip()))
-    return events
+    days, categories = _load_dated_labels(path, "category")
+    return list(zip(days, map(str.strip, categories)))
 
 
 # ---------------------------------------------------------------------------

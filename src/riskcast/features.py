@@ -9,10 +9,10 @@ an exhaustive no-lookahead guarantee on every produced sample.
 from __future__ import annotations
 
 import datetime as dt
-import re
+import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,8 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError, DimensionError, ParameterError
 from .frames import TimeSeriesFrame, day_numbers
 from .lexicon import SentimentLexicon
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 SENTIMENT_COLUMNS = ("pos", "neg", "neu", "compound")
 _NEUTRAL_SENTIMENT = {"pos": 0.0, "neg": 0.0, "neu": 1.0, "compound": 0.0}
@@ -99,6 +97,51 @@ class SentimentScore(NamedTuple):
     compound: float
 
 
+# Texts scored per pass: bounds how many token strings are alive at once.
+_SCORE_CHUNK = 4096
+# Token kinds: any other word, a positive term, a negative term, a text separator.
+_WORD, _POS, _NEG, _SEP = range(4)
+_TOKEN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def sentiment_scores(texts: Sequence[str], lexicon: SentimentLexicon) -> np.ndarray:
+    """``[n x 4]`` lexicon scores (``pos``, ``neg``, ``neu``, ``compound``),
+    one row per text; row ``i`` is :func:`sentiment_score` of ``texts[i]``.
+
+    Tokens are the maximal runs of ASCII ``[a-z0-9]`` in the lower-cased
+    text.  Each chunk of texts is lower-cased text by text and joined with a
+    NUL separator token.  In its UTF-8 bytes every non-ASCII character is
+    bytes >= 0x80, never a token byte, so mapping all bytes but token bytes
+    and NUL to spaces and splitting on spaces tokenises the whole chunk in
+    one pass; a token belongs to the text numbered by the separators before it.
+    """
+    spaces = bytes(c if c in _TOKEN_BYTES or c == 0 else 0x20 for c in range(256))
+    kinds_of = {**{t.encode("utf-8", "surrogatepass"): _POS for t in lexicon.positive},
+                **{t.encode("utf-8", "surrogatepass"): _NEG for t in lexicon.negative},
+                b"\x00": _SEP}
+    out = np.empty((len(texts), len(SENTIMENT_COLUMNS)))
+    for start in range(0, len(texts), _SCORE_CHUNK):
+        chunk = list(map(str.lower, texts[start:start + _SCORE_CHUNK]))
+        joined = " \x00 ".join(chunk)
+        if joined.count("\x00") != len(chunk) - 1:
+            # A NUL inside a text is a non-token character, like a space.
+            joined = " \x00 ".join(text.replace("\x00", " ") for text in chunk)
+        tokens = joined.encode("utf-8", "surrogatepass").translate(spaces).split()
+        kinds = np.fromiter(map(kinds_of.get, tokens, itertools.repeat(_WORD)),
+                            dtype=np.int64, count=len(tokens))
+        text_of = np.cumsum(kinds == _SEP)
+        counts = np.bincount(text_of * 4 + kinds, minlength=4 * len(chunk)).reshape(-1, 4)
+        n_pos, n_neg = counts[:, _POS], counts[:, _NEG]
+        # A text with no tokens divides by 1 and scores neutral (0, 0, 1, 0).
+        n_tokens = np.maximum(counts[:, _WORD] + n_pos + n_neg, 1)
+        scores = out[start:start + len(chunk)]
+        scores[:, 0] = n_pos / n_tokens
+        scores[:, 1] = n_neg / n_tokens
+        scores[:, 2] = 1.0 - (scores[:, 0] + scores[:, 1])
+        scores[:, 3] = (n_pos - n_neg) / (n_pos + n_neg + 1)
+    return out
+
+
 def sentiment_score(text: str, lexicon: SentimentLexicon) -> SentimentScore:
     """Lexicon hit fractions over lowercase alphanumeric tokens.
 
@@ -107,16 +150,7 @@ def sentiment_score(text: str, lexicon: SentimentLexicon) -> SentimentScore:
     ``compound = (n_pos - n_neg) / (n_pos + n_neg + 1)`` in [-1, 1].
     Text with no tokens or no hits scores neutral (0, 0, 1, 0).
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    if not tokens:
-        return SentimentScore(0.0, 0.0, 1.0, 0.0)
-    n_pos = sum(map(lexicon.positive.__contains__, tokens))
-    n_neg = sum(map(lexicon.negative.__contains__, tokens))
-    pos = n_pos / len(tokens)
-    neg = n_neg / len(tokens)
-    neu = 1.0 - (pos + neg)
-    compound = (n_pos - n_neg) / (n_pos + n_neg + 1)
-    return SentimentScore(pos, neg, neu, compound)
+    return SentimentScore(*sentiment_scores([text], lexicon)[0].tolist())
 
 
 def _calendar_rows(days: list[dt.date]) -> tuple[np.ndarray, list[dt.date]]:
@@ -128,19 +162,21 @@ def _calendar_rows(days: list[dt.date]) -> tuple[np.ndarray, list[dt.date]]:
     return rows, [dt.date.fromordinal(first + i) for i in range(int(rows.max()) + 1)]
 
 
-def aggregate_daily_sentiment(items: list[tuple[dt.date, SentimentScore]]) -> TimeSeriesFrame:
+def aggregate_daily_sentiment(days: Sequence[dt.date], scores) -> TimeSeriesFrame:
     """Per-day mean of each score component over a continuous daily range.
 
-    The output covers every calendar day from the earliest to the latest
-    item date; days without items are filled with the neutral score
-    (0, 0, 1, 0).  An empty item list yields an empty frame.
+    ``scores`` holds one row of :data:`SENTIMENT_COLUMNS` per entry of
+    ``days`` (as from :func:`sentiment_scores`).  The output covers every
+    calendar day from the earliest to the latest date; days without items
+    are filled with the neutral score (0, 0, 1, 0).  No items yield an
+    empty frame.
     """
-    if not items:
+    if not len(days):
         return TimeSeriesFrame([], {name: np.array([]) for name in SENTIMENT_COLUMNS})
-    rows, dates = _calendar_rows([day for day, _ in items])
+    rows, dates = _calendar_rows(days)
     counts = np.bincount(rows)
     observed = counts > 0
-    scores = np.array([score for _, score in items], dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     cols = {}
     for j, name in enumerate(SENTIMENT_COLUMNS):
         # bincount adds each day's items in item order, like a left-to-right sum.

@@ -81,12 +81,3 @@ def load_lexicon(path) -> SentimentLexicon:
             sections[current].add(line.lower())
     return SentimentLexicon(frozenset(sections["positive"]), frozenset(sections["negative"]))
 
-
-def save_lexicon(lexicon: SentimentLexicon, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("[positive]\n")
-        for term in sorted(lexicon.positive):
-            handle.write(term + "\n")
-        handle.write("[negative]\n")
-        for term in sorted(lexicon.negative):
-            handle.write(term + "\n")

@@ -27,7 +27,7 @@ from .features import (
     fit_standardize,
     moving_average,
     one_hot_encode,
-    sentiment_score,
+    sentiment_scores,
     trailing_volatility,
 )
 from .frames import TimeSeriesFrame, drop_incomplete_rows
@@ -68,8 +68,8 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
         TARGET_COLUMN: rvol.copy(),
     })
 
-    scored = [(day, sentiment_score(text, lexicon)) for day, text in bundle.news]
-    sentiment = aggregate_daily_sentiment(scored)
+    days, texts = zip(*bundle.news) if bundle.news else ((), ())
+    sentiment = aggregate_daily_sentiment(days, sentiment_scores(texts, lexicon))
     financial = bundle.financial if len(bundle.financial) else None
     policy = None
     if policy_vocab:

@@ -10,6 +10,7 @@ numbers.  Run with::
 
 import datetime as dt
 import math
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+import riskcast
 from riskcast import (
     HybridModel,
     ModelDims,
@@ -248,9 +250,13 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
              "--csv", str(eval_csv)],
         ]
         stdout = []
+        # The commands import the same riskcast package as this test process.
+        package_root = os.path.dirname(os.path.dirname(riskcast.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         for cmd in cmds:
             proc = subprocess.run([sys.executable, "-m", "riskcast", *cmd],
-                                  capture_output=True, text=True, check=True)
+                                  capture_output=True, text=True, check=True, env=env)
             # Output paths differ between the two runs by construction; the
             # determinism claim is about everything else.
             stdout.append(proc.stdout.replace(str(base), "BASE"))

@@ -75,6 +75,26 @@ class TestMarketLoader:
         with pytest.raises(SchemaError, match="duplicate"):
             load_market_csv(path)
 
+    def test_one_duplicate_in_a_large_file_is_named(self, tmp_path):
+        days = [dt.date(1960, 1, 1) + dt.timedelta(days=i) for i in range(20_000)]
+        days.insert(12_345, days[12_345])
+        path = tmp_path / "market.csv"
+        path.write_text("date,open,close,volume\n"
+                        + "".join(f"{day},1.0,2.0,3.0\n" for day in days))
+        with pytest.raises(SchemaError) as err:
+            load_market_csv(path)
+        assert str(err.value) == f"{path}: duplicate dates [{days[12_345]!r}]"
+
+    def test_duplicate_report_names_the_first_five_sorted(self, tmp_path):
+        days = [dt.date(1960, 1, 1) + dt.timedelta(days=i) for i in range(20_000)]
+        repeated = [days[i] for i in (19_000, 7, 15_000, 3, 400, 11, 9_999)]
+        path = tmp_path / "market.csv"
+        path.write_text("date,open,close,volume\n"
+                        + "".join(f"{day},1.0,2.0,3.0\n" for day in days + repeated))
+        with pytest.raises(SchemaError) as err:
+            load_market_csv(path)
+        assert str(err.value) == f"{path}: duplicate dates {sorted(repeated)[:5]}"
+
     def test_unparseable_row_reports_line_number(self, tmp_path):
         path = tmp_path / "market.csv"
         path.write_text(

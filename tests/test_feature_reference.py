@@ -283,7 +283,7 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
         (dt.date(2021, 3, 9), SentimentScore(0.3, 0.1, 0.6, 0.4)),    # Tuesday
         (dt.date(2021, 4, 2), SentimentScore(0.0, 0.8, 0.2, -0.8)),   # after the market
     ]
-    sentiment = aggregate_daily_sentiment(items)
+    sentiment = aggregate_daily_sentiment(*zip(*items))
     policy = TimeSeriesFrame([dt.date(2021, 2, 1), dt.date(2021, 3, 3), dt.date(2021, 3, 13)],
                              {"hike": np.array([1.0, 1.0, 1.0])})
     aligned = align_by_date(market, sentiment=sentiment, policy=policy)
@@ -300,7 +300,7 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
 
 def test_sentiment_frame_without_rows_fills_neutral():
     market = TimeSeriesFrame(_days(dt.date(2021, 3, 1), 4), {"close": np.ones(4)})
-    aligned = align_by_date(market, sentiment=aggregate_daily_sentiment([]))
+    aligned = align_by_date(market, sentiment=aggregate_daily_sentiment([], []))
     assert np.array_equal(aligned.column("neu"), np.ones(4))
     assert np.array_equal(aligned.column("pos"), np.zeros(4))
 
@@ -323,7 +323,7 @@ def test_aggregate_many_items_per_day_is_a_left_to_right_sum_bitwise():
         (day + dt.timedelta(days=3), SentimentScore(0.1, 0.4, 0.5, 0.6)),
         (day, SentimentScore(0.25, 0.5, 0.125, 0.0625)),
     ]
-    got = aggregate_daily_sentiment(items)
+    got = aggregate_daily_sentiment(*zip(*items))
     _assert_frames_equal(got, ref_aggregate_daily_sentiment(items))
     assert got.column("pos")[0] == (1e-16 + 1e-16 + 1.0 + 0.25) / 4
     assert np.array_equal(got.column("neu")[1:3], [1.0, 1.0])
@@ -334,7 +334,8 @@ def test_aggregate_bitwise_on_generated_news():
     lexicon = default_lexicon()
     items = [(day, sentiment_score(text, lexicon)) for day, text in bundle.news]
     assert len(items) > len({day for day, _ in items})
-    _assert_frames_equal(aggregate_daily_sentiment(items), ref_aggregate_daily_sentiment(items))
+    _assert_frames_equal(aggregate_daily_sentiment(*zip(*items)),
+                         ref_aggregate_daily_sentiment(items))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ class TestAggregateDailySentiment:
     def test_single_item_per_day_passes_through(self):
         day = dt.date(2020, 1, 6)
         score = SentimentScore(0.25, 0.25, 0.5, 0.1)
-        frame = aggregate_daily_sentiment([(day, score)])
+        frame = aggregate_daily_sentiment([day], [score])
         assert frame.dates == [day]
         assert frame.column("compound")[0] == 0.1
 
@@ -116,13 +116,13 @@ class TestAggregateDailySentiment:
         day = dt.date(2020, 1, 6)
         items = [(day, SentimentScore(0.0, 0.0, 1.0, 0.2)),
                  (day, SentimentScore(0.0, 0.0, 1.0, 0.6))]
-        frame = aggregate_daily_sentiment(items)
+        frame = aggregate_daily_sentiment(*zip(*items))
         assert frame.column("compound")[0] == pytest.approx(0.4)
 
     def test_gap_day_filled_neutral(self):
         items = [(dt.date(2020, 1, 6), SentimentScore(0.5, 0.0, 0.5, 0.8)),
                  (dt.date(2020, 1, 8), SentimentScore(0.0, 0.5, 0.5, -0.8))]
-        frame = aggregate_daily_sentiment(items)
+        frame = aggregate_daily_sentiment(*zip(*items))
         assert len(frame) == 3
         gap = 1  # 2020-01-07
         assert frame.column("pos")[gap] == 0.0
@@ -130,7 +130,7 @@ class TestAggregateDailySentiment:
         assert frame.column("compound")[gap] == 0.0
 
     def test_empty_items_give_empty_frame(self):
-        assert len(aggregate_daily_sentiment([])) == 0
+        assert len(aggregate_daily_sentiment([], [])) == 0
 
 
 class TestStandardization:

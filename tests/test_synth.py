@@ -5,7 +5,7 @@ from riskcast import ParameterError, SynthConfig, default_lexicon, synth_generat
 from riskcast.features import (
     aggregate_daily_sentiment,
     daily_returns,
-    sentiment_score,
+    sentiment_scores,
     trailing_volatility,
 )
 from riskcast.synth import POLICY_CATEGORIES, trading_days
@@ -27,7 +27,8 @@ def _bundles_equal(a, b) -> bool:
 
 def _compound_vs_forward_vol(bundle) -> float:
     lex = default_lexicon()
-    agg = aggregate_daily_sentiment([(d, sentiment_score(t, lex)) for d, t in bundle.news])
+    days, texts = zip(*bundle.news)
+    agg = aggregate_daily_sentiment(days, sentiment_scores(texts, lex))
     index = agg.date_index()
     compound = np.array([
         agg.column("compound")[index[d]] if d in index else 0.0
