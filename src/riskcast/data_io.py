@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, ModelIOError, ParameterError, SchemaError
 from .features import SampleSet
-from .frames import TimeSeriesFrame, day_numbers
+from .frames import TimeSeriesFrame, calendar_dates, day_numbers
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
 from .preprocess import Preprocess
@@ -36,6 +36,8 @@ MODEL_MAGIC = "RISKCAST-MODEL v1"
 MARKET_COLUMNS = ("open", "close", "volume")
 FINANCIAL_COLUMNS = ("profit", "debt_ratio", "cash_flow")
 MACRO_COLUMNS = ("gdp", "cpi", "interest_rate")
+# Market values no price or volume can take: per column, the fault and its test against 0.
+_MARKET_INVALID = {"close": ("non-positive", np.less_equal), "volume": ("negative", np.less)}
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +114,24 @@ def _columns(path, rows: list[list[str]], width: int, value_names: list[str]
     return days, values, columns[len(value_names) + 1:]
 
 
-def _load_numeric_csv(path, required: tuple[str, ...]) -> TimeSeriesFrame:
+def _reject_first(path, bad: np.ndarray, matrix: np.ndarray, value_names: list[str],
+                  faults: dict[str, str]) -> None:
+    """Raise the ``file:line`` SchemaError of the first value that ``bad`` flags
+    in ``matrix`` (``[columns x rows]``), in file order, naming its column's fault."""
+    if bad.any():
+        row, col = np.argwhere(bad.T)[0]
+        name = value_names[col]
+        raise SchemaError(f"{path}:{_numbered_rows(path)[row][0]}: {faults[name]} value "
+                          f"{float(matrix[col, row])} in column {name!r}")
+
+
+def _load_numeric_csv(path, required: tuple[str, ...],
+                      invalid: dict[str, tuple] | None = None) -> TimeSeriesFrame:
     """Shared loader: a ``date`` column plus named float columns.
 
     Extra columns are kept as floats.  Rows arriving out of order are
-    sorted with a warning; duplicate dates and non-finite values are rejected.
+    sorted with a warning; duplicate dates, non-finite values and the values
+    ``invalid`` flags (column -> fault and test against 0) are rejected.
     A bad file is reported at its first bad row in file order.
     """
     header, rows = _read_rows(path)
@@ -128,27 +143,28 @@ def _load_numeric_csv(path, required: tuple[str, ...]) -> TimeSeriesFrame:
     if not rows:
         raise SchemaError(f"{path}: no data rows")
     value_names = header[1:]
-    days, matrix, _ = _columns(path, rows, len(header), value_names)
-    ordinals = day_numbers(days)
-    order = np.argsort(ordinals, kind="stable")
-    ranked = ordinals[order]
+    dates, matrix, _ = _columns(path, rows, len(header), value_names)
+    days = day_numbers(dates)
+    order = np.argsort(days, kind="stable")
+    ranked = days[order]
     repeated = ranked[1:] == ranked[:-1]
     if repeated.any():
-        dupes = [dt.date.fromordinal(int(d)) for d in np.unique(ranked[1:][repeated])]
-        raise SchemaError(f"{path}: duplicate dates {dupes[:5]}")
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        row, col = np.argwhere(~finite.T)[0]
-        raise SchemaError(f"{path}:{_numbered_rows(path)[row][0]}: non-finite value "
-                          f"{float(matrix[col, row])} in column {value_names[col]!r}")
-    if (np.diff(ordinals) < 0).any():
+        dupes = calendar_dates(np.unique(ranked[1:][repeated])[:5])
+        raise SchemaError(f"{path}: duplicate dates {dupes}")
+    _reject_first(path, ~np.isfinite(matrix), matrix, value_names,
+                  dict.fromkeys(value_names, "non-finite"))
+    invalid = invalid or {}
+    bad = np.zeros(matrix.shape, dtype=bool)
+    for name, (_, test) in invalid.items():
+        bad[value_names.index(name)] = test(matrix[value_names.index(name)], 0)
+    _reject_first(path, bad, matrix, value_names, {n: fault for n, (fault, _) in invalid.items()})
+    if (np.diff(days) < 0).any():
         warnings.warn(f"{path}: rows are out of date order; loading sorted", stacklevel=2)
-        days, matrix = [days[i] for i in order], matrix[:, order]
-    return TimeSeriesFrame(days, dict(zip(value_names, matrix)))
+    return TimeSeriesFrame(ranked, dict(zip(value_names, matrix[:, order])))
 
 
 def load_market_csv(path) -> TimeSeriesFrame:
-    return _load_numeric_csv(path, MARKET_COLUMNS)
+    return _load_numeric_csv(path, MARKET_COLUMNS, _MARKET_INVALID)
 
 
 def load_financial_csv(path) -> TimeSeriesFrame:
@@ -236,16 +252,14 @@ class DatasetBundle:
     def __post_init__(self):
         if len(self.market) == 0:
             raise DataError("bundle has an empty market frame")
-        lo, hi = self.market.dates[0], self.market.dates[-1]
-        if len(self.financial) and (self.financial.dates[0] > hi or self.financial.dates[-1] < lo):
-            raise DataError(
-                f"financial dates {self.financial.dates[0]}..{self.financial.dates[-1]} "
-                f"do not overlap market range {lo}..{hi}"
-            )
-        for name, days in (("news", [d for d, _ in self.news]),
-                           ("policy", [d for d, _ in self.policy])):
-            if days and (min(days) > hi or max(days) < lo):
-                raise DataError(f"{name} dates do not overlap market range {lo}..{hi}")
+        lo, hi = self.market.days[[0, -1]]
+        if len(self.financial) and (self.financial.days[0] > hi or self.financial.days[-1] < lo):
+            raise DataError(f"financial dates {self.financial.span()} "
+                            f"do not overlap market range {self.market.span()}")
+        for name, events in (("news", self.news), ("policy", self.policy)):
+            dates = [d for d, _ in events]
+            if dates and (min(dates).toordinal() > hi or max(dates).toordinal() < lo):
+                raise DataError(f"{name} dates do not overlap market range {self.market.span()}")
 
 
 def load_bundle(directory) -> DatasetBundle:

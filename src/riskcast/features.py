@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError, ParameterError
-from .frames import TimeSeriesFrame, day_numbers
+from .frames import TimeSeriesFrame, calendar_dates, day_numbers
 from .lexicon import SentimentLexicon
 
 SENTIMENT_COLUMNS = ("pos", "neg", "neu", "compound")
@@ -153,13 +153,12 @@ def sentiment_score(text: str, lexicon: SentimentLexicon) -> SentimentScore:
     return SentimentScore(*sentiment_scores([text], lexicon)[0].tolist())
 
 
-def _calendar_rows(days: list[dt.date]) -> tuple[np.ndarray, list[dt.date]]:
-    """Every calendar date from the earliest to the latest of ``days``, and
-    the row of each of ``days`` in that range."""
-    ordinals = day_numbers(days)
-    first = int(ordinals.min())
-    rows = ordinals - first
-    return rows, [dt.date.fromordinal(first + i) for i in range(int(rows.max()) + 1)]
+def _calendar_rows(dates: Sequence[dt.date]) -> tuple[np.ndarray, np.ndarray]:
+    """The row of each of ``dates`` in the calendar range from the earliest
+    to the latest of them, and that range's day ordinals."""
+    days = day_numbers(dates)
+    first = days.min()
+    return days - first, first + np.arange(days.max() - first + 1)
 
 
 def aggregate_daily_sentiment(days: Sequence[dt.date], scores) -> TimeSeriesFrame:
@@ -173,7 +172,7 @@ def aggregate_daily_sentiment(days: Sequence[dt.date], scores) -> TimeSeriesFram
     """
     if not len(days):
         return TimeSeriesFrame([], {name: np.array([]) for name in SENTIMENT_COLUMNS})
-    rows, dates = _calendar_rows(days)
+    rows, calendar = _calendar_rows(days)
     counts = np.bincount(rows)
     observed = counts > 0
     scores = np.asarray(scores, dtype=np.float64)
@@ -181,10 +180,10 @@ def aggregate_daily_sentiment(days: Sequence[dt.date], scores) -> TimeSeriesFram
     for j, name in enumerate(SENTIMENT_COLUMNS):
         # bincount adds each day's items in item order, like a left-to-right sum.
         sums = np.bincount(rows, weights=scores[:, j])
-        col = np.full(len(dates), _NEUTRAL_SENTIMENT[name])
+        col = np.full(len(calendar), _NEUTRAL_SENTIMENT[name])
         col[observed] = sums[observed] / counts[observed]
         cols[name] = col
-    return TimeSeriesFrame(dates, cols)
+    return TimeSeriesFrame(calendar, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +263,10 @@ def one_hot_encode(events: list[tuple[dt.date, str]], vocabulary: list[str]) -> 
     for day, cat in events:
         if cat not in col_index:
             raise ParameterError(f"unknown category {cat!r} on {day}")
-    rows, dates = _calendar_rows([day for day, _ in events])
-    matrix = np.zeros((len(dates), len(vocabulary)))
+    rows, calendar = _calendar_rows([day for day, _ in events])
+    matrix = np.zeros((len(calendar), len(vocabulary)))
     matrix[rows, [col_index[cat] for _, cat in events]] = 1.0
-    return TimeSeriesFrame(dates, {cat: matrix[:, i] for cat, i in col_index.items()})
+    return TimeSeriesFrame(calendar, {cat: matrix[:, i] for cat, i in col_index.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +277,10 @@ def one_hot_encode(events: list[tuple[dt.date, str]], vocabulary: list[str]) -> 
 def _forward_fill_onto(days: np.ndarray, source: TimeSeriesFrame) -> dict[str, np.ndarray]:
     """Carry each column's most recent prior finite observation onto the date
     ordinals ``days``; positions before its first finite observation stay NaN."""
-    source_days = day_numbers(source.dates)
     out = {}
     for name, values in source.columns.items():
         observed = np.isfinite(values)
-        prior = np.searchsorted(source_days[observed], days, side="right") - 1
+        prior = np.searchsorted(source.days[observed], days, side="right") - 1
         have = prior >= 0
         col = np.full(days.size, np.nan)
         col[have] = values[observed][prior[have]]
@@ -293,8 +291,7 @@ def _forward_fill_onto(days: np.ndarray, source: TimeSeriesFrame) -> dict[str, n
 def _same_day_onto(days: np.ndarray, source: TimeSeriesFrame,
                    fill: dict[str, float]) -> dict[str, np.ndarray]:
     """Each column's finite value dated exactly on ``days``, else ``fill[name]``."""
-    _, rows, src = np.intersect1d(days, day_numbers(source.dates), assume_unique=True,
-                                  return_indices=True)
+    _, rows, src = np.intersect1d(days, source.days, assume_unique=True, return_indices=True)
     out = {}
     for name, values in source.columns.items():
         col = np.full(days.size, fill[name])
@@ -328,10 +325,9 @@ def align_by_date(
         columns[name] = values
 
     drop_mask = np.zeros(len(market), dtype=bool)
-    days = day_numbers(market.dates)
 
     if financial is not None and financial.columns:
-        for name, values in _forward_fill_onto(days, financial).items():
+        for name, values in _forward_fill_onto(market.days, financial).items():
             _add(name, values)
             drop_mask |= ~np.isfinite(values)
 
@@ -342,27 +338,22 @@ def align_by_date(
                 f"sentiment frame has unrecognized columns {unknown}; "
                 f"expected a subset of {list(SENTIMENT_COLUMNS)}"
             )
-        for name, values in _same_day_onto(days, sentiment, _NEUTRAL_SENTIMENT).items():
+        for name, values in _same_day_onto(market.days, sentiment, _NEUTRAL_SENTIMENT).items():
             _add(name, values)
 
     if policy is not None and policy.columns:
         no_event = dict.fromkeys(policy.columns, 0.0)
-        for name, values in _same_day_onto(days, policy, no_event).items():
+        for name, values in _same_day_onto(market.days, policy, no_event).items():
             _add(name, values)
 
     keep = np.flatnonzero(~drop_mask)
     if keep.size == 0:
-        fin_range = (
-            f"{financial.dates[0]}..{financial.dates[-1]}"
-            if financial is not None and len(financial)
-            else "empty"
-        )
+        fin_range = financial.span() if financial is not None and len(financial) else "empty"
         raise DataError(
-            "alignment produced no rows: market covers "
-            f"{market.dates[0]}..{market.dates[-1]} but financial data covers {fin_range}"
+            f"alignment produced no rows: market covers {market.span()} "
+            f"but financial data covers {fin_range}"
         )
-    dates = [market.dates[i] for i in keep]
-    return TimeSeriesFrame(dates, {n: v[keep] for n, v in columns.items()})
+    return TimeSeriesFrame(market.days[keep], {n: v[keep] for n, v in columns.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +367,32 @@ class SampleSet:
 
     ``x_seq[i]`` holds rows ``t-T+1 .. t`` of the sequence channels,
     ``x_static[i]`` row ``t`` of the static columns, ``y[i]`` the target
-    measured strictly after row ``t``, and ``dates[i]`` the prediction date
-    (the window's final row ``t``).
+    measured strictly after row ``t``, and ``days[i]`` the day ordinal of the
+    prediction date (the window's final row ``t``).
     """
 
     x_seq: np.ndarray      # [N x T x F_seq]
     x_static: np.ndarray   # [N x F_static]
     y: np.ndarray          # [N]
-    dates: list[dt.date]
+    days: np.ndarray       # [N] int64 day ordinals
 
     def __post_init__(self):
+        self.days = np.asarray(self.days, dtype=np.int64)
         n = self.x_seq.shape[0]
-        if not (self.x_static.shape[0] == n and self.y.shape[0] == n and len(self.dates) == n):
+        if not (self.x_static.shape[0] == n and self.y.shape[0] == n and len(self.days) == n):
             raise DimensionError(
                 f"sample count mismatch: x_seq {self.x_seq.shape[0]}, "
                 f"x_static {self.x_static.shape[0]}, y {self.y.shape[0]}, "
-                f"dates {len(self.dates)}"
+                f"dates {len(self.days)}"
             )
 
     def __len__(self) -> int:
         return self.x_seq.shape[0]
+
+    @property
+    def dates(self) -> list[dt.date]:
+        """The prediction dates as ``datetime.date``, for writing and printing."""
+        return calendar_dates(self.days)
 
     @property
     def window(self) -> int:
@@ -414,7 +411,7 @@ class SampleSet:
             self.x_seq[start:stop],
             self.x_static[start:stop],
             self.y[start:stop],
-            self.dates[start:stop],
+            self.days[start:stop],
         )
 
 
@@ -451,4 +448,4 @@ def build_windows(
     # sliding_window_view puts the window axis last: [N x F x T] -> [N x T x F].
     x_seq = sliding_window_view(seq[:ends.stop], window, axis=0).transpose(0, 2, 1)
     return SampleSet(np.ascontiguousarray(x_seq), static[ends],
-                     target[ends.start + horizon:].copy(), aligned.dates[ends])
+                     target[ends.start + horizon:].copy(), aligned.days[ends])

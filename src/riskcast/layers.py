@@ -16,8 +16,7 @@ at a time, never as one matrix product over the batch.
 
 Layers hold parameters only; forward/backward are pure given (parameters,
 input, cache), so distinct batches can be evaluated concurrently as long as
-parameter updates stay single-writer.  Max pooling takes one ``[T x C]``
-sample at a time.
+parameter updates stay single-writer.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .tensor import SeededRng, as_tensor
-
-ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -53,32 +50,6 @@ def rowwise_matmul(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     ``[1 x F]`` products keeps each row's result independent of the batch.
     """
     return (x[..., None, :] @ w_t)[..., 0, :]
-
-
-def activation(kind: str, x) -> np.ndarray:
-    """Apply relu / sigmoid / tanh componentwise."""
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "sigmoid":
-        return _sigmoid(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ParameterError(f"unknown activation {kind!r}")
-
-
-def activation_derivative(kind: str, x) -> np.ndarray:
-    """Derivative of the activation with respect to its input, at ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "relu":
-        return (x > 0).astype(np.float64)
-    if kind == "sigmoid":
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    if kind == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
-    raise ParameterError(f"unknown activation {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,52 +146,6 @@ class Conv1DLayer:
             dkernels[:, m, :] = np.tensordot(dy, x[:, m:m + out_len], axes=([0, 1], [0, 1]))
             dx[:, m:m + out_len] += dy @ self.kernels[:, m, :]
         return (dx[0] if single else dx), dkernels, dbias
-
-
-# ---------------------------------------------------------------------------
-# Max pooling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MaxPool1DCache:
-    argmax: np.ndarray  # [n_out x C] winning offset inside each window
-    t_len: int
-    window: int
-
-
-def maxpool1d_forward(x, window: int) -> tuple[np.ndarray, MaxPool1DCache]:
-    """Non-overlapping max over the time axis; ties go to the earliest index.
-
-    Trailing rows that do not fill a window are dropped.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(f"maxpool input must be [T x C], got {list(x.shape)}")
-    if window < 1:
-        raise ParameterError(f"pool window must be >= 1, got {window}")
-    t_len = x.shape[0]
-    if t_len < window:
-        raise DimensionError(f"pool window: input length {t_len} < window {window}")
-    n_out = t_len // window
-    blocks = x[: n_out * window].reshape(n_out, window, x.shape[1])
-    argmax = blocks.argmax(axis=1)  # np.argmax returns the first maximum
-    y = np.take_along_axis(blocks, argmax[:, None, :], axis=1)[:, 0, :]
-    return y, MaxPool1DCache(argmax=argmax, t_len=t_len, window=window)
-
-
-def maxpool1d_backward(cache: MaxPool1DCache, dy) -> np.ndarray:
-    """Route upstream gradient to the argmax position of each window."""
-    dy = np.asarray(dy, dtype=np.float64)
-    n_out, n_ch = cache.argmax.shape
-    if dy.shape != (n_out, n_ch):
-        raise DimensionError(
-            f"pool upstream gradient must be [{n_out} x {n_ch}], got {list(dy.shape)}"
-        )
-    dx = np.zeros((cache.t_len, n_ch))
-    rows = cache.argmax + (np.arange(n_out) * cache.window)[:, None]
-    dx[rows, np.arange(n_ch)[None, :]] = dy
-    return dx
 
 
 # ---------------------------------------------------------------------------

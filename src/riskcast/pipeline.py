@@ -57,7 +57,7 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
     close = market.column("close")
     returns = daily_returns(close)
     rvol = trailing_volatility(returns, cfg.horizon)
-    market_feat = TimeSeriesFrame(market.dates, {
+    market_feat = TimeSeriesFrame(market.days, {
         "close": close,
         "ma5": moving_average(close, 5),
         "ma20": moving_average(close, 20),

@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_io import DatasetBundle
 from .errors import ParameterError
-from .frames import TimeSeriesFrame, merge_outer
+from .frames import TimeSeriesFrame, day_numbers, merge_outer
 from .lexicon import default_lexicon
 from .tensor import SeededRng, box_muller, derive_seed, unit_floats
 
@@ -257,35 +257,35 @@ def synth_generate(cfg: SynthConfig) -> DatasetBundle:
     flips = rng_regime.next_floats(n) < cfg.regime_shift_prob
     regime_mult = np.where(np.cumsum(flips) % 2 == 1, _REGIME_VOL_MULT, 1.0)
 
-    market = TimeSeriesFrame(dates, _market(cfg, sentiment, regime_mult,
-                                            rng_price, rng_open, rng_volume))
+    market = TimeSeriesFrame(day_numbers(dates), _market(cfg, sentiment, regime_mult,
+                                                         rng_price, rng_open, rng_volume))
     news = _news(rng_news, dates, sentiment, pos_terms, neg_terms)
 
     # Quarterly financial reports: slow multiplicative walks.
-    fin_dates = dates[::_FINANCIAL_PERIOD]
+    fin_days = market.days[::_FINANCIAL_PERIOD]
     profit, debt, cash = 120.0, 0.45, 85.0
     fin_cols = {"profit": [], "debt_ratio": [], "cash_flow": []}
-    for z_profit, z_debt, z_cash in rng_financial.normals(3 * len(fin_dates)).reshape(-1, 3).tolist():
+    for z_profit, z_debt, z_cash in rng_financial.normals(3 * len(fin_days)).reshape(-1, 3).tolist():
         profit = max(5.0, profit * (1.0 + 0.01 + 0.05 * z_profit))
         debt = min(0.85, max(0.15, debt + 0.03 * z_debt))
         cash = profit * (0.7 + 0.15 * z_cash)
         fin_cols["profit"].append(profit)
         fin_cols["debt_ratio"].append(debt)
         fin_cols["cash_flow"].append(cash)
-    financial = TimeSeriesFrame(fin_dates, fin_cols)
+    financial = TimeSeriesFrame(fin_days, fin_cols)
 
     # Monthly macro readings: gentle trends plus a clipped rate walk.
-    macro_dates = dates[::_MACRO_PERIOD]
+    macro_days = market.days[::_MACRO_PERIOD]
     gdp, cpi, rate = 100.0, 100.0, 2.0
     macro_cols = {"gdp": [], "cpi": [], "interest_rate": []}
-    for z_gdp, z_cpi, z_rate in rng_macro.normals(3 * len(macro_dates)).reshape(-1, 3).tolist():
+    for z_gdp, z_cpi, z_rate in rng_macro.normals(3 * len(macro_days)).reshape(-1, 3).tolist():
         gdp *= 1.0 + 0.005 + 0.002 * z_gdp
         cpi *= 1.0 + 0.002 + 0.001 * z_cpi
         rate = min(8.0, max(0.0, rate + 0.1 * z_rate))
         macro_cols["gdp"].append(gdp)
         macro_cols["cpi"].append(cpi)
         macro_cols["interest_rate"].append(rate)
-    macro = TimeSeriesFrame(macro_dates, macro_cols)
+    macro = TimeSeriesFrame(macro_days, macro_cols)
 
     policy = _policy(rng_policy, dates)
 

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError
 
 _MASK64 = (1 << 64) - 1
 
@@ -167,87 +167,3 @@ def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericalError(f"non-finite values produced by {context}")
     return arr
-
-
-def _validate_operand(arr, name: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if any(d <= 0 for d in arr.shape):
-        raise DimensionError(
-            f"operand {name} has a zero-length dimension: shape {list(arr.shape)}"
-        )
-    return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of 2-d tensors [m x k] @ [k x n]."""
-    a = _validate_operand(a, "a")
-    b = _validate_operand(b, "b")
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-d operands, got {list(a.shape)} and {list(b.shape)}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: {list(a.shape)} @ {list(b.shape)}"
-        )
-    return check_finite(a @ b, "matmul")
-
-
-_ELEMENTWISE_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-}
-
-
-def elementwise(op: str, a, b) -> np.ndarray:
-    """Componentwise add/sub/mul of equal-shape tensors (no broadcasting)."""
-    if op not in _ELEMENTWISE_OPS:
-        raise ParameterError(f"unknown elementwise op {op!r}")
-    a = _validate_operand(a, "a")
-    b = _validate_operand(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"elementwise {op} shape mismatch: {list(a.shape)} vs {list(b.shape)}"
-        )
-    return check_finite(_ELEMENTWISE_OPS[op](a, b), f"elementwise {op}")
-
-
-def reduce(op: str, a) -> float:
-    """Full reduction of a nonempty tensor to a scalar."""
-    if op not in ("sum", "mean", "max"):
-        raise ParameterError(f"unknown reduce op {op!r}")
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        raise DataError("reduce of an empty tensor")
-    if op == "sum":
-        value = float(np.sum(a))
-    elif op == "mean":
-        value = float(np.sum(a) / a.size)
-    else:
-        value = float(np.max(a))
-    if not np.isfinite(value):
-        raise NumericalError(f"non-finite values produced by reduce {op}")
-    return value
-
-
-def random_tensor(rng: SeededRng, shape: Sequence[int], dist) -> np.ndarray:
-    """Draw a tensor from ``dist``, advancing ``rng``.
-
-    ``dist`` is ``("uniform", lo, hi)`` or ``("normal", mu, sigma)``.
-    """
-    if any(d <= 0 for d in shape):
-        raise DimensionError(f"zero-length dimension in shape {list(shape)}")
-    if not isinstance(dist, (tuple, list)) or len(dist) != 3:
-        raise ParameterError(f"dist must be a (name, p1, p2) triple, got {dist!r}")
-    name, p1, p2 = dist
-    count = int(np.prod(shape))
-    if name == "uniform":
-        flat = rng.uniforms(count, float(p1), float(p2))
-    elif name == "normal":
-        flat = rng.normals(count, float(p1), float(p2))
-    else:
-        raise ParameterError(f"unknown distribution {name!r}")
-    return flat.reshape(shape)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from riskcast import HybridModel, ModelDims, SampleSet, SeededRng
+from riskcast.frames import day_numbers
 
 
 def numeric_grad(loss_fn, array: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -56,7 +57,7 @@ def random_samples(n: int, dims: ModelDims, seed: int = 0,
     else:
         y = np.array([target_fn(x_seq[i], x_static[i]) for i in range(n)])
     dates = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(n)]
-    return SampleSet(x_seq, x_static, y, dates)
+    return SampleSet(x_seq, x_static, y, day_numbers(dates))
 
 
 @pytest.fixture

@@ -44,6 +44,7 @@ from riskcast import (
     one_hot_encode,
     synth_generate,
 )
+from riskcast.frames import day_numbers
 from riskcast.models import LinearRegressionModel, linreg_objective, prediction_scores
 from riskcast.tensor import derive_seed
 from riskcast.training import validation_mse
@@ -181,7 +182,7 @@ def _zero_sentiment_relative_change(run) -> float:
     n_market = len(run["pre"].market_cols)
     zeroed = test_set.x_seq.copy()
     zeroed[:, :, n_market:] = 0.0
-    blind = SampleSet(zeroed, test_set.x_static, test_set.y, test_set.dates)
+    blind = SampleSet(zeroed, test_set.x_static, test_set.y, test_set.days)
     base = compute_mse(test_set.y, run["hybrid_scores"])
     degraded = compute_mse(test_set.y, prediction_scores(run["hybrid"], blind))
     return abs(degraded - base) / base
@@ -212,7 +213,7 @@ def test_criterion_5_early_stopping():
         else:
             y = 0.5 + 0.25 * np.tanh(x_static[:, 0]) + 0.1 * x_seq[:, -1, 0]
         dates = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(n)]
-        return SampleSet(x_seq, x_static, y, dates)
+        return SampleSet(x_seq, x_static, y, day_numbers(dates))
 
     train = synth_set(n_train, noisy=False)
     val = synth_set(n_val, noisy=True)
@@ -287,7 +288,7 @@ def test_criterion_7_feature_engineering_oracles():
             expected = math.fsum(series[t - window + 1:t + 1]) / window
             worst = max(worst, abs(ma[t] - expected))
 
-        frame = TimeSeriesFrame(dates, {"x": series,
+        frame = TimeSeriesFrame(day_numbers(dates), {"x": series,
                                         "s": rng.normals(n),
                                         "target": rng.uniforms(n, 0.0, 1.0)})
         stop = 10 + rng.randint(n - 10)
@@ -332,7 +333,7 @@ def test_criterion_8_linear_baseline_optimality():
     x_static = rng.normals(n * f_static).reshape(n, f_static)
     y = 2.0 * x_seq[:, 0, 0] + 3.0
     dates = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(n)]
-    samples = SampleSet(x_seq, x_static, y, dates)
+    samples = SampleSet(x_seq, x_static, y, day_numbers(dates))
     model = linreg_fit(samples)
     coeff_err = max(abs(model.weights[0] - 2.0), abs(model.bias[0] - 3.0))
 

@@ -36,6 +36,27 @@ def _train(tmp_path, data_dir, name="model.rcm", extra=()):
     return out
 
 
+def _with_edits(data_dir, bad_dir, filename, edits):
+    """Copy the data files into ``bad_dir``, setting ``filename``'s field
+    ``column`` on line ``row + 1`` to ``token`` for each ``(row, column, token)``."""
+    bad_dir.mkdir()
+    for name in DATA_FILES:
+        (bad_dir / name).write_bytes((data_dir / name).read_bytes())
+    lines = (bad_dir / filename).read_text().splitlines()
+    for row, column, token in edits:
+        fields = lines[row].split(",")
+        fields[lines[0].split(",").index(column)] = token
+        lines[row] = ",".join(fields)
+    (bad_dir / filename).write_text("\n".join(lines) + "\n")
+
+
+def _predict_or_train(command, linear, data_dir, out):
+    if command == "predict":
+        return main(["predict", "--model", str(linear), "--data", str(data_dir),
+                     "--out", str(out)])
+    return main(["train", "--data", str(data_dir), "--out", str(out), "--baseline", "linreg"])
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
@@ -164,6 +185,7 @@ class TestPredict:
         lines = out.read_text().splitlines()
         assert lines[0] == "date,risk_score"
         assert len(lines) == 1 + len(samples)
+        assert [line.split(",")[0] for line in lines[1:]] == [d.isoformat() for d in samples.dates]
 
     def test_prediction_file_stable_across_model_roundtrip(self, workspace):
         tmp_path, data_dir, hybrid, _ = workspace
@@ -202,28 +224,35 @@ class TestNonFiniteInput:
     def test_rejected_with_file_line_and_exit_3(self, workspace, tmp_path, capsys,
                                                 command, filename, column, token):
         _, data_dir, _, linear = workspace
-        bad_dir = tmp_path / "bad"
-        bad_dir.mkdir()
-        for name in DATA_FILES:
-            (bad_dir / name).write_bytes((data_dir / name).read_bytes())
-        lines = (bad_dir / filename).read_text().splitlines()
-        col = lines[0].split(",").index(column)
-        row = len(lines) // 2
-        fields = lines[row].split(",")
-        fields[col] = token
-        lines[row] = ",".join(fields)
-        (bad_dir / filename).write_text("\n".join(lines) + "\n")
+        row = len((data_dir / filename).read_text().splitlines()) // 2
+        _with_edits(data_dir, tmp_path / "bad", filename, [(row, column, token)])
         out = tmp_path / "out"
-        if command == "predict":
-            argv = ["predict", "--model", str(linear), "--data", str(bad_dir),
-                    "--out", str(out)]
-        else:
-            argv = ["train", "--data", str(bad_dir), "--out", str(out),
-                    "--baseline", "linreg"]
-        assert main(argv) == 3
+        assert _predict_or_train(command, linear, tmp_path / "bad", out) == 3
         err = capsys.readouterr().err
         assert f"{filename}:{row + 1}: non-finite value {token}" in err
         assert repr(column) in err
+        assert not out.exists()
+
+
+class TestInvalidMarketValues:
+    FAULTS = {"volume": ("-5", "negative value -5.0"), "close": ("0", "non-positive value 0.0")}
+
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    @pytest.mark.parametrize("first,second", [("volume", "close"), ("close", "volume")])
+    def test_first_bad_row_rejected_with_exit_3(self, workspace, tmp_path, capsys,
+                                                command, first, second):
+        """A negative volume and a zero close stop the run instead of dropping
+        their windows; the earlier of the two in file order is reported."""
+        _, data_dir, _, linear = workspace
+        n_lines = len((data_dir / "market.csv").read_text().splitlines())
+        rows = (n_lines // 3, 2 * n_lines // 3)
+        _with_edits(data_dir, tmp_path / "bad", "market.csv",
+                    [(rows[0], first, self.FAULTS[first][0]),
+                     (rows[1], second, self.FAULTS[second][0])])
+        out = tmp_path / "out"
+        assert _predict_or_train(command, linear, tmp_path / "bad", out) == 3
+        err = capsys.readouterr().err
+        assert f"market.csv:{rows[0] + 1}: {self.FAULTS[first][1]} in column {first!r}" in err
         assert not out.exists()
 
 

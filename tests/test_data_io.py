@@ -26,6 +26,7 @@ from riskcast.data_io import (
     write_news_csv,
     write_policy_csv,
 )
+from riskcast.frames import day_numbers
 from riskcast.models import LinearRegressionModel, prediction_scores
 from riskcast.preprocess import Preprocess
 from riskcast.features import StandardizationStats, ColumnStats
@@ -138,7 +139,7 @@ class TestMarketLoader:
         rng = SeededRng(80)
         n = 25
         days = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(n)]
-        frame = TimeSeriesFrame(days, {
+        frame = TimeSeriesFrame(day_numbers(days), {
             "open": rng.normals(n, 100.0, 3.0),
             "close": rng.normals(n, 100.0, 3.0),
             "volume": rng.uniforms(n, 1e5, 1e7),
@@ -150,6 +151,8 @@ class TestMarketLoader:
         assert loaded.column_names == frame.column_names
         for name in frame.column_names:
             assert np.array_equal(loaded.column(name), frame.column(name))
+        assert np.array_equal(loaded.days, frame.days)
+        assert loaded.days.dtype == np.int64
 
 
 class TestOtherLoaders:
@@ -229,7 +232,7 @@ class TestDatasetBundle:
         from riskcast import DatasetBundle
 
         market = TimeSeriesFrame(
-            [dt.date(2020, 1, 2), dt.date(2020, 1, 3)],
+            day_numbers([dt.date(2020, 1, 2), dt.date(2020, 1, 3)]),
             {"open": np.ones(2), "close": np.ones(2), "volume": np.ones(2)},
         )
         with pytest.raises(DataError, match="overlap"):

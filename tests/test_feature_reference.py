@@ -24,7 +24,7 @@ from riskcast.features import (
     sentiment_score,
     trailing_volatility,
 )
-from riskcast.frames import drop_incomplete_rows, merge_outer
+from riskcast.frames import day_numbers, drop_incomplete_rows, merge_outer
 from riskcast.pipeline import (
     MARKET_CHANNELS,
     SENTIMENT_CHANNELS,
@@ -74,7 +74,7 @@ def ref_aggregate_daily_sentiment(items):
                 cols[name][row] = total / len(scores)
             else:
                 cols[name][row] = _NEUTRAL[name]
-    return TimeSeriesFrame(dates, cols)
+    return TimeSeriesFrame(day_numbers(dates), cols)
 
 
 def ref_one_hot_encode(events, vocabulary):
@@ -85,7 +85,8 @@ def ref_one_hot_encode(events, vocabulary):
     row_index = {d: i for i, d in enumerate(dates)}
     for day, cat in events:
         matrix[row_index[day], vocabulary.index(cat)] = 1.0
-    return TimeSeriesFrame(dates, {cat: matrix[:, i] for i, cat in enumerate(vocabulary)})
+    return TimeSeriesFrame(day_numbers(dates),
+                           {cat: matrix[:, i] for i, cat in enumerate(vocabulary)})
 
 
 def ref_forward_fill_onto(dates, source):
@@ -128,7 +129,7 @@ def ref_align_by_date(market, financial=None, sentiment=None, policy=None):
         columns.update(ref_same_day_onto(market.dates, policy,
                                          dict.fromkeys(policy.columns, 0.0)))
     keep = np.flatnonzero(~drop_mask)
-    return TimeSeriesFrame([market.dates[i] for i in keep],
+    return TimeSeriesFrame(day_numbers([market.dates[i] for i in keep]),
                            {n: v[keep] for n, v in columns.items()})
 
 
@@ -155,7 +156,7 @@ def ref_assemble_frame(bundle, lexicon, cfg, policy_vocab):
     close = market.column("close")
     returns = daily_returns(close)
     rvol = ref_trailing_volatility(returns, cfg.horizon)
-    market_feat = TimeSeriesFrame(market.dates, {
+    market_feat = TimeSeriesFrame(market.days, {
         "close": close,
         "ma5": ref_moving_average(close, 5),
         "ma20": ref_moving_average(close, 20),
@@ -241,12 +242,12 @@ def test_trailing_volatility_window_longer_than_series_is_all_nan_silently():
 
 
 def test_forward_fill_over_merged_financial_and_macro_skips_holes_per_column():
-    market = TimeSeriesFrame(_trading_days(dt.date(2021, 1, 4), 120),
+    market = TimeSeriesFrame(day_numbers(_trading_days(dt.date(2021, 1, 4), 120)),
                              {"close": np.linspace(100.0, 110.0, 120)})
     quarters = [dt.date(2021, 1, 4), dt.date(2021, 4, 1), dt.date(2021, 6, 30)]
-    financial = TimeSeriesFrame(quarters, {"profit": np.array([1.0, 2.0, 3.0])})
+    financial = TimeSeriesFrame(day_numbers(quarters), {"profit": np.array([1.0, 2.0, 3.0])})
     months = _days(dt.date(2020, 12, 15), 7, step=30)
-    macro = TimeSeriesFrame(months, {"cpi": np.arange(7, dtype=float) + 10.0})
+    macro = TimeSeriesFrame(day_numbers(months), {"cpi": np.arange(7, dtype=float) + 10.0})
     merged = merge_outer(financial, macro)
     assert np.isnan(merged.column("profit")).any() and np.isnan(merged.column("cpi")).any()
 
@@ -261,10 +262,10 @@ def test_forward_fill_over_merged_financial_and_macro_skips_holes_per_column():
 
 
 def test_report_dated_on_a_weekend_carries_onto_the_next_trading_day():
-    market = TimeSeriesFrame(_trading_days(dt.date(2021, 3, 1), 15),
+    market = TimeSeriesFrame(day_numbers(_trading_days(dt.date(2021, 3, 1), 15)),
                              {"close": np.arange(15, dtype=float)})
     saturday = dt.date(2021, 3, 6)
-    financial = TimeSeriesFrame([dt.date(2021, 3, 1), saturday],
+    financial = TimeSeriesFrame(day_numbers([dt.date(2021, 3, 1), saturday]),
                                 {"profit": np.array([5.0, 7.0])})
     aligned = align_by_date(market, financial=financial)
     by_day = dict(zip(aligned.dates, aligned.column("profit")))
@@ -274,7 +275,7 @@ def test_report_dated_on_a_weekend_carries_onto_the_next_trading_day():
 
 
 def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
-    market = TimeSeriesFrame(_trading_days(dt.date(2021, 3, 1), 10),
+    market = TimeSeriesFrame(day_numbers(_trading_days(dt.date(2021, 3, 1), 10)),
                              {"close": np.arange(10, dtype=float)})
     items = [
         (dt.date(2021, 2, 20), SentimentScore(0.9, 0.0, 0.1, 0.9)),   # before the market
@@ -284,7 +285,8 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
         (dt.date(2021, 4, 2), SentimentScore(0.0, 0.8, 0.2, -0.8)),   # after the market
     ]
     sentiment = aggregate_daily_sentiment(*zip(*items))
-    policy = TimeSeriesFrame([dt.date(2021, 2, 1), dt.date(2021, 3, 3), dt.date(2021, 3, 13)],
+    policy = TimeSeriesFrame(day_numbers([dt.date(2021, 2, 1), dt.date(2021, 3, 3),
+                                          dt.date(2021, 3, 13)]),
                              {"hike": np.array([1.0, 1.0, 1.0])})
     aligned = align_by_date(market, sentiment=sentiment, policy=policy)
     _assert_frames_equal(aligned, ref_align_by_date(market, sentiment=sentiment, policy=policy))
@@ -299,7 +301,7 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
 
 
 def test_sentiment_frame_without_rows_fills_neutral():
-    market = TimeSeriesFrame(_days(dt.date(2021, 3, 1), 4), {"close": np.ones(4)})
+    market = TimeSeriesFrame(day_numbers(_days(dt.date(2021, 3, 1), 4)), {"close": np.ones(4)})
     aligned = align_by_date(market, sentiment=aggregate_daily_sentiment([], []))
     assert np.array_equal(aligned.column("neu"), np.ones(4))
     assert np.array_equal(aligned.column("pos"), np.zeros(4))
@@ -365,7 +367,7 @@ def test_assemble_frame_and_windows_bitwise_equal_the_loops(seed):
 
 
 def test_windows_do_not_share_memory_with_the_frame():
-    frame = TimeSeriesFrame(_days(dt.date(2020, 1, 1), 12), {
+    frame = TimeSeriesFrame(day_numbers(_days(dt.date(2020, 1, 1), 12)), {
         "a": np.arange(12, dtype=float), "s": np.arange(12, dtype=float) * 2.0,
     })
     samples = build_windows(frame, ["a"], ["s"], "a", 3, 2)

@@ -20,7 +20,7 @@ from riskcast import (
     sentiment_score,
 )
 from riskcast.features import SentimentScore, daily_returns, trailing_volatility
-from riskcast.frames import drop_incomplete_rows, merge_outer
+from riskcast.frames import day_numbers, drop_incomplete_rows, merge_outer
 from riskcast.lexicon import SentimentLexicon
 
 
@@ -135,7 +135,7 @@ class TestAggregateDailySentiment:
 
 class TestStandardization:
     def _frame(self, values):
-        return TimeSeriesFrame(_days(dt.date(2020, 1, 1), len(values)),
+        return TimeSeriesFrame(day_numbers(_days(dt.date(2020, 1, 1), len(values))),
                                {"x": np.asarray(values, dtype=float)})
 
     def test_three_point_example(self):
@@ -231,12 +231,12 @@ class TestOneHot:
 
 class TestAlign:
     def _market(self, n=10):
-        return TimeSeriesFrame(_days(dt.date(2020, 6, 1), n),
+        return TimeSeriesFrame(day_numbers(_days(dt.date(2020, 6, 1), n)),
                                {"close": np.arange(n, dtype=float) + 100.0})
 
     def test_identical_dates_concatenate_columns(self):
         market = self._market(5)
-        other = TimeSeriesFrame(market.dates, {"profit": np.ones(5)})
+        other = TimeSeriesFrame(market.days, {"profit": np.ones(5)})
         aligned = align_by_date(market, financial=other)
         assert aligned.column_names == ["close", "profit"]
         assert len(aligned) == 5
@@ -244,24 +244,24 @@ class TestAlign:
     def test_quarterly_value_forward_filled(self):
         market = self._market(90)
         report_day = market.dates[0]
-        fin = TimeSeriesFrame([report_day], {"profit": np.array([42.0])})
+        fin = TimeSeriesFrame(day_numbers([report_day]), {"profit": np.array([42.0])})
         aligned = align_by_date(market, financial=fin)
         assert np.all(aligned.column("profit") == 42.0)
 
     def test_rows_before_first_report_dropped(self):
         market = self._market(10)
-        fin = TimeSeriesFrame([market.dates[3]], {"profit": np.array([1.0])})
+        fin = TimeSeriesFrame(day_numbers([market.dates[3]]), {"profit": np.array([1.0])})
         aligned = align_by_date(market, financial=fin)
         assert aligned.dates[0] == market.dates[3]
         assert len(aligned) == 7
 
     def test_sentiment_gaps_neutral_filled_and_policy_zero_filled(self):
         market = self._market(4)
-        sent = TimeSeriesFrame([market.dates[1]], {
+        sent = TimeSeriesFrame(day_numbers([market.dates[1]]), {
             "pos": np.array([0.4]), "neg": np.array([0.1]),
             "neu": np.array([0.5]), "compound": np.array([0.6]),
         })
-        pol = TimeSeriesFrame([market.dates[2]], {"hike": np.array([1.0])})
+        pol = TimeSeriesFrame(day_numbers([market.dates[2]]), {"hike": np.array([1.0])})
         aligned = align_by_date(market, sentiment=sent, policy=pol)
         assert np.array_equal(aligned.column("neu"), [1.0, 0.5, 1.0, 1.0])
         assert np.array_equal(aligned.column("compound"), [0.0, 0.6, 0.0, 0.0])
@@ -269,14 +269,14 @@ class TestAlign:
 
     def test_disjoint_ranges_raise_with_both_ranges(self):
         market = self._market(5)
-        fin = TimeSeriesFrame([market.dates[-1] + dt.timedelta(days=30)],
+        fin = TimeSeriesFrame(day_numbers([market.dates[-1] + dt.timedelta(days=30)]),
                               {"profit": np.array([1.0])})
         with pytest.raises(DataError, match="alignment produced no rows"):
             align_by_date(market, financial=fin)
 
     def test_duplicate_column_names_rejected(self):
         market = self._market(3)
-        fin = TimeSeriesFrame(market.dates, {"close": np.ones(3)})
+        fin = TimeSeriesFrame(market.days, {"close": np.ones(3)})
         with pytest.raises(ParameterError):
             align_by_date(market, financial=fin)
 
@@ -300,7 +300,7 @@ class TestReturnsAndVolatility:
 class TestBuildWindows:
     def _frame(self, n):
         rng = SeededRng(77)
-        return TimeSeriesFrame(_days(dt.date(2020, 1, 1), n), {
+        return TimeSeriesFrame(day_numbers(_days(dt.date(2020, 1, 1), n)), {
             "a": rng.normals(n),
             "b": rng.normals(n),
             "s": rng.normals(n),
@@ -340,10 +340,10 @@ class TestFrameHelpers:
     def test_strictly_increasing_dates_enforced(self):
         days = [dt.date(2020, 1, 2), dt.date(2020, 1, 2)]
         with pytest.raises(DataError):
-            TimeSeriesFrame(days, {"x": np.zeros(2)})
+            TimeSeriesFrame(day_numbers(days), {"x": np.zeros(2)})
 
     def test_drop_incomplete_rows(self):
-        frame = TimeSeriesFrame(_days(dt.date(2020, 1, 1), 4), {
+        frame = TimeSeriesFrame(day_numbers(_days(dt.date(2020, 1, 1), 4)), {
             "x": np.array([1.0, np.nan, 3.0, 4.0]),
             "y": np.array([1.0, 2.0, np.nan, 4.0]),
         })
@@ -352,8 +352,8 @@ class TestFrameHelpers:
         assert kept.dates == [dt.date(2020, 1, 1), dt.date(2020, 1, 4)]
 
     def test_merge_outer_joins_on_dates(self):
-        a = TimeSeriesFrame(_days(dt.date(2020, 1, 1), 2), {"x": np.array([1.0, 2.0])})
-        b = TimeSeriesFrame([dt.date(2020, 1, 2), dt.date(2020, 1, 5)],
+        a = TimeSeriesFrame(day_numbers(_days(dt.date(2020, 1, 1), 2)), {"x": np.array([1.0, 2.0])})
+        b = TimeSeriesFrame(day_numbers([dt.date(2020, 1, 2), dt.date(2020, 1, 5)]),
                             {"y": np.array([10.0, 20.0])})
         merged = merge_outer(a, b)
         assert len(merged) == 3

@@ -27,6 +27,7 @@ from riskcast.data_io import (
     load_policy_csv,
 )
 from riskcast.features import _SCORE_CHUNK, sentiment_score, sentiment_scores
+from riskcast.frames import day_numbers
 
 # ---------------------------------------------------------------------------
 # Per-row references
@@ -96,7 +97,8 @@ def ref_load_numeric_csv(path, required):
         warnings.warn(f"{path}: rows are out of date order; loading sorted", stacklevel=2)
         order = sorted(range(len(days)), key=days.__getitem__)
         days, matrix = [days[i] for i in order], matrix[order]
-    return TimeSeriesFrame(days, {name: matrix[:, i] for i, name in enumerate(value_names)})
+    return TimeSeriesFrame(day_numbers(days),
+                           {name: matrix[:, i] for i, name in enumerate(value_names)})
 
 
 def ref_load_news_csv(path):

@@ -10,42 +10,17 @@ from riskcast.layers import (
     DenseLayer,
     DropoutSpec,
     LSTMCell,
-    activation,
-    activation_derivative,
+    _sigmoid,
     dropout_backward,
     dropout_forward,
-    maxpool1d_backward,
-    maxpool1d_forward,
 )
 
 GRAD_TOL = 1e-4
 
 
 class TestActivations:
-    def test_relu_sign_split(self):
-        assert activation("relu", np.array([-2.0]))[0] == 0.0
-        assert activation("relu", np.array([3.0]))[0] == 3.0
-
-    def test_sigmoid_symmetry_point(self):
-        assert activation("sigmoid", np.array([0.0]))[0] == 0.5
-
-    def test_tanh_derivative_at_zero(self):
-        assert activation_derivative("tanh", np.array([0.0]))[0] == 1.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            activation("gelu", np.array([1.0]))
-
-    def test_derivatives_match_finite_differences(self):
-        xs = np.linspace(-3.0, 3.0, 41)
-        xs = xs[np.abs(xs) > 1e-6]  # relu kink is non-differentiable at 0
-        h = 1e-6
-        for kind in ("relu", "sigmoid", "tanh"):
-            numeric = (activation(kind, xs + h) - activation(kind, xs - h)) / (2 * h)
-            np.testing.assert_allclose(activation_derivative(kind, xs), numeric, atol=1e-5)
-
     def test_sigmoid_stable_for_large_inputs(self):
-        out = activation("sigmoid", np.array([-800.0, 800.0]))
+        out = _sigmoid(np.array([-800.0, 800.0]))
         assert out[0] == 0.0 and out[1] == 1.0
 
 
@@ -114,50 +89,6 @@ class TestConv1D:
         _, cache = layer.forward(np.zeros((4, 1)))
         with pytest.raises(DimensionError):
             layer.backward(cache, np.zeros((5, 1)))
-
-
-class TestMaxPool:
-    def test_window_max(self):
-        y, _ = maxpool1d_forward(np.array([[1.0], [3.0], [2.0], [0.0]]), 2)
-        assert np.array_equal(y, [[3.0], [2.0]])
-
-    def test_window_one_is_identity(self):
-        x = np.array([[1.0, 2.0], [3.0, -1.0]])
-        y, cache = maxpool1d_forward(x, 1)
-        assert np.array_equal(y, x)
-        dx = maxpool1d_backward(cache, np.ones_like(y))
-        assert np.array_equal(dx, np.ones_like(x))
-
-    def test_tie_routes_to_earliest_index(self):
-        x = np.full((4, 1), 2.5)
-        y, cache = maxpool1d_forward(x, 2)
-        assert np.all(y == 2.5)
-        dx = maxpool1d_backward(cache, np.array([[1.0], [1.0]]))
-        assert np.array_equal(dx, [[1.0], [0.0], [1.0], [0.0]])
-
-    def test_window_error(self):
-        with pytest.raises(DimensionError):
-            maxpool1d_forward(np.zeros((2, 1)), 3)
-
-    def test_trailing_remainder_is_dropped(self):
-        x = np.arange(7, dtype=float).reshape(7, 1)
-        y, cache = maxpool1d_forward(x, 3)
-        assert y.shape == (2, 1)
-        dx = maxpool1d_backward(cache, np.ones((2, 1)))
-        assert not dx[6:].any()
-
-    def test_backward_routes_to_argmax(self):
-        rng = SeededRng(34)
-        x = rng.normals(12).reshape(6, 2)
-        y, cache = maxpool1d_forward(x, 2)
-        dy = rng.normals(6).reshape(3, 2)
-        dx = maxpool1d_backward(cache, dy)
-        for r in range(3):
-            for c in range(2):
-                window = x[2 * r:2 * r + 2, c]
-                winner = 2 * r + int(np.argmax(window))
-                assert dx[winner, c] == dy[r, c]
-        assert np.count_nonzero(dx) == dy.size
 
 
 class TestLSTM:
@@ -401,11 +332,3 @@ class TestBatchAxis:
             cell.forward(np.zeros((4, 3, 2)), np.zeros((3, 3)), np.zeros((4, 3)))
         with pytest.raises(DimensionError):
             cell.forward(np.zeros((4, 3, 2)), np.zeros(3), np.zeros(3))
-
-
-def test_identity_conv_composed_with_unit_pool_is_identity():
-    layer = Conv1DLayer(np.array([[[1.0]]]), np.zeros(1))
-    x = SeededRng(47).normals(6).reshape(6, 1)
-    conv_out, _ = layer.forward(x)
-    pooled, _ = maxpool1d_forward(conv_out, 1)
-    assert np.array_equal(pooled, x)

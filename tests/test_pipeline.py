@@ -6,6 +6,7 @@ from riskcast import (
     PipelineConfig,
     SplitSpec,
     SynthConfig,
+    TimeSeriesFrame,
     build_samples,
     default_lexicon,
     make_datasets,
@@ -83,10 +84,10 @@ class TestNoLookahead:
         train, val, test, pre = datasets
         cfg = PipelineConfig(window=pre.window, horizon=pre.horizon)
         frame = assemble_frame(bundle, default_lexicon(), cfg, pre.policy_vocab)
-        date_to_row = frame.date_index()
+        date_to_row = {d: i for i, d in enumerate(frame.dates)}
         raw_target = frame.column("rvol_raw")
         close = bundle.market.column("close")
-        market_index = bundle.market.date_index()
+        market_index = {d: i for i, d in enumerate(bundle.market.dates)}
         rets = daily_returns(close)
         vol = trailing_volatility(rets, cfg.horizon)
         for part in (train, val, test):
@@ -136,7 +137,8 @@ def test_degenerate_policy_free_bundle_still_works():
 
 def test_too_little_data_is_rejected():
     bundle = synth_generate(SynthConfig(n_days=200, seed=57))
-    short = bundle.market.slice_rows(0, 90)
+    short = TimeSeriesFrame(bundle.market.days[:90],
+                            {n: v[:90] for n, v in bundle.market.columns.items()})
     bundle.market = short
     with pytest.raises(DataError):
         make_datasets(bundle, default_lexicon(), PipelineConfig(), SplitSpec())

@@ -29,7 +29,7 @@ def _compound_vs_forward_vol(bundle) -> float:
     lex = default_lexicon()
     days, texts = zip(*bundle.news)
     agg = aggregate_daily_sentiment(days, sentiment_scores(texts, lex))
-    index = agg.date_index()
+    index = {d: i for i, d in enumerate(agg.dates)}
     compound = np.array([
         agg.column("compound")[index[d]] if d in index else 0.0
         for d in bundle.market.dates

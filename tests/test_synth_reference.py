@@ -14,7 +14,7 @@ import pytest
 from riskcast import SeededRng, SynthConfig, default_lexicon, synth_generate
 from riskcast import synth
 from riskcast.data_io import DatasetBundle
-from riskcast.frames import TimeSeriesFrame, merge_outer
+from riskcast.frames import TimeSeriesFrame, day_numbers, merge_outer
 from riskcast.synth import (
     _DRIFT,
     _FILLER_WORDS,
@@ -116,7 +116,8 @@ def ref_synth_generate(cfg):
         volumes[t] = 1e6 * (sigma[t] / cfg.base_vol) ** 0.8 * np.exp(0.35 * rng_volume.normal())
         prev_close = closes[t]
 
-    market = TimeSeriesFrame(dates, {"open": opens, "close": closes, "volume": volumes})
+    market = TimeSeriesFrame(day_numbers(dates),
+                             {"open": opens, "close": closes, "volume": volumes})
 
     news = []
     for t in range(n):
@@ -135,7 +136,7 @@ def ref_synth_generate(cfg):
         fin_cols["profit"].append(profit)
         fin_cols["debt_ratio"].append(debt)
         fin_cols["cash_flow"].append(cash)
-    financial = TimeSeriesFrame([dates[i] for i in fin_rows],
+    financial = TimeSeriesFrame(day_numbers([dates[i] for i in fin_rows]),
                                 {k: np.array(v) for k, v in fin_cols.items()})
 
     macro_rows = list(range(0, n, _MACRO_PERIOD))
@@ -148,7 +149,7 @@ def ref_synth_generate(cfg):
         macro_cols["gdp"].append(gdp)
         macro_cols["cpi"].append(cpi)
         macro_cols["interest_rate"].append(rate)
-    macro = TimeSeriesFrame([dates[i] for i in macro_rows],
+    macro = TimeSeriesFrame(day_numbers([dates[i] for i in macro_rows]),
                             {k: np.array(v) for k, v in macro_cols.items()})
 
     policy = []
