@@ -53,7 +53,6 @@ from .models import (
     HybridModel,
     LinearRegressionModel,
     ModelDims,
-    Prediction,
     linreg_fit,
     predict_batch,
 )

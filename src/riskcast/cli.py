@@ -32,6 +32,7 @@ from .evaluation import (
     report_text,
 )
 from .frames import drop_incomplete_rows
+from .layers import DropoutSpec
 from .lexicon import default_lexicon, load_lexicon
 from .models import HybridModel, ModelDims, linreg_fit, predict_batch, prediction_scores
 from .synth import SynthConfig, synth_generate
@@ -145,9 +146,10 @@ def cmd_train(args) -> int:
         max_epochs=args.epochs,
         batch_size=args.batch_size,
         patience=args.patience,
-        dropout_p=args.dropout,
         seed=args.seed,
     )
+    # Checked on the baseline path too, so a bad --dropout never passes silently.
+    dropout = DropoutSpec(args.dropout)
 
     if args.baseline == "linreg":
         model = linreg_fit(train_set)
@@ -167,16 +169,11 @@ def cmd_train(args) -> int:
             f_static=len(pre.static_all),
             hidden_size=hidden_size,
         )
-        return HybridModel.initialize(dims, seed=seed, dropout_p=cfg.dropout_p)
+        return HybridModel.initialize(dims, seed=seed, dropout_p=dropout.p)
 
     if args.grid:
-        grid_cfg = TrainConfig(
-            learning_rate=cfg.learning_rate, max_epochs=cfg.max_epochs,
-            batch_size=cfg.batch_size, patience=cfg.patience,
-            dropout_p=cfg.dropout_p, seed=cfg.seed,
-            grid=_parse_grid(args.grid, args.lr, args.hidden),
-        )
-        result = grid_search(factory, train_set, val_set, grid_cfg)
+        grid = _parse_grid(args.grid, args.lr, args.hidden)
+        result = grid_search(factory, train_set, val_set, cfg, grid)
         for trial in result.trials:
             print(f"grid trial lr={trial.learning_rate} hidden={trial.hidden_size} "
                   f"val_mse={trial.val_mse!r}")
@@ -209,11 +206,15 @@ def _load_model_with_recipe(path):
     return model
 
 
+def _test_block(args, preprocess):
+    """The test block of the samples that ``preprocess`` rebuilds from ``--data``."""
+    samples = pipeline.build_samples(load_bundle(args.data), _lexicon_from(args), preprocess)
+    return data_io.chronological_split(samples, pipeline.split_for(preprocess))[2]
+
+
 def cmd_evaluate(args) -> int:
     model = _load_model_with_recipe(args.model)
-    bundle = load_bundle(args.data)
-    samples = pipeline.build_samples(bundle, _lexicon_from(args), model.preprocess)
-    _, _, test_set = data_io.chronological_split(samples, pipeline.split_for(model.preprocess))
+    test_set = _test_block(args, model.preprocess)
     scores = prediction_scores(model, test_set)
     report = evaluate_predictions(test_set.y, scores, threshold=args.threshold)
     name = f"{model.kind}[{os.path.basename(args.model)}]"
@@ -248,9 +249,7 @@ def cmd_compare(args) -> int:
                 f"{path}: preprocessing recipe differs from {args.models[0]}; "
                 "models must be trained on identical splits"
             )
-    bundle = load_bundle(args.data)
-    samples = pipeline.build_samples(bundle, _lexicon_from(args), first)
-    _, _, test_set = data_io.chronological_split(samples, pipeline.split_for(first))
+    test_set = _test_block(args, first)
     reports = []
     for path, model in zip(args.models, models):
         scores = prediction_scores(model, test_set)

@@ -230,8 +230,8 @@ def write_predictions_csv(predictions, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["date", "risk_score"])
-        for pred in predictions:
-            writer.writerow([pred.sample_date.isoformat(), repr(pred.risk_score)])
+        for day, score in predictions:
+            writer.writerow([day.isoformat(), repr(score)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Neural network layers with hand-derived backward passes.
 
-Shape conventions: inputs are batch-first.  Sequence inputs are
+Shape conventions: every layer takes a batch.  Sequence inputs are
 ``[B x T x C]`` (batch on axis 0, time on axis 1) and vector inputs are
-``[B x C]``; a single sample given without the batch axis (``[T x C]`` or
-``[C]``) is the B=1 view of the same code, and its outputs, caches and input
-gradients come back without the batch axis too.  Weight matrices act on
-column vectors, and every ``forward`` returns a cache object that its
-matching ``backward`` consumes.  Parameter gradients are summed over the
+``[B x C]``; the one-sample view lives in the models, which add and drop
+the batch axis at their boundary.  Weight matrices act on column vectors,
+and every ``forward`` returns a cache object that its matching
+``backward`` consumes.  Parameter gradients are summed over the
 batch.  Backward passes return exact analytic gradients and are verified
 against central finite differences in the test suite.
 
@@ -21,7 +20,7 @@ parameter updates stay single-writer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +31,6 @@ from .tensor import SeededRng, as_tensor
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # tanh saturates where exp would overflow, so no sign split is needed.
     return 0.5 * (1.0 + np.tanh(x / 2.0))
-
-
-def _batched(x, sample_ndim: int) -> tuple[np.ndarray, bool]:
-    """``x`` as float64 with a leading batch axis, and whether one was added."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == sample_ndim:
-        return x[None], True
-    return x, False
 
 
 def rowwise_matmul(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
@@ -59,7 +50,7 @@ def rowwise_matmul(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Conv1DCache:
-    x: np.ndarray       # forward input, [B x T x C_in] or one [T x C_in] sample
+    x: np.ndarray       # forward input, [B x T x C_in]
     out_len: int
 
 
@@ -105,39 +96,33 @@ class Conv1DLayer:
         return self.kernels.shape[2]
 
     def forward(self, x) -> tuple[np.ndarray, Conv1DCache]:
-        """``x`` is ``[B x T x C_in]`` (or one ``[T x C_in]`` sample); the
-        output is ``[B x (T-k+1) x C_out]``."""
-        xb, single = _batched(x, 2)
-        if xb.ndim != 3 or xb.shape[2] != self.c_in:
+        """``x`` is ``[B x T x C_in]``; the output is ``[B x (T-k+1) x C_out]``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3 or x.shape[2] != self.c_in:
             raise DimensionError(
-                f"conv input must be [B x T x {self.c_in}] or [T x {self.c_in}], "
-                f"got {list(np.shape(x))}"
+                f"conv input must be [B x T x {self.c_in}], got {list(x.shape)}"
             )
-        t_len, k = xb.shape[1], self.k
+        t_len, k = x.shape[1], self.k
         if t_len < k:
             raise DimensionError(f"conv window: input length {t_len} < kernel width {k}")
         out_len = t_len - k + 1
-        y = np.empty((xb.shape[0], out_len, self.c_out))
+        y = np.empty((x.shape[0], out_len, self.c_out))
         y[...] = self.bias
         for m in range(k):
             # One [out_len x C_in] product per sample, so samples stay independent.
-            y += xb[:, m:m + out_len] @ self.kernels[:, m, :].T
-        if single:
-            return y[0], Conv1DCache(x=xb[0], out_len=out_len)
-        return y, Conv1DCache(x=xb, out_len=out_len)
+            y += x[:, m:m + out_len] @ self.kernels[:, m, :].T
+        return y, Conv1DCache(x=x, out_len=out_len)
 
     def backward(self, cache: Conv1DCache, dy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Returns (dx, dkernels, dbias) for the cached forward call; the
         parameter gradients are summed over the batch."""
         dy = np.asarray(dy, dtype=np.float64)
-        expected = cache.x.shape[:-2] + (cache.out_len, self.c_out)
+        x, out_len, k = cache.x, cache.out_len, self.k
+        expected = (x.shape[0], out_len, self.c_out)
         if dy.shape != expected:
             raise DimensionError(
                 f"conv upstream gradient must be {list(expected)}, got {list(dy.shape)}"
             )
-        single = cache.x.ndim == 2
-        x, dy = (cache.x[None], dy[None]) if single else (cache.x, dy)
-        out_len, k = cache.out_len, self.k
         dbias = dy.sum(axis=(0, 1))
         dkernels = np.empty_like(self.kernels)
         dx = np.zeros_like(x)
@@ -145,7 +130,7 @@ class Conv1DLayer:
             # One contraction over all B*out_len positions.
             dkernels[:, m, :] = np.tensordot(dy, x[:, m:m + out_len], axes=([0, 1], [0, 1]))
             dx[:, m:m + out_len] += dy @ self.kernels[:, m, :]
-        return (dx[0] if single else dx), dkernels, dbias
+        return dx, dkernels, dbias
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +140,7 @@ class Conv1DLayer:
 
 @dataclass
 class LSTMCache:
-    """Forward activations, each with the same leading axes as ``xs``."""
+    """Forward activations, each with the batch axis of ``xs`` leading."""
 
     xs: np.ndarray
     h0: np.ndarray
@@ -167,9 +152,6 @@ class LSTMCache:
     c: np.ndarray
     tanh_c: np.ndarray
     hs: np.ndarray
-
-    def _map(self, fn) -> "LSTMCache":
-        return LSTMCache(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
 
 
 class LSTMCell:
@@ -228,29 +210,26 @@ class LSTMCell:
         return self.w_x.shape[1]
 
     def forward(self, xs, h0, c0) -> tuple[np.ndarray, LSTMCache]:
-        """``xs`` is ``[B x T x F]`` with states ``[B x H]`` (or one ``[T x F]``
-        sample with ``[H]`` states); returns the hidden states ``[B x T x H]``."""
-        xb, single = _batched(xs, 2)
+        """``xs`` is ``[B x T x F]`` with states ``[B x H]``; returns the hidden
+        states ``[B x T x H]``."""
+        xs = np.asarray(xs, dtype=np.float64)
         h0 = np.asarray(h0, dtype=np.float64)
         c0 = np.asarray(c0, dtype=np.float64)
-        if single:
-            h0, c0 = h0[None], c0[None]
         hid = self.hidden_size
-        if xb.ndim != 3 or xb.shape[2] != self.input_size:
+        if xs.ndim != 3 or xs.shape[2] != self.input_size:
             raise DimensionError(
-                f"lstm input must be [B x T x {self.input_size}] or [T x {self.input_size}], "
-                f"got {list(np.shape(xs))}"
+                f"lstm input must be [B x T x {self.input_size}], got {list(xs.shape)}"
             )
-        n, t_len = xb.shape[:2]
+        n, t_len = xs.shape[:2]
         if h0.shape != (n, hid) or c0.shape != (n, hid):
             raise DimensionError(
-                f"lstm state must be [{n} x {hid}] (or [{hid}] for one sample), "
+                f"lstm state must be [{n} x {hid}], "
                 f"got h0 {list(h0.shape)} c0 {list(c0.shape)}"
             )
         # The input projection for every step at once, one [T x F] product per
         # sample so that samples stay independent of each other.  Each step
         # then adds its recurrent term and activates the gates in place.
-        gates = xb @ self.w_x.T
+        gates = xs @ self.w_x.T
         gates += self.b
         w_h_t = self.w_h.T
         # sigmoid(z) = (tanh(z * 0.5) + 1) * 0.5 on the i, f, o blocks and
@@ -276,10 +255,8 @@ class LSTMCell:
             c += i_a[:, t] * g_a[:, t]
             np.tanh(c, out=tc_a[:, t])
             h = np.multiply(o_a[:, t], tc_a[:, t], out=hs[:, t])
-        cache = LSTMCache(xs=xb, h0=h0, c0=c0, i=i_a, f=f_a, g=g_a, o=o_a,
+        cache = LSTMCache(xs=xs, h0=h0, c0=c0, i=i_a, f=f_a, g=g_a, o=o_a,
                           c=c_a, tanh_c=tc_a, hs=hs)
-        if single:
-            return hs[0], cache._map(lambda a: a[0])
         return hs, cache
 
     def backward(self, cache: LSTMCache, dhs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -290,9 +267,6 @@ class LSTMCell:
             raise DimensionError(
                 f"lstm upstream gradient must be {list(cache.hs.shape)}, got {list(dhs.shape)}"
             )
-        single = cache.xs.ndim == 2
-        if single:
-            cache, dhs = cache._map(lambda a: a[None]), dhs[None]
         hid = self.hidden_size
         n, t_len = cache.xs.shape[:2]
         i, f, g, o, tc = cache.i, cache.f, cache.g, cache.o, cache.tanh_c
@@ -322,7 +296,7 @@ class LSTMCell:
         dw_h = dz_flat.T @ h_prev.reshape(n * t_len, hid)
         db = dz_flat.sum(axis=0)
         dxs = dz @ self.w_x
-        return (dxs[0] if single else dxs), dw_x, dw_h, db
+        return dxs, dw_x, dw_h, db
 
 
 # ---------------------------------------------------------------------------
@@ -355,29 +329,23 @@ class DenseLayer:
         return cls(w, np.zeros(out_size))
 
     def forward(self, x) -> tuple[np.ndarray, DenseCache]:
-        """``x`` is ``[B x in]`` (or one ``[in]`` sample); returns ``[B x out]``."""
-        xb, single = _batched(x, 1)
-        if xb.ndim != 2 or xb.shape[1] != self.w.shape[1]:
+        """``x`` is ``[B x in]``; returns ``[B x out]``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
             raise DimensionError(
-                f"dense input must be [B x {self.w.shape[1]}] or [{self.w.shape[1]}], "
-                f"got {list(np.shape(x))}"
+                f"dense input must be [B x {self.w.shape[1]}], got {list(x.shape)}"
             )
-        y = rowwise_matmul(xb, self.w.T) + self.b
-        if single:
-            return y[0], DenseCache(x=xb[0])
-        return y, DenseCache(x=xb)
+        return rowwise_matmul(x, self.w.T) + self.b, DenseCache(x=x)
 
     def backward(self, cache: DenseCache, dy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Returns (dx, dw, db), with dw and db summed over the batch."""
         dy = np.asarray(dy, dtype=np.float64)
-        expected = cache.x.shape[:-1] + (self.w.shape[0],)
+        expected = (cache.x.shape[0], self.w.shape[0])
         if dy.shape != expected:
             raise DimensionError(
                 f"dense upstream gradient must be {list(expected)}, got {list(dy.shape)}"
             )
-        x, dyb = np.atleast_2d(cache.x), np.atleast_2d(dy)
-        dx = dyb @ self.w
-        return (dx[0] if dy.ndim == 1 else dx), dyb.T @ x, dyb.sum(axis=0)
+        return dy @ self.w, dy.T @ cache.x, dy.sum(0)
 
 
 # ---------------------------------------------------------------------------

@@ -81,12 +81,6 @@ class HybridCache:
     head_cache: object
 
 
-@dataclass
-class Prediction:
-    risk_score: float
-    sample_date: dt.date
-
-
 class HybridModel:
     """Conv1D branch over sentiment channels feeding an LSTM, dense head.
 
@@ -143,9 +137,6 @@ class HybridModel:
             "head.w": self.head.w,
             "head.b": self.head.b,
         }
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params().values())
 
     def _validate_batch(self, x_seq: np.ndarray, x_static: np.ndarray) -> None:
         d = self.dims
@@ -242,9 +233,6 @@ class LinearRegressionModel:
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
 
-    def n_params(self) -> int:
-        return self.weights.size + 1
-
     def forward(self, x_seq, x_static, mode: str = "infer",
                 rng: SeededRng | None = None) -> tuple[np.ndarray | float, tuple]:
         x_seq = np.asarray(x_seq, dtype=np.float64)
@@ -280,13 +268,18 @@ class LinearRegressionModel:
         return grads, dx_seq
 
 
+def _design(samples: SampleSet) -> np.ndarray:
+    """One row per sample: ``[x_seq flattened row-major, x_static, 1]``."""
+    n = len(samples)
+    return np.hstack([samples.x_seq.reshape(n, -1), samples.x_static, np.ones((n, 1))])
+
+
 def linreg_fit(samples: SampleSet, ridge_lambda: float = 1e-8) -> LinearRegressionModel:
     """Exact ridge-jittered normal-equations solve on flattened samples."""
     n = len(samples)
     if n < 2:
         raise DataError(f"linear fit needs at least 2 samples, got {n}")
-    flat = samples.x_seq.reshape(n, -1)
-    design = np.hstack([flat, samples.x_static, np.ones((n, 1))])
+    design = _design(samples)
     gram = design.T @ design + ridge_lambda * np.eye(design.shape[1])
     rhs = design.T @ samples.y
     try:
@@ -300,11 +293,8 @@ def linreg_fit(samples: SampleSet, ridge_lambda: float = 1e-8) -> LinearRegressi
 
 def linreg_objective(model: LinearRegressionModel, samples: SampleSet) -> float:
     """Ridge objective ||y - Zb||^2 + lambda ||b||^2 (bias included)."""
-    n = len(samples)
-    flat = samples.x_seq.reshape(n, -1)
-    design = np.hstack([flat, samples.x_static, np.ones((n, 1))])
     beta = np.concatenate([model.weights, model.bias])
-    resid = samples.y - design @ beta
+    resid = samples.y - _design(samples) @ beta
     return float(resid @ resid + model.ridge_lambda * (beta @ beta))
 
 
@@ -323,7 +313,6 @@ def prediction_scores(model, samples: SampleSet) -> np.ndarray:
     return scores
 
 
-def predict_batch(model, samples: SampleSet) -> list[Prediction]:
-    """Inference-mode predictions, one per sample, order preserved."""
-    return [Prediction(risk_score=float(score), sample_date=date)
-            for score, date in zip(prediction_scores(model, samples), samples.dates)]
+def predict_batch(model, samples: SampleSet) -> list[tuple[dt.date, float]]:
+    """Inference-mode ``(date, score)`` pairs, one per sample, order preserved."""
+    return list(zip(samples.dates, prediction_scores(model, samples).tolist()))

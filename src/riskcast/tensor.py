@@ -2,8 +2,8 @@
 
 Everything numeric in this package is a C-contiguous ``numpy.ndarray`` of
 64-bit floats.  The helpers here add the contracts the rest of the code
-relies on: zero-length dimensions are rejected, results are checked to be
-finite, and all randomness flows through :class:`SeededRng`, a SplitMix64
+relies on: zero-length dimensions and non-finite parameters are rejected,
+and all randomness flows through :class:`SeededRng`, a SplitMix64
 generator chosen over platform RNGs so that a given seed reproduces the
 same stream on every machine.
 """
@@ -11,7 +11,6 @@ same stream on every machine.
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -140,20 +139,13 @@ class SeededRng:
             values[i], values[j] = values[j], values[i]
 
 
-def as_tensor(values, shape: Sequence[int] | None = None) -> np.ndarray:
+def as_tensor(values) -> np.ndarray:
     """Validate ``values`` as a dense float64 tensor.
 
     Zero-length dimensions are rejected at construction, which lets every
     layer assume nonempty operands.  Non-finite entries are rejected too.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        expected = int(np.prod(shape)) if len(shape) else 0
-        if arr.size != expected:
-            raise DimensionError(
-                f"data length {arr.size} does not match shape {list(shape)}"
-            )
-        arr = arr.reshape(shape)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if any(d <= 0 for d in arr.shape):
@@ -161,9 +153,3 @@ def as_tensor(values, shape: Sequence[int] | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericalError("tensor contains non-finite values")
     return np.ascontiguousarray(arr)
-
-
-def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite values produced by {context}")
-    return arr

@@ -20,6 +20,11 @@ from .tensor import SeededRng, derive_seed, float_bits
 _SHUFFLE_TAG = 0x53484446
 _DROPOUT_TAG = 0x44524F50
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 def mse_loss(y, yhat) -> tuple[float, np.ndarray]:
     """Mean squared error and its gradient with respect to the predictions.
@@ -55,38 +60,27 @@ class AdamState:
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_epochs: int = 200
     batch_size: int = 32
     patience: int = 10
-    dropout_p: float = 0.2  # consumed at model construction time
     seed: int = 42
-    grid: list[tuple[float, int]] | None = None  # (learning_rate, hidden_size)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ParameterError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if self.epsilon <= 0:
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_epochs < 0:
             raise ParameterError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ParameterError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ParameterError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
 def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
               cfg: TrainConfig) -> tuple[AdamState, np.ndarray]:
     """One bias-corrected Adam update; mutates ``state`` and ``param`` in place.
 
-    ``param -= lr * m_hat / (sqrt(v_hat) + epsilon)``.
+    ``param -= lr * m_hat / (sqrt(v_hat) + ADAM_EPSILON)``.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != param.shape or state.m.shape != param.shape:
@@ -95,11 +89,11 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
             f"state {list(state.m.shape)}"
         )
     state.t += 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = state.m / (1.0 - cfg.beta1 ** state.t)
-    v_hat = state.v / (1.0 - cfg.beta2 ** state.t)
-    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return state, param
 
 
@@ -223,22 +217,22 @@ class GridSearchResult:
     trials: list[GridTrial]
 
 
-def grid_search(model_factory, train: SampleSet, val: SampleSet,
-                cfg: TrainConfig) -> GridSearchResult:
+def grid_search(model_factory, train: SampleSet, val: SampleSet, cfg: TrainConfig,
+                grid: list[tuple[float, int]]) -> GridSearchResult:
     """Train one model per (learning_rate, hidden_size) grid point and keep
-    the lowest validation MSE; ties break toward the earliest grid entry.
+    the lowest validation MSE; ties break toward the earliest ``grid`` entry.
 
     Every point derives its own seed from ``cfg.seed`` and the point's
     values, so results do not depend on grid enumeration order.
     ``model_factory(hidden_size, seed)`` must return a fresh model.
     """
-    if not cfg.grid:
+    if not grid:
         raise ParameterError("grid search requires a nonempty grid")
     best: GridSearchResult | None = None
     trials: list[GridTrial] = []
-    for lr, hidden in cfg.grid:
+    for lr, hidden in grid:
         point_seed = derive_seed(cfg.seed, float_bits(lr), hidden)
-        point_cfg = replace(cfg, learning_rate=lr, seed=point_seed, grid=None)
+        point_cfg = replace(cfg, learning_rate=lr, seed=point_seed)
         model = model_factory(hidden, point_seed)
         model, log = fit(model, train, val, point_cfg)
         val_mse = log.best_val_mse if log.best_epoch else validation_mse(model, val)

@@ -54,7 +54,8 @@ BENCH_DAYS = 2000
 BENCH_SEED = 7
 BENCH_HIDDEN = 32
 BENCH_TRAIN = dict(learning_rate=3e-3, max_epochs=80, batch_size=32,
-                   patience=10, dropout_p=0.2, seed=BENCH_SEED)
+                   patience=10, seed=BENCH_SEED)
+BENCH_DROPOUT = 0.2
 
 
 def _criterion(number: int, label: str, ok: bool, detail: str = ""):
@@ -76,8 +77,7 @@ def _run_pipeline(kappa: float):
     dims = ModelDims(window=pre.window, f_market=len(pre.market_cols),
                      f_sentiment=len(pre.sentiment_cols),
                      f_static=len(pre.static_all), hidden_size=BENCH_HIDDEN)
-    model = HybridModel.initialize(dims, seed=BENCH_SEED,
-                                   dropout_p=BENCH_TRAIN["dropout_p"])
+    model = HybridModel.initialize(dims, seed=BENCH_SEED, dropout_p=BENCH_DROPOUT)
     model, log = fit(model, train, val, TrainConfig(**BENCH_TRAIN))
     timings["hybrid_fit"] = time.perf_counter() - t0
 
@@ -219,7 +219,7 @@ def test_criterion_5_early_stopping():
     val = synth_set(n_val, noisy=True)
     patience = 5
     cfg = TrainConfig(learning_rate=5e-3, max_epochs=60, batch_size=16,
-                      patience=patience, dropout_p=0.1, seed=500)
+                      patience=patience, seed=500)
     model = HybridModel.initialize(dims, seed=500, dropout_p=0.1)
     model, log = fit(model, train, val, cfg)
     restored = validation_mse(model, val)

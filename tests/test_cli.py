@@ -136,6 +136,17 @@ class TestTrain:
         assert len(trials) == 4
         assert any(line.startswith("selected ") for line in lines)
 
+    @pytest.mark.parametrize("extra", [(), ("--baseline", "linreg")], ids=["hybrid", "linreg"])
+    def test_dropout_out_of_range_is_a_parameter_error(self, workspace, tmp_path, capsys,
+                                                       extra):
+        _, data_dir, _, _ = workspace
+        out = tmp_path / "bad.rcm"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out),
+                   "--dropout", "1.0", *extra])
+        assert rc == 2
+        assert "dropout" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_prints_three_finite_metrics(self, workspace, capsys):

@@ -236,10 +236,10 @@ class TestPredictBatch:
         model = tiny_hybrid(seed=20)
         samples = random_samples(12, dims, seed=21)
         batch = predict_batch(model, samples)
-        for i, pred in enumerate(batch):
+        for i, (day, score) in enumerate(batch):
             solo, _ = model.forward(samples.x_seq[i], samples.x_static[i], mode="infer")
-            assert pred.risk_score == solo
-            assert pred.sample_date == samples.dates[i]
+            assert score == solo
+            assert day == samples.dates[i]
 
     def test_works_for_linear_models(self):
         dims = tiny_dims()
@@ -247,7 +247,7 @@ class TestPredictBatch:
         model = linreg_fit(samples)
         preds = predict_batch(model, samples)
         assert len(preds) == 10
-        assert all(np.isfinite(p.risk_score) for p in preds)
+        assert all(np.isfinite(score) for _, score in preds)
 
     def test_scores_are_batch_invariant(self):
         """Each window's score is bitwise the same scored alone, in its

@@ -64,9 +64,5 @@ class TestAsTensor:
         with pytest.raises(NumericalError):
             as_tensor([1.0, np.nan])
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            as_tensor([1.0, 2.0, 3.0], shape=(2, 2))
-
     def test_scalar_becomes_length_one(self):
         assert as_tensor(3.5).shape == (1,)

@@ -205,20 +205,18 @@ class TestGridSearch:
 
     def test_singleton_grid_matches_plain_fit(self):
         train, val, dims = self._data()
-        cfg = TrainConfig(max_epochs=4, batch_size=16, patience=10, seed=12,
-                          grid=[(2e-3, 3)])
-        result = grid_search(self._factory(dims), train, val, cfg)
+        cfg = TrainConfig(max_epochs=4, batch_size=16, patience=10, seed=12)
+        result = grid_search(self._factory(dims), train, val, cfg, [(2e-3, 3)])
         point_seed = derive_seed(12, float_bits(2e-3), 3)
-        direct_cfg = dataclasses.replace(cfg, learning_rate=2e-3, seed=point_seed, grid=None)
+        direct_cfg = dataclasses.replace(cfg, learning_rate=2e-3, seed=point_seed)
         direct, _ = fit(tiny_hybrid(seed=point_seed, hidden_size=3), train, val, direct_cfg)
         for name in direct.params():
             assert np.array_equal(result.model.params()[name], direct.params()[name])
 
     def test_divergent_learning_rate_loses(self):
         train, val, dims = self._data()
-        cfg = TrainConfig(max_epochs=5, batch_size=16, patience=10, seed=12,
-                          grid=[(1e-3, 3), (10.0, 3)])
-        result = grid_search(self._factory(dims), train, val, cfg)
+        cfg = TrainConfig(max_epochs=5, batch_size=16, patience=10, seed=12)
+        result = grid_search(self._factory(dims), train, val, cfg, [(1e-3, 3), (10.0, 3)])
         assert result.learning_rate == 1e-3
         assert len(result.trials) == 2
         assert result.trials[0].val_mse < result.trials[1].val_mse
@@ -226,10 +224,9 @@ class TestGridSearch:
     def test_selection_is_order_independent(self):
         train, val, dims = self._data()
         grid = [(1e-3, 3), (5e-3, 4)]
-        cfg_a = TrainConfig(max_epochs=4, batch_size=16, patience=10, seed=12, grid=grid)
-        cfg_b = dataclasses.replace(cfg_a, grid=list(reversed(grid)))
-        res_a = grid_search(self._factory(dims), train, val, cfg_a)
-        res_b = grid_search(self._factory(dims), train, val, cfg_b)
+        cfg = TrainConfig(max_epochs=4, batch_size=16, patience=10, seed=12)
+        res_a = grid_search(self._factory(dims), train, val, cfg, grid)
+        res_b = grid_search(self._factory(dims), train, val, cfg, list(reversed(grid)))
         assert (res_a.learning_rate, res_a.hidden_size) == (res_b.learning_rate, res_b.hidden_size)
         for name in res_a.model.params():
             assert np.array_equal(res_a.model.params()[name], res_b.model.params()[name])
@@ -237,7 +234,7 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         train, val, dims = self._data()
         with pytest.raises(ParameterError):
-            grid_search(self._factory(dims), train, val, TrainConfig(grid=[]))
+            grid_search(self._factory(dims), train, val, TrainConfig(), [])
 
 
 class TestGradientCheck:
