@@ -17,6 +17,7 @@ from .data_io import SplitSpec, load_bundle, load_model, save_model
 from .errors import (
     DataError,
     DimensionError,
+    InsufficientHistoryError,
     ModelIOError,
     NumericalError,
     ParameterError,
@@ -230,11 +231,12 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(args.data)
     try:
         samples = pipeline.build_samples(bundle, _lexicon_from(args), model.preprocess)
-        predictions = predict_batch(model, samples)
-    except DataError as exc:
+    except InsufficientHistoryError as exc:
         print(f"riskcast: warning: no admissible prediction windows ({exc})",
               file=sys.stderr)
         predictions = []
+    else:
+        predictions = predict_batch(model, samples)
     data_io.write_predictions_csv(predictions, args.out)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0

@@ -21,6 +21,10 @@ class DataError(RiskcastError, ValueError):
     """Input data is empty, misaligned, or otherwise unusable."""
 
 
+class InsufficientHistoryError(DataError):
+    """The aligned history is shorter than one window plus its horizon."""
+
+
 class SchemaError(DataError):
     """A delimited input file does not match its declared schema."""
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, InsufficientHistoryError, ParameterError
 from .frames import TimeSeriesFrame, calendar_dates, day_numbers
 from .lexicon import SentimentLexicon
 
@@ -399,10 +399,6 @@ class SampleSet:
         return self.x_seq.shape[1]
 
     @property
-    def seq_width(self) -> int:
-        return self.x_seq.shape[2]
-
-    @property
     def static_width(self) -> int:
         return self.x_static.shape[1]
 
@@ -434,7 +430,7 @@ def build_windows(
         raise ParameterError(f"window and horizon must be >= 1, got {window}, {horizon}")
     n_rows = len(aligned)
     if n_rows < window + horizon:
-        raise DataError(
+        raise InsufficientHistoryError(
             f"insufficient data: {n_rows} rows, need at least window + horizon = "
             f"{window + horizon}"
         )

@@ -28,11 +28,6 @@ from .errors import DimensionError, ParameterError
 from .tensor import SeededRng, as_tensor
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh saturates where exp would overflow, so no sign split is needed.
-    return 0.5 * (1.0 + np.tanh(x / 2.0))
-
-
 def rowwise_matmul(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     """``x @ w_t`` over the last axis of ``x``, one row per product.
 
@@ -172,6 +167,15 @@ class LSTMCell:
     (Appleyard et al. 2016, arXiv:1604.01946); likewise backward builds the
     weight gradients after the time loop, each as one contraction over all
     B*T steps.
+
+    That is the stored order of the parameters, their gradients and model
+    files.  Inside ``forward`` the rows are permuted to (i, f, o, g), so the
+    three sigmoid gates form one slice, and the i, f, o rows are pre-scaled
+    by 0.5, so one tanh pass gives ``sigmoid(z) = (tanh(z * 0.5) + 1) * 0.5``
+    and ``tanh(z)``.  Scaling by a power of two is exact, so every activation
+    is bitwise that of the (i, f, g, o) arithmetic.  The gate, cell and hidden
+    buffers are time-major (``[T x B x ...]``), so each step works on
+    contiguous rows; the cache holds ``[B x T x ...]`` views of them.
     """
 
     def __init__(self, w_x, w_h, b):
@@ -226,37 +230,41 @@ class LSTMCell:
                 f"lstm state must be [{n} x {hid}], "
                 f"got h0 {list(h0.shape)} c0 {list(c0.shape)}"
             )
+        # (i, f, g, o) rows to (i, f, o, g), with the sigmoid rows halved.
+        order = np.r_[0:2 * hid, 3 * hid:4 * hid, 2 * hid:3 * hid]
+        scale = np.ones((4 * hid, 1))
+        scale[:3 * hid] = 0.5
+        w_x_t = (self.w_x[order] * scale).T
+        w_h_t = (self.w_h[order] * scale).T
+        b = self.b[order] * scale[:, 0]
         # The input projection for every step at once, one [T x F] product per
-        # sample so that samples stay independent of each other.  Each step
+        # sample (written through a [B x T x 4H] view of the time-major
+        # buffer) so that samples stay independent of each other.  Each step
         # then adds its recurrent term and activates the gates in place.
-        gates = xs @ self.w_x.T
-        gates += self.b
-        w_h_t = self.w_h.T
-        # sigmoid(z) = (tanh(z * 0.5) + 1) * 0.5 on the i, f, o blocks and
-        # tanh(z) = (tanh(z * 1) + 0) * 1 on the g block: one tanh pass over
-        # all gates, with the arithmetic of _sigmoid.
-        scale = np.full(4 * hid, 0.5)
-        scale[2 * hid:3 * hid] = 1.0
-        shift = np.ones(4 * hid)
-        shift[2 * hid:3 * hid] = 0.0
-        c_a = np.empty((n, t_len, hid))
-        tc_a = np.empty((n, t_len, hid))
-        hs = np.empty((n, t_len, hid))
-        i_a, f_a, g_a, o_a = (gates[:, :, k * hid:(k + 1) * hid] for k in range(4))
+        gates = np.empty((t_len, n, 4 * hid))
+        np.matmul(xs, w_x_t, out=gates.transpose(1, 0, 2))
+        gates += b
+        c_a = np.empty((t_len, n, hid))
+        tc_a = np.empty((t_len, n, hid))
+        hs = np.empty((t_len, n, hid))
+        i_g = np.empty((n, hid))
         h, c = h0, c0
         for t in range(t_len):
-            z = gates[:, t]
+            z = gates[t]
             z += rowwise_matmul(h, w_h_t)
-            z *= scale
             np.tanh(z, out=z)
-            z += shift
-            z *= scale
-            c = np.multiply(f_a[:, t], c, out=c_a[:, t])
-            c += i_a[:, t] * g_a[:, t]
-            np.tanh(c, out=tc_a[:, t])
-            h = np.multiply(o_a[:, t], tc_a[:, t], out=hs[:, t])
+            sig = z[:, :3 * hid]
+            sig += 1.0
+            sig *= 0.5
+            c = np.multiply(z[:, hid:2 * hid], c, out=c_a[t])
+            c += np.multiply(z[:, :hid], z[:, 3 * hid:], out=i_g)
+            np.tanh(c, out=tc_a[t])
+            h = np.multiply(z[:, 2 * hid:3 * hid], tc_a[t], out=hs[t])
+        i_a, f_a, o_a, g_a = (gates[:, :, k * hid:(k + 1) * hid].transpose(1, 0, 2)
+                              for k in range(4))
+        hs = hs.transpose(1, 0, 2)
         cache = LSTMCache(xs=xs, h0=h0, c0=c0, i=i_a, f=f_a, g=g_a, o=o_a,
-                          c=c_a, tanh_c=tc_a, hs=hs)
+                          c=c_a.transpose(1, 0, 2), tanh_c=tc_a.transpose(1, 0, 2), hs=hs)
         return hs, cache
 
     def backward(self, cache: LSTMCache, dhs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -147,6 +147,13 @@ def build_samples(bundle: DatasetBundle, lexicon: SentimentLexicon,
     Used by evaluation and prediction so that features match the training
     run bit for bit when given the same source data.
     """
+    missing = [name for name in preprocess.static_cols
+               if name not in bundle.financial.columns]
+    if missing:
+        raise DataError(
+            f"data lacks the recipe's static column(s) {', '.join(map(repr, missing))}: "
+            "financial.csv or macro.csv is missing or incomplete"
+        )
     cfg = PipelineConfig(window=preprocess.window, horizon=preprocess.horizon)
     frame = assemble_frame(bundle, lexicon, cfg, preprocess.policy_vocab)
     frame = apply_standardize(frame, preprocess.stats)

@@ -227,6 +227,31 @@ class TestPredict:
         assert "no admissible prediction windows" in capsys.readouterr().err
 
 
+class TestMissingDataFile:
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "compare"])
+    def test_missing_recipe_columns_are_a_data_error(self, workspace, tmp_path, capsys,
+                                                     command):
+        """Without financial.csv the recipe's static columns are absent: exit 3
+        naming them, not a usage error or an empty prediction file."""
+        _, data_dir, hybrid, linear = workspace
+        bad = tmp_path / "no_financial"
+        bad.mkdir()
+        for name in DATA_FILES:
+            if name != "financial.csv":
+                (bad / name).write_bytes((data_dir / name).read_bytes())
+        out = tmp_path / "out.csv"
+        argv = {
+            "predict": ["predict", "--model", str(hybrid), "--out", str(out)],
+            "evaluate": ["evaluate", "--model", str(hybrid), "--csv", str(out)],
+            "compare": ["compare", str(hybrid), str(linear), "--csv", str(out)],
+        }[command]
+        assert main(argv + ["--data", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "'profit'" in err
+        assert "no admissible prediction windows" not in err
+        assert not out.exists()
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command", ["predict", "train"])
     @pytest.mark.parametrize("filename,column", [("market.csv", "close"),

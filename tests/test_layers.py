@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,19 +10,13 @@ from riskcast.layers import (
     Conv1DLayer,
     DenseLayer,
     DropoutSpec,
+    LSTMCache,
     LSTMCell,
-    _sigmoid,
     dropout_backward,
     dropout_forward,
 )
 
 GRAD_TOL = 1e-4
-
-
-class TestActivations:
-    def test_sigmoid_stable_for_large_inputs(self):
-        out = _sigmoid(np.array([-800.0, 800.0]))
-        assert out[0] == 0.0 and out[1] == 1.0
 
 
 class TestConv1D:
@@ -172,6 +167,22 @@ class TestLSTM:
 
         assert rel_error(dxs[0], numeric_grad(loss, xs)) < GRAD_TOL
 
+    def test_saturated_gates_stay_finite_without_warnings(self):
+        """Gate pre-activations near +-800 (where exp would overflow) give
+        sigmoid gates of exactly 0 or 1 and finite states in [-1, 1]."""
+        w_x = np.array([[800.0], [-800.0], [800.0], [-800.0],
+                        [-800.0], [800.0], [800.0], [-800.0]])
+        cell = LSTMCell(w_x, np.zeros((8, 2)), np.zeros(8))
+        xs = np.array([[[1.0], [-1.0], [1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hs, cache = cell.forward(xs, np.zeros((1, 2)), np.zeros((1, 2)))
+        for gate in (cache.i, cache.f, cache.o):
+            assert np.all((gate == 0.0) | (gate == 1.0))
+        assert np.all(np.abs(cache.g) == 1.0)
+        assert np.all(np.isfinite(cache.c))
+        assert np.all(np.abs(hs) <= 1.0) and np.all(np.abs(cache.tanh_c) <= 1.0)
+
     def test_hidden_states_bounded_by_one(self):
         rng = SeededRng(40)
         for trial in range(5):
@@ -267,6 +278,93 @@ class TestDropout:
             assert np.array_equal(y_b, y[b])
             assert np.array_equal(mask_b, mask[b])
         assert batch_rng.state == sample_rng.state
+
+
+def _reference_lstm_forward(cell, xs, h0, c0):
+    """The batch-major (i, f, g, o) time loop that ``LSTMCell.forward``
+    replaced: per step it scales all four gate blocks by an array, takes one
+    tanh, then adds and scales again by arrays."""
+    hid, (n, t_len) = cell.hidden_size, xs.shape[:2]
+    gates = xs @ cell.w_x.T
+    gates += cell.b
+    w_h_t = cell.w_h.T
+    scale = np.full(4 * hid, 0.5)
+    scale[2 * hid:3 * hid] = 1.0
+    shift = np.ones(4 * hid)
+    shift[2 * hid:3 * hid] = 0.0
+    c_a = np.empty((n, t_len, hid))
+    tc_a = np.empty((n, t_len, hid))
+    hs = np.empty((n, t_len, hid))
+    i_a, f_a, g_a, o_a = (gates[:, :, k * hid:(k + 1) * hid] for k in range(4))
+    h, c = h0, c0
+    for t in range(t_len):
+        z = gates[:, t]
+        z += (h[:, None, :] @ w_h_t)[:, 0, :]
+        z *= scale
+        np.tanh(z, out=z)
+        z += shift
+        z *= scale
+        c = np.multiply(f_a[:, t], c, out=c_a[:, t])
+        c += i_a[:, t] * g_a[:, t]
+        np.tanh(c, out=tc_a[:, t])
+        h = np.multiply(o_a[:, t], tc_a[:, t], out=hs[:, t])
+    return hs, LSTMCache(xs=xs, h0=h0, c0=c0, i=i_a, f=f_a, g=g_a, o=o_a,
+                         c=c_a, tanh_c=tc_a, hs=hs)
+
+
+class TestLSTMReference:
+    """``LSTMCell.forward`` reorders and pre-scales the gates and runs time-major;
+    every forward output, cached activation and gradient stays bitwise that of
+    the reference loop."""
+
+    CACHED = ("i", "f", "g", "o", "c", "tanh_c", "hs")
+
+    def _assert_bitwise(self, cell, xs, h0, c0, dhs):
+        hs, cache = cell.forward(xs, h0, c0)
+        ref_hs, ref_cache = _reference_lstm_forward(cell, xs, h0, c0)
+        assert hs.tobytes() == ref_hs.tobytes()
+        for name in self.CACHED:
+            assert getattr(cache, name).tobytes() == getattr(ref_cache, name).tobytes(), name
+        for got, want in zip(cell.backward(cache, dhs), cell.backward(ref_cache, dhs)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 7, 32, 33, 64, 65])
+    def test_random_weights_bias_and_states(self, batch):
+        rng = SeededRng(57 + batch)
+        f_in, hid, t_len = 11, 32, 20
+        cell = LSTMCell(rng.normals(4 * hid * f_in, 0.0, 0.5).reshape(4 * hid, f_in),
+                        rng.normals(4 * hid * hid, 0.0, 0.3).reshape(4 * hid, hid),
+                        rng.normals(4 * hid))
+        xs = rng.normals(batch * t_len * f_in).reshape(batch, t_len, f_in)
+        h0 = rng.uniforms(batch * hid, -1.0, 1.0).reshape(batch, hid)
+        c0 = rng.normals(batch * hid, 0.0, 2.0).reshape(batch, hid)
+        dhs = rng.normals(batch * t_len * hid).reshape(batch, t_len, hid)
+        self._assert_bitwise(cell, xs, h0, c0, dhs)
+
+    def test_saturated_gates(self):
+        rng = SeededRng(58)
+        batch, f_in, hid, t_len = 5, 3, 4, 6
+        cell = LSTMCell(rng.normals(4 * hid * f_in, 0.0, 300.0).reshape(4 * hid, f_in),
+                        rng.normals(4 * hid * hid, 0.0, 300.0).reshape(4 * hid, hid),
+                        rng.normals(4 * hid, 0.0, 300.0))
+        xs = rng.normals(batch * t_len * f_in).reshape(batch, t_len, f_in)
+        h0 = rng.uniforms(batch * hid, -1.0, 1.0).reshape(batch, hid)
+        c0 = rng.normals(batch * hid).reshape(batch, hid)
+        dhs = rng.normals(batch * t_len * hid).reshape(batch, t_len, hid)
+        self._assert_bitwise(cell, xs, h0, c0, dhs)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_all_zero_inputs_and_weights(self, zero):
+        """Pins the sign of zero on the g block: the reference loop's ``+ 0.0``
+        shift made it +0.0, and the g block no longer gets that shift."""
+        batch, f_in, hid, t_len = 3, 2, 4, 5
+        cell = LSTMCell(np.full((4 * hid, f_in), zero), np.full((4 * hid, hid), zero),
+                        np.full(4 * hid, zero))
+        xs = np.zeros((batch, t_len, f_in))
+        h0, c0 = np.zeros((batch, hid)), np.zeros((batch, hid))
+        self._assert_bitwise(cell, xs, h0, c0, np.ones((batch, t_len, hid)))
+        _, cache = cell.forward(xs, h0, c0)
+        assert not np.signbit(cache.g).any()
 
 
 def _assert_batch_is_stacked_samples(layer, xs, dys, states=()):

@@ -29,7 +29,7 @@ def datasets(bundle):
 class TestMakeDatasets:
     def test_shapes_and_column_layout(self, datasets):
         train, val, test, pre = datasets
-        assert train.seq_width == len(MARKET_CHANNELS) + len(SENTIMENT_CHANNELS)
+        assert train.x_seq.shape[2] == len(MARKET_CHANNELS) + len(SENTIMENT_CHANNELS)
         assert pre.seq_cols[:len(MARKET_CHANNELS)] == list(MARKET_CHANNELS)
         assert pre.seq_cols[len(MARKET_CHANNELS):] == list(SENTIMENT_CHANNELS)
         assert train.static_width == len(pre.static_all)
