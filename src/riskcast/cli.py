@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     gen = subparsers.add_parser("gen-data", help="write a synthetic CSV dataset")
-    gen.add_argument("--days", type=int, default=2000, help="trading days (>= 200)")
+    gen.add_argument("--days", type=int, default=2000, help="trading days (200 to 2083186)")
     gen.add_argument("--seed", type=int, default=42)
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--base-vol", type=float, default=0.01)

@@ -200,38 +200,57 @@ def load_policy_csv(path) -> list[tuple[dt.date, str]]:
 # ---------------------------------------------------------------------------
 
 
-def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
-    """``date`` column followed by the frame's columns, full float precision."""
+# ``datetime64[D]`` counts days from 1970-01-01; day ordinals from 0001-01-01.
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+# Rows formatted at once: whole columns are faster to format than single
+# rows, and slices of them keep the writers' transient memory small.
+_ROWS_PER_WRITE = 4096
+
+
+def _iso_dates(days: np.ndarray) -> list[str]:
+    """``date.isoformat()`` of each day ordinal, formatted in one array call."""
+    return np.datetime_as_string((days - _EPOCH_ORDINAL).astype("datetime64[D]")).tolist()
+
+
+def _write_csv(path, header: list[str], n_rows: int, rows) -> None:
+    """``header``, then the rows ``rows(part)`` gives for each slice ``part`` of ``n_rows``."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        names = frame.column_names
-        writer.writerow(["date", *names])
-        for i, day in enumerate(frame.dates):
-            writer.writerow([day.isoformat(), *(repr(float(frame.columns[n][i])) for n in names)])
+        writer.writerow(header)
+        for start in range(0, n_rows, _ROWS_PER_WRITE):
+            writer.writerows(rows(slice(start, start + _ROWS_PER_WRITE)))
+
+
+def _write_dated(pairs: list[tuple[dt.date, object]], path, header: list[str], fmt=None) -> None:
+    """One row per ``(date, value)`` pair, the value formatted by ``fmt`` if given."""
+    def rows(part):
+        days, values = zip(*pairs[part])
+        return zip(_iso_dates(day_numbers(days)), values if fmt is None else map(fmt, values))
+
+    _write_csv(path, header, len(pairs), rows)
+
+
+def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
+    """``date`` column followed by the frame's columns, full float precision."""
+    names = frame.column_names
+
+    def rows(part):
+        columns = (map(repr, frame.columns[name][part].tolist()) for name in names)
+        return zip(_iso_dates(frame.days[part]), *columns)
+
+    _write_csv(path, ["date", *names], len(frame), rows)
 
 
 def write_news_csv(items: list[tuple[dt.date, str]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "text"])
-        for day, text in items:
-            writer.writerow([day.isoformat(), text])
+    _write_dated(items, path, ["date", "text"])
 
 
 def write_policy_csv(events: list[tuple[dt.date, str]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "category"])
-        for day, category in events:
-            writer.writerow([day.isoformat(), category])
+    _write_dated(events, path, ["date", "category"])
 
 
 def write_predictions_csv(predictions, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "risk_score"])
-        for day, score in predictions:
-            writer.writerow([day.isoformat(), repr(score)])
+    _write_dated(predictions, path, ["date", "risk_score"], repr)
 
 
 # ---------------------------------------------------------------------------

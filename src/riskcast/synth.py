@@ -27,6 +27,13 @@ changing it changes every file.  A normal takes two uniforms (Box-Muller).
 - k=8 macro: three normals per monthly row (gdp, cpi, interest rate).
 - k=9 policy, a variable count per day: one uniform; on an event day (below
   0.02) one more draw picks the category.
+
+The news and policy streams are read a chunk of days at a time: the draws
+left unread by the last chunk are topped up with fresh ones to as many as the
+chunk's days can use, so memory does not grow with the run.  One loop over
+positions then finds where each day starts (and, for news, where each item
+starts).  News items are composed as arrays from those positions, one group
+per filler count.
 """
 
 from __future__ import annotations
@@ -71,14 +78,16 @@ _MACRO_PERIOD = 21              # trading days between macro readings
 _POLICY_EVENT_PROB = 0.02       # per-day probability of a policy event
 
 # The news and policy streams use a variable number of draws per day, so they
-# are read from blocks of pre-drawn values, topped up whenever fewer remain
-# than one day can use.  Larger blocks are no faster and raise peak memory.
-_BLOCK_DRAWS = 2048
+# are read a chunk of days at a time, from draws topped up to the most those
+# days can use.  Larger chunks are no faster and raise peak memory.
+_CHUNK_DAYS = 512
 _MAX_FILLERS = 4                # 2 + randint(3)
 # Noise normal, word picks, filler count, filler picks, shuffle swaps.
 _MAX_ITEM_DRAWS = 2 + _WORDS_PER_ITEM + 1 + _MAX_FILLERS + (_WORDS_PER_ITEM + _MAX_FILLERS - 1)
 _MAX_NEWS_DRAWS_PER_DAY = 2 + 3 * _MAX_ITEM_DRAWS
 _MAX_POLICY_DRAWS_PER_DAY = 2
+# Weekdays from START_DATE to 9999-12-31, the last day a ``datetime.date`` holds.
+_MAX_DAYS = int(np.busday_count(START_DATE, dt.date.max)) + 1
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_days < 200:
             raise ParameterError(f"n_days must be >= 200, got {self.n_days}")
+        if self.n_days > _MAX_DAYS:
+            raise ParameterError(f"n_days must be <= {_MAX_DAYS}, the trading days from "
+                                 f"{START_DATE} to {dt.date.max}, got {self.n_days}")
         if self.base_vol <= 0:
             raise ParameterError(f"base_vol must be positive, got {self.base_vol}")
         if not 0.0 <= self.regime_shift_prob <= 1.0:
@@ -108,27 +120,11 @@ def trading_days(start: dt.date, count: int) -> list[dt.date]:
     return np.busday_offset(np.datetime64(start, "D"), np.arange(count), roll="forward").tolist()
 
 
-class _DrawBlock:
-    """A window of one stream's draws, read by position and topped up in bulk.
-
-    :meth:`refill` returns three lists indexed by position: ``ints[i]`` is draw
-    ``i`` as ``next_uint64`` gives it, ``floats[i]`` as ``next_float`` gives it,
-    and ``normals[i]`` is what ``normal(0.0, noise_sd)`` gives when its two
-    uniforms are draws ``i`` and ``i + 1``.
-    """
-
-    def __init__(self, rng: SeededRng, noise_sd: float = 1.0):
-        self._rng = rng
-        self._noise_sd = noise_sd
-        self._bits = np.empty(0, dtype=np.uint64)
-
-    def refill(self, pos: int) -> tuple[list[int], list[float], list[float]]:
-        """Drop the draws before ``pos`` and draw on to a full block."""
-        fresh = self._rng.next_uint64s(_BLOCK_DRAWS - (self._bits.size - pos))
-        self._bits = np.concatenate((self._bits[pos:], fresh))
-        floats = unit_floats(self._bits)
-        normals = box_muller(floats[:-1], floats[1:], 0.0, self._noise_sd)
-        return self._bits.tolist(), floats.tolist(), normals.tolist()
+def _top_up(rng: SeededRng, unread: np.ndarray, days: int, max_draws_per_day: int) -> np.ndarray:
+    """A variable-count stream's ``unread`` draws, topped up with fresh ones
+    to as many as ``days`` days can use."""
+    fresh = rng.next_uint64s(max(0, days * max_draws_per_day - unread.size))
+    return np.concatenate((unread, fresh))
 
 
 def _trailing_mean(values: np.ndarray, width: int) -> np.ndarray:
@@ -177,52 +173,95 @@ def _market(cfg: SynthConfig, sentiment: np.ndarray, regime_mult: np.ndarray,
     return {"open": opens, "close": closes, "volume": volumes}
 
 
+def _news_items(bits: np.ndarray, days: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Walk ``days`` days of news draws: the position in ``bits`` where each
+    item starts, the day each belongs to, and the position after the last day."""
+    # At each position p, as bytes so that indexing yields ints: the item
+    # count of a day starting there (next_float() < 0.5 and < 0.25 exactly
+    # when the draw is below 2**63 and 2**62), and the draws of an item
+    # starting there (its filler count is draw p + 8).
+    counts = (1 + (bits[:-1] < np.uint64(1 << 63)).view(np.uint8)
+              + (bits[1:] < np.uint64(1 << 62)).view(np.uint8)).tobytes()
+    fillers = 2 + (bits[2 + _WORDS_PER_ITEM:] % 3).astype(np.uint8)
+    lengths = (2 + 2 * _WORDS_PER_ITEM + 2 * fillers).tobytes()
+    items, item_days = [], []
+    p = 0
+    for day in range(days):
+        n_items = counts[p]
+        p += 2
+        for _ in range(n_items):
+            items.append(p)
+            item_days.append(day)
+            p += lengths[p]
+    return np.array(items), np.array(item_days), p
+
+
+def _compose_news(bits: np.ndarray, items: np.ndarray, levels: np.ndarray,
+                  vocab: np.ndarray, n_pos_terms: int, n_neg_terms: int) -> np.ndarray:
+    """The text of each item whose draws start at ``items``, around sentiment ``levels``.
+
+    Items are composed as arrays, one group per filler count, over indices
+    into ``vocab``: the positive terms, then the negative terms, then the
+    fillers.
+    """
+    noise = box_muller(unit_floats(bits[items]), unit_floats(bits[items + 1]),
+                       0.0, _ITEM_NOISE_SD)
+    polarity = np.clip(levels + noise, -1.0, 1.0)
+    n_pos = (_WORDS_PER_ITEM * (1.0 + polarity) / 2.0 + 0.5).astype(np.intp)
+    picks = bits[items[:, None] + np.arange(2, 2 + _WORDS_PER_ITEM)]
+    words = np.where(np.arange(_WORDS_PER_ITEM) < n_pos[:, None],
+                     picks % n_pos_terms, picks % n_neg_terms + n_pos_terms)
+    fillers = 2 + bits[items + 2 + _WORDS_PER_ITEM] % 3
+    texts = np.empty(items.size, dtype=object)
+    for n_fill in range(2, _MAX_FILLERS + 1):
+        rows = np.flatnonzero(fillers == n_fill)
+        fill_at = items[rows, None] + 3 + _WORDS_PER_ITEM
+        width = _WORDS_PER_ITEM + n_fill
+        fill = bits[fill_at + np.arange(n_fill)] % len(_FILLER_WORDS) + (n_pos_terms + n_neg_terms)
+        group = np.concatenate((words[rows], fill), axis=1).astype(np.intp)
+        # Fisher-Yates, as SeededRng.shuffle: one column swap per step, over all rows.
+        swaps = bits[fill_at + np.arange(n_fill, n_fill + width - 1)]
+        targets = (swaps % np.arange(width, 1, -1, dtype=np.uint64)).astype(np.intp)
+        targets += width * np.arange(rows.size)[:, None]    # flat indices into group
+        flat = group.reshape(-1)
+        for i, j in zip(range(width - 1, 0, -1), targets.T):
+            picked = flat[j]
+            flat[j] = group[:, i]
+            group[:, i] = picked
+        texts[rows] = list(map(" ".join, vocab[group].tolist()))
+    return texts
+
+
 def _news(rng: SeededRng, dates: list[dt.date], sentiment: np.ndarray,
           pos_terms: list[str], neg_terms: list[str]) -> list[tuple[dt.date, str]]:
     """Bag-of-words items whose lexicon compound tracks the day's sentiment."""
-    n_pos_terms, n_neg_terms, n_filler = len(pos_terms), len(neg_terms), len(_FILLER_WORDS)
-    block = _DrawBlock(rng, _ITEM_NOISE_SD)
-    ints, floats, noise = block.refill(0)
-    p = 0
+    vocab = np.array([*pos_terms, *neg_terms, *_FILLER_WORDS], dtype=object)
     news = []
-    for day, level in zip(dates, sentiment.tolist()):
-        if p + _MAX_NEWS_DRAWS_PER_DAY > len(ints):
-            ints, floats, noise = block.refill(p)
-            p = 0
-        n_items = 1 + (floats[p] < 0.5) + (floats[p + 1] < 0.25)
-        p += 2
-        for _ in range(n_items):
-            polarity = min(1.0, max(-1.0, level + noise[p]))
-            n_pos = int(_WORDS_PER_ITEM * (1.0 + polarity) / 2.0 + 0.5)
-            p += 2
-            words = [pos_terms[i % n_pos_terms] for i in ints[p:p + n_pos]]
-            words += [neg_terms[i % n_neg_terms] for i in ints[p + n_pos:p + _WORDS_PER_ITEM]]
-            p += _WORDS_PER_ITEM
-            n_fill = 2 + ints[p] % 3
-            words += [_FILLER_WORDS[i % n_filler] for i in ints[p + 1:p + 1 + n_fill]]
-            p += 1 + n_fill
-            for i in range(len(words) - 1, 0, -1):  # Fisher-Yates, as SeededRng.shuffle
-                j = ints[p] % (i + 1)
-                p += 1
-                words[i], words[j] = words[j], words[i]
-            news.append((day, " ".join(words)))
+    bits, end = np.empty(0, dtype=np.uint64), 0
+    for first in range(0, len(dates), _CHUNK_DAYS):
+        days = dates[first:first + _CHUNK_DAYS]
+        bits = _top_up(rng, bits[end:], len(days), _MAX_NEWS_DRAWS_PER_DAY)
+        items, item_days, end = _news_items(bits, len(days))
+        texts = _compose_news(bits, items, sentiment[first + item_days], vocab,
+                              len(pos_terms), len(neg_terms))
+        news += zip(map(days.__getitem__, item_days.tolist()), texts.tolist())
     return news
 
 
 def _policy(rng: SeededRng, dates: list[dt.date]) -> list[tuple[dt.date, str]]:
     """Rare policy events, each with a category from the fixed vocabulary."""
-    block = _DrawBlock(rng)
-    ints, floats, _ = block.refill(0)
-    p = 0
     policy = []
-    for day in dates:
-        if p + _MAX_POLICY_DRAWS_PER_DAY > len(ints):
-            ints, floats, _ = block.refill(p)
-            p = 0
-        if floats[p] < _POLICY_EVENT_PROB:
-            policy.append((day, POLICY_CATEGORIES[ints[p + 1] % len(POLICY_CATEGORIES)]))
-            p += 1
-        p += 1
+    bits, end = np.empty(0, dtype=np.uint64), 0
+    for first in range(0, len(dates), _CHUNK_DAYS):
+        days = dates[first:first + _CHUNK_DAYS]
+        bits = _top_up(rng, bits[end:], len(days), _MAX_POLICY_DRAWS_PER_DAY)
+        events = (unit_floats(bits) < _POLICY_EVENT_PROB).tolist()
+        end = 0
+        for day in days:
+            if events[end]:
+                policy.append((day, POLICY_CATEGORIES[int(bits[end + 1]) % len(POLICY_CATEGORIES)]))
+                end += 1
+            end += 1
     return policy
 
 

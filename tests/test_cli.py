@@ -100,10 +100,43 @@ class TestGenData:
                    for name in pinned}
         assert digests == pinned
 
+    @pytest.mark.parametrize("days, seed, extra, pinned", [
+        (3000, 3, (), {
+            "market.csv": "b6101bec036a42ef7bc264ff330d301d60c88cc76b53361c0197402145b80444",
+            "financial.csv": "4dd9ab726a83ceffa91cc78277871dae3a479b48962aa6388ab81556cb01026d",
+            "macro.csv": "add98bd886d19a681ed85f80907aa9a205dfa4884098675bfb9e3df05387180d",
+            "news.csv": "64570746e402655ab11ee9802dc38c3e5293368e445670efa5666e5f5f8116b1",
+            "policy.csv": "1d5305f826b8db0d7941a06bf00b38b6a518409ae06d5af10f6424d4f725f8df",
+            "manifest.json": "3caf780fd54a2067df12f68346f4346894ad347cf265c244f81c29c487334279",
+        }),
+        (1000, 11, ("--kappa", "0", "--no-nonlinear"), {
+            "market.csv": "4af9c0791ee9ea3e458092d3ac67eb7c47814cd34188e3710cfce40344e4f7a9",
+            "financial.csv": "f54c08a07d7be9244e1159c34b5bbfa7a0f70b164288732b013a16e8b24408ee",
+            "macro.csv": "85041f5642ea22e057f0efb419eb751320df6d6ae6b15a6123e106148b09a7ad",
+            "news.csv": "e6d610f5e541c89c721a6c8639fe9e9318e21bc1cbd25541942a56165d3d5fe5",
+            "policy.csv": "17b111d3a92584c5c2196b5d4fbe24e99ab64f530bf4cf10fb88f61d1cb35fba",
+            "manifest.json": "1b6e3f50256c54cb0b29e6a1dbb2a5bb838477818b4dee551730aa802fcafb87",
+        }),
+    ], ids=["3000d-seed3", "1000d-seed11-linear"])
+    def test_multi_chunk_files_match_pinned_digests(self, tmp_path, days, seed, extra, pinned):
+        """SHA-256 of every file at two settings whose news and policy streams
+        span several chunks of days, recorded from the per-item news walk."""
+        out = _gen(tmp_path, days=days, seed=seed, extra=extra)
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in pinned}
+        assert digests == pinned
+
     def test_days_below_minimum_is_a_parameter_error(self, tmp_path, capsys):
         rc = main(["gen-data", "--days", "50", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "n_days" in capsys.readouterr().err
+
+    def test_days_past_year_9999_is_a_parameter_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["gen-data", "--days", "2083187", "--out", str(out)])
+        assert rc == 2
+        assert "n_days must be <= 2083186" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:

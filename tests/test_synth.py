@@ -8,7 +8,7 @@ from riskcast.features import (
     sentiment_scores,
     trailing_volatility,
 )
-from riskcast.synth import POLICY_CATEGORIES, trading_days
+from riskcast.synth import POLICY_CATEGORIES, START_DATE, trading_days
 import datetime as dt
 
 
@@ -70,6 +70,15 @@ class TestGeneratedSeries:
             SynthConfig(base_vol=0.0)
         with pytest.raises(ParameterError):
             SynthConfig(kappa=1.5)
+
+    def test_n_days_ends_at_the_last_representable_date(self):
+        """Trading day 2,083,186 is 9999-12-31, a Friday and ``date.max``:
+        one day more has no ``datetime.date``."""
+        last = np.busday_offset(np.datetime64(START_DATE), 2_083_186 - 1, roll="forward")
+        assert last == np.datetime64(dt.date.max)
+        SynthConfig(n_days=2_083_186)
+        with pytest.raises(ParameterError, match="n_days must be <= 2083186"):
+            SynthConfig(n_days=2_083_187)
 
     def test_market_series_are_clean(self):
         bundle = synth_generate(SynthConfig(n_days=250, seed=9))

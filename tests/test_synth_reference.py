@@ -192,17 +192,18 @@ def _assert_bundles_identical(got, want):
     SynthConfig(n_days=2000, seed=7),
     SynthConfig(n_days=1000, seed=11, kappa=0.0, nonlinearity=False),
     SynthConfig(n_days=500, seed=9, base_vol=0.02, regime_shift_prob=1.0, kappa=0.3),
-    # About 110k news draws: over fifty refills of a full-size block.
+    # About 110k news draws: six chunks, the last one short.
     SynthConfig(n_days=3000, seed=3),
 ], ids=lambda cfg: f"{cfg.n_days}d-seed{cfg.seed}-kappa{cfg.kappa}-nl{cfg.nonlinearity}")
 def test_bundle_matches_per_draw_reference(cfg):
     _assert_bundles_identical(synth_generate(cfg), ref_synth_generate(cfg))
 
 
-@pytest.mark.parametrize("block", [synth._MAX_NEWS_DRAWS_PER_DAY, 1000])
-def test_small_blocks_refill_at_the_walked_position(monkeypatch, block):
-    """A block of exactly one day's maximum refills before nearly every day."""
-    monkeypatch.setattr(synth, "_BLOCK_DRAWS", block)
+@pytest.mark.parametrize("chunk_days", [1, 3])
+def test_small_chunks_top_up_at_the_walked_position(monkeypatch, chunk_days):
+    """A one-day chunk holds exactly one day's maximum of draws, topped up
+    before every day from wherever the last day stopped."""
+    monkeypatch.setattr(synth, "_CHUNK_DAYS", chunk_days)
     cfg = SynthConfig(n_days=400, seed=5)
     want = ref_synth_generate(cfg)
     _assert_bundles_identical(synth_generate(cfg), want)
