@@ -1,6 +1,8 @@
 """CSV ingestion and writing, chronological splits, and model persistence.
 
-File schemas (ISO-8601 dates, decimal floats, RFC-4180 quoting):
+File schemas (ISO-8601 dates, decimal floats, RFC-4180 quoting).  The
+writers join whole column slices into lines, quoting a text field only when
+it holds a ``,``, ``"``, LF or CR:
 
 * ``market.csv``    - ``date,open,close,volume``
 * ``financial.csv`` - ``date,profit,debt_ratio,cash_flow``
@@ -20,6 +22,7 @@ import csv
 import datetime as dt
 import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,45 +215,66 @@ def _iso_dates(days: np.ndarray) -> list[str]:
     return np.datetime_as_string((days - _EPOCH_ORDINAL).astype("datetime64[D]")).tolist()
 
 
-def _write_csv(path, header: list[str], n_rows: int, rows) -> None:
-    """``header``, then the rows ``rows(part)`` gives for each slice ``part`` of ``n_rows``."""
+# The characters RFC 4180 quotes a field for: the delimiter, the quote, LF and CR.
+_QUOTED_CHARS = (",", '"', "\n", "\r")
+
+
+def _quoted(fields: Sequence[str]) -> Sequence[str]:
+    """``fields`` as a CSV row holds them: a field with a ``,``, ``"``, LF or
+    CR is wrapped in quotes with its quotes doubled, the rest stay as they are.
+
+    This is ``csv.writer``'s minimal quoting, except that a bare CR is quoted
+    too, so ``csv.reader`` reads every field back whole.  The joined fields
+    are searched once; fields are tested one by one only when that finds one.
+    """
+    joined = "".join(fields)
+    if not any(char in joined for char in _QUOTED_CHARS):
+        return fields
+    return ['"' + field.replace('"', '""') + '"'
+            if any(char in field for char in _QUOTED_CHARS) else field
+            for field in fields]
+
+
+def _write_csv(path, header: list[str], n_rows: int, columns) -> None:
+    """``header``, then the rows whose fields ``columns(part)`` gives column by
+    column, as strings, for each slice ``part`` of ``n_rows``."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+        handle.write(",".join(_quoted(header)) + "\n")
         for start in range(0, n_rows, _ROWS_PER_WRITE):
-            writer.writerows(rows(slice(start, start + _ROWS_PER_WRITE)))
+            part = slice(start, start + _ROWS_PER_WRITE)
+            handle.write("\n".join(map(",".join, zip(*columns(part)))) + "\n")
 
 
-def _write_dated(pairs: list[tuple[dt.date, object]], path, header: list[str], fmt=None) -> None:
-    """One row per ``(date, value)`` pair, the value formatted by ``fmt`` if given."""
-    def rows(part):
+def _write_dated(pairs: list[tuple[dt.date, object]], path, header: list[str], fmt) -> None:
+    """One row per ``(date, value)`` pair; ``fmt`` turns a slice's values into fields."""
+    def columns(part):
         days, values = zip(*pairs[part])
-        return zip(_iso_dates(day_numbers(days)), values if fmt is None else map(fmt, values))
+        return _iso_dates(day_numbers(days)), fmt(values)
 
-    _write_csv(path, header, len(pairs), rows)
+    _write_csv(path, header, len(pairs), columns)
 
 
 def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
     """``date`` column followed by the frame's columns, full float precision."""
     names = frame.column_names
 
-    def rows(part):
-        columns = (map(repr, frame.columns[name][part].tolist()) for name in names)
-        return zip(_iso_dates(frame.days[part]), *columns)
+    def columns(part):
+        values = (map(repr, frame.columns[name][part].tolist()) for name in names)
+        return _iso_dates(frame.days[part]), *values
 
-    _write_csv(path, ["date", *names], len(frame), rows)
+    _write_csv(path, ["date", *names], len(frame), columns)
 
 
 def write_news_csv(items: list[tuple[dt.date, str]], path) -> None:
-    _write_dated(items, path, ["date", "text"])
+    _write_dated(items, path, ["date", "text"], _quoted)
 
 
 def write_policy_csv(events: list[tuple[dt.date, str]], path) -> None:
-    _write_dated(events, path, ["date", "category"])
+    _write_dated(events, path, ["date", "category"], _quoted)
 
 
 def write_predictions_csv(predictions, path) -> None:
-    _write_dated(predictions, path, ["date", "risk_score"], repr)
+    _write_dated(predictions, path, ["date", "risk_score"], lambda scores: map(repr, scores))
 
 
 # ---------------------------------------------------------------------------

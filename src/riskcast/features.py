@@ -369,6 +369,10 @@ class SampleSet:
     ``x_static[i]`` row ``t`` of the static columns, ``y[i]`` the target
     measured strictly after row ``t``, and ``days[i]`` the day ordinal of the
     prediction date (the window's final row ``t``).
+
+    From :func:`build_windows`, ``x_seq`` is a read-only strided view:
+    neighbouring windows share their rows, so writing to it raises
+    ``ValueError``.  Copy it (``np.array(samples.x_seq)``) before editing.
     """
 
     x_seq: np.ndarray      # [N x T x F_seq]
@@ -425,6 +429,11 @@ def build_windows(
     ``t-window+1 .. t``, static row ``t``, target value at row
     ``t + horizon``.  Inputs therefore never include any row at or past the
     target row.
+
+    ``x_seq`` is the read-only ``sliding_window_view`` of a private
+    ``[rows x F_seq]`` copy of the sequence columns, so the ``[N x T x F_seq]``
+    window tensor is never built and no window shares memory with
+    ``aligned``.  ``x_static`` and ``y`` are writable arrays of their own.
     """
     if window < 1 or horizon < 1:
         raise ParameterError(f"window and horizon must be >= 1, got {window}, {horizon}")
@@ -442,6 +451,7 @@ def build_windows(
             raise DataError(f"{name} columns contain missing values; trim warm-up rows first")
     ends = slice(window - 1, n_rows - horizon)  # every admissible end row t
     # sliding_window_view puts the window axis last: [N x F x T] -> [N x T x F].
+    # Each window keeps the row layout of a [T x F] block; consumers copy what they use.
     x_seq = sliding_window_view(seq[:ends.stop], window, axis=0).transpose(0, 2, 1)
-    return SampleSet(np.ascontiguousarray(x_seq), static[ends],
-                     target[ends.start + horizon:].copy(), aligned.days[ends])
+    return SampleSet(x_seq, static[ends], target[ends.start + horizon:].copy(),
+                     aligned.days[ends])

@@ -81,7 +81,7 @@ class TimeSeriesFrame:
         return TimeSeriesFrame(self.days, {n: self.column(n) for n in names})
 
     def matrix(self, names: list[str]) -> np.ndarray:
-        """Rows x selected columns as one array."""
+        """Rows x selected columns as one new array (never a view of the frame)."""
         return np.column_stack([self.column(n) for n in names])
 
 

@@ -10,6 +10,7 @@ same stream on every machine.
 
 from __future__ import annotations
 
+import operator
 import struct
 
 import numpy as np
@@ -88,7 +89,12 @@ class SeededRng:
         return mix64(self._state)
 
     def next_uint64s(self, n: int) -> np.ndarray:
-        """Vectorized draw of ``n`` uint64s, identical to ``n`` scalar calls."""
+        """Vectorized draw of ``n`` uint64s, identical to ``n`` scalar calls.
+
+        ``n`` may be any integer type, numpy's included; anything else raises
+        ``TypeError`` before a draw is made.
+        """
+        n = operator.index(n)
         if n < 0:
             raise ParameterError(f"draw count must be >= 0, got {n}")
         steps = np.arange(1, n + 1, dtype=np.uint64)

@@ -174,13 +174,14 @@ class TestOtherLoaders:
 
     def test_news_roundtrip_with_quoting(self, tmp_path):
         items = [(dt.date(2020, 3, 1), "markets crash on fears"),
-                 (dt.date(2020, 3, 2), 'rally, "strong" gains ahead')]
+                 (dt.date(2020, 3, 2), 'rally, "strong" gains ahead'),
+                 (dt.date(2020, 3, 3), "first line\rsecond line")]
         path = tmp_path / "news.csv"
         write_news_csv(items, path)
         assert load_news_csv(path) == items
 
     def test_policy_loader(self, tmp_path):
-        events = [(dt.date(2020, 5, 1), "rate_hike")]
+        events = [(dt.date(2020, 5, 1), "rate_hike"), (dt.date(2020, 5, 2), "rate\rcut")]
         path = tmp_path / "policy.csv"
         write_policy_csv(events, path)
         assert load_policy_csv(path) == events

@@ -7,6 +7,7 @@ and NaN cases pin behaviour the loops had implicitly.
 """
 
 import datetime as dt
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from riskcast.features import (
     trailing_volatility,
 )
 from riskcast.frames import day_numbers, drop_incomplete_rows, merge_outer
+from riskcast.models import linreg_fit
 from riskcast.pipeline import (
     MARKET_CHANNELS,
     SENTIMENT_CHANNELS,
@@ -363,7 +365,9 @@ def test_assemble_frame_and_windows_bitwise_equal_the_loops(seed):
     assert np.array_equal(samples.x_static, x_static)
     assert np.array_equal(samples.y, y)
     assert samples.dates == dates
-    assert samples.x_seq.flags.c_contiguous and samples.x_static.flags.c_contiguous
+    # Bitwise, not only equal in value: the windows are the reference's bytes.
+    assert np.ascontiguousarray(samples.x_seq).tobytes() == x_seq.tobytes()
+    assert samples.x_static.flags.c_contiguous
 
 
 def test_windows_do_not_share_memory_with_the_frame():
@@ -371,8 +375,47 @@ def test_windows_do_not_share_memory_with_the_frame():
         "a": np.arange(12, dtype=float), "s": np.arange(12, dtype=float) * 2.0,
     })
     samples = build_windows(frame, ["a"], ["s"], "a", 3, 2)
-    samples.x_seq[:] = -1.0
+    assert not np.shares_memory(samples.x_seq, frame.column("a"))
+    with pytest.raises(ValueError, match="read-only"):
+        samples.x_seq[:] = -1.0
     samples.x_static[:] = -1.0
     samples.y[:] = -1.0
     assert np.array_equal(frame.column("a"), np.arange(12, dtype=float))
     assert np.array_equal(frame.column("s"), np.arange(12, dtype=float) * 2.0)
+
+
+_WIDE_SEQ = [f"s{i}" for i in range(10)]
+_WIDE_STATIC = ["c0", "c1", "c2"]
+
+
+def _wide_frame(n_rows, seed=5):
+    """``n_rows`` days of standard-normal ``_WIDE_SEQ``, ``_WIDE_STATIC`` and ``y`` columns."""
+    rng = SeededRng(seed)
+    return TimeSeriesFrame(np.arange(730000, 730000 + n_rows),
+                           {name: rng.normals(n_rows) for name in [*_WIDE_SEQ, *_WIDE_STATIC, "y"]})
+
+
+def _peak_bytes(call):
+    """The result of ``call()`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_windows_never_builds_the_window_tensor():
+    frame = _wide_frame(3000)
+    samples, peak = _peak_bytes(lambda: build_windows(frame, _WIDE_SEQ, _WIDE_STATIC, "y", 20, 5))
+    assert samples.x_seq.shape == (2976, 20, 10)
+    assert peak < samples.x_seq.nbytes / 4
+
+
+def test_linreg_fit_copies_the_windows_once():
+    """The design matrix is the one copy of the windows; flattening the view
+    into a copy of its own first would double the fit's peak memory."""
+    samples = build_windows(_wide_frame(3000), _WIDE_SEQ, _WIDE_STATIC, "y", 20, 5)
+    design_bytes = len(samples) * (20 * 10 + 3 + 1) * 8  # [windows, statics, 1] per row
+    _, peak = _peak_bytes(lambda: linreg_fit(samples))
+    assert peak < 1.5 * design_bytes

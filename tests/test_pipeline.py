@@ -3,15 +3,22 @@ import pytest
 
 from riskcast import (
     DataError,
+    HybridModel,
+    ModelDims,
     PipelineConfig,
+    SampleSet,
     SplitSpec,
     SynthConfig,
     TimeSeriesFrame,
+    TrainConfig,
     build_samples,
     default_lexicon,
+    fit,
+    linreg_fit,
     make_datasets,
     synth_generate,
 )
+from riskcast.models import prediction_scores
 from riskcast.pipeline import MARKET_CHANNELS, SENTIMENT_CHANNELS, assemble_frame, split_for
 from riskcast.features import daily_returns, trailing_volatility
 
@@ -75,6 +82,56 @@ class TestMakeDatasets:
         stats = pre.stats.columns["close"]
         assert stats.mean == pytest.approx(float(np.mean(raw_close[:stop])))
         assert stats.mean != pytest.approx(float(np.mean(raw_close)))
+
+
+def _copied(samples: SampleSet) -> SampleSet:
+    """The same samples with the windows, which are read-only strided views,
+    in a contiguous array of their own."""
+    assert not samples.x_seq.flags.writeable and not samples.x_seq.flags.c_contiguous
+    return SampleSet(np.ascontiguousarray(samples.x_seq), samples.x_static, samples.y,
+                     samples.days)
+
+
+def _hybrid_for(pre, kernel_width: int = 3) -> HybridModel:
+    dims = ModelDims(window=pre.window, f_market=len(pre.market_cols),
+                     f_sentiment=len(pre.sentiment_cols), f_static=len(pre.static_all),
+                     kernel_width=kernel_width, hidden_size=8)
+    return HybridModel.initialize(dims, seed=3, dropout_p=0.2)
+
+
+def _param_bytes(model) -> dict[str, bytes]:
+    return {name: value.tobytes() for name, value in model.params().items()}
+
+
+class TestWindowViews:
+    """Every model reads the read-only window views to the bits it reads from a
+    contiguous copy of them."""
+
+    def test_linreg_fit(self, datasets):
+        train = datasets[0]
+        assert _param_bytes(linreg_fit(train)) == _param_bytes(linreg_fit(_copied(train)))
+
+    @pytest.mark.parametrize("kernel_width", [3, 1])
+    def test_hybrid_prediction_scores(self, datasets, kernel_width):
+        test, pre = datasets[2], datasets[3]
+        model = _hybrid_for(pre, kernel_width)
+        scores = prediction_scores(model, test)
+        assert scores.tobytes() == prediction_scores(model, _copied(test)).tobytes()
+
+    def test_linear_prediction_scores(self, datasets):
+        train, test = datasets[0], datasets[2]
+        model = linreg_fit(train)
+        scores = prediction_scores(model, test)
+        assert scores.tobytes() == prediction_scores(model, _copied(test)).tobytes()
+
+    def test_one_fit_epoch(self, datasets):
+        train, val, _, pre = datasets
+        cfg = TrainConfig(max_epochs=1, batch_size=16, seed=9)
+        viewed, viewed_log = fit(_hybrid_for(pre), train, val, cfg)
+        copied, copied_log = fit(_hybrid_for(pre), _copied(train), _copied(val), cfg)
+        assert _param_bytes(viewed) == _param_bytes(copied)
+        assert (viewed_log.train_mse, viewed_log.val_mse) == (copied_log.train_mse,
+                                                              copied_log.val_mse)
 
 
 class TestNoLookahead:

@@ -27,6 +27,19 @@ class TestSeededRng:
         vector = b.normals(64, 1.5, 2.0)
         assert np.array_equal(scalar, vector)
 
+    def test_numpy_integer_count_draws_like_the_equal_int(self):
+        a = SeededRng(5)
+        b = SeededRng(5)
+        assert np.array_equal(a.next_uint64s(np.int64(3)), b.next_uint64s(3))
+        assert a.state == b.state
+
+    def test_non_integer_count_rejected_before_drawing(self):
+        rng = SeededRng(5)
+        before = rng.state
+        with pytest.raises(TypeError):
+            rng.next_uint64s(2.5)
+        assert rng.state == before
+
     def test_shuffle_is_a_deterministic_permutation(self):
         values = list(range(50))
         a = sorted(values)
