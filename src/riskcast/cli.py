@@ -135,13 +135,6 @@ def _parse_grid(tokens: list[str], default_lr: float, default_hidden: int
 
 
 def cmd_train(args) -> int:
-    bundle = load_bundle(args.data)
-    lexicon = _lexicon_from(args)
-    pipe_cfg = pipeline.PipelineConfig(window=args.window, horizon=args.horizon)
-    train_set, val_set, test_set, pre = pipeline.make_datasets(
-        bundle, lexicon, pipe_cfg, SplitSpec()
-    )
-    log_path = args.log or args.out + ".log.csv"
     cfg = TrainConfig(
         learning_rate=args.lr,
         max_epochs=args.epochs,
@@ -151,6 +144,15 @@ def cmd_train(args) -> int:
     )
     # Checked on the baseline path too, so a bad --dropout never passes silently.
     dropout = DropoutSpec(args.dropout)
+    if args.baseline is None and cfg.max_epochs == 0:
+        raise ParameterError("--epochs must be >= 1 to train the hybrid model")
+    bundle = load_bundle(args.data)
+    lexicon = _lexicon_from(args)
+    pipe_cfg = pipeline.PipelineConfig(window=args.window, horizon=args.horizon)
+    train_set, val_set, test_set, pre = pipeline.make_datasets(
+        bundle, lexicon, pipe_cfg, SplitSpec()
+    )
+    log_path = args.log or args.out + ".log.csv"
 
     if args.baseline == "linreg":
         model = linreg_fit(train_set)
@@ -270,28 +272,6 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_BREAK_TARGETS = {"conv": "conv.kernels", "lstm": "lstm.w_x", "dense": "head.w"}
-
-
-class _BrokenGradientModel:
-    """Test hook: delegates to a model but corrupts one layer's gradient."""
-
-    def __init__(self, model, param_name: str):
-        self._model = model
-        self._param_name = param_name
-
-    def params(self):
-        return self._model.params()
-
-    def forward(self, *args, **kwargs):
-        return self._model.forward(*args, **kwargs)
-
-    def backward(self, cache, dscore):
-        grads, dx = self._model.backward(cache, dscore)
-        grads[self._param_name] = grads[self._param_name] + 0.05
-        return grads, dx
-
-
 def cmd_gradcheck(args) -> int:
     dims = ModelDims(window=4, f_market=2, f_sentiment=3, f_static=3,
                      conv_channels=2, kernel_width=3, hidden_size=3)
@@ -300,10 +280,7 @@ def cmd_gradcheck(args) -> int:
     x_seq = rng.normals(dims.window * dims.f_seq).reshape(dims.window, dims.f_seq)
     x_static = rng.normals(dims.f_static)
     target = rng.uniform(0.0, 1.0)
-    checked = model
-    if args.break_layer:
-        checked = _BrokenGradientModel(model, _BREAK_TARGETS[args.break_layer])
-    result = gradient_check(checked, x_seq, x_static, target, epsilon=1e-5)
+    result = gradient_check(model, x_seq, x_static, target, epsilon=1e-5)
     print(f"checked {result.n_params} parameters")
     print(f"max relative gradient error: {result.max_rel_error!r} "
           f"(worst: {result.worst_param})")
@@ -385,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gradcheck", help="verify analytic gradients against finite differences"
     )
     grad.add_argument("--seed", type=int, default=42)
-    grad.add_argument("--break-layer", choices=sorted(_BREAK_TARGETS), default=None,
-                      help="test hook: corrupt one layer's gradient on purpose")
     grad.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError
+from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .training import mse_loss
 
 
@@ -36,6 +36,9 @@ def _check_pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
 def compute_accuracy(y, yhat, threshold: float = 0.5) -> float:
     """Fraction of samples whose risk class (value > threshold) matches."""
     y, yhat = _check_pair(y, yhat)
+    if not np.isfinite(threshold):
+        # NaN or +-inf puts every finite value in one class: accuracy 1.0.
+        raise ParameterError(f"threshold must be finite, got {threshold}")
     return float(np.mean((y > threshold) == (yhat > threshold)))
 
 

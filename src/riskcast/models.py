@@ -27,9 +27,9 @@ from .layers import (
     DenseLayer,
     DropoutSpec,
     LSTMCell,
+    _block_matmul,
     dropout_backward,
     dropout_forward,
-    rowwise_matmul,
 )
 from .features import SampleSet
 from .preprocess import Preprocess
@@ -252,7 +252,7 @@ class LinearRegressionModel:
             raise DimensionError(
                 f"sample flattens to {flat.shape[1]} features, model expects {self.n_features}"
             )
-        scores = rowwise_matmul(flat, self.weights[:, None])[:, 0] + self.bias[0]
+        scores = _block_matmul(flat, self.weights[:, None])[:, 0] + self.bias[0]
         return (float(scores[0]) if single else scores), (flat, seq_shape)
 
     def backward(self, cache: tuple, dscore) -> tuple[dict[str, np.ndarray], np.ndarray]:

@@ -13,7 +13,7 @@ from riskcast import (
 )
 from riskcast.cli import main
 from riskcast.evaluation import evaluate_predictions
-from riskcast.models import prediction_scores
+from riskcast.models import HybridModel, prediction_scores
 from riskcast.pipeline import split_for
 
 DATA_FILES = ["market.csv", "financial.csv", "macro.csv", "news.csv", "policy.csv"]
@@ -181,6 +181,25 @@ class TestTrain:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("extra", [(), ("--grid", "lr=0.001,0.01")], ids=["plain", "grid"])
+    def test_zero_epochs_is_a_parameter_error_before_any_read(self, tmp_path, capsys, extra):
+        out = tmp_path / "zero.rcm"
+        rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out),
+                   "--epochs", "0", *extra])
+        assert rc == 2
+        assert "--epochs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_epochs_still_fits_the_linear_baseline(self, workspace, tmp_path, capsys):
+        _, data_dir, _, _ = workspace
+        out = tmp_path / "linear.rcm"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out),
+                   "--baseline", "linreg", "--epochs", "0"])
+        assert rc == 0
+        assert load_model(out).kind == "linear"
+        capsys.readouterr()
+
+
 class TestEvaluate:
     def test_prints_three_finite_metrics(self, workspace, capsys):
         tmp_path, data_dir, hybrid, _ = workspace
@@ -214,6 +233,21 @@ class TestEvaluate:
         assert float(printed["mse"]) == report.mse
         assert float(printed["accuracy"]) == report.accuracy
         assert float(printed["r2"]) == report.r2
+
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_non_finite_threshold_is_a_parameter_error(self, workspace, tmp_path, capsys,
+                                                       command, threshold):
+        _, data_dir, hybrid, linear = workspace
+        csv_path = tmp_path / "metrics.csv"
+        models = (["--model", str(hybrid)] if command == "evaluate"
+                  else [str(hybrid), str(linear)])
+        rc = main([command, *models, "--data", str(data_dir),
+                   f"--threshold={threshold}", "--csv", str(csv_path)])
+        assert rc == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not csv_path.exists()
 
 
 class TestPredict:
@@ -360,10 +394,16 @@ class TestGradcheck:
         assert rc == 0
         assert "max relative gradient error" in capsys.readouterr().out
 
-    def test_break_layer_hook_fails_loudly(self, capsys):
-        for layer in ("conv", "lstm", "dense"):
-            rc = main(["gradcheck", "--seed", "11", "--break-layer", layer])
-            assert rc == 4
+    def test_break_layer_hook_fails_loudly(self, monkeypatch, capsys):
+        backward = HybridModel.backward
+        for name in ("conv.kernels", "lstm.w_x", "head.w"):
+            def broken(self, cache, dscore, name=name):
+                grads, dx = backward(self, cache, dscore)
+                grads[name] = grads[name] + 0.05
+                return grads, dx
+
+            monkeypatch.setattr(HybridModel, "backward", broken)
+            assert main(["gradcheck", "--seed", "11"]) == 4, name
         capsys.readouterr()
 
     def test_same_seed_prints_identical_error(self, capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +15,7 @@ from riskcast.layers import (
     DropoutSpec,
     LSTMCache,
     LSTMCell,
+    _block_matmul,
     dropout_backward,
     dropout_forward,
 )
@@ -282,12 +286,13 @@ class TestDropout:
 
 def _reference_lstm_forward(cell, xs, h0, c0):
     """The batch-major (i, f, g, o) time loop that ``LSTMCell.forward``
-    replaced: per step it scales all four gate blocks by an array, takes one
-    tanh, then adds and scales again by arrays."""
+    replaced: per step it takes the 8-row block product of ``[x_t, 1, h_{t-1}]``
+    with the stored-order ``[w_x^T; b; w_h^T]``, scales all four gate blocks by
+    an array, takes one tanh, then adds and scales again by arrays."""
     hid, (n, t_len) = cell.hidden_size, xs.shape[:2]
-    gates = xs @ cell.w_x.T
-    gates += cell.b
-    w_h_t = cell.w_h.T
+    gates = np.empty((n, t_len, 4 * hid))
+    w_t = np.concatenate([cell.w_x.T, cell.b[None], cell.w_h.T])
+    n_rows = -(-n // 8) * 8
     scale = np.full(4 * hid, 0.5)
     scale[2 * hid:3 * hid] = 1.0
     shift = np.ones(4 * hid)
@@ -299,7 +304,9 @@ def _reference_lstm_forward(cell, xs, h0, c0):
     h, c = h0, c0
     for t in range(t_len):
         z = gates[:, t]
-        z += (h[:, None, :] @ w_h_t)[:, 0, :]
+        rows = np.zeros((n_rows, w_t.shape[0]))
+        rows[:n] = np.concatenate([xs[:, t], np.ones((n, 1)), h], axis=1)
+        z[...] = (rows.reshape(-1, 8, w_t.shape[0]) @ w_t).reshape(n_rows, 4 * hid)[:n]
         z *= scale
         np.tanh(z, out=z)
         z += shift
@@ -365,6 +372,62 @@ class TestLSTMReference:
         self._assert_bitwise(cell, xs, h0, c0, np.ones((batch, t_len, hid)))
         _, cache = cell.forward(xs, h0, c0)
         assert not np.signbit(cache.g).any()
+
+
+class TestBlockInvariance:
+    """Row-mixing products give every row, bit for bit, what it gives alone,
+    whatever the batch size and wherever the row sits in the batch.  This is
+    an empirical property of the BLAS kernel behind ``_block_matmul``."""
+
+    # (batch size, index of its first row in a pool of POOL rows)
+    WINDOWS = [(batch, offset) for batch in (5, 17, 32, 33, 64, 65) for offset in (0, 3)]
+    POOL = 68
+
+    # (K, M): an LSTM step's [x_t, 1, h_{t-1}] rows at bench dims, the dense
+    # head, and the linear baseline's flattened sample.
+    @pytest.mark.parametrize("k, m", [(48, 128), (43, 1), (211, 1)])
+    def test_block_matmul_rows(self, k, m):
+        rng = SeededRng(59 + k)
+        x = rng.normals(self.POOL * k).reshape(self.POOL, k)
+        w_t = rng.normals(k * m).reshape(k, m)
+        alone = [_block_matmul(x[r:r + 1], w_t)[0] for r in range(self.POOL)]
+        for batch, offset in self.WINDOWS:
+            got = _block_matmul(x[offset:offset + batch], w_t)
+            assert got.shape == (batch, m)
+            for b, row in enumerate(got):
+                assert row.tobytes() == alone[offset + b].tobytes(), (batch, offset, b)
+
+    def test_lstm_hidden_states_and_cache(self):
+        rng = SeededRng(61)
+        f_in, hid, t_len = 15, 32, 20
+        cell = LSTMCell.initialize(f_in, hid, rng)
+        cell.b[:] = rng.normals(4 * hid, 0.0, 0.5)
+        xs = rng.normals(self.POOL * t_len * f_in).reshape(self.POOL, t_len, f_in)
+        h0 = rng.uniforms(self.POOL * hid, -1.0, 1.0).reshape(self.POOL, hid)
+        c0 = rng.normals(self.POOL * hid).reshape(self.POOL, hid)
+        alone = [cell.forward(xs[r:r + 1], h0[r:r + 1], c0[r:r + 1])[1]
+                 for r in range(self.POOL)]
+        for batch, offset in self.WINDOWS:
+            rows = slice(offset, offset + batch)
+            _, cache = cell.forward(xs[rows], h0[rows], c0[rows])
+            for b in range(batch):
+                for name in TestLSTMReference.CACHED:
+                    got = getattr(cache, name)[b].tobytes()
+                    assert got == getattr(alone[offset + b], name)[0].tobytes(), \
+                        (batch, offset, b, name)
+
+
+def test_block_invariance_holds_on_one_blas_thread():
+    """Tier-1 runs with the default BLAS thread count and the benchmark pins
+    one thread; re-run the block-invariance tests under the latter."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.abspath(__file__)}::TestBlockInvariance"],
+        cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("4 passed"), proc.stdout
 
 
 def _assert_batch_is_stacked_samples(layer, xs, dys, states=()):
