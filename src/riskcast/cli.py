@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import data_io, pipeline
 from .data_io import SplitSpec, load_bundle, load_model, save_model
@@ -115,22 +116,33 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid(tokens: list[str], default_lr: float, default_hidden: int
+def _parse_grid(tokens: list[str], cfg: TrainConfig, default_hidden: int
                 ) -> list[tuple[float, int]]:
-    lrs = [default_lr]
+    """The (learning rate, hidden size) points of ``--grid``, each checked,
+    or the one point ``--lr``/``--hidden`` when there are no tokens."""
+    lrs = [cfg.learning_rate]
     hiddens = [default_hidden]
     for token in tokens:
         if "=" not in token:
             raise ParameterError(f"grid token must look like key=v1,v2: {token!r}")
         key, _, values = token.partition("=")
-        if key == "lr":
-            lrs = [float(v) for v in values.split(",") if v]
-        elif key == "hidden":
-            hiddens = [int(v) for v in values.split(",") if v]
-        else:
+        if key not in ("lr", "hidden"):
             raise ParameterError(f"unknown grid key {key!r} (expected lr or hidden)")
-        if not values:
+        try:
+            parsed = [(float if key == "lr" else int)(v) for v in values.split(",") if v]
+        except ValueError:
+            raise ParameterError(f"grid {key} values must be numbers: {token!r}") from None
+        if not parsed:
             raise ParameterError(f"grid token has no values: {token!r}")
+        if key == "lr":
+            lrs = parsed
+        else:
+            hiddens = parsed
+    for lr in lrs:
+        replace(cfg, learning_rate=lr)  # TrainConfig checks the rate
+    for hidden in hiddens:
+        if hidden < 1:
+            raise ParameterError(f"hidden size must be >= 1, got {hidden}")
     return [(lr, hidden) for lr in lrs for hidden in hiddens]
 
 
@@ -146,6 +158,7 @@ def cmd_train(args) -> int:
     dropout = DropoutSpec(args.dropout)
     if args.baseline is None and cfg.max_epochs == 0:
         raise ParameterError("--epochs must be >= 1 to train the hybrid model")
+    grid = _parse_grid(args.grid or [], cfg, args.hidden)
     bundle = load_bundle(args.data)
     lexicon = _lexicon_from(args)
     pipe_cfg = pipeline.PipelineConfig(window=args.window, horizon=args.horizon)
@@ -175,7 +188,6 @@ def cmd_train(args) -> int:
         return HybridModel.initialize(dims, seed=seed, dropout_p=dropout.p)
 
     if args.grid:
-        grid = _parse_grid(args.grid, args.lr, args.hidden)
         result = grid_search(factory, train_set, val_set, cfg, grid)
         for trial in result.trials:
             print(f"grid trial lr={trial.learning_rate} hidden={trial.hidden_size} "
@@ -185,6 +197,10 @@ def cmd_train(args) -> int:
     else:
         model = factory(args.hidden, cfg.seed)
         model, log = fit(model, train_set, val_set, cfg)
+    if log.best_epoch == 0:
+        raise NumericalError(
+            f"training diverged: no epoch of {log.n_epochs} reached a finite validation mse"
+        )
 
     model.preprocess = pre
     save_model(model, args.out)

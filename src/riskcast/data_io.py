@@ -459,7 +459,10 @@ def _parse_model_text(path) -> tuple[dict[str, str], Preprocess | None, dict[str
                 i += 1
             if i >= len(lines):
                 raise ModelIOError(f"{path}: truncated inside the preprocess block")
-            preprocess = Preprocess.from_lines(block)
+            try:
+                preprocess = Preprocess.from_lines(block)
+            except ModelIOError as exc:
+                raise ModelIOError(f"{path}: {exc}") from exc
             i += 1
             continue
         if tokens[0] == "param":
@@ -545,4 +548,7 @@ def load_model(path):
             )
     except KeyError as exc:
         raise ModelIOError(f"{path}: missing header {exc}") from exc
+    except ValueError as exc:
+        # A header that does not parse, or values the model rejects.
+        raise ModelIOError(f"{path}: {exc}") from exc
     raise ModelIOError(f"{path}: unknown model kind {kind!r}")

@@ -3,11 +3,12 @@
 Shape conventions: every layer takes a batch.  Sequence inputs are
 ``[B x T x C]`` (batch on axis 0, time on axis 1) and vector inputs are
 ``[B x C]``; the one-sample view lives in the models, which add and drop
-the batch axis at their boundary.  Weight matrices act on column vectors,
-and every ``forward`` returns a cache object that its matching
-``backward`` consumes.  Parameter gradients are summed over the
-batch.  Backward passes return exact analytic gradients and are verified
-against central finite differences in the test suite.
+the batch axis at their boundary.  The LSTM starts from zero states and
+yields only its last hidden state, the one the model reads.  Weight
+matrices act on column vectors, and every ``forward`` returns a cache
+object that its matching ``backward`` consumes.  Parameter gradients are
+summed over the batch.  Backward passes return exact analytic gradients
+and are verified against central finite differences in the test suite.
 
 Every sample's forward output is bitwise the same whatever other samples
 share its batch: products that mix rows are taken either one sample at a
@@ -155,22 +156,21 @@ class Conv1DLayer:
 
 @dataclass
 class LSTMCache:
-    """Forward activations, each with the batch axis of ``xs`` leading."""
+    """The forward's own time-major buffers (see ``LSTMCell``); B rows of
+    each step are the batch, the rest of ``xh`` and ``gates`` is padding."""
 
+    xh: np.ndarray       # [T+1 x n8 x (F+1+H)], row t holds [x_t, 1, h_{t-1}]
+    gates: np.ndarray    # [T x n8 x 4H], activated, in (i, f, o, g) order
+    c: np.ndarray        # [T+1 x B x H], row t holds c_{t-1}; row 0 is zero
+    tanh_c: np.ndarray   # [T x B x H]
+    # [B x T x F] view of xh.  Backward does not read it; the LSTMCell.backward
+    # counter hook in perfbench/spans.py takes the batch size from it.
     xs: np.ndarray
-    h0: np.ndarray
-    c0: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    hs: np.ndarray
 
 
 class LSTMCell:
-    """Single-layer LSTM unrolled over ``[B x T x F]`` sequences.
+    """Single-layer LSTM over ``[B x T x F]`` sequences, started from zero
+    states; it yields the last hidden state ``[B x H]``.
 
     Gate blocks are stacked in the fixed order (i, f, g, o) along the first
     axis of ``w_x`` ``[4H x F]``, ``w_h`` ``[4H x H]`` and ``b`` ``[4H]``:
@@ -195,11 +195,11 @@ class LSTMCell:
     ``BLOCK_ROWS`` blocks, and ``_block_matmul`` multiplies step ``t``'s rows
     by ``[w_x^T; b; w_h^T]``.  The input term, the bias and the recurrence of
     a step thus come out of one block product, and ``h_t`` is written
-    straight into row ``t+1``.  The gate, cell and ``xh`` buffers are
-    time-major (``[T x B x ...]``), so each step works on contiguous rows;
-    the cache holds ``[B x T x ...]`` views of their unpadded rows, ``xs``
-    and ``hs`` included.  Backward builds the weight gradients after its time
-    loop, each as one contraction over all B*T steps.
+    straight into row ``t+1``.  Every buffer is time-major
+    (``[T x B x ...]``), so each step works on contiguous rows, and the
+    cache is these buffers themselves.  Backward runs time-major on them:
+    its zero-padded ``dz`` has the rows of ``xh``, so one contraction over
+    all B*T steps gives ``dw_x``, ``db`` and ``dw_h`` together.
     """
 
     def __init__(self, w_x, w_h, b):
@@ -237,28 +237,17 @@ class LSTMCell:
     def input_size(self) -> int:
         return self.w_x.shape[1]
 
-    def forward(self, xs, h0, c0) -> tuple[np.ndarray, LSTMCache]:
-        """``xs`` is ``[B x T x F]`` with states ``[B x H]``; returns the hidden
-        states ``[B x T x H]``."""
+    def forward(self, xs) -> tuple[np.ndarray, LSTMCache]:
+        """``xs`` is ``[B x T x F]``; returns the last hidden state ``[B x H]``."""
         xs = np.asarray(xs, dtype=np.float64)
-        h0 = np.asarray(h0, dtype=np.float64)
-        c0 = np.asarray(c0, dtype=np.float64)
-        hid = self.hidden_size
-        if xs.ndim != 3 or xs.shape[2] != self.input_size:
-            raise DimensionError(
-                f"lstm input must be [B x T x {self.input_size}], got {list(xs.shape)}"
-            )
+        hid, f_in = self.hidden_size, self.input_size
+        if xs.ndim != 3 or xs.shape[2] != f_in:
+            raise DimensionError(f"lstm input must be [B x T x {f_in}], got {list(xs.shape)}")
         n, t_len = xs.shape[:2]
-        if h0.shape != (n, hid) or c0.shape != (n, hid):
-            raise DimensionError(
-                f"lstm state must be [{n} x {hid}], "
-                f"got h0 {list(h0.shape)} c0 {list(c0.shape)}"
-            )
         # (i, f, g, o) columns to (i, f, o, g), with the sigmoid columns halved.
         order = np.r_[0:2 * hid, 3 * hid:4 * hid, 2 * hid:3 * hid]
         scale = np.ones(4 * hid)
         scale[:3 * hid] = 0.5
-        f_in = self.input_size
         w_t = np.concatenate([self.w_x.T, self.b[None], self.w_h.T])[:, order] * scale
         n_rows = n + -n % BLOCK_ROWS
         # xh and the gates share one allocation.  As separate arrays, one
@@ -273,67 +262,61 @@ class LSTMCell:
         xh[:, n:] = 0.0
         xh[:t_len, :n, :f_in] = xs.transpose(1, 0, 2)
         xh[:, :, f_in] = 1.0
-        xh[0, :n, f_in + 1:] = h0
-        c_a = np.empty((t_len, n, hid))
+        xh[0, :n, f_in + 1:] = 0.0
+        c_a = np.empty((t_len + 1, n, hid))
+        c_a[0] = 0.0
         tc_a = np.empty((t_len, n, hid))
         i_g = np.empty((n, hid))
-        c = c0
         for t in range(t_len):
             z = _block_matmul(xh[t], w_t, out=gates[t])[:n]
             np.tanh(z, out=z)
             sig = z[:, :3 * hid]
             sig += 1.0
             sig *= 0.5
-            c = np.multiply(z[:, hid:2 * hid], c, out=c_a[t])
+            c = np.multiply(z[:, hid:2 * hid], c_a[t], out=c_a[t + 1])
             c += np.multiply(z[:, :hid], z[:, 3 * hid:], out=i_g)
             np.tanh(c, out=tc_a[t])
             np.multiply(z[:, 2 * hid:3 * hid], tc_a[t], out=xh[t + 1, :n, f_in + 1:])
-        i_a, f_a, o_a, g_a = (gates[:, :n, k * hid:(k + 1) * hid].transpose(1, 0, 2)
-                              for k in range(4))
-        hs = xh[1:, :n, f_in + 1:].transpose(1, 0, 2)
-        cache = LSTMCache(xs=xh[:t_len, :n, :f_in].transpose(1, 0, 2),
-                          h0=h0, c0=c0, i=i_a, f=f_a, g=g_a, o=o_a,
-                          c=c_a.transpose(1, 0, 2), tanh_c=tc_a.transpose(1, 0, 2), hs=hs)
-        return hs, cache
+        cache = LSTMCache(xh=xh, gates=gates, c=c_a, tanh_c=tc_a,
+                          xs=xh[:t_len, :n, :f_in].transpose(1, 0, 2))
+        return xh[t_len, :n, f_in + 1:], cache
 
-    def backward(self, cache: LSTMCache, dhs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Backpropagation through time; returns (dxs, dw_x, dw_h, db), the
-        weight gradients summed over the batch."""
-        dhs = np.asarray(dhs, dtype=np.float64)
-        if dhs.shape != cache.hs.shape:
+    def backward(self, cache: LSTMCache, dh_last) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Backpropagation through time from the gradient of the last hidden
+        state; returns (dxs, dw_x, dw_h, db), the weight gradients summed over
+        the batch."""
+        dh = np.asarray(dh_last, dtype=np.float64)
+        tc = cache.tanh_c
+        t_len, n, hid = tc.shape
+        if dh.shape != (n, hid):
             raise DimensionError(
-                f"lstm upstream gradient must be {list(cache.hs.shape)}, got {list(dhs.shape)}"
+                f"lstm upstream gradient must be [{n} x {hid}], got {list(dh.shape)}"
             )
-        hid = self.hidden_size
-        n, t_len = cache.xs.shape[:2]
-        i, f, g, o, tc = cache.i, cache.f, cache.g, cache.o, cache.tanh_c
-        c_prev = np.concatenate([cache.c0[:, None], cache.c[:, :-1]], axis=1)
-        h_prev = np.concatenate([cache.h0[:, None], cache.hs[:, :-1]], axis=1)
-        # dz starts as the local derivatives of every step, dz/dc on the i, f, g
-        # blocks and dz/dh on the o block; the time loop scales each step by
-        # the recurrent dc and dh.
-        dz = np.empty((n, t_len, 4 * hid))
-        dz_blocks = dz.reshape(n, t_len, 4, hid)
+        f_in = self.input_size
+        i, f, o, g = (cache.gates[:, :n, k * hid:(k + 1) * hid] for k in range(4))
+        # dz starts as the local derivatives of every step, in the stored
+        # (i, f, g, o) order: dz/dc on the i, f, g blocks and dz/dh on the o
+        # block.  The time loop scales each step by the recurrent dc and dh.
+        # Its padding rows stay zero, like those of xh.
+        dz = np.zeros((t_len, cache.xh.shape[1], 4 * hid))
+        dz_blocks = dz.reshape(t_len, -1, 4, hid)[:, :n]
         np.multiply(g, i * (1.0 - i), out=dz_blocks[:, :, 0])
-        np.multiply(c_prev, f * (1.0 - f), out=dz_blocks[:, :, 1])
+        np.multiply(cache.c[:t_len], f * (1.0 - f), out=dz_blocks[:, :, 1])
         np.multiply(i, 1.0 - g * g, out=dz_blocks[:, :, 2])
         np.multiply(tc, o * (1.0 - o), out=dz_blocks[:, :, 3])
         dc_dh = o * (1.0 - tc * tc)
-        dh_next = np.zeros((n, hid))
-        dc_next = np.zeros((n, hid))
+        dc = np.zeros((n, hid))
         for t in range(t_len - 1, -1, -1):
-            dh = dhs[:, t] + dh_next
-            dc = dc_next + dh * dc_dh[:, t]
-            dz_blocks[:, t, :3] *= dc[:, None]
-            dz_blocks[:, t, 3] *= dh
-            dh_next = dz[:, t] @ self.w_h
-            dc_next = dc * f[:, t]
-        dz_flat = dz.reshape(n * t_len, 4 * hid)
-        dw_x = dz_flat.T @ cache.xs.reshape(n * t_len, -1)
-        dw_h = dz_flat.T @ h_prev.reshape(n * t_len, hid)
-        db = dz_flat.sum(axis=0)
-        dxs = dz @ self.w_x
-        return dxs, dw_x, dw_h, db
+            dc += dh * dc_dh[t]
+            dz_blocks[t, :, :3] *= dc[:, None]
+            dz_blocks[t, :, 3] *= dh
+            dh = dz[t, :n] @ self.w_h
+            dc *= f[t]
+        dz_rows = dz.reshape(-1, 4 * hid)
+        # Rows [x_t, 1, h_{t-1}] give the columns [dw_x | db | dw_h].
+        dw = dz_rows.T @ cache.xh[:t_len].reshape(-1, f_in + 1 + hid)
+        dxs = (dz_rows @ self.w_x).reshape(t_len, -1, f_in)[:, :n].transpose(1, 0, 2)
+        return dxs, dw[:, :f_in], dw[:, f_in + 1:], dw[:, f_in]
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,10 @@ class HybridModel:
     Per sample: (1) the sentiment block of ``x_seq`` is left zero-padded by
     ``kernel_width - 1`` days and convolved so each day keeps an aligned
     feature vector, then passed through relu; (2) each day's market channels
-    are concatenated with its conv features and run through the LSTM;
-    (3) the final hidden state is dropout-regularized (train mode only) and
-    concatenated with the static features; (4) a dense head emits one
-    unbounded risk score (regression, no output activation).
+    are concatenated with its conv features and run through the LSTM from a
+    zero state; (3) its last hidden state is dropout-regularized (train mode
+    only) and concatenated with the static features; (4) a dense head emits
+    one unbounded risk score (regression, no output activation).
     """
 
     kind = "hybrid"
@@ -167,9 +167,8 @@ class HybridModel:
             sent = np.concatenate([np.zeros((n, pad, d.f_sentiment)), sent], axis=1)
         conv_pre, conv_cache = self.conv.forward(sent)
         lstm_in = np.concatenate([x_seq[:, :, :d.f_market], np.maximum(conv_pre, 0.0)], axis=2)
-        state = np.zeros((n, d.hidden_size))
-        hs, lstm_cache = self.lstm.forward(lstm_in, state, state)
-        h_last, mask = dropout_forward(self.dropout, hs[:, -1], rng, mode)
+        h_last, lstm_cache = self.lstm.forward(lstm_in)
+        h_last, mask = dropout_forward(self.dropout, h_last, rng, mode)
         out, head_cache = self.head.forward(np.concatenate([h_last, x_static], axis=1))
         cache = HybridCache(conv_cache=conv_cache, conv_pre=conv_pre, lstm_cache=lstm_cache,
                             dropout_mask=mask, head_cache=head_cache)
@@ -189,9 +188,7 @@ class HybridModel:
             )
         dhead_in, dw_head, db_head = self.head.backward(cache.head_cache, dscores[:, None])
         dh_last = dropout_backward(cache.dropout_mask, dhead_in[:, :d.hidden_size])
-        dhs = np.zeros((n, d.window, d.hidden_size))
-        dhs[:, -1] = dh_last
-        dlstm_in, dw_x, dw_h, db = self.lstm.backward(cache.lstm_cache, dhs)
+        dlstm_in, dw_x, dw_h, db = self.lstm.backward(cache.lstm_cache, dh_last)
         dconv_pre = dlstm_in[:, :, d.f_market:] * (cache.conv_pre > 0)
         dpadded, dkernels, dbias = self.conv.backward(cache.conv_cache, dconv_pre)
         pad = d.kernel_width - 1

@@ -71,19 +71,19 @@ class Preprocess:
     def from_lines(cls, lines: list[str]) -> "Preprocess":
         fields: dict[str, list[str]] = {}
         stats = StandardizationStats()
-        for line in lines:
-            tokens = line.split()
-            if not tokens:
-                continue
-            if tokens[0] == "stats":
-                if len(tokens) != 5:
-                    raise ModelIOError(f"malformed stats line: {line!r}")
-                stats.columns[tokens[1]] = ColumnStats(
-                    float(tokens[2]), float(tokens[3]), bool(int(tokens[4]))
-                )
-            else:
-                fields[tokens[0]] = tokens[1:]
         try:
+            for line in lines:
+                tokens = line.split()
+                if not tokens:
+                    continue
+                if tokens[0] == "stats":
+                    if len(tokens) != 5:
+                        raise ModelIOError(f"malformed stats line: {line!r}")
+                    stats.columns[tokens[1]] = ColumnStats(
+                        float(tokens[2]), float(tokens[3]), bool(int(tokens[4]))
+                    )
+                else:
+                    fields[tokens[0]] = tokens[1:]
             split = [float(v) for v in fields["split"]]
             y_range = [float(v) for v in fields["y_range"]]
             return cls(
@@ -101,4 +101,4 @@ class Preprocess:
                 y_max=y_range[1],
             )
         except (KeyError, IndexError, ValueError) as exc:
-            raise ModelIOError(f"incomplete preprocess block: {exc}") from exc
+            raise ModelIOError(f"malformed or incomplete preprocess block: {exc}") from exc

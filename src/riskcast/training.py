@@ -66,8 +66,10 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ParameterError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.max_epochs < 0:
             raise ParameterError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.batch_size < 1:
@@ -236,6 +238,8 @@ def grid_search(model_factory, train: SampleSet, val: SampleSet, cfg: TrainConfi
         model = model_factory(hidden, point_seed)
         model, log = fit(model, train, val, point_cfg)
         val_mse = log.best_val_mse if log.best_epoch else validation_mse(model, val)
+        if not np.isfinite(val_mse):
+            val_mse = float("inf")  # a diverged point loses, wherever it sits in the grid
         trials.append(GridTrial(lr, hidden, val_mse))
         if best is None or val_mse < best.val_mse:
             best = GridSearchResult(lr, hidden, model, log, val_mse, trials)

@@ -190,6 +190,31 @@ class TestTrain:
         assert "--epochs" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ("--grid", "lr=abc"), ("--grid", "hidden=1.5"), ("--hidden", "0"),
+        ("--grid", "hidden=0"), ("--lr", "nan"), ("--lr", "inf"), ("--grid", "lr=0.01,nan"),
+    ], ids=["grid-lr-abc", "grid-hidden-1.5", "hidden-0", "grid-hidden-0", "lr-nan", "lr-inf",
+            "grid-lr-nan"])
+    def test_bad_rate_or_hidden_size_is_a_parameter_error_before_any_read(
+            self, tmp_path, capsys, flags):
+        out = tmp_path / "bad.rcm"
+        rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out), *flags])
+        assert rc == 2
+        assert "riskcast: error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("extra", [(), ("--grid", "lr=1e300,1e299")], ids=["plain", "grid"])
+    def test_diverged_training_is_a_numerical_error_and_writes_nothing(
+            self, workspace, tmp_path, capsys, extra):
+        _, data_dir, _, _ = workspace
+        out = tmp_path / "diverged.rcm"
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--data", str(data_dir), "--out", str(out), "--lr", "1e300",
+                       "--epochs", "2", "--hidden", "4", *extra])
+        assert rc == 4
+        assert "diverged" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_epochs_still_fits_the_linear_baseline(self, workspace, tmp_path, capsys):
         _, data_dir, _, _ = workspace
         out = tmp_path / "linear.rcm"
@@ -357,6 +382,33 @@ class TestInvalidMarketValues:
         err = capsys.readouterr().err
         assert f"market.csv:{rows[0] + 1}: {self.FAULTS[first][1]} in column {first!r}" in err
         assert not out.exists()
+
+
+class TestMalformedModelFile:
+    """A model file whose headers or recipe do not parse, or describe a model
+    that cannot be built, is a model-file error (exit 5) naming the file."""
+
+    @pytest.mark.parametrize("which, key, position, token", [
+        ("hybrid", "window", 1, "abc"),
+        ("linear", "ridge_lambda", 1, "x"),
+        ("hybrid", "stats", 2, "zz"),
+        ("hybrid", "f_sentiment", 1, "0"),
+        ("hybrid", "hidden_size", 1, "3"),
+        ("hybrid", "dropout_p", 1, "1.5"),
+    ], ids=["window-abc", "ridge-x", "stats-zz", "f_sentiment-0", "hidden-size-mismatch",
+            "dropout-1.5"])
+    def test_evaluate_exits_5(self, workspace, tmp_path, capsys, which, key, position, token):
+        _, data_dir, hybrid, linear = workspace
+        lines = (hybrid if which == "hybrid" else linear).read_text().splitlines()
+        row = next(k for k, line in enumerate(lines) if line.split()[:1] == [key])
+        fields = lines[row].split()
+        fields[position] = token
+        lines[row] = " ".join(fields)
+        bad = tmp_path / "bad.rcm"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--model", str(bad), "--data", str(data_dir)])
+        assert rc == 5
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestCompare:

@@ -13,7 +13,6 @@ from riskcast.layers import (
     Conv1DLayer,
     DenseLayer,
     DropoutSpec,
-    LSTMCache,
     LSTMCell,
     _block_matmul,
     dropout_backward,
@@ -90,86 +89,93 @@ class TestConv1D:
             layer.backward(cache, np.zeros((1, 5, 1)))
 
 
+def _activations(cell, cache):
+    """Batch-major views of what an ``LSTMCache`` holds: the gates i, f, g, o,
+    and c_t, tanh(c_t) and h_t of every step."""
+    hid, f_in = cell.hidden_size, cell.input_size
+    n = cache.tanh_c.shape[1]
+    gates = cache.gates[:, :n].transpose(1, 0, 2)
+    i, f, o, g = (gates[:, :, k * hid:(k + 1) * hid] for k in range(4))
+    return {"i": i, "f": f, "g": g, "o": o,
+            "c": cache.c[1:].transpose(1, 0, 2),
+            "tanh_c": cache.tanh_c.transpose(1, 0, 2),
+            "hs": cache.xh[1:, :n, f_in + 1:].transpose(1, 0, 2)}
+
+
 class TestLSTM:
     def test_zero_weights_force_zero_hidden_states(self):
         cell = LSTMCell(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
         xs = SeededRng(35).normals(15).reshape(1, 5, 3)
-        hs, cache = cell.forward(xs, np.zeros((1, 2)), np.zeros((1, 2)))
-        assert not hs.any()
-        assert np.array_equal(cache.i[0], np.full((5, 2), 0.5))
+        h_last, cache = cell.forward(xs)
+        acts = _activations(cell, cache)
+        assert not h_last.any() and not acts["hs"].any()
+        assert np.array_equal(acts["i"][0], np.full((5, 2), 0.5))
 
     def test_scalar_recurrence_matches_hand_evaluation(self):
-        """T=1, H=1, F=1 with hand-set weights, evaluated independently."""
+        """T=2, H=1, F=1 with hand-set weights, evaluated independently from a
+        zero state, so the second step sees a nonzero h_{t-1} and c_{t-1}."""
         w_x = np.array([[0.5], [-0.3], [0.8], [0.2]])
         w_h = np.array([[0.1], [0.4], [-0.2], [0.3]])
         b = np.array([0.05, -0.05, 0.1, 0.0])
         cell = LSTMCell(w_x, w_h, b)
-        x, h0, c0 = 0.7, 0.2, -0.3
+        xs = (0.7, -0.4)
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
-        i = sig(0.5 * x + 0.1 * h0 + 0.05)
-        f = sig(-0.3 * x + 0.4 * h0 - 0.05)
-        g = math.tanh(0.8 * x - 0.2 * h0 + 0.1)
-        o = sig(0.2 * x + 0.3 * h0 + 0.0)
-        c = f * c0 + i * g
-        expected = o * math.tanh(c)
+        h = c = 0.0
+        for x in xs:
+            i = sig(0.5 * x + 0.1 * h + 0.05)
+            f = sig(-0.3 * x + 0.4 * h - 0.05)
+            g = math.tanh(0.8 * x - 0.2 * h + 0.1)
+            o = sig(0.2 * x + 0.3 * h + 0.0)
+            c = f * c + i * g
+            h = o * math.tanh(c)
+            assert h != 0.0 and c != 0.0
 
-        hs, _ = cell.forward(np.array([[[x]]]), np.array([[h0]]), np.array([[c0]]))
-        assert abs(hs[0, 0, 0] - expected) < 1e-14
+        h_last, _ = cell.forward(np.array(xs).reshape(1, 2, 1))
+        assert abs(h_last[0, 0] - h) < 1e-14
 
     def test_fresh_state_makes_output_independent_of_history(self):
         rng = SeededRng(36)
         cell = LSTMCell.initialize(2, 3, rng)
         xs = rng.normals(8).reshape(1, 4, 2)
-        hs1, _ = cell.forward(xs, np.zeros((1, 3)), np.zeros((1, 3)))
-        hs2, _ = cell.forward(xs, np.zeros((1, 3)), np.zeros((1, 3)))
-        assert np.array_equal(hs1, hs2)
+        h1, _ = cell.forward(xs)
+        h2, _ = cell.forward(xs)
+        assert np.array_equal(h1, h2)
 
     def test_zero_upstream_gradient(self):
         rng = SeededRng(37)
         cell = LSTMCell.initialize(2, 2, rng)
         xs = rng.normals(6).reshape(1, 3, 2)
-        _, cache = cell.forward(xs, np.zeros((1, 2)), np.zeros((1, 2)))
-        dxs, dwx, dwh, db = cell.backward(cache, np.zeros((1, 3, 2)))
+        _, cache = cell.forward(xs)
+        dxs, dwx, dwh, db = cell.backward(cache, np.zeros((1, 2)))
         assert not dxs.any() and not dwx.any() and not dwh.any() and not db.any()
 
     def test_bptt_matches_finite_differences(self):
         rng = SeededRng(38)
         cell = LSTMCell.initialize(2, 2, rng)
         xs = rng.normals(6).reshape(3, 2)
-        h0, c0 = np.zeros((1, 2)), np.zeros((1, 2))
-        weights = rng.normals(6).reshape(3, 2)
+        weights = rng.normals(2)
 
         def loss():
-            hs, _ = cell.forward(xs[None], h0, c0)
-            return float(np.sum(hs[0] * weights))
+            h_last, _ = cell.forward(xs[None])
+            return float(h_last[0] @ weights)
 
-        _, cache = cell.forward(xs[None], h0, c0)
+        _, cache = cell.forward(xs[None])
         dxs, dwx, dwh, db = cell.backward(cache, weights[None])
         assert rel_error(dwx, numeric_grad(loss, cell.w_x)) < GRAD_TOL
         assert rel_error(dwh, numeric_grad(loss, cell.w_h)) < GRAD_TOL
         assert rel_error(db, numeric_grad(loss, cell.b)) < GRAD_TOL
         assert rel_error(dxs[0], numeric_grad(loss, xs)) < GRAD_TOL
 
-    def test_later_inputs_get_no_gradient_from_earlier_losses(self):
-        """A loss depending only on h_t cannot reach x at steps after t."""
-        rng = SeededRng(39)
-        cell = LSTMCell.initialize(2, 2, rng)
-        xs = rng.normals(10).reshape(5, 2)
-        _, cache = cell.forward(xs[None], np.zeros((1, 2)), np.zeros((1, 2)))
-        dhs = np.zeros((1, 5, 2))
-        dhs[0, 2] = 1.0
-        dxs, _, _, _ = cell.backward(cache, dhs)
-        assert not dxs[0, 3:].any()
-        assert dxs[0, :3].any()
-
-        def loss():
-            hs, _ = cell.forward(xs[None], np.zeros((1, 2)), np.zeros((1, 2)))
-            return float(np.sum(hs[0, 2]))
-
-        assert rel_error(dxs[0], numeric_grad(loss, xs)) < GRAD_TOL
+    def test_backward_rejects_mismatched_upstream(self):
+        """The upstream gradient is that of the last hidden state, [B x H]."""
+        cell = LSTMCell.initialize(2, 3, SeededRng(39))
+        _, cache = cell.forward(np.zeros((4, 5, 2)))
+        for shape in [(4, 5, 3), (3, 3), (4, 2), (3,)]:
+            with pytest.raises(DimensionError):
+                cell.backward(cache, np.zeros(shape))
 
     def test_saturated_gates_stay_finite_without_warnings(self):
         """Gate pre-activations near +-800 (where exp would overflow) give
@@ -180,20 +186,21 @@ class TestLSTM:
         xs = np.array([[[1.0], [-1.0], [1.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hs, cache = cell.forward(xs, np.zeros((1, 2)), np.zeros((1, 2)))
-        for gate in (cache.i, cache.f, cache.o):
-            assert np.all((gate == 0.0) | (gate == 1.0))
-        assert np.all(np.abs(cache.g) == 1.0)
-        assert np.all(np.isfinite(cache.c))
-        assert np.all(np.abs(hs) <= 1.0) and np.all(np.abs(cache.tanh_c) <= 1.0)
+            _, cache = cell.forward(xs)
+        acts = _activations(cell, cache)
+        for name in ("i", "f", "o"):
+            assert np.all((acts[name] == 0.0) | (acts[name] == 1.0))
+        assert np.all(np.abs(acts["g"]) == 1.0)
+        assert np.all(np.isfinite(acts["c"]))
+        assert np.all(np.abs(acts["hs"]) <= 1.0) and np.all(np.abs(acts["tanh_c"]) <= 1.0)
 
     def test_hidden_states_bounded_by_one(self):
         rng = SeededRng(40)
         for trial in range(5):
             cell = LSTMCell.initialize(3, 4, rng)
             xs = rng.normals(60, 0.0, 5.0).reshape(1, 20, 3)
-            hs, _ = cell.forward(xs, np.zeros((1, 4)), np.zeros((1, 4)))
-            assert np.all(np.abs(hs) <= 1.0)
+            _, cache = cell.forward(xs)
+            assert np.all(np.abs(_activations(cell, cache)["hs"]) <= 1.0)
 
 
 class TestDense:
@@ -284,11 +291,13 @@ class TestDropout:
         assert batch_rng.state == sample_rng.state
 
 
-def _reference_lstm_forward(cell, xs, h0, c0):
+def _reference_lstm_forward(cell, xs):
     """The batch-major (i, f, g, o) time loop that ``LSTMCell.forward``
-    replaced: per step it takes the 8-row block product of ``[x_t, 1, h_{t-1}]``
-    with the stored-order ``[w_x^T; b; w_h^T]``, scales all four gate blocks by
-    an array, takes one tanh, then adds and scales again by arrays."""
+    replaced, from zero states: per step it takes the 8-row block product of
+    ``[x_t, 1, h_{t-1}]`` with the stored-order ``[w_x^T; b; w_h^T]``, scales
+    all four gate blocks by an array, takes one tanh, then adds and scales
+    again by arrays.  Returns the hidden states ``[B x T x H]`` and the
+    activations by name, as ``_activations`` names them."""
     hid, (n, t_len) = cell.hidden_size, xs.shape[:2]
     gates = np.empty((n, t_len, 4 * hid))
     w_t = np.concatenate([cell.w_x.T, cell.b[None], cell.w_h.T])
@@ -301,7 +310,7 @@ def _reference_lstm_forward(cell, xs, h0, c0):
     tc_a = np.empty((n, t_len, hid))
     hs = np.empty((n, t_len, hid))
     i_a, f_a, g_a, o_a = (gates[:, :, k * hid:(k + 1) * hid] for k in range(4))
-    h, c = h0, c0
+    h, c = np.zeros((n, hid)), np.zeros((n, hid))
     for t in range(t_len):
         z = gates[:, t]
         rows = np.zeros((n_rows, w_t.shape[0]))
@@ -315,25 +324,62 @@ def _reference_lstm_forward(cell, xs, h0, c0):
         c += i_a[:, t] * g_a[:, t]
         np.tanh(c, out=tc_a[:, t])
         h = np.multiply(o_a[:, t], tc_a[:, t], out=hs[:, t])
-    return hs, LSTMCache(xs=xs, h0=h0, c0=c0, i=i_a, f=f_a, g=g_a, o=o_a,
-                         c=c_a, tanh_c=tc_a, hs=hs)
+    return hs, {"i": i_a, "f": f_a, "g": g_a, "o": o_a, "c": c_a, "tanh_c": tc_a, "hs": hs}
+
+
+def _reference_lstm_backward(cell, xs, acts, dh_last):
+    """The batch-major BPTT that ``LSTMCell.backward`` replaced, on the
+    activations of ``_reference_lstm_forward`` with a gradient on the last
+    hidden state only.  It builds dw_x, dw_h and db in three separate sums
+    over (b, t); returns (dxs, dw_x, dw_h, db)."""
+    hid = cell.hidden_size
+    n, t_len = xs.shape[:2]
+    i, f, g, o, tc, hs = (acts[k] for k in ("i", "f", "g", "o", "tanh_c", "hs"))
+    zero = np.zeros((n, 1, hid))
+    c_prev = np.concatenate([zero, acts["c"][:, :-1]], axis=1)
+    h_prev = np.concatenate([zero, hs[:, :-1]], axis=1)
+    dhs = np.zeros((n, t_len, hid))
+    dhs[:, -1] = dh_last
+    dz = np.empty((n, t_len, 4 * hid))
+    dz_blocks = dz.reshape(n, t_len, 4, hid)
+    np.multiply(g, i * (1.0 - i), out=dz_blocks[:, :, 0])
+    np.multiply(c_prev, f * (1.0 - f), out=dz_blocks[:, :, 1])
+    np.multiply(i, 1.0 - g * g, out=dz_blocks[:, :, 2])
+    np.multiply(tc, o * (1.0 - o), out=dz_blocks[:, :, 3])
+    dc_dh = o * (1.0 - tc * tc)
+    dh_next = np.zeros((n, hid))
+    dc_next = np.zeros((n, hid))
+    for t in range(t_len - 1, -1, -1):
+        dh = dhs[:, t] + dh_next
+        dc = dc_next + dh * dc_dh[:, t]
+        dz_blocks[:, t, :3] *= dc[:, None]
+        dz_blocks[:, t, 3] *= dh
+        dh_next = dz[:, t] @ cell.w_h
+        dc_next = dc * f[:, t]
+    dz_flat = dz.reshape(n * t_len, 4 * hid)
+    dw_x = dz_flat.T @ xs.reshape(n * t_len, -1)
+    dw_h = dz_flat.T @ h_prev.reshape(n * t_len, hid)
+    return dz @ cell.w_x, dw_x, dw_h, dz_flat.sum(axis=0)
 
 
 class TestLSTMReference:
-    """``LSTMCell.forward`` reorders and pre-scales the gates and runs time-major;
-    every forward output, cached activation and gradient stays bitwise that of
-    the reference loop."""
+    """``LSTMCell.forward`` reorders and pre-scales the gates and runs
+    time-major; its output and every cached activation stay bitwise those of
+    the reference loop.  ``LSTMCell.backward`` runs time-major on the cache
+    and sums the weight gradients in one contraction, so its four outputs
+    match the reference BPTT to rounding."""
 
-    CACHED = ("i", "f", "g", "o", "c", "tanh_c", "hs")
-
-    def _assert_bitwise(self, cell, xs, h0, c0, dhs):
-        hs, cache = cell.forward(xs, h0, c0)
-        ref_hs, ref_cache = _reference_lstm_forward(cell, xs, h0, c0)
-        assert hs.tobytes() == ref_hs.tobytes()
-        for name in self.CACHED:
-            assert getattr(cache, name).tobytes() == getattr(ref_cache, name).tobytes(), name
-        for got, want in zip(cell.backward(cache, dhs), cell.backward(ref_cache, dhs)):
-            assert got.tobytes() == want.tobytes()
+    def _assert_matches_reference(self, cell, xs, dh_last):
+        h_last, cache = cell.forward(xs)
+        ref_hs, ref = _reference_lstm_forward(cell, xs)
+        assert h_last.tobytes() == ref_hs[:, -1].tobytes()
+        acts = _activations(cell, cache)
+        for name, want in ref.items():
+            assert acts[name].tobytes() == want.tobytes(), name
+        grads = cell.backward(cache, dh_last)
+        for got, want in zip(grads, _reference_lstm_backward(cell, xs, ref, dh_last)):
+            assert got.shape == want.shape
+            assert normwise_rel_error(got, want) < 1e-12
 
     @pytest.mark.parametrize("batch", [1, 7, 32, 33, 64, 65])
     def test_random_weights_bias_and_states(self, batch):
@@ -343,10 +389,7 @@ class TestLSTMReference:
                         rng.normals(4 * hid * hid, 0.0, 0.3).reshape(4 * hid, hid),
                         rng.normals(4 * hid))
         xs = rng.normals(batch * t_len * f_in).reshape(batch, t_len, f_in)
-        h0 = rng.uniforms(batch * hid, -1.0, 1.0).reshape(batch, hid)
-        c0 = rng.normals(batch * hid, 0.0, 2.0).reshape(batch, hid)
-        dhs = rng.normals(batch * t_len * hid).reshape(batch, t_len, hid)
-        self._assert_bitwise(cell, xs, h0, c0, dhs)
+        self._assert_matches_reference(cell, xs, rng.normals(batch * hid).reshape(batch, hid))
 
     def test_saturated_gates(self):
         rng = SeededRng(58)
@@ -355,10 +398,7 @@ class TestLSTMReference:
                         rng.normals(4 * hid * hid, 0.0, 300.0).reshape(4 * hid, hid),
                         rng.normals(4 * hid, 0.0, 300.0))
         xs = rng.normals(batch * t_len * f_in).reshape(batch, t_len, f_in)
-        h0 = rng.uniforms(batch * hid, -1.0, 1.0).reshape(batch, hid)
-        c0 = rng.normals(batch * hid).reshape(batch, hid)
-        dhs = rng.normals(batch * t_len * hid).reshape(batch, t_len, hid)
-        self._assert_bitwise(cell, xs, h0, c0, dhs)
+        self._assert_matches_reference(cell, xs, rng.normals(batch * hid).reshape(batch, hid))
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_all_zero_inputs_and_weights(self, zero):
@@ -368,10 +408,9 @@ class TestLSTMReference:
         cell = LSTMCell(np.full((4 * hid, f_in), zero), np.full((4 * hid, hid), zero),
                         np.full(4 * hid, zero))
         xs = np.zeros((batch, t_len, f_in))
-        h0, c0 = np.zeros((batch, hid)), np.zeros((batch, hid))
-        self._assert_bitwise(cell, xs, h0, c0, np.ones((batch, t_len, hid)))
-        _, cache = cell.forward(xs, h0, c0)
-        assert not np.signbit(cache.g).any()
+        self._assert_matches_reference(cell, xs, np.ones((batch, hid)))
+        _, cache = cell.forward(xs)
+        assert not np.signbit(_activations(cell, cache)["g"]).any()
 
 
 class TestBlockInvariance:
@@ -403,17 +442,12 @@ class TestBlockInvariance:
         cell = LSTMCell.initialize(f_in, hid, rng)
         cell.b[:] = rng.normals(4 * hid, 0.0, 0.5)
         xs = rng.normals(self.POOL * t_len * f_in).reshape(self.POOL, t_len, f_in)
-        h0 = rng.uniforms(self.POOL * hid, -1.0, 1.0).reshape(self.POOL, hid)
-        c0 = rng.normals(self.POOL * hid).reshape(self.POOL, hid)
-        alone = [cell.forward(xs[r:r + 1], h0[r:r + 1], c0[r:r + 1])[1]
-                 for r in range(self.POOL)]
+        alone = [_activations(cell, cell.forward(xs[r:r + 1])[1]) for r in range(self.POOL)]
         for batch, offset in self.WINDOWS:
-            rows = slice(offset, offset + batch)
-            _, cache = cell.forward(xs[rows], h0[rows], c0[rows])
+            acts = _activations(cell, cell.forward(xs[offset:offset + batch])[1])
             for b in range(batch):
-                for name in TestLSTMReference.CACHED:
-                    got = getattr(cache, name)[b].tobytes()
-                    assert got == getattr(alone[offset + b], name)[0].tobytes(), \
+                for name, value in acts.items():
+                    assert value[b].tobytes() == alone[offset + b][name][0].tobytes(), \
                         (batch, offset, b, name)
 
 
@@ -430,15 +464,15 @@ def test_block_invariance_holds_on_one_blas_thread():
     assert proc.stdout.splitlines()[-1].startswith("4 passed"), proc.stdout
 
 
-def _assert_batch_is_stacked_samples(layer, xs, dys, states=()):
+def _assert_batch_is_stacked_samples(layer, xs, dys):
     """A [B x ...] call gives, bit for bit, the B outputs of batches of one;
     its input gradients match theirs and its parameter gradients match their
     sum, each to 1e-12 relative."""
-    ys, cache = layer.forward(xs, *states)
+    ys, cache = layer.forward(xs)
     dx, *param_grads = layer.backward(cache, dys)
     totals = [np.zeros_like(g) for g in param_grads]
     for b in range(len(xs)):
-        y_b, cache_b = layer.forward(xs[b][None], *(s[b][None] for s in states))
+        y_b, cache_b = layer.forward(xs[b][None])
         assert np.array_equal(y_b[0], ys[b])
         dx_b, *grads_b = layer.backward(cache_b, dys[b][None])
         assert normwise_rel_error(dx[b], dx_b[0]) < 1e-12
@@ -459,9 +493,7 @@ class TestBatchAxis:
         rng = SeededRng(52)
         cell = LSTMCell.initialize(3, 32, rng)
         xs = rng.normals(5 * 6 * 3).reshape(5, 6, 3)
-        h0, c0 = rng.normals(5 * 32).reshape(5, 32), rng.normals(5 * 32).reshape(5, 32)
-        dhs = rng.normals(5 * 6 * 32).reshape(5, 6, 32)
-        _assert_batch_is_stacked_samples(cell, xs, dhs, states=(h0, c0))
+        _assert_batch_is_stacked_samples(cell, xs, rng.normals(5 * 32).reshape(5, 32))
 
     def test_dense(self):
         rng = SeededRng(53)
@@ -473,26 +505,18 @@ class TestBatchAxis:
         rng = SeededRng(54)
         cell = LSTMCell.initialize(2, 3, rng)
         xs = rng.normals(4 * 3 * 2).reshape(4, 3, 2)
-        h0, c0 = np.zeros((4, 3)), np.zeros((4, 3))
-        weights = rng.normals(4 * 3 * 3).reshape(4, 3, 3)
+        weights = rng.normals(4 * 3).reshape(4, 3)
 
         def loss():
-            hs, _ = cell.forward(xs, h0, c0)
-            return float(np.sum(hs * weights))
+            h_last, _ = cell.forward(xs)
+            return float(np.sum(h_last * weights))
 
-        _, cache = cell.forward(xs, h0, c0)
+        _, cache = cell.forward(xs)
         dxs, dwx, dwh, db = cell.backward(cache, weights)
         assert rel_error(dwx, numeric_grad(loss, cell.w_x)) < GRAD_TOL
         assert rel_error(dwh, numeric_grad(loss, cell.w_h)) < GRAD_TOL
         assert rel_error(db, numeric_grad(loss, cell.b)) < GRAD_TOL
         assert rel_error(dxs, numeric_grad(loss, xs)) < GRAD_TOL
-
-    def test_mismatched_batch_state_rejected(self):
-        cell = LSTMCell.initialize(2, 3, SeededRng(55))
-        with pytest.raises(DimensionError):
-            cell.forward(np.zeros((4, 3, 2)), np.zeros((3, 3)), np.zeros((4, 3)))
-        with pytest.raises(DimensionError):
-            cell.forward(np.zeros((4, 3, 2)), np.zeros(3), np.zeros(3))
 
     @pytest.mark.parametrize("kind", ["conv", "lstm", "dense"])
     def test_unbatched_sample_rejected(self, kind):
@@ -502,6 +526,6 @@ class TestBatchAxis:
             if kind == "conv":
                 Conv1DLayer.initialize(3, 4, 3, rng).forward(np.zeros((6, 3)))
             elif kind == "lstm":
-                LSTMCell.initialize(3, 2, rng).forward(np.zeros((6, 3)), np.zeros(2), np.zeros(2))
+                LSTMCell.initialize(3, 2, rng).forward(np.zeros((6, 3)))
             else:
                 DenseLayer.initialize(3, 2, rng).forward(np.zeros(3))

@@ -1,10 +1,12 @@
-"""Every entry point the benchmark tracer wraps must exist in the program.
+"""Every entry point the benchmark tracer wraps must exist in the program,
+and every counter hook must run on real calls.
 
 ``perfbench/spans.py`` patches each name in its ``ENTRY_POINTS`` when a run
 is traced (``perfbench/run.py --trace 1``), and one missing name makes that
 run fail at install.  The module is read from disk and executed without
-installing anything (and without writing bytecode next to it); each name is
-then resolved the way ``Tracer.install`` resolves it.
+writing bytecode next to it; each name is then resolved the way
+``Tracer.install`` resolves it, and the tracer is installed around a few
+tiny CLI calls.
 """
 
 import importlib
@@ -37,3 +39,30 @@ def test_every_traced_entry_point_resolves():
                 missing.append(f"{layer}.{entry}")
     assert missing == [], f"perfbench/spans.py wraps names the program lacks: {missing}"
     assert len(spans.span_names()) > 40
+
+
+def test_every_counter_hook_runs_on_real_calls(tmp_path):
+    """Each counter hook in ``spans.HOOKS`` reads the arguments or the result
+    of the call it wraps, so a change to what the program passes there can
+    break a traced run.  Tiny real CLI calls under the tracer must all
+    succeed, and between them call every hooked entry point."""
+    spans = _load_spans()
+    cli = importlib.import_module("riskcast.cli")
+    data, hybrid, linear = tmp_path / "data", tmp_path / "hybrid.rcm", tmp_path / "linear.rcm"
+    calls = [
+        ["gen-data", "--days", "200", "--seed", "3", "--out", str(data)],
+        ["train", "--data", str(data), "--out", str(hybrid), "--epochs", "1", "--hidden", "4"],
+        ["train", "--data", str(data), "--out", str(linear), "--baseline", "linreg"],
+        ["predict", "--data", str(data), "--model", str(hybrid),
+         "--out", str(tmp_path / "pred.csv")],
+        ["evaluate", "--data", str(data), "--model", str(linear)],
+        ["gradcheck", "--seed", "3"],
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(argv) for argv in calls]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(calls)
+    assert sorted(name for name in spans.HOOKS if not tracer.calls[name]) == []

@@ -221,6 +221,21 @@ class TestGridSearch:
         assert len(result.trials) == 2
         assert result.trials[0].val_mse < result.trials[1].val_mse
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_fully_diverged_point_loses_wherever_it_sits(self, first):
+        """A point whose every epoch has a non-finite validation MSE ranks
+        last, also when it is the first point of the grid."""
+        train, val, dims = self._data()
+        grid = [(1e300, 3), (1e-3, 3)]
+        if first:
+            grid.reverse()
+        cfg = TrainConfig(max_epochs=2, batch_size=16, patience=10, seed=12)
+        with np.errstate(all="ignore"):
+            result = grid_search(self._factory(dims), train, val, cfg, grid)
+        assert result.learning_rate == 1e-3
+        assert result.log.best_epoch > 0
+        assert [t.val_mse for t in result.trials if t.learning_rate == 1e300] == [np.inf]
+
     def test_selection_is_order_independent(self):
         train, val, dims = self._data()
         grid = [(1e-3, 3), (5e-3, 4)]
