@@ -8,6 +8,7 @@ Every command is deterministic given its flags; all randomness flows from
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -51,6 +52,17 @@ exit codes:
   4  numerical failures (non-finite values, singular solves, gradient check above tolerance)
   5  file I/O and model-file errors
 """
+
+
+def _check_output_dirs(*paths) -> None:
+    """Fail with an I/O error (exit 5) before any work when the directory of
+    an output file does not exist; ``None`` stands for an output not asked for."""
+    for path in paths:
+        if path is not None:
+            directory = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(directory):
+                raise FileNotFoundError(errno.ENOENT, "output directory does not exist",
+                                        directory)
 
 
 def _lexicon_from(args):
@@ -146,7 +158,21 @@ def _parse_grid(tokens: list[str], cfg: TrainConfig, default_hidden: int
     return [(lr, hidden) for lr in lrs for hidden in hiddens]
 
 
+# Defaults of the flags that only the hybrid model reads.  Their argparse
+# default is None, so that `train --baseline linreg` can reject them.
+_HYBRID_DEFAULTS = {"lr": 1e-3, "hidden": 32, "batch_size": 32, "patience": 10}
+
+
 def cmd_train(args) -> int:
+    if args.baseline is not None:
+        given = [name for name in (*_HYBRID_DEFAULTS, "grid") if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ParameterError(f"--baseline {args.baseline} does not use {flags} "
+                                 "(hybrid-model flags)")
+    for name, default in _HYBRID_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     cfg = TrainConfig(
         learning_rate=args.lr,
         max_epochs=args.epochs,
@@ -159,6 +185,8 @@ def cmd_train(args) -> int:
     if args.baseline is None and cfg.max_epochs == 0:
         raise ParameterError("--epochs must be >= 1 to train the hybrid model")
     grid = _parse_grid(args.grid or [], cfg, args.hidden)
+    log_path = args.log or args.out + ".log.csv"
+    _check_output_dirs(args.out, log_path)
     bundle = load_bundle(args.data)
     lexicon = _lexicon_from(args)
     pipe_cfg = pipeline.PipelineConfig(window=args.window, horizon=args.horizon)
@@ -232,6 +260,7 @@ def _test_block(args, preprocess):
 
 
 def cmd_evaluate(args) -> int:
+    _check_output_dirs(args.csv)
     model = _load_model_with_recipe(args.model)
     test_set = _test_block(args, model.preprocess)
     scores = prediction_scores(model, test_set)
@@ -245,6 +274,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_output_dirs(args.out)
     model = _load_model_with_recipe(args.model)
     bundle = load_bundle(args.data)
     try:
@@ -261,6 +291,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_output_dirs(args.csv)
     models = [_load_model_with_recipe(path) for path in args.models]
     first = models[0].preprocess
     for path, model in zip(args.models[1:], models[1:]):
@@ -340,14 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--window", type=int, default=20, help="days per sample window")
     train.add_argument("--horizon", type=int, default=5, help="days ahead for the risk target")
     train.add_argument("--epochs", type=int, default=200)
-    train.add_argument("--lr", type=float, default=1e-3)
-    train.add_argument("--hidden", type=int, default=32)
-    train.add_argument("--batch-size", type=int, default=32)
-    train.add_argument("--patience", type=int, default=10)
+    train.add_argument("--lr", type=float, default=None, help="learning rate (default 1e-3)")
+    train.add_argument("--hidden", type=int, default=None, help="LSTM hidden size (default 32)")
+    train.add_argument("--batch-size", type=int, default=None, help="minibatch size (default 32)")
+    train.add_argument("--patience", type=int, default=None,
+                       help="epochs without a better validation mse before stopping "
+                            "(default 10)")
     train.add_argument("--dropout", type=float, default=0.2)
     train.add_argument("--seed", type=int, default=42)
     train.add_argument("--baseline", choices=["linreg"], default=None,
-                       help="fit the linear baseline instead of the hybrid")
+                       help="fit the linear baseline instead of the hybrid; --grid, --lr, "
+                            "--hidden, --batch-size and --patience are then errors")
     train.add_argument("--grid", nargs="+", default=None, metavar="KEY=V1,V2",
                        help="grid search, e.g. --grid lr=0.001,0.01 hidden=16,32")
     train.set_defaults(func=cmd_train)

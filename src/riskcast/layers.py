@@ -200,6 +200,14 @@ class LSTMCell:
     cache is these buffers themselves.  Backward runs time-major on them:
     its zero-padded ``dz`` has the rows of ``xh``, so one contraction over
     all B*T steps gives ``dw_x``, ``db`` and ``dw_h`` together.
+
+    Scoring needs no cache.  With ``cache=False`` the buffers are only as
+    deep as one step needs: ``xh`` and ``c`` are two-row rings (step ``t``
+    reads row ``t % 2`` and writes row ``(t + 1) % 2``), and the gates and
+    ``tanh(c)`` hold one step.  The loop is the same, indexed modulo the
+    depth, so every block product and hidden state is bitwise that of the
+    cached run, while a 256-window call needs about 0.7 MB of buffers at
+    F=15, H=32 instead of about 10 MB.
     """
 
     def __init__(self, w_x, w_h, b):
@@ -237,8 +245,9 @@ class LSTMCell:
     def input_size(self) -> int:
         return self.w_x.shape[1]
 
-    def forward(self, xs) -> tuple[np.ndarray, LSTMCache]:
-        """``xs`` is ``[B x T x F]``; returns the last hidden state ``[B x H]``."""
+    def forward(self, xs, cache: bool = True) -> tuple[np.ndarray, LSTMCache | None]:
+        """``xs`` is ``[B x T x F]``; returns the last hidden state ``[B x H]``
+        and the cache, or ``None`` for the cache when ``cache`` is false."""
         xs = np.asarray(xs, dtype=np.float64)
         hid, f_in = self.hidden_size, self.input_size
         if xs.ndim != 3 or xs.shape[2] != f_in:
@@ -250,36 +259,42 @@ class LSTMCell:
         scale[:3 * hid] = 0.5
         w_t = np.concatenate([self.w_x.T, self.b[None], self.w_h.T])[:, order] * scale
         n_rows = n + -n % BLOCK_ROWS
+        # Step t uses row t % depth of xh and c and row t % step_depth of the rest.
+        depth = t_len + 1 if cache else 2
+        step_depth = t_len if cache else 1
         # xh and the gates share one allocation.  As separate arrays, one
         # call's buffers add up to more than twice the largest of them, and
         # glibc's malloc then returns the freed memory to the kernel after
         # every call (a fresh `riskcast predict` process on a 2,000-day
         # history took 20,000 page faults instead of 2,800).
-        xh_size = (t_len + 1) * n_rows * (f_in + 1 + hid)
-        work = np.empty(xh_size + t_len * n_rows * 4 * hid)
-        xh = work[:xh_size].reshape(t_len + 1, n_rows, f_in + 1 + hid)
-        gates = work[xh_size:].reshape(t_len, n_rows, 4 * hid)
+        xh_size = depth * n_rows * (f_in + 1 + hid)
+        work = np.empty(xh_size + step_depth * n_rows * 4 * hid)
+        xh = work[:xh_size].reshape(depth, n_rows, f_in + 1 + hid)
+        gates = work[xh_size:].reshape(step_depth, n_rows, 4 * hid)
         xh[:, n:] = 0.0
-        xh[:t_len, :n, :f_in] = xs.transpose(1, 0, 2)
         xh[:, :, f_in] = 1.0
         xh[0, :n, f_in + 1:] = 0.0
-        c_a = np.empty((t_len + 1, n, hid))
+        c_a = np.empty((depth, n, hid))
         c_a[0] = 0.0
-        tc_a = np.empty((t_len, n, hid))
+        tc_a = np.empty((step_depth, n, hid))
         i_g = np.empty((n, hid))
         for t in range(t_len):
-            z = _block_matmul(xh[t], w_t, out=gates[t])[:n]
+            row, nxt, cur = t % depth, (t + 1) % depth, t % step_depth
+            xh[row, :n, :f_in] = xs[:, t]
+            z = _block_matmul(xh[row], w_t, out=gates[cur])[:n]
             np.tanh(z, out=z)
             sig = z[:, :3 * hid]
             sig += 1.0
             sig *= 0.5
-            c = np.multiply(z[:, hid:2 * hid], c_a[t], out=c_a[t + 1])
+            c = np.multiply(z[:, hid:2 * hid], c_a[row], out=c_a[nxt])
             c += np.multiply(z[:, :hid], z[:, 3 * hid:], out=i_g)
-            np.tanh(c, out=tc_a[t])
-            np.multiply(z[:, 2 * hid:3 * hid], tc_a[t], out=xh[t + 1, :n, f_in + 1:])
-        cache = LSTMCache(xh=xh, gates=gates, c=c_a, tanh_c=tc_a,
-                          xs=xh[:t_len, :n, :f_in].transpose(1, 0, 2))
-        return xh[t_len, :n, f_in + 1:], cache
+            np.tanh(c, out=tc_a[cur])
+            np.multiply(z[:, 2 * hid:3 * hid], tc_a[cur], out=xh[nxt, :n, f_in + 1:])
+        h_last = xh[t_len % depth, :n, f_in + 1:]
+        if not cache:
+            return h_last, None
+        return h_last, LSTMCache(xh=xh, gates=gates, c=c_a, tanh_c=tc_a,
+                                 xs=xh[:t_len, :n, :f_in].transpose(1, 0, 2))
 
     def backward(self, cache: LSTMCache, dh_last) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Backpropagation through time from the gradient of the last hidden

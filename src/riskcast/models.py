@@ -2,9 +2,10 @@
 
 Both models share a small duck-typed surface used by the trainer, the
 gradient checker, and persistence: ``params()`` returning live named
-parameter arrays, ``forward(x_seq, x_static, mode, rng)`` returning
+parameter arrays, ``forward(x_seq, x_static, mode, rng, cache)`` returning
 ``(scores, cache)``, and ``backward(cache, dscores)`` returning
-``(param_grads, dx_seq)``.
+``(param_grads, dx_seq)``.  With ``cache=False`` forward builds nothing for
+backward and returns ``None`` in its place; the scores are bitwise the same.
 
 Inputs are batch-first: ``x_seq`` is ``[B x T x F]`` and ``x_static`` is
 ``[B x S]``, giving ``B`` scores, parameter gradients summed over the batch
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, NumericalError
 from .layers import (
+    BLOCK_ROWS,
     Conv1DLayer,
     DenseLayer,
     DropoutSpec,
@@ -36,9 +38,11 @@ from .preprocess import Preprocess
 from .tensor import SeededRng, derive_seed
 
 # Windows per batched forward call when scoring a whole set: large enough to
-# amortise the per-step Python work of the LSTM, small enough that the
-# activation caches of one call stay a few MB.
-SCORE_CHUNK = 64
+# amortise the per-step Python work of the LSTM, small enough that one call's
+# LSTM buffers fit a 2 MB L2 cache.  Scoring keeps no activation history, so
+# a 256-window chunk needs about 0.7 MB of them at F=15, H=32 (a cached
+# 64-window call needs about 2.5 MB).
+SCORE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,8 @@ class HybridModel:
                 f"for one sample), got {list(x_static.shape)}"
             )
 
-    def forward(self, x_seq, x_static, mode: str = "infer",
-                rng: SeededRng | None = None) -> tuple[np.ndarray | float, HybridCache]:
+    def forward(self, x_seq, x_static, mode: str = "infer", rng: SeededRng | None = None,
+                cache: bool = True) -> tuple[np.ndarray | float, HybridCache | None]:
         x_seq = np.asarray(x_seq, dtype=np.float64)
         x_static = np.asarray(x_static, dtype=np.float64)
         single = x_seq.ndim == 2
@@ -167,13 +171,15 @@ class HybridModel:
             sent = np.concatenate([np.zeros((n, pad, d.f_sentiment)), sent], axis=1)
         conv_pre, conv_cache = self.conv.forward(sent)
         lstm_in = np.concatenate([x_seq[:, :, :d.f_market], np.maximum(conv_pre, 0.0)], axis=2)
-        h_last, lstm_cache = self.lstm.forward(lstm_in)
+        h_last, lstm_cache = self.lstm.forward(lstm_in, cache=cache)
         h_last, mask = dropout_forward(self.dropout, h_last, rng, mode)
         out, head_cache = self.head.forward(np.concatenate([h_last, x_static], axis=1))
-        cache = HybridCache(conv_cache=conv_cache, conv_pre=conv_pre, lstm_cache=lstm_cache,
-                            dropout_mask=mask, head_cache=head_cache)
-        scores = out[:, 0]
-        return (float(scores[0]) if single else scores), cache
+        scores = float(out[0, 0]) if single else out[:, 0]
+        if not cache:
+            return scores, None
+        return scores, HybridCache(conv_cache=conv_cache, conv_pre=conv_pre,
+                                   lstm_cache=lstm_cache, dropout_mask=mask,
+                                   head_cache=head_cache)
 
     def backward(self, cache: HybridCache, dscore) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Chain rule through head, dropout, BPTT, the concat split, relu,
@@ -230,8 +236,8 @@ class LinearRegressionModel:
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
 
-    def forward(self, x_seq, x_static, mode: str = "infer",
-                rng: SeededRng | None = None) -> tuple[np.ndarray | float, tuple]:
+    def forward(self, x_seq, x_static, mode: str = "infer", rng: SeededRng | None = None,
+                cache: bool = True) -> tuple[np.ndarray | float, tuple | None]:
         x_seq = np.asarray(x_seq, dtype=np.float64)
         x_static = np.asarray(x_static, dtype=np.float64)
         seq_shape = x_seq.shape
@@ -243,14 +249,22 @@ class LinearRegressionModel:
                 f"x_seq {list(seq_shape)} and x_static {list(np.shape(x_static))} must be "
                 "[B x T x F] and [B x S], or one [T x F] and [S] sample"
             )
-        n = x_seq.shape[0]
-        flat = np.concatenate([x_seq.reshape(n, -1), x_static], axis=1)
-        if flat.shape[1] != self.n_features:
+        n, n_seq = x_seq.shape[0], x_seq.shape[1] * x_seq.shape[2]
+        if n_seq + x_static.shape[1] != self.n_features:
             raise DimensionError(
-                f"sample flattens to {flat.shape[1]} features, model expects {self.n_features}"
+                f"sample flattens to {n_seq + x_static.shape[1]} features, "
+                f"model expects {self.n_features}"
             )
-        scores = _block_matmul(flat, self.weights[:, None])[:, 0] + self.bias[0]
-        return (float(scores[0]) if single else scores), (flat, seq_shape)
+        # The rows [x_seq flattened, x_static], written once into a buffer
+        # already zero-padded to whole blocks for _block_matmul.
+        flat = np.empty((n + -n % BLOCK_ROWS, self.n_features))
+        flat[:n, :n_seq] = x_seq.reshape(n, n_seq)
+        flat[:n, n_seq:] = x_static
+        flat[n:] = 0.0
+        scores = _block_matmul(flat, self.weights[:, None])[:n, 0] + self.bias[0]
+        if single:
+            scores = float(scores[0])
+        return scores, ((flat[:n], seq_shape) if cache else None)
 
     def backward(self, cache: tuple, dscore) -> tuple[dict[str, np.ndarray], np.ndarray]:
         flat, seq_shape = cache
@@ -299,14 +313,15 @@ def prediction_scores(model, samples: SampleSet) -> np.ndarray:
     """Inference-mode scores, one per sample, order preserved.
 
     Windows go through the model's batched forward ``SCORE_CHUNK`` at a
-    time, so peak memory stays flat however many windows are scored.
+    time with ``cache=False``: no activation history is built, and peak
+    memory stays flat however many windows are scored.
     """
     scores = np.empty(len(samples))
     for start in range(0, len(samples), SCORE_CHUNK):
         stop = start + SCORE_CHUNK
-        # Index the result so that no chunk's cache outlives its call.
         scores[start:stop] = model.forward(samples.x_seq[start:stop],
-                                           samples.x_static[start:stop], mode="infer")[0]
+                                           samples.x_static[start:stop],
+                                           mode="infer", cache=False)[0]
     return scores
 
 

@@ -11,6 +11,7 @@ from riskcast import (
     load_bundle,
     load_model,
 )
+from riskcast import cli
 from riskcast.cli import main
 from riskcast.evaluation import evaluate_predictions
 from riskcast.models import HybridModel, prediction_scores
@@ -62,7 +63,9 @@ def workspace(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
     data_dir = _gen(tmp_path)
     hybrid = _train(tmp_path, data_dir)
-    linear = _train(tmp_path, data_dir, name="linear.rcm", extra=("--baseline", "linreg"))
+    linear = tmp_path / "linear.rcm"
+    assert main(["train", "--data", str(data_dir), "--out", str(linear),
+                 "--baseline", "linreg"]) == 0
     return tmp_path, data_dir, hybrid, linear
 
 
@@ -215,6 +218,21 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ("--grid", "lr=0.5", "hidden=3"), ("--lr", "5"), ("--hidden", "7"),
+        ("--patience", "3"), ("--batch-size", "1"),
+    ], ids=["grid", "lr", "hidden", "patience", "batch-size"])
+    def test_hybrid_flag_with_linear_baseline_is_a_parameter_error_before_any_read(
+            self, tmp_path, capsys, flags):
+        """The linear fit reads none of these flags, so giving one is an error
+        rather than a silent no-op."""
+        out = tmp_path / "linear.rcm"
+        rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out),
+                   "--baseline", "linreg", *flags])
+        assert rc == 2
+        assert f"--baseline linreg does not use {flags[0]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_epochs_still_fits_the_linear_baseline(self, workspace, tmp_path, capsys):
         _, data_dir, _, _ = workspace
         out = tmp_path / "linear.rcm"
@@ -342,6 +360,50 @@ class TestMissingDataFile:
         assert "'profit'" in err
         assert "no admissible prediction windows" not in err
         assert not out.exists()
+
+
+class TestOutputPaths:
+    """An output file whose directory does not exist is an I/O error (exit 5)
+    raised before the model or any data is read, so nothing is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_reads(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("input read before the output paths were checked")
+
+        monkeypatch.setattr(cli, "load_bundle", unreachable)
+        monkeypatch.setattr(cli, "load_model", unreachable)
+
+    @staticmethod
+    def _assert_rejected(rc, capsys, tmp_path):
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert f"output directory does not exist: '{tmp_path / 'missing'}'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["--out", "--log"])
+    def test_train(self, workspace, tmp_path, capsys, target):
+        _, data_dir, _, _ = workspace
+        paths = {"--out": tmp_path / "m.rcm", "--log": tmp_path / "m.log.csv"}
+        paths[target] = tmp_path / "missing" / "file"
+        rc = main(["train", "--data", str(data_dir), "--epochs", "2",
+                   "--out", str(paths["--out"]), "--log", str(paths["--log"])])
+        self._assert_rejected(rc, capsys, tmp_path)
+
+    def test_predict(self, workspace, tmp_path, capsys):
+        _, data_dir, hybrid, _ = workspace
+        rc = main(["predict", "--model", str(hybrid), "--data", str(data_dir),
+                   "--out", str(tmp_path / "missing" / "preds.csv")])
+        self._assert_rejected(rc, capsys, tmp_path)
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_metrics_csv(self, workspace, tmp_path, capsys, command):
+        _, data_dir, hybrid, linear = workspace
+        models = (["--model", str(hybrid)] if command == "evaluate"
+                  else [str(hybrid), str(linear)])
+        rc = main([command, *models, "--data", str(data_dir),
+                   "--csv", str(tmp_path / "missing" / "metrics.csv")])
+        self._assert_rejected(rc, capsys, tmp_path)
 
 
 class TestNonFiniteInput:

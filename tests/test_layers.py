@@ -2,13 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import normwise_rel_error, numeric_grad, rel_error
-from riskcast import DimensionError, ParameterError, SeededRng
+from conftest import normwise_rel_error, numeric_grad, random_samples, rel_error, tiny_dims
+from riskcast import DimensionError, HybridModel, ParameterError, SeededRng
 from riskcast.layers import (
     Conv1DLayer,
     DenseLayer,
@@ -18,6 +19,7 @@ from riskcast.layers import (
     dropout_backward,
     dropout_forward,
 )
+from riskcast.models import SCORE_CHUNK, linreg_fit, prediction_scores
 
 GRAD_TOL = 1e-4
 
@@ -450,6 +452,55 @@ class TestBlockInvariance:
                     assert value[b].tobytes() == alone[offset + b][name][0].tobytes(), \
                         (batch, offset, b, name)
 
+    @pytest.fixture(scope="class")
+    def scoring_set(self):
+        """More than two score chunks of windows: LSTM inputs at bench dims
+        for a cell, and samples for a hybrid and a linear model."""
+        rng = SeededRng(62)
+        n, t_len, f_in = 2 * SCORE_CHUNK + 5, 20, 15
+        cell = LSTMCell.initialize(f_in, 32, rng)
+        xs = rng.normals(n * t_len * f_in).reshape(n, t_len, f_in)
+        dims = tiny_dims(window=t_len, conv_channels=8, hidden_size=32)
+        samples = random_samples(n, dims, seed=63)
+        return cell, xs, samples, (HybridModel.initialize(dims, seed=64), linreg_fit(samples))
+
+    @pytest.mark.parametrize("batch", [1, 7, 8, 9, 255, 256, 257, None],
+                             ids=lambda b: "whole" if b is None else str(b))
+    def test_cache_free_forward_matches_cached(self, scoring_set, batch):
+        """Without a cache the LSTM's last hidden state and both models'
+        scores are bitwise those of the cached run, and those of the same
+        rows scored with the whole set."""
+        cell, xs, samples, models = scoring_set
+        rows = slice(batch)
+        h_free, _ = cell.forward(xs[rows], cache=False)
+        assert h_free.tobytes() == cell.forward(xs[rows])[0].tobytes()
+        assert h_free.tobytes() == cell.forward(xs, cache=False)[0][rows].tobytes()
+        for model in models:
+            x_seq, x_static = samples.x_seq[rows], samples.x_static[rows]
+            free, _ = model.forward(x_seq, x_static, cache=False)
+            assert free.tobytes() == model.forward(x_seq, x_static)[0].tobytes(), model.kind
+            whole, _ = model.forward(samples.x_seq, samples.x_static, cache=False)
+            assert free.tobytes() == whole[rows].tobytes(), model.kind
+
+    def test_cache_free_forward_returns_no_cache(self, scoring_set):
+        cell, xs, samples, models = scoring_set
+        assert cell.forward(xs[:9], cache=False)[1] is None
+        for model in models:
+            assert model.forward(samples.x_seq[:9], samples.x_static[:9], cache=False)[1] is None
+
+    def test_scoring_peaks_below_one_chunk_of_gate_history(self, scoring_set):
+        """``prediction_scores`` keeps no activation history: over more than
+        two chunks it allocates less than one chunk's gates for all T steps."""
+        _, _, samples, (hybrid, _) = scoring_set
+        gate_history = hybrid.dims.window * SCORE_CHUNK * 4 * hybrid.dims.hidden_size * 8
+        tracemalloc.start()
+        try:
+            prediction_scores(hybrid, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gate_history
+
 
 def test_block_invariance_holds_on_one_blas_thread():
     """Tier-1 runs with the default BLAS thread count and the benchmark pins
@@ -461,7 +512,7 @@ def test_block_invariance_holds_on_one_blas_thread():
          f"{os.path.abspath(__file__)}::TestBlockInvariance"],
         cwd=root, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("4 passed"), proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("14 passed"), proc.stdout
 
 
 def _assert_batch_is_stacked_samples(layer, xs, dys):
