@@ -55,14 +55,16 @@ exit codes:
 
 
 def _check_output_dirs(*paths) -> None:
-    """Fail with an I/O error (exit 5) before any work when the directory of
-    an output file does not exist; ``None`` stands for an output not asked for."""
+    """Fail with an I/O error (exit 5) before any work when an output path is a
+    directory or its directory is missing; ``None`` is an output not asked for."""
     for path in paths:
         if path is not None:
             directory = os.path.dirname(os.path.abspath(path))
             if not os.path.isdir(directory):
                 raise FileNotFoundError(errno.ENOENT, "output directory does not exist",
                                         directory)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
 
 
 def _lexicon_from(args):
@@ -186,6 +188,8 @@ def cmd_train(args) -> int:
         raise ParameterError("--epochs must be >= 1 to train the hybrid model")
     grid = _parse_grid(args.grid or [], cfg, args.hidden)
     log_path = args.log or args.out + ".log.csv"
+    if os.path.realpath(log_path) == os.path.realpath(args.out):
+        raise ParameterError(f"--log {args.log} would overwrite the model file --out {args.out}")
     _check_output_dirs(args.out, log_path)
     bundle = load_bundle(args.data)
     lexicon = _lexicon_from(args)
@@ -193,7 +197,6 @@ def cmd_train(args) -> int:
     train_set, val_set, test_set, pre = pipeline.make_datasets(
         bundle, lexicon, pipe_cfg, SplitSpec()
     )
-    log_path = args.log or args.out + ".log.csv"
 
     if args.baseline == "linreg":
         model = linreg_fit(train_set)

@@ -129,9 +129,9 @@ class Conv1DLayer:
             y += x[:, m:m + out_len] @ self.kernels[:, m, :].T
         return y, Conv1DCache(x=x, out_len=out_len)
 
-    def backward(self, cache: Conv1DCache, dy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dx, dkernels, dbias) for the cached forward call; the
-        parameter gradients are summed over the batch."""
+    def backward(self, cache: Conv1DCache, dy) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (dkernels, dbias) summed over the batch; no input gradient,
+        as the convolution reads the model's input and nothing upstream needs it."""
         dy = np.asarray(dy, dtype=np.float64)
         x, out_len, k = cache.x, cache.out_len, self.k
         expected = (x.shape[0], out_len, self.c_out)
@@ -141,12 +141,10 @@ class Conv1DLayer:
             )
         dbias = dy.sum(axis=(0, 1))
         dkernels = np.empty_like(self.kernels)
-        dx = np.zeros_like(x)
         for m in range(k):
             # One contraction over all B*out_len positions.
             dkernels[:, m, :] = np.tensordot(dy, x[:, m:m + out_len], axes=([0, 1], [0, 1]))
-            dx[:, m:m + out_len] += dy @ self.kernels[:, m, :]
-        return dx, dkernels, dbias
+        return dkernels, dbias
 
 
 # ---------------------------------------------------------------------------

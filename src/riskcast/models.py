@@ -3,16 +3,16 @@
 Both models share a small duck-typed surface used by the trainer, the
 gradient checker, and persistence: ``params()`` returning live named
 parameter arrays, ``forward(x_seq, x_static, mode, rng, cache)`` returning
-``(scores, cache)``, and ``backward(cache, dscores)`` returning
-``(param_grads, dx_seq)``.  With ``cache=False`` forward builds nothing for
-backward and returns ``None`` in its place; the scores are bitwise the same.
+``(scores, cache)``, and ``backward(cache, dscores)`` returning the parameter
+gradients by name.  With ``cache=False`` forward builds nothing for backward
+and returns ``None`` in its place; the scores are bitwise the same.
 
 Inputs are batch-first: ``x_seq`` is ``[B x T x F]`` and ``x_static`` is
-``[B x S]``, giving ``B`` scores, parameter gradients summed over the batch
-and ``dx_seq`` ``[B x T x F]``.  One sample given as ``[T x F]`` and ``[S]``
-is the B=1 view of the same code: it gives a float score, takes a float
-``dscore`` and returns ``dx_seq`` ``[T x F]``.  A sample's score does not
-depend on which other samples share its batch, bit for bit.
+``[B x S]``, giving ``B`` scores; backward takes their ``[B]`` gradient and
+sums the parameter gradients over the batch (no input gradient is built).
+One sample given as ``[T x F]`` and ``[S]`` is the B=1 view of the same
+code: a float score, and a cache that takes a ``[1]`` gradient.  A sample's
+score does not depend on which other samples share its batch, bit for bit.
 """
 
 from __future__ import annotations
@@ -181,13 +181,13 @@ class HybridModel:
                                    lstm_cache=lstm_cache, dropout_mask=mask,
                                    head_cache=head_cache)
 
-    def backward(self, cache: HybridCache, dscore) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    def backward(self, cache: HybridCache, dscores) -> dict[str, np.ndarray]:
         """Chain rule through head, dropout, BPTT, the concat split, relu,
-        and the conv branch.  Returns (param gradients, dL/dx_seq)."""
+        and the conv branch, from the ``[B]`` gradient of the loss with
+        respect to the scores.  Returns the parameter gradients by name."""
         d = self.dims
         n = cache.conv_pre.shape[0]
-        single = np.ndim(dscore) == 0
-        dscores = np.atleast_1d(np.asarray(dscore, dtype=np.float64))
+        dscores = np.asarray(dscores, dtype=np.float64)
         if dscores.shape != (n,):
             raise DimensionError(
                 f"upstream score gradient must be [{n}], got {list(dscores.shape)}"
@@ -196,10 +196,8 @@ class HybridModel:
         dh_last = dropout_backward(cache.dropout_mask, dhead_in[:, :d.hidden_size])
         dlstm_in, dw_x, dw_h, db = self.lstm.backward(cache.lstm_cache, dh_last)
         dconv_pre = dlstm_in[:, :, d.f_market:] * (cache.conv_pre > 0)
-        dpadded, dkernels, dbias = self.conv.backward(cache.conv_cache, dconv_pre)
-        pad = d.kernel_width - 1
-        dx_seq = np.concatenate([dlstm_in[:, :, :d.f_market], dpadded[:, pad:]], axis=2)
-        grads = {
+        dkernels, dbias = self.conv.backward(cache.conv_cache, dconv_pre)
+        return {
             "conv.kernels": dkernels,
             "conv.bias": dbias,
             "lstm.w_x": dw_x,
@@ -208,7 +206,6 @@ class HybridModel:
             "head.w": dw_head,
             "head.b": db_head,
         }
-        return grads, (dx_seq[0] if single else dx_seq)
 
 
 class LinearRegressionModel:
@@ -237,7 +234,7 @@ class LinearRegressionModel:
         return {"weights": self.weights, "bias": self.bias}
 
     def forward(self, x_seq, x_static, mode: str = "infer", rng: SeededRng | None = None,
-                cache: bool = True) -> tuple[np.ndarray | float, tuple | None]:
+                cache: bool = True) -> tuple[np.ndarray | float, np.ndarray | None]:
         x_seq = np.asarray(x_seq, dtype=np.float64)
         x_static = np.asarray(x_static, dtype=np.float64)
         seq_shape = x_seq.shape
@@ -264,19 +261,16 @@ class LinearRegressionModel:
         scores = _block_matmul(flat, self.weights[:, None])[:n, 0] + self.bias[0]
         if single:
             scores = float(scores[0])
-        return scores, ((flat[:n], seq_shape) if cache else None)
+        return scores, (flat[:n] if cache else None)
 
-    def backward(self, cache: tuple, dscore) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        flat, seq_shape = cache
-        dscores = np.atleast_1d(np.asarray(dscore, dtype=np.float64))
+    def backward(self, flat: np.ndarray, dscores) -> dict[str, np.ndarray]:
+        """Parameter gradients from the ``[B]`` score gradient; ``flat`` is the cache."""
+        dscores = np.asarray(dscores, dtype=np.float64)
         if dscores.shape != (flat.shape[0],):
             raise DimensionError(
                 f"upstream score gradient must be [{flat.shape[0]}], got {list(dscores.shape)}"
             )
-        grads = {"weights": dscores @ flat, "bias": np.array([dscores.sum()])}
-        n_seq = seq_shape[-2] * seq_shape[-1]
-        dx_seq = np.multiply.outer(dscores, self.weights[:n_seq]).reshape(seq_shape)
-        return grads, dx_seq
+        return {"weights": dscores @ flat, "bias": np.array([dscores.sum()])}
 
 
 def _design(samples: SampleSet) -> np.ndarray:

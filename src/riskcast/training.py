@@ -166,36 +166,37 @@ def fit(model, train: SampleSet, val: SampleSet, cfg: TrainConfig):
     epochs_since_best = 0
     order = list(range(len(train)))
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        shuffle_rng.shuffle(order)
-        epoch_sse = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            preds, cache = model.forward(train.x_seq[batch], train.x_static[batch],
-                                         mode="train", rng=dropout_rng)
-            batch_loss, dpred = mse_loss(train.y[batch], preds)
-            epoch_sse += batch_loss * len(batch)
-            grads, _ = model.backward(cache, dpred)
-            for name in params:
-                adam_step(states[name], params[name], grads[name], cfg)
+    # A diverging run overflows on the way and ends at an inf validation MSE,
+    # which loses in grid search instead of raising; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            shuffle_rng.shuffle(order)
+            epoch_sse = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                preds, cache = model.forward(train.x_seq[batch], train.x_static[batch],
+                                             mode="train", rng=dropout_rng)
+                batch_loss, dpred = mse_loss(train.y[batch], preds)
+                epoch_sse += batch_loss * len(batch)
+                grads = model.backward(cache, dpred)
+                for name in params:
+                    adam_step(states[name], params[name], grads[name], cfg)
 
-        val_loss = validation_mse(model, val)
-        if not np.isfinite(val_loss):
-            # A diverged configuration loses on validation MSE; grid search
-            # relies on this instead of an exception.
-            val_loss = float("inf")
-        log.train_mse.append(epoch_sse / len(train))
-        log.val_mse.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = _snapshot(params)
-            log.best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
-                log.stopped_early = True
-                break
+            val_loss = validation_mse(model, val)
+            if not np.isfinite(val_loss):
+                val_loss = float("inf")
+            log.train_mse.append(epoch_sse / len(train))
+            log.val_mse.append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = _snapshot(params)
+                log.best_epoch = epoch
+                epochs_since_best = 0
+            else:
+                epochs_since_best += 1
+                if epochs_since_best >= cfg.patience:
+                    log.stopped_early = True
+                    break
 
     if best_params is not None:
         _restore(params, best_params)
@@ -279,7 +280,7 @@ def gradient_check(model, x_seq, x_static, target: float,
     base_loss, dpred = mse_loss(np.array([target]), np.array([score]))
     if not np.isfinite(base_loss):
         raise NumericalError("loss is non-finite at the evaluation point")
-    analytic, _ = model.backward(cache, dpred[0])
+    analytic = model.backward(cache, dpred)
 
     worst = 0.0
     worst_name = ""

@@ -211,11 +211,20 @@ class TestTrain:
             self, workspace, tmp_path, capsys, extra):
         _, data_dir, _, _ = workspace
         out = tmp_path / "diverged.rcm"
-        with np.errstate(all="ignore"):
-            rc = main(["train", "--data", str(data_dir), "--out", str(out), "--lr", "1e300",
-                       "--epochs", "2", "--hidden", "4", *extra])
+        rc = main(["train", "--data", str(data_dir), "--out", str(out), "--lr", "1e300",
+                   "--epochs", "2", "--hidden", "4", *extra])
         assert rc == 4
-        assert "diverged" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "riskcast: error: training diverged: no epoch of 2 reached a finite validation mse\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_log_naming_the_model_file_is_a_parameter_error_before_any_read(
+            self, tmp_path, capsys):
+        out = tmp_path / "m.rcm"
+        rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out),
+                   "--log", f"{tmp_path}/./m.rcm"])
+        assert rc == 2
+        assert "would overwrite the model file" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [
@@ -363,8 +372,9 @@ class TestMissingDataFile:
 
 
 class TestOutputPaths:
-    """An output file whose directory does not exist is an I/O error (exit 5)
-    raised before the model or any data is read, so nothing is written."""
+    """An output file whose directory does not exist, or an output path that
+    is an existing directory, is an I/O error (exit 5) raised before the model
+    or any data is read, so nothing is written."""
 
     @pytest.fixture(autouse=True)
     def no_reads(self, monkeypatch):
@@ -375,35 +385,46 @@ class TestOutputPaths:
         monkeypatch.setattr(cli, "load_model", unreachable)
 
     @staticmethod
-    def _assert_rejected(rc, capsys, tmp_path):
+    def _bad_outputs(tmp_path):
+        """Each refused output path, with the message that names it."""
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        return [(tmp_path / "missing" / "file",
+                 f"output directory does not exist: '{tmp_path / 'missing'}'"),
+                (directory, f"output path is a directory: '{directory}'")]
+
+    @staticmethod
+    def _assert_rejected(rc, capsys, tmp_path, message):
         assert rc == 5
-        err = capsys.readouterr().err
-        assert f"output directory does not exist: '{tmp_path / 'missing'}'" in err
-        assert list(tmp_path.iterdir()) == []
+        assert message in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
 
     @pytest.mark.parametrize("target", ["--out", "--log"])
     def test_train(self, workspace, tmp_path, capsys, target):
         _, data_dir, _, _ = workspace
-        paths = {"--out": tmp_path / "m.rcm", "--log": tmp_path / "m.log.csv"}
-        paths[target] = tmp_path / "missing" / "file"
-        rc = main(["train", "--data", str(data_dir), "--epochs", "2",
-                   "--out", str(paths["--out"]), "--log", str(paths["--log"])])
-        self._assert_rejected(rc, capsys, tmp_path)
+        for bad, message in self._bad_outputs(tmp_path):
+            paths = {"--out": tmp_path / "m.rcm", "--log": tmp_path / "m.log.csv"}
+            paths[target] = bad
+            rc = main(["train", "--data", str(data_dir), "--epochs", "2",
+                       "--out", str(paths["--out"]), "--log", str(paths["--log"])])
+            self._assert_rejected(rc, capsys, tmp_path, message)
 
     def test_predict(self, workspace, tmp_path, capsys):
         _, data_dir, hybrid, _ = workspace
-        rc = main(["predict", "--model", str(hybrid), "--data", str(data_dir),
-                   "--out", str(tmp_path / "missing" / "preds.csv")])
-        self._assert_rejected(rc, capsys, tmp_path)
+        for bad, message in self._bad_outputs(tmp_path):
+            rc = main(["predict", "--model", str(hybrid), "--data", str(data_dir),
+                       "--out", str(bad)])
+            self._assert_rejected(rc, capsys, tmp_path, message)
 
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_metrics_csv(self, workspace, tmp_path, capsys, command):
         _, data_dir, hybrid, linear = workspace
         models = (["--model", str(hybrid)] if command == "evaluate"
                   else [str(hybrid), str(linear)])
-        rc = main([command, *models, "--data", str(data_dir),
-                   "--csv", str(tmp_path / "missing" / "metrics.csv")])
-        self._assert_rejected(rc, capsys, tmp_path)
+        for bad, message in self._bad_outputs(tmp_path):
+            rc = main([command, *models, "--data", str(data_dir), "--csv", str(bad)])
+            self._assert_rejected(rc, capsys, tmp_path, message)
 
 
 class TestNonFiniteInput:
@@ -512,9 +533,9 @@ class TestGradcheck:
         backward = HybridModel.backward
         for name in ("conv.kernels", "lstm.w_x", "head.w"):
             def broken(self, cache, dscore, name=name):
-                grads, dx = backward(self, cache, dscore)
+                grads = backward(self, cache, dscore)
                 grads[name] = grads[name] + 0.05
-                return grads, dx
+                return grads
 
             monkeypatch.setattr(HybridModel, "backward", broken)
             assert main(["gradcheck", "--seed", "11"]) == 4, name

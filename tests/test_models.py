@@ -97,8 +97,7 @@ class TestHybridBackward:
         model = tiny_hybrid(seed=7)
         x_seq, x_static = _sample_for(dims, seed=8)
         _, cache = model.forward(x_seq, x_static, mode="infer")
-        grads, dx_seq = model.backward(cache, 0.0)
-        assert not dx_seq.any()
+        grads = model.backward(cache, np.zeros(1))
         for grad in grads.values():
             assert not grad.any()
 
@@ -116,10 +115,9 @@ class TestHybridBackward:
 
         score, cache = model.forward(x_seq, x_static, mode="infer")
         _, dpred = mse_loss(np.array([target]), np.array([score]))
-        grads, dx_seq = model.backward(cache, dpred[0])
+        grads = model.backward(cache, dpred)
         for name, param in model.params().items():
             assert rel_error(grads[name], numeric_grad(loss, param)) < 1e-4, name
-        assert rel_error(dx_seq, numeric_grad(loss, x_seq)) < 1e-4
 
     def test_zeroed_sentiment_leaves_only_market_and_static_paths(self):
         """With conv bias zeroed, a zero sentiment block silences the conv
@@ -138,19 +136,6 @@ class TestHybridBackward:
         bumped[:, :dims.f_market] += 0.25
         score_c, _ = model.forward(bumped, x_static, mode="infer")
         assert score_c != score_a
-
-    def test_market_columns_receive_gradient_only_via_lstm(self):
-        """With the lstm blind to market inputs, the market block of the
-        input gradient must be exactly zero while sentiment columns are not:
-        the conv path never writes into market columns."""
-        dims = tiny_dims()
-        model = tiny_hybrid(seed=11)
-        model.lstm.w_x[:, :dims.f_market] = 0.0
-        x_seq, x_static = _sample_for(dims, seed=12)
-        _, cache = model.forward(x_seq, x_static, mode="infer")
-        grads, dx_seq = model.backward(cache, 1.0)
-        assert not dx_seq[:, :dims.f_market].any()
-        assert dx_seq[:, dims.f_market:].any()
 
 
 class TestLinearRegression:
@@ -206,19 +191,16 @@ class TestLinearRegression:
             )
             assert linreg_objective(perturbed, samples) >= base
 
-    def test_input_gradient_matches_finite_differences(self):
+    def test_backward_takes_one_upstream_gradient_per_sample(self):
         dims = tiny_dims()
         model = linreg_fit(random_samples(40, dims, seed=37))
         samples = random_samples(4, dims, seed=38)
-        upstream = SeededRng(39).normals(4)
-
-        def loss():
-            scores, _ = model.forward(samples.x_seq, samples.x_static)
-            return float(scores @ upstream)
-
-        _, cache = model.forward(samples.x_seq, samples.x_static)
-        _, dx_seq = model.backward(cache, upstream)
-        assert rel_error(dx_seq, numeric_grad(loss, samples.x_seq)) < 1e-6
+        _, batch_cache = model.forward(samples.x_seq, samples.x_static)
+        _, sample_cache = model.forward(samples.x_seq[0], samples.x_static[0])
+        for cache, upstream in ((batch_cache, np.ones(3)), (batch_cache, 1.0),
+                                (sample_cache, 1.0)):
+            with pytest.raises(DimensionError):
+                model.backward(cache, upstream)
 
     def test_needs_at_least_two_samples(self):
         samples = random_samples(1, tiny_dims(), seed=18)
@@ -280,13 +262,11 @@ class TestBatchedHybrid:
         samples = self._batch(28)
         upstream = SeededRng(29).normals(self.B)
         _, cache = model.forward(samples.x_seq, samples.x_static)
-        grads, dx_seq = model.backward(cache, upstream)
-        assert dx_seq.shape == samples.x_seq.shape
+        grads = model.backward(cache, upstream)
         totals = {name: np.zeros_like(p) for name, p in model.params().items()}
         for i in range(self.B):
             _, cache_i = model.forward(samples.x_seq[i], samples.x_static[i])
-            grads_i, dx_i = model.backward(cache_i, upstream[i])
-            assert normwise_rel_error(dx_seq[i], dx_i) < 1e-12
+            grads_i = model.backward(cache_i, upstream[i:i + 1])
             for name in totals:
                 totals[name] += grads_i[name]
         for name, total in totals.items():
@@ -302,10 +282,9 @@ class TestBatchedHybrid:
 
         scores, cache = model.forward(samples.x_seq, samples.x_static)
         _, dpred = mse_loss(samples.y, scores)
-        grads, dx_seq = model.backward(cache, dpred)
+        grads = model.backward(cache, dpred)
         for name, param in model.params().items():
             assert rel_error(grads[name], numeric_grad(loss, param)) < 1e-4, name
-        assert rel_error(dx_seq, numeric_grad(loss, samples.x_seq)) < 1e-4
 
     def test_train_mode_draws_dropout_in_per_sample_order(self):
         model = tiny_hybrid(seed=32, dropout_p=0.5)
@@ -323,6 +302,9 @@ class TestBatchedHybrid:
         samples = self._batch(36)
         with pytest.raises(DimensionError):
             model.forward(samples.x_seq, samples.x_static[:-1])
-        _, cache = model.forward(samples.x_seq, samples.x_static)
-        with pytest.raises(DimensionError):
-            model.backward(cache, np.ones(self.B - 1))
+        _, batch_cache = model.forward(samples.x_seq, samples.x_static)
+        _, sample_cache = model.forward(samples.x_seq[0], samples.x_static[0])
+        for cache, upstream in ((batch_cache, np.ones(self.B - 1)), (batch_cache, 1.0),
+                                (sample_cache, 1.0)):
+            with pytest.raises(DimensionError):
+                model.backward(cache, upstream)
