@@ -54,11 +54,15 @@ exit codes:
 """
 
 
-def _check_output_dirs(*paths) -> None:
-    """Fail with an I/O error (exit 5) before any work when an output path is a
-    directory or its directory is missing; ``None`` is an output not asked for."""
+def _check_outputs(*paths, models=()) -> None:
+    """Fail before any work when an output path is one of the model files in
+    ``models`` (a parameter error, exit 2), or is a directory or its
+    directory is missing (an I/O error, exit 5); ``None`` is an output not asked for."""
     for path in paths:
         if path is not None:
+            for model in models:
+                if os.path.realpath(path) == os.path.realpath(model):
+                    raise ParameterError(f"output {path} would overwrite the model file {model}")
             directory = os.path.dirname(os.path.abspath(path))
             if not os.path.isdir(directory):
                 raise FileNotFoundError(errno.ENOENT, "output directory does not exist",
@@ -188,9 +192,8 @@ def cmd_train(args) -> int:
         raise ParameterError("--epochs must be >= 1 to train the hybrid model")
     grid = _parse_grid(args.grid or [], cfg, args.hidden)
     log_path = args.log or args.out + ".log.csv"
-    if os.path.realpath(log_path) == os.path.realpath(args.out):
-        raise ParameterError(f"--log {args.log} would overwrite the model file --out {args.out}")
-    _check_output_dirs(args.out, log_path)
+    _check_outputs(log_path, models=[args.out])
+    _check_outputs(args.out)
     bundle = load_bundle(args.data)
     lexicon = _lexicon_from(args)
     pipe_cfg = pipeline.PipelineConfig(window=args.window, horizon=args.horizon)
@@ -263,7 +266,7 @@ def _test_block(args, preprocess):
 
 
 def cmd_evaluate(args) -> int:
-    _check_output_dirs(args.csv)
+    _check_outputs(args.csv, models=[args.model])
     model = _load_model_with_recipe(args.model)
     test_set = _test_block(args, model.preprocess)
     scores = prediction_scores(model, test_set)
@@ -277,7 +280,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_output_dirs(args.out)
+    _check_outputs(args.out, models=[args.model])
     model = _load_model_with_recipe(args.model)
     bundle = load_bundle(args.data)
     try:
@@ -294,7 +297,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_output_dirs(args.csv)
+    _check_outputs(args.csv, models=args.models)
     models = [_load_model_with_recipe(path) for path in args.models]
     first = models[0].preprocess
     for path, model in zip(args.models[1:], models[1:]):

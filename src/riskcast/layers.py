@@ -155,10 +155,10 @@ class Conv1DLayer:
 @dataclass
 class LSTMCache:
     """The forward's own time-major buffers (see ``LSTMCell``); B rows of
-    each step are the batch, the rest of ``xh`` and ``gates`` is padding."""
+    each step of ``xh`` are the batch, the rest is padding."""
 
     xh: np.ndarray       # [T+1 x n8 x (F+1+H)], row t holds [x_t, 1, h_{t-1}]
-    gates: np.ndarray    # [T x n8 x 4H], activated, in (i, f, o, g) order
+    gates: np.ndarray    # [T x 4 x B x H], activated, gate-major in (i, f, o, g) order
     c: np.ndarray        # [T+1 x B x H], row t holds c_{t-1}; row 0 is zero
     tanh_c: np.ndarray   # [T x B x H]
     # [B x T x F] view of xh.  Backward does not read it; the LSTMCell.backward
@@ -193,18 +193,20 @@ class LSTMCell:
     ``BLOCK_ROWS`` blocks, and ``_block_matmul`` multiplies step ``t``'s rows
     by ``[w_x^T; b; w_h^T]``.  The input term, the bias and the recurrence of
     a step thus come out of one block product, and ``h_t`` is written
-    straight into row ``t+1``.  Every buffer is time-major
-    (``[T x B x ...]``), so each step works on contiguous rows, and the
-    cache is these buffers themselves.  Backward runs time-major on them:
-    its zero-padded ``dz`` has the rows of ``xh``, so one contraction over
-    all B*T steps gives ``dw_x``, ``db`` and ``dw_h`` together.
+    straight into row ``t+1``.  The product goes to a row-major scratch
+    buffer that the step's one tanh reads through a ``[4 x B x H]``
+    transposed view, writing the gates gate-major, so each gate of each
+    step, and every later elementwise op, is a contiguous ``[B x H]`` block.
+    Every buffer is time-major and the cache is these buffers themselves.
+    Backward writes the gate gradients into a row-major ``dz`` with the rows
+    of ``xh``, so one contraction gives ``dw_x``, ``db`` and ``dw_h``.
 
     Scoring needs no cache.  With ``cache=False`` the buffers are only as
     deep as one step needs: ``xh`` and ``c`` are two-row rings (step ``t``
     reads row ``t % 2`` and writes row ``(t + 1) % 2``), and the gates and
     ``tanh(c)`` hold one step.  The loop is the same, indexed modulo the
     depth, so every block product and hidden state is bitwise that of the
-    cached run, while a 256-window call needs about 0.7 MB of buffers at
+    cached run, while a 256-window call needs about 1.1 MB of buffers at
     F=15, H=32 instead of about 10 MB.
     """
 
@@ -260,15 +262,17 @@ class LSTMCell:
         # Step t uses row t % depth of xh and c and row t % step_depth of the rest.
         depth = t_len + 1 if cache else 2
         step_depth = t_len if cache else 1
-        # xh and the gates share one allocation.  As separate arrays, one
-        # call's buffers add up to more than twice the largest of them, and
-        # glibc's malloc then returns the freed memory to the kernel after
-        # every call (a fresh `riskcast predict` process on a 2,000-day
-        # history took 20,000 page faults instead of 2,800).
-        xh_size = depth * n_rows * (f_in + 1 + hid)
-        work = np.empty(xh_size + step_depth * n_rows * 4 * hid)
+        # xh, the product scratch and the gates share one allocation.  As
+        # separate arrays, one call's buffers add up to more than twice the
+        # largest of them, and glibc's malloc then returns the freed memory
+        # to the kernel after every call (a fresh `riskcast predict` process
+        # on a 2,000-day history took 20,000 page faults instead of 2,800).
+        xh_size, z_size = depth * n_rows * (f_in + 1 + hid), n_rows * 4 * hid
+        work = np.empty(xh_size + z_size + step_depth * n * 4 * hid)
         xh = work[:xh_size].reshape(depth, n_rows, f_in + 1 + hid)
-        gates = work[xh_size:].reshape(step_depth, n_rows, 4 * hid)
+        z = work[xh_size:xh_size + z_size].reshape(n_rows, 4 * hid)
+        z_gates = z[:n].reshape(n, 4, hid).transpose(1, 0, 2)
+        gates = work[xh_size + z_size:].reshape(step_depth, 4, n, hid)
         xh[:, n:] = 0.0
         xh[:, :, f_in] = 1.0
         xh[0, :n, f_in + 1:] = 0.0
@@ -279,25 +283,26 @@ class LSTMCell:
         for t in range(t_len):
             row, nxt, cur = t % depth, (t + 1) % depth, t % step_depth
             xh[row, :n, :f_in] = xs[:, t]
-            z = _block_matmul(xh[row], w_t, out=gates[cur])[:n]
-            np.tanh(z, out=z)
-            sig = z[:, :3 * hid]
+            _block_matmul(xh[row], w_t, out=z)
+            i, f, o, g = np.tanh(z_gates, out=gates[cur])
+            sig = gates[cur, :3]
             sig += 1.0
             sig *= 0.5
-            c = np.multiply(z[:, hid:2 * hid], c_a[row], out=c_a[nxt])
-            c += np.multiply(z[:, :hid], z[:, 3 * hid:], out=i_g)
+            c = np.multiply(f, c_a[row], out=c_a[nxt])
+            c += np.multiply(i, g, out=i_g)
             np.tanh(c, out=tc_a[cur])
-            np.multiply(z[:, 2 * hid:3 * hid], tc_a[cur], out=xh[nxt, :n, f_in + 1:])
+            np.multiply(o, tc_a[cur], out=xh[nxt, :n, f_in + 1:])
         h_last = xh[t_len % depth, :n, f_in + 1:]
         if not cache:
             return h_last, None
         return h_last, LSTMCache(xh=xh, gates=gates, c=c_a, tanh_c=tc_a,
                                  xs=xh[:t_len, :n, :f_in].transpose(1, 0, 2))
 
-    def backward(self, cache: LSTMCache, dh_last) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def backward(self, cache: LSTMCache, dh_last,
+                 dx_from: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Backpropagation through time from the gradient of the last hidden
         state; returns (dxs, dw_x, dw_h, db), the weight gradients summed over
-        the batch."""
+        the batch and ``dxs`` for the input columns from ``dx_from`` on."""
         dh = np.asarray(dh_last, dtype=np.float64)
         tc = cache.tanh_c
         t_len, n, hid = tc.shape
@@ -306,30 +311,36 @@ class LSTMCell:
                 f"lstm upstream gradient must be [{n} x {hid}], got {list(dh.shape)}"
             )
         f_in = self.input_size
-        i, f, o, g = (cache.gates[:, :n, k * hid:(k + 1) * hid] for k in range(4))
-        # dz starts as the local derivatives of every step, in the stored
+        i, f, o, g = cache.gates.transpose(1, 0, 2, 3)
+        # The local derivatives of every step, gate-major in the stored
         # (i, f, g, o) order: dz/dc on the i, f, g blocks and dz/dh on the o
-        # block.  The time loop scales each step by the recurrent dc and dh.
-        # Its padding rows stay zero, like those of xh.
-        dz = np.zeros((t_len, cache.xh.shape[1], 4 * hid))
-        dz_blocks = dz.reshape(t_len, -1, 4, hid)[:, :n]
-        np.multiply(g, i * (1.0 - i), out=dz_blocks[:, :, 0])
-        np.multiply(cache.c[:t_len], f * (1.0 - f), out=dz_blocks[:, :, 1])
-        np.multiply(i, 1.0 - g * g, out=dz_blocks[:, :, 2])
-        np.multiply(tc, o * (1.0 - o), out=dz_blocks[:, :, 3])
+        # block.  The time loop scales each step by the recurrent dc and dh
+        # into the row-major dz, whose padding rows stay zero, like those of
+        # xh.  Both share one buffer of T+1 step slots: local[t] is slot t
+        # and dz[t] slot t+1, which held local[t+1], consumed the step before.
+        n_rows = cache.xh.shape[1]
+        slots = np.empty((t_len + 1, n_rows * 4 * hid))
+        local = slots[:t_len, :n * 4 * hid].reshape(t_len, 4, n, hid)
+        np.multiply(g, i * (1.0 - i), out=local[:, 0])
+        np.multiply(cache.c[:t_len], f * (1.0 - f), out=local[:, 1])
+        np.multiply(i, 1.0 - g * g, out=local[:, 2])
+        np.multiply(tc, o * (1.0 - o), out=local[:, 3])
         dc_dh = o * (1.0 - tc * tc)
+        dz = slots[1:].reshape(t_len, n_rows, 4 * hid)
+        dz[:, n:] = 0.0
+        dz_gates = dz[:, :n].reshape(t_len, n, 4, hid).transpose(0, 2, 1, 3)
         dc = np.zeros((n, hid))
         for t in range(t_len - 1, -1, -1):
             dc += dh * dc_dh[t]
-            dz_blocks[t, :, :3] *= dc[:, None]
-            dz_blocks[t, :, 3] *= dh
+            np.multiply(local[t, :3], dc, out=dz_gates[t, :3])
+            np.multiply(local[t, 3], dh, out=dz_gates[t, 3])
             dh = dz[t, :n] @ self.w_h
             dc *= f[t]
         dz_rows = dz.reshape(-1, 4 * hid)
         # Rows [x_t, 1, h_{t-1}] give the columns [dw_x | db | dw_h].
         dw = dz_rows.T @ cache.xh[:t_len].reshape(-1, f_in + 1 + hid)
-        dxs = (dz_rows @ self.w_x).reshape(t_len, -1, f_in)[:, :n].transpose(1, 0, 2)
-        return dxs, dw[:, :f_in], dw[:, f_in + 1:], dw[:, f_in]
+        dxs = (dz_rows @ self.w_x[:, dx_from:]).reshape(t_len, -1, f_in - dx_from)[:, :n]
+        return dxs.transpose(1, 0, 2), dw[:, :f_in], dw[:, f_in + 1:], dw[:, f_in]
 
 
 # ---------------------------------------------------------------------------

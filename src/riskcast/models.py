@@ -40,8 +40,8 @@ from .tensor import SeededRng, derive_seed
 # Windows per batched forward call when scoring a whole set: large enough to
 # amortise the per-step Python work of the LSTM, small enough that one call's
 # LSTM buffers fit a 2 MB L2 cache.  Scoring keeps no activation history, so
-# a 256-window chunk needs about 0.7 MB of them at F=15, H=32 (a cached
-# 64-window call needs about 2.5 MB).
+# a 256-window chunk needs about 1.1 MB of them at F=15, H=32, the step's
+# product scratch included (a cached 64-window call needs about 2.7 MB).
 SCORE_CHUNK = 256
 
 
@@ -194,8 +194,8 @@ class HybridModel:
             )
         dhead_in, dw_head, db_head = self.head.backward(cache.head_cache, dscores[:, None])
         dh_last = dropout_backward(cache.dropout_mask, dhead_in[:, :d.hidden_size])
-        dlstm_in, dw_x, dw_h, db = self.lstm.backward(cache.lstm_cache, dh_last)
-        dconv_pre = dlstm_in[:, :, d.f_market:] * (cache.conv_pre > 0)
+        dconv, dw_x, dw_h, db = self.lstm.backward(cache.lstm_cache, dh_last, dx_from=d.f_market)
+        dconv_pre = dconv * (cache.conv_pre > 0)
         dkernels, dbias = self.conv.backward(cache.conv_cache, dconv_pre)
         return {
             "conv.kernels": dkernels,

@@ -427,6 +427,53 @@ class TestOutputPaths:
             self._assert_rejected(rc, capsys, tmp_path, message)
 
 
+class TestOutputOverwritesModel:
+    """An output path that is (after ``realpath``) a model file the command
+    reads is a parameter error (exit 2), raised before anything is read or
+    written, so the model file keeps its bytes."""
+
+    @pytest.fixture(autouse=True)
+    def no_reads(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("input read before the output path was checked")
+
+        monkeypatch.setattr(cli, "load_bundle", unreachable)
+        monkeypatch.setattr(cli, "load_model", unreachable)
+
+    @staticmethod
+    def _copies(tmp_path, *models):
+        copies = [tmp_path / model.name for model in models]
+        for model, copy in zip(models, copies):
+            copy.write_bytes(model.read_bytes())
+        return copies
+
+    @staticmethod
+    def _assert_refused(argv, model, capsys):
+        before = model.read_bytes()
+        assert main(argv) == 2
+        assert f"would overwrite the model file {model}" in capsys.readouterr().err
+        assert model.read_bytes() == before
+
+    def test_predict(self, workspace, tmp_path, capsys):
+        _, data_dir, hybrid, _ = workspace
+        (model,) = self._copies(tmp_path, hybrid)
+        self._assert_refused(["predict", "--model", str(model), "--data", str(data_dir),
+                              "--out", f"{tmp_path}/./{model.name}"], model, capsys)
+
+    def test_evaluate(self, workspace, tmp_path, capsys):
+        _, data_dir, hybrid, _ = workspace
+        (model,) = self._copies(tmp_path, hybrid)
+        self._assert_refused(["evaluate", "--model", str(model), "--data", str(data_dir),
+                              "--csv", f"{tmp_path}/./{model.name}"], model, capsys)
+
+    def test_compare(self, workspace, tmp_path, capsys):
+        _, data_dir, hybrid, linear = workspace
+        first, second = self._copies(tmp_path, hybrid, linear)
+        self._assert_refused(["compare", str(first), str(second), "--data", str(data_dir),
+                              "--csv", f"{tmp_path}/../{tmp_path.name}/{second.name}"],
+                             second, capsys)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command", ["predict", "train"])
     @pytest.mark.parametrize("filename,column", [("market.csv", "close"),

@@ -93,10 +93,9 @@ class TestConv1D:
 def _activations(cell, cache):
     """Batch-major views of what an ``LSTMCache`` holds: the gates i, f, g, o,
     and c_t, tanh(c_t) and h_t of every step."""
-    hid, f_in = cell.hidden_size, cell.input_size
+    f_in = cell.input_size
     n = cache.tanh_c.shape[1]
-    gates = cache.gates[:, :n].transpose(1, 0, 2)
-    i, f, o, g = (gates[:, :, k * hid:(k + 1) * hid] for k in range(4))
+    i, f, o, g = cache.gates.transpose(1, 2, 0, 3)
     return {"i": i, "f": f, "g": g, "o": o,
             "c": cache.c[1:].transpose(1, 0, 2),
             "tanh_c": cache.tanh_c.transpose(1, 0, 2),
@@ -194,6 +193,51 @@ class TestLSTM:
         assert np.all(np.abs(acts["g"]) == 1.0)
         assert np.all(np.isfinite(acts["c"]))
         assert np.all(np.abs(acts["hs"]) <= 1.0) and np.all(np.abs(acts["tanh_c"]) <= 1.0)
+
+    @pytest.mark.parametrize("batch", [1, 5, 9])
+    def test_cached_gates_are_contiguous_blocks(self, batch):
+        """The cache holds the gates gate-major: each gate of each step is
+        one C-contiguous [B x H] array."""
+        rng = SeededRng(41)
+        cell = LSTMCell.initialize(3, 4, rng)
+        _, cache = cell.forward(rng.normals(batch * 6 * 3).reshape(batch, 6, 3))
+        assert cache.gates.shape == (6, 4, batch, 4)
+        for t in range(6):
+            for k in range(4):
+                assert cache.gates[t, k].shape == (batch, 4)
+                assert cache.gates[t, k].flags.c_contiguous, (t, k)
+
+    # The hybrid model's LSTM at bench dims (7 market columns of 15) and at
+    # gradcheck's dims (2 of 4).
+    @pytest.mark.parametrize("f_in, hid, dx_from", [(15, 32, 7), (4, 3, 2)])
+    @pytest.mark.parametrize("batch", [1, 32, 33])
+    def test_conv_column_input_gradient_is_the_bitwise_slice(self, f_in, hid, dx_from, batch):
+        """``dx_from`` drops the leading input columns from the input
+        gradient; at the model's dims the rest is bitwise the all-column
+        gradient's slice, and the weight gradients do not change."""
+        rng = SeededRng(42 + batch)
+        cell = LSTMCell.initialize(f_in, hid, rng)
+        _, cache = cell.forward(rng.normals(batch * 20 * f_in).reshape(batch, 20, f_in))
+        dh = rng.normals(batch * hid).reshape(batch, hid)
+        whole = cell.backward(cache, dh)
+        part = cell.backward(cache, dh, dx_from=dx_from)
+        assert part[0].shape == (batch, 20, f_in - dx_from)
+        assert part[0].tobytes() == whole[0][:, :, dx_from:].tobytes()
+        for got, want in zip(part[1:], whole[1:]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_input_gradient_of_any_trailing_columns_matches_the_slice(self):
+        """For other column counts the narrower product may round
+        differently (the BLAS kernel picks its unrolling by width), so only
+        rounding-level agreement holds."""
+        rng = SeededRng(43)
+        cell = LSTMCell.initialize(15, 32, rng)
+        _, cache = cell.forward(rng.normals(9 * 20 * 15).reshape(9, 20, 15))
+        dh = rng.normals(9 * 32).reshape(9, 32)
+        whole = cell.backward(cache, dh)[0]
+        for dx_from in range(1, 15):
+            part = cell.backward(cache, dh, dx_from=dx_from)[0]
+            assert normwise_rel_error(part, whole[:, :, dx_from:]) < 1e-14, dx_from
 
     def test_hidden_states_bounded_by_one(self):
         rng = SeededRng(40)
@@ -503,15 +547,17 @@ class TestBlockInvariance:
 
 def test_block_invariance_holds_on_one_blas_thread():
     """Tier-1 runs with the default BLAS thread count and the benchmark pins
-    one thread; re-run the block-invariance tests under the latter."""
+    one thread; re-run the bitwise reference and block-invariance tests
+    under the latter."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.abspath(__file__)}::TestLSTMReference",
          f"{os.path.abspath(__file__)}::TestBlockInvariance"],
         cwd=root, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("14 passed"), proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("23 passed"), proc.stdout
 
 
 def _assert_batch_is_stacked_samples(layer, xs, dys, input_grad=True):
