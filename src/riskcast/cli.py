@@ -26,6 +26,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluation import (
+    check_threshold,
     compare_models,
     comparison_csv,
     comparison_table,
@@ -191,12 +192,12 @@ def cmd_train(args) -> int:
     if args.baseline is None and cfg.max_epochs == 0:
         raise ParameterError("--epochs must be >= 1 to train the hybrid model")
     grid = _parse_grid(args.grid or [], cfg, args.hidden)
+    pipe_cfg = pipeline.PipelineConfig(window=args.window, horizon=args.horizon)
     log_path = args.log or args.out + ".log.csv"
     _check_outputs(log_path, models=[args.out])
     _check_outputs(args.out)
     bundle = load_bundle(args.data)
     lexicon = _lexicon_from(args)
-    pipe_cfg = pipeline.PipelineConfig(window=args.window, horizon=args.horizon)
     train_set, val_set, test_set, pre = pipeline.make_datasets(
         bundle, lexicon, pipe_cfg, SplitSpec()
     )
@@ -260,12 +261,17 @@ def _load_model_with_recipe(path):
 
 
 def _test_block(args, preprocess):
-    """The test block of the samples that ``preprocess`` rebuilds from ``--data``."""
-    samples = pipeline.build_samples(load_bundle(args.data), _lexicon_from(args), preprocess)
-    return data_io.chronological_split(samples, pipeline.split_for(preprocess))[2]
+    """The test block of the samples that ``preprocess`` rebuilds from ``--data``.
+
+    Only the block's rows are built and only the news on them is scored; the
+    block is bitwise the one split from the full build.
+    """
+    return pipeline.build_samples(load_bundle(args.data), _lexicon_from(args), preprocess,
+                                  test_block=True)
 
 
 def cmd_evaluate(args) -> int:
+    check_threshold(args.threshold)
     _check_outputs(args.csv, models=[args.model])
     model = _load_model_with_recipe(args.model)
     test_set = _test_block(args, model.preprocess)
@@ -297,6 +303,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    check_threshold(args.threshold)
     _check_outputs(args.csv, models=args.models)
     models = [_load_model_with_recipe(path) for path in args.models]
     first = models[0].preprocess

@@ -354,25 +354,27 @@ class SplitSpec:
 
 
 def split_counts(n: int, spec: SplitSpec) -> tuple[int, int, int]:
-    n_train = int(n * spec.train_frac)
-    n_val = int(n * spec.val_frac)
-    return n_train, n_val, n - n_train - n_val
-
-
-def chronological_split(samples: SampleSet, spec: SplitSpec) -> tuple[SampleSet, SampleSet, SampleSet]:
-    """Partition samples into contiguous, time-ordered train/val/test blocks."""
-    n = len(samples)
+    """Train, validation and test counts of ``n`` samples; fewer than 10
+    samples, or a block left empty, is a ``DataError``."""
     if n < 10:
         raise DataError(f"chronological split needs at least 10 samples, got {n}")
-    n_train, n_val, n_test = split_counts(n, spec)
+    n_train = int(n * spec.train_frac)
+    n_val = int(n * spec.val_frac)
+    n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise DataError(
             f"split of {n} samples leaves an empty block: {n_train}/{n_val}/{n_test}"
         )
+    return n_train, n_val, n_test
+
+
+def chronological_split(samples: SampleSet, spec: SplitSpec) -> tuple[SampleSet, SampleSet, SampleSet]:
+    """Partition samples into contiguous, time-ordered train/val/test blocks."""
+    n_train, n_val, _ = split_counts(len(samples), spec)
     return (
         samples.subset(0, n_train),
         samples.subset(n_train, n_train + n_val),
-        samples.subset(n_train + n_val, n),
+        samples.subset(n_train + n_val, len(samples)),
     )
 
 

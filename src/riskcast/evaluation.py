@@ -33,12 +33,16 @@ def _check_pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
     return y, yhat
 
 
-def compute_accuracy(y, yhat, threshold: float = 0.5) -> float:
-    """Fraction of samples whose risk class (value > threshold) matches."""
-    y, yhat = _check_pair(y, yhat)
+def check_threshold(threshold: float) -> None:
     if not np.isfinite(threshold):
         # NaN or +-inf puts every finite value in one class: accuracy 1.0.
         raise ParameterError(f"threshold must be finite, got {threshold}")
+
+
+def compute_accuracy(y, yhat, threshold: float = 0.5) -> float:
+    """Fraction of samples whose risk class (value > threshold) matches."""
+    y, yhat = _check_pair(y, yhat)
+    check_threshold(threshold)
     return float(np.mean((y > threshold) == (yhat > threshold)))
 
 

@@ -318,33 +318,12 @@ def align_by_date(
     if len(market) == 0:
         raise DataError("market frame is empty")
     columns: dict[str, np.ndarray] = dict(market.columns)
-
-    def _add(name: str, values: np.ndarray) -> None:
-        if name in columns:
-            raise ParameterError(f"duplicate column name across sources: {name!r}")
-        columns[name] = values
-
     drop_mask = np.zeros(len(market), dtype=bool)
 
     if financial is not None and financial.columns:
         for name, values in _forward_fill_onto(market.days, financial).items():
-            _add(name, values)
+            _add_column(columns, name, values)
             drop_mask |= ~np.isfinite(values)
-
-    if sentiment is not None and sentiment.columns:
-        unknown = [n for n in sentiment.columns if n not in _NEUTRAL_SENTIMENT]
-        if unknown:
-            raise ParameterError(
-                f"sentiment frame has unrecognized columns {unknown}; "
-                f"expected a subset of {list(SENTIMENT_COLUMNS)}"
-            )
-        for name, values in _same_day_onto(market.days, sentiment, _NEUTRAL_SENTIMENT).items():
-            _add(name, values)
-
-    if policy is not None and policy.columns:
-        no_event = dict.fromkeys(policy.columns, 0.0)
-        for name, values in _same_day_onto(market.days, policy, no_event).items():
-            _add(name, values)
 
     keep = np.flatnonzero(~drop_mask)
     if keep.size == 0:
@@ -353,7 +332,44 @@ def align_by_date(
             f"alignment produced no rows: market covers {market.span()} "
             f"but financial data covers {fin_range}"
         )
-    return TimeSeriesFrame(market.days[keep], {n: v[keep] for n, v in columns.items()})
+    kept = TimeSeriesFrame(market.days[keep], {n: v[keep] for n, v in columns.items()})
+    return join_same_day(kept, sentiment=sentiment, policy=policy)
+
+
+def _add_column(columns: dict[str, np.ndarray], name: str, values: np.ndarray) -> None:
+    if name in columns:
+        raise ParameterError(f"duplicate column name across sources: {name!r}")
+    columns[name] = values
+
+
+def join_same_day(
+    frame: TimeSeriesFrame,
+    *,
+    sentiment: TimeSeriesFrame | None = None,
+    policy: TimeSeriesFrame | None = None,
+) -> TimeSeriesFrame:
+    """``frame`` with the sentiment, then the policy columns added: each row
+    takes the value dated on its own day, else the neutral score (sentiment)
+    or zero (policy).  Neither fill is NaN, so no row is dropped, and a row's
+    values do not depend on the other rows: joining a block of rows gives
+    those rows of the whole join.  ``frame`` may be empty.
+    """
+    columns: dict[str, np.ndarray] = dict(frame.columns)
+    if sentiment is not None and sentiment.columns:
+        unknown = [n for n in sentiment.columns if n not in _NEUTRAL_SENTIMENT]
+        if unknown:
+            raise ParameterError(
+                f"sentiment frame has unrecognized columns {unknown}; "
+                f"expected a subset of {list(SENTIMENT_COLUMNS)}"
+            )
+        for name, values in _same_day_onto(frame.days, sentiment, _NEUTRAL_SENTIMENT).items():
+            _add_column(columns, name, values)
+
+    if policy is not None and policy.columns:
+        no_event = dict.fromkeys(policy.columns, 0.0)
+        for name, values in _same_day_onto(frame.days, policy, no_event).items():
+            _add_column(columns, name, values)
+    return TimeSeriesFrame(frame.days, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ columns stay binary.
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_io import DatasetBundle, SplitSpec, chronological_split, split_counts
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .features import (
     SampleSet,
     aggregate_daily_sentiment,
@@ -25,6 +26,7 @@ from .features import (
     build_windows,
     daily_returns,
     fit_standardize,
+    join_same_day,
     moving_average,
     one_hot_encode,
     sentiment_scores,
@@ -44,14 +46,28 @@ class PipelineConfig:
     window: int = 20
     horizon: int = 5
 
+    def __post_init__(self):
+        if self.window < 1 or self.horizon < 1:
+            raise ParameterError(
+                f"window and horizon must be >= 1, got {self.window}, {self.horizon}"
+            )
+
 
 def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
-                   cfg: PipelineConfig, policy_vocab: list[str]) -> TimeSeriesFrame:
+                   cfg: PipelineConfig, policy_vocab: list[str],
+                   test_block_of: Preprocess | None = None) -> TimeSeriesFrame:
     """Aligned frame of raw (unstandardized) feature and target columns.
 
     Rows with any missing value (moving-average warm-up, rows before the
     first financial report, the unknowable final target rows excepted) are
-    dropped so the windowing stage sees a dense table.
+    dropped so the windowing stage sees a dense table.  Sentiment and policy
+    are joined after that drop, since their same-day fills are never missing;
+    the columns stay in market, financial, sentiment, policy order.
+
+    With ``test_block_of``, the frame starts at the first row that the test
+    block of that recipe's split reads (:func:`first_test_row`), and only
+    the news dated on or after that row's day is scored.  Each of its rows is
+    bitwise that row of the full frame.
     """
     market = bundle.market
     close = market.column("close")
@@ -67,16 +83,38 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
         "rvol": rvol,
         TARGET_COLUMN: rvol.copy(),
     })
-
-    days, texts = zip(*bundle.news) if bundle.news else ((), ())
-    sentiment = aggregate_daily_sentiment(days, sentiment_scores(texts, lexicon))
     financial = bundle.financial if len(bundle.financial) else None
     policy = None
     if policy_vocab:
         policy = one_hot_encode(bundle.policy, policy_vocab)
-    aligned = align_by_date(market_feat, financial=financial,
-                            sentiment=sentiment, policy=policy)
-    return drop_incomplete_rows(aligned)
+    rows = drop_incomplete_rows(align_by_date(market_feat, financial=financial))
+
+    news = bundle.news
+    start = 0 if test_block_of is None else first_test_row(rows.days, test_block_of)
+    if start:
+        rows = TimeSeriesFrame(rows.days[start:], {n: v[start:] for n, v in rows.columns.items()})
+        first_day = dt.date.fromordinal(int(rows.days[0]))
+        news = [item for item in news if item[0] >= first_day]
+    days, texts = zip(*news) if news else ((), ())
+    sentiment = aggregate_daily_sentiment(days, sentiment_scores(texts, lexicon))
+    return join_same_day(rows, sentiment=sentiment, policy=policy)
+
+
+def first_test_row(days: np.ndarray, preprocess: Preprocess) -> int:
+    """First row, of the aligned rows dated ``days``, that the test block of
+    ``preprocess``'s split reads.
+
+    The windows over those rows are counted and checked as
+    :func:`chronological_split` counts and checks them.  Window ``i`` reads
+    rows ``i .. i + window - 1``, so the test block, the windows from
+    ``n_train + n_val`` on, reads the rows from ``n_train + n_val`` on.  A
+    history too short for one window gives row 0, so that windowing reports it.
+    """
+    n_samples = len(days) - preprocess.window - preprocess.horizon + 1
+    if n_samples < 1:
+        return 0
+    n_train, n_val, _ = split_counts(n_samples, split_for(preprocess))
+    return n_train + n_val
 
 
 def _policy_vocabulary(bundle: DatasetBundle) -> list[str]:
@@ -141,11 +179,15 @@ def make_datasets(bundle: DatasetBundle, lexicon: SentimentLexicon,
 
 
 def build_samples(bundle: DatasetBundle, lexicon: SentimentLexicon,
-                  preprocess: Preprocess) -> SampleSet:
+                  preprocess: Preprocess, test_block: bool = False) -> SampleSet:
     """Rebuild samples from raw data under a stored preprocessing recipe.
 
     Used by evaluation and prediction so that features match the training
-    run bit for bit when given the same source data.
+    run bit for bit when given the same source data.  With ``test_block``,
+    only the test block of the recipe's split is built, from only the rows
+    and news it reads.  Standardization and the target's min-max map act on
+    one row at a time with the stored statistics, so the block is bitwise
+    the one that :func:`chronological_split` cuts from the full build.
     """
     missing = [name for name in preprocess.static_cols
                if name not in bundle.financial.columns]
@@ -155,7 +197,8 @@ def build_samples(bundle: DatasetBundle, lexicon: SentimentLexicon,
             "financial.csv or macro.csv is missing or incomplete"
         )
     cfg = PipelineConfig(window=preprocess.window, horizon=preprocess.horizon)
-    frame = assemble_frame(bundle, lexicon, cfg, preprocess.policy_vocab)
+    frame = assemble_frame(bundle, lexicon, cfg, preprocess.policy_vocab,
+                           test_block_of=preprocess if test_block else None)
     frame = apply_standardize(frame, preprocess.stats)
     samples = build_windows(frame, preprocess.seq_cols, preprocess.static_all,
                             TARGET_COLUMN, cfg.window, cfg.horizon)

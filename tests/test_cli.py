@@ -206,6 +206,22 @@ class TestTrain:
         assert "riskcast: error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--window", "--horizon"])
+    @pytest.mark.parametrize("data", ["missing", "present"])
+    def test_zero_window_or_horizon_is_a_parameter_error_before_any_read(
+            self, workspace, tmp_path, capsys, monkeypatch, flag, data):
+        data_dir = tmp_path / "missing" if data == "missing" else workspace[1]
+
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "load_bundle", no_read)
+        out = tmp_path / "zero.rcm"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out), flag, "0"])
+        assert rc == 2
+        assert "window and horizon must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("extra", [(), ("--grid", "lr=1e300,1e299")], ids=["plain", "grid"])
     def test_diverged_training_is_a_numerical_error_and_writes_nothing(
             self, workspace, tmp_path, capsys, extra):
@@ -300,6 +316,19 @@ class TestEvaluate:
         assert rc == 2
         assert "threshold must be finite" in capsys.readouterr().err
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_non_finite_threshold_is_rejected_before_any_read(self, tmp_path, capsys,
+                                                              command, threshold):
+        missing = tmp_path / "missing"
+        models = (["--model", str(missing / "m.rcm")] if command == "evaluate"
+                  else [str(missing / "a.rcm"), str(missing / "b.rcm")])
+        rc = main([command, *models, "--data", str(missing), f"--threshold={threshold}",
+                   "--csv", str(tmp_path / "metrics.csv")])
+        assert rc == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPredict:

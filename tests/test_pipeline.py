@@ -3,6 +3,7 @@ import pytest
 
 from riskcast import (
     DataError,
+    ParameterError,
     HybridModel,
     ModelDims,
     PipelineConfig,
@@ -199,3 +200,9 @@ def test_too_little_data_is_rejected():
     bundle.market = short
     with pytest.raises(DataError):
         make_datasets(bundle, default_lexicon(), PipelineConfig(), SplitSpec())
+
+
+@pytest.mark.parametrize("window,horizon", [(0, 5), (20, 0), (-1, 5)])
+def test_config_rejects_window_or_horizon_below_one(window, horizon):
+    with pytest.raises(ParameterError, match="window and horizon must be >= 1"):
+        PipelineConfig(window=window, horizon=horizon)
