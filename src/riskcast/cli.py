@@ -304,6 +304,10 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     check_threshold(args.threshold)
+    first_path, second_path = args.models
+    if os.path.realpath(first_path) == os.path.realpath(second_path):
+        raise ParameterError(f"{first_path} and {second_path} are the same model file; "
+                             "compare needs two models")
     _check_outputs(args.csv, models=args.models)
     models = [_load_model_with_recipe(path) for path in args.models]
     first = models[0].preprocess

@@ -391,9 +391,9 @@ _VALUES_PER_LINE = 12
 def _format_param(name: str, array: np.ndarray) -> list[str]:
     dims = " ".join(str(d) for d in array.shape)
     lines = [f"param {name} {array.ndim} {dims}"]
-    flat = array.reshape(-1)
-    for start in range(0, flat.size, _VALUES_PER_LINE):
-        lines.append(" ".join(repr(float(v)) for v in flat[start:start + _VALUES_PER_LINE]))
+    values = list(map(repr, array.reshape(-1).tolist()))
+    for start in range(0, len(values), _VALUES_PER_LINE):
+        lines.append(" ".join(values[start:start + _VALUES_PER_LINE]))
     return lines
 
 
@@ -479,19 +479,20 @@ def _parse_model_text(path) -> tuple[dict[str, str], Preprocess | None, dict[str
             if len(shape) != ndim:
                 raise ModelIOError(f"{path}: malformed param header {line!r}")
             count = int(np.prod(shape))
-            values: list[float] = []
+            tokens: list[str] = []
             i += 1
-            while len(values) < count:
-                if i >= len(lines):
-                    raise ModelIOError(
-                        f"{path}: truncated file: parameter {name!r} has "
-                        f"{len(values)} of {count} values"
-                    )
-                try:
-                    values.extend(float(tok) for tok in lines[i].split())
-                except ValueError as exc:
-                    raise ModelIOError(f"{path}: bad value in parameter {name!r}: {exc}") from exc
+            while len(tokens) < count and i < len(lines):
+                tokens += lines[i].split()
                 i += 1
+            try:
+                values = list(map(float, tokens))
+            except ValueError as exc:
+                raise ModelIOError(f"{path}: bad value in parameter {name!r}: {exc}") from exc
+            if len(values) < count:
+                raise ModelIOError(
+                    f"{path}: truncated file: parameter {name!r} has "
+                    f"{len(values)} of {count} values"
+                )
             if len(values) != count:
                 raise ModelIOError(
                     f"{path}: parameter {name!r} has {len(values)} values, expected {count}"

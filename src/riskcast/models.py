@@ -17,7 +17,10 @@ score does not depend on which other samples share its batch, bit for bit.
 
 from __future__ import annotations
 
+import contextvars
 import datetime as dt
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,21 @@ from .tensor import SeededRng, derive_seed
 # LSTM buffers fit a 2 MB L2 cache.  Scoring keeps no activation history, so
 # a 256-window chunk needs about 1.1 MB of them at F=15, H=32, the step's
 # product scratch included (a cached 64-window call needs about 2.7 MB).
+# Each part that ``prediction_scores`` scores at the same time holds its own
+# chunk's buffers, so two parts hold about 2.2 MB.
 SCORE_CHUNK = 256
+
+# Fewest windows per part when ``prediction_scores`` splits a set across
+# CPUs.  Below this the per-step Python work, which holds the interpreter
+# lock, outweighs the numpy loops that run beside each other.
+MIN_PART = 128
+
+# Most parts ``prediction_scores`` scores at the same time.  Two parts were
+# measured faster than one; more were never measured, and since the parts
+# share the interpreter lock between numpy calls, more threads are not known
+# to help.  The cap also bounds the threads a call starts on a large host
+# whose CPU quota is smaller than its affinity mask.
+MAX_PARTS = 2
 
 
 @dataclass(frozen=True)
@@ -303,19 +320,75 @@ def linreg_objective(model: LinearRegressionModel, samples: SampleSet) -> float:
     return float(resid @ resid + model.ridge_lambda * (beta @ beta))
 
 
+def _score_part(model, samples: SampleSet, scores: np.ndarray, start: int, stop: int) -> None:
+    for lo in range(start, stop, SCORE_CHUNK):
+        hi = min(lo + SCORE_CHUNK, stop)
+        scores[lo:hi] = model.forward(samples.x_seq[lo:hi], samples.x_static[lo:hi],
+                                      mode="infer", cache=False)[0]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
 def prediction_scores(model, samples: SampleSet) -> np.ndarray:
     """Inference-mode scores, one per sample, order preserved.
 
     Windows go through the model's batched forward ``SCORE_CHUNK`` at a
     time with ``cache=False``: no activation history is built, and peak
     memory stays flat however many windows are scored.
+
+    A ``HybridModel``'s set is split into ``min(MAX_PARTS, usable CPUs,
+    n // MIN_PART)`` contiguous parts that are scored at the same time,
+    where the usable CPUs are the process's affinity mask (the machine's
+    CPU count where the platform has no mask).  The calling thread scores
+    the first part, one short-lived thread each the rest, and all have
+    finished when this returns.  numpy releases the interpreter lock inside
+    its loops, so wall time falls; CPU time rises, as the parts contend for
+    the lock between numpy calls.  A linear model's forward is one block
+    product, which threads only slow down, so its set is never split.  A
+    window's score does not depend on its batch, so the scores are bitwise
+    the same for any part count.  Each part runs in a copy of the caller's
+    context, which carries numpy's error state (``np.errstate``).  An
+    exception raised in a part reaches the caller unchanged; when several
+    parts raise, the earliest part's does, the one the serial loop would
+    meet first.
     """
-    scores = np.empty(len(samples))
-    for start in range(0, len(samples), SCORE_CHUNK):
-        stop = start + SCORE_CHUNK
-        scores[start:stop] = model.forward(samples.x_seq[start:stop],
-                                           samples.x_static[start:stop],
-                                           mode="infer", cache=False)[0]
+    n = len(samples)
+    scores = np.empty(n)
+    parts = 1
+    if isinstance(model, HybridModel):
+        parts = min(MAX_PARTS, _usable_cpus(), n // MIN_PART)
+    if parts < 2:
+        _score_part(model, samples, scores, 0, n)
+        return scores
+    bounds = [n * i // parts for i in range(parts + 1)]
+    errors: list[BaseException | None] = [None] * parts
+
+    def score(i):
+        try:
+            _score_part(model, samples, scores, bounds[i], bounds[i + 1])
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors[i] = exc
+
+    workers = []
+    try:
+        for i in range(1, parts):
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(score, i))
+            worker.start()
+            workers.append(worker)
+        _score_part(model, samples, scores, 0, bounds[1])
+    finally:
+        for worker in workers:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return scores
 
 

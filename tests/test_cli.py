@@ -583,12 +583,40 @@ class TestCompare:
         assert lines[0] == "model,mse,accuracy,r2"
         assert len(lines) == 3  # header + one row per model
 
-    def test_identical_model_files_tie(self, workspace, capsys):
+    def test_identical_model_files_tie(self, workspace, tmp_path, capsys):
         _, data_dir, hybrid, _ = workspace
-        rc = main(["compare", str(hybrid), str(hybrid), "--data", str(data_dir)])
+        copy = tmp_path / "copy.rcm"
+        copy.write_bytes(hybrid.read_bytes())
+        rc = main(["compare", str(hybrid), str(copy), "--data", str(data_dir)])
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count(": tie") == 3
+
+    @pytest.mark.parametrize("second", ["{model}", "{dir}/./{name}", "{dir}/../{parent}/{name}",
+                                        "{link}"], ids=["same", "dot", "dotdot", "symlink"])
+    def test_same_model_file_twice_is_a_parameter_error_before_any_read(
+            self, workspace, tmp_path, monkeypatch, capsys, second):
+        """Comparing a model file with itself is a usage error: it would
+        only ever print a tie.  Two files with the same bytes still compare."""
+        _, data_dir, hybrid, _ = workspace
+
+        def unreachable(*args):
+            raise AssertionError("input read before the model paths were checked")
+
+        monkeypatch.setattr(cli, "load_bundle", unreachable)
+        monkeypatch.setattr(cli, "load_model", unreachable)
+        link = tmp_path / "link.rcm"
+        link.symlink_to(hybrid)
+        other = second.format(model=hybrid, dir=hybrid.parent, name=hybrid.name,
+                              parent=hybrid.parent.name, link=link)
+        for data in (data_dir, tmp_path / "missing"):
+            rc = main(["compare", str(hybrid), other, "--data", str(data),
+                       "--csv", str(tmp_path / "cmp.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"riskcast: error: {hybrid} and {other} are the same model file; "
+                "compare needs two models\n")
+        assert list(tmp_path.iterdir()) == [link]
 
     def test_mismatched_recipes_rejected(self, workspace, tmp_path, capsys):
         _, data_dir, hybrid, _ = workspace

@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,12 +19,20 @@ from riskcast import (
     DimensionError,
     HybridModel,
     LinearRegressionModel,
+    NumericalError,
+    SampleSet,
     SeededRng,
     linreg_fit,
     predict_batch,
 )
 from riskcast.layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
-from riskcast.models import SCORE_CHUNK, linreg_objective, prediction_scores
+from riskcast.models import (
+    MAX_PARTS,
+    MIN_PART,
+    SCORE_CHUNK,
+    linreg_objective,
+    prediction_scores,
+)
 from riskcast.training import mse_loss
 
 
@@ -249,6 +262,186 @@ class TestPredictBatch:
                     alone, _ = model.forward(samples.x_seq[start + j],
                                              samples.x_static[start + j])
                     assert score == alone == scored[start + j] == whole[start + j]
+
+
+def _allow_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _allow_parts(monkeypatch, count):
+    monkeypatch.setattr("riskcast.models.MAX_PARTS", count)
+
+
+def _expected_threads(model, cpus, n, max_parts=MAX_PARTS):
+    if not isinstance(model, HybridModel):
+        return 1
+    return max(1, min(max_parts, cpus, n // MIN_PART))
+
+
+class TestParallelScoring:
+    """``prediction_scores`` splits a hybrid's set into ``min(MAX_PARTS,
+    CPUs, n // MIN_PART)`` parts scored at the same time and never splits a
+    linear model's; the CPU count is patched to 1, 2 and 3, and some tests
+    raise ``MAX_PARTS`` to exercise more than two parts."""
+
+    DIMS = dict(window=10, conv_channels=8, hidden_size=32)
+
+    @pytest.fixture(scope="class")
+    def scoring_set(self):
+        samples = random_samples(2 * SCORE_CHUNK + 5, tiny_dims(**self.DIMS), seed=71)
+        return samples, (tiny_hybrid(seed=72, **self.DIMS), linreg_fit(samples))
+
+    @pytest.mark.parametrize("max_parts", [MAX_PARTS, 3])
+    @pytest.mark.parametrize("n", [1, 9, MIN_PART - 1, MIN_PART, MIN_PART + 1, 257,
+                                   2 * SCORE_CHUNK + 5])
+    def test_scores_do_not_depend_on_the_cpu_count(self, monkeypatch, scoring_set, n,
+                                                   max_parts):
+        samples, models = scoring_set
+        subset = samples.subset(0, n)
+        for model in models:
+            scored, callers = {}, {}
+            original = model.forward
+
+            def forward(*args, **kwargs):
+                callers[cpus].add(threading.current_thread())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(model, "forward", forward)
+            _allow_parts(monkeypatch, max_parts)
+            for cpus in (1, 2, 3):
+                _allow_cpus(monkeypatch, cpus)
+                callers[cpus] = set()
+                threads = threading.active_count()
+                scored[cpus] = prediction_scores(model, subset).tobytes()
+                assert threading.active_count() == threads, (model.kind, cpus)
+                assert len(callers[cpus]) == _expected_threads(model, cpus, n, max_parts), \
+                    (model.kind, cpus)
+            monkeypatch.undo()
+            assert scored[1] == scored[2] == scored[3], model.kind
+
+    @pytest.mark.parametrize("cpu_count", [None, 1, 2])
+    def test_a_platform_without_an_affinity_mask_uses_the_cpu_count(self, monkeypatch,
+                                                                    scoring_set, cpu_count):
+        """Where ``os.sched_getaffinity`` does not exist (macOS, Windows),
+        the part count comes from ``os.cpu_count()`` (1 when it is
+        unknown), and the scores are the same bytes."""
+        samples, (hybrid, _) = scoring_set
+        _allow_cpus(monkeypatch, 1)
+        serial = prediction_scores(hybrid, samples).tobytes()
+        callers = set()
+        original = hybrid.forward
+
+        def forward(*args, **kwargs):
+            callers.add(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, "forward", forward)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        threads = threading.active_count()
+        assert prediction_scores(hybrid, samples).tobytes() == serial
+        assert threading.active_count() == threads
+        assert len(callers) == _expected_threads(hybrid, cpu_count or 1, len(samples))
+
+    def test_a_thread_that_cannot_start_leaves_no_thread_running(self, monkeypatch,
+                                                                scoring_set):
+        """Three parts where the second worker fails to start: the caller
+        gets that error, and the worker that did start has been joined."""
+        samples, (hybrid, _) = scoring_set
+        _allow_parts(monkeypatch, 3)
+        _allow_cpus(monkeypatch, 3)
+        started = []
+        original_start = threading.Thread.start
+
+        def start(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            prediction_scores(hybrid, samples)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == threads
+
+    def test_more_parts_than_cpus_under_fast_thread_switches(self, monkeypatch, scoring_set):
+        """Four parts, switching threads every microsecond: each part still
+        writes exactly its own slice."""
+        samples, (hybrid, _) = scoring_set
+        interval = sys.getswitchinterval()
+        _allow_cpus(monkeypatch, 1)
+        serial = prediction_scores(hybrid, samples).tobytes()
+        _allow_parts(monkeypatch, len(samples) // MIN_PART)
+        _allow_cpus(monkeypatch, len(samples) // MIN_PART)
+        sys.setswitchinterval(1e-6)
+        try:
+            split = prediction_scores(hybrid, samples).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == serial
+
+    @pytest.mark.parametrize("cpus,last_too", [(2, False), (3, False), (3, True)],
+                             ids=["2-part-1", "3-part-1", "3-parts-1-and-2"])
+    def test_an_error_in_a_later_part_is_the_serial_error(self, monkeypatch, scoring_set,
+                                                          cpus, last_too):
+        """A forward that raises for a window of part 1 only (or also for
+        one of part 2): the caller gets the serial path's exception, which
+        names the earlier window, and every worker has ended."""
+        samples, (hybrid, _) = scoring_set
+        x_seq = np.array(samples.x_seq)
+        x_seq[len(samples) // cpus + 1, 0, 0] = np.nan
+        if last_too:
+            x_seq[-1, 0, 0] = np.nan
+        poisoned = SampleSet(x_seq, samples.x_static, samples.y, samples.days)
+        raised_in = []
+        original = hybrid.forward
+
+        def forward(x_seq, x_static, **kwargs):
+            bad = np.isnan(x_seq).any(axis=(1, 2))
+            if bad.any():
+                raised_in.append(threading.current_thread())
+                raise NumericalError(f"non-finite window, static {x_static[bad][0].tolist()}")
+            return original(x_seq, x_static, **kwargs)
+
+        monkeypatch.setattr(hybrid, "forward", forward)
+        _allow_parts(monkeypatch, cpus)
+        _allow_cpus(monkeypatch, 1)
+        with pytest.raises(NumericalError) as serial:
+            prediction_scores(hybrid, poisoned)
+        _allow_cpus(monkeypatch, cpus)
+        threads = threading.active_count()
+        with pytest.raises(NumericalError) as split:
+            prediction_scores(hybrid, poisoned)
+        assert threading.active_count() == threads
+        assert raised_in[-1] is not threading.current_thread()
+        assert type(split.value) is type(serial.value)
+        assert str(split.value) == str(serial.value)
+
+    def test_numpy_error_state_reaches_every_part(self, monkeypatch):
+        """Head weights that overflow every window: under ``np.errstate``
+        no part warns, and without it every CPU count warns as one does."""
+        model = tiny_hybrid(seed=73)
+        model.head.w[...] = 1e308
+        samples = random_samples(3 * MIN_PART + 7, tiny_dims(), seed=74)
+        _allow_parts(monkeypatch, 3)
+        raised, shown = {}, {}
+        for cpus in (1, 2, 3):
+            _allow_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert not np.isfinite(prediction_scores(model, samples)).all()
+                with pytest.raises(RuntimeWarning) as caught:
+                    prediction_scores(model, samples)
+            raised[cpus] = str(caught.value)
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("default")
+                prediction_scores(model, samples)
+            shown[cpus] = [(w.category, str(w.message), w.filename, w.lineno) for w in record]
+        assert raised[1] == raised[2] == raised[3]
+        assert shown[1] and shown[1] == shown[2] == shown[3]
 
 
 class TestBatchedHybrid:
