@@ -12,7 +12,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 from . import data_io, pipeline
 from .data_io import SplitSpec, load_bundle, load_model, save_model
@@ -32,7 +32,6 @@ from .evaluation import (
     comparison_table,
     compute_mse,
     evaluate_predictions,
-    report_csv,
     report_text,
 )
 from .frames import drop_incomplete_rows
@@ -55,15 +54,27 @@ exit codes:
 """
 
 
-def _check_outputs(*paths, models=()) -> None:
-    """Fail before any work when an output path is one of the model files in
-    ``models`` (a parameter error, exit 2), or is a directory or its
-    directory is missing (an I/O error, exit 5); ``None`` is an output not asked for."""
+def _config(cls, args):
+    """``cls`` built from the flags named after its fields.  The subparsers
+    leave a flag that was not given out of ``args``, so its field keeps the
+    default that ``cls`` declares."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.name in args})
+
+
+def _check_outputs(args, *paths, models=()) -> None:
+    """Fail before any work when an output path is a file the command reads:
+    one of ``models``, a data file under ``--data`` or the ``--lexicon`` file
+    (a parameter error, exit 2); or when it is a directory or its directory is
+    missing (an I/O error, exit 5).  ``None`` is an output not asked for."""
+    reads = [("model file", model) for model in models]
+    reads += [("input file", os.path.join(args.data, name)) for name in data_io.DATA_FILES]
+    if args.lexicon:
+        reads.append(("lexicon file", args.lexicon))
     for path in paths:
         if path is not None:
-            for model in models:
-                if os.path.realpath(path) == os.path.realpath(model):
-                    raise ParameterError(f"output {path} would overwrite the model file {model}")
+            for kind, source in reads:
+                if os.path.realpath(path) == os.path.realpath(source):
+                    raise ParameterError(f"output {path} would overwrite the {kind} {source}")
             directory = os.path.dirname(os.path.abspath(path))
             if not os.path.isdir(directory):
                 raise FileNotFoundError(errno.ENOENT, "output directory does not exist",
@@ -88,14 +99,7 @@ def _add_common_data_flags(sub):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = SynthConfig(
-        n_days=args.days,
-        seed=args.seed,
-        base_vol=args.base_vol,
-        regime_shift_prob=args.regime_prob,
-        kappa=args.kappa,
-        nonlinearity=args.nonlinear,
-    )
+    cfg = _config(SynthConfig, args)
     bundle = synth_generate(cfg)
     os.makedirs(args.out, exist_ok=True)
 
@@ -112,16 +116,9 @@ def cmd_gen_data(args) -> int:
     data_io.write_policy_csv(bundle.policy, _path("policy.csv"))
     manifest = {
         "generator": "riskcast gen-data",
-        "config": {
-            "n_days": cfg.n_days,
-            "seed": cfg.seed,
-            "base_vol": cfg.base_vol,
-            "regime_shift_prob": cfg.regime_shift_prob,
-            "kappa": cfg.kappa,
-            "nonlinearity": cfg.nonlinearity,
-        },
+        "config": asdict(cfg),
         "provenance": bundle.provenance,
-        "files": ["market.csv", "financial.csv", "macro.csv", "news.csv", "policy.csv"],
+        "files": list(data_io.DATA_FILES),
     }
     with open(_path("manifest.json"), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -165,37 +162,28 @@ def _parse_grid(tokens: list[str], cfg: TrainConfig, default_hidden: int
     return [(lr, hidden) for lr in lrs for hidden in hiddens]
 
 
-# Defaults of the flags that only the hybrid model reads.  Their argparse
-# default is None, so that `train --baseline linreg` can reject them.
-_HYBRID_DEFAULTS = {"lr": 1e-3, "hidden": 32, "batch_size": 32, "patience": 10}
+# The flags that only the hybrid model reads, by their destination in ``args``.
+_HYBRID_FLAGS = {"learning_rate": "--lr", "hidden_size": "--hidden",
+                 "batch_size": "--batch-size", "patience": "--patience", "grid": "--grid"}
 
 
 def cmd_train(args) -> int:
     if args.baseline is not None:
-        given = [name for name in (*_HYBRID_DEFAULTS, "grid") if getattr(args, name) is not None]
+        given = [flag for dest, flag in _HYBRID_FLAGS.items() if dest in args]
         if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise ParameterError(f"--baseline {args.baseline} does not use {flags} "
+            raise ParameterError(f"--baseline {args.baseline} does not use {', '.join(given)} "
                                  "(hybrid-model flags)")
-    for name, default in _HYBRID_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        max_epochs=args.epochs,
-        batch_size=args.batch_size,
-        patience=args.patience,
-        seed=args.seed,
-    )
+    cfg = _config(TrainConfig, args)
     # Checked on the baseline path too, so a bad --dropout never passes silently.
     dropout = DropoutSpec(args.dropout)
     if args.baseline is None and cfg.max_epochs == 0:
         raise ParameterError("--epochs must be >= 1 to train the hybrid model")
-    grid = _parse_grid(args.grid or [], cfg, args.hidden)
-    pipe_cfg = pipeline.PipelineConfig(window=args.window, horizon=args.horizon)
-    log_path = args.log or args.out + ".log.csv"
-    _check_outputs(log_path, models=[args.out])
-    _check_outputs(args.out)
+    hidden = getattr(args, "hidden_size", ModelDims.hidden_size)
+    grid = _parse_grid(getattr(args, "grid", []), cfg, hidden)
+    pipe_cfg = _config(pipeline.PipelineConfig, args)
+    log_path = getattr(args, "log", args.out + ".log.csv")
+    _check_outputs(args, args.out)
+    _check_outputs(args, log_path, models=[args.out])
     bundle = load_bundle(args.data)
     lexicon = _lexicon_from(args)
     train_set, val_set, test_set, pre = pipeline.make_datasets(
@@ -222,7 +210,7 @@ def cmd_train(args) -> int:
         )
         return HybridModel.initialize(dims, seed=seed, dropout_p=dropout.p)
 
-    if args.grid:
+    if "grid" in args:
         result = grid_search(factory, train_set, val_set, cfg, grid)
         for trial in result.trials:
             print(f"grid trial lr={trial.learning_rate} hidden={trial.hidden_size} "
@@ -230,7 +218,7 @@ def cmd_train(args) -> int:
         print(f"selected lr={result.learning_rate} hidden={result.hidden_size}")
         model, log = result.model, result.log
     else:
-        model = factory(args.hidden, cfg.seed)
+        model = factory(hidden, cfg.seed)
         model, log = fit(model, train_set, val_set, cfg)
     if log.best_epoch == 0:
         raise NumericalError(
@@ -270,23 +258,38 @@ def _test_block(args, preprocess):
                                   test_block=True)
 
 
-def cmd_evaluate(args) -> int:
+def _test_reports(args, paths) -> list:
+    """One ``(name, report)`` per model file in ``paths``, all scored on one
+    test block; every flag and path is checked before the first read."""
     check_threshold(args.threshold)
-    _check_outputs(args.csv, models=[args.model])
-    model = _load_model_with_recipe(args.model)
-    test_set = _test_block(args, model.preprocess)
-    scores = prediction_scores(model, test_set)
-    report = evaluate_predictions(test_set.y, scores, threshold=args.threshold)
-    name = f"{model.kind}[{os.path.basename(args.model)}]"
-    print(report_text(name, report))
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ParameterError(f"{paths[0]} and {paths[1]} are the same model file; "
+                             "compare needs two models")
+    _check_outputs(args, args.csv, models=paths)
+    models = [_load_model_with_recipe(path) for path in paths]
+    for path, model in zip(paths[1:], models[1:]):
+        if model.preprocess != models[0].preprocess:
+            raise DataError(
+                f"{path}: preprocessing recipe differs from {paths[0]}; "
+                "models must be trained on identical splits"
+            )
+    test_set = _test_block(args, models[0].preprocess)
+    return [(f"{model.kind}[{os.path.basename(path)}]",
+             evaluate_predictions(test_set.y, prediction_scores(model, test_set), args.threshold))
+            for path, model in zip(paths, models)]
+
+
+def cmd_evaluate(args) -> int:
+    reports = _test_reports(args, [args.model])
+    print(report_text(*reports[0]))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(report_csv(name, report))
+            handle.write(comparison_csv(reports))
     return 0
 
 
 def cmd_predict(args) -> int:
-    _check_outputs(args.out, models=[args.model])
+    _check_outputs(args, args.out, models=[args.model])
     model = _load_model_with_recipe(args.model)
     bundle = load_bundle(args.data)
     try:
@@ -303,31 +306,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    check_threshold(args.threshold)
-    first_path, second_path = args.models
-    if os.path.realpath(first_path) == os.path.realpath(second_path):
-        raise ParameterError(f"{first_path} and {second_path} are the same model file; "
-                             "compare needs two models")
-    _check_outputs(args.csv, models=args.models)
-    models = [_load_model_with_recipe(path) for path in args.models]
-    first = models[0].preprocess
-    for path, model in zip(args.models[1:], models[1:]):
-        if model.preprocess != first:
-            raise DataError(
-                f"{path}: preprocessing recipe differs from {args.models[0]}; "
-                "models must be trained on identical splits"
-            )
-    test_set = _test_block(args, first)
-    reports = []
-    for path, model in zip(args.models, models):
-        scores = prediction_scores(model, test_set)
-        name = f"{model.kind}[{os.path.basename(path)}]"
-        reports.append((name, evaluate_predictions(test_set.y, scores, args.threshold)))
-    comparison = compare_models(reports)
-    print(comparison_table(comparison))
+    reports = _test_reports(args, args.models)
+    print(comparison_table(compare_models(reports)))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(comparison_csv(comparison))
+            handle.write(comparison_csv(reports))
     return 0
 
 
@@ -360,6 +343,13 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _field_flag(sub, flag, cls, field, help="", **kwargs):
+    """``flag``, parsed into ``args.<field>`` and given no default of its own:
+    ``cls`` declares the default, which --help shows."""
+    sub.add_argument(flag, dest=field, metavar=flag[2:].replace("-", "_").upper(),
+                     help=f"{help} (default {getattr(cls, field)})".lstrip(), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskcast",
@@ -369,37 +359,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    gen = subparsers.add_parser("gen-data", help="write a synthetic CSV dataset")
-    gen.add_argument("--days", type=int, default=2000, help="trading days (200 to 2083186)")
-    gen.add_argument("--seed", type=int, default=42)
+    # In gen-data and train, a flag that was not given is left out of args,
+    # so that the config it feeds keeps its own default (_config).
+    gen = subparsers.add_parser("gen-data", help="write a synthetic CSV dataset",
+                                argument_default=argparse.SUPPRESS)
+    _field_flag(gen, "--days", SynthConfig, "n_days", type=int,
+                help="trading days (200 to 2083186)")
+    _field_flag(gen, "--seed", SynthConfig, "seed", type=int)
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--base-vol", type=float, default=0.01)
-    gen.add_argument("--regime-prob", type=float, default=0.04)
-    gen.add_argument("--kappa", type=float, default=0.8,
-                     help="planted sentiment-to-volatility coupling in [0, 1]")
-    gen.add_argument("--nonlinear", action=argparse.BooleanOptionalAction, default=True,
-                     help="plant a sentiment x trend interaction in the volatility")
+    _field_flag(gen, "--base-vol", SynthConfig, "base_vol", type=float)
+    _field_flag(gen, "--regime-prob", SynthConfig, "regime_shift_prob", type=float)
+    _field_flag(gen, "--kappa", SynthConfig, "kappa", type=float,
+                help="planted sentiment-to-volatility coupling in [0, 1]")
+    gen.add_argument("--nonlinear", dest="nonlinearity", action=argparse.BooleanOptionalAction,
+                     help="plant a sentiment x trend interaction in the volatility "
+                          f"(default {SynthConfig.nonlinearity})")
     gen.set_defaults(func=cmd_gen_data)
 
-    train = subparsers.add_parser("train", help="train the hybrid model or a baseline")
+    train = subparsers.add_parser("train", help="train the hybrid model or a baseline",
+                                  argument_default=argparse.SUPPRESS)
     _add_common_data_flags(train)
     train.add_argument("--out", required=True, help="model file to write")
-    train.add_argument("--log", default=None, help="epoch log CSV (default: <out>.log.csv)")
-    train.add_argument("--window", type=int, default=20, help="days per sample window")
-    train.add_argument("--horizon", type=int, default=5, help="days ahead for the risk target")
-    train.add_argument("--epochs", type=int, default=200)
-    train.add_argument("--lr", type=float, default=None, help="learning rate (default 1e-3)")
-    train.add_argument("--hidden", type=int, default=None, help="LSTM hidden size (default 32)")
-    train.add_argument("--batch-size", type=int, default=None, help="minibatch size (default 32)")
-    train.add_argument("--patience", type=int, default=None,
-                       help="epochs without a better validation mse before stopping "
-                            "(default 10)")
+    train.add_argument("--log", help="epoch log CSV (default: <out>.log.csv)")
+    _field_flag(train, "--window", pipeline.PipelineConfig, "window", type=int,
+                help="days per sample window")
+    _field_flag(train, "--horizon", pipeline.PipelineConfig, "horizon", type=int,
+                help="days ahead for the risk target")
+    _field_flag(train, "--epochs", TrainConfig, "max_epochs", type=int)
+    _field_flag(train, "--lr", TrainConfig, "learning_rate", type=float, help="learning rate")
+    _field_flag(train, "--hidden", ModelDims, "hidden_size", type=int, help="LSTM hidden size")
+    _field_flag(train, "--batch-size", TrainConfig, "batch_size", type=int,
+                help="minibatch size")
+    _field_flag(train, "--patience", TrainConfig, "patience", type=int,
+                help="epochs without a better validation mse before stopping")
     train.add_argument("--dropout", type=float, default=0.2)
-    train.add_argument("--seed", type=int, default=42)
+    _field_flag(train, "--seed", TrainConfig, "seed", type=int)
     train.add_argument("--baseline", choices=["linreg"], default=None,
                        help="fit the linear baseline instead of the hybrid; --grid, --lr, "
                             "--hidden, --batch-size and --patience are then errors")
-    train.add_argument("--grid", nargs="+", default=None, metavar="KEY=V1,V2",
+    train.add_argument("--grid", nargs="+", metavar="KEY=V1,V2",
                        help="grid search, e.g. --grid lr=0.001,0.01 hidden=16,32")
     train.set_defaults(func=cmd_train)
 

@@ -39,6 +39,8 @@ MODEL_MAGIC = "RISKCAST-MODEL v1"
 MARKET_COLUMNS = ("open", "close", "volume")
 FINANCIAL_COLUMNS = ("profit", "debt_ratio", "cash_flow")
 MACRO_COLUMNS = ("gdp", "cpi", "interest_rate")
+# The files of one dataset directory, in the order gen-data lists them.
+DATA_FILES = ("market.csv", "financial.csv", "macro.csv", "news.csv", "policy.csv")
 # Market values no price or volume can take: per column, the fault and its test against 0.
 _MARKET_INVALID = {"close": ("non-positive", np.less_equal), "volume": ("negative", np.less)}
 

@@ -132,10 +132,10 @@ def comparison_table(comparison: ComparisonReport) -> str:
     return "\n".join(lines)
 
 
-def comparison_csv(comparison: ComparisonReport) -> str:
-    """Machine-readable rows, full float precision."""
+def comparison_csv(rows: list[tuple[str, EvalReport]]) -> str:
+    """Machine-readable ``(name, report)`` rows, full float precision."""
     lines = ["model,mse,accuracy,r2"]
-    for name, report in comparison.rows:
+    for name, report in rows:
         lines.append(f"{name},{report.mse!r},{report.accuracy!r},{report.r2!r}")
     return "\n".join(lines) + "\n"
 
@@ -148,11 +148,4 @@ def report_text(name: str, report: EvalReport) -> str:
         f"mse: {report.mse!r}\n"
         f"accuracy: {report.accuracy!r}\n"
         f"r2: {report.r2!r}"
-    )
-
-
-def report_csv(name: str, report: EvalReport) -> str:
-    return (
-        "model,mse,accuracy,r2\n"
-        f"{name},{report.mse!r},{report.accuracy!r},{report.r2!r}\n"
     )

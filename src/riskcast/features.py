@@ -301,19 +301,12 @@ def _same_day_onto(days: np.ndarray, source: TimeSeriesFrame,
     return out
 
 
-def align_by_date(
-    market: TimeSeriesFrame,
-    *,
-    financial: TimeSeriesFrame | None = None,
-    sentiment: TimeSeriesFrame | None = None,
-    policy: TimeSeriesFrame | None = None,
-) -> TimeSeriesFrame:
-    """Join every source onto the market frame's date grid.
-
-    Fill rules per source: financial (and macro) columns are forward-filled
-    from the most recent prior report; sentiment gaps take the neutral score;
-    policy gaps are zero (no event).  Market rows dated before a financial
-    column's first report have no defensible fill and are dropped.
+def align_by_date(market: TimeSeriesFrame, *,
+                  financial: TimeSeriesFrame | None = None) -> TimeSeriesFrame:
+    """Join the financial (and macro) columns onto the market frame's date
+    grid, each forward-filled from its most recent prior report.  Market rows
+    dated before a column's first report have no defensible fill and are
+    dropped.  Sentiment and policy join afterwards, by :func:`join_same_day`.
     """
     if len(market) == 0:
         raise DataError("market frame is empty")
@@ -332,8 +325,7 @@ def align_by_date(
             f"alignment produced no rows: market covers {market.span()} "
             f"but financial data covers {fin_range}"
         )
-    kept = TimeSeriesFrame(market.days[keep], {n: v[keep] for n, v in columns.items()})
-    return join_same_day(kept, sentiment=sentiment, policy=policy)
+    return TimeSeriesFrame(market.days[keep], {n: v[keep] for n, v in columns.items()})
 
 
 def _add_column(columns: dict[str, np.ndarray], name: str, values: np.ndarray) -> None:

@@ -1,11 +1,13 @@
 """Model assemblies: the Conv1D+LSTM hybrid regressor and the linear baseline.
 
-Both models share a small duck-typed surface used by the trainer, the
-gradient checker, and persistence: ``params()`` returning live named
-parameter arrays, ``forward(x_seq, x_static, mode, rng, cache)`` returning
-``(scores, cache)``, and ``backward(cache, dscores)`` returning the parameter
-gradients by name.  With ``cache=False`` forward builds nothing for backward
-and returns ``None`` in its place; the scores are bitwise the same.
+Both models share a small duck-typed surface used by scoring and
+persistence: ``params()`` returning live named parameter arrays, and
+``forward(x_seq, x_static, mode, rng, cache)`` returning ``(scores, cache)``.
+The hybrid model, which the trainer and the gradient checker take, adds
+``backward(cache, dscores)`` returning the parameter gradients by name; the
+linear model is fitted exactly by :func:`linreg_fit` and has no backward.
+With ``cache=False`` forward builds nothing for backward and returns ``None``
+in its place; the scores are bitwise the same.
 
 Inputs are batch-first: ``x_seq`` is ``[B x T x F]`` and ``x_static`` is
 ``[B x S]``, giving ``B`` scores; backward takes their ``[B]`` gradient and
@@ -279,15 +281,6 @@ class LinearRegressionModel:
         if single:
             scores = float(scores[0])
         return scores, (flat[:n] if cache else None)
-
-    def backward(self, flat: np.ndarray, dscores) -> dict[str, np.ndarray]:
-        """Parameter gradients from the ``[B]`` score gradient; ``flat`` is the cache."""
-        dscores = np.asarray(dscores, dtype=np.float64)
-        if dscores.shape != (flat.shape[0],):
-            raise DimensionError(
-                f"upstream score gradient must be [{flat.shape[0]}], got {list(dscores.shape)}"
-            )
-        return {"weights": dscores @ flat, "bias": np.array([dscores.sum()])}
 
 
 def _design(samples: SampleSet) -> np.ndarray:

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_io import DatasetBundle
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .frames import TimeSeriesFrame, day_numbers, merge_outer
 from .lexicon import default_lexicon
 from .tensor import SeededRng, box_muller, derive_seed, unit_floats
@@ -105,8 +105,8 @@ class SynthConfig:
         if self.n_days > _MAX_DAYS:
             raise ParameterError(f"n_days must be <= {_MAX_DAYS}, the trading days from "
                                  f"{START_DATE} to {dt.date.max}, got {self.n_days}")
-        if self.base_vol <= 0:
-            raise ParameterError(f"base_vol must be positive, got {self.base_vol}")
+        if not 0 < self.base_vol < np.inf:
+            raise ParameterError(f"base_vol must be positive and finite, got {self.base_vol}")
         if not 0.0 <= self.regime_shift_prob <= 1.0:
             raise ParameterError(
                 f"regime_shift_prob must lie in [0, 1], got {self.regime_shift_prob}"
@@ -296,8 +296,14 @@ def synth_generate(cfg: SynthConfig) -> DatasetBundle:
     flips = rng_regime.next_floats(n) < cfg.regime_shift_prob
     regime_mult = np.where(np.cumsum(flips) % 2 == 1, _REGIME_VOL_MULT, 1.0)
 
-    market = TimeSeriesFrame(day_numbers(dates), _market(cfg, sentiment, regime_mult,
-                                                         rng_price, rng_open, rng_volume))
+    # A large base_vol drives prices past the float range; refuse that
+    # rather than hand on a zero or infinite price.
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = _market(cfg, sentiment, regime_mult, rng_price, rng_open, rng_volume)
+    if not all(np.all((values > 0) & (values < np.inf)) for values in columns.values()):
+        raise NumericalError(f"base_vol {cfg.base_vol} drives the price path out of the "
+                             "float range (a zero or infinite price)")
+    market = TimeSeriesFrame(day_numbers(dates), columns)
     news = _news(rng_news, dates, sentiment, pos_terms, neg_terms)
 
     # Quarterly financial reports: slow multiplicative walks.

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from riskcast import (
+    PipelineConfig,
+    SynthConfig,
+    TrainConfig,
     build_samples,
     chronological_split,
     default_lexicon,
@@ -129,16 +132,12 @@ class TestGenData:
                    for name in pinned}
         assert digests == pinned
 
-    def test_days_below_minimum_is_a_parameter_error(self, tmp_path, capsys):
-        rc = main(["gen-data", "--days", "50", "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert "n_days" in capsys.readouterr().err
-
-    def test_days_past_year_9999_is_a_parameter_error(self, tmp_path, capsys):
+    def test_price_path_out_of_float_range_exits_4_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x"
-        rc = main(["gen-data", "--days", "2083187", "--out", str(out)])
-        assert rc == 2
-        assert "n_days must be <= 2083186" in capsys.readouterr().err
+        assert main(["gen-data", "--days", "200", "--base-vol", "1e300", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "riskcast: error: base_vol 1e+300 drives the price path out of the float range "
+            "(a zero or infinite price)\n")
         assert not out.exists()
 
 
@@ -172,56 +171,6 @@ class TestTrain:
         assert len(trials) == 4
         assert any(line.startswith("selected ") for line in lines)
 
-    @pytest.mark.parametrize("extra", [(), ("--baseline", "linreg")], ids=["hybrid", "linreg"])
-    def test_dropout_out_of_range_is_a_parameter_error(self, workspace, tmp_path, capsys,
-                                                       extra):
-        _, data_dir, _, _ = workspace
-        out = tmp_path / "bad.rcm"
-        rc = main(["train", "--data", str(data_dir), "--out", str(out),
-                   "--dropout", "1.0", *extra])
-        assert rc == 2
-        assert "dropout" in capsys.readouterr().err
-        assert not out.exists()
-
-
-    @pytest.mark.parametrize("extra", [(), ("--grid", "lr=0.001,0.01")], ids=["plain", "grid"])
-    def test_zero_epochs_is_a_parameter_error_before_any_read(self, tmp_path, capsys, extra):
-        out = tmp_path / "zero.rcm"
-        rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out),
-                   "--epochs", "0", *extra])
-        assert rc == 2
-        assert "--epochs" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("flags", [
-        ("--grid", "lr=abc"), ("--grid", "hidden=1.5"), ("--hidden", "0"),
-        ("--grid", "hidden=0"), ("--lr", "nan"), ("--lr", "inf"), ("--grid", "lr=0.01,nan"),
-    ], ids=["grid-lr-abc", "grid-hidden-1.5", "hidden-0", "grid-hidden-0", "lr-nan", "lr-inf",
-            "grid-lr-nan"])
-    def test_bad_rate_or_hidden_size_is_a_parameter_error_before_any_read(
-            self, tmp_path, capsys, flags):
-        out = tmp_path / "bad.rcm"
-        rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out), *flags])
-        assert rc == 2
-        assert "riskcast: error:" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("flag", ["--window", "--horizon"])
-    @pytest.mark.parametrize("data", ["missing", "present"])
-    def test_zero_window_or_horizon_is_a_parameter_error_before_any_read(
-            self, workspace, tmp_path, capsys, monkeypatch, flag, data):
-        data_dir = tmp_path / "missing" if data == "missing" else workspace[1]
-
-        def no_read(path):
-            raise AssertionError(f"read {path}")
-
-        monkeypatch.setattr(cli, "load_bundle", no_read)
-        out = tmp_path / "zero.rcm"
-        rc = main(["train", "--data", str(data_dir), "--out", str(out), flag, "0"])
-        assert rc == 2
-        assert "window and horizon must be >= 1" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("extra", [(), ("--grid", "lr=1e300,1e299")], ids=["plain", "grid"])
     def test_diverged_training_is_a_numerical_error_and_writes_nothing(
             self, workspace, tmp_path, capsys, extra):
@@ -232,30 +181,6 @@ class TestTrain:
         assert rc == 4
         assert capsys.readouterr().err == (
             "riskcast: error: training diverged: no epoch of 2 reached a finite validation mse\n")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_log_naming_the_model_file_is_a_parameter_error_before_any_read(
-            self, tmp_path, capsys):
-        out = tmp_path / "m.rcm"
-        rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out),
-                   "--log", f"{tmp_path}/./m.rcm"])
-        assert rc == 2
-        assert "would overwrite the model file" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("flags", [
-        ("--grid", "lr=0.5", "hidden=3"), ("--lr", "5"), ("--hidden", "7"),
-        ("--patience", "3"), ("--batch-size", "1"),
-    ], ids=["grid", "lr", "hidden", "patience", "batch-size"])
-    def test_hybrid_flag_with_linear_baseline_is_a_parameter_error_before_any_read(
-            self, tmp_path, capsys, flags):
-        """The linear fit reads none of these flags, so giving one is an error
-        rather than a silent no-op."""
-        out = tmp_path / "linear.rcm"
-        rc = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out),
-                   "--baseline", "linreg", *flags])
-        assert rc == 2
-        assert f"--baseline linreg does not use {flags[0]}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_epochs_still_fits_the_linear_baseline(self, workspace, tmp_path, capsys):
@@ -301,34 +226,6 @@ class TestEvaluate:
         assert float(printed["mse"]) == report.mse
         assert float(printed["accuracy"]) == report.accuracy
         assert float(printed["r2"]) == report.r2
-
-
-    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("command", ["evaluate", "compare"])
-    def test_non_finite_threshold_is_a_parameter_error(self, workspace, tmp_path, capsys,
-                                                       command, threshold):
-        _, data_dir, hybrid, linear = workspace
-        csv_path = tmp_path / "metrics.csv"
-        models = (["--model", str(hybrid)] if command == "evaluate"
-                  else [str(hybrid), str(linear)])
-        rc = main([command, *models, "--data", str(data_dir),
-                   f"--threshold={threshold}", "--csv", str(csv_path)])
-        assert rc == 2
-        assert "threshold must be finite" in capsys.readouterr().err
-        assert not csv_path.exists()
-
-    @pytest.mark.parametrize("threshold", ["nan", "inf"])
-    @pytest.mark.parametrize("command", ["evaluate", "compare"])
-    def test_non_finite_threshold_is_rejected_before_any_read(self, tmp_path, capsys,
-                                                              command, threshold):
-        missing = tmp_path / "missing"
-        models = (["--model", str(missing / "m.rcm")] if command == "evaluate"
-                  else [str(missing / "a.rcm"), str(missing / "b.rcm")])
-        rc = main([command, *models, "--data", str(missing), f"--threshold={threshold}",
-                   "--csv", str(tmp_path / "metrics.csv")])
-        assert rc == 2
-        assert "threshold must be finite" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestPredict:
@@ -454,53 +351,6 @@ class TestOutputPaths:
         for bad, message in self._bad_outputs(tmp_path):
             rc = main([command, *models, "--data", str(data_dir), "--csv", str(bad)])
             self._assert_rejected(rc, capsys, tmp_path, message)
-
-
-class TestOutputOverwritesModel:
-    """An output path that is (after ``realpath``) a model file the command
-    reads is a parameter error (exit 2), raised before anything is read or
-    written, so the model file keeps its bytes."""
-
-    @pytest.fixture(autouse=True)
-    def no_reads(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("input read before the output path was checked")
-
-        monkeypatch.setattr(cli, "load_bundle", unreachable)
-        monkeypatch.setattr(cli, "load_model", unreachable)
-
-    @staticmethod
-    def _copies(tmp_path, *models):
-        copies = [tmp_path / model.name for model in models]
-        for model, copy in zip(models, copies):
-            copy.write_bytes(model.read_bytes())
-        return copies
-
-    @staticmethod
-    def _assert_refused(argv, model, capsys):
-        before = model.read_bytes()
-        assert main(argv) == 2
-        assert f"would overwrite the model file {model}" in capsys.readouterr().err
-        assert model.read_bytes() == before
-
-    def test_predict(self, workspace, tmp_path, capsys):
-        _, data_dir, hybrid, _ = workspace
-        (model,) = self._copies(tmp_path, hybrid)
-        self._assert_refused(["predict", "--model", str(model), "--data", str(data_dir),
-                              "--out", f"{tmp_path}/./{model.name}"], model, capsys)
-
-    def test_evaluate(self, workspace, tmp_path, capsys):
-        _, data_dir, hybrid, _ = workspace
-        (model,) = self._copies(tmp_path, hybrid)
-        self._assert_refused(["evaluate", "--model", str(model), "--data", str(data_dir),
-                              "--csv", f"{tmp_path}/./{model.name}"], model, capsys)
-
-    def test_compare(self, workspace, tmp_path, capsys):
-        _, data_dir, hybrid, linear = workspace
-        first, second = self._copies(tmp_path, hybrid, linear)
-        self._assert_refused(["compare", str(first), str(second), "--data", str(data_dir),
-                              "--csv", f"{tmp_path}/../{tmp_path.name}/{second.name}"],
-                             second, capsys)
 
 
 class TestNonFiniteInput:
@@ -653,6 +503,25 @@ class TestGradcheck:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv, cls, given", [
+        (["gen-data", "--out", "d"], SynthConfig, {}),
+        (["gen-data", "--out", "d", "--days", "300", "--seed", "7", "--base-vol", "0.02",
+          "--regime-prob", "0.1", "--kappa", "0", "--no-nonlinear"], SynthConfig,
+         {"n_days": 300, "seed": 7, "base_vol": 0.02, "regime_shift_prob": 0.1, "kappa": 0.0,
+          "nonlinearity": False}),
+        (["train", "--data", "d", "--out", "m"], TrainConfig, {}),
+        (["train", "--data", "d", "--out", "m", "--lr", "0.01", "--epochs", "3",
+          "--batch-size", "8", "--patience", "2", "--seed", "9"], TrainConfig,
+         {"learning_rate": 0.01, "max_epochs": 3, "batch_size": 8, "patience": 2, "seed": 9}),
+        (["train", "--data", "d", "--out", "m"], PipelineConfig, {}),
+        (["train", "--data", "d", "--out", "m", "--window", "10", "--horizon", "3"],
+         PipelineConfig, {"window": 10, "horizon": 3}),
+    ], ids=["synth-defaults", "synth-flags", "train-defaults", "train-flags",
+            "pipeline-defaults", "pipeline-flags"])
+    def test_configs_take_given_flags_and_their_own_defaults(self, argv, cls, given):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._config(cls, args) == cls(**given)
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--out", "x", "--bogus"])

@@ -16,7 +16,6 @@ from riskcast.evaluation import (
     EvalReport,
     comparison_csv,
     comparison_table,
-    report_csv,
 )
 
 
@@ -164,13 +163,13 @@ class TestRendering:
             ("hybrid", _report(0.012, 0.924, 0.89)),
             ("linreg", _report(0.034, 0.781, 0.72)),
         ])
-        lines = comparison_csv(comparison).strip().splitlines()
+        lines = comparison_csv(comparison.rows).strip().splitlines()
         assert lines[0] == "model,mse,accuracy,r2"
         assert len(lines) == 3
         name, mse, acc, r2 = lines[1].split(",")
         assert name == "hybrid" and float(mse) == 0.012
 
     def test_single_report_csv(self):
-        text = report_csv("m", _report(0.5, 0.75, 0.25))
+        text = comparison_csv([("m", _report(0.5, 0.75, 0.25))])
         assert text.splitlines()[0] == "model,mse,accuracy,r2"
         assert text.splitlines()[1].startswith("m,0.5,")

@@ -21,6 +21,7 @@ from riskcast.features import (
     align_by_date,
     build_windows,
     daily_returns,
+    join_same_day,
     moving_average,
     sentiment_score,
     trailing_volatility,
@@ -290,7 +291,7 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
     policy = TimeSeriesFrame(day_numbers([dt.date(2021, 2, 1), dt.date(2021, 3, 3),
                                           dt.date(2021, 3, 13)]),
                              {"hike": np.array([1.0, 1.0, 1.0])})
-    aligned = align_by_date(market, sentiment=sentiment, policy=policy)
+    aligned = join_same_day(align_by_date(market), sentiment=sentiment, policy=policy)
     _assert_frames_equal(aligned, ref_align_by_date(market, sentiment=sentiment, policy=policy))
     compound = dict(zip(aligned.dates, aligned.column("compound")))
     assert compound[dt.date(2021, 3, 8)] == 0.0   # weekend news does not carry to Monday
@@ -304,7 +305,7 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
 
 def test_sentiment_frame_without_rows_fills_neutral():
     market = TimeSeriesFrame(day_numbers(_days(dt.date(2021, 3, 1), 4)), {"close": np.ones(4)})
-    aligned = align_by_date(market, sentiment=aggregate_daily_sentiment([], []))
+    aligned = join_same_day(align_by_date(market), sentiment=aggregate_daily_sentiment([], []))
     assert np.array_equal(aligned.column("neu"), np.ones(4))
     assert np.array_equal(aligned.column("pos"), np.zeros(4))
 

@@ -19,7 +19,7 @@ from riskcast import (
     one_hot_encode,
     sentiment_score,
 )
-from riskcast.features import SentimentScore, daily_returns, trailing_volatility
+from riskcast.features import SentimentScore, daily_returns, join_same_day, trailing_volatility
 from riskcast.frames import day_numbers, drop_incomplete_rows, merge_outer
 from riskcast.lexicon import SentimentLexicon
 
@@ -262,7 +262,7 @@ class TestAlign:
             "neu": np.array([0.5]), "compound": np.array([0.6]),
         })
         pol = TimeSeriesFrame(day_numbers([market.dates[2]]), {"hike": np.array([1.0])})
-        aligned = align_by_date(market, sentiment=sent, policy=pol)
+        aligned = join_same_day(align_by_date(market), sentiment=sent, policy=pol)
         assert np.array_equal(aligned.column("neu"), [1.0, 0.5, 1.0, 1.0])
         assert np.array_equal(aligned.column("compound"), [0.0, 0.6, 0.0, 0.0])
         assert np.array_equal(aligned.column("hike"), [0.0, 0.0, 1.0, 0.0])

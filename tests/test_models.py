@@ -204,17 +204,6 @@ class TestLinearRegression:
             )
             assert linreg_objective(perturbed, samples) >= base
 
-    def test_backward_takes_one_upstream_gradient_per_sample(self):
-        dims = tiny_dims()
-        model = linreg_fit(random_samples(40, dims, seed=37))
-        samples = random_samples(4, dims, seed=38)
-        _, batch_cache = model.forward(samples.x_seq, samples.x_static)
-        _, sample_cache = model.forward(samples.x_seq[0], samples.x_static[0])
-        for cache, upstream in ((batch_cache, np.ones(3)), (batch_cache, 1.0),
-                                (sample_cache, 1.0)):
-            with pytest.raises(DimensionError):
-                model.backward(cache, upstream)
-
     def test_needs_at_least_two_samples(self):
         samples = random_samples(1, tiny_dims(), seed=18)
         with pytest.raises(DataError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskcast import ParameterError, SynthConfig, default_lexicon, synth_generate
+from riskcast import NumericalError, ParameterError, SynthConfig, default_lexicon, synth_generate
 from riskcast.features import (
     aggregate_daily_sentiment,
     daily_returns,
@@ -90,6 +90,13 @@ class TestGeneratedSeries:
         for name in ("open", "close", "volume"):
             values = market.column(name)
             assert np.all(np.isfinite(values)) and np.all(values > 0)
+
+    @pytest.mark.parametrize("base_vol", [1e300, 100.0], ids=["overflow", "underflow"])
+    def test_price_path_out_of_float_range_is_a_numerical_error(self, base_vol):
+        """A finite but huge volatility drives prices to inf or to 0; the
+        generator refuses instead of returning them."""
+        with pytest.raises(NumericalError, match="out of the float range"):
+            synth_generate(SynthConfig(n_days=200, base_vol=base_vol))
 
     def test_financial_and_macro_start_on_day_one(self):
         bundle = synth_generate(SynthConfig(n_days=250, seed=9))

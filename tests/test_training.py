@@ -116,9 +116,24 @@ def _linear_sets(n_train=40, n_val=20):
     return train, val, dims
 
 
+class _TrainableLinear(LinearRegressionModel):
+    """The linear model with a ``backward``, so that ``fit`` and
+    ``gradient_check`` can run on a model whose gradient is exact.  The
+    product fits the linear model by ``linreg_fit`` and needs none."""
+
+    def backward(self, flat: np.ndarray, dscores) -> dict[str, np.ndarray]:
+        """Parameter gradients from the ``[B]`` score gradient; ``flat`` is the cache."""
+        dscores = np.asarray(dscores, dtype=np.float64)
+        if dscores.shape != (flat.shape[0],):
+            raise DimensionError(
+                f"upstream score gradient must be [{flat.shape[0]}], got {list(dscores.shape)}"
+            )
+        return {"weights": dscores @ flat, "bias": np.array([dscores.sum()])}
+
+
 def _fresh_linear_model(dims):
     n_features = dims.window * dims.f_seq + dims.f_static
-    return LinearRegressionModel(np.zeros(n_features), 0.0)
+    return _TrainableLinear(np.zeros(n_features), 0.0)
 
 
 class TestFit:
@@ -254,7 +269,7 @@ class TestGridSearch:
 class TestGradientCheck:
     def test_linear_model_is_exact_to_roundoff(self):
         rng = SeededRng(50)
-        model = LinearRegressionModel(rng.normals(9), 0.3)
+        model = _TrainableLinear(rng.normals(9), 0.3)
         x_seq = rng.normals(6).reshape(3, 2)
         x_static = rng.normals(3)
         result = gradient_check(model, x_seq, x_static, target=0.4)
