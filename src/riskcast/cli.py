@@ -100,6 +100,9 @@ def _add_common_data_flags(sub):
 
 def cmd_gen_data(args) -> int:
     cfg = _config(SynthConfig, args)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        # The error os.makedirs raises below, raised before generating.
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
     bundle = synth_generate(cfg)
     os.makedirs(args.out, exist_ok=True)
 
@@ -175,7 +178,7 @@ def cmd_train(args) -> int:
                                  "(hybrid-model flags)")
     cfg = _config(TrainConfig, args)
     # Checked on the baseline path too, so a bad --dropout never passes silently.
-    dropout = DropoutSpec(args.dropout)
+    dropout = _config(DropoutSpec, args)
     if args.baseline is None and cfg.max_epochs == 0:
         raise ParameterError("--epochs must be >= 1 to train the hybrid model")
     hidden = getattr(args, "hidden_size", ModelDims.hidden_size)
@@ -322,7 +325,7 @@ def cmd_compare(args) -> int:
 def cmd_gradcheck(args) -> int:
     dims = ModelDims(window=4, f_market=2, f_sentiment=3, f_static=3,
                      conv_channels=2, kernel_width=3, hidden_size=3)
-    model = HybridModel.initialize(dims, seed=args.seed, dropout_p=0.2)
+    model = HybridModel.initialize(dims, seed=args.seed)
     rng = SeededRng(derive_seed(args.seed, 0x47434B))
     x_seq = rng.normals(dims.window * dims.f_seq).reshape(dims.window, dims.f_seq)
     x_static = rng.normals(dims.f_static)
@@ -392,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                 help="minibatch size")
     _field_flag(train, "--patience", TrainConfig, "patience", type=int,
                 help="epochs without a better validation mse before stopping")
-    train.add_argument("--dropout", type=float, default=0.2)
+    _field_flag(train, "--dropout", DropoutSpec, "p", type=float,
+                help="dropout probability on the LSTM's last hidden state")
     _field_flag(train, "--seed", TrainConfig, "seed", type=int)
     train.add_argument("--baseline", choices=["linreg"], default=None,
                        help="fit the linear baseline instead of the hybrid; --grid, --lr, "

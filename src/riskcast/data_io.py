@@ -12,8 +12,12 @@ it holds a ``,``, ``"``, LF or CR:
 
 Model files are a versioned, self-describing text format: the magic line
 ``RISKCAST-MODEL v1``, architecture headers, an embedded preprocessing
-block, then flat parameter blocks.  Floats round-trip bit-exactly via
-shortest-repr formatting.
+block, then flat parameter blocks.  The headers come from the model's own
+fields (a hybrid's ``ModelDims`` and dropout, a linear model's feature
+count and ridge term) and the parameter blocks follow its ``params()``
+order.  Floats round-trip bit-exactly via shortest-repr formatting.  One
+reader checks every parameter block: its header must parse, its value
+count must match its shape and its values must be finite.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import datetime as dt
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -384,128 +388,102 @@ def chronological_split(samples: SampleSet, spec: SplitSpec) -> tuple[SampleSet,
 # Model persistence
 # ---------------------------------------------------------------------------
 
-_HYBRID_PARAM_ORDER = ("conv.kernels", "conv.bias", "lstm.w_x", "lstm.w_h",
-                       "lstm.b", "head.w", "head.b")
-_LINEAR_PARAM_ORDER = ("weights", "bias")
 _VALUES_PER_LINE = 12
-
-
-def _format_param(name: str, array: np.ndarray) -> list[str]:
-    dims = " ".join(str(d) for d in array.shape)
-    lines = [f"param {name} {array.ndim} {dims}"]
-    values = list(map(repr, array.reshape(-1).tolist()))
-    for start in range(0, len(values), _VALUES_PER_LINE):
-        lines.append(" ".join(values[start:start + _VALUES_PER_LINE]))
-    return lines
 
 
 def save_model(model, path) -> None:
     """Write a model (and its preprocessing recipe, if any) as versioned text."""
-    lines = [MODEL_MAGIC, f"kind {model.kind}"]
     if isinstance(model, HybridModel):
-        d = model.dims
-        lines += [
-            f"window {d.window}",
-            f"f_market {d.f_market}",
-            f"f_sentiment {d.f_sentiment}",
-            f"f_static {d.f_static}",
-            f"conv_channels {d.conv_channels}",
-            f"kernel_width {d.kernel_width}",
-            f"hidden_size {d.hidden_size}",
-            f"dropout_p {model.dropout.p!r}",
-        ]
-        order = _HYBRID_PARAM_ORDER
+        headers = {**asdict(model.dims), "dropout_p": model.dropout.p}
     elif isinstance(model, LinearRegressionModel):
-        lines += [
-            f"n_features {model.n_features}",
-            f"ridge_lambda {model.ridge_lambda!r}",
-        ]
-        order = _LINEAR_PARAM_ORDER
+        headers = {"n_features": model.n_features, "ridge_lambda": model.ridge_lambda}
     else:
         raise ModelIOError(f"cannot persist model of type {type(model).__name__}")
+    lines = [MODEL_MAGIC, f"kind {model.kind}"]
+    lines += [f"{name} {value!r}" for name, value in headers.items()]
     if model.preprocess is not None:
         lines += model.preprocess.to_lines()
-    params = model.params()
-    for name in order:
-        lines += _format_param(name, params[name])
+    for name, array in model.params().items():
+        lines.append(f"param {name} {array.ndim} {' '.join(map(str, array.shape))}")
+        values = list(map(repr, array.reshape(-1).tolist()))
+        lines += [" ".join(values[start:start + _VALUES_PER_LINE])
+                  for start in range(0, len(values), _VALUES_PER_LINE)]
     lines.append("end")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
+def _read_param(path, header: str, lines) -> tuple[str, np.ndarray]:
+    """The name and array of the parameter that the ``param`` line ``header``
+    opens, its values taken from the lines that follow in ``lines``, up to
+    the next ``param`` or ``end`` line.  The header must parse, the value
+    count must match its shape and every value must be finite."""
+    tokens = header.split()
+    try:
+        name, ndim, shape = tokens[1], int(tokens[2]), tuple(map(int, tokens[3:]))
+        valid = len(shape) == ndim and min(shape, default=0) >= 0
+    except (IndexError, ValueError):
+        valid = False
+    if not valid:
+        raise ModelIOError(f"{path}: malformed param header {header!r}")
+    count = int(np.prod(shape))
+    values: list[str] = []
+    while len(values) < count:
+        tokens = next(lines, "end").split()
+        if tokens[:1] in (["param"], ["end"]):
+            raise ModelIOError(f"{path}: parameter {name!r} is truncated: it has "
+                               f"{len(values)} of {count} values")
+        values += tokens
+    if len(values) != count:
+        raise ModelIOError(f"{path}: parameter {name!r} has {len(values)} values, "
+                           f"expected {count}")
+    try:
+        array = np.array(values, dtype=np.float64)
+    except ValueError as exc:
+        raise ModelIOError(f"{path}: bad value in parameter {name!r}: {exc}") from exc
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ModelIOError(f"{path}: parameter {name!r} holds the non-finite value "
+                           f"{values[int(np.argmin(finite))]}")
+    return name, array.reshape(shape)
+
+
 def _parse_model_text(path) -> tuple[dict[str, str], Preprocess | None, dict[str, np.ndarray]]:
+    """The headers, preprocessing recipe and parameters of a model file."""
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != MODEL_MAGIC:
-        found = lines[0] if lines else "<empty file>"
+        lines = iter(handle.read().splitlines())
+    found = next(lines, "<empty file>")
+    if found != MODEL_MAGIC:
         raise ModelIOError(
             f"{path}: not a recognized model file (expected {MODEL_MAGIC!r}, found {found!r})"
         )
     headers: dict[str, str] = {}
     preprocess: Preprocess | None = None
     params: dict[str, np.ndarray] = {}
-    i = 1
-    ended = False
-    while i < len(lines):
-        line = lines[i]
-        tokens = line.split()
+    for line in lines:
+        tokens = line.split(maxsplit=1)
         if not tokens:
-            i += 1
             continue
         if tokens[0] == "end":
-            ended = True
-            break
-        if tokens[0] == "preprocess" and tokens[1:] == ["begin"]:
+            return headers, preprocess, params
+        if line.split() == ["preprocess", "begin"]:
             block = []
-            i += 1
-            while i < len(lines) and lines[i].split() != ["preprocess", "end"]:
-                block.append(lines[i])
-                i += 1
-            if i >= len(lines):
+            for inner in lines:
+                if inner.split() == ["preprocess", "end"]:
+                    break
+                block.append(inner)
+            else:
                 raise ModelIOError(f"{path}: truncated inside the preprocess block")
             try:
                 preprocess = Preprocess.from_lines(block)
             except ModelIOError as exc:
                 raise ModelIOError(f"{path}: {exc}") from exc
-            i += 1
-            continue
-        if tokens[0] == "param":
-            if len(tokens) < 3:
-                raise ModelIOError(f"{path}: malformed param header {line!r}")
-            name = tokens[1]
-            try:
-                ndim = int(tokens[2])
-                shape = tuple(int(t) for t in tokens[3:3 + ndim])
-            except ValueError as exc:
-                raise ModelIOError(f"{path}: malformed param header {line!r}") from exc
-            if len(shape) != ndim:
-                raise ModelIOError(f"{path}: malformed param header {line!r}")
-            count = int(np.prod(shape))
-            tokens: list[str] = []
-            i += 1
-            while len(tokens) < count and i < len(lines):
-                tokens += lines[i].split()
-                i += 1
-            try:
-                values = list(map(float, tokens))
-            except ValueError as exc:
-                raise ModelIOError(f"{path}: bad value in parameter {name!r}: {exc}") from exc
-            if len(values) < count:
-                raise ModelIOError(
-                    f"{path}: truncated file: parameter {name!r} has "
-                    f"{len(values)} of {count} values"
-                )
-            if len(values) != count:
-                raise ModelIOError(
-                    f"{path}: parameter {name!r} has {len(values)} values, expected {count}"
-                )
-            params[name] = np.array(values).reshape(shape)
-            continue
-        headers[tokens[0]] = line.split(maxsplit=1)[1] if len(tokens) > 1 else ""
-        i += 1
-    if not ended:
-        raise ModelIOError(f"{path}: truncated file: missing end marker")
-    return headers, preprocess, params
+        elif tokens[0] == "param":
+            name, array = _read_param(path, line, lines)
+            params[name] = array
+        else:
+            headers[tokens[0]] = tokens[1] if len(tokens) > 1 else ""
+    raise ModelIOError(f"{path}: truncated file: missing end marker")
 
 
 def load_model(path):
@@ -514,19 +492,8 @@ def load_model(path):
     kind = headers.get("kind")
     try:
         if kind == "hybrid":
-            dims = ModelDims(
-                window=int(headers["window"]),
-                f_market=int(headers["f_market"]),
-                f_sentiment=int(headers["f_sentiment"]),
-                f_static=int(headers["f_static"]),
-                conv_channels=int(headers["conv_channels"]),
-                kernel_width=int(headers["kernel_width"]),
-                hidden_size=int(headers["hidden_size"]),
-            )
-            missing = [n for n in _HYBRID_PARAM_ORDER if n not in params]
-            if missing:
-                raise ModelIOError(f"{path}: missing parameters {missing}")
-            model = HybridModel(
+            dims = ModelDims(**{f.name: int(headers[f.name]) for f in fields(ModelDims)})
+            return HybridModel(
                 dims,
                 Conv1DLayer(params["conv.kernels"], params["conv.bias"]),
                 LSTMCell(params["lstm.w_x"], params["lstm.w_h"], params["lstm.b"]),
@@ -534,25 +501,17 @@ def load_model(path):
                 DropoutSpec(float(headers["dropout_p"])),
                 preprocess=preprocess,
             )
-            return model
         if kind == "linear":
-            missing = [n for n in _LINEAR_PARAM_ORDER if n not in params]
-            if missing:
-                raise ModelIOError(f"{path}: missing parameters {missing}")
-            expected = int(headers["n_features"])
-            if params["weights"].size != expected:
-                raise ModelIOError(
-                    f"{path}: weights have {params['weights'].size} entries, "
-                    f"header says {expected}"
-                )
-            return LinearRegressionModel(
-                params["weights"],
-                float(params["bias"][0]),
-                float(headers["ridge_lambda"]),
-                preprocess=preprocess,
-            )
+            n_features = int(headers["n_features"])
+            weights, bias = params["weights"], params["bias"]
+            if weights.shape != (n_features,) or bias.shape != (1,):
+                raise ModelIOError(f"{path}: a linear model needs weights [{n_features}] and "
+                                   f"bias [1], found {list(weights.shape)} and "
+                                   f"{list(bias.shape)}")
+            return LinearRegressionModel(weights, bias[0], float(headers["ridge_lambda"]),
+                                         preprocess=preprocess)
     except KeyError as exc:
-        raise ModelIOError(f"{path}: missing header {exc}") from exc
+        raise ModelIOError(f"{path}: missing header or parameter {exc}") from exc
     except ValueError as exc:
         # A header that does not parse, or values the model rejects.
         raise ModelIOError(f"{path}: {exc}") from exc

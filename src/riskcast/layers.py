@@ -402,26 +402,23 @@ class DropoutSpec:
     """Inverted dropout: kept entries are scaled by 1/(1-p) at train time,
     so inference is the exact identity."""
 
-    p: float
+    p: float = 0.2
 
     def __post_init__(self):
         if not 0.0 <= self.p < 1.0:
             raise ParameterError(f"dropout probability must be in [0, 1), got {self.p}")
 
 
-def dropout_forward(spec: DropoutSpec, x, rng: SeededRng | None, mode: str):
-    """Returns (y, mask).  The mask holds the applied scale factors
-    (0 or 1/(1-p)); in infer mode the mask is None and y is x unchanged.
+def dropout_forward(spec: DropoutSpec, x, rng: SeededRng | None):
+    """Returns (y, mask).  Dropout applies exactly when ``rng`` is given: the
+    mask holds the applied scale factors (0 or 1/(1-p)).  Without an ``rng``
+    the mask is None and y is x unchanged.
 
     The mask draws ``x.size`` uniforms in row-major order, so a ``[B x H]``
     batch consumes the stream exactly as B one-sample calls in row order."""
     x = np.asarray(x, dtype=np.float64)
-    if mode == "infer":
-        return x, None
-    if mode != "train":
-        raise ParameterError(f"dropout mode must be 'train' or 'infer', got {mode!r}")
     if rng is None:
-        raise ParameterError("train-mode dropout requires an rng")
+        return x, None
     keep = rng.next_floats(x.size).reshape(x.shape) >= spec.p
     mask = keep.astype(np.float64) / (1.0 - spec.p)
     return x * mask, mask

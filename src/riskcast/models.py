@@ -2,12 +2,14 @@
 
 Both models share a small duck-typed surface used by scoring and
 persistence: ``params()`` returning live named parameter arrays, and
-``forward(x_seq, x_static, mode, rng, cache)`` returning ``(scores, cache)``.
-The hybrid model, which the trainer and the gradient checker take, adds
-``backward(cache, dscores)`` returning the parameter gradients by name; the
-linear model is fitted exactly by :func:`linreg_fit` and has no backward.
-With ``cache=False`` forward builds nothing for backward and returns ``None``
-in its place; the scores are bitwise the same.
+``forward(x_seq, x_static, rng, cache)`` returning ``(scores, cache)``; given
+an ``rng``, the hybrid model's forward draws dropout masks from it.  The
+hybrid model, which the trainer and the gradient checker take, adds
+``backward(cache, dscores)`` returning the parameter gradients by name; with
+``cache=False`` its forward builds nothing for backward and returns ``None``
+in its place, and the scores are bitwise the same.  The linear model is
+fitted exactly by :func:`linreg_fit`, has no backward, and its forward
+always returns ``None`` for the cache.
 
 Inputs are batch-first: ``x_seq`` is ``[B x T x F]`` and ``x_static`` is
 ``[B x S]``, giving ``B`` scores; backward takes their ``[B]`` gradient and
@@ -111,9 +113,10 @@ class HybridModel:
     ``kernel_width - 1`` days and convolved so each day keeps an aligned
     feature vector, then passed through relu; (2) each day's market channels
     are concatenated with its conv features and run through the LSTM from a
-    zero state; (3) its last hidden state is dropout-regularized (train mode
-    only) and concatenated with the static features; (4) a dense head emits
-    one unbounded risk score (regression, no output activation).
+    zero state; (3) its last hidden state is dropout-regularized (only when
+    forward is given an ``rng``) and concatenated with the static features;
+    (4) a dense head emits one unbounded risk score (regression, no output
+    activation).
     """
 
     kind = "hybrid"
@@ -136,7 +139,8 @@ class HybridModel:
         self.preprocess = preprocess
 
     @classmethod
-    def initialize(cls, dims: ModelDims, seed: int, dropout_p: float = 0.2) -> "HybridModel":
+    def initialize(cls, dims: ModelDims, seed: int,
+                   dropout_p: float = DropoutSpec.p) -> "HybridModel":
         """Weights uniform on (-1/sqrt(fan_in), +1/sqrt(fan_in)), zero biases.
 
         Draw order is fixed (conv kernels, lstm w_x, lstm w_h, head w) so a
@@ -174,7 +178,7 @@ class HybridModel:
                 f"for one sample), got {list(x_static.shape)}"
             )
 
-    def forward(self, x_seq, x_static, mode: str = "infer", rng: SeededRng | None = None,
+    def forward(self, x_seq, x_static, rng: SeededRng | None = None,
                 cache: bool = True) -> tuple[np.ndarray | float, HybridCache | None]:
         x_seq = np.asarray(x_seq, dtype=np.float64)
         x_static = np.asarray(x_static, dtype=np.float64)
@@ -191,7 +195,7 @@ class HybridModel:
         conv_pre, conv_cache = self.conv.forward(sent)
         lstm_in = np.concatenate([x_seq[:, :, :d.f_market], np.maximum(conv_pre, 0.0)], axis=2)
         h_last, lstm_cache = self.lstm.forward(lstm_in, cache=cache)
-        h_last, mask = dropout_forward(self.dropout, h_last, rng, mode)
+        h_last, mask = dropout_forward(self.dropout, h_last, rng)
         out, head_cache = self.head.forward(np.concatenate([h_last, x_static], axis=1))
         scores = float(out[0, 0]) if single else out[:, 0]
         if not cache:
@@ -252,8 +256,11 @@ class LinearRegressionModel:
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
 
-    def forward(self, x_seq, x_static, mode: str = "infer", rng: SeededRng | None = None,
-                cache: bool = True) -> tuple[np.ndarray | float, np.ndarray | None]:
+    def forward(self, x_seq, x_static, rng: SeededRng | None = None,
+                cache: bool = True) -> tuple[np.ndarray | float, None]:
+        """The scores of the rows ``[x_seq flattened, x_static]``.  The model
+        has no dropout and no backward, so ``rng`` and ``cache`` are unused
+        and the cache returned is ``None``."""
         x_seq = np.asarray(x_seq, dtype=np.float64)
         x_static = np.asarray(x_static, dtype=np.float64)
         seq_shape = x_seq.shape
@@ -280,7 +287,7 @@ class LinearRegressionModel:
         scores = _block_matmul(flat, self.weights[:, None])[:n, 0] + self.bias[0]
         if single:
             scores = float(scores[0])
-        return scores, (flat[:n] if cache else None)
+        return scores, None
 
 
 def _design(samples: SampleSet) -> np.ndarray:
@@ -317,7 +324,7 @@ def _score_part(model, samples: SampleSet, scores: np.ndarray, start: int, stop:
     for lo in range(start, stop, SCORE_CHUNK):
         hi = min(lo + SCORE_CHUNK, stop)
         scores[lo:hi] = model.forward(samples.x_seq[lo:hi], samples.x_static[lo:hi],
-                                      mode="infer", cache=False)[0]
+                                      cache=False)[0]
 
 
 def _usable_cpus() -> int:

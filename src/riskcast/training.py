@@ -175,7 +175,7 @@ def fit(model, train: SampleSet, val: SampleSet, cfg: TrainConfig):
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 preds, cache = model.forward(train.x_seq[batch], train.x_static[batch],
-                                             mode="train", rng=dropout_rng)
+                                             rng=dropout_rng)
                 batch_loss, dpred = mse_loss(train.y[batch], preds)
                 epoch_sse += batch_loss * len(batch)
                 grads = model.backward(cache, dpred)
@@ -260,8 +260,8 @@ def gradient_check(model, x_seq, x_static, target: float,
                    epsilon: float = 1e-5) -> GradCheckResult:
     """Compare analytic gradients against central finite differences.
 
-    The loss is the squared error on one sample, evaluated in inference
-    mode so dropout cannot perturb the comparison.  Relative error is
+    The loss is the squared error on one sample, evaluated without an rng,
+    so dropout is off and cannot perturb the comparison.  Relative error is
     ``|a - n| / max(|a|, |n|, 1e-8)``, maximized over every coordinate of
     every parameter.
     """
@@ -273,10 +273,10 @@ def gradient_check(model, x_seq, x_static, target: float,
         )
 
     def loss_value() -> float:
-        score, _ = model.forward(x_seq, x_static, mode="infer")
+        score, _ = model.forward(x_seq, x_static)
         return mse_loss(np.array([target]), np.array([score]))[0]
 
-    score, cache = model.forward(x_seq, x_static, mode="infer")
+    score, cache = model.forward(x_seq, x_static)
     base_loss, dpred = mse_loss(np.array([target]), np.array([score]))
     if not np.isfinite(base_loss):
         raise NumericalError("loss is non-finite at the evaluation point")

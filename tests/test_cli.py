@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from riskcast import (
+    DropoutSpec,
     PipelineConfig,
     SynthConfig,
     TrainConfig,
@@ -139,6 +140,18 @@ class TestGenData:
             "riskcast: error: base_vol 1e+300 drives the price path out of the float range "
             "(a zero or infinite price)\n")
         assert not out.exists()
+
+    def test_out_naming_a_file_is_an_io_error_before_generating(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def unreachable(cfg):
+            raise AssertionError("data generated before --out was checked")
+
+        monkeypatch.setattr(cli, "synth_generate", unreachable)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main(["gen-data", "--days", "200", "--out", str(out)]) == 5
+        assert capsys.readouterr().err == f"riskcast: error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "keep\n"
 
 
 class TestTrain:
@@ -393,9 +406,57 @@ class TestInvalidMarketValues:
         assert not out.exists()
 
 
+def _param_span(lines, name) -> slice:
+    """The lines of parameter ``name``: its ``param`` header and its values."""
+    start = next(k for k, line in enumerate(lines) if line.split()[:2] == ["param", name])
+    stop = next(k for k in range(start + 1, len(lines))
+                if lines[k].split()[0] in ("param", "end"))
+    return slice(start, stop)
+
+
+def _set_header(name, header):
+    def edit(lines):
+        lines[_param_span(lines, name).start] = header
+    return edit
+
+
+def _set_values(name, values):
+    """Replace parameter ``name``'s value lines by one line of ``values``, or
+    drop its whole block when ``values`` is None."""
+    def edit(lines):
+        span = _param_span(lines, name)
+        block = [] if values is None else [lines[span.start], " ".join(values)]
+        lines[span] = block
+    return edit
+
+
+def _set_first_value(name, token):
+    def edit(lines):
+        row = _param_span(lines, name).start + 1
+        lines[row] = " ".join([token, *lines[row].split()[1:]])
+    return edit
+
+
 class TestMalformedModelFile:
-    """A model file whose headers or recipe do not parse, or describe a model
-    that cannot be built, is a model-file error (exit 5) naming the file."""
+    """A model file whose headers, recipe or parameter blocks do not parse,
+    that holds a non-finite parameter, or that describes a model that cannot
+    be built, is a model-file error (exit 5) naming the file; nothing is
+    written."""
+
+    @staticmethod
+    def _assert_refused(workspace, tmp_path, capsys, which, edit, message=""):
+        """``edit`` the lines of the ``which`` model into a new file, which
+        ``evaluate`` must refuse with exit 5, naming it, and write nothing."""
+        _, data_dir, hybrid, linear = workspace
+        lines = (hybrid if which == "hybrid" else linear).read_text().splitlines()
+        edit(lines)
+        bad, out = tmp_path / "bad.rcm", tmp_path / "metrics.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--model", str(bad), "--data", str(data_dir), "--csv", str(out)])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert f"riskcast: error: {bad}: {message}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("which, key, position, token", [
         ("hybrid", "window", 1, "abc"),
@@ -404,20 +465,50 @@ class TestMalformedModelFile:
         ("hybrid", "f_sentiment", 1, "0"),
         ("hybrid", "hidden_size", 1, "3"),
         ("hybrid", "dropout_p", 1, "1.5"),
+        ("hybrid", "kind", 1, "forest"),
+        ("linear", "n_features", 1, "3"),
     ], ids=["window-abc", "ridge-x", "stats-zz", "f_sentiment-0", "hidden-size-mismatch",
-            "dropout-1.5"])
+            "dropout-1.5", "kind-forest", "n-features-mismatch"])
     def test_evaluate_exits_5(self, workspace, tmp_path, capsys, which, key, position, token):
-        _, data_dir, hybrid, linear = workspace
-        lines = (hybrid if which == "hybrid" else linear).read_text().splitlines()
-        row = next(k for k, line in enumerate(lines) if line.split()[:1] == [key])
-        fields = lines[row].split()
-        fields[position] = token
-        lines[row] = " ".join(fields)
-        bad = tmp_path / "bad.rcm"
-        bad.write_text("\n".join(lines) + "\n")
-        rc = main(["evaluate", "--model", str(bad), "--data", str(data_dir)])
-        assert rc == 5
-        assert str(bad) in capsys.readouterr().err
+        def edit(lines):
+            row = next(k for k, line in enumerate(lines) if line.split()[:1] == [key])
+            fields = lines[row].split()
+            fields[position] = token
+            lines[row] = " ".join(fields)
+
+        self._assert_refused(workspace, tmp_path, capsys, which, edit)
+
+    @pytest.mark.parametrize("which, edit, message", [
+        ("hybrid", _set_first_value("lstm.w_h", "nan"),
+         "parameter 'lstm.w_h' holds the non-finite value nan"),
+        ("hybrid", _set_first_value("head.w", "inf"),
+         "parameter 'head.w' holds the non-finite value inf"),
+        ("linear", _set_first_value("weights", "nan"),
+         "parameter 'weights' holds the non-finite value nan"),
+        ("linear", _set_first_value("weights", "-inf"),
+         "parameter 'weights' holds the non-finite value -inf"),
+        ("hybrid", lambda lines: lines.remove("end"), "truncated file: missing end marker"),
+        ("linear", lambda lines: lines.remove("preprocess end"),
+         "truncated inside the preprocess block"),
+        ("hybrid", _set_header("conv.bias", "param conv.bias 2 8"),
+         "malformed param header 'param conv.bias 2 8'"),
+        ("hybrid", _set_header("conv.bias", "param conv.bias 1 x"),
+         "malformed param header 'param conv.bias 1 x'"),
+        ("linear", _set_values("bias", []), "parameter 'bias' is truncated: it has 0 of 1 values"),
+        ("hybrid", _set_values("conv.bias", ["0.5"] * 7),
+         "parameter 'conv.bias' is truncated: it has 7 of 8 values"),
+        ("hybrid", _set_values("head.b", ["0.5", "0.5"]),
+         "parameter 'head.b' has 2 values, expected 1"),
+        ("linear", _set_first_value("weights", "0.1x"), "bad value in parameter 'weights'"),
+        ("hybrid", _set_values("lstm.b", None), "missing header or parameter 'lstm.b'"),
+        ("linear", _set_header("bias", "param bias 2 1 1"),
+         "a linear model needs weights ["),
+    ], ids=["hybrid-nan", "hybrid-inf", "linear-nan", "linear-minus-inf", "missing-end",
+            "truncated-preprocess", "header-ndim-mismatch", "header-dim-x", "too-few-values",
+            "too-few-values-mid-file", "too-many-values", "non-numeric-value",
+            "missing-parameter", "bias-shape-2"])
+    def test_reader_error_exits_5(self, workspace, tmp_path, capsys, which, edit, message):
+        self._assert_refused(workspace, tmp_path, capsys, which, edit, message)
 
 
 class TestCompare:
@@ -516,8 +607,10 @@ class TestUsage:
         (["train", "--data", "d", "--out", "m"], PipelineConfig, {}),
         (["train", "--data", "d", "--out", "m", "--window", "10", "--horizon", "3"],
          PipelineConfig, {"window": 10, "horizon": 3}),
+        (["train", "--data", "d", "--out", "m"], DropoutSpec, {}),
+        (["train", "--data", "d", "--out", "m", "--dropout", "0.5"], DropoutSpec, {"p": 0.5}),
     ], ids=["synth-defaults", "synth-flags", "train-defaults", "train-flags",
-            "pipeline-defaults", "pipeline-flags"])
+            "pipeline-defaults", "pipeline-flags", "dropout-default", "dropout-flag"])
     def test_configs_take_given_flags_and_their_own_defaults(self, argv, cls, given):
         args = cli.build_parser().parse_args(argv)
         assert cli._config(cls, args) == cls(**given)

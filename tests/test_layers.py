@@ -288,33 +288,29 @@ class TestDropout:
     def test_p_zero_is_identity_in_both_modes(self):
         spec = DropoutSpec(0.0)
         x = SeededRng(43).normals(100)
-        y_train, mask = dropout_forward(spec, x, SeededRng(1), "train")
-        y_infer, _ = dropout_forward(spec, x, None, "infer")
+        y_train, mask = dropout_forward(spec, x, SeededRng(1))
+        y_infer, _ = dropout_forward(spec, x, None)
         assert np.array_equal(y_train, x)
         assert np.array_equal(y_infer, x)
         assert np.all(mask == 1.0)
 
     def test_infer_mode_is_bit_exact_identity(self):
         x = SeededRng(44).normals(50)
-        y, mask = dropout_forward(DropoutSpec(0.7), x, None, "infer")
+        y, mask = dropout_forward(DropoutSpec(0.7), x, None)
         assert np.array_equal(y, x)
         assert mask is None
 
     def test_inverted_scaling_preserves_expectation(self):
-        y, _ = dropout_forward(DropoutSpec(0.5), np.ones(100_000), SeededRng(45), "train")
+        y, _ = dropout_forward(DropoutSpec(0.5), np.ones(100_000), SeededRng(45))
         assert abs(float(np.mean(y)) - 1.0) < 0.02
 
     def test_invalid_probability(self):
         with pytest.raises(ParameterError):
             DropoutSpec(1.0)
 
-    def test_train_mode_requires_rng(self):
-        with pytest.raises(ParameterError):
-            dropout_forward(DropoutSpec(0.2), np.ones(3), None, "train")
-
     def test_backward_applies_the_same_mask(self):
         x = np.ones(1000)
-        y, mask = dropout_forward(DropoutSpec(0.3), x, SeededRng(46), "train")
+        y, mask = dropout_forward(DropoutSpec(0.3), x, SeededRng(46))
         dx = dropout_backward(mask, np.ones(1000))
         assert np.array_equal(dx, y)
         assert np.array_equal(dropout_backward(None, x), x)
@@ -328,9 +324,9 @@ class TestDropout:
     def test_batched_mask_follows_the_per_sample_stream(self):
         x = SeededRng(49).normals(5 * 7).reshape(5, 7)
         batch_rng, sample_rng = SeededRng(50), SeededRng(50)
-        y, mask = dropout_forward(DropoutSpec(0.4), x, batch_rng, "train")
+        y, mask = dropout_forward(DropoutSpec(0.4), x, batch_rng)
         for b in range(5):
-            y_b, mask_b = dropout_forward(DropoutSpec(0.4), x[b], sample_rng, "train")
+            y_b, mask_b = dropout_forward(DropoutSpec(0.4), x[b], sample_rng)
             assert np.array_equal(y_b, y[b])
             assert np.array_equal(mask_b, mask[b])
         assert batch_rng.state == sample_rng.state

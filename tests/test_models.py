@@ -54,15 +54,15 @@ class TestHybridForward:
             DropoutSpec(0.2),
         )
         x_seq, x_static = _sample_for(dims, seed=1)
-        score, _ = model.forward(x_seq, x_static, mode="infer")
+        score, _ = model.forward(x_seq, x_static)
         assert score == 0.37
 
     def test_inference_is_deterministic(self):
         dims = tiny_dims()
         model = tiny_hybrid(seed=2, dropout_p=0.5)
         x_seq, x_static = _sample_for(dims, seed=3)
-        s1, _ = model.forward(x_seq, x_static, mode="infer")
-        s2, _ = model.forward(x_seq, x_static, mode="infer")
+        s1, _ = model.forward(x_seq, x_static)
+        s2, _ = model.forward(x_seq, x_static)
         assert s1 == s2
 
     def test_dimension_mismatch_rejected(self):
@@ -75,7 +75,7 @@ class TestHybridForward:
         dims = tiny_dims()
         model = tiny_hybrid(seed=5)
         x_seq, x_static = _sample_for(dims, seed=6)
-        score, _ = model.forward(x_seq, x_static, mode="infer")
+        score, _ = model.forward(x_seq, x_static)
 
         def sigmoid(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -109,7 +109,7 @@ class TestHybridBackward:
         dims = tiny_dims()
         model = tiny_hybrid(seed=7)
         x_seq, x_static = _sample_for(dims, seed=8)
-        _, cache = model.forward(x_seq, x_static, mode="infer")
+        _, cache = model.forward(x_seq, x_static)
         grads = model.backward(cache, np.zeros(1))
         for grad in grads.values():
             assert not grad.any()
@@ -123,10 +123,10 @@ class TestHybridBackward:
         target = 0.6
 
         def loss():
-            score, _ = model.forward(x_seq, x_static, mode="infer")
+            score, _ = model.forward(x_seq, x_static)
             return mse_loss(np.array([target]), np.array([score]))[0]
 
-        score, cache = model.forward(x_seq, x_static, mode="infer")
+        score, cache = model.forward(x_seq, x_static)
         _, dpred = mse_loss(np.array([target]), np.array([score]))
         grads = model.backward(cache, dpred)
         for name, param in model.params().items():
@@ -140,14 +140,14 @@ class TestHybridBackward:
         model.conv.bias[:] = 0.0
         x_seq, x_static = _sample_for(dims, seed=24)
         x_seq[:, dims.f_market:] = 0.0
-        score_a, _ = model.forward(x_seq, x_static, mode="infer")
+        score_a, _ = model.forward(x_seq, x_static)
         other = x_seq.copy()
         other[:, dims.f_market:] = 0.0  # still zero; conv path unchanged
-        score_b, _ = model.forward(other, x_static, mode="infer")
+        score_b, _ = model.forward(other, x_static)
         assert score_a == score_b
         bumped = x_seq.copy()
         bumped[:, :dims.f_market] += 0.25
-        score_c, _ = model.forward(bumped, x_static, mode="infer")
+        score_c, _ = model.forward(bumped, x_static)
         assert score_c != score_a
 
 
@@ -221,7 +221,7 @@ class TestPredictBatch:
         samples = random_samples(12, dims, seed=21)
         batch = predict_batch(model, samples)
         for i, (day, score) in enumerate(batch):
-            solo, _ = model.forward(samples.x_seq[i], samples.x_static[i], mode="infer")
+            solo, _ = model.forward(samples.x_seq[i], samples.x_static[i])
             assert score == solo
             assert day == samples.dates[i]
 
@@ -472,10 +472,9 @@ class TestBatchedHybrid:
         model = tiny_hybrid(seed=32, dropout_p=0.5)
         samples = self._batch(33)
         batch_rng, sample_rng = SeededRng(34), SeededRng(34)
-        scores, _ = model.forward(samples.x_seq, samples.x_static, mode="train", rng=batch_rng)
+        scores, _ = model.forward(samples.x_seq, samples.x_static, rng=batch_rng)
         for i in range(self.B):
-            solo, _ = model.forward(samples.x_seq[i], samples.x_static[i],
-                                    mode="train", rng=sample_rng)
+            solo, _ = model.forward(samples.x_seq[i], samples.x_static[i], rng=sample_rng)
             assert solo == scores[i]
         assert batch_rng.state == sample_rng.state
 

@@ -121,6 +121,13 @@ class _TrainableLinear(LinearRegressionModel):
     ``gradient_check`` can run on a model whose gradient is exact.  The
     product fits the linear model by ``linreg_fit`` and needs none."""
 
+    def forward(self, x_seq, x_static, rng=None, cache=True):
+        """The product's scores, with the rows ``[x_seq flattened, x_static]``
+        as the cache."""
+        scores, _ = super().forward(x_seq, x_static, rng, cache)
+        n = np.size(scores)
+        return scores, np.hstack([np.reshape(x_seq, (n, -1)), np.reshape(x_static, (n, -1))])
+
     def backward(self, flat: np.ndarray, dscores) -> dict[str, np.ndarray]:
         """Parameter gradients from the ``[B]`` score gradient; ``flat`` is the cache."""
         dscores = np.asarray(dscores, dtype=np.float64)
@@ -285,7 +292,7 @@ class TestGradientCheck:
         assert result.n_params == sum(p.size for p in model.params().values())
 
     def test_check_is_deterministic_despite_dropout(self):
-        """Inference mode during the check keeps the loss deterministic."""
+        """Dropout is off during the check, which keeps the loss deterministic."""
         rng = SeededRng(52)
         dims = tiny_dims()
         model = tiny_hybrid(seed=52, dropout_p=0.5)
@@ -317,8 +324,8 @@ def test_small_lr_first_epoch_batches_mostly_improve():
     n_batches = 0
 
     def batch_loss(idx):
-        preds = np.array([model.forward(samples.x_seq[i], samples.x_static[i],
-                                        mode="infer")[0] for i in idx])
+        preds = np.array([model.forward(samples.x_seq[i], samples.x_static[i])[0]
+                          for i in idx])
         return mse_loss(samples.y[idx], preds)
 
     for start in range(0, len(samples), cfg.batch_size):
@@ -326,8 +333,7 @@ def test_small_lr_first_epoch_batches_mostly_improve():
         loss_before, dpred = batch_loss(idx)
         grads_total = {k: np.zeros_like(v) for k, v in params.items()}
         for j, i in enumerate(idx):
-            _, cache = model.forward(samples.x_seq[i], samples.x_static[i],
-                                     mode="train", rng=rng)
+            _, cache = model.forward(samples.x_seq[i], samples.x_static[i], rng=rng)
             grads = model.backward(cache, dpred[j:j + 1])
             for name in grads_total:
                 grads_total[name] += grads[name]
