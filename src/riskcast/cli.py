@@ -39,7 +39,7 @@ from .layers import DropoutSpec
 from .lexicon import default_lexicon, load_lexicon
 from .models import HybridModel, ModelDims, linreg_fit, predict_batch, prediction_scores
 from .synth import SynthConfig, synth_generate
-from .tensor import SeededRng, derive_seed
+from .tensor import SeededRng, check_seed, derive_seed
 from .training import TrainConfig, TrainLog, fit, gradient_check, grid_search
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -323,6 +323,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    check_seed(args.seed)
     dims = ModelDims(window=4, f_market=2, f_sentiment=3, f_static=3,
                      conv_channels=2, kernel_width=3, hidden_size=3)
     model = HybridModel.initialize(dims, seed=args.seed)

@@ -31,12 +31,12 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ModelIOError, ParameterError, SchemaError
+from .errors import DataError, ModelIOError, SchemaError
 from .features import SampleSet
 from .frames import TimeSeriesFrame, calendar_dates, day_numbers
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
-from .preprocess import Preprocess
+from .preprocess import Preprocess, SplitSpec
 
 MODEL_MAGIC = "RISKCAST-MODEL v1"
 
@@ -337,26 +337,6 @@ def load_bundle(directory) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 # Chronological split
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Contiguous chronological train/validation/test fractions.
-
-    Counts are floor allocations for train and validation; the remainder
-    goes to the test block.
-    """
-
-    train_frac: float = 0.70
-    val_frac: float = 0.15
-    test_frac: float = 0.15
-
-    def __post_init__(self):
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
-            raise ParameterError(f"split fractions must be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ParameterError(f"split fractions must sum to 1, got {sum(fracs)!r}")
 
 
 def split_counts(n: int, spec: SplitSpec) -> tuple[int, int, int]:

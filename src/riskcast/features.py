@@ -207,9 +207,6 @@ class StandardizationStats:
 
     columns: dict[str, ColumnStats] = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return isinstance(other, StandardizationStats) and self.columns == other.columns
-
 
 def fit_standardize(frame: TimeSeriesFrame, train_row_range: tuple[int, int]) -> StandardizationStats:
     """Fit z-score statistics on rows [start, stop) of every column."""
@@ -443,8 +440,6 @@ def build_windows(
     window tensor is never built and no window shares memory with
     ``aligned``.  ``x_static`` and ``y`` are writable arrays of their own.
     """
-    if window < 1 or horizon < 1:
-        raise ParameterError(f"window and horizon must be >= 1, got {window}, {horizon}")
     n_rows = len(aligned)
     if n_rows < window + horizon:
         raise InsufficientHistoryError(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError
+from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .layers import (
     BLOCK_ROWS,
     Conv1DLayer,
@@ -247,6 +247,8 @@ class LinearRegressionModel:
             raise DimensionError(f"weights must be 1-d, got {list(self.weights.shape)}")
         self.bias = np.array([float(bias)])
         self.ridge_lambda = float(ridge_lambda)
+        if not 0 <= self.ridge_lambda < np.inf:
+            raise ParameterError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
         self.preprocess = preprocess
 
     @property
@@ -311,13 +313,6 @@ def linreg_fit(samples: SampleSet, ridge_lambda: float = 1e-8) -> LinearRegressi
     if not np.all(np.isfinite(beta)):
         raise NumericalError("normal equations produced non-finite coefficients")
     return LinearRegressionModel(beta[:-1], beta[-1], ridge_lambda)
-
-
-def linreg_objective(model: LinearRegressionModel, samples: SampleSet) -> float:
-    """Ridge objective ||y - Zb||^2 + lambda ||b||^2 (bias included)."""
-    beta = np.concatenate([model.weights, model.bias])
-    resid = samples.y - _design(samples) @ beta
-    return float(resid @ resid + model.ridge_lambda * (beta @ beta))
 
 
 def _score_part(model, samples: SampleSet, scores: np.ndarray, start: int, stop: int) -> None:

@@ -12,12 +12,11 @@ columns stay binary.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data_io import DatasetBundle, SplitSpec, chronological_split, split_counts
-from .errors import DataError, ParameterError
+from .data_io import DatasetBundle, chronological_split, split_counts
+from .errors import DataError
 from .features import (
     SampleSet,
     aggregate_daily_sentiment,
@@ -34,23 +33,11 @@ from .features import (
 )
 from .frames import TimeSeriesFrame, drop_incomplete_rows
 from .lexicon import SentimentLexicon
-from .preprocess import Preprocess
+from .preprocess import PipelineConfig, Preprocess, SplitSpec
 
 MARKET_CHANNELS = ("close", "ma5", "ma20", "ma60", "volume_log", "ret1", "rvol")
 SENTIMENT_CHANNELS = ("pos", "neg", "compound")
 TARGET_COLUMN = "rvol_raw"
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    window: int = 20
-    horizon: int = 5
-
-    def __post_init__(self):
-        if self.window < 1 or self.horizon < 1:
-            raise ParameterError(
-                f"window and horizon must be >= 1, got {self.window}, {self.horizon}"
-            )
 
 
 def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
@@ -110,10 +97,10 @@ def first_test_row(days: np.ndarray, preprocess: Preprocess) -> int:
     ``n_train + n_val`` on, reads the rows from ``n_train + n_val`` on.  A
     history too short for one window gives row 0, so that windowing reports it.
     """
-    n_samples = len(days) - preprocess.window - preprocess.horizon + 1
+    n_samples = preprocess.config.n_samples(len(days))
     if n_samples < 1:
         return 0
-    n_train, n_val, _ = split_counts(n_samples, split_for(preprocess))
+    n_train, n_val, _ = split_counts(n_samples, preprocess.split)
     return n_train + n_val
 
 
@@ -121,12 +108,15 @@ def _policy_vocabulary(bundle: DatasetBundle) -> list[str]:
     return sorted({category for _, category in bundle.policy})
 
 
-def _normalize_target(y: np.ndarray, y_min: float, y_max: float) -> np.ndarray:
-    if not y_max > y_min:
-        raise DataError(
-            f"target range is degenerate: min {y_min!r}, max {y_max!r}"
-        )
-    return np.clip((y - y_min) / (y_max - y_min), 0.0, 1.0)
+def _samples(frame: TimeSeriesFrame, preprocess: Preprocess) -> SampleSet:
+    """The samples of an assembled frame under ``preprocess``: its columns
+    standardized, windowed, and the target min-max mapped (clipped to [0, 1])."""
+    samples = build_windows(apply_standardize(frame, preprocess.stats), preprocess.seq_cols,
+                            preprocess.static_all, TARGET_COLUMN, preprocess.window,
+                            preprocess.config.horizon)
+    samples.y = np.clip((samples.y - preprocess.y_min) / (preprocess.y_max - preprocess.y_min),
+                        0.0, 1.0)
+    return samples
 
 
 def make_datasets(bundle: DatasetBundle, lexicon: SentimentLexicon,
@@ -139,42 +129,19 @@ def make_datasets(bundle: DatasetBundle, lexicon: SentimentLexicon,
     if not static_cols and not policy_vocab:
         raise DataError("no static features: provide financial/macro data or policy events")
 
-    n_rows = len(frame)
-    n_samples = n_rows - cfg.window - cfg.horizon + 1
-    if n_samples < 10:
-        raise DataError(
-            f"only {max(n_samples, 0)} samples available after alignment; need >= 10"
-        )
-    n_train, _, _ = split_counts(n_samples, split)
-    # Rows visible to training samples as inputs: [0, window + n_train - 1).
+    n_train, _, _ = split_counts(cfg.n_samples(len(frame)), split)
+    # Training samples read rows [0, window + n_train - 1) as inputs and
+    # their targets from the rows ``horizon`` after each window's last row.
     train_row_stop = cfg.window + n_train - 1
-    to_standardize = list(MARKET_CHANNELS) + list(SENTIMENT_CHANNELS) + static_cols
-    stats = fit_standardize(frame.select(to_standardize), (0, train_row_stop))
-    frame = apply_standardize(frame, stats)
-
+    first_target = cfg.window - 1 + cfg.horizon
+    targets = frame.column(TARGET_COLUMN)[first_target:first_target + n_train]
     seq_cols = list(MARKET_CHANNELS) + list(SENTIMENT_CHANNELS)
-    static_all = static_cols + policy_vocab
-    samples = build_windows(frame, seq_cols, static_all, TARGET_COLUMN,
-                            cfg.window, cfg.horizon)
-    y_min = float(np.min(samples.y[:n_train]))
-    y_max = float(np.max(samples.y[:n_train]))
-    samples.y = _normalize_target(samples.y, y_min, y_max)
-
     preprocess = Preprocess(
-        window=cfg.window,
-        horizon=cfg.horizon,
-        train_frac=split.train_frac,
-        val_frac=split.val_frac,
-        test_frac=split.test_frac,
-        market_cols=list(MARKET_CHANNELS),
-        sentiment_cols=list(SENTIMENT_CHANNELS),
-        static_cols=static_cols,
-        policy_vocab=policy_vocab,
-        stats=stats,
-        y_min=y_min,
-        y_max=y_max,
+        cfg, split, list(MARKET_CHANNELS), list(SENTIMENT_CHANNELS), static_cols, policy_vocab,
+        stats=fit_standardize(frame.select(seq_cols + static_cols), (0, train_row_stop)),
+        y_min=float(np.min(targets)), y_max=float(np.max(targets)),
     )
-    train, val, test = chronological_split(samples, split)
+    train, val, test = chronological_split(_samples(frame, preprocess), split)
     return train, val, test, preprocess
 
 
@@ -196,15 +163,10 @@ def build_samples(bundle: DatasetBundle, lexicon: SentimentLexicon,
             f"data lacks the recipe's static column(s) {', '.join(map(repr, missing))}: "
             "financial.csv or macro.csv is missing or incomplete"
         )
-    cfg = PipelineConfig(window=preprocess.window, horizon=preprocess.horizon)
-    frame = assemble_frame(bundle, lexicon, cfg, preprocess.policy_vocab,
+    frame = assemble_frame(bundle, lexicon, preprocess.config, preprocess.policy_vocab,
                            test_block_of=preprocess if test_block else None)
-    frame = apply_standardize(frame, preprocess.stats)
-    samples = build_windows(frame, preprocess.seq_cols, preprocess.static_all,
-                            TARGET_COLUMN, cfg.window, cfg.horizon)
-    samples.y = _normalize_target(samples.y, preprocess.y_min, preprocess.y_max)
-    return samples
+    return _samples(frame, preprocess)
 
 
 def split_for(preprocess: Preprocess) -> SplitSpec:
-    return SplitSpec(preprocess.train_frac, preprocess.val_frac, preprocess.test_frac)
+    return preprocess.split

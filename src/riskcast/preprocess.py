@@ -1,18 +1,57 @@
 """Preprocessing recipe attached to trained models.
 
 A model's predictions are only reproducible together with the exact feature
-recipe it was trained under: window geometry, column layout, z-score
-statistics, and the target's min-max range.  ``Preprocess`` captures all of
-it and serializes into the model file so ``evaluate`` and ``predict`` can
-rebuild identical inputs from raw CSVs.
+recipe it was trained under: window geometry, split fractions, column
+layout, z-score statistics, and the target's min-max range.  ``Preprocess``
+captures all of it, checks it, and serializes into the model file so
+``evaluate`` and ``predict`` can rebuild identical inputs from raw CSVs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import ModelIOError, ParameterError
+from .errors import DataError, ModelIOError, ParameterError
 from .features import ColumnStats, StandardizationStats
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Sample geometry: days per input window and days ahead of its target."""
+
+    window: int = 20
+    horizon: int = 5
+
+    def __post_init__(self):
+        if self.window < 1 or self.horizon < 1:
+            raise ParameterError(
+                f"window and horizon must be >= 1, got {self.window}, {self.horizon}"
+            )
+
+    def n_samples(self, n_rows: int) -> int:
+        """Windows, with their targets, that ``n_rows`` aligned rows hold."""
+        return max(n_rows - self.window - self.horizon + 1, 0)
+
+
+@dataclass(frozen=True)
+class SplitSpec:
+    """Contiguous chronological train/validation/test fractions.
+
+    Counts are floor allocations for train and validation; the remainder
+    goes to the test block.
+    """
+
+    train_frac: float = 0.70
+    val_frac: float = 0.15
+    test_frac: float = 0.15
+
+    def __post_init__(self):
+        fracs = (self.train_frac, self.val_frac, self.test_frac)
+        if any(f <= 0 for f in fracs):
+            raise ParameterError(f"split fractions must be positive, got {fracs}")
+        if abs(sum(fracs) - 1.0) > 1e-9:
+            raise ParameterError(f"split fractions must sum to 1, got {sum(fracs)!r}")
 
 
 def _check_token(name: str) -> str:
@@ -23,11 +62,12 @@ def _check_token(name: str) -> str:
 
 @dataclass
 class Preprocess:
-    window: int
-    horizon: int
-    train_frac: float
-    val_frac: float
-    test_frac: float
+    """The recipe.  Its geometry and split check themselves; a statistic that
+    is not finite, a zero std in a column not flagged zero-variance, and a
+    target range that is not finite or has max <= min are ``DataError``s."""
+
+    config: PipelineConfig
+    split: SplitSpec
     market_cols: list[str]
     sentiment_cols: list[str]
     static_cols: list[str]
@@ -40,6 +80,19 @@ class Preprocess:
         for name in (*self.market_cols, *self.sentiment_cols,
                      *self.static_cols, *self.policy_vocab):
             _check_token(name)
+        for name, cs in self.stats.columns.items():
+            if not (math.isfinite(cs.mean) and math.isfinite(cs.std)
+                    and (cs.std > 0 or cs.zero_variance)):
+                raise DataError(f"column {name!r} has unusable statistics: "
+                                f"mean {cs.mean!r}, std {cs.std!r}")
+        if not (math.isfinite(self.y_min) and self.y_min < self.y_max < math.inf):
+            raise DataError(
+                f"target range is degenerate: min {self.y_min!r}, max {self.y_max!r}"
+            )
+
+    @property
+    def window(self) -> int:
+        return self.config.window
 
     @property
     def seq_cols(self) -> list[str]:
@@ -53,9 +106,9 @@ class Preprocess:
     def to_lines(self) -> list[str]:
         lines = [
             "preprocess begin",
-            f"window {self.window}",
-            f"horizon {self.horizon}",
-            f"split {self.train_frac!r} {self.val_frac!r} {self.test_frac!r}",
+            f"window {self.config.window}",
+            f"horizon {self.config.horizon}",
+            f"split {self.split.train_frac!r} {self.split.val_frac!r} {self.split.test_frac!r}",
             f"y_range {self.y_min!r} {self.y_max!r}",
             "market_cols " + " ".join(self.market_cols),
             "sentiment_cols " + " ".join(self.sentiment_cols),
@@ -84,21 +137,17 @@ class Preprocess:
                     )
                 else:
                     fields[tokens[0]] = tokens[1:]
-            split = [float(v) for v in fields["split"]]
-            y_range = [float(v) for v in fields["y_range"]]
+            (window,), (horizon,) = fields["window"], fields["horizon"]
+            train, val, test = map(float, fields["split"])
+            y_min, y_max = map(float, fields["y_range"])
             return cls(
-                window=int(fields["window"][0]),
-                horizon=int(fields["horizon"][0]),
-                train_frac=split[0],
-                val_frac=split[1],
-                test_frac=split[2],
+                config=PipelineConfig(int(window), int(horizon)),
+                split=SplitSpec(train, val, test),
                 market_cols=fields.get("market_cols", []),
                 sentiment_cols=fields.get("sentiment_cols", []),
                 static_cols=fields.get("static_cols", []),
                 policy_vocab=fields.get("policy_vocab", []),
-                stats=stats,
-                y_min=y_range[0],
-                y_max=y_range[1],
+                stats=stats, y_min=y_min, y_max=y_max,
             )
         except (KeyError, IndexError, ValueError) as exc:
-            raise ModelIOError(f"malformed or incomplete preprocess block: {exc}") from exc
+            raise ModelIOError(f"bad preprocess block: {exc}") from exc

@@ -48,7 +48,7 @@ from .data_io import DatasetBundle
 from .errors import NumericalError, ParameterError
 from .frames import TimeSeriesFrame, day_numbers, merge_outer
 from .lexicon import default_lexicon
-from .tensor import SeededRng, box_muller, derive_seed, unit_floats
+from .tensor import SeededRng, box_muller, check_seed, derive_seed, unit_floats
 
 START_DATE = dt.date(2015, 1, 2)
 POLICY_CATEGORIES = ("rate_cut", "rate_hike", "regulation_easing",
@@ -113,6 +113,7 @@ class SynthConfig:
             )
         if not 0.0 <= self.kappa <= 1.0:
             raise ParameterError(f"kappa must lie in [0, 1], got {self.kappa}")
+        check_seed(self.seed)
 
 
 def trading_days(start: dt.date, count: int) -> list[dt.date]:

@@ -40,6 +40,13 @@ def float_bits(value: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(value)))[0]
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64): seeds act modulo 2**64, so such a
+    seed would draw the streams of another one."""
+    if not 0 <= seed <= _MASK64:
+        raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def derive_seed(base: int, *parts: int) -> int:
     """Mix integer tags into ``base`` to obtain an independent child seed.
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .features import SampleSet
 from .models import prediction_scores
-from .tensor import SeededRng, derive_seed, float_bits
+from .tensor import SeededRng, check_seed, derive_seed, float_bits
 
 _SHUFFLE_TAG = 0x53484446
 _DROPOUT_TAG = 0x44524F50
@@ -76,6 +76,7 @@ class TrainConfig:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ParameterError(f"patience must be >= 1, got {self.patience}")
+        check_seed(self.seed)
 
 
 def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,

@@ -5,6 +5,7 @@ import pytest
 
 from riskcast import HybridModel, ModelDims, SampleSet, SeededRng
 from riskcast.frames import day_numbers
+from riskcast.models import LinearRegressionModel, _design
 
 
 def numeric_grad(loss_fn, array: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -58,6 +59,13 @@ def random_samples(n: int, dims: ModelDims, seed: int = 0,
         y = np.array([target_fn(x_seq[i], x_static[i]) for i in range(n)])
     dates = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(n)]
     return SampleSet(x_seq, x_static, y, day_numbers(dates))
+
+
+def linreg_objective(model: LinearRegressionModel, samples: SampleSet) -> float:
+    """Ridge objective ||y - Zb||^2 + lambda ||b||^2 (bias included)."""
+    beta = np.concatenate([model.weights, model.bias])
+    resid = samples.y - _design(samples) @ beta
+    return float(resid @ resid + model.ridge_lambda * (beta @ beta))
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import riskcast
+from conftest import linreg_objective
 from riskcast import (
     HybridModel,
     ModelDims,
@@ -45,7 +46,7 @@ from riskcast import (
     synth_generate,
 )
 from riskcast.frames import day_numbers
-from riskcast.models import LinearRegressionModel, linreg_objective, prediction_scores
+from riskcast.models import LinearRegressionModel, prediction_scores
 from riskcast.tensor import derive_seed
 from riskcast.training import validation_mse
 

@@ -17,6 +17,8 @@ from riskcast.cli import main
 
 _BASELINE = "--baseline linreg does not use {} (hybrid-model flags)"
 _OVERWRITES = "output {0} would overwrite the {1} {0}"
+# Seeds just outside [0, 2**64), which a seed would otherwise alias modulo 2**64.
+_BAD_SEEDS = ("-1", str(2**64))
 
 # (command, flag under test, argv, expected message).  Placeholders: {tmp} is
 # an empty temporary directory; {data}, {hybrid}, {linear} and {lexicon} are the
@@ -33,6 +35,8 @@ BAD_FLAGS = [
        f"regime_shift_prob must lie in [0, 1], got {value}") for value in ("-0.1", "1.5", "nan")],
     *[("gen-data", "--kappa", f"gen-data --out {{tmp}}/gen --kappa {value}",
        f"kappa must lie in [0, 1], got {value}") for value in ("-0.5", "1.5", "nan")],
+    *[("gen-data", "--seed", f"gen-data --out {{tmp}}/gen --seed {value}",
+       f"seed must lie in [0, 2**64), got {value}") for value in _BAD_SEEDS],
 
     ("train", "--window", "train --data {data} --out {tmp}/m.rcm --window 0",
      "window and horizon must be >= 1, got 0, 5"),
@@ -57,6 +61,9 @@ BAD_FLAGS = [
        f"dropout probability must be in [0, 1), got {value}")
       for value, extra in (("1.0", ""), ("1.0", " --baseline linreg"), ("-0.1", ""),
                            ("nan", ""))],
+    *[("train", "--seed", f"train --data {{data}} --out {{tmp}}/m.rcm --seed {value}{extra}",
+       f"seed must lie in [0, 2**64), got {value}")
+      for value in _BAD_SEEDS for extra in ("", " --baseline linreg")],
     ("train", "--grid", "train --data {data} --out {tmp}/m.rcm --grid lr=abc",
      "grid lr values must be numbers: 'lr=abc'"),
     ("train", "--grid", "train --data {data} --out {tmp}/m.rcm --grid hidden=1.5",
@@ -118,18 +125,19 @@ BAD_FLAGS = [
     ("compare", "--csv",
      "compare --data {data} --lexicon {lexicon} {hybrid} {linear} --csv {lexicon}",
      _OVERWRITES.format("{lexicon}", "lexicon file")),
+
+    *[("gradcheck", "--seed", f"gradcheck --seed {value}",
+       f"seed must lie in [0, 2**64), got {value}") for value in _BAD_SEEDS],
 ]
 
 # Value-taking flags with no invalid value: input paths (a missing or
-# malformed input is a read error, exit 3 or 5), gen-data's output directory,
-# and seeds (any integer is a seed).
+# malformed input is a read error, exit 3 or 5) and gen-data's output directory.
 NO_INVALID_VALUE = {
-    ("gen-data", "--seed"), ("gen-data", "--out"),
-    ("train", "--data"), ("train", "--lexicon"), ("train", "--seed"),
+    ("gen-data", "--out"),
+    ("train", "--data"), ("train", "--lexicon"),
     ("evaluate", "--data"), ("evaluate", "--lexicon"), ("evaluate", "--model"),
     ("predict", "--data"), ("predict", "--lexicon"), ("predict", "--model"),
     ("compare", "--data"), ("compare", "--lexicon"),
-    ("gradcheck", "--seed"),
 }
 
 

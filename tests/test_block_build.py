@@ -97,7 +97,7 @@ def test_block_frame_is_the_tail_of_the_full_frame():
     bundle = _synth(2000, 7)
     lexicon = default_lexicon()
     preprocess = make_datasets(bundle, lexicon, PipelineConfig(), SplitSpec())[3]
-    cfg = PipelineConfig(preprocess.window, preprocess.horizon)
+    cfg = preprocess.config
     full = assemble_frame(bundle, lexicon, cfg, preprocess.policy_vocab)
     block = assemble_frame(bundle, lexicon, cfg, preprocess.policy_vocab,
                            test_block_of=preprocess)
@@ -205,9 +205,8 @@ def _cut_to_samples(data_dir, out_dir, hybrid_path, n_samples):
     windows under the model's recipe."""
     pre = load_model(hybrid_path).preprocess
     bundle = load_bundle(str(data_dir))
-    frame = assemble_frame(bundle, default_lexicon(), PipelineConfig(pre.window, pre.horizon),
-                           pre.policy_vocab)
-    cutoff = frame.dates[pre.window + pre.horizon + n_samples - 2].isoformat()
+    frame = assemble_frame(bundle, default_lexicon(), pre.config, pre.policy_vocab)
+    cutoff = frame.dates[pre.window + pre.config.horizon + n_samples - 2].isoformat()
     out_dir.mkdir()
     for name in DATA_FILES:
         lines = (data_dir / name).read_text().splitlines()
@@ -244,3 +243,18 @@ def test_short_history_exits_3_as_on_the_full_build(workspace, tmp_path, monkeyp
     assert message in block[2]
     assert block[3] is None
     assert block == full
+
+
+def test_train_refuses_a_short_history_as_evaluate_does(workspace, tmp_path, capsys):
+    """Training counts and checks its samples by the rule that evaluation
+    splits them by, so both refuse the same history with the same message."""
+    _, data_dir, hybrid, _ = workspace
+    short = str(_cut_to_samples(data_dir, tmp_path / "short", hybrid, 5))
+    errors = []
+    for argv in (["train", "--data", short, "--out", str(tmp_path / "m.rcm"),
+                  "--baseline", "linreg"],
+                 ["evaluate", "--data", short, "--model", str(hybrid)]):
+        assert main(argv) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors == ["riskcast: error: chronological split needs at least 10 samples, "
+                      "got 5\n"] * 2

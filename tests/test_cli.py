@@ -430,6 +430,13 @@ def _set_values(name, values):
     return edit
 
 
+def _set_line(key, line):
+    """Replace the first line whose first token is ``key`` by ``line``."""
+    def edit(lines):
+        lines[next(k for k, text in enumerate(lines) if text.split()[:1] == [key])] = line
+    return edit
+
+
 def _set_first_value(name, token):
     def edit(lines):
         row = _param_span(lines, name).start + 1
@@ -503,10 +510,30 @@ class TestMalformedModelFile:
         ("hybrid", _set_values("lstm.b", None), "missing header or parameter 'lstm.b'"),
         ("linear", _set_header("bias", "param bias 2 1 1"),
          "a linear model needs weights ["),
+        ("linear", _set_line("window", "window 0"),
+         "bad preprocess block: window and horizon must be >= 1, got 0, 5"),
+        ("linear", _set_line("horizon", "horizon -3"),
+         "bad preprocess block: window and horizon must be >= 1, got 20, -3"),
+        ("hybrid", _set_line("split", "split 0.5 0.5 0.5"),
+         "bad preprocess block: split fractions must sum to 1, got 1.5"),
+        ("hybrid", _set_line("stats", "stats close nan 1.0 0"),
+         "bad preprocess block: column 'close' has unusable statistics: mean nan, std 1.0"),
+        ("linear", _set_line("stats", "stats close 1.0 0.0 0"),
+         "bad preprocess block: column 'close' has unusable statistics: mean 1.0, std 0.0"),
+        ("linear", _set_line("y_range", "y_range 0.001 inf"),
+         "bad preprocess block: target range is degenerate: min 0.001, max inf"),
+        ("hybrid", _set_line("y_range", "y_range 0.09 0.01"),
+         "bad preprocess block: target range is degenerate: min 0.09, max 0.01"),
+        ("linear", _set_line("ridge_lambda", "ridge_lambda nan"),
+         "ridge_lambda must be finite and >= 0, got nan"),
+        ("linear", _set_line("ridge_lambda", "ridge_lambda -1"),
+         "ridge_lambda must be finite and >= 0, got -1.0"),
     ], ids=["hybrid-nan", "hybrid-inf", "linear-nan", "linear-minus-inf", "missing-end",
             "truncated-preprocess", "header-ndim-mismatch", "header-dim-x", "too-few-values",
             "too-few-values-mid-file", "too-many-values", "non-numeric-value",
-            "missing-parameter", "bias-shape-2"])
+            "missing-parameter", "bias-shape-2", "window-0", "horizon-minus-3",
+            "split-sum-1.5", "stats-mean-nan", "stats-std-0", "y-range-inf", "y-range-max-below-min",
+            "ridge-nan", "ridge-minus-1"])
     def test_reader_error_exits_5(self, workspace, tmp_path, capsys, which, edit, message):
         self._assert_refused(workspace, tmp_path, capsys, which, edit, message)
 

@@ -28,7 +28,7 @@ from riskcast.data_io import (
 )
 from riskcast.frames import day_numbers
 from riskcast.models import LinearRegressionModel, prediction_scores
-from riskcast.preprocess import Preprocess
+from riskcast.preprocess import PipelineConfig, Preprocess
 from riskcast.features import StandardizationStats, ColumnStats
 
 
@@ -246,8 +246,8 @@ def _sample_preprocess():
     stats.columns["close"] = ColumnStats(100.123456789, 3.14159, False)
     stats.columns["flat"] = ColumnStats(5.0, 0.0, True)
     return Preprocess(
-        window=6, horizon=2,
-        train_frac=0.7, val_frac=0.15, test_frac=0.15,
+        config=PipelineConfig(window=6, horizon=2),
+        split=SplitSpec(0.7, 0.15, 0.15),
         market_cols=["close", "flat"], sentiment_cols=["pos", "neg", "compound"],
         static_cols=["profit"], policy_vocab=["hike", "cut"],
         stats=stats, y_min=0.001234, y_max=0.0456,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    linreg_objective,
     normwise_rel_error,
     numeric_grad,
     random_samples,
@@ -30,7 +31,6 @@ from riskcast.models import (
     MAX_PARTS,
     MIN_PART,
     SCORE_CHUNK,
-    linreg_objective,
     prediction_scores,
 )
 from riskcast.training import mse_loss

@@ -1,19 +1,25 @@
-"""Every entry point the benchmark tracer wraps must exist in the program,
-and every counter hook must run on real calls.
+"""Every entry point the benchmark tracer wraps and every program name the
+benchmark imports must exist in the program, and every counter hook must
+run on real calls.
 
 ``perfbench/spans.py`` patches each name in its ``ENTRY_POINTS`` when a run
 is traced (``perfbench/run.py --trace 1``), and one missing name makes that
 run fail at install.  The module is read from disk and executed without
 writing bytecode next to it; each name is then resolved the way
 ``Tracer.install`` resolves it, and the tracer is installed around a few
-tiny CLI calls.
+tiny CLI calls.  ``perfbench/run.py`` imports program names inside the
+functions that check a run's output, so it is parsed, not executed, and
+each ``riskcast`` import in it is resolved against the package.
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+RUN = PERFBENCH / "run.py"
 
 
 def _load_spans() -> types.ModuleType:
@@ -39,6 +45,24 @@ def test_every_traced_entry_point_resolves():
                 missing.append(f"{layer}.{entry}")
     assert missing == [], f"perfbench/spans.py wraps names the program lacks: {missing}"
     assert len(spans.span_names()) > 40
+
+
+def test_every_riskcast_import_of_the_benchmark_resolves():
+    """Each ``import riskcast.<module>`` in the benchmark script must import,
+    and each name of a ``from riskcast.<module> import`` must be found there."""
+    tree = ast.parse(RUN.read_text(encoding="utf-8"), str(RUN))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("riskcast"):
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names
+                         if alias.name.startswith("riskcast")]
+    modules = {module: importlib.import_module(module) for module, _ in imported}
+    missing = [f"{module}.{name}" for module, name in imported
+               if name is not None and not hasattr(modules[module], name)]
+    assert missing == [], f"perfbench/run.py imports names the program lacks: {missing}"
+    assert len(imported) > 10
 
 
 def test_every_counter_hook_runs_on_real_calls(tmp_path):

@@ -140,7 +140,7 @@ class TestNoLookahead:
         """Each target must be recomputable from closes strictly after the
         prediction date."""
         train, val, test, pre = datasets
-        cfg = PipelineConfig(window=pre.window, horizon=pre.horizon)
+        cfg = pre.config
         frame = assemble_frame(bundle, default_lexicon(), cfg, pre.policy_vocab)
         date_to_row = {d: i for i, d in enumerate(frame.dates)}
         raw_target = frame.column("rvol_raw")
