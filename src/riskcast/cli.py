@@ -30,7 +30,6 @@ from .evaluation import (
     compare_models,
     comparison_csv,
     comparison_table,
-    compute_mse,
     evaluate_predictions,
     report_text,
 )
@@ -40,7 +39,7 @@ from .lexicon import default_lexicon, load_lexicon
 from .models import HybridModel, ModelDims, linreg_fit, predict_batch, prediction_scores
 from .synth import SynthConfig, synth_generate
 from .tensor import SeededRng, check_seed, derive_seed
-from .training import TrainConfig, TrainLog, fit, gradient_check, grid_search
+from .training import TrainConfig, TrainLog, fit, gradient_check, grid_search, validation_mse
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -198,7 +197,7 @@ def cmd_train(args) -> int:
         model.preprocess = pre
         save_model(model, args.out)
         TrainLog().write_csv(log_path)  # baseline has no epochs; header only
-        val_mse = compute_mse(val_set.y, prediction_scores(model, val_set))
+        val_mse = validation_mse(model, val_set)
         print(f"linear baseline fit on {len(train_set)} samples")
         print(f"best validation mse: {val_mse!r}")
         return 0

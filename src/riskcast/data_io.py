@@ -10,14 +10,14 @@ it holds a ``,``, ``"``, LF or CR:
 * ``news.csv``      - ``date,text``
 * ``policy.csv``    - ``date,category``
 
-Model files are a versioned, self-describing text format: the magic line
-``RISKCAST-MODEL v1``, architecture headers, an embedded preprocessing
-block, then flat parameter blocks.  The headers come from the model's own
-fields (a hybrid's ``ModelDims`` and dropout, a linear model's feature
-count and ridge term) and the parameter blocks follow its ``params()``
-order.  Floats round-trip bit-exactly via shortest-repr formatting.  One
-reader checks every parameter block: its header must parse, its value
-count must match its shape and its values must be finite.
+Model files are a versioned, self-describing text format, written and read
+only here: the magic line ``RISKCAST-MODEL v1``, headers from the model's own
+fields (a hybrid's ``ModelDims`` and dropout, a linear model's feature count
+and ridge term), its ``Preprocess`` recipe, then parameter blocks in its
+``params()`` order.  Floats round-trip bit-exactly via shortest-repr
+formatting.  One loop reads a file back: every parameter block must parse,
+hold as many values as its shape and only finite ones, and the recipe must
+pass its own checks and describe the model's inputs.
 """
 
 from __future__ import annotations
@@ -27,16 +27,16 @@ import datetime as dt
 import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .errors import DataError, ModelIOError, SchemaError
-from .features import SampleSet
+from .features import ColumnStats, SampleSet
 from .frames import TimeSeriesFrame, calendar_dates, day_numbers
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
-from .preprocess import Preprocess, SplitSpec
+from .preprocess import PipelineConfig, Preprocess, SplitSpec
 
 MODEL_MAGIC = "RISKCAST-MODEL v1"
 
@@ -369,6 +369,8 @@ def chronological_split(samples: SampleSet, spec: SplitSpec) -> tuple[SampleSet,
 # ---------------------------------------------------------------------------
 
 _VALUES_PER_LINE = 12
+# The recipe's column lists, one ``key name name ...`` line each.
+_RECIPE_COLUMNS = ("market_cols", "sentiment_cols", "static_cols", "policy_vocab")
 
 
 def save_model(model, path) -> None:
@@ -381,8 +383,16 @@ def save_model(model, path) -> None:
         raise ModelIOError(f"cannot persist model of type {type(model).__name__}")
     lines = [MODEL_MAGIC, f"kind {model.kind}"]
     lines += [f"{name} {value!r}" for name, value in headers.items()]
-    if model.preprocess is not None:
-        lines += model.preprocess.to_lines()
+    pre = model.preprocess
+    if pre is not None:
+        lines += ["preprocess begin", f"window {pre.window}", f"horizon {pre.config.horizon}",
+                  "split " + " ".join(map(repr, astuple(pre.split))),
+                  f"y_range {pre.y_min!r} {pre.y_max!r}"]
+        # An empty list keeps its key's trailing space.
+        lines += [f"{key} " + " ".join(getattr(pre, key)) for key in _RECIPE_COLUMNS]
+        lines += [f"stats {name} {cs.mean!r} {cs.std!r} {int(cs.zero_variance)}"
+                  for name, cs in pre.stats.items()]
+        lines.append("preprocess end")
     for name, array in model.params().items():
         lines.append(f"param {name} {array.ndim} {' '.join(map(str, array.shape))}")
         values = list(map(repr, array.reshape(-1).tolist()))
@@ -428,8 +438,31 @@ def _read_param(path, header: str, lines) -> tuple[str, np.ndarray]:
     return name, array.reshape(shape)
 
 
+def _recipe(path, fields: dict[str, str], stats: list[str]) -> Preprocess:
+    """The checked recipe of a ``preprocess`` block, from its ``key value``
+    fields and its ``stats name mean std zero_variance`` lines."""
+    columns = {}
+    try:
+        for line in stats:
+            tokens = line.split()
+            if len(tokens) != 5:
+                raise ModelIOError(f"{path}: malformed stats line: {line!r}")
+            columns[tokens[1]] = ColumnStats(float(tokens[2]), float(tokens[3]),
+                                             bool(int(tokens[4])))
+        (window,), (horizon,) = fields["window"].split(), fields["horizon"].split()
+        train, val, test = map(float, fields["split"].split())
+        y_min, y_max = map(float, fields["y_range"].split())
+        return Preprocess(PipelineConfig(int(window), int(horizon)), SplitSpec(train, val, test),
+                          **{key: fields.get(key, "").split() for key in _RECIPE_COLUMNS},
+                          stats=columns, y_min=y_min, y_max=y_max)
+    except (KeyError, ValueError) as exc:
+        raise ModelIOError(f"{path}: bad preprocess block: {exc}") from exc
+
+
 def _parse_model_text(path) -> tuple[dict[str, str], Preprocess | None, dict[str, np.ndarray]]:
-    """The headers, preprocessing recipe and parameters of a model file."""
+    """The headers, preprocessing recipe and parameters of a model file, in
+    one pass: between ``preprocess begin`` and ``preprocess end`` a line is a
+    recipe field or ``stats`` line, elsewhere a header, ``param`` or ``end``."""
     with open(path, encoding="utf-8") as handle:
         lines = iter(handle.read().splitlines())
     found = next(lines, "<empty file>")
@@ -440,29 +473,31 @@ def _parse_model_text(path) -> tuple[dict[str, str], Preprocess | None, dict[str
     headers: dict[str, str] = {}
     preprocess: Preprocess | None = None
     params: dict[str, np.ndarray] = {}
+    recipe: dict[str, str] | None = None  # the fields of an open preprocess block
+    stats: list[str] = []
     for line in lines:
         tokens = line.split(maxsplit=1)
         if not tokens:
             continue
-        if tokens[0] == "end":
-            return headers, preprocess, params
-        if line.split() == ["preprocess", "begin"]:
-            block = []
-            for inner in lines:
-                if inner.split() == ["preprocess", "end"]:
-                    break
-                block.append(inner)
+        key, value = tokens[0], tokens[1] if len(tokens) > 1 else ""
+        if recipe is not None:
+            if key == "preprocess" and value.split() == ["end"]:
+                preprocess, recipe = _recipe(path, recipe, stats), None
+            elif key == "stats":
+                stats.append(line)
             else:
-                raise ModelIOError(f"{path}: truncated inside the preprocess block")
-            try:
-                preprocess = Preprocess.from_lines(block)
-            except ModelIOError as exc:
-                raise ModelIOError(f"{path}: {exc}") from exc
-        elif tokens[0] == "param":
+                recipe[key] = value
+        elif key == "preprocess" and value.split() == ["begin"]:
+            recipe, stats = {}, []
+        elif key == "param":
             name, array = _read_param(path, line, lines)
             params[name] = array
+        elif key == "end":
+            return headers, preprocess, params
         else:
-            headers[tokens[0]] = tokens[1] if len(tokens) > 1 else ""
+            headers[key] = value
+    if recipe is not None:
+        raise ModelIOError(f"{path}: truncated inside the preprocess block")
     raise ModelIOError(f"{path}: truncated file: missing end marker")
 
 
@@ -473,26 +508,37 @@ def load_model(path):
     try:
         if kind == "hybrid":
             dims = ModelDims(**{f.name: int(headers[f.name]) for f in fields(ModelDims)})
-            return HybridModel(
+            model = HybridModel(
                 dims,
                 Conv1DLayer(params["conv.kernels"], params["conv.bias"]),
                 LSTMCell(params["lstm.w_x"], params["lstm.w_h"], params["lstm.b"]),
                 DenseLayer(params["head.w"], params["head.b"]),
                 DropoutSpec(float(headers["dropout_p"])),
-                preprocess=preprocess,
             )
-        if kind == "linear":
+            what, found = "window and widths", (dims.window, dims.f_market,
+                                                dims.f_sentiment, dims.f_static)
+        elif kind == "linear":
             n_features = int(headers["n_features"])
             weights, bias = params["weights"], params["bias"]
             if weights.shape != (n_features,) or bias.shape != (1,):
                 raise ModelIOError(f"{path}: a linear model needs weights [{n_features}] and "
                                    f"bias [1], found {list(weights.shape)} and "
                                    f"{list(bias.shape)}")
-            return LinearRegressionModel(weights, bias[0], float(headers["ridge_lambda"]),
-                                         preprocess=preprocess)
+            model = LinearRegressionModel(weights, bias[0], float(headers["ridge_lambda"]))
+            what, found = "feature count", n_features
+        else:
+            raise ModelIOError(f"{path}: unknown model kind {kind!r}")
     except KeyError as exc:
         raise ModelIOError(f"{path}: missing header or parameter {exc}") from exc
     except ValueError as exc:
         # A header that does not parse, or values the model rejects.
         raise ModelIOError(f"{path}: {exc}") from exc
-    raise ModelIOError(f"{path}: unknown model kind {kind!r}")
+    pre = model.preprocess = preprocess
+    if pre is not None:
+        recipe = (pre.window, len(pre.market_cols), len(pre.sentiment_cols), len(pre.static_all))
+        if kind == "linear":  # the flattened window, then the static row
+            recipe = pre.window * len(pre.seq_cols) + len(pre.static_all)
+        if recipe != found:
+            raise ModelIOError(f"{path}: the recipe gives the {what} {recipe}, "
+                               f"the model has {found}")
+    return model

@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -201,35 +201,28 @@ class ColumnStats(NamedTuple):
     zero_variance: bool
 
 
-@dataclass
-class StandardizationStats:
-    """Per-column mean and population std, fit on training rows only."""
-
-    columns: dict[str, ColumnStats] = field(default_factory=dict)
-
-
-def fit_standardize(frame: TimeSeriesFrame, train_row_range: tuple[int, int]) -> StandardizationStats:
-    """Fit z-score statistics on rows [start, stop) of every column."""
+def fit_standardize(frame: TimeSeriesFrame, train_row_range: tuple[int, int]) -> dict[str, ColumnStats]:
+    """Fit z-score statistics on rows [start, stop) of every column, in column order."""
     start, stop = train_row_range
     if not 0 <= start < stop <= len(frame):
         raise DataError(
             f"training row range [{start}, {stop}) is empty or out of bounds "
             f"for a frame of {len(frame)} rows"
         )
-    stats = StandardizationStats()
+    stats = {}
     for name, values in frame.columns.items():
         chunk = values[start:stop]
         mean = float(np.mean(chunk))
         std = float(np.std(chunk))
         zero = std <= _ZERO_VARIANCE_TOL * (1.0 + abs(mean))
-        stats.columns[name] = ColumnStats(mean, std, zero)
+        stats[name] = ColumnStats(mean, std, zero)
     return stats
 
 
-def apply_standardize(frame: TimeSeriesFrame, stats: StandardizationStats) -> TimeSeriesFrame:
+def apply_standardize(frame: TimeSeriesFrame, stats: dict[str, ColumnStats]) -> TimeSeriesFrame:
     """z = (x - mean) / std per fitted column; zero-variance columns map to 0."""
     new_cols = {}
-    for name, col_stats in stats.columns.items():
+    for name, col_stats in stats.items():
         values = frame.column(name)
         if col_stats.zero_variance:
             new_cols[name] = np.zeros_like(values)
@@ -402,10 +395,6 @@ class SampleSet:
     def dates(self) -> list[dt.date]:
         """The prediction dates as ``datetime.date``, for writing and printing."""
         return calendar_dates(self.days)
-
-    @property
-    def window(self) -> int:
-        return self.x_seq.shape[1]
 
     @property
     def static_width(self) -> int:

@@ -41,7 +41,6 @@ from .layers import (
     dropout_forward,
 )
 from .features import SampleSet
-from .preprocess import Preprocess
 from .tensor import SeededRng, derive_seed
 
 # Windows per batched forward call when scoring a whole set: large enough to
@@ -122,8 +121,7 @@ class HybridModel:
     kind = "hybrid"
 
     def __init__(self, dims: ModelDims, conv: Conv1DLayer, lstm: LSTMCell,
-                 head: DenseLayer, dropout: DropoutSpec,
-                 preprocess: Preprocess | None = None):
+                 head: DenseLayer, dropout: DropoutSpec):
         if conv.c_in != dims.f_sentiment or conv.c_out != dims.conv_channels \
                 or conv.k != dims.kernel_width:
             raise DimensionError("conv layer does not match declared dims")
@@ -136,7 +134,7 @@ class HybridModel:
         self.lstm = lstm
         self.head = head
         self.dropout = dropout
-        self.preprocess = preprocess
+        self.preprocess = None  # the recipe, set by train and by load_model
 
     @classmethod
     def initialize(cls, dims: ModelDims, seed: int,
@@ -240,8 +238,7 @@ class LinearRegressionModel:
 
     kind = "linear"
 
-    def __init__(self, weights, bias: float, ridge_lambda: float = 1e-8,
-                 preprocess: Preprocess | None = None):
+    def __init__(self, weights, bias: float, ridge_lambda: float = 1e-8):
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.ndim != 1:
             raise DimensionError(f"weights must be 1-d, got {list(self.weights.shape)}")
@@ -249,7 +246,7 @@ class LinearRegressionModel:
         self.ridge_lambda = float(ridge_lambda)
         if not 0 <= self.ridge_lambda < np.inf:
             raise ParameterError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
-        self.preprocess = preprocess
+        self.preprocess = None  # the recipe, set by train and by load_model
 
     @property
     def n_features(self) -> int:

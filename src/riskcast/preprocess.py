@@ -3,8 +3,9 @@
 A model's predictions are only reproducible together with the exact feature
 recipe it was trained under: window geometry, split fractions, column
 layout, z-score statistics, and the target's min-max range.  ``Preprocess``
-captures all of it, checks it, and serializes into the model file so
-``evaluate`` and ``predict`` can rebuild identical inputs from raw CSVs.
+captures all of it and checks it; ``riskcast.data_io`` writes it into the
+model file and reads it back, so ``evaluate`` and ``predict`` can rebuild
+identical inputs from raw CSVs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DataError, ModelIOError, ParameterError
-from .features import ColumnStats, StandardizationStats
+from .errors import DataError, ParameterError
+from .features import ColumnStats
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,12 @@ def _check_token(name: str) -> str:
 
 @dataclass
 class Preprocess:
-    """The recipe.  Its geometry and split check themselves; a statistic that
-    is not finite, a zero std in a column not flagged zero-variance, and a
-    target range that is not finite or has max <= min are ``DataError``s."""
+    """The recipe.  Its geometry and split check themselves.  ``stats`` holds
+    the statistics of every standardized column, the sequence columns then
+    the static ones, in that order.  Statistics for other columns or in
+    another order, a statistic that is not finite, a zero std in a column
+    not flagged zero-variance, and a target range that is not finite or has
+    max <= min are ``DataError``s."""
 
     config: PipelineConfig
     split: SplitSpec
@@ -72,7 +76,7 @@ class Preprocess:
     sentiment_cols: list[str]
     static_cols: list[str]
     policy_vocab: list[str]
-    stats: StandardizationStats
+    stats: dict[str, ColumnStats]
     y_min: float
     y_max: float
 
@@ -80,7 +84,10 @@ class Preprocess:
         for name in (*self.market_cols, *self.sentiment_cols,
                      *self.static_cols, *self.policy_vocab):
             _check_token(name)
-        for name, cs in self.stats.columns.items():
+        if list(self.stats) != self.seq_cols + self.static_cols:
+            raise DataError(f"statistics cover columns {list(self.stats)}, expected "
+                            f"{self.seq_cols + self.static_cols}")
+        for name, cs in self.stats.items():
             if not (math.isfinite(cs.mean) and math.isfinite(cs.std)
                     and (cs.std > 0 or cs.zero_variance)):
                 raise DataError(f"column {name!r} has unusable statistics: "
@@ -102,52 +109,3 @@ class Preprocess:
     @property
     def static_all(self) -> list[str]:
         return list(self.static_cols) + list(self.policy_vocab)
-
-    def to_lines(self) -> list[str]:
-        lines = [
-            "preprocess begin",
-            f"window {self.config.window}",
-            f"horizon {self.config.horizon}",
-            f"split {self.split.train_frac!r} {self.split.val_frac!r} {self.split.test_frac!r}",
-            f"y_range {self.y_min!r} {self.y_max!r}",
-            "market_cols " + " ".join(self.market_cols),
-            "sentiment_cols " + " ".join(self.sentiment_cols),
-            "static_cols " + " ".join(self.static_cols),
-            "policy_vocab " + " ".join(self.policy_vocab),
-        ]
-        for name, cs in self.stats.columns.items():
-            lines.append(f"stats {name} {cs.mean!r} {cs.std!r} {int(cs.zero_variance)}")
-        lines.append("preprocess end")
-        return lines
-
-    @classmethod
-    def from_lines(cls, lines: list[str]) -> "Preprocess":
-        fields: dict[str, list[str]] = {}
-        stats = StandardizationStats()
-        try:
-            for line in lines:
-                tokens = line.split()
-                if not tokens:
-                    continue
-                if tokens[0] == "stats":
-                    if len(tokens) != 5:
-                        raise ModelIOError(f"malformed stats line: {line!r}")
-                    stats.columns[tokens[1]] = ColumnStats(
-                        float(tokens[2]), float(tokens[3]), bool(int(tokens[4]))
-                    )
-                else:
-                    fields[tokens[0]] = tokens[1:]
-            (window,), (horizon,) = fields["window"], fields["horizon"]
-            train, val, test = map(float, fields["split"])
-            y_min, y_max = map(float, fields["y_range"])
-            return cls(
-                config=PipelineConfig(int(window), int(horizon)),
-                split=SplitSpec(train, val, test),
-                market_cols=fields.get("market_cols", []),
-                sentiment_cols=fields.get("sentiment_cols", []),
-                static_cols=fields.get("static_cols", []),
-                policy_vocab=fields.get("policy_vocab", []),
-                stats=stats, y_min=y_min, y_max=y_max,
-            )
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ModelIOError(f"bad preprocess block: {exc}") from exc

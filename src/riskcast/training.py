@@ -245,8 +245,6 @@ def grid_search(model_factory, train: SampleSet, val: SampleSet, cfg: TrainConfi
         trials.append(GridTrial(lr, hidden, val_mse))
         if best is None or val_mse < best.val_mse:
             best = GridSearchResult(lr, hidden, model, log, val_mse, trials)
-    assert best is not None
-    best.trials = trials
     return best
 
 

@@ -430,10 +430,30 @@ def _set_values(name, values):
     return edit
 
 
+def _first_line(lines, key, start=0) -> int:
+    """The index of the first line from ``start`` on whose first token is ``key``."""
+    return next(k for k in range(start, len(lines)) if lines[k].split()[:1] == [key])
+
+
 def _set_line(key, line):
     """Replace the first line whose first token is ``key`` by ``line``."""
     def edit(lines):
-        lines[next(k for k, text in enumerate(lines) if text.split()[:1] == [key])] = line
+        lines[_first_line(lines, key)] = line
+    return edit
+
+
+def _set_recipe_line(key, line):
+    """Replace the first line of the recipe block whose first token is ``key``
+    by ``line``."""
+    def edit(lines):
+        lines[_first_line(lines, key, lines.index("preprocess begin"))] = line
+    return edit
+
+
+def _drop_line(key):
+    """Delete the first line whose first token is ``key``."""
+    def edit(lines):
+        del lines[_first_line(lines, key)]
     return edit
 
 
@@ -478,7 +498,7 @@ class TestMalformedModelFile:
             "dropout-1.5", "kind-forest", "n-features-mismatch"])
     def test_evaluate_exits_5(self, workspace, tmp_path, capsys, which, key, position, token):
         def edit(lines):
-            row = next(k for k, line in enumerate(lines) if line.split()[:1] == [key])
+            row = _first_line(lines, key)
             fields = lines[row].split()
             fields[position] = token
             lines[row] = " ".join(fields)
@@ -528,12 +548,20 @@ class TestMalformedModelFile:
          "ridge_lambda must be finite and >= 0, got nan"),
         ("linear", _set_line("ridge_lambda", "ridge_lambda -1"),
          "ridge_lambda must be finite and >= 0, got -1.0"),
+        ("hybrid", _set_line("stats", "stats"), "malformed stats line: 'stats'"),
+        ("linear", _drop_line("stats"),
+         "bad preprocess block: statistics cover columns ['ma5', "),
+        ("hybrid", _set_recipe_line("window", "window 10"),
+         "the recipe gives the window and widths (10, 7, 3, "),
+        ("linear", _set_recipe_line("window", "window 10"),
+         "the recipe gives the feature count "),
     ], ids=["hybrid-nan", "hybrid-inf", "linear-nan", "linear-minus-inf", "missing-end",
             "truncated-preprocess", "header-ndim-mismatch", "header-dim-x", "too-few-values",
             "too-few-values-mid-file", "too-many-values", "non-numeric-value",
             "missing-parameter", "bias-shape-2", "window-0", "horizon-minus-3",
             "split-sum-1.5", "stats-mean-nan", "stats-std-0", "y-range-inf", "y-range-max-below-min",
-            "ridge-nan", "ridge-minus-1"])
+            "ridge-nan", "ridge-minus-1", "stats-bare", "stats-line-deleted",
+            "recipe-window-10", "linear-recipe-window-10"])
     def test_reader_error_exits_5(self, workspace, tmp_path, capsys, which, edit, message):
         self._assert_refused(workspace, tmp_path, capsys, which, edit, message)
 

@@ -29,7 +29,7 @@ from riskcast.data_io import (
 from riskcast.frames import day_numbers
 from riskcast.models import LinearRegressionModel, prediction_scores
 from riskcast.preprocess import PipelineConfig, Preprocess
-from riskcast.features import StandardizationStats, ColumnStats
+from riskcast.features import ColumnStats
 
 
 MARKET_3ROW = """date,open,close,volume
@@ -242,11 +242,16 @@ class TestDatasetBundle:
 
 
 def _sample_preprocess():
-    stats = StandardizationStats()
-    stats.columns["close"] = ColumnStats(100.123456789, 3.14159, False)
-    stats.columns["flat"] = ColumnStats(5.0, 0.0, True)
+    """A recipe that describes ``tiny_hybrid``'s inputs, with statistics for
+    every column it standardizes."""
+    stats = {"close": ColumnStats(100.123456789, 3.14159, False),
+             "flat": ColumnStats(5.0, 0.0, True),
+             "pos": ColumnStats(0.25, 0.125, False),
+             "neg": ColumnStats(0.3, 0.1, False),
+             "compound": ColumnStats(-0.05, 0.4, False),
+             "profit": ColumnStats(104.99, 6.64, False)}
     return Preprocess(
-        config=PipelineConfig(window=6, horizon=2),
+        config=PipelineConfig(window=4, horizon=2),
         split=SplitSpec(0.7, 0.15, 0.15),
         market_cols=["close", "flat"], sentiment_cols=["pos", "neg", "compound"],
         static_cols=["profit"], policy_vocab=["hike", "cut"],
@@ -311,3 +316,92 @@ class TestModelPersistence:
         save_model(model, path)
         after = prediction_scores(load_model(path), samples)
         assert np.array_equal(before, after)
+
+
+# The v1 text of two tiny models that share one recipe with an empty
+# policy vocabulary, as the format's first writer wrote them.
+_V1_RECIPE = "\n".join([
+    "preprocess begin",
+    "window 2",
+    "horizon 3",
+    "split 0.7 0.15 0.15",
+    "y_range 0.0007632988041317994 0.09264877485227312",
+    "market_cols close",
+    "sentiment_cols pos",
+    "static_cols profit",
+    "policy_vocab ",  # an empty list keeps its key's trailing space
+    "stats close 71.5995295983441 15.279950551968348 0",
+    "stats pos 0.1 0.0 1",
+    "stats profit -0.0003045020844565673 0.02038676077336505 0",
+    "preprocess end",
+])
+_V1_HYBRID = """RISKCAST-MODEL v1
+kind hybrid
+window 2
+f_market 1
+f_sentiment 1
+f_static 1
+conv_channels 1
+kernel_width 2
+hidden_size 2
+dropout_p 0.2
+""" + _V1_RECIPE + """
+param conv.kernels 3 1 2 1
+0.55709357275235 -0.20953342101654626
+param conv.bias 1 1
+0.0
+param lstm.w_x 2 8 2
+-0.019805738510729642 -0.38212688508365267 -0.42224966030410604 -0.5648288611307236 \
+0.5269674658128225 0.19738849596914532 0.04105635694523535 -0.042624598719414264 \
+-0.6674996840449918 0.1319191848484651 -0.24243124780332886 0.05407314309454003
+0.02834806497934439 -0.49701681395555064 -0.020295793808042473 -0.3337126669713765
+param lstm.w_h 2 8 2
+0.6403882010507169 -0.5022798198908274 0.47736967379021 0.3978143530181193 \
+-0.21108122812787494 -0.36359431979600715 -0.05272625816682741 -0.671759641007002 \
+0.49035226826038203 -0.05745176389463691 0.5973492704679482 -0.21318712248904959
+0.2742647570204463 0.2747471235558936 0.12196538218951569 -0.29387944439116526
+param lstm.b 1 8
+0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
+param head.w 2 1 3
+-0.04105861269128497 -0.3581101045994543 -0.015984430958201123
+param head.b 1 1
+0.0
+end
+"""
+_V1_LINEAR = """RISKCAST-MODEL v1
+kind linear
+n_features 5
+ridge_lambda 1e-08
+""" + _V1_RECIPE + """
+param weights 1 5
+0.5 -0.25 1e-300 3.0 -2.0
+param bias 1 1
+0.1
+end
+"""
+
+
+def _v1_models():
+    stats = {"close": ColumnStats(71.5995295983441, 15.279950551968348, False),
+             "pos": ColumnStats(0.1, 0.0, True),
+             "profit": ColumnStats(-0.0003045020844565673, 0.02038676077336505, False)}
+    recipe = Preprocess(PipelineConfig(window=2, horizon=3), SplitSpec(0.7, 0.15, 0.15),
+                        ["close"], ["pos"], ["profit"], [], stats,
+                        0.0007632988041317994, 0.09264877485227312)
+    hybrid = tiny_hybrid(seed=5, window=2, f_market=1, f_sentiment=1, f_static=1,
+                         conv_channels=1, kernel_width=2, hidden_size=2)
+    linear = LinearRegressionModel([0.5, -0.25, 1e-300, 3.0, -2.0], 0.1, 1e-08)
+    hybrid.preprocess = linear.preprocess = recipe
+    return {"hybrid": (hybrid, _V1_HYBRID), "linear": (linear, _V1_LINEAR)}
+
+
+class TestModelFileBytes:
+    @pytest.mark.parametrize("kind", ["hybrid", "linear"])
+    def test_v1_text_is_pinned(self, tmp_path, kind):
+        """The writer emits the v1 bytes, and a file read back re-saves to them."""
+        model, text = _v1_models()[kind]
+        first, second = tmp_path / "a.rcm", tmp_path / "b.rcm"
+        save_model(model, first)
+        assert first.read_bytes() == text.encode()
+        save_model(load_model(first), second)
+        assert second.read_bytes() == text.encode()

@@ -141,15 +141,15 @@ class TestStandardization:
     def test_three_point_example(self):
         frame = self._frame([1.0, 2.0, 3.0])
         stats = fit_standardize(frame, (0, 3))
-        assert stats.columns["x"].mean == 2.0
-        assert stats.columns["x"].std == pytest.approx(math.sqrt(2 / 3))
+        assert stats["x"].mean == 2.0
+        assert stats["x"].std == pytest.approx(math.sqrt(2 / 3))
         z = apply_standardize(frame, stats).column("x")
         np.testing.assert_allclose(z, [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_column_flagged_and_zeroed(self):
         frame = self._frame([4.2, 4.2, 4.2, 4.2])
         stats = fit_standardize(frame, (0, 4))
-        assert stats.columns["x"].zero_variance
+        assert stats["x"].zero_variance
         assert not apply_standardize(frame, stats).column("x").any()
 
     def test_training_rows_have_zero_mean_after_applying(self):
@@ -164,7 +164,7 @@ class TestStandardization:
         frame = self._frame(rng.normals(40, -1.0, 5.0))
         stats = fit_standardize(frame, (0, 40))
         z = apply_standardize(frame, stats).column("x")
-        cs = stats.columns["x"]
+        cs = stats["x"]
         np.testing.assert_allclose(z * cs.std + cs.mean, frame.column("x"), atol=1e-9)
 
     def test_empty_train_range_rejected(self):

@@ -41,7 +41,7 @@ class TestMakeDatasets:
         assert pre.seq_cols[:len(MARKET_CHANNELS)] == list(MARKET_CHANNELS)
         assert pre.seq_cols[len(MARKET_CHANNELS):] == list(SENTIMENT_CHANNELS)
         assert train.static_width == len(pre.static_all)
-        assert train.window == pre.window == 20
+        assert train.x_seq.shape[1] == pre.window == 20
 
     def test_everything_finite_and_targets_in_unit_interval(self, datasets):
         for part in datasets[:3]:
@@ -80,7 +80,7 @@ class TestMakeDatasets:
         n_train = int(n_samples * 0.70)
         stop = cfg.window + n_train - 1
         raw_close = frame.column("close")
-        stats = pre.stats.columns["close"]
+        stats = pre.stats["close"]
         assert stats.mean == pytest.approx(float(np.mean(raw_close[:stop])))
         assert stats.mean != pytest.approx(float(np.mean(raw_close)))
 
