@@ -46,7 +46,7 @@ from .features import (
     sentiment_score,
     sentiment_scores,
 )
-from .frames import TimeSeriesFrame
+from .frames import DatedLabels, TimeSeriesFrame
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
 from .lexicon import SentimentLexicon, default_lexicon, load_lexicon
 from .models import (

@@ -1,8 +1,14 @@
 """CSV ingestion and writing, chronological splits, and model persistence.
 
-File schemas (ISO-8601 dates, decimal floats, RFC-4180 quoting).  The
-writers join whole column slices into lines, quoting a text field only when
-it holds a ``,``, ``"``, LF or CR:
+File schemas (ISO-8601 dates, decimal floats, RFC-4180 quoting).  Each file
+is read once as text and turned into columns.  A file with no ``"``, no CR
+and no line longer than ``csv.field_size_limit()`` is split on LF and
+``,``; any other goes through ``csv.reader``, which parses quoted fields and
+CR line ends and refuses a field over that limit.  Both give the same rows:
+blank lines are skipped, whitespace in fields is kept.  News and policy
+load as :class:`~riskcast.frames.DatedLabels`.  The writers join whole
+column slices into lines, quoting a text field only when it holds a ``,``,
+``"``, LF or CR:
 
 * ``market.csv``    - ``date,open,close,volume``
 * ``financial.csv`` - ``date,profit,debt_ratio,cash_flow``
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import os
 import warnings
 from collections.abc import Sequence
@@ -33,7 +40,7 @@ import numpy as np
 
 from .errors import DataError, ModelIOError, SchemaError
 from .features import ColumnStats, SampleSet
-from .frames import TimeSeriesFrame, calendar_dates, day_numbers
+from .frames import DatedLabels, TimeSeriesFrame, calendar_dates, day_numbers
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
 from .preprocess import PipelineConfig, Preprocess, SplitSpec
@@ -54,20 +61,54 @@ _MARKET_INVALID = {"close": ("non-positive", np.less_equal), "volume": ("negativ
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    """Stripped header names and every non-blank data row of a CSV file."""
+def _csv_fields(path) -> tuple[list[str], list[str], np.ndarray]:
+    """The header row (unstripped), flat fields and row widths of
+    :func:`_read_fields`, read by ``csv.reader``: the reader for a file that
+    holds a quote, a CR or a line longer than ``csv.field_size_limit()``.  A
+    field over that limit is a ``file:line`` SchemaError."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        rows = list(filter(None, reader))
-    return [name.strip() for name in header], rows
+            rows = list(filter(None, reader))
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    return header, list(itertools.chain.from_iterable(rows)), widths
+
+
+def _read_fields(path) -> tuple[list[str], list[str], np.ndarray]:
+    """The stripped header names of a CSV file, the fields of its non-blank
+    data rows in one flat list, row after row, and each row's field count.
+
+    The file is read once as text.  A file with no ``"``, no CR and no line
+    longer than ``csv.field_size_limit()`` is split on LF and ``,``, which
+    gives the fields ``csv.reader`` would.  Any other file is read by
+    :func:`_csv_fields`: only ``csv.reader`` parses quoted fields and CR line
+    ends, and refuses a field over the limit.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    if not text:
+        raise SchemaError(f"{path}: file is empty, expected a header row")
+    lines = None if '"' in text or "\r" in text else text.split("\n")
+    del text
+    if lines is None or max(map(len, lines)) > csv.field_size_limit():
+        header, fields, widths = _csv_fields(path)
+    else:
+        header = lines[0].split(",") if lines[0] else []
+        rows = list(filter(None, lines[1:]))
+        del lines
+        widths = 1 + np.fromiter(map(str.count, rows, itertools.repeat(",")),
+                                 dtype=np.int64, count=len(rows))
+        joined = ",".join(rows)
+        del rows
+        fields = joined.split(",") if joined else []
+    return [name.strip() for name in header], fields, widths
 
 
 def _numbered_rows(path) -> list[tuple[int, list[str]]]:
-    """The data rows of :func:`_read_rows`, each with its csv line number
+    """The data rows of :func:`_read_fields`, each with its csv line number
     (the file line the row ends on, counting blank lines and the lines of
     quoted multi-line fields)."""
     with open(path, encoding="utf-8", newline="") as handle:
@@ -103,24 +144,27 @@ def _check_rows(path, width: int, value_names: list[str]) -> None:
             _parse_float(tok, name, path, lineno)
 
 
-def _columns(path, rows: list[list[str]], width: int, value_names: list[str]
-             ) -> tuple[list[dt.date], np.ndarray, list[tuple[str, ...]]]:
-    """Parse ``rows`` column by column: the dates, the ``value_names`` columns
-    as one ``[columns x rows]`` float matrix, and the remaining raw columns.
+def _columns(path, fields: list[str], widths: np.ndarray, width: int, value_names: list[str]
+             ) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+    """Parse the flat ``fields`` of rows ``width`` fields wide column by
+    column: the dates as day ordinals, the ``value_names`` columns as one
+    ``[columns x rows]`` float matrix, and the remaining raw columns.
 
-    Any bad row is reported at its file line by :func:`_check_rows`.
+    A row of another width, or any bad field, is reported at its file line
+    by :func:`_check_rows`.
     """
+    values = np.empty((len(value_names), len(widths)))
     try:
-        if set(map(len, rows)) != {width}:
+        if (widths != width).any():
             raise ValueError("rows with the wrong field count")
-        columns = list(zip(*rows))
-        days = list(map(dt.date.fromisoformat, map(str.strip, columns[0])))
-        # numpy parses str with Python's float(), so the values are float()'s bits.
-        values = np.array(columns[1:len(value_names) + 1], dtype=np.float64)
+        dates = map(dt.date.fromisoformat, map(str.strip, fields[0::width]))
+        days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(widths))
+        for column, row in enumerate(values, start=1):
+            row[:] = list(map(float, fields[column::width]))
     except ValueError:
         _check_rows(path, width, value_names)
         raise
-    return days, values, columns[len(value_names) + 1:]
+    return days, values, [fields[column::width] for column in range(len(values) + 1, width)]
 
 
 def _reject_first(path, bad: np.ndarray, matrix: np.ndarray, value_names: list[str],
@@ -143,17 +187,17 @@ def _load_numeric_csv(path, required: tuple[str, ...],
     ``invalid`` flags (column -> fault and test against 0) are rejected.
     A bad file is reported at its first bad row in file order.
     """
-    header, rows = _read_rows(path)
+    header, fields, widths = _read_fields(path)
     if not header or header[0] != "date":
         raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
     for column in required:
         if column not in header[1:]:
             raise SchemaError(f"{path}: missing required column {column!r}")
-    if not rows:
+    if not len(widths):
         raise SchemaError(f"{path}: no data rows")
     value_names = header[1:]
-    dates, matrix, _ = _columns(path, rows, len(header), value_names)
-    days = day_numbers(dates)
+    days, matrix, _ = _columns(path, fields, widths, len(header), value_names)
+    del fields
     order = np.argsort(days, kind="stable")
     ranked = days[order]
     repeated = ranked[1:] == ranked[:-1]
@@ -184,24 +228,22 @@ def load_macro_csv(path) -> TimeSeriesFrame:
     return _load_numeric_csv(path, MACRO_COLUMNS)
 
 
-def _load_dated_labels(path, label: str) -> tuple[list[dt.date], tuple[str, ...]]:
-    """The dates and labels of a ``date,<label>`` file, in file order."""
-    header, rows = _read_rows(path)
+def _load_dated_labels(path, label: str) -> DatedLabels:
+    """The dated labels of a ``date,<label>`` file, in file order."""
+    header, fields, widths = _read_fields(path)
     if header[:2] != ["date", label]:
         raise SchemaError(f"{path}: expected header date,{label}, got {header}")
-    if not rows:
-        return [], ()
-    days, _, (labels,) = _columns(path, rows, 2, [])
-    return days, labels
+    days, _, (labels,) = _columns(path, fields, widths, 2, [])
+    return DatedLabels(days, labels)
 
 
-def load_news_csv(path) -> list[tuple[dt.date, str]]:
-    return list(zip(*_load_dated_labels(path, "text")))
+def load_news_csv(path) -> DatedLabels:
+    return _load_dated_labels(path, "text")
 
 
-def load_policy_csv(path) -> list[tuple[dt.date, str]]:
-    days, categories = _load_dated_labels(path, "category")
-    return list(zip(days, map(str.strip, categories)))
+def load_policy_csv(path) -> DatedLabels:
+    events = _load_dated_labels(path, "category")
+    return DatedLabels(events.days, list(map(str.strip, events.labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +293,11 @@ def _write_csv(path, header: list[str], n_rows: int, columns) -> None:
             handle.write("\n".join(map(",".join, zip(*columns(part)))) + "\n")
 
 
-def _write_dated(pairs: list[tuple[dt.date, object]], path, header: list[str], fmt) -> None:
-    """One row per ``(date, value)`` pair; ``fmt`` turns a slice's values into fields."""
-    def columns(part):
-        days, values = zip(*pairs[part])
-        return _iso_dates(day_numbers(days)), fmt(values)
-
-    _write_csv(path, header, len(pairs), columns)
+def _write_dated(days: np.ndarray, values: Sequence, path, header: list[str], fmt) -> None:
+    """One row per day ordinal of ``days`` and its entry of ``values``;
+    ``fmt`` turns a slice of ``values`` into fields."""
+    _write_csv(path, header, len(days),
+               lambda part: (_iso_dates(days[part]), fmt(values[part])))
 
 
 def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
@@ -271,16 +311,18 @@ def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
     _write_csv(path, ["date", *names], len(frame), columns)
 
 
-def write_news_csv(items: list[tuple[dt.date, str]], path) -> None:
-    _write_dated(items, path, ["date", "text"], _quoted)
+def write_news_csv(items: DatedLabels, path) -> None:
+    _write_dated(items.days, items.labels, path, ["date", "text"], _quoted)
 
 
-def write_policy_csv(events: list[tuple[dt.date, str]], path) -> None:
-    _write_dated(events, path, ["date", "category"], _quoted)
+def write_policy_csv(events: DatedLabels, path) -> None:
+    _write_dated(events.days, events.labels, path, ["date", "category"], _quoted)
 
 
-def write_predictions_csv(predictions, path) -> None:
-    _write_dated(predictions, path, ["date", "risk_score"], lambda scores: map(repr, scores))
+def write_predictions_csv(predictions: list[tuple[dt.date, float]], path) -> None:
+    dates, scores = zip(*predictions) if predictions else ((), ())
+    _write_dated(day_numbers(dates), scores, path, ["date", "risk_score"],
+                 lambda scores: map(repr, scores))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +336,8 @@ class DatasetBundle:
 
     market: TimeSeriesFrame
     financial: TimeSeriesFrame          # company financials plus macro, outer-joined
-    news: list[tuple[dt.date, str]]
-    policy: list[tuple[dt.date, str]]
+    news: DatedLabels
+    policy: DatedLabels
     provenance: str = ""
 
     def __post_init__(self):
@@ -306,8 +348,7 @@ class DatasetBundle:
             raise DataError(f"financial dates {self.financial.span()} "
                             f"do not overlap market range {self.market.span()}")
         for name, events in (("news", self.news), ("policy", self.policy)):
-            dates = [d for d, _ in events]
-            if dates and (min(dates).toordinal() > hi or max(dates).toordinal() < lo):
+            if len(events) and (events.days.min() > hi or events.days.max() < lo):
                 raise DataError(f"{name} dates do not overlap market range {self.market.span()}")
 
 
@@ -328,10 +369,14 @@ def load_bundle(directory) -> DatasetBundle:
     if os.path.exists(_path("macro.csv")):
         macro = load_macro_csv(_path("macro.csv"))
         financial = merge_outer(financial, macro) if len(financial) else macro
-    news = load_news_csv(_path("news.csv")) if os.path.exists(_path("news.csv")) else []
-    policy = load_policy_csv(_path("policy.csv")) if os.path.exists(_path("policy.csv")) else []
-    return DatasetBundle(market=market, financial=financial, news=news,
-                         policy=policy, provenance=f"csv:{directory}")
+
+    def _labels(name, load):
+        return load(_path(name)) if os.path.exists(_path(name)) else DatedLabels([], [])
+
+    return DatasetBundle(market=market, financial=financial,
+                         news=_labels("news.csv", load_news_csv),
+                         policy=_labels("policy.csv", load_policy_csv),
+                         provenance=f"csv:{directory}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError, InsufficientHistoryError, ParameterError
-from .frames import TimeSeriesFrame, calendar_dates, day_numbers
+from .frames import DatedLabels, TimeSeriesFrame, calendar_dates
 from .lexicon import SentimentLexicon
 
 SENTIMENT_COLUMNS = ("pos", "neg", "neu", "compound")
@@ -153,18 +153,17 @@ def sentiment_score(text: str, lexicon: SentimentLexicon) -> SentimentScore:
     return SentimentScore(*sentiment_scores([text], lexicon)[0].tolist())
 
 
-def _calendar_rows(dates: Sequence[dt.date]) -> tuple[np.ndarray, np.ndarray]:
-    """The row of each of ``dates`` in the calendar range from the earliest
-    to the latest of them, and that range's day ordinals."""
-    days = day_numbers(dates)
+def _calendar_rows(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row of each day ordinal of ``days`` in the calendar range from the
+    earliest to the latest of them, and that range's day ordinals."""
     first = days.min()
     return days - first, first + np.arange(days.max() - first + 1)
 
 
-def aggregate_daily_sentiment(days: Sequence[dt.date], scores) -> TimeSeriesFrame:
+def aggregate_daily_sentiment(days: np.ndarray, scores) -> TimeSeriesFrame:
     """Per-day mean of each score component over a continuous daily range.
 
-    ``scores`` holds one row of :data:`SENTIMENT_COLUMNS` per entry of
+    ``scores`` holds one row of :data:`SENTIMENT_COLUMNS` per day ordinal of
     ``days`` (as from :func:`sentiment_scores`).  The output covers every
     calendar day from the earliest to the latest date; days without items
     are filled with the neutral score (0, 0, 1, 0).  No items yield an
@@ -236,26 +235,28 @@ def apply_standardize(frame: TimeSeriesFrame, stats: dict[str, ColumnStats]) -> 
 # ---------------------------------------------------------------------------
 
 
-def one_hot_encode(events: list[tuple[dt.date, str]], vocabulary: list[str]) -> TimeSeriesFrame:
+def one_hot_encode(events: DatedLabels, vocabulary: list[str]) -> TimeSeriesFrame:
     """Indicator columns per category over the events' calendar range.
 
     Multiple events on one day set multiple 1s (multi-hot).  Categories not
-    in the vocabulary are rejected.  An empty event list yields an empty
-    frame with the vocabulary columns.
+    in the vocabulary are rejected.  No events yield an empty frame with the
+    vocabulary columns.
     """
     if not vocabulary:
         raise ParameterError("one-hot vocabulary must be nonempty")
     if len(set(vocabulary)) != len(vocabulary):
         raise ParameterError("one-hot vocabulary contains duplicates")
     col_index = {cat: i for i, cat in enumerate(vocabulary)}
-    if not events:
+    if not len(events):
         return TimeSeriesFrame([], {cat: np.array([]) for cat in vocabulary})
-    for day, cat in events:
-        if cat not in col_index:
-            raise ParameterError(f"unknown category {cat!r} on {day}")
-    rows, calendar = _calendar_rows([day for day, _ in events])
+    cols = list(map(col_index.get, events.labels))
+    if None in cols:
+        at = cols.index(None)
+        day = dt.date.fromordinal(int(events.days[at]))
+        raise ParameterError(f"unknown category {events.labels[at]!r} on {day}")
+    rows, calendar = _calendar_rows(events.days)
     matrix = np.zeros((len(calendar), len(vocabulary)))
-    matrix[rows, [col_index[cat] for _, cat in events]] = 1.0
+    matrix[rows, cols] = 1.0
     return TimeSeriesFrame(calendar, {cat: matrix[:, i] for cat, i in col_index.items()})
 
 

@@ -1,15 +1,21 @@
-"""Date-indexed tables of named float64 columns.
+"""Date-indexed columns: tables of named float64 columns, and dated labels.
 
 ``TimeSeriesFrame`` is the carrier for market, financial, sentiment, and
 policy series.  Dates are strictly increasing int64 day ordinals, ``days``
 (the values of ``date.toordinal()``), converted only at the edges: by
 :func:`day_numbers` in and the ``dates`` property out.  Every column has one
 entry per date; missing observations are NaN, and alignment fills the gaps.
+
+``DatedLabels`` carries news items and policy events from the CSV reader or
+the generator to the writers and the feature pipeline: one int64 day ordinal
+and one string label per item, in source order, with any number of items on
+one day.  No item is ever held as a ``(date, text)`` pair.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +89,28 @@ class TimeSeriesFrame:
     def matrix(self, names: list[str]) -> np.ndarray:
         """Rows x selected columns as one new array (never a view of the frame)."""
         return np.column_stack([self.column(n) for n in names])
+
+
+@dataclass(eq=False)
+class DatedLabels:
+    """Labels (news texts, policy categories), each on the day ordinal at
+    the same position of ``days``, in source order."""
+
+    days: np.ndarray
+    labels: list[str]
+
+    def __post_init__(self):
+        self.days = np.asarray(self.days, dtype=np.int64)
+        if self.days.shape != (len(self.labels),):
+            raise DimensionError(f"{len(self.labels)} labels need as many days, "
+                                 f"got shape {self.days.shape}")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def select(self, keep: np.ndarray) -> "DatedLabels":
+        """The items that the boolean mask ``keep`` flags, in order."""
+        return DatedLabels(self.days[keep], list(itertools.compress(self.labels, keep.tolist())))
 
 
 def drop_incomplete_rows(frame: TimeSeriesFrame) -> TimeSeriesFrame:

@@ -11,8 +11,6 @@ columns stay binary.
 
 from __future__ import annotations
 
-import datetime as dt
-
 import numpy as np
 
 from .data_io import DatasetBundle, chronological_split, split_counts
@@ -80,10 +78,8 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
     start = 0 if test_block_of is None else first_test_row(rows.days, test_block_of)
     if start:
         rows = TimeSeriesFrame(rows.days[start:], {n: v[start:] for n, v in rows.columns.items()})
-        first_day = dt.date.fromordinal(int(rows.days[0]))
-        news = [item for item in news if item[0] >= first_day]
-    days, texts = zip(*news) if news else ((), ())
-    sentiment = aggregate_daily_sentiment(days, sentiment_scores(texts, lexicon))
+        news = news.select(news.days >= rows.days[0])
+    sentiment = aggregate_daily_sentiment(news.days, sentiment_scores(news.labels, lexicon))
     return join_same_day(rows, sentiment=sentiment, policy=policy)
 
 
@@ -105,7 +101,7 @@ def first_test_row(days: np.ndarray, preprocess: Preprocess) -> int:
 
 
 def _policy_vocabulary(bundle: DatasetBundle) -> list[str]:
-    return sorted({category for _, category in bundle.policy})
+    return sorted(set(bundle.policy.labels))
 
 
 def _samples(frame: TimeSeriesFrame, preprocess: Preprocess) -> SampleSet:

@@ -63,7 +63,8 @@ def _check_token(name: str) -> str:
 
 @dataclass
 class Preprocess:
-    """The recipe.  Its geometry and split check themselves.  ``stats`` holds
+    """The recipe.  Its geometry and split check themselves, and the static
+    columns and policy vocabulary must hold distinct names.  ``stats`` holds
     the statistics of every standardized column, the sequence columns then
     the static ones, in that order.  Statistics for other columns or in
     another order, a statistic that is not finite, a zero std in a column
@@ -84,6 +85,9 @@ class Preprocess:
         for name in (*self.market_cols, *self.sentiment_cols,
                      *self.static_cols, *self.policy_vocab):
             _check_token(name)
+        repeated = sorted({name for name in self.static_all if self.static_all.count(name) > 1})
+        if repeated:
+            raise ParameterError(f"static columns and policy vocabulary repeat {repeated}")
         if list(self.stats) != self.seq_cols + self.static_cols:
             raise DataError(f"statistics cover columns {list(self.stats)}, expected "
                             f"{self.seq_cols + self.static_cols}")

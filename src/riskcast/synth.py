@@ -46,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data_io import DatasetBundle
 from .errors import NumericalError, ParameterError
-from .frames import TimeSeriesFrame, day_numbers, merge_outer
+from .frames import DatedLabels, TimeSeriesFrame, day_numbers, merge_outer
 from .lexicon import default_lexicon
 from .tensor import SeededRng, box_muller, check_seed, derive_seed, unit_floats
 
@@ -233,37 +233,38 @@ def _compose_news(bits: np.ndarray, items: np.ndarray, levels: np.ndarray,
     return texts
 
 
-def _news(rng: SeededRng, dates: list[dt.date], sentiment: np.ndarray,
-          pos_terms: list[str], neg_terms: list[str]) -> list[tuple[dt.date, str]]:
+def _news(rng: SeededRng, days: np.ndarray, sentiment: np.ndarray,
+          pos_terms: list[str], neg_terms: list[str]) -> DatedLabels:
     """Bag-of-words items whose lexicon compound tracks the day's sentiment."""
     vocab = np.array([*pos_terms, *neg_terms, *_FILLER_WORDS], dtype=object)
-    news = []
+    item_days, texts = [], []
     bits, end = np.empty(0, dtype=np.uint64), 0
-    for first in range(0, len(dates), _CHUNK_DAYS):
-        days = dates[first:first + _CHUNK_DAYS]
-        bits = _top_up(rng, bits[end:], len(days), _MAX_NEWS_DRAWS_PER_DAY)
-        items, item_days, end = _news_items(bits, len(days))
-        texts = _compose_news(bits, items, sentiment[first + item_days], vocab,
-                              len(pos_terms), len(neg_terms))
-        news += zip(map(days.__getitem__, item_days.tolist()), texts.tolist())
-    return news
+    for first in range(0, len(days), _CHUNK_DAYS):
+        n_days = min(_CHUNK_DAYS, len(days) - first)
+        bits = _top_up(rng, bits[end:], n_days, _MAX_NEWS_DRAWS_PER_DAY)
+        items, chunk_days, end = _news_items(bits, n_days)
+        item_days.append(days[first + chunk_days])
+        texts += _compose_news(bits, items, sentiment[first + chunk_days], vocab,
+                               len(pos_terms), len(neg_terms)).tolist()
+    return DatedLabels(np.concatenate(item_days), texts)
 
 
-def _policy(rng: SeededRng, dates: list[dt.date]) -> list[tuple[dt.date, str]]:
+def _policy(rng: SeededRng, days: np.ndarray) -> DatedLabels:
     """Rare policy events, each with a category from the fixed vocabulary."""
-    policy = []
+    event_days, categories = [], []
     bits, end = np.empty(0, dtype=np.uint64), 0
-    for first in range(0, len(dates), _CHUNK_DAYS):
-        days = dates[first:first + _CHUNK_DAYS]
-        bits = _top_up(rng, bits[end:], len(days), _MAX_POLICY_DRAWS_PER_DAY)
+    for first in range(0, len(days), _CHUNK_DAYS):
+        chunk = days[first:first + _CHUNK_DAYS].tolist()
+        bits = _top_up(rng, bits[end:], len(chunk), _MAX_POLICY_DRAWS_PER_DAY)
         events = (unit_floats(bits) < _POLICY_EVENT_PROB).tolist()
         end = 0
-        for day in days:
+        for day in chunk:
             if events[end]:
-                policy.append((day, POLICY_CATEGORIES[int(bits[end + 1]) % len(POLICY_CATEGORIES)]))
+                event_days.append(day)
+                categories.append(POLICY_CATEGORIES[int(bits[end + 1]) % len(POLICY_CATEGORIES)])
                 end += 1
             end += 1
-    return policy
+    return DatedLabels(event_days, categories)
 
 
 def synth_generate(cfg: SynthConfig) -> DatasetBundle:
@@ -305,7 +306,7 @@ def synth_generate(cfg: SynthConfig) -> DatasetBundle:
         raise NumericalError(f"base_vol {cfg.base_vol} drives the price path out of the "
                              "float range (a zero or infinite price)")
     market = TimeSeriesFrame(day_numbers(dates), columns)
-    news = _news(rng_news, dates, sentiment, pos_terms, neg_terms)
+    news = _news(rng_news, market.days, sentiment, pos_terms, neg_terms)
 
     # Quarterly financial reports: slow multiplicative walks.
     fin_days = market.days[::_FINANCIAL_PERIOD]
@@ -333,7 +334,7 @@ def synth_generate(cfg: SynthConfig) -> DatasetBundle:
         macro_cols["interest_rate"].append(rate)
     macro = TimeSeriesFrame(macro_days, macro_cols)
 
-    policy = _policy(rng_policy, dates)
+    policy = _policy(rng_policy, market.days)
 
     provenance = (
         f"synth(seed={cfg.seed}, n_days={cfg.n_days}, base_vol={cfg.base_vol}, "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riskcast import HybridModel, ModelDims, SampleSet, SeededRng
-from riskcast.frames import day_numbers
+from riskcast.frames import DatedLabels, calendar_dates, day_numbers
 from riskcast.models import LinearRegressionModel, _design
 
 
@@ -59,6 +59,19 @@ def random_samples(n: int, dims: ModelDims, seed: int = 0,
         y = np.array([target_fn(x_seq[i], x_static[i]) for i in range(n)])
     dates = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(n)]
     return SampleSet(x_seq, x_static, y, day_numbers(dates))
+
+
+def dated_labels(pairs) -> DatedLabels:
+    """The news items or policy events of ``(date, label)`` pairs, in order."""
+    return DatedLabels(day_numbers([day for day, _ in pairs]), [label for _, label in pairs])
+
+
+def label_pairs(labels: DatedLabels) -> list[tuple[dt.date, str]]:
+    """The ``(date, label)`` pair of each item of ``labels``, in order, after
+    checking that its days are int64 ordinals and its labels ``str``s."""
+    assert labels.days.dtype == np.int64 and labels.days.shape == (len(labels),)
+    assert type(labels.labels) is list and all(type(label) is str for label in labels.labels)
+    return list(zip(calendar_dates(labels.days), labels.labels))
 
 
 def linreg_objective(model: LinearRegressionModel, samples: SampleSet) -> float:

@@ -13,7 +13,9 @@ import functools
 import numpy as np
 import pytest
 
+from conftest import dated_labels, label_pairs
 from riskcast import (
+    DatedLabels,
     PipelineConfig,
     SplitSpec,
     SynthConfig,
@@ -61,7 +63,7 @@ def _weekend_news(bundle):
 
 def _shuffled(items, seed):
     order = np.random.default_rng(seed).permutation(len(items))
-    return [items[i] for i in order]
+    return DatedLabels(items.days[order], [items.labels[i] for i in order])
 
 
 @functools.cache
@@ -82,8 +84,9 @@ def test_block_build_equals_full_build_then_split(days, seed, variant):
     lexicon = CUSTOM_LEXICON if variant == "custom lexicon" else default_lexicon()
     news = {
         "news out of order": lambda: _shuffled(bundle.news, seed),
-        "no news": lambda: [],
-        "news on non-trading days": lambda: bundle.news + _weekend_news(bundle),
+        "no news": lambda: DatedLabels([], []),
+        "news on non-trading days": lambda: dated_labels(label_pairs(bundle.news)
+                                                         + _weekend_news(bundle)),
     }.get(variant, lambda: bundle.news)()
     bundle = dataclasses.replace(bundle, news=news)
     preprocess = make_datasets(bundle, lexicon, PipelineConfig(), SplitSpec())[3]

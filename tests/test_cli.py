@@ -555,13 +555,16 @@ class TestMalformedModelFile:
          "the recipe gives the window and widths (10, 7, 3, "),
         ("linear", _set_recipe_line("window", "window 10"),
          "the recipe gives the feature count "),
+        ("linear", _set_recipe_line("policy_vocab",
+                                    "policy_vocab rate_cut rate_cut regulation_tightening"),
+         "bad preprocess block: static columns and policy vocabulary repeat ['rate_cut']"),
     ], ids=["hybrid-nan", "hybrid-inf", "linear-nan", "linear-minus-inf", "missing-end",
             "truncated-preprocess", "header-ndim-mismatch", "header-dim-x", "too-few-values",
             "too-few-values-mid-file", "too-many-values", "non-numeric-value",
             "missing-parameter", "bias-shape-2", "window-0", "horizon-minus-3",
             "split-sum-1.5", "stats-mean-nan", "stats-std-0", "y-range-inf", "y-range-max-below-min",
             "ridge-nan", "ridge-minus-1", "stats-bare", "stats-line-deleted",
-            "recipe-window-10", "linear-recipe-window-10"])
+            "recipe-window-10", "linear-recipe-window-10", "policy-vocab-duplicate"])
     def test_reader_error_exits_5(self, workspace, tmp_path, capsys, which, edit, message):
         self._assert_refused(workspace, tmp_path, capsys, which, edit, message)
 

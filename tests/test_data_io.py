@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from conftest import random_samples, tiny_dims, tiny_hybrid
+from conftest import dated_labels, label_pairs, random_samples, tiny_dims, tiny_hybrid
 from riskcast import (
     DataError,
     ModelIOError,
@@ -177,14 +177,14 @@ class TestOtherLoaders:
                  (dt.date(2020, 3, 2), 'rally, "strong" gains ahead'),
                  (dt.date(2020, 3, 3), "first line\rsecond line")]
         path = tmp_path / "news.csv"
-        write_news_csv(items, path)
-        assert load_news_csv(path) == items
+        write_news_csv(dated_labels(items), path)
+        assert label_pairs(load_news_csv(path)) == items
 
     def test_policy_loader(self, tmp_path):
         events = [(dt.date(2020, 5, 1), "rate_hike"), (dt.date(2020, 5, 2), "rate\rcut")]
         path = tmp_path / "policy.csv"
-        write_policy_csv(events, path)
-        assert load_policy_csv(path) == events
+        write_policy_csv(dated_labels(events), path)
+        assert label_pairs(load_policy_csv(path)) == events
 
     def test_news_header_enforced(self, tmp_path):
         path = tmp_path / "news.csv"
@@ -238,7 +238,8 @@ class TestDatasetBundle:
         )
         with pytest.raises(DataError, match="overlap"):
             DatasetBundle(market=market, financial=TimeSeriesFrame([], {}),
-                          news=[(dt.date(2021, 6, 1), "late story")], policy=[])
+                          news=dated_labels([(dt.date(2021, 6, 1), "late story")]),
+                          policy=dated_labels([]))
 
 
 def _sample_preprocess():

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import label_pairs
 from riskcast import SeededRng, SynthConfig, TimeSeriesFrame, default_lexicon, synth_generate
 from riskcast.features import (
     SENTIMENT_COLUMNS,
@@ -169,11 +170,18 @@ def ref_assemble_frame(bundle, lexicon, cfg, policy_vocab):
         "rvol": rvol,
         TARGET_COLUMN: rvol.copy(),
     })
-    scored = [(day, sentiment_score(text, lexicon)) for day, text in bundle.news]
+    scored = [(day, sentiment_score(text, lexicon)) for day, text in label_pairs(bundle.news)]
     aligned = ref_align_by_date(market_feat, financial=bundle.financial,
                                 sentiment=ref_aggregate_daily_sentiment(scored),
-                                policy=ref_one_hot_encode(bundle.policy, policy_vocab))
+                                policy=ref_one_hot_encode(label_pairs(bundle.policy),
+                                                          policy_vocab))
     return drop_incomplete_rows(aligned)
+
+
+def _aggregate(items):
+    """:func:`aggregate_daily_sentiment` of ``(date, score)`` pairs."""
+    return aggregate_daily_sentiment(day_numbers([day for day, _ in items]),
+                                     [score for _, score in items])
 
 
 def _assert_frames_equal(got, want):
@@ -287,7 +295,7 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
         (dt.date(2021, 3, 9), SentimentScore(0.3, 0.1, 0.6, 0.4)),    # Tuesday
         (dt.date(2021, 4, 2), SentimentScore(0.0, 0.8, 0.2, -0.8)),   # after the market
     ]
-    sentiment = aggregate_daily_sentiment(*zip(*items))
+    sentiment = _aggregate(items)
     policy = TimeSeriesFrame(day_numbers([dt.date(2021, 2, 1), dt.date(2021, 3, 3),
                                           dt.date(2021, 3, 13)]),
                              {"hike": np.array([1.0, 1.0, 1.0])})
@@ -305,7 +313,7 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
 
 def test_sentiment_frame_without_rows_fills_neutral():
     market = TimeSeriesFrame(day_numbers(_days(dt.date(2021, 3, 1), 4)), {"close": np.ones(4)})
-    aligned = join_same_day(align_by_date(market), sentiment=aggregate_daily_sentiment([], []))
+    aligned = join_same_day(align_by_date(market), sentiment=_aggregate([]))
     assert np.array_equal(aligned.column("neu"), np.ones(4))
     assert np.array_equal(aligned.column("pos"), np.zeros(4))
 
@@ -328,7 +336,7 @@ def test_aggregate_many_items_per_day_is_a_left_to_right_sum_bitwise():
         (day + dt.timedelta(days=3), SentimentScore(0.1, 0.4, 0.5, 0.6)),
         (day, SentimentScore(0.25, 0.5, 0.125, 0.0625)),
     ]
-    got = aggregate_daily_sentiment(*zip(*items))
+    got = _aggregate(items)
     _assert_frames_equal(got, ref_aggregate_daily_sentiment(items))
     assert got.column("pos")[0] == (1e-16 + 1e-16 + 1.0 + 0.25) / 4
     assert np.array_equal(got.column("neu")[1:3], [1.0, 1.0])
@@ -337,10 +345,9 @@ def test_aggregate_many_items_per_day_is_a_left_to_right_sum_bitwise():
 def test_aggregate_bitwise_on_generated_news():
     bundle = synth_generate(SynthConfig(n_days=300, seed=13))
     lexicon = default_lexicon()
-    items = [(day, sentiment_score(text, lexicon)) for day, text in bundle.news]
+    items = [(day, sentiment_score(text, lexicon)) for day, text in label_pairs(bundle.news)]
     assert len(items) > len({day for day, _ in items})
-    _assert_frames_equal(aggregate_daily_sentiment(*zip(*items)),
-                         ref_aggregate_daily_sentiment(items))
+    _assert_frames_equal(_aggregate(items), ref_aggregate_daily_sentiment(items))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +360,7 @@ def test_assemble_frame_and_windows_bitwise_equal_the_loops(seed):
     bundle = synth_generate(SynthConfig(n_days=400, seed=seed))
     lexicon = default_lexicon()
     cfg = PipelineConfig()
-    vocab = sorted({category for _, category in bundle.policy})
+    vocab = sorted(set(bundle.policy.labels))
     frame = assemble_frame(bundle, lexicon, cfg, vocab)
     _assert_frames_equal(frame, ref_assemble_frame(bundle, lexicon, cfg, vocab))
 

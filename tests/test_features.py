@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dated_labels
 from riskcast import (
     DataError,
     ParameterError,
@@ -108,7 +109,7 @@ class TestAggregateDailySentiment:
     def test_single_item_per_day_passes_through(self):
         day = dt.date(2020, 1, 6)
         score = SentimentScore(0.25, 0.25, 0.5, 0.1)
-        frame = aggregate_daily_sentiment([day], [score])
+        frame = aggregate_daily_sentiment(day_numbers([day]), [score])
         assert frame.dates == [day]
         assert frame.column("compound")[0] == 0.1
 
@@ -116,13 +117,14 @@ class TestAggregateDailySentiment:
         day = dt.date(2020, 1, 6)
         items = [(day, SentimentScore(0.0, 0.0, 1.0, 0.2)),
                  (day, SentimentScore(0.0, 0.0, 1.0, 0.6))]
-        frame = aggregate_daily_sentiment(*zip(*items))
+        frame = aggregate_daily_sentiment(day_numbers([day, day]), [s for _, s in items])
         assert frame.column("compound")[0] == pytest.approx(0.4)
 
     def test_gap_day_filled_neutral(self):
         items = [(dt.date(2020, 1, 6), SentimentScore(0.5, 0.0, 0.5, 0.8)),
                  (dt.date(2020, 1, 8), SentimentScore(0.0, 0.5, 0.5, -0.8))]
-        frame = aggregate_daily_sentiment(*zip(*items))
+        frame = aggregate_daily_sentiment(day_numbers([d for d, _ in items]),
+                                          [s for _, s in items])
         assert len(frame) == 3
         gap = 1  # 2020-01-07
         assert frame.column("pos")[gap] == 0.0
@@ -130,7 +132,7 @@ class TestAggregateDailySentiment:
         assert frame.column("compound")[gap] == 0.0
 
     def test_empty_items_give_empty_frame(self):
-        assert len(aggregate_daily_sentiment([], [])) == 0
+        assert len(aggregate_daily_sentiment(day_numbers([]), [])) == 0
 
 
 class TestStandardization:
@@ -191,25 +193,26 @@ class TestOneHot:
 
     def test_single_event_row(self):
         day = dt.date(2021, 3, 1)
-        frame = one_hot_encode([(day, "gamma")], self.VOCAB)
+        frame = one_hot_encode(dated_labels([(day, "gamma")]), self.VOCAB)
         row = [frame.column(c)[0] for c in self.VOCAB]
         assert row == [0.0, 0.0, 1.0, 0.0]
 
     def test_absence_row_is_all_zero(self):
         events = [(dt.date(2021, 3, 1), "alpha"), (dt.date(2021, 3, 3), "beta")]
-        frame = one_hot_encode(events, self.VOCAB)
+        frame = one_hot_encode(dated_labels(events), self.VOCAB)
         middle = [frame.column(c)[1] for c in self.VOCAB]
         assert middle == [0.0, 0.0, 0.0, 0.0]
 
     def test_two_events_same_day_multi_hot(self):
         day = dt.date(2021, 3, 1)
-        frame = one_hot_encode([(day, "alpha"), (day, "delta")], self.VOCAB)
+        frame = one_hot_encode(dated_labels([(day, "alpha"), (day, "delta")]), self.VOCAB)
         row = [frame.column(c)[0] for c in self.VOCAB]
         assert row == [1.0, 0.0, 0.0, 1.0]
 
     def test_unknown_category_error_names_it(self):
-        with pytest.raises(ParameterError, match="omega"):
-            one_hot_encode([(dt.date(2021, 3, 1), "omega")], self.VOCAB)
+        events = [(dt.date(2021, 3, 1), "alpha"), (dt.date(2021, 3, 2), "omega")]
+        with pytest.raises(ParameterError, match="^unknown category 'omega' on 2021-03-02$"):
+            one_hot_encode(dated_labels(events), self.VOCAB)
 
     def test_row_sums_equal_distinct_event_counts(self):
         """Indicator columns are 0/1, so a row sums to the number of
@@ -223,7 +226,7 @@ class TestOneHot:
             category = self.VOCAB[rng.randint(4)]
             events.append((day, category))
             seen.setdefault(day, set()).add(category)
-        frame = one_hot_encode(events, self.VOCAB)
+        frame = one_hot_encode(dated_labels(events), self.VOCAB)
         matrix = frame.matrix(self.VOCAB)
         for i, day in enumerate(frame.dates):
             assert matrix[i].sum() == len(seen.get(day, set()))

@@ -2,10 +2,15 @@
 
 The reference functions below are the per-row loaders and the per-item
 scorer the read path used before it worked on whole columns.  Loaded frames
-and scores are compared bitwise (``tobytes``), and every rejected file must
-raise the reference's exact message: a bad file is reported at its first bad
-row in file order, with the csv line number (blank lines and the lines of
-quoted multi-line fields count).
+and scores are compared bitwise (``tobytes``), news and policy day by day
+and label by label, and every rejected file must raise the reference's
+exact message: a bad file is reported at its first bad row in file order,
+with the csv line number (blank lines and the lines of quoted multi-line
+fields count).
+
+A file is read by one of two readers, chosen by its contents: split on LF
+and ``,``, or ``csv.reader`` for a file with a quote, a CR or a line longer
+than ``csv.field_size_limit()``.  Both are checked against the references.
 """
 
 import csv
@@ -17,7 +22,9 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import label_pairs
 from riskcast import SchemaError, SentimentLexicon, TimeSeriesFrame, default_lexicon
+from riskcast import data_io
 from riskcast.cli import main
 from riskcast.data_io import (
     load_financial_csv,
@@ -39,9 +46,11 @@ def _ref_read_rows(path):
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            rows = [(reader.line_num, row) for row in reader if row]
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     return [name.strip() for name in header], rows
 
 
@@ -177,8 +186,8 @@ def _assert_same_load(path):
     if isinstance(want, TimeSeriesFrame):
         _assert_frames_bitwise(got, want)
     else:
-        assert got == want
-        assert all(type(day) is dt.date and type(text) is str for day, text in got)
+        assert label_pairs(got) == want
+        assert got.days.tobytes() == day_numbers([day for day, _ in want]).tobytes()
     return got
 
 
@@ -210,7 +219,7 @@ def test_generated_bundle_loads_and_scores_bitwise(tmp_path, days, seed):
         _assert_same_load(tmp_path / name)
     news = load_news_csv(tmp_path / "news.csv")
     assert len(news) > _SCORE_CHUNK or days < 20000
-    _assert_same_scores([text for _, text in news], default_lexicon())
+    _assert_same_scores(news.labels, default_lexicon())
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +242,7 @@ RFC_NEWS = (
 def test_rfc4180_news_loads_like_the_reference(tmp_path, newline):
     news = _assert_same_load(_write(tmp_path / "news.csv", RFC_NEWS, newline))
     assert len(news) == 6
-    assert news[2][1].startswith("first line")
+    assert news.labels[2].startswith("first line")
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -272,8 +281,175 @@ def test_out_of_order_file_warns_and_loads_sorted_like_the_reference(tmp_path):
 
 
 def test_header_only_news_and_policy_load_empty(tmp_path):
-    assert _assert_same_load(_write(tmp_path / "news.csv", "date,text\n")) == []
-    assert _assert_same_load(_write(tmp_path / "policy.csv", "date,category\n\n")) == []
+    assert len(_assert_same_load(_write(tmp_path / "news.csv", "date,text\n"))) == 0
+    assert len(_assert_same_load(_write(tmp_path / "policy.csv", "date,category\n\n"))) == 0
+
+
+# ---------------------------------------------------------------------------
+# The two readers
+# ---------------------------------------------------------------------------
+
+_CSV_FIELDS = data_io._csv_fields
+# A field size limit small enough for short test lines: "2021-03-01," and 53
+# more characters make a line of exactly this length.
+_SMALL_LIMIT = 64
+
+
+@pytest.fixture
+def csv_reads(monkeypatch):
+    """The paths that the loaders hand to the ``csv.reader`` path, in call order."""
+    calls = []
+
+    def spy(path):
+        calls.append(path)
+        return _CSV_FIELDS(path)
+
+    monkeypatch.setattr(data_io, "_csv_fields", spy)
+    return calls
+
+
+@pytest.fixture
+def small_field_limit():
+    old = csv.field_size_limit(_SMALL_LIMIT)
+    yield
+    csv.field_size_limit(old)
+
+
+def _assert_same_outcome(path):
+    """The loader of ``path`` loads what its reference loads, or raises the
+    reference's message."""
+    new, ref = LOADERS[path.name]
+    try:
+        ref(path)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            new(path)
+        assert str(got.value) == str(exc)
+    else:
+        _assert_same_load(path)
+
+
+def _assert_readers_agree(path):
+    """Both readers give the reference's header, fields and row widths."""
+    header, rows = _ref_read_rows(path)
+    want = (header, [field for _, row in rows for field in row], [len(row) for _, row in rows])
+    got_header, got_fields, got_widths = data_io._read_fields(path)
+    assert got_widths.dtype == np.int64
+    assert (got_header, got_fields, got_widths.tolist()) == want
+    csv_header, csv_fields, csv_widths = _CSV_FIELDS(path)
+    assert ([name.strip() for name in csv_header], csv_fields, csv_widths.tolist()) == want
+
+
+@pytest.mark.parametrize("text, reader", [
+    ("date,text\n2021-03-01,plain words\n\n2021-03-02,\x00 \u2028 \x85 é\n", "split"),
+    ("date,text\n2021-03-01," + "x" * 53 + "\n", "split"),
+    ('date,text\n2021-03-01,"quoted, with a comma"\n', "csv"),
+    ('date,text\n2021-03-01,a bare " quote\n', "csv"),
+    ("date,text\r\n2021-03-01,crlf\r\n", "csv"),
+    ("date,text\n2021-03-01,a bare CR ends a row\r2021-03-02,x\n", "csv"),
+    ("date,text\n2021-03-01," + "x" * 54 + "\n", "csv"),
+    ("date,text" + " " * 60 + "\n2021-03-01,x\n", "csv"),
+    ("date,text\n2021-03-01,x\n2021-03-02," + "x" * 65 + "\n", "csv"),
+], ids=["plain", "line-at-the-limit", "quoted-field", "bare-quote", "crlf", "bare-cr",
+        "line-over-the-limit", "header-over-the-limit", "field-over-the-limit"])
+def test_each_file_takes_the_reader_its_contents_choose(tmp_path, csv_reads, small_field_limit,
+                                                         text, reader):
+    """A file with a quote, a CR or a line longer than the field size limit
+    goes to ``csv.reader``; any other is split.  Either way it loads like the
+    reference, and only a field over the limit is refused, at its line."""
+    path = _write(tmp_path / "news.csv", text)
+    _assert_same_outcome(path)
+    assert csv_reads == ([path] if reader == "csv" else [])
+    if reader == "split":
+        _assert_readers_agree(path)
+    if "x" * 65 in text:
+        with pytest.raises(SchemaError, match=rf"^{path}:3: field larger than field limit \(64\)$"):
+            load_news_csv(path)
+    else:
+        assert len(load_news_csv(path)) > 0
+
+
+# Field pieces with no quote, comma or CR: padding, NUL, non-ASCII text and
+# characters that str.splitlines (but not a CSV reader) takes for line ends.
+_PIECES = ("", " ", "  ", "\t", "x", "gain", "loss", "é", "日本", "—", "\x00", "\u2028",
+           "\x85", "\x0b", "\x0c", "\x1c", "2021-03-01", " 2021-03-02", "1.5", "nan", "1_000")
+_NUMBERS = ("1.5", " 2 ", "-0.0", "1e-310", "0.1", "0.30000000000000004", "1_000", "+7", "3.",
+            ".5", "1E3", "\u20034", "1.7976931348623157e308")
+_BAD_NUMBERS = ("oops", "", "nan", "-inf", "1e500", "0x10")
+
+
+def _random_plain_text(rng: random.Random) -> str:
+    """An unquoted CSV text with no CR: a header and up to 11 rows of 1 to 5
+    fields, most as wide as the header, some blank, with or without a final LF."""
+    width = rng.randint(1, 5)
+
+    def row(n_fields):
+        return ",".join("".join(rng.choices(_PIECES, k=rng.randrange(4)))
+                        for _ in range(n_fields))
+
+    lines = [row(width)]
+    for _ in range(rng.randrange(12)):
+        if rng.random() < 0.2:
+            lines.append("")
+        else:
+            lines.append(row(width if rng.random() < 0.8 else rng.randint(1, width + 2)))
+    text = "\n".join(lines)
+    return text if rng.random() < 0.3 else text + "\n"
+
+
+def _random_loader_text(rng: random.Random, name: str) -> str:
+    """An unquoted ``name`` file: its header, then up to 39 dated rows (some
+    blank, padded or bad), with or without a final LF."""
+    header = {"news.csv": "date,text", "policy.csv": " date , category ",
+              "financial.csv": "date,profit,debt_ratio,cash_flow"}[name]
+    n_values = header.count(",")
+    day = dt.date(2021, 1, 1)
+    lines = [header]
+    for _ in range(rng.randrange(40)):
+        if rng.random() < 0.1:
+            lines.append("")
+            continue
+        day += dt.timedelta(days=rng.randrange(3) + (name == "financial.csv"))
+        date = rng.choice(("{}", " {} ", "{}\t")).format(day)
+        if rng.random() < 0.01:
+            date = "2021-02-30"
+        if name == "financial.csv":
+            pool = _BAD_NUMBERS if rng.random() < 0.01 else _NUMBERS
+            values = [rng.choice(pool) for _ in range(n_values)]
+        else:
+            values = ["".join(rng.choices(_PIECES, k=rng.randrange(5)))]
+        if rng.random() < 0.01:
+            values.append("extra")
+        lines.append(",".join([date, *values]))
+    text = "\n".join(lines)
+    return text if rng.random() < 0.3 else text + "\n"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_unquoted_files_read_as_csv_reads_them(tmp_path, csv_reads, seed):
+    """Split files give ``csv.reader``'s header, fields and row widths, down
+    to empty, header-only and blank-line-only files."""
+    rng = random.Random(seed)
+    texts = ["", "\n", "\n\n", "date", "date\n", ",\n\n,"]
+    texts += [_random_plain_text(rng) for _ in range(200)]
+    for i, text in enumerate(texts):
+        path = _write(tmp_path / f"{i}.csv", text)
+        if text:
+            _assert_readers_agree(path)
+        else:
+            with pytest.raises(SchemaError, match="file is empty"):
+                data_io._read_fields(path)
+    assert csv_reads == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["news.csv", "policy.csv", "financial.csv"])
+def test_random_unquoted_files_load_like_the_reference(tmp_path, csv_reads, name, seed):
+    rng = random.Random(100 * seed + len(name))
+    for i in range(60):
+        (tmp_path / str(i)).mkdir()
+        _assert_same_outcome(_write(tmp_path / str(i) / name, _random_loader_text(rng, name)))
+    assert csv_reads == []
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +507,7 @@ def test_news_file_with_awkward_texts_scores_like_the_reference(tmp_path):
         for i, text in enumerate(t for t in AWKWARD_TEXTS if "\ud800" not in t):
             writer.writerow([f"2021-01-{i + 1:02d}", text])
     news = _assert_same_load(path)
-    _assert_same_scores([text for _, text in news], default_lexicon())
+    _assert_same_scores(news.labels, default_lexicon())
 
 
 def test_no_texts_give_an_empty_score_matrix():
@@ -428,6 +604,11 @@ BAD_FILES = {
                        ": first column must be 'date'"),
     "no-data-rows": ("market.csv", MARKET_HEADER + "\n\n", ": no data rows"),
     "empty-file": ("policy.csv", "", ": file is empty"),
+    "field-over-the-limit": ("news.csv", (
+        "date,text\n"
+        "2021-03-01,fine\n"
+        "2021-03-02," + "gain " * 30000 + "\n"
+        "2021-03-0x,after\n"), ":3: field larger than field limit (131072)"),
 }
 
 
@@ -446,7 +627,8 @@ def test_bad_file_raises_the_reference_message(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["value-line-3-before-date-line-5",
                                   "multi-line-quoted-value-counted",
-                                  "news-multi-line-text-then-bad-date"])
+                                  "news-multi-line-text-then-bad-date",
+                                  "field-over-the-limit"])
 def test_bad_file_through_the_cli_exits_3_with_file_line(tmp_path, capsys, case):
     name, text, fragment = BAD_FILES[case]
     data = tmp_path / "data"

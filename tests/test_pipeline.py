@@ -3,6 +3,7 @@ import pytest
 
 from riskcast import (
     DataError,
+    DatedLabels,
     ParameterError,
     HybridModel,
     ModelDims,
@@ -186,7 +187,7 @@ class TestBuildSamples:
 
 def test_degenerate_policy_free_bundle_still_works():
     bundle = synth_generate(SynthConfig(n_days=400, seed=56))
-    bundle.policy.clear()
+    bundle.policy = DatedLabels([], [])
     train, val, test, pre = make_datasets(bundle, default_lexicon(),
                                           PipelineConfig(), SplitSpec())
     assert pre.policy_vocab == []

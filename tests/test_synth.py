@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import label_pairs
 from riskcast import NumericalError, ParameterError, SynthConfig, default_lexicon, synth_generate
 from riskcast.features import (
     aggregate_daily_sentiment,
@@ -22,13 +23,13 @@ def _bundles_equal(a, b) -> bool:
         if not np.array_equal(a.financial.column(name), b.financial.column(name),
                               equal_nan=True):
             return False
-    return a.news == b.news and a.policy == b.policy
+    return (label_pairs(a.news) == label_pairs(b.news)
+            and label_pairs(a.policy) == label_pairs(b.policy))
 
 
 def _compound_vs_forward_vol(bundle) -> float:
     lex = default_lexicon()
-    days, texts = zip(*bundle.news)
-    agg = aggregate_daily_sentiment(days, sentiment_scores(texts, lex))
+    agg = aggregate_daily_sentiment(bundle.news.days, sentiment_scores(bundle.news.labels, lex))
     index = {d: i for i, d in enumerate(agg.dates)}
     compound = np.array([
         agg.column("compound")[index[d]] if d in index else 0.0
@@ -111,13 +112,13 @@ class TestGeneratedSeries:
 
     def test_news_covers_every_trading_day(self):
         bundle = synth_generate(SynthConfig(n_days=250, seed=9))
-        news_days = {d for d, _ in bundle.news}
+        news_days = {d for d, _ in label_pairs(bundle.news)}
         assert news_days == set(bundle.market.dates)
 
     def test_policy_categories_from_fixed_vocabulary(self):
         bundle = synth_generate(SynthConfig(n_days=2000, seed=9))
-        assert bundle.policy, "2000 days should produce policy events"
-        assert {c for _, c in bundle.policy} <= set(POLICY_CATEGORIES)
+        assert len(bundle.policy), "2000 days should produce policy events"
+        assert {c for _, c in label_pairs(bundle.policy)} <= set(POLICY_CATEGORIES)
 
     def test_provenance_records_the_config(self):
         bundle = synth_generate(SynthConfig(n_days=250, seed=77, kappa=0.3))

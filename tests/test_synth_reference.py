@@ -11,6 +11,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from conftest import dated_labels, label_pairs
 from riskcast import SeededRng, SynthConfig, default_lexicon, synth_generate
 from riskcast import synth
 from riskcast.data_io import DatasetBundle
@@ -163,7 +164,8 @@ def ref_synth_generate(cfg):
         f"nonlinearity={cfg.nonlinearity})"
     )
     return DatasetBundle(market=market, financial=merge_outer(financial, macro),
-                         news=news, policy=policy, provenance=provenance)
+                         news=dated_labels(news), policy=dated_labels(policy),
+                         provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +183,8 @@ def _assert_frames_identical(got, want):
 def _assert_bundles_identical(got, want):
     _assert_frames_identical(got.market, want.market)
     _assert_frames_identical(got.financial, want.financial)
-    assert got.news == want.news
-    assert got.policy == want.policy
+    assert label_pairs(got.news) == label_pairs(want.news)
+    assert label_pairs(got.policy) == label_pairs(want.policy)
     assert got.provenance == want.provenance
 
 
@@ -209,7 +211,7 @@ def test_small_chunks_top_up_at_the_walked_position(monkeypatch, chunk_days):
     _assert_bundles_identical(synth_generate(cfg), want)
     # The bound is exercised: some day uses all of it (three items of ten words).
     words = {}
-    for day, text in want.news:
+    for day, text in label_pairs(want.news):
         words.setdefault(day, []).append(len(text.split()))
     assert [2 * _WORDS_PER_ITEM - 2] * 3 in words.values()
 

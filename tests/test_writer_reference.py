@@ -11,6 +11,7 @@ import datetime as dt
 
 import pytest
 
+from conftest import dated_labels
 from riskcast import data_io
 from riskcast.data_io import (
     write_frame_csv,
@@ -85,6 +86,11 @@ def rows_per_write(request, monkeypatch):
     monkeypatch.setattr(data_io, "_ROWS_PER_WRITE", request.param)
 
 
+def _from_pairs(write):
+    """``write`` (a news or policy writer) taking ``(date, label)`` pairs, as the references do."""
+    return lambda pairs, path: write(dated_labels(pairs), path)
+
+
 def _assert_same_bytes(tmp_path, write, ref_write, data):
     write(data, tmp_path / "got.csv")
     ref_write(data, tmp_path / "want.csv")
@@ -110,13 +116,14 @@ def test_frame_writer_matches_per_row_reference(tmp_path, frame):
     [],
 ], ids=["edge-dates-and-quoting", "one-row", "empty"])
 def test_news_writer_matches_per_row_reference(tmp_path, items):
-    _assert_same_bytes(tmp_path, write_news_csv, ref_write_news_csv, items)
+    _assert_same_bytes(tmp_path, _from_pairs(write_news_csv), ref_write_news_csv, items)
 
 
 def test_policy_writer_matches_per_row_reference(tmp_path):
     events = [(day, category) for day in DATES for category in ("rate_cut", "stimulus")]
-    _assert_same_bytes(tmp_path, write_policy_csv, ref_write_policy_csv, events)
-    _assert_same_bytes(tmp_path, write_policy_csv, ref_write_policy_csv, [])
+    write = _from_pairs(write_policy_csv)
+    _assert_same_bytes(tmp_path, write, ref_write_policy_csv, events)
+    _assert_same_bytes(tmp_path, write, ref_write_policy_csv, [])
 
 
 def test_predictions_writer_matches_per_row_reference(tmp_path):
