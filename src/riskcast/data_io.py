@@ -1,14 +1,15 @@
 """CSV ingestion and writing, chronological splits, and model persistence.
 
 File schemas (ISO-8601 dates, decimal floats, RFC-4180 quoting).  Each file
-is read once as text and turned into columns.  A file with no ``"``, no CR
-and no line longer than ``csv.field_size_limit()`` is split on LF and
-``,``; any other goes through ``csv.reader``, which parses quoted fields and
-CR line ends and refuses a field over that limit.  Both give the same rows:
-blank lines are skipped, whitespace in fields is kept.  News and policy
-load as :class:`~riskcast.frames.DatedLabels`.  The writers join whole
-column slices into lines, quoting a text field only when it holds a ``,``,
-``"``, LF or CR:
+is read once by :func:`~riskcast.errors.read_text` and turned into columns,
+and every fault is located from that read.  A file with no ``"``, no CR and
+no line longer than ``csv.field_size_limit()`` is split on LF and ``,``; any
+other goes through ``csv.reader``, which parses quoted fields and CR line
+ends and refuses a field over that limit.  Both give the same rows and the
+line each ends on: blank lines are skipped, whitespace in fields is kept.
+News and policy load as :class:`~riskcast.frames.DatedLabels`.  The writers
+join whole column slices into lines, quoting a text field only when it holds
+a ``,``, ``"``, LF or CR:
 
 * ``market.csv``    - ``date,open,close,volume``
 * ``financial.csv`` - ``date,profit,debt_ratio,cash_flow``
@@ -23,13 +24,15 @@ and ridge term), its ``Preprocess`` recipe, then parameter blocks in its
 ``params()`` order.  Floats round-trip bit-exactly via shortest-repr
 formatting.  One loop reads a file back: every parameter block must parse,
 hold as many values as its shape and only finite ones, and the recipe must
-pass its own checks and describe the model's inputs.
+pass its own checks and describe the model's inputs.  A file that is not
+UTF-8 is a ``file:line`` SchemaError, or ModelIOError for a model file.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import itertools
 import os
 import warnings
@@ -38,7 +41,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ModelIOError, SchemaError
+from .errors import DataError, ModelIOError, SchemaError, read_text
 from .features import ColumnStats, SampleSet
 from .frames import DatedLabels, TimeSeriesFrame, calendar_dates, day_numbers
 from .models import HybridModel, LinearRegressionModel, ModelDims
@@ -61,42 +64,46 @@ _MARKET_INVALID = {"close": ("non-positive", np.less_equal), "volume": ("negativ
 # ---------------------------------------------------------------------------
 
 
-def _csv_fields(path) -> tuple[list[str], list[str], np.ndarray]:
-    """The header row (unstripped), flat fields and row widths of
-    :func:`_read_fields`, read by ``csv.reader``: the reader for a file that
-    holds a quote, a CR or a line longer than ``csv.field_size_limit()``.  A
-    field over that limit is a ``file:line`` SchemaError."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-            rows = list(filter(None, reader))
-        except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+def _csv_fields(path, text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """:func:`_read_fields`' header (unstripped), fields, widths and row lines,
+    parsed from the file's ``text`` by ``csv.reader``, which alone parses
+    quoted fields and CR line ends and refuses a field over
+    ``csv.field_size_limit()`` (a ``file:line`` SchemaError)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines = [], []
+    try:
+        header = next(reader)
+        for row in filter(None, reader):
+            rows.append(row)
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    return header, list(itertools.chain.from_iterable(rows)), widths
+    return (header, list(itertools.chain.from_iterable(rows)), widths,
+            np.array(lines, dtype=np.int64))
 
 
-def _read_fields(path) -> tuple[list[str], list[str], np.ndarray]:
+def _read_fields(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     """The stripped header names of a CSV file, the fields of its non-blank
-    data rows in one flat list, row after row, and each row's field count.
+    data rows in one flat list, row after row, each row's field count, and
+    the file line each row ends on (``csv.reader``'s ``line_num``), all from
+    one read of the file.
 
-    The file is read once as text.  A file with no ``"``, no CR and no line
-    longer than ``csv.field_size_limit()`` is split on LF and ``,``, which
-    gives the fields ``csv.reader`` would.  Any other file is read by
-    :func:`_csv_fields`: only ``csv.reader`` parses quoted fields and CR line
-    ends, and refuses a field over the limit.
+    A file with no ``"``, no CR and no line longer than
+    ``csv.field_size_limit()`` is split on LF and ``,``, which gives the
+    fields ``csv.reader`` would; any other goes to :func:`_csv_fields`.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
-        text = handle.read()
+    text = read_text(path, SchemaError)
     if not text:
         raise SchemaError(f"{path}: file is empty, expected a header row")
-    lines = None if '"' in text or "\r" in text else text.split("\n")
-    del text
-    if lines is None or max(map(len, lines)) > csv.field_size_limit():
-        header, fields, widths = _csv_fields(path)
+    lines = [] if '"' in text or "\r" in text else text.split("\n")
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    if not lines or lengths.max() > csv.field_size_limit():
+        header, fields, widths, row_lines = _csv_fields(path, text)
     else:
+        del text
         header = lines[0].split(",") if lines[0] else []
+        row_lines = 2 + np.flatnonzero(lengths[1:])
         rows = list(filter(None, lines[1:]))
         del lines
         widths = 1 + np.fromiter(map(str.count, rows, itertools.repeat(",")),
@@ -104,48 +111,31 @@ def _read_fields(path) -> tuple[list[str], list[str], np.ndarray]:
         joined = ",".join(rows)
         del rows
         fields = joined.split(",") if joined else []
-    return [name.strip() for name in header], fields, widths
+    return [name.strip() for name in header], fields, widths, row_lines
 
 
-def _numbered_rows(path) -> list[tuple[int, list[str]]]:
-    """The data rows of :func:`_read_fields`, each with its csv line number
-    (the file line the row ends on, counting blank lines and the lines of
-    quoted multi-line fields)."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        return [(reader.line_num, row) for row in reader if row]
+def _check_rows(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, width: int,
+                value_names: list[str]) -> None:
+    """Raise the ``file:line`` SchemaError of the first bad row of
+    :func:`_read_fields`' rows: wrong field count, bad date or bad value."""
+    for end, count, lineno in zip(np.cumsum(widths).tolist(), widths.tolist(), lines.tolist()):
+        row, where = fields[end - count:end], f"{path}:{lineno}:"
+        if count != width:
+            raise SchemaError(f"{where} expected {width} fields, got {count}")
+        try:
+            dt.date.fromisoformat(row[0].strip())
+        except ValueError as exc:
+            raise SchemaError(f"{where} unparseable date {row[0]!r}: {exc}") from exc
+        for name, token in zip(value_names, row[1:]):
+            try:
+                float(token)
+            except ValueError as exc:
+                raise SchemaError(f"{where} unparseable value {token!r} "
+                                  f"in column {name!r}") from exc
 
 
-def _parse_date(token: str, path, lineno: int) -> dt.date:
-    try:
-        return dt.date.fromisoformat(token.strip())
-    except ValueError as exc:
-        raise SchemaError(f"{path}:{lineno}: unparseable date {token!r}: {exc}") from exc
-
-
-def _parse_float(token: str, column: str, path, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise SchemaError(
-            f"{path}:{lineno}: unparseable value {token!r} in column {column!r}"
-        ) from exc
-
-
-def _check_rows(path, width: int, value_names: list[str]) -> None:
-    """Re-read ``path`` row by row and raise the ``file:line`` SchemaError of
-    its first bad row: wrong field count, bad date or bad value."""
-    for lineno, row in _numbered_rows(path):
-        if len(row) != width:
-            raise SchemaError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        _parse_date(row[0], path, lineno)
-        for name, tok in zip(value_names, row[1:]):
-            _parse_float(tok, name, path, lineno)
-
-
-def _columns(path, fields: list[str], widths: np.ndarray, width: int, value_names: list[str]
-             ) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+def _columns(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, width: int,
+             value_names: list[str]) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
     """Parse the flat ``fields`` of rows ``width`` fields wide column by
     column: the dates as day ordinals, the ``value_names`` columns as one
     ``[columns x rows]`` float matrix, and the remaining raw columns.
@@ -162,19 +152,19 @@ def _columns(path, fields: list[str], widths: np.ndarray, width: int, value_name
         for column, row in enumerate(values, start=1):
             row[:] = list(map(float, fields[column::width]))
     except ValueError:
-        _check_rows(path, width, value_names)
+        _check_rows(path, fields, widths, lines, width, value_names)
         raise
     return days, values, [fields[column::width] for column in range(len(values) + 1, width)]
 
 
-def _reject_first(path, bad: np.ndarray, matrix: np.ndarray, value_names: list[str],
-                  faults: dict[str, str]) -> None:
+def _reject_first(path, lines: np.ndarray, bad: np.ndarray, matrix: np.ndarray,
+                  value_names: list[str], faults: dict[str, str]) -> None:
     """Raise the ``file:line`` SchemaError of the first value that ``bad`` flags
     in ``matrix`` (``[columns x rows]``), in file order, naming its column's fault."""
     if bad.any():
         row, col = np.argwhere(bad.T)[0]
         name = value_names[col]
-        raise SchemaError(f"{path}:{_numbered_rows(path)[row][0]}: {faults[name]} value "
+        raise SchemaError(f"{path}:{lines[row]}: {faults[name]} value "
                           f"{float(matrix[col, row])} in column {name!r}")
 
 
@@ -187,7 +177,7 @@ def _load_numeric_csv(path, required: tuple[str, ...],
     ``invalid`` flags (column -> fault and test against 0) are rejected.
     A bad file is reported at its first bad row in file order.
     """
-    header, fields, widths = _read_fields(path)
+    header, fields, widths, lines = _read_fields(path)
     if not header or header[0] != "date":
         raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
     for column in required:
@@ -196,7 +186,7 @@ def _load_numeric_csv(path, required: tuple[str, ...],
     if not len(widths):
         raise SchemaError(f"{path}: no data rows")
     value_names = header[1:]
-    days, matrix, _ = _columns(path, fields, widths, len(header), value_names)
+    days, matrix, _ = _columns(path, fields, widths, lines, len(header), value_names)
     del fields
     order = np.argsort(days, kind="stable")
     ranked = days[order]
@@ -204,13 +194,13 @@ def _load_numeric_csv(path, required: tuple[str, ...],
     if repeated.any():
         dupes = calendar_dates(np.unique(ranked[1:][repeated])[:5])
         raise SchemaError(f"{path}: duplicate dates {dupes}")
-    _reject_first(path, ~np.isfinite(matrix), matrix, value_names,
+    _reject_first(path, lines, ~np.isfinite(matrix), matrix, value_names,
                   dict.fromkeys(value_names, "non-finite"))
     invalid = invalid or {}
     bad = np.zeros(matrix.shape, dtype=bool)
     for name, (_, test) in invalid.items():
         bad[value_names.index(name)] = test(matrix[value_names.index(name)], 0)
-    _reject_first(path, bad, matrix, value_names, {n: fault for n, (fault, _) in invalid.items()})
+    _reject_first(path, lines, bad, matrix, value_names, {n: f for n, (f, _) in invalid.items()})
     if (np.diff(days) < 0).any():
         warnings.warn(f"{path}: rows are out of date order; loading sorted", stacklevel=2)
     return TimeSeriesFrame(ranked, dict(zip(value_names, matrix[:, order])))
@@ -230,10 +220,10 @@ def load_macro_csv(path) -> TimeSeriesFrame:
 
 def _load_dated_labels(path, label: str) -> DatedLabels:
     """The dated labels of a ``date,<label>`` file, in file order."""
-    header, fields, widths = _read_fields(path)
+    header, fields, widths, lines = _read_fields(path)
     if header[:2] != ["date", label]:
         raise SchemaError(f"{path}: expected header date,{label}, got {header}")
-    days, _, (labels,) = _columns(path, fields, widths, 2, [])
+    days, _, (labels,) = _columns(path, fields, widths, lines, 2, [])
     return DatedLabels(days, labels)
 
 
@@ -508,8 +498,7 @@ def _parse_model_text(path) -> tuple[dict[str, str], Preprocess | None, dict[str
     """The headers, preprocessing recipe and parameters of a model file, in
     one pass: between ``preprocess begin`` and ``preprocess end`` a line is a
     recipe field or ``stats`` line, elsewhere a header, ``param`` or ``end``."""
-    with open(path, encoding="utf-8") as handle:
-        lines = iter(handle.read().splitlines())
+    lines = iter(read_text(path, ModelIOError).splitlines())
     found = next(lines, "<empty file>")
     if found != MODEL_MAGIC:
         raise ModelIOError(

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and :func:`read_text`,
+which decodes every input file and raises a decode fault as one of them.
 
 The CLI maps these onto distinct exit codes, so library code should raise
 the most specific type that applies.
@@ -35,3 +36,15 @@ class NumericalError(RiskcastError, ArithmeticError):
 
 class ModelIOError(RiskcastError):
     """A model file could not be written, or read back faithfully."""
+
+
+def read_text(path, error: type[RiskcastError]) -> str:
+    """The text of ``path``, decoded once as UTF-8 with its line ends kept.  A byte
+    that is not UTF-8 raises ``error`` at its ``file:line`` (lines end at LF, CR or CRLF)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[:exc.start + 1].splitlines())
+        raise error(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})")

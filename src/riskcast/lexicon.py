@@ -3,14 +3,15 @@
 The built-in lexicon is a small, hand-picked set of finance words.  A custom
 lexicon can be loaded from a plain-text file with one term per line under
 ``[positive]`` / ``[negative]`` section headers; blank lines and lines
-starting with ``#`` are ignored.
+starting with ``#`` are ignored.  The file must be UTF-8 text.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError, SchemaError, read_text
 
 _POSITIVE_TERMS = (
     "advance", "advances", "beat", "beats", "boom", "boost", "boosts",
@@ -58,26 +59,23 @@ def default_lexicon() -> SentimentLexicon:
 
 
 def load_lexicon(path) -> SentimentLexicon:
-    """Read a ``[positive]`` / ``[negative]`` sectioned term file."""
+    """Read a ``[positive]`` / ``[negative]`` sectioned term file.  Lines end
+    at LF, CR or CRLF; a file that is not UTF-8 is a ``file:line`` SchemaError."""
     sections: dict[str, set[str]] = {"positive": set(), "negative": set()}
     current: str | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip().lower()
-                if name not in sections:
-                    raise SchemaError(
-                        f"{path}:{lineno}: unknown lexicon section [{name}]"
-                    )
-                current = name
-                continue
-            if current is None:
-                raise SchemaError(
-                    f"{path}:{lineno}: term {line!r} appears before any section header"
-                )
-            sections[current].add(line.lower())
+    lines = io.StringIO(read_text(path, SchemaError), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in sections:
+                raise SchemaError(f"{path}:{lineno}: unknown lexicon section [{name}]")
+            current = name
+            continue
+        if current is None:
+            raise SchemaError(f"{path}:{lineno}: term {line!r} appears before any "
+                              "section header")
+        sections[current].add(line.lower())
     return SentimentLexicon(frozenset(sections["positive"]), frozenset(sections["negative"]))
-

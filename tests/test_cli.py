@@ -7,12 +7,15 @@ import pytest
 from riskcast import (
     DropoutSpec,
     PipelineConfig,
+    SchemaError,
+    SentimentLexicon,
     SynthConfig,
     TrainConfig,
     build_samples,
     chronological_split,
     default_lexicon,
     load_bundle,
+    load_lexicon,
     load_model,
 )
 from riskcast import cli
@@ -567,6 +570,86 @@ class TestMalformedModelFile:
             "recipe-window-10", "linear-recipe-window-10", "policy-vocab-duplicate"])
     def test_reader_error_exits_5(self, workspace, tmp_path, capsys, which, edit, message):
         self._assert_refused(workspace, tmp_path, capsys, which, edit, message)
+
+
+class TestInputNotUtf8:
+    """An input file holding a byte that is not UTF-8 is refused at its file
+    and the line of that byte, and nothing is written: a data CSV or a
+    lexicon is a data error (exit 3), a model file a model-file error (exit 5)."""
+
+    @staticmethod
+    def _run(command, data_dir, model, out, extra=()):
+        if command == "train":
+            args = ["train", "--out", str(out), "--baseline", "linreg"]
+        elif command == "predict":
+            args = ["predict", "--model", str(model), "--out", str(out)]
+        else:
+            args = ["evaluate", "--model", str(model), "--csv", str(out)]
+        return main([*args, "--data", str(data_dir), *extra])
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    @pytest.mark.parametrize("name, row, line", [
+        ("market.csv", 40, b"2015-03-02,99.5,100.0\xe9,1000.0"),
+        ("news.csv", 60, b"2015-03-02,caf\xe9 gain"),
+        ("news.csv", 60, b'2015-03-02,"caf\xe9, gain"'),
+    ], ids=["market", "news-split", "news-quoted"])
+    def test_data_file_exits_3(self, workspace, tmp_path, capsys, command, name, row, line):
+        _, data_dir, _, linear = workspace
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for file in DATA_FILES:
+            (bad / file).write_bytes((data_dir / file).read_bytes())
+        lines = (bad / name).read_bytes().split(b"\n")
+        lines[row] = line
+        (bad / name).write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        assert self._run(command, bad, linear, out) == 3
+        assert (f"riskcast: error: {bad / name}:{row + 1}: not UTF-8: byte 0xe9 "
+                f"(invalid continuation byte)") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "compare"])
+    def test_model_file_exits_5(self, workspace, tmp_path, capsys, command):
+        _, data_dir, hybrid, linear = workspace
+        lines = linear.read_bytes().split(b"\n")
+        row = next(k for k, ln in enumerate(lines) if ln.startswith(b"param weights")) + 1
+        lines[row] = b"\xff" + lines[row]
+        bad, out = tmp_path / "bad.rcm", tmp_path / "out.csv"
+        bad.write_bytes(b"\n".join(lines))
+        if command == "compare":
+            rc = main(["compare", str(hybrid), str(bad), "--data", str(data_dir),
+                       "--csv", str(out)])
+        else:
+            rc = self._run(command, data_dir, bad, out)
+        assert rc == 5
+        assert (f"riskcast: error: {bad}:{row + 1}: not UTF-8: byte 0xff "
+                f"(invalid start byte)") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_lexicon_file_exits_3(self, workspace, tmp_path, capsys, command):
+        _, data_dir, _, linear = workspace
+        lexicon, out = tmp_path / "lexicon.txt", tmp_path / "out"
+        lexicon.write_bytes(b"[positive]\r\nrally\r\n\r\n[negative]\r\ncrash\r\nd\xe9ficit\r\n")
+        assert self._run(command, data_dir, linear, out, ["--lexicon", str(lexicon)]) == 3
+        assert f"riskcast: error: {lexicon}:6: not UTF-8: byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_lexicon_lines_end_at_lf_cr_or_crlf(self, tmp_path, end):
+        """Lexicon lines are counted the same with every line end, for a
+        section fault and for a decode fault alike."""
+        lines = ["# terms", "[positive]", "rally", "", "[negative]", "crash"]
+        path = tmp_path / "lexicon.txt"
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        assert load_lexicon(path) == SentimentLexicon(frozenset({"rally"}), frozenset({"crash"}))
+        path.write_bytes(end.join([*lines, "[neutral]"]).encode())
+        with pytest.raises(SchemaError, match=rf"^{path}:7: unknown lexicon section \[neutral\]$"):
+            load_lexicon(path)
+        path.write_bytes(end.encode().join([*map(str.encode, lines), b"sl\xfcmp"]))
+        with pytest.raises(SchemaError, match=rf"^{path}:7: not UTF-8: byte 0xfc "
+                                              rf"\(invalid start byte\)$"):
+            load_lexicon(path)
 
 
 class TestCompare:

@@ -10,11 +10,14 @@ fields count).
 
 A file is read by one of two readers, chosen by its contents: split on LF
 and ``,``, or ``csv.reader`` for a file with a quote, a CR or a line longer
-than ``csv.field_size_limit()``.  Both are checked against the references.
+than ``csv.field_size_limit()``.  Both are checked against the references,
+down to the line each row ends on, and a rejected file is opened only once.
 """
 
+import builtins
 import csv
 import datetime as dt
+import os
 import random
 import re
 import warnings
@@ -240,7 +243,9 @@ RFC_NEWS = (
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_rfc4180_news_loads_like_the_reference(tmp_path, newline):
-    news = _assert_same_load(_write(tmp_path / "news.csv", RFC_NEWS, newline))
+    path = _write(tmp_path / "news.csv", RFC_NEWS, newline)
+    news = _assert_same_load(path)
+    _assert_readers_agree(path)
     assert len(news) == 6
     assert news.labels[2].startswith("first line")
 
@@ -300,9 +305,9 @@ def csv_reads(monkeypatch):
     """The paths that the loaders hand to the ``csv.reader`` path, in call order."""
     calls = []
 
-    def spy(path):
+    def spy(path, text):
         calls.append(path)
-        return _CSV_FIELDS(path)
+        return _CSV_FIELDS(path, text)
 
     monkeypatch.setattr(data_io, "_csv_fields", spy)
     return calls
@@ -330,14 +335,19 @@ def _assert_same_outcome(path):
 
 
 def _assert_readers_agree(path):
-    """Both readers give the reference's header, fields and row widths."""
+    """Both readers give the reference's header, fields, row widths and row
+    lines (``reader.line_num`` after each row)."""
     header, rows = _ref_read_rows(path)
     want = (header, [field for _, row in rows for field in row], [len(row) for _, row in rows])
-    got_header, got_fields, got_widths = data_io._read_fields(path)
+    want_lines = [line for line, _ in rows]
+    got_header, got_fields, got_widths, got_lines = data_io._read_fields(path)
     assert got_widths.dtype == np.int64
     assert (got_header, got_fields, got_widths.tolist()) == want
-    csv_header, csv_fields, csv_widths = _CSV_FIELDS(path)
+    assert got_lines.tolist() == want_lines
+    text = path.read_bytes().decode("utf-8")
+    csv_header, csv_fields, csv_widths, csv_lines = _CSV_FIELDS(path, text)
     assert ([name.strip() for name in csv_header], csv_fields, csv_widths.tolist()) == want
+    assert csv_lines.tolist() == want_lines
 
 
 @pytest.mark.parametrize("text, reader", [
@@ -639,3 +649,33 @@ def test_bad_file_through_the_cli_exits_3_with_file_line(tmp_path, capsys, case)
                  "--baseline", "linreg"]) == 3
     assert f"{data / name}{fragment}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, fragment", [
+    ("market.csv", MARKET_HEADER + "2021-03-01,1,2,3\n2021-03-02,oops,2,3\n",
+     ":3: unparseable value 'oops' in column 'open'"),
+    ("market.csv", MARKET_HEADER + "2021-03-01,1,2,3\n\n2021-03-02,1,2,inf\n",
+     ":4: non-finite value inf in column 'volume'"),
+    ("market.csv", MARKET_HEADER + "2021-03-01,1,2,3\n2021-03-02,1,2,-5\n",
+     ":3: negative value -5.0 in column 'volume'"),
+    ("news.csv", 'date,text\n2021-03-01,"one,\ntwo"\n2021-03-0x,three\n',
+     ":4: unparseable date '2021-03-0x'"),
+], ids=["bad-row", "non-finite", "negative-volume", "quoted-bad-row"])
+def test_a_rejected_file_is_opened_once(tmp_path, monkeypatch, name, text, fragment):
+    """The fault is located from the one read that produced the values: the
+    loader opens its file once (through ``open`` as ``data_io`` resolves it,
+    the builtin) and never reads it again to name the line."""
+    path = _write(tmp_path / name, text)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with pytest.raises(SchemaError) as got:
+        LOADERS[name][0](path)
+    monkeypatch.undo()
+    assert str(got.value).startswith(f"{path}{fragment}")
+    assert opened.count(os.fspath(path)) == 1
