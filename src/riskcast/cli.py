@@ -33,11 +33,10 @@ from .evaluation import (
     evaluate_predictions,
     report_text,
 )
-from .frames import drop_incomplete_rows
 from .layers import DropoutSpec
 from .lexicon import default_lexicon, load_lexicon
 from .models import HybridModel, ModelDims, linreg_fit, predict_batch, prediction_scores
-from .synth import SynthConfig, synth_generate
+from .synth import SynthConfig, write_dataset
 from .tensor import SeededRng, check_seed, derive_seed
 from .training import TrainConfig, TrainLog, fit, gradient_check, grid_search, validation_mse
 
@@ -100,29 +99,16 @@ def _add_common_data_flags(sub):
 def cmd_gen_data(args) -> int:
     cfg = _config(SynthConfig, args)
     if os.path.exists(args.out) and not os.path.isdir(args.out):
-        # The error os.makedirs raises below, raised before generating.
+        # The error os.makedirs would raise, raised before generating.
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
-    bundle = synth_generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
-
-    def _path(name):
-        return os.path.join(args.out, name)
-
-    data_io.write_frame_csv(bundle.market, _path("market.csv"))
-    # Unbundle the outer-joined financial/macro frame into its two files.
-    for columns, name in ((data_io.FINANCIAL_COLUMNS, "financial.csv"),
-                          (data_io.MACRO_COLUMNS, "macro.csv")):
-        data_io.write_frame_csv(drop_incomplete_rows(bundle.financial.select(list(columns))),
-                                _path(name))
-    data_io.write_news_csv(bundle.news, _path("news.csv"))
-    data_io.write_policy_csv(bundle.policy, _path("policy.csv"))
+    provenance = write_dataset(cfg, args.out)
     manifest = {
         "generator": "riskcast gen-data",
         "config": asdict(cfg),
-        "provenance": bundle.provenance,
+        "provenance": provenance,
         "files": list(data_io.DATA_FILES),
     }
-    with open(_path("manifest.json"), "w", encoding="utf-8") as handle:
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {len(manifest['files'])} data files and manifest.json to {args.out}")

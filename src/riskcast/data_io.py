@@ -14,8 +14,10 @@ a ``,``, ``"``, LF or CR:
 * ``market.csv``    - ``date,open,close,volume``
 * ``financial.csv`` - ``date,profit,debt_ratio,cash_flow``
 * ``macro.csv``     - ``date,gdp,cpi,interest_rate`` (folded into the static frame)
-* ``news.csv``      - ``date,text``
-* ``policy.csv``    - ``date,category``
+* ``news.csv``      - ``date,text``, exactly
+* ``policy.csv``    - ``date,category``, exactly
+
+The numeric files may carry extra columns, which load as floats.
 
 Model files are a versioned, self-describing text format, written and read
 only here: the magic line ``RISKCAST-MODEL v1``, headers from the model's own
@@ -219,9 +221,9 @@ def load_macro_csv(path) -> TimeSeriesFrame:
 
 
 def _load_dated_labels(path, label: str) -> DatedLabels:
-    """The dated labels of a ``date,<label>`` file, in file order."""
+    """The dated labels of a file whose header is exactly ``date,<label>``, in file order."""
     header, fields, widths, lines = _read_fields(path)
-    if header[:2] != ["date", label]:
+    if header != ["date", label]:
         raise SchemaError(f"{path}: expected header date,{label}, got {header}")
     days, _, (labels,) = _columns(path, fields, widths, lines, 2, [])
     return DatedLabels(days, labels)
@@ -333,13 +335,20 @@ class DatasetBundle:
     def __post_init__(self):
         if len(self.market) == 0:
             raise DataError("bundle has an empty market frame")
-        lo, hi = self.market.days[[0, -1]]
-        if len(self.financial) and (self.financial.days[0] > hi or self.financial.days[-1] < lo):
-            raise DataError(f"financial dates {self.financial.span()} "
-                            f"do not overlap market range {self.market.span()}")
-        for name, events in (("news", self.news), ("policy", self.policy)):
-            if len(events) and (events.days.min() > hi or events.days.max() < lo):
-                raise DataError(f"{name} dates do not overlap market range {self.market.span()}")
+        for name, part in (("financial", self.financial), ("news", self.news),
+                           ("policy", self.policy)):
+            check_overlap(name, part.days, self.market)
+
+
+def check_overlap(name: str, days: np.ndarray, market: TimeSeriesFrame) -> None:
+    """Raise a DataError when the nonempty ``days`` of the ``name`` series
+    all fall before or all after the market's date range."""
+    if len(days):
+        first, last = days.min(), days.max()
+        if first > market.days[-1] or last < market.days[0]:
+            first, last = calendar_dates(np.array([first, last]))
+            raise DataError(f"{name} dates {first}..{last} do not overlap "
+                            f"market range {market.span()}")
 
 
 def load_bundle(directory) -> DatasetBundle:

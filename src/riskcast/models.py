@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextvars
 import datetime as dt
-import os
 import threading
 from dataclasses import dataclass
 
@@ -42,6 +41,7 @@ from .layers import (
 )
 from .features import SampleSet
 from .tensor import SeededRng, derive_seed
+from .workers import usable_cpus
 
 # Windows per batched forward call when scoring a whole set: large enough to
 # amortise the per-step Python work of the LSTM, small enough that one call's
@@ -319,15 +319,6 @@ def _score_part(model, samples: SampleSet, scores: np.ndarray, start: int, stop:
                                       cache=False)[0]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's CPU count."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return len(affinity(0))
-    return os.cpu_count() or 1
-
-
 def prediction_scores(model, samples: SampleSet) -> np.ndarray:
     """Inference-mode scores, one per sample, order preserved.
 
@@ -349,13 +340,14 @@ def prediction_scores(model, samples: SampleSet) -> np.ndarray:
     context, which carries numpy's error state (``np.errstate``).  An
     exception raised in a part reaches the caller unchanged; when several
     parts raise, the earliest part's does, the one the serial loop would
-    meet first.
+    meet first.  :mod:`riskcast.workers` says why this loop uses threads
+    and not worker processes.
     """
     n = len(samples)
     scores = np.empty(n)
     parts = 1
     if isinstance(model, HybridModel):
-        parts = min(MAX_PARTS, _usable_cpus(), n // MIN_PART)
+        parts = min(MAX_PARTS, usable_cpus(), n // MIN_PART)
     if parts < 2:
         _score_part(model, samples, scores, 0, n)
         return scores

@@ -34,21 +34,32 @@ chunk's days can use, so memory does not grow with the run.  One loop over
 positions then finds where each day starts (and, for news, where each item
 starts).  News items are composed as arrays from those positions, one group
 per filler count.
+
+:func:`synth_generate` returns the bundle; :func:`write_dataset`, behind
+``gen-data``, writes its files from the same parts.  Only the market path
+and the latent sentiment feed more than one file, so once they are drawn
+the news stream is built and written by one task and the other four files
+by another; from ``FORK_MIN_DAYS`` days on, the news task runs in a forked
+worker process.  Every stream is seeded on its own, so the files are the
+same bytes however the tasks run.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import data_io
 from .data_io import DatasetBundle
 from .errors import NumericalError, ParameterError
 from .frames import DatedLabels, TimeSeriesFrame, day_numbers, merge_outer
 from .lexicon import default_lexicon
 from .tensor import SeededRng, box_muller, check_seed, derive_seed, unit_floats
+from .workers import run_tasks
 
 START_DATE = dt.date(2015, 1, 2)
 POLICY_CATEGORIES = ("rate_cut", "rate_hike", "regulation_easing",
@@ -86,6 +97,13 @@ _MAX_FILLERS = 4                # 2 + randint(3)
 _MAX_ITEM_DRAWS = 2 + _WORDS_PER_ITEM + 1 + _MAX_FILLERS + (_WORDS_PER_ITEM + _MAX_FILLERS - 1)
 _MAX_NEWS_DRAWS_PER_DAY = 2 + 3 * _MAX_ITEM_DRAWS
 _MAX_POLICY_DRAWS_PER_DAY = 2
+# Days from which ``write_dataset`` writes the news stream in a forked
+# worker.  A fork costs about 2 ms, and the command after it in the same
+# process pays a minor page fault on each page it rewrites that the fork
+# shared (about 8 ms for a 20,000-day ``train --baseline linreg``).  On a
+# 2-vCPU host, gen-data and then that train took longer forked at 2,000
+# days and less from 5,000 days on.
+FORK_MIN_DAYS = 5000
 # Weekdays from START_DATE to 9999-12-31, the last day a ``datetime.date`` holds.
 _MAX_DAYS = int(np.busday_count(START_DATE, dt.date.max)) + 1
 
@@ -267,79 +285,121 @@ def _policy(rng: SeededRng, days: np.ndarray) -> DatedLabels:
     return DatedLabels(event_days, categories)
 
 
-def synth_generate(cfg: SynthConfig) -> DatasetBundle:
-    """Generate one bundle; identical configs produce bitwise-identical output."""
+def _rng(cfg: SynthConfig, stream: int) -> SeededRng:
+    """The generator of stream ``stream`` in the layout above."""
+    return SeededRng(derive_seed(cfg.seed, stream))
+
+
+def _market_path(cfg: SynthConfig) -> tuple[TimeSeriesFrame, np.ndarray]:
+    """The market frame and the latent daily sentiment that drives it.
+
+    A large base_vol drives prices past the float range; that is refused, as
+    a NumericalError, rather than handing on a zero or infinite price.
+    """
     n = cfg.n_days
-    rng_sent = SeededRng(derive_seed(cfg.seed, 1))
-    rng_regime = SeededRng(derive_seed(cfg.seed, 2))
-    rng_price = SeededRng(derive_seed(cfg.seed, 3))
-    rng_open = SeededRng(derive_seed(cfg.seed, 4))
-    rng_volume = SeededRng(derive_seed(cfg.seed, 5))
-    rng_news = SeededRng(derive_seed(cfg.seed, 6))
-    rng_financial = SeededRng(derive_seed(cfg.seed, 7))
-    rng_macro = SeededRng(derive_seed(cfg.seed, 8))
-    rng_policy = SeededRng(derive_seed(cfg.seed, 9))
-
-    dates = trading_days(START_DATE, n)
-    lexicon = default_lexicon()
-    pos_terms = sorted(lexicon.positive)
-    neg_terms = sorted(lexicon.negative)
-
     # Latent daily sentiment, AR(1) clipped to [-1, 1].
     innovation_sd = _SENT_SD * np.sqrt(1.0 - _SENT_PHI ** 2)
     levels = []
     s = 0.0
-    for innovation in rng_sent.normals(n, 0.0, innovation_sd).tolist():
+    for innovation in _rng(cfg, 1).normals(n, 0.0, innovation_sd).tolist():
         s = _SENT_PHI * s + innovation
         levels.append(s)
     sentiment = np.clip(levels, -1.0, 1.0)
 
     # Two-state Markov volatility regime.
-    flips = rng_regime.next_floats(n) < cfg.regime_shift_prob
+    flips = _rng(cfg, 2).next_floats(n) < cfg.regime_shift_prob
     regime_mult = np.where(np.cumsum(flips) % 2 == 1, _REGIME_VOL_MULT, 1.0)
 
-    # A large base_vol drives prices past the float range; refuse that
-    # rather than hand on a zero or infinite price.
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = _market(cfg, sentiment, regime_mult, rng_price, rng_open, rng_volume)
+        columns = _market(cfg, sentiment, regime_mult, _rng(cfg, 3), _rng(cfg, 4), _rng(cfg, 5))
     if not all(np.all((values > 0) & (values < np.inf)) for values in columns.values()):
         raise NumericalError(f"base_vol {cfg.base_vol} drives the price path out of the "
                              "float range (a zero or infinite price)")
-    market = TimeSeriesFrame(day_numbers(dates), columns)
-    news = _news(rng_news, market.days, sentiment, pos_terms, neg_terms)
+    return TimeSeriesFrame(day_numbers(trading_days(START_DATE, n)), columns), sentiment
 
-    # Quarterly financial reports: slow multiplicative walks.
-    fin_days = market.days[::_FINANCIAL_PERIOD]
+
+def _news_stream(cfg: SynthConfig, market: TimeSeriesFrame, sentiment: np.ndarray) -> DatedLabels:
+    lexicon = default_lexicon()
+    return _news(_rng(cfg, 6), market.days, sentiment,
+                 sorted(lexicon.positive), sorted(lexicon.negative))
+
+
+def _financial(cfg: SynthConfig, market: TimeSeriesFrame) -> TimeSeriesFrame:
+    """Quarterly financial reports: slow multiplicative walks."""
+    days = market.days[::_FINANCIAL_PERIOD]
     profit, debt, cash = 120.0, 0.45, 85.0
-    fin_cols = {"profit": [], "debt_ratio": [], "cash_flow": []}
-    for z_profit, z_debt, z_cash in rng_financial.normals(3 * len(fin_days)).reshape(-1, 3).tolist():
+    columns = {"profit": [], "debt_ratio": [], "cash_flow": []}
+    for z_profit, z_debt, z_cash in _rng(cfg, 7).normals(3 * len(days)).reshape(-1, 3).tolist():
         profit = max(5.0, profit * (1.0 + 0.01 + 0.05 * z_profit))
         debt = min(0.85, max(0.15, debt + 0.03 * z_debt))
         cash = profit * (0.7 + 0.15 * z_cash)
-        fin_cols["profit"].append(profit)
-        fin_cols["debt_ratio"].append(debt)
-        fin_cols["cash_flow"].append(cash)
-    financial = TimeSeriesFrame(fin_days, fin_cols)
+        columns["profit"].append(profit)
+        columns["debt_ratio"].append(debt)
+        columns["cash_flow"].append(cash)
+    return TimeSeriesFrame(days, columns)
 
-    # Monthly macro readings: gentle trends plus a clipped rate walk.
-    macro_days = market.days[::_MACRO_PERIOD]
+
+def _macro(cfg: SynthConfig, market: TimeSeriesFrame) -> TimeSeriesFrame:
+    """Monthly macro readings: gentle trends plus a clipped rate walk."""
+    days = market.days[::_MACRO_PERIOD]
     gdp, cpi, rate = 100.0, 100.0, 2.0
-    macro_cols = {"gdp": [], "cpi": [], "interest_rate": []}
-    for z_gdp, z_cpi, z_rate in rng_macro.normals(3 * len(macro_days)).reshape(-1, 3).tolist():
+    columns = {"gdp": [], "cpi": [], "interest_rate": []}
+    for z_gdp, z_cpi, z_rate in _rng(cfg, 8).normals(3 * len(days)).reshape(-1, 3).tolist():
         gdp *= 1.0 + 0.005 + 0.002 * z_gdp
         cpi *= 1.0 + 0.002 + 0.001 * z_cpi
         rate = min(8.0, max(0.0, rate + 0.1 * z_rate))
-        macro_cols["gdp"].append(gdp)
-        macro_cols["cpi"].append(cpi)
-        macro_cols["interest_rate"].append(rate)
-    macro = TimeSeriesFrame(macro_days, macro_cols)
+        columns["gdp"].append(gdp)
+        columns["cpi"].append(cpi)
+        columns["interest_rate"].append(rate)
+    return TimeSeriesFrame(days, columns)
 
-    policy = _policy(rng_policy, market.days)
 
-    provenance = (
-        f"synth(seed={cfg.seed}, n_days={cfg.n_days}, base_vol={cfg.base_vol}, "
-        f"regime_shift_prob={cfg.regime_shift_prob}, kappa={cfg.kappa}, "
-        f"nonlinearity={cfg.nonlinearity})"
-    )
-    return DatasetBundle(market=market, financial=merge_outer(financial, macro),
-                         news=news, policy=policy, provenance=provenance)
+def _provenance(cfg: SynthConfig) -> str:
+    return (f"synth(seed={cfg.seed}, n_days={cfg.n_days}, base_vol={cfg.base_vol}, "
+            f"regime_shift_prob={cfg.regime_shift_prob}, kappa={cfg.kappa}, "
+            f"nonlinearity={cfg.nonlinearity})")
+
+
+def synth_generate(cfg: SynthConfig) -> DatasetBundle:
+    """Generate one bundle; identical configs produce bitwise-identical output."""
+    market, sentiment = _market_path(cfg)
+    return DatasetBundle(market=market,
+                         financial=merge_outer(_financial(cfg, market), _macro(cfg, market)),
+                         news=_news_stream(cfg, market, sentiment),
+                         policy=_policy(_rng(cfg, 9), market.days),
+                         provenance=_provenance(cfg))
+
+
+def write_dataset(cfg: SynthConfig, directory) -> str:
+    """Write the files of :func:`synth_generate`'s bundle to ``directory``,
+    which is made if missing, and return the bundle's provenance.
+
+    The market path is drawn and checked first, so a refused ``base_vol``
+    writes nothing.  Then the news stream is built, checked against the
+    market range and written by one task, and the other four files by
+    another, each straight from its own frame.  From ``FORK_MIN_DAYS`` days
+    on, the news task runs in a forked worker (:func:`~riskcast.workers.run_tasks`);
+    the files are the same bytes either way.
+    """
+    market, sentiment = _market_path(cfg)
+    os.makedirs(directory, exist_ok=True)
+
+    def path(name):
+        return os.path.join(directory, name)
+
+    def numeric_and_policy():
+        data_io.write_frame_csv(market, path("market.csv"))
+        for name, frame in (("financial", _financial(cfg, market)), ("macro", _macro(cfg, market))):
+            data_io.check_overlap(name, frame.days, market)
+            data_io.write_frame_csv(frame, path(f"{name}.csv"))
+        policy = _policy(_rng(cfg, 9), market.days)
+        data_io.check_overlap("policy", policy.days, market)
+        data_io.write_policy_csv(policy, path("policy.csv"))
+
+    def news():
+        items = _news_stream(cfg, market, sentiment)
+        data_io.check_overlap("news", items.days, market)
+        data_io.write_news_csv(items, path("news.csv"))
+
+    run_tasks([numeric_and_policy, news], fork=cfg.n_days >= FORK_MIN_DAYS)
+    return _provenance(cfg)

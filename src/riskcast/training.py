@@ -4,10 +4,14 @@ gradient-check harness.
 Training is deterministic end to end: weight initialization comes from the
 model's own seed, while batch shuffling and dropout masks draw from streams
 derived from ``TrainConfig.seed``, so data order never perturbs the init.
+Grid search fits its points in worker processes (:mod:`riskcast.workers`);
+each point has its own derived seed, so the result is the same for any
+worker count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,6 +20,7 @@ from .errors import DataError, DimensionError, NumericalError, ParameterError
 from .features import SampleSet
 from .models import prediction_scores
 from .tensor import SeededRng, check_seed, derive_seed, float_bits
+from .workers import run_tasks
 
 _SHUFFLE_TAG = 0x53484446
 _DROPOUT_TAG = 0x44524F50
@@ -224,28 +229,33 @@ class GridSearchResult:
 def grid_search(model_factory, train: SampleSet, val: SampleSet, cfg: TrainConfig,
                 grid: list[tuple[float, int]]) -> GridSearchResult:
     """Train one model per (learning_rate, hidden_size) grid point and keep
-    the lowest validation MSE; ties break toward the earliest ``grid`` entry.
+    the lowest validation MSE; ties break toward the earliest ``grid`` entry,
+    and a diverged point (an inf validation MSE) ranks last.
 
     Every point derives its own seed from ``cfg.seed`` and the point's
     values, so results do not depend on grid enumeration order.
-    ``model_factory(hidden_size, seed)`` must return a fresh model.
+    ``model_factory(hidden_size, seed)`` must return a fresh model.  The
+    points are fitted in worker processes (:func:`~riskcast.workers.run_tasks`),
+    which hand back each point's fitted model and ``TrainLog``; the result
+    is bitwise the same for any worker count, and the exception of the
+    earliest point that raises reaches the caller.
     """
     if not grid:
         raise ParameterError("grid search requires a nonempty grid")
-    best: GridSearchResult | None = None
-    trials: list[GridTrial] = []
-    for lr, hidden in grid:
-        point_seed = derive_seed(cfg.seed, float_bits(lr), hidden)
-        point_cfg = replace(cfg, learning_rate=lr, seed=point_seed)
-        model = model_factory(hidden, point_seed)
-        model, log = fit(model, train, val, point_cfg)
+
+    def fit_point(lr, hidden):
+        seed = derive_seed(cfg.seed, float_bits(lr), hidden)
+        model, log = fit(model_factory(hidden, seed), train, val,
+                         replace(cfg, learning_rate=lr, seed=seed))
         val_mse = log.best_val_mse if log.best_epoch else validation_mse(model, val)
         if not np.isfinite(val_mse):
             val_mse = float("inf")  # a diverged point loses, wherever it sits in the grid
-        trials.append(GridTrial(lr, hidden, val_mse))
-        if best is None or val_mse < best.val_mse:
-            best = GridSearchResult(lr, hidden, model, log, val_mse, trials)
-    return best
+        return model, log, val_mse
+
+    fitted = run_tasks([functools.partial(fit_point, lr, hidden) for lr, hidden in grid])
+    trials = [GridTrial(lr, hidden, val_mse) for (lr, hidden), (_, _, val_mse) in zip(grid, fitted)]
+    best = min(range(len(grid)), key=lambda i: trials[i].val_mse)  # the first of equals
+    return GridSearchResult(*grid[best], *fitted[best], trials)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ def linreg_objective(model: LinearRegressionModel, samples: SampleSet) -> float:
     beta = np.concatenate([model.weights, model.bias])
     resid = samples.y - _design(samples) @ beta
     return float(resid @ resid + model.ridge_lambda * (beta @ beta))
+
+
+def allow_cpus(monkeypatch, count):
+    """Make ``count`` CPUs usable, through the affinity mask that
+    ``workers.usable_cpus`` reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def count_forks(monkeypatch) -> list:
+    """Wrap ``os.fork``; the returned list gets one entry per fork."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import riskcast
 from riskcast import (
     DropoutSpec,
     PipelineConfig,
@@ -18,7 +23,8 @@ from riskcast import (
     load_lexicon,
     load_model,
 )
-from riskcast import cli
+from conftest import allow_cpus, assert_no_child_left, count_forks
+from riskcast import cli, synth
 from riskcast.cli import main
 from riskcast.evaluation import evaluate_predictions
 from riskcast.models import HybridModel, prediction_scores
@@ -146,15 +152,118 @@ class TestGenData:
 
     def test_out_naming_a_file_is_an_io_error_before_generating(self, tmp_path, monkeypatch,
                                                                 capsys):
-        def unreachable(cfg):
+        def unreachable(cfg, directory):
             raise AssertionError("data generated before --out was checked")
 
-        monkeypatch.setattr(cli, "synth_generate", unreachable)
+        monkeypatch.setattr(cli, "write_dataset", unreachable)
         out = tmp_path / "taken"
         out.write_text("keep\n")
         assert main(["gen-data", "--days", "200", "--out", str(out)]) == 5
         assert capsys.readouterr().err == f"riskcast: error: [Errno 17] File exists: '{out}'\n"
         assert out.read_text() == "keep\n"
+
+
+# SHA-256 of every file ``gen-data --seed 7`` wrote before its news stream
+# moved to a worker process.
+PARENT_DIGESTS = {
+    2000: {
+        "market.csv": "66e21742f7f4a898faa7e53758fb18dea05a392bb4a463568c66a2ef541d6e08",
+        "financial.csv": "9b48908d36deeb3deeb8e9b458e42b71872420c5461a41a564f27866067fd516",
+        "macro.csv": "a324f957a55e57adb1c87e5974549b39be350a02466dfc8399ab2a7babbb5219",
+        "news.csv": "4092e65fe63944243a8aab3a399fd34273f9d6f2b19e6fbdb6a450fec49bc6d4",
+        "policy.csv": "1292f608e77207785bf4031f548e61d3fec3452670ea5909cbab28452cce4317",
+        "manifest.json": "9301678e4132ade9847d4be300fe0c66a9b3f4a8448462f5a522f8e5447b92ea",
+    },
+    20000: {
+        "market.csv": "feebee636d3db57e4f1624f1b5dcc89ecc85c578c95909e1a8c868af074d5cfc",
+        "financial.csv": "27d8d7196ac62eb1f1a57f94f905602e3fe1de8eb07c1945a3398832fbe93d93",
+        "macro.csv": "750c981bdd0319b2e175d635e5ac130d85db6f7cd70af0ca794bf2a1f3e7cbe9",
+        "news.csv": "c332e28ab359fe7919f3e4ab55668b9a0c20cfcf49d9def2f2a9fdba11f3874f",
+        "policy.csv": "f2d100ea31ffcaed3eeafb759f12be290cbfbab8968395db750fbd8184533cbe",
+        "manifest.json": "9d18db6734a5ba9f549baee5898f90f365408ae085bcedb887d4942b25fbd905",
+    },
+}
+
+
+def _force_fork(monkeypatch) -> list:
+    """Two usable CPUs and no size below which gen-data stays serial; the
+    list of forks made."""
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(synth, "FORK_MIN_DAYS", 0)
+    return count_forks(monkeypatch)
+
+
+def _digests(out) -> dict:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in DATA_FILES + ["manifest.json"]}
+
+
+class TestGenDataWorker:
+    """From ``synth.FORK_MIN_DAYS`` days on, gen-data writes news.csv in a
+    forked worker; the files, exit codes and messages are the serial path's."""
+
+    @pytest.mark.parametrize("days", [2000, 20000])
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_files_match_the_serial_generators_digests(self, tmp_path, monkeypatch, days,
+                                                        forked):
+        forks = _force_fork(monkeypatch)
+        if not forked:
+            monkeypatch.setattr(synth, "FORK_MIN_DAYS", days + 1)
+        assert _digests(_gen(tmp_path, days=days, seed=7)) == PARENT_DIGESTS[days]
+        assert len(forks) == forked
+        assert_no_child_left()
+
+    def test_forks_from_fork_min_days(self, tmp_path, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        _gen(tmp_path / "a", days=synth.FORK_MIN_DAYS - 1, seed=7)
+        assert forks == []
+        _gen(tmp_path / "b", days=synth.FORK_MIN_DAYS, seed=7)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_a_failing_news_write_exits_as_the_serial_path(self, tmp_path, monkeypatch, capsys,
+                                                           forked):
+        forks = _force_fork(monkeypatch)
+        if not forked:
+            monkeypatch.setattr(synth, "FORK_MIN_DAYS", 10 ** 9)
+        out = tmp_path / "data"
+        (out / "news.csv").mkdir(parents=True)
+        assert main(["gen-data", "--days", "2000", "--seed", "7", "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"riskcast: error: [Errno 21] Is a directory: '{out / 'news.csv'}'\n")
+        assert len(forks) == forked
+        assert_no_child_left()
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            ["market.csv", "financial.csv", "macro.csv", "news.csv", "policy.csv"])
+
+    def test_a_refused_base_vol_forks_nothing_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        forks = _force_fork(monkeypatch)
+        out = tmp_path / "x"
+        assert main(["gen-data", "--days", "200", "--base-vol", "1e300", "--out", str(out)]) == 4
+        assert "drives the price path out of the float range" in capsys.readouterr().err
+        assert forks == [] and not out.exists()
+
+    @pytest.mark.parametrize("case", ["one-cpu", "no-os-fork", "live-thread"])
+    def test_runs_serially_when_it_cannot_fork(self, tmp_path, monkeypatch, case):
+        forks = _force_fork(monkeypatch)
+        if case == "one-cpu":
+            allow_cpus(monkeypatch, 1)
+        if case == "no-os-fork":
+            monkeypatch.delattr(os, "fork")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if case == "live-thread":
+            thread.start()
+        try:
+            out = _gen(tmp_path, days=2000, seed=7)
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join()
+        assert forks == []
+        assert _digests(out) == PARENT_DIGESTS[2000]
 
 
 class TestTrain:
@@ -186,6 +295,58 @@ class TestTrain:
         trials = [line for line in lines if line.startswith("grid trial")]
         assert len(trials) == 4
         assert any(line.startswith("selected ") for line in lines)
+
+    GRID_FLAGS = ["--epochs", "2", "--patience", "2", "--seed", "6",
+                  "--grid", "lr=0.001,0.01", "hidden=4,6"]
+
+    def test_grid_outputs_do_not_depend_on_the_worker_count(self, workspace, tmp_path,
+                                                             monkeypatch, capsys):
+        """The model file, epoch log and stdout of ``--grid`` are
+        byte-identical when its points are fitted by one process or two."""
+        _, data_dir, _, _ = workspace
+        outputs = []
+        for cpus in (1, 2):
+            allow_cpus(monkeypatch, cpus)
+            forks = count_forks(monkeypatch)
+            out = tmp_path / f"grid{cpus}" / "grid.rcm"
+            out.parent.mkdir()
+            assert main(["train", "--data", str(data_dir), "--out", str(out),
+                         *self.GRID_FLAGS]) == 0
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+            outputs.append((out.read_bytes(), (out.parent / "grid.rcm.log.csv").read_bytes(),
+                            capsys.readouterr().out.replace(str(out.parent), "DIR")))
+        assert outputs[0] == outputs[1]
+
+    def test_grid_outputs_match_with_a_live_blas_pool(self, workspace, tmp_path):
+        """As above, in new processes under ``OPENBLAS_NUM_THREADS=2``, where
+        the fork meets a live BLAS thread pool."""
+        _, data_dir, _, _ = workspace
+        script = ("import os, sys\n"
+                  "cpus = int(sys.argv[1])\n"
+                  "os.sched_getaffinity = lambda pid: set(range(cpus))\n"
+                  "real_fork = os.fork\n"
+                  "def fork():\n"
+                  "    print('forked', file=sys.stderr)\n"
+                  "    return real_fork()\n"
+                  "os.fork = fork\n"
+                  "from riskcast.cli import main\n"
+                  "sys.exit(main(sys.argv[2:]))\n")
+        package_root = os.path.dirname(os.path.dirname(riskcast.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        outputs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"grid{cpus}" / "grid.rcm"
+            out.parent.mkdir()
+            proc = subprocess.run([sys.executable, "-c", script, str(cpus), "train", "--data",
+                                   str(data_dir), "--out", str(out), *self.GRID_FLAGS],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == "forked\n" * (cpus - 1)
+            outputs.append((out.read_bytes(), (out.parent / "grid.rcm.log.csv").read_bytes(),
+                            proc.stdout.replace(str(out.parent), "DIR")))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("extra", [(), ("--grid", "lr=1e300,1e299")], ids=["plain", "grid"])
     def test_diverged_training_is_a_numerical_error_and_writes_nothing(

@@ -115,7 +115,7 @@ def ref_load_numeric_csv(path, required):
 
 def ref_load_news_csv(path):
     header, rows = _ref_read_rows(path)
-    if header[:2] != ["date", "text"]:
+    if header != ["date", "text"]:
         raise SchemaError(f"{path}: expected header date,text, got {header}")
     items = []
     for lineno, row in rows:
@@ -127,7 +127,7 @@ def ref_load_news_csv(path):
 
 def ref_load_policy_csv(path):
     header, rows = _ref_read_rows(path)
-    if header[:2] != ["date", "category"]:
+    if header != ["date", "category"]:
         raise SchemaError(f"{path}: expected header date,category, got {header}")
     events = []
     for lineno, row in rows:
@@ -579,6 +579,13 @@ BAD_FILES = {
     "news-field-count": ("news.csv", (
         "date,text\n"
         "2021-03-01,\"quoted, comma\",extra\n"), ":2: expected 2 fields, got 3"),
+    "news-extra-header-column": ("news.csv", (
+        "date,text,source\n"
+        "2021-03-01,gain,wire\n"), ": expected header date,text, got ['date', 'text', 'source']"),
+    "policy-extra-header-column": ("policy.csv", (
+        "date,category,note\n"
+        "2021-03-01,rate_cut,x\n"), ": expected header date,category, "
+                                       "got ['date', 'category', 'note']"),
     "policy-bad-date": ("policy.csv", (
         "date,category\n"
         "2021-03-01,rate_hike\n"
@@ -638,7 +645,8 @@ def test_bad_file_raises_the_reference_message(tmp_path, case):
 @pytest.mark.parametrize("case", ["value-line-3-before-date-line-5",
                                   "multi-line-quoted-value-counted",
                                   "news-multi-line-text-then-bad-date",
-                                  "field-over-the-limit"])
+                                  "field-over-the-limit", "news-extra-header-column",
+                                  "policy-extra-header-column"])
 def test_bad_file_through_the_cli_exits_3_with_file_line(tmp_path, capsys, case):
     name, text, fragment = BAD_FILES[case]
     data = tmp_path / "data"

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_samples, tiny_dims, tiny_hybrid
+from conftest import (
+    allow_cpus,
+    assert_no_child_left,
+    count_forks,
+    random_samples,
+    tiny_dims,
+    tiny_hybrid,
+)
 from riskcast import (
     AdamState,
     DataError,
@@ -256,6 +263,57 @@ class TestGridSearch:
         assert result.learning_rate == 1e-3
         assert result.log.best_epoch > 0
         assert [t.val_mse for t in result.trials if t.learning_rate == 1e300] == [np.inf]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_diverged_point_ranks_last_with_any_worker_count(self, monkeypatch, cpus):
+        """The diverged first point is fitted by the caller and the others by
+        a worker, or all by the caller; it ranks last either way."""
+        allow_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        train, val, dims = self._data()
+        cfg = TrainConfig(max_epochs=2, batch_size=16, patience=10, seed=12)
+        result = grid_search(self._factory(dims), train, val, cfg,
+                             [(1e300, 3), (1e-3, 3), (2e-3, 3)])
+        assert result.learning_rate != 1e300 and result.log.best_epoch > 0
+        assert [t.val_mse for t in result.trials][0] == np.inf
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("raising, expected", [((5,), 5), ((3, 5), 3), ((4, 6), 4)])
+    def test_a_raising_point_is_raised_in_grid_order(self, monkeypatch, cpus, raising,
+                                                     expected):
+        """With the points of hidden size 3..6 shared among 1-3 processes, the
+        exception of the earliest raising point reaches the caller."""
+        allow_cpus(monkeypatch, cpus)
+        train, val, dims = self._data()
+
+        def factory(hidden_size, seed):
+            if hidden_size in raising:
+                raise DimensionError(f"no model of hidden size {hidden_size}")
+            return tiny_hybrid(seed=seed, hidden_size=hidden_size)
+
+        cfg = TrainConfig(max_epochs=1, batch_size=16, patience=10, seed=12)
+        with pytest.raises(DimensionError) as got:
+            grid_search(factory, train, val, cfg, [(1e-3, h) for h in (3, 4, 5, 6)])
+        assert got.value.args == (f"no model of hidden size {expected}",)
+        assert_no_child_left()
+
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch):
+        train, val, dims = self._data()
+        cfg = TrainConfig(max_epochs=3, batch_size=16, patience=10, seed=12)
+        grid = [(1e-3, 3), (5e-3, 3), (1e-3, 4), (5e-3, 4)]
+        results = []
+        for cpus in (1, 2, 3):
+            allow_cpus(monkeypatch, cpus)
+            results.append(grid_search(self._factory(dims), train, val, cfg, grid))
+        for result in results[1:]:
+            assert result.trials == results[0].trials
+            assert (result.learning_rate, result.hidden_size) == (results[0].learning_rate,
+                                                                   results[0].hidden_size)
+            assert result.log == results[0].log
+            for name, value in results[0].model.params().items():
+                assert np.array_equal(result.model.params()[name], value)
 
     def test_selection_is_order_independent(self):
         train, val, dims = self._data()
