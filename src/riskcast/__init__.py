@@ -58,7 +58,7 @@ from .models import (
 )
 from .pipeline import PipelineConfig, build_samples, make_datasets
 from .preprocess import Preprocess
-from .synth import SynthConfig, synth_generate, write_dataset
+from .synth import SynthConfig, synth_generate
 from .tensor import SeededRng, derive_seed
 from .training import (
     AdamState,

@@ -36,7 +36,7 @@ from .evaluation import (
 from .layers import DropoutSpec
 from .lexicon import default_lexicon, load_lexicon
 from .models import HybridModel, ModelDims, linreg_fit, predict_batch, prediction_scores
-from .synth import SynthConfig, write_dataset
+from .synth import SynthConfig, synth_generate
 from .tensor import SeededRng, check_seed, derive_seed
 from .training import TrainConfig, TrainLog, fit, gradient_check, grid_search, validation_mse
 
@@ -101,11 +101,11 @@ def cmd_gen_data(args) -> int:
     if os.path.exists(args.out) and not os.path.isdir(args.out):
         # The error os.makedirs would raise, raised before generating.
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
-    provenance = write_dataset(cfg, args.out)
+    bundle = synth_generate(cfg, args.out)
     manifest = {
         "generator": "riskcast gen-data",
         "config": asdict(cfg),
-        "provenance": provenance,
+        "provenance": bundle.provenance,
         "files": list(data_io.DATA_FILES),
     }
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as handle:

@@ -335,20 +335,13 @@ class DatasetBundle:
     def __post_init__(self):
         if len(self.market) == 0:
             raise DataError("bundle has an empty market frame")
-        for name, part in (("financial", self.financial), ("news", self.news),
-                           ("policy", self.policy)):
-            check_overlap(name, part.days, self.market)
-
-
-def check_overlap(name: str, days: np.ndarray, market: TimeSeriesFrame) -> None:
-    """Raise a DataError when the nonempty ``days`` of the ``name`` series
-    all fall before or all after the market's date range."""
-    if len(days):
-        first, last = days.min(), days.max()
-        if first > market.days[-1] or last < market.days[0]:
-            first, last = calendar_dates(np.array([first, last]))
-            raise DataError(f"{name} dates {first}..{last} do not overlap "
-                            f"market range {market.span()}")
+        lo, hi = self.market.days[[0, -1]]
+        if len(self.financial) and (self.financial.days[0] > hi or self.financial.days[-1] < lo):
+            raise DataError(f"financial dates {self.financial.span()} "
+                            f"do not overlap market range {self.market.span()}")
+        for name, events in (("news", self.news), ("policy", self.policy)):
+            if len(events) and (events.days.min() > hi or events.days.max() < lo):
+                raise DataError(f"{name} dates do not overlap market range {self.market.span()}")
 
 
 def load_bundle(directory) -> DatasetBundle:

@@ -30,23 +30,24 @@ changing it changes every file.  A normal takes two uniforms (Box-Muller).
 
 The news and policy streams are read a chunk of days at a time: the draws
 left unread by the last chunk are topped up with fresh ones to as many as the
-chunk's days can use, so memory does not grow with the run.  One loop over
-positions then finds where each day starts (and, for news, where each item
-starts).  News items are composed as arrays from those positions, one group
-per filler count.
+chunk's days can use, so no more draws are made at once than a chunk can use.
+One loop over positions then finds where each day starts (and, for news,
+where each item starts).  Each news chunk keeps the draws its items read, and
+the items are composed as arrays from those positions, one group per filler
+count.
 
-:func:`synth_generate` returns the bundle; :func:`write_dataset`, behind
-``gen-data``, writes its files from the same parts.  Only the market path
-and the latent sentiment feed more than one file, so once they are drawn
-the news stream is built and written by one task and the other four files
-by another; from ``FORK_MIN_DAYS`` days on, the news task runs in a forked
-worker process.  Every stream is seeded on its own, so the files are the
-same bytes however the tasks run.
+:func:`synth_generate` returns the bundle and, given a directory (as
+``gen-data`` gives it), writes the bundle's files there.  Every random draw
+and every write happens in the calling process.  Only the composition of
+the news texts from their draws runs beside the writing of the other four
+files, in a forked worker process from ``FORK_MIN_DAYS`` days on.  Every
+stream is seeded on its own, so the files are the same bytes however it runs.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import os
 from dataclasses import dataclass
 
@@ -97,12 +98,11 @@ _MAX_FILLERS = 4                # 2 + randint(3)
 _MAX_ITEM_DRAWS = 2 + _WORDS_PER_ITEM + 1 + _MAX_FILLERS + (_WORDS_PER_ITEM + _MAX_FILLERS - 1)
 _MAX_NEWS_DRAWS_PER_DAY = 2 + 3 * _MAX_ITEM_DRAWS
 _MAX_POLICY_DRAWS_PER_DAY = 2
-# Days from which ``write_dataset`` writes the news stream in a forked
-# worker.  A fork costs about 2 ms, and the command after it in the same
-# process pays a minor page fault on each page it rewrites that the fork
-# shared (about 8 ms for a 20,000-day ``train --baseline linreg``).  On a
-# 2-vCPU host, gen-data and then that train took longer forked at 2,000
-# days and less from 5,000 days on.
+# Days from which ``synth_generate`` composes the news texts in a forked
+# worker while it writes the other files.  A fork costs about 2 ms, and the
+# command after it in the same process pays a minor page fault on each page
+# it rewrites that the fork shared.  On a 2-vCPU host, writing the files
+# took longer forked at 300 and 2,000 days and less at 5,000 and 20,000.
 FORK_MIN_DAYS = 5000
 # Weekdays from START_DATE to 9999-12-31, the last day a ``datetime.date`` holds.
 _MAX_DAYS = int(np.busday_count(START_DATE, dt.date.max)) + 1
@@ -251,20 +251,33 @@ def _compose_news(bits: np.ndarray, items: np.ndarray, levels: np.ndarray,
     return texts
 
 
-def _news(rng: SeededRng, days: np.ndarray, sentiment: np.ndarray,
-          pos_terms: list[str], neg_terms: list[str]) -> DatedLabels:
-    """Bag-of-words items whose lexicon compound tracks the day's sentiment."""
-    vocab = np.array([*pos_terms, *neg_terms, *_FILLER_WORDS], dtype=object)
-    item_days, texts = [], []
+def _news_draws(rng: SeededRng, days: np.ndarray, sentiment: np.ndarray
+                ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Draw and walk the news stream: the day of each item, and for each chunk
+    of days the draws its items read, where each item starts among them and
+    the sentiment level of its day."""
+    item_days, chunks = [], []
     bits, end = np.empty(0, dtype=np.uint64), 0
     for first in range(0, len(days), _CHUNK_DAYS):
         n_days = min(_CHUNK_DAYS, len(days) - first)
         bits = _top_up(rng, bits[end:], n_days, _MAX_NEWS_DRAWS_PER_DAY)
         items, chunk_days, end = _news_items(bits, n_days)
         item_days.append(days[first + chunk_days])
-        texts += _compose_news(bits, items, sentiment[first + chunk_days], vocab,
+        # A copy, so that the draws the next chunk reads are not kept twice.
+        chunks.append((bits[:end].copy(), items, sentiment[first + chunk_days]))
+    return np.concatenate(item_days), chunks
+
+
+def _news_texts(chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                pos_terms: list[str], neg_terms: list[str]) -> list[str]:
+    """Bag-of-words items whose lexicon compound tracks the day's sentiment,
+    one per item of :func:`_news_draws`' chunks."""
+    vocab = np.array([*pos_terms, *neg_terms, *_FILLER_WORDS], dtype=object)
+    texts = []
+    for bits, items, levels in chunks:
+        texts += _compose_news(bits, items, levels, vocab,
                                len(pos_terms), len(neg_terms)).tolist()
-    return DatedLabels(np.concatenate(item_days), texts)
+    return texts
 
 
 def _policy(rng: SeededRng, days: np.ndarray) -> DatedLabels:
@@ -318,12 +331,6 @@ def _market_path(cfg: SynthConfig) -> tuple[TimeSeriesFrame, np.ndarray]:
     return TimeSeriesFrame(day_numbers(trading_days(START_DATE, n)), columns), sentiment
 
 
-def _news_stream(cfg: SynthConfig, market: TimeSeriesFrame, sentiment: np.ndarray) -> DatedLabels:
-    lexicon = default_lexicon()
-    return _news(_rng(cfg, 6), market.days, sentiment,
-                 sorted(lexicon.positive), sorted(lexicon.negative))
-
-
 def _financial(cfg: SynthConfig, market: TimeSeriesFrame) -> TimeSeriesFrame:
     """Quarterly financial reports: slow multiplicative walks."""
     days = market.days[::_FINANCIAL_PERIOD]
@@ -360,46 +367,41 @@ def _provenance(cfg: SynthConfig) -> str:
             f"nonlinearity={cfg.nonlinearity})")
 
 
-def synth_generate(cfg: SynthConfig) -> DatasetBundle:
-    """Generate one bundle; identical configs produce bitwise-identical output."""
-    market, sentiment = _market_path(cfg)
-    return DatasetBundle(market=market,
-                         financial=merge_outer(_financial(cfg, market), _macro(cfg, market)),
-                         news=_news_stream(cfg, market, sentiment),
-                         policy=_policy(_rng(cfg, 9), market.days),
-                         provenance=_provenance(cfg))
+def synth_generate(cfg: SynthConfig, directory=None) -> DatasetBundle:
+    """Generate one bundle; identical configs produce bitwise-identical output.
 
-
-def write_dataset(cfg: SynthConfig, directory) -> str:
-    """Write the files of :func:`synth_generate`'s bundle to ``directory``,
-    which is made if missing, and return the bundle's provenance.
-
-    The market path is drawn and checked first, so a refused ``base_vol``
-    writes nothing.  Then the news stream is built, checked against the
-    market range and written by one task, and the other four files by
-    another, each straight from its own frame.  From ``FORK_MIN_DAYS`` days
-    on, the news task runs in a forked worker (:func:`~riskcast.workers.run_tasks`);
-    the files are the same bytes either way.
+    With ``directory``, which is made if missing, the bundle's five files are
+    written there too, financial and macro each from its own frame.  The
+    market path is drawn and checked first, so a refused ``base_vol`` writes
+    nothing.  Every random draw and every write happens in the calling
+    process; only the composition of the news texts from their draws runs
+    beside the writing of the other four files, in a forked worker from
+    ``FORK_MIN_DAYS`` days on (:func:`~riskcast.workers.run_tasks`).  The
+    files are the same bytes however it runs.
     """
     market, sentiment = _market_path(cfg)
-    os.makedirs(directory, exist_ok=True)
+    lexicon = default_lexicon()
+    news_days, news_chunks = _news_draws(_rng(cfg, 6), market.days, sentiment)
+    financial, macro = _financial(cfg, market), _macro(cfg, market)
+    policy = _policy(_rng(cfg, 9), market.days)
 
     def path(name):
         return os.path.join(directory, name)
 
-    def numeric_and_policy():
-        data_io.write_frame_csv(market, path("market.csv"))
-        for name, frame in (("financial", _financial(cfg, market)), ("macro", _macro(cfg, market))):
-            data_io.check_overlap(name, frame.days, market)
+    def write_others():
+        os.makedirs(directory, exist_ok=True)
+        for name, frame in (("market", market), ("financial", financial), ("macro", macro)):
             data_io.write_frame_csv(frame, path(f"{name}.csv"))
-        policy = _policy(_rng(cfg, 9), market.days)
-        data_io.check_overlap("policy", policy.days, market)
         data_io.write_policy_csv(policy, path("policy.csv"))
 
-    def news():
-        items = _news_stream(cfg, market, sentiment)
-        data_io.check_overlap("news", items.days, market)
-        data_io.write_news_csv(items, path("news.csv"))
-
-    run_tasks([numeric_and_policy, news], fork=cfg.n_days >= FORK_MIN_DAYS)
-    return _provenance(cfg)
+    tasks = [functools.partial(_news_texts, news_chunks,
+                               sorted(lexicon.positive), sorted(lexicon.negative))]
+    if directory is not None:
+        tasks.insert(0, write_others)       # the calling process's share
+    texts = run_tasks(tasks, fork=cfg.n_days >= FORK_MIN_DAYS)[-1]
+    bundle = DatasetBundle(market=market, financial=merge_outer(financial, macro),
+                           news=DatedLabels(news_days, texts), policy=policy,
+                           provenance=_provenance(cfg))
+    if directory is not None:
+        data_io.write_news_csv(bundle.news, path("news.csv"))
+    return bundle

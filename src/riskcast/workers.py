@@ -4,7 +4,7 @@
 read, and returns their results in task order.  It is for Python-bound
 work, whose numpy calls are too short to release the interpreter lock for
 long: two threads running it take turns, while two processes run side by
-side.  ``gen-data`` writes its news stream in a worker this way, and
+side.  ``gen-data`` composes its news texts in a worker this way, and
 ``train --grid`` fits its points in workers.
 
 ``prediction_scores`` keeps threads instead: its windows go through numpy

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -152,10 +153,10 @@ class TestGenData:
 
     def test_out_naming_a_file_is_an_io_error_before_generating(self, tmp_path, monkeypatch,
                                                                 capsys):
-        def unreachable(cfg, directory):
+        def unreachable(cfg, directory=None):
             raise AssertionError("data generated before --out was checked")
 
-        monkeypatch.setattr(cli, "write_dataset", unreachable)
+        monkeypatch.setattr(cli, "synth_generate", unreachable)
         out = tmp_path / "taken"
         out.write_text("keep\n")
         assert main(["gen-data", "--days", "200", "--out", str(out)]) == 5
@@ -163,7 +164,7 @@ class TestGenData:
         assert out.read_text() == "keep\n"
 
 
-# SHA-256 of every file ``gen-data --seed 7`` wrote before its news stream
+# SHA-256 of every file ``gen-data --seed 7`` wrote before its news texts
 # moved to a worker process.
 PARENT_DIGESTS = {
     2000: {
@@ -199,8 +200,9 @@ def _digests(out) -> dict:
 
 
 class TestGenDataWorker:
-    """From ``synth.FORK_MIN_DAYS`` days on, gen-data writes news.csv in a
-    forked worker; the files, exit codes and messages are the serial path's."""
+    """From ``synth.FORK_MIN_DAYS`` days on, gen-data composes the news texts
+    in a forked worker; the files, exit codes and messages are the serial
+    path's."""
 
     @pytest.mark.parametrize("days", [2000, 20000])
     @pytest.mark.parametrize("forked", [False, True])
@@ -236,6 +238,27 @@ class TestGenDataWorker:
         assert_no_child_left()
         assert sorted(path.name for path in out.iterdir()) == sorted(
             ["market.csv", "financial.csv", "macro.csv", "news.csv", "policy.csv"])
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_a_failing_worker_exits_as_the_serial_path(self, tmp_path, monkeypatch, capsys,
+                                                       forked):
+        """The worker's exception reaches the caller with its type and
+        arguments, so the exit code and message are the serial path's."""
+        forks = _force_fork(monkeypatch)
+        if not forked:
+            monkeypatch.setattr(synth, "FORK_MIN_DAYS", 10 ** 9)
+
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(synth, "_compose_news", full_disk)
+        out = tmp_path / "data"
+        assert main(["gen-data", "--days", "2000", "--seed", "7", "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"riskcast: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert len(forks) == forked
+        assert_no_child_left()
+        assert not (out / "news.csv").exists()
 
     def test_a_refused_base_vol_forks_nothing_and_writes_nothing(self, tmp_path, monkeypatch,
                                                                  capsys):

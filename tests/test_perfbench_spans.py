@@ -69,12 +69,9 @@ def test_every_counter_hook_runs_on_real_calls(tmp_path):
     """Each counter hook in ``spans.HOOKS`` reads the arguments or the result
     of the call it wraps, so a change to what the program passes there can
     break a traced run.  Tiny real CLI calls under the tracer must all
-    succeed, and between them and one library call (``gen-data`` writes its
-    files without building the bundle that ``synth_generate`` returns) call
-    every hooked entry point."""
+    succeed, and between them call every hooked entry point."""
     spans = _load_spans()
     cli = importlib.import_module("riskcast.cli")
-    synth = importlib.import_module("riskcast.synth")
     data, hybrid, linear = tmp_path / "data", tmp_path / "hybrid.rcm", tmp_path / "linear.rcm"
     calls = [
         ["gen-data", "--days", "200", "--seed", "3", "--out", str(data)],
@@ -89,7 +86,6 @@ def test_every_counter_hook_runs_on_real_calls(tmp_path):
     tracer.install()
     try:
         codes = [cli.main(argv) for argv in calls]
-        synth.synth_generate(synth.SynthConfig(n_days=200, seed=3))
     finally:
         tracer.uninstall()
     assert codes == [0] * len(calls)
