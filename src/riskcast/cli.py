@@ -23,7 +23,6 @@ from .errors import (
     ModelIOError,
     NumericalError,
     ParameterError,
-    SchemaError,
 )
 from .evaluation import (
     check_threshold,
@@ -267,13 +266,18 @@ def _test_reports(args, paths) -> list:
             for path, model in zip(paths, models)]
 
 
-def cmd_evaluate(args) -> int:
-    reports = _test_reports(args, [args.model])
-    print(report_text(*reports[0]))
+def _report(args, reports, text: str) -> int:
+    """Print ``text``, and write ``reports`` as CSV when ``--csv`` asks for it."""
+    print(text)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             handle.write(comparison_csv(reports))
     return 0
+
+
+def cmd_evaluate(args) -> int:
+    reports = _test_reports(args, [args.model])
+    return _report(args, reports, report_text(*reports[0]))
 
 
 def cmd_predict(args) -> int:
@@ -295,11 +299,7 @@ def cmd_predict(args) -> int:
 
 def cmd_compare(args) -> int:
     reports = _test_reports(args, args.models)
-    print(comparison_table(compare_models(reports)))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(comparison_csv(reports))
-    return 0
+    return _report(args, reports, comparison_table(compare_models(reports)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error class, as _EPILOG lists them.  No error is an
+# instance of two of these classes.
+_EXIT_CODES = {ParameterError: 2, DataError: 3, DimensionError: 3, NumericalError: 4,
+              ModelIOError: 5, OSError: 5}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"riskcast: error: {exc}", file=sys.stderr)
-        return 2
-    except (SchemaError, DataError, DimensionError) as exc:
-        print(f"riskcast: error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"riskcast: error: {exc}", file=sys.stderr)
-        return 4
-    except (ModelIOError, OSError) as exc:
-        print(f"riskcast: error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

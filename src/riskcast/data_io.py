@@ -17,7 +17,8 @@ a ``,``, ``"``, LF or CR:
 * ``news.csv``      - ``date,text``, exactly
 * ``policy.csv``    - ``date,category``, exactly
 
-The numeric files may carry extra columns, which load as floats.
+The numeric files may carry extra columns, which load as floats.  No
+header may name a column twice.
 
 Model files are a versioned, self-describing text format, written and read
 only here: the magic line ``RISKCAST-MODEL v1``, headers from the model's own
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import DataError, ModelIOError, SchemaError, read_text
 from .features import ColumnStats, SampleSet
-from .frames import DatedLabels, TimeSeriesFrame, calendar_dates, day_numbers
+from .frames import DatedLabels, TimeSeriesFrame, calendar_dates, day_numbers, merge_outer
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
 from .preprocess import PipelineConfig, Preprocess, SplitSpec
@@ -174,14 +175,18 @@ def _load_numeric_csv(path, required: tuple[str, ...],
                       invalid: dict[str, tuple] | None = None) -> TimeSeriesFrame:
     """Shared loader: a ``date`` column plus named float columns.
 
-    Extra columns are kept as floats.  Rows arriving out of order are
-    sorted with a warning; duplicate dates, non-finite values and the values
-    ``invalid`` flags (column -> fault and test against 0) are rejected.
+    Extra columns are kept as floats; a name given twice in the header is
+    rejected.  Rows arriving out of order are sorted with a warning;
+    duplicate dates, non-finite values and the values ``invalid`` flags
+    (column -> fault and test against 0) are rejected.
     A bad file is reported at its first bad row in file order.
     """
     header, fields, widths, lines = _read_fields(path)
     if not header or header[0] != "date":
         raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise SchemaError(f"{path}: header repeats column names {repeated}")
     for column in required:
         if column not in header[1:]:
             raise SchemaError(f"{path}: missing required column {column!r}")
@@ -349,7 +354,6 @@ def load_bundle(directory) -> DatasetBundle:
 
     ``market.csv`` is required; the rest default to empty when absent.
     """
-    from .frames import merge_outer
 
     def _path(name):
         return os.path.join(directory, name)
@@ -359,8 +363,7 @@ def load_bundle(directory) -> DatasetBundle:
     if os.path.exists(_path("financial.csv")):
         financial = load_financial_csv(_path("financial.csv"))
     if os.path.exists(_path("macro.csv")):
-        macro = load_macro_csv(_path("macro.csv"))
-        financial = merge_outer(financial, macro) if len(financial) else macro
+        financial = merge_outer(financial, load_macro_csv(_path("macro.csv")))
 
     def _labels(name, load):
         return load(_path(name)) if os.path.exists(_path(name)) else DatedLabels([], [])

@@ -227,7 +227,7 @@ def apply_standardize(frame: TimeSeriesFrame, stats: dict[str, ColumnStats]) -> 
             new_cols[name] = np.zeros_like(values)
         else:
             new_cols[name] = (values - col_stats.mean) / col_stats.std
-    return frame.with_columns(new_cols)
+    return TimeSeriesFrame(frame.days, {**frame.columns, **new_cols})
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def one_hot_encode(events: DatedLabels, vocabulary: list[str]) -> TimeSeriesFram
     if None in cols:
         at = cols.index(None)
         day = dt.date.fromordinal(int(events.days[at]))
-        raise ParameterError(f"unknown category {events.labels[at]!r} on {day}")
+        raise DataError(f"unknown category {events.labels[at]!r} on {day}")
     rows, calendar = _calendar_rows(events.days)
     matrix = np.zeros((len(calendar), len(vocabulary)))
     matrix[rows, cols] = 1.0
@@ -310,18 +310,17 @@ def align_by_date(market: TimeSeriesFrame, *,
             drop_mask |= ~np.isfinite(values)
 
     keep = np.flatnonzero(~drop_mask)
-    if keep.size == 0:
-        fin_range = financial.span() if financial is not None and len(financial) else "empty"
+    if keep.size == 0:  # only a financial column can drop a row of a nonempty market
         raise DataError(
             f"alignment produced no rows: market covers {market.span()} "
-            f"but financial data covers {fin_range}"
+            f"but financial data covers {financial.span()}"
         )
     return TimeSeriesFrame(market.days[keep], {n: v[keep] for n, v in columns.items()})
 
 
 def _add_column(columns: dict[str, np.ndarray], name: str, values: np.ndarray) -> None:
     if name in columns:
-        raise ParameterError(f"duplicate column name across sources: {name!r}")
+        raise DataError(f"duplicate column name across sources: {name!r}")
     columns[name] = values
 
 
@@ -339,12 +338,6 @@ def join_same_day(
     """
     columns: dict[str, np.ndarray] = dict(frame.columns)
     if sentiment is not None and sentiment.columns:
-        unknown = [n for n in sentiment.columns if n not in _NEUTRAL_SENTIMENT]
-        if unknown:
-            raise ParameterError(
-                f"sentiment frame has unrecognized columns {unknown}; "
-                f"expected a subset of {list(SENTIMENT_COLUMNS)}"
-            )
         for name, values in _same_day_onto(frame.days, sentiment, _NEUTRAL_SENTIMENT).items():
             _add_column(columns, name, values)
 

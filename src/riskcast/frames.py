@@ -77,12 +77,6 @@ class TimeSeriesFrame:
             raise ParameterError(f"frame has no column {name!r}")
         return self.columns[name]
 
-    def with_columns(self, new_columns: dict[str, np.ndarray]) -> "TimeSeriesFrame":
-        """New frame sharing the dates, with columns added or replaced."""
-        merged = dict(self.columns)
-        merged.update(new_columns)
-        return TimeSeriesFrame(self.days, merged)
-
     def select(self, names: list[str]) -> "TimeSeriesFrame":
         return TimeSeriesFrame(self.days, {n: self.column(n) for n in names})
 
@@ -114,9 +108,8 @@ class DatedLabels:
 
 
 def drop_incomplete_rows(frame: TimeSeriesFrame) -> TimeSeriesFrame:
-    """Remove every row that has a NaN in any column (warm-up trimming)."""
-    if not frame.columns:
-        return frame
+    """Remove every row that has a NaN in any column (warm-up trimming);
+    ``frame`` has at least one column."""
     keep = np.flatnonzero(np.isfinite(frame.matrix(frame.column_names)).all(axis=1))
     return TimeSeriesFrame(frame.days[keep], {n: v[keep] for n, v in frame.columns.items()})
 
@@ -128,7 +121,7 @@ def merge_outer(a: TimeSeriesFrame, b: TimeSeriesFrame) -> TimeSeriesFrame:
     """
     overlap = set(a.columns) & set(b.columns)
     if overlap:
-        raise ParameterError(f"duplicate column names in merge: {sorted(overlap)}")
+        raise DataError(f"duplicate column names in merge: {sorted(overlap)}")
     # Not np.union1d: its np.unique imports numpy.ma, 1.3 MB of peak memory.
     days = np.sort(np.concatenate((a.days, np.setdiff1d(b.days, a.days, assume_unique=True))))
     out: dict[str, np.ndarray] = {}

@@ -6,7 +6,7 @@ Shape conventions: every layer takes a batch.  Sequence inputs are
 the batch axis at their boundary.  The LSTM starts from zero states and
 yields only its last hidden state, the one the model reads.  Weight
 matrices act on column vectors, and every ``forward`` returns a cache
-object that its matching ``backward`` consumes.  Parameter gradients are
+that its matching ``backward`` consumes.  Parameter gradients are
 summed over the batch.  Backward passes return exact analytic gradients
 and are verified against central finite differences in the test suite.
 
@@ -348,13 +348,9 @@ class LSTMCell:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DenseCache:
-    x: np.ndarray
-
-
 class DenseLayer:
-    """Affine map y = W x + b, applied to each row of a ``[B x in]`` batch."""
+    """Affine map y = W x + b, applied to each row of a ``[B x in]`` batch.
+    Backward reads only the input, so forward returns the input as its cache."""
 
     def __init__(self, w, b):
         self.w = as_tensor(w)
@@ -372,24 +368,25 @@ class DenseLayer:
         w = rng.uniforms(out_size * in_size, -bound, bound).reshape(out_size, in_size)
         return cls(w, np.zeros(out_size))
 
-    def forward(self, x) -> tuple[np.ndarray, DenseCache]:
+    def forward(self, x) -> tuple[np.ndarray, np.ndarray]:
         """``x`` is ``[B x in]``; returns ``[B x out]``."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
             raise DimensionError(
                 f"dense input must be [B x {self.w.shape[1]}], got {list(x.shape)}"
             )
-        return _block_matmul(x, self.w.T) + self.b, DenseCache(x=x)
+        return _block_matmul(x, self.w.T) + self.b, x
 
-    def backward(self, cache: DenseCache, dy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dx, dw, db), with dw and db summed over the batch."""
+    def backward(self, x: np.ndarray, dy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``x`` is forward's cache.  Returns (dx, dw, db), with dw and db
+        summed over the batch."""
         dy = np.asarray(dy, dtype=np.float64)
-        expected = (cache.x.shape[0], self.w.shape[0])
+        expected = (x.shape[0], self.w.shape[0])
         if dy.shape != expected:
             raise DimensionError(
                 f"dense upstream gradient must be {list(expected)}, got {list(dy.shape)}"
             )
-        return dy @ self.w, dy.T @ cache.x, dy.sum(0)
+        return dy @ self.w, dy.T @ x, dy.sum(0)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class HybridCache:
     conv_pre: np.ndarray     # conv output before relu, [B x T x C_out]
     lstm_cache: object
     dropout_mask: np.ndarray | None
-    head_cache: object
+    head_in: np.ndarray      # the dense head's input, its cache
 
 
 class HybridModel:
@@ -194,13 +194,13 @@ class HybridModel:
         lstm_in = np.concatenate([x_seq[:, :, :d.f_market], np.maximum(conv_pre, 0.0)], axis=2)
         h_last, lstm_cache = self.lstm.forward(lstm_in, cache=cache)
         h_last, mask = dropout_forward(self.dropout, h_last, rng)
-        out, head_cache = self.head.forward(np.concatenate([h_last, x_static], axis=1))
+        out, head_in = self.head.forward(np.concatenate([h_last, x_static], axis=1))
         scores = float(out[0, 0]) if single else out[:, 0]
         if not cache:
             return scores, None
         return scores, HybridCache(conv_cache=conv_cache, conv_pre=conv_pre,
                                    lstm_cache=lstm_cache, dropout_mask=mask,
-                                   head_cache=head_cache)
+                                   head_in=head_in)
 
     def backward(self, cache: HybridCache, dscores) -> dict[str, np.ndarray]:
         """Chain rule through head, dropout, BPTT, the concat split, relu,
@@ -213,7 +213,7 @@ class HybridModel:
             raise DimensionError(
                 f"upstream score gradient must be [{n}], got {list(dscores.shape)}"
             )
-        dhead_in, dw_head, db_head = self.head.backward(cache.head_cache, dscores[:, None])
+        dhead_in, dw_head, db_head = self.head.backward(cache.head_in, dscores[:, None])
         dh_last = dropout_backward(cache.dropout_mask, dhead_in[:, :d.hidden_size])
         dconv, dw_x, dw_h, db = self.lstm.backward(cache.lstm_cache, dh_last, dx_from=d.f_market)
         dconv_pre = dconv * (cache.conv_pre > 0)
@@ -327,16 +327,17 @@ def prediction_scores(model, samples: SampleSet) -> np.ndarray:
     memory stays flat however many windows are scored.
 
     A ``HybridModel``'s set is split into ``min(MAX_PARTS, usable CPUs,
-    n // MIN_PART)`` contiguous parts that are scored at the same time,
-    where the usable CPUs are the process's affinity mask (the machine's
-    CPU count where the platform has no mask).  The calling thread scores
-    the first part, one short-lived thread each the rest, and all have
-    finished when this returns.  numpy releases the interpreter lock inside
-    its loops, so wall time falls; CPU time rises, as the parts contend for
-    the lock between numpy calls.  A linear model's forward is one block
-    product, which threads only slow down, so its set is never split.  A
-    window's score does not depend on its batch, so the scores are bitwise
-    the same for any part count.  Each part runs in a copy of the caller's
+    n // MIN_PART)`` contiguous parts, at least one, that are scored at the
+    same time, where the usable CPUs are the process's affinity mask (the
+    machine's CPU count where the platform has no mask).  The calling
+    thread scores the first part, one short-lived thread each the rest (so
+    one part starts no thread), and all have finished when this returns.
+    numpy releases the interpreter lock inside its loops, so wall time
+    falls; CPU time rises, as the parts contend for the lock between numpy
+    calls.  A linear model's forward is one block product, which threads
+    only slow down, so its set is never split.  A window's score does not
+    depend on its batch, so the scores are bitwise the same for any part
+    count.  Each part runs in a copy of the caller's
     context, which carries numpy's error state (``np.errstate``).  An
     exception raised in a part reaches the caller unchanged; when several
     parts raise, the earliest part's does, the one the serial loop would
@@ -347,10 +348,7 @@ def prediction_scores(model, samples: SampleSet) -> np.ndarray:
     scores = np.empty(n)
     parts = 1
     if isinstance(model, HybridModel):
-        parts = min(MAX_PARTS, usable_cpus(), n // MIN_PART)
-    if parts < 2:
-        _score_part(model, samples, scores, 0, n)
-        return scores
+        parts = max(min(MAX_PARTS, usable_cpus(), n // MIN_PART), 1)
     bounds = [n * i // parts for i in range(parts + 1)]
     errors: list[BaseException | None] = [None] * parts
 

@@ -71,7 +71,13 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
     financial = bundle.financial if len(bundle.financial) else None
     policy = None
     if policy_vocab:
-        policy = one_hot_encode(bundle.policy, policy_vocab)
+        try:
+            policy = one_hot_encode(bundle.policy, policy_vocab)
+        except DataError as exc:
+            # Only a recipe's vocabulary can lack a category: make_datasets
+            # takes the vocabulary from the events themselves.
+            raise DataError(f"policy.csv: {exc}, which is missing from the model's "
+                            f"policy vocabulary {policy_vocab}") from None
     rows = drop_incomplete_rows(align_by_date(market_feat, financial=financial))
 
     news = bundle.news
@@ -100,10 +106,6 @@ def first_test_row(days: np.ndarray, preprocess: Preprocess) -> int:
     return n_train + n_val
 
 
-def _policy_vocabulary(bundle: DatasetBundle) -> list[str]:
-    return sorted(set(bundle.policy.labels))
-
-
 def _samples(frame: TimeSeriesFrame, preprocess: Preprocess) -> SampleSet:
     """The samples of an assembled frame under ``preprocess``: its columns
     standardized, windowed, and the target min-max mapped (clipped to [0, 1])."""
@@ -119,9 +121,9 @@ def make_datasets(bundle: DatasetBundle, lexicon: SentimentLexicon,
                   cfg: PipelineConfig, split: SplitSpec
                   ) -> tuple[SampleSet, SampleSet, SampleSet, Preprocess]:
     """Fit the preprocessing recipe and emit chronological train/val/test sets."""
-    policy_vocab = _policy_vocabulary(bundle)
+    policy_vocab = sorted(set(bundle.policy.labels))
     frame = assemble_frame(bundle, lexicon, cfg, policy_vocab)
-    static_cols = [name for name in bundle.financial.column_names]
+    static_cols = bundle.financial.column_names
     if not static_cols and not policy_vocab:
         raise DataError("no static features: provide financial/macro data or policy events")
 

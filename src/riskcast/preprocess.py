@@ -57,7 +57,7 @@ class SplitSpec:
 
 def _check_token(name: str) -> str:
     if not name or any(ch.isspace() for ch in name):
-        raise ParameterError(f"column names must be nonempty and whitespace-free: {name!r}")
+        raise DataError(f"column names must be nonempty and whitespace-free: {name!r}")
     return name
 
 

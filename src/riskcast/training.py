@@ -134,15 +134,6 @@ class TrainLog:
                 handle.write(f"{i},{tr!r},{va!r}\n")
 
 
-def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: value.copy() for name, value in params.items()}
-
-
-def _restore(params: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
-    for name, value in params.items():
-        np.copyto(value, saved[name])
-
-
 def validation_mse(model, samples: SampleSet) -> float:
     return mse_loss(samples.y, prediction_scores(model, samples))[0]
 
@@ -195,7 +186,7 @@ def fit(model, train: SampleSet, val: SampleSet, cfg: TrainConfig):
             log.val_mse.append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = _snapshot(params)
+                best_params = {name: value.copy() for name, value in params.items()}
                 log.best_epoch = epoch
                 epochs_since_best = 0
             else:
@@ -205,7 +196,8 @@ def fit(model, train: SampleSet, val: SampleSet, cfg: TrainConfig):
                     break
 
     if best_params is not None:
-        _restore(params, best_params)
+        for name, value in params.items():
+            np.copyto(value, best_params[name])
     return model, log
 
 

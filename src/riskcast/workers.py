@@ -88,18 +88,14 @@ def run_tasks(tasks: Sequence[Callable], fork: bool = True) -> list:
     child that sends no result (it died, or its result does not pickle) is
     a RuntimeError.
 
-    Everything runs in the calling process when ``fork`` is false, when one
-    CPU is usable, when the platform is not Linux or lacks ``os.fork``, or
-    when another thread is alive.
+    There is one share, run in the calling process with nothing forked,
+    when ``fork`` is false, when one CPU is usable or there is at most one
+    task, when the platform is not Linux or lacks ``os.fork``, or when
+    another thread is alive.
     """
     # Python's docs call fork unsafe on macOS, and other platforms lack it.
     forkable = sys.platform == "linux" and hasattr(os, "fork") and threading.active_count() == 1
-    processes = min(len(tasks), usable_cpus()) if fork and forkable else 1
-    if processes < 2:
-        results, exc = _run_share(tasks)
-        if exc is not None:
-            raise exc
-        return results
+    processes = max(min(len(tasks), usable_cpus()), 1) if fork and forkable else 1
     bounds = [len(tasks) * i // processes for i in range(processes + 1)]
     with contextlib.ExitStack() as children:
         pipes = []

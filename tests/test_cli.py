@@ -27,6 +27,7 @@ from riskcast import (
 from conftest import allow_cpus, assert_no_child_left, count_forks
 from riskcast import cli, synth
 from riskcast.cli import main
+from riskcast.errors import InsufficientHistoryError
 from riskcast.evaluation import evaluate_predictions
 from riskcast.models import HybridModel, prediction_scores
 from riskcast.pipeline import split_for
@@ -593,6 +594,78 @@ class TestInvalidMarketValues:
         assert not out.exists()
 
 
+def _add_column(name):
+    """A column ``name`` of ``1.0`` appended to every line of a numeric CSV."""
+    def edit(text):
+        lines = text.splitlines()
+        return "\n".join([lines[0] + f",{name}"] + [line + ",1.0" for line in lines[1:]]) + "\n"
+    return edit
+
+
+def _first_category(category):
+    """The first policy event's category replaced by ``category``."""
+    def edit(text):
+        lines = text.split("\n")
+        lines[1] = lines[1].split(",")[0] + "," + category
+        return "\n".join(lines)
+    return edit
+
+
+_ALL_COMMANDS = ("train", "predict", "evaluate")
+_UNKNOWN_TO_THE_MODEL = ("policy.csv: unknown category {!r} on 2015-05-20, which is missing "
+                         "from the model's policy vocabulary "
+                         "['rate_cut', 'rate_hike', 'regulation_tightening']")
+# (id, commands, file, edit, message).  A model's recipe reads no extra
+# column, so "my col" is a fault only where the recipe is made: at train.
+_NAME_FAULTS = [
+    ("market-repeats-close", _ALL_COMMANDS, "market.csv", _add_column("close"),
+     "market.csv: header repeats column names ['close']"),
+    ("financial-repeats-profit", _ALL_COMMANDS, "financial.csv", _add_column("profit"),
+     "financial.csv: header repeats column names ['profit']"),
+    ("financial-close", _ALL_COMMANDS, "financial.csv", _add_column("close"),
+     "duplicate column name across sources: 'close'"),
+    ("macro-pos", _ALL_COMMANDS, "macro.csv", _add_column("pos"),
+     "duplicate column name across sources: 'pos'"),
+    ("macro-profit", _ALL_COMMANDS, "macro.csv", _add_column("profit"),
+     "duplicate column names in merge: ['profit']"),
+    ("financial-my-col", ("train",), "financial.csv", _add_column("my col"),
+     "column names must be nonempty and whitespace-free: 'my col'"),
+    ("category-rate-cut", ("train",), "policy.csv", _first_category("rate cut"),
+     "column names must be nonempty and whitespace-free: 'rate cut'"),
+    ("category-rate-cut", ("predict", "evaluate"), "policy.csv", _first_category("rate cut"),
+     _UNKNOWN_TO_THE_MODEL.format("rate cut")),
+    ("category-omega", ("predict", "evaluate"), "policy.csv", _first_category("omega"),
+     _UNKNOWN_TO_THE_MODEL.format("omega")),
+]
+
+
+class TestDataNameFaults:
+    """A data file that repeats a column name, names a column like a derived
+    or another file's column, or holds a name or category the run cannot use
+    is a data error (exit 3) naming the column or category; nothing is
+    written."""
+
+    @pytest.mark.parametrize("command, name, edit, message", [
+        pytest.param(command, name, edit, message, id=f"{case}-{command}")
+        for case, commands, name, edit, message in _NAME_FAULTS for command in commands])
+    def test_exits_3_naming_it(self, workspace, tmp_path, capsys, command, name, edit,
+                               message):
+        _, data_dir, _, linear = workspace
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for data_file in DATA_FILES:
+            (bad / data_file).write_bytes((data_dir / data_file).read_bytes())
+        (bad / name).write_text(edit((data_dir / name).read_text()))
+        out = tmp_path / "out.csv"
+        if command == "evaluate":
+            rc = main(["evaluate", "--model", str(linear), "--data", str(bad), "--csv", str(out)])
+        else:
+            rc = _predict_or_train(command, linear, bad, out)
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _param_span(lines, name) -> slice:
     """The lines of parameter ``name``: its ``param`` header and its values."""
     start = next(k for k, line in enumerate(lines) if line.split()[:2] == ["param", name])
@@ -954,6 +1027,40 @@ class TestUsage:
         assert "exit codes" in help_text
         for code in ("2 ", "3 ", "4 ", "5 "):
             assert code in help_text
+
+    # Each error class, the exit code that --help lists for it, and the words
+    # of that code's line in --help that name it.
+    EXIT_CODES = {
+        riskcast.ParameterError: (2, "invalid parameter values"),
+        riskcast.DataError: (3, "data or schema errors"),
+        riskcast.SchemaError: (3, "malformed CSV"),
+        InsufficientHistoryError: (3, "data or schema errors"),
+        riskcast.DimensionError: (3, "shape mismatches"),
+        riskcast.NumericalError: (4, "numerical failures"),
+        riskcast.ModelIOError: (5, "model-file errors"),
+        OSError: (5, "file I/O"),
+    }
+
+    def test_every_error_class_has_an_exit_code(self):
+        classes, todo = set(), [riskcast.RiskcastError]
+        while todo:
+            subclasses = todo.pop().__subclasses__()
+            classes.update(subclasses)
+            todo += subclasses
+        assert classes == set(self.EXIT_CODES) - {OSError}
+
+    @pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+    def test_each_error_class_exits_with_its_documented_code(self, monkeypatch, capsys, cls):
+        code, words = self.EXIT_CODES[cls]
+        listed = [line for line in cli._EPILOG.splitlines() if line.startswith(f"  {code}  ")]
+        assert len(listed) == 1 and words in listed[0]
+
+        def fails(args):
+            raise cls("the fault")
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", fails)
+        assert main(["gradcheck"]) == code
+        assert capsys.readouterr().err == "riskcast: error: the fault\n"
 
     def test_missing_model_file_is_an_io_error(self, tmp_path, capsys):
         rc = main(["evaluate", "--model", str(tmp_path / "nope.rcm"),

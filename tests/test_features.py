@@ -211,7 +211,7 @@ class TestOneHot:
 
     def test_unknown_category_error_names_it(self):
         events = [(dt.date(2021, 3, 1), "alpha"), (dt.date(2021, 3, 2), "omega")]
-        with pytest.raises(ParameterError, match="^unknown category 'omega' on 2021-03-02$"):
+        with pytest.raises(DataError, match="^unknown category 'omega' on 2021-03-02$"):
             one_hot_encode(dated_labels(events), self.VOCAB)
 
     def test_row_sums_equal_distinct_event_counts(self):
@@ -280,7 +280,7 @@ class TestAlign:
     def test_duplicate_column_names_rejected(self):
         market = self._market(3)
         fin = TimeSeriesFrame(market.days, {"close": np.ones(3)})
-        with pytest.raises(ParameterError):
+        with pytest.raises(DataError):
             align_by_date(market, financial=fin)
 
 

@@ -77,6 +77,9 @@ def ref_load_numeric_csv(path, required):
     header, rows = _ref_read_rows(path)
     if not header or header[0] != "date":
         raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise SchemaError(f"{path}: header repeats column names {repeated}")
     for column in required:
         if column not in header[1:]:
             raise SchemaError(f"{path}: missing required column {column!r}")
@@ -620,6 +623,12 @@ BAD_FILES = {
     "date-not-first": ("market.csv", "open,date,close,volume\n1,2021-03-01,2,3\n",
                        ": first column must be 'date'"),
     "no-data-rows": ("market.csv", MARKET_HEADER + "\n\n", ": no data rows"),
+    "market-repeated-column": ("market.csv", (
+        "date,open,close,volume,close\n"
+        "2021-03-01,1,2,3,1.0\n"), ": header repeats column names ['close']"),
+    "financial-repeated-columns": ("financial.csv", (
+        "date,profit,debt_ratio,profit,cash_flow,debt_ratio\n"
+        "2021-03-31,1,2,3,4,5\n"), ": header repeats column names ['debt_ratio', 'profit']"),
     "empty-file": ("policy.csv", "", ": file is empty"),
     "field-over-the-limit": ("news.csv", (
         "date,text\n"
@@ -646,7 +655,7 @@ def test_bad_file_raises_the_reference_message(tmp_path, case):
                                   "multi-line-quoted-value-counted",
                                   "news-multi-line-text-then-bad-date",
                                   "field-over-the-limit", "news-extra-header-column",
-                                  "policy-extra-header-column"])
+                                  "policy-extra-header-column", "market-repeated-column"])
 def test_bad_file_through_the_cli_exits_3_with_file_line(tmp_path, capsys, case):
     name, text, fragment = BAD_FILES[case]
     data = tmp_path / "data"
