@@ -47,7 +47,7 @@ exit codes:
   2  usage errors or invalid parameter values
   3  data or schema errors (malformed CSV, misaligned sources, shape mismatches)
   4  numerical failures (non-finite values, singular solves, gradient check above tolerance)
-  5  file I/O and model-file errors
+  5  file I/O and model-file errors, and a worker process that died
 """
 
 

@@ -32,22 +32,16 @@ The news and policy streams are read a chunk of days at a time: the draws
 left unread by the last chunk are topped up with fresh ones to as many as the
 chunk's days can use, so no more draws are made at once than a chunk can use.
 One loop over positions then finds where each day starts (and, for news,
-where each item starts).  Each news chunk keeps the draws its items read, and
-the items are composed as arrays from those positions, one group per filler
-count.
+where each item starts).  A news chunk's items are composed as arrays from
+those positions, one group per filler count, before the next chunk is drawn.
 
 :func:`synth_generate` returns the bundle and, given a directory (as
-``gen-data`` gives it), writes the bundle's files there.  Every random draw
-and every write happens in the calling process.  Only the composition of
-the news texts from their draws runs beside the writing of the other four
-files, in a forked worker process from ``FORK_MIN_DAYS`` days on.  Every
-stream is seeded on its own, so the files are the same bytes however it runs.
+``gen-data`` gives it), writes the bundle's files there.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import functools
 import os
 from dataclasses import dataclass
 
@@ -60,7 +54,6 @@ from .errors import NumericalError, ParameterError
 from .frames import DatedLabels, TimeSeriesFrame, day_numbers, merge_outer
 from .lexicon import default_lexicon
 from .tensor import SeededRng, box_muller, check_seed, derive_seed, unit_floats
-from .workers import run_tasks
 
 START_DATE = dt.date(2015, 1, 2)
 POLICY_CATEGORIES = ("rate_cut", "rate_hike", "regulation_easing",
@@ -98,12 +91,6 @@ _MAX_FILLERS = 4                # 2 + randint(3)
 _MAX_ITEM_DRAWS = 2 + _WORDS_PER_ITEM + 1 + _MAX_FILLERS + (_WORDS_PER_ITEM + _MAX_FILLERS - 1)
 _MAX_NEWS_DRAWS_PER_DAY = 2 + 3 * _MAX_ITEM_DRAWS
 _MAX_POLICY_DRAWS_PER_DAY = 2
-# Days from which ``synth_generate`` composes the news texts in a forked
-# worker while it writes the other files.  A fork costs about 2 ms, and the
-# command after it in the same process pays a minor page fault on each page
-# it rewrites that the fork shared.  On a 2-vCPU host, writing the files
-# took longer forked at 300 and 2,000 days and less at 5,000 and 20,000.
-FORK_MIN_DAYS = 5000
 # Weekdays from START_DATE to 9999-12-31, the last day a ``datetime.date`` holds.
 _MAX_DAYS = int(np.busday_count(START_DATE, dt.date.max)) + 1
 
@@ -251,33 +238,23 @@ def _compose_news(bits: np.ndarray, items: np.ndarray, levels: np.ndarray,
     return texts
 
 
-def _news_draws(rng: SeededRng, days: np.ndarray, sentiment: np.ndarray
-                ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Draw and walk the news stream: the day of each item, and for each chunk
-    of days the draws its items read, where each item starts among them and
-    the sentiment level of its day."""
-    item_days, chunks = [], []
+def _news(rng: SeededRng, days: np.ndarray, sentiment: np.ndarray,
+          pos_terms: list[str], neg_terms: list[str]) -> DatedLabels:
+    """Bag-of-words items whose lexicon compound tracks the day's sentiment.
+
+    Each chunk of days is drawn, walked and composed before the next is
+    drawn, so only one chunk's draws are alive at a time."""
+    vocab = np.array([*pos_terms, *neg_terms, *_FILLER_WORDS], dtype=object)
+    item_days, texts = [], []
     bits, end = np.empty(0, dtype=np.uint64), 0
     for first in range(0, len(days), _CHUNK_DAYS):
         n_days = min(_CHUNK_DAYS, len(days) - first)
         bits = _top_up(rng, bits[end:], n_days, _MAX_NEWS_DRAWS_PER_DAY)
         items, chunk_days, end = _news_items(bits, n_days)
         item_days.append(days[first + chunk_days])
-        # A copy, so that the draws the next chunk reads are not kept twice.
-        chunks.append((bits[:end].copy(), items, sentiment[first + chunk_days]))
-    return np.concatenate(item_days), chunks
-
-
-def _news_texts(chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                pos_terms: list[str], neg_terms: list[str]) -> list[str]:
-    """Bag-of-words items whose lexicon compound tracks the day's sentiment,
-    one per item of :func:`_news_draws`' chunks."""
-    vocab = np.array([*pos_terms, *neg_terms, *_FILLER_WORDS], dtype=object)
-    texts = []
-    for bits, items, levels in chunks:
-        texts += _compose_news(bits, items, levels, vocab,
+        texts += _compose_news(bits, items, sentiment[first + chunk_days], vocab,
                                len(pos_terms), len(neg_terms)).tolist()
-    return texts
+    return DatedLabels(np.concatenate(item_days), texts)
 
 
 def _policy(rng: SeededRng, days: np.ndarray) -> DatedLabels:
@@ -371,37 +348,22 @@ def synth_generate(cfg: SynthConfig, directory=None) -> DatasetBundle:
     """Generate one bundle; identical configs produce bitwise-identical output.
 
     With ``directory``, which is made if missing, the bundle's five files are
-    written there too, financial and macro each from its own frame.  The
-    market path is drawn and checked first, so a refused ``base_vol`` writes
-    nothing.  Every random draw and every write happens in the calling
-    process; only the composition of the news texts from their draws runs
-    beside the writing of the other four files, in a forked worker from
-    ``FORK_MIN_DAYS`` days on (:func:`~riskcast.workers.run_tasks`).  The
-    files are the same bytes however it runs.
+    written there too, financial and macro each from its own frame.  Every
+    stream is drawn before anything is written, so a refused ``base_vol``
+    writes nothing.
     """
     market, sentiment = _market_path(cfg)
     lexicon = default_lexicon()
-    news_days, news_chunks = _news_draws(_rng(cfg, 6), market.days, sentiment)
+    news = _news(_rng(cfg, 6), market.days, sentiment,
+                 sorted(lexicon.positive), sorted(lexicon.negative))
     financial, macro = _financial(cfg, market), _macro(cfg, market)
     policy = _policy(_rng(cfg, 9), market.days)
-
-    def path(name):
-        return os.path.join(directory, name)
-
-    def write_others():
+    bundle = DatasetBundle(market=market, financial=merge_outer(financial, macro), news=news,
+                           policy=policy, provenance=_provenance(cfg))
+    if directory is not None:
         os.makedirs(directory, exist_ok=True)
         for name, frame in (("market", market), ("financial", financial), ("macro", macro)):
-            data_io.write_frame_csv(frame, path(f"{name}.csv"))
-        data_io.write_policy_csv(policy, path("policy.csv"))
-
-    tasks = [functools.partial(_news_texts, news_chunks,
-                               sorted(lexicon.positive), sorted(lexicon.negative))]
-    if directory is not None:
-        tasks.insert(0, write_others)       # the calling process's share
-    texts = run_tasks(tasks, fork=cfg.n_days >= FORK_MIN_DAYS)[-1]
-    bundle = DatasetBundle(market=market, financial=merge_outer(financial, macro),
-                           news=DatedLabels(news_days, texts), policy=policy,
-                           provenance=_provenance(cfg))
-    if directory is not None:
-        data_io.write_news_csv(bundle.news, path("news.csv"))
+            data_io.write_frame_csv(frame, os.path.join(directory, f"{name}.csv"))
+        data_io.write_policy_csv(policy, os.path.join(directory, "policy.csv"))
+        data_io.write_news_csv(news, os.path.join(directory, "news.csv"))
     return bundle

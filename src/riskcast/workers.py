@@ -4,8 +4,7 @@
 read, and returns their results in task order.  It is for Python-bound
 work, whose numpy calls are too short to release the interpreter lock for
 long: two threads running it take turns, while two processes run side by
-side.  ``gen-data`` composes its news texts in a worker this way, and
-``train --grid`` fits its points in workers.
+side.  Its one user is ``train --grid``, which fits its points in workers.
 
 ``prediction_scores`` keeps threads instead: its windows go through numpy
 256 at a time, so its numpy loops run long enough to overlap, and its parts
@@ -75,9 +74,9 @@ def _fork(tasks: Sequence[Callable]) -> tuple[int, int]:
         os._exit(code)
 
 
-def run_tasks(tasks: Sequence[Callable], fork: bool = True) -> list:
+def run_tasks(tasks: Sequence[Callable]) -> list:
     """``[task() for task in tasks]``, with the tasks shared among
-    ``min(len(tasks), usable CPUs)`` processes when ``fork`` is true.
+    ``min(len(tasks), usable CPUs)`` processes.
 
     The tasks are split into that many contiguous shares.  The calling
     process runs the first share, one forked child each of the others, and
@@ -85,17 +84,16 @@ def run_tasks(tasks: Sequence[Callable], fork: bool = True) -> list:
     back pickled, in task order.  When a task raises, its share stops there,
     and the exception of the earliest such task, the one the serial loop
     would meet first, reaches the caller with its type and arguments.  A
-    child that sends no result (it died, or its result does not pickle) is
-    a RuntimeError.
+    child that sends no result (it died or was killed, or its result does
+    not pickle) is a ChildProcessError, which the CLI reports as exit 5.
 
     There is one share, run in the calling process with nothing forked,
-    when ``fork`` is false, when one CPU is usable or there is at most one
-    task, when the platform is not Linux or lacks ``os.fork``, or when
-    another thread is alive.
+    when one CPU is usable or there is at most one task, when the platform
+    is not Linux or lacks ``os.fork``, or when another thread is alive.
     """
     # Python's docs call fork unsafe on macOS, and other platforms lack it.
     forkable = sys.platform == "linux" and hasattr(os, "fork") and threading.active_count() == 1
-    processes = max(min(len(tasks), usable_cpus()), 1) if fork and forkable else 1
+    processes = max(min(len(tasks), usable_cpus()), 1) if forkable else 1
     bounds = [len(tasks) * i // processes for i in range(processes + 1)]
     with contextlib.ExitStack() as children:
         pipes = []
@@ -107,8 +105,8 @@ def run_tasks(tasks: Sequence[Callable], fork: bool = True) -> list:
         for pid, pipe in pipes:
             data = pipe.read()
             if not data:
-                outcomes.append(([], RuntimeError(f"worker process {pid} ended "
-                                                  "without sending a result")))
+                outcomes.append(([], ChildProcessError(f"worker process {pid} ended "
+                                                       "without sending a result")))
             else:
                 outcomes.append(pickle.loads(data))
     results = []

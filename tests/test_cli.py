@@ -2,9 +2,10 @@ import errno
 import hashlib
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from riskcast import (
     load_model,
 )
 from conftest import allow_cpus, assert_no_child_left, count_forks
-from riskcast import cli, synth
+from riskcast import cli, synth, training
 from riskcast.cli import main
 from riskcast.errors import InsufficientHistoryError
 from riskcast.evaluation import evaluate_predictions
@@ -165,8 +166,8 @@ class TestGenData:
         assert out.read_text() == "keep\n"
 
 
-# SHA-256 of every file ``gen-data --seed 7`` wrote before its news texts
-# moved to a worker process.
+# SHA-256 of every file that ``gen-data --seed 7`` writes, pinned so that a
+# change to how the streams are drawn and written cannot move a byte.
 PARENT_DIGESTS = {
     2000: {
         "market.csv": "66e21742f7f4a898faa7e53758fb18dea05a392bb4a463568c66a2ef541d6e08",
@@ -187,68 +188,38 @@ PARENT_DIGESTS = {
 }
 
 
-def _force_fork(monkeypatch) -> list:
-    """Two usable CPUs and no size below which gen-data stays serial; the
-    list of forks made."""
-    allow_cpus(monkeypatch, 2)
-    monkeypatch.setattr(synth, "FORK_MIN_DAYS", 0)
-    return count_forks(monkeypatch)
-
-
 def _digests(out) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in DATA_FILES + ["manifest.json"]}
 
 
-class TestGenDataWorker:
-    """From ``synth.FORK_MIN_DAYS`` days on, gen-data composes the news texts
-    in a forked worker; the files, exit codes and messages are the serial
-    path's."""
+class TestGenDataOnePass:
+    """gen-data draws every stream, composes the news texts chunk by chunk
+    and writes every file in the calling process."""
 
     @pytest.mark.parametrize("days", [2000, 20000])
-    @pytest.mark.parametrize("forked", [False, True])
-    def test_files_match_the_serial_generators_digests(self, tmp_path, monkeypatch, days,
-                                                        forked):
-        forks = _force_fork(monkeypatch)
-        if not forked:
-            monkeypatch.setattr(synth, "FORK_MIN_DAYS", days + 1)
+    def test_files_match_the_pinned_digests(self, tmp_path, days):
         assert _digests(_gen(tmp_path, days=days, seed=7)) == PARENT_DIGESTS[days]
-        assert len(forks) == forked
-        assert_no_child_left()
 
-    def test_forks_from_fork_min_days(self, tmp_path, monkeypatch):
+    def test_forks_nothing_with_two_cpus(self, tmp_path, monkeypatch):
         allow_cpus(monkeypatch, 2)
         forks = count_forks(monkeypatch)
-        _gen(tmp_path / "a", days=synth.FORK_MIN_DAYS - 1, seed=7)
+        _gen(tmp_path, days=20000, seed=7)
         assert forks == []
-        _gen(tmp_path / "b", days=synth.FORK_MIN_DAYS, seed=7)
-        assert len(forks) == 1
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("forked", [False, True])
-    def test_a_failing_news_write_exits_as_the_serial_path(self, tmp_path, monkeypatch, capsys,
-                                                           forked):
-        forks = _force_fork(monkeypatch)
-        if not forked:
-            monkeypatch.setattr(synth, "FORK_MIN_DAYS", 10 ** 9)
+    def test_a_failing_news_write_exits_5(self, tmp_path, capsys):
         out = tmp_path / "data"
         (out / "news.csv").mkdir(parents=True)
         assert main(["gen-data", "--days", "2000", "--seed", "7", "--out", str(out)]) == 5
         assert capsys.readouterr().err == (
             f"riskcast: error: [Errno 21] Is a directory: '{out / 'news.csv'}'\n")
-        assert len(forks) == forked
-        assert_no_child_left()
         assert sorted(path.name for path in out.iterdir()) == sorted(
             ["market.csv", "financial.csv", "macro.csv", "news.csv", "policy.csv"])
 
-    @pytest.mark.parametrize("forked", [False, True])
-    def test_a_failing_worker_exits_as_the_serial_path(self, tmp_path, monkeypatch, capsys,
-                                                       forked):
-        """The worker's exception reaches the caller with its type and
-        arguments, so the exit code and message are the serial path's."""
-        forks = _force_fork(monkeypatch)
-        if not forked:
-            monkeypatch.setattr(synth, "FORK_MIN_DAYS", 10 ** 9)
-
+    def test_a_failing_composition_exits_5_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """The news texts are composed before the first file is written."""
         def full_disk(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -257,37 +228,7 @@ class TestGenDataWorker:
         assert main(["gen-data", "--days", "2000", "--seed", "7", "--out", str(out)]) == 5
         assert capsys.readouterr().err == (
             f"riskcast: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
-        assert len(forks) == forked
-        assert_no_child_left()
-        assert not (out / "news.csv").exists()
-
-    def test_a_refused_base_vol_forks_nothing_and_writes_nothing(self, tmp_path, monkeypatch,
-                                                                 capsys):
-        forks = _force_fork(monkeypatch)
-        out = tmp_path / "x"
-        assert main(["gen-data", "--days", "200", "--base-vol", "1e300", "--out", str(out)]) == 4
-        assert "drives the price path out of the float range" in capsys.readouterr().err
-        assert forks == [] and not out.exists()
-
-    @pytest.mark.parametrize("case", ["one-cpu", "no-os-fork", "live-thread"])
-    def test_runs_serially_when_it_cannot_fork(self, tmp_path, monkeypatch, case):
-        forks = _force_fork(monkeypatch)
-        if case == "one-cpu":
-            allow_cpus(monkeypatch, 1)
-        if case == "no-os-fork":
-            monkeypatch.delattr(os, "fork")
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        if case == "live-thread":
-            thread.start()
-        try:
-            out = _gen(tmp_path, days=2000, seed=7)
-        finally:
-            release.set()
-            if thread.is_alive():
-                thread.join()
-        assert forks == []
-        assert _digests(out) == PARENT_DIGESTS[2000]
+        assert not out.exists()
 
 
 class TestTrain:
@@ -371,6 +312,30 @@ class TestTrain:
             outputs.append((out.read_bytes(), (out.parent / "grid.rcm.log.csv").read_bytes(),
                             proc.stdout.replace(str(out.parent), "DIR")))
         assert outputs[0] == outputs[1]
+
+    def test_a_killed_grid_worker_is_an_io_error_and_writes_nothing(self, workspace, tmp_path,
+                                                                   monkeypatch, capsys):
+        """A grid point's process killed from outside (here by itself, as the
+        OOM killer would) exits 5 with one error line."""
+        _, data_dir, _, _ = workspace
+        allow_cpus(monkeypatch, 2)
+        caller, real_fit = os.getpid(), training.fit
+
+        def fit(*args, **kwargs):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(training, "fit", fit)
+        out = tmp_path / "grid" / "grid.rcm"
+        out.parent.mkdir()
+        assert main(["train", "--data", str(data_dir), "--out", str(out),
+                     *self.GRID_FLAGS]) == 5
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"riskcast: error: worker process \d+ ended without sending "
+                            r"a result\n", captured.err)
+        assert list(out.parent.iterdir()) == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("extra", [(), ("--grid", "lr=1e300,1e299")], ids=["plain", "grid"])
     def test_diverged_training_is_a_numerical_error_and_writes_nothing(
@@ -1039,6 +1004,7 @@ class TestUsage:
         riskcast.NumericalError: (4, "numerical failures"),
         riskcast.ModelIOError: (5, "model-file errors"),
         OSError: (5, "file I/O"),
+        ChildProcessError: (5, "a worker process that died"),
     }
 
     def test_every_error_class_has_an_exit_code(self):
@@ -1047,7 +1013,7 @@ class TestUsage:
             subclasses = todo.pop().__subclasses__()
             classes.update(subclasses)
             todo += subclasses
-        assert classes == set(self.EXIT_CODES) - {OSError}
+        assert classes == set(self.EXIT_CODES) - {OSError, ChildProcessError}
 
     @pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
     def test_each_error_class_exits_with_its_documented_code(self, monkeypatch, capsys, cls):

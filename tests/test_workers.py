@@ -4,6 +4,7 @@ the calling process.  The CPU count is patched through
 ``os.sched_getaffinity``, and ``os.fork`` is wrapped to count the children."""
 
 import os
+import signal
 import sys
 import threading
 
@@ -107,17 +108,17 @@ def test_a_child_leaves_only_through_os_exit(monkeypatch, tmp_path):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("task", [lambda: os._exit(3), threading.Lock],
-                         ids=["child-dies", "unpicklable-result"])
-def test_a_child_that_sends_no_result_is_a_runtime_error(monkeypatch, task):
+@pytest.mark.parametrize("task", [lambda: os._exit(3), lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                  threading.Lock],
+                         ids=["child-dies", "child-killed", "unpicklable-result"])
+def test_a_child_that_sends_no_result_is_a_child_process_error(monkeypatch, task):
     allow_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="ended without sending a result"):
+    with pytest.raises(ChildProcessError, match="ended without sending a result"):
         run_tasks([_value(0), task])
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("case", ["fork-false", "one-cpu", "no-os-fork", "not-linux",
-                                  "live-thread"])
+@pytest.mark.parametrize("case", ["one-cpu", "no-os-fork", "not-linux", "live-thread"])
 def test_runs_in_the_calling_process(monkeypatch, case):
     allow_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
     forks = count_forks(monkeypatch)
@@ -130,7 +131,7 @@ def test_runs_in_the_calling_process(monkeypatch, case):
     if case == "live-thread":
         thread.start()
     try:
-        results = run_tasks([_value(i) for i in range(3)], fork=case != "fork-false")
+        results = run_tasks([_value(i) for i in range(3)])
     finally:
         release.set()
         if thread.is_alive():
