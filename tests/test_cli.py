@@ -230,6 +230,26 @@ class TestGenDataOnePass:
             f"riskcast: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
         assert not out.exists()
 
+    def test_a_composition_failing_in_the_last_chunk_writes_nothing(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        """Every chunk of news is composed before the first file is written:
+        2,000 days are four chunks, and the fourth one fails."""
+        calls, real_compose = [], synth._compose_news
+
+        def compose(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_compose(*args)
+
+        monkeypatch.setattr(synth, "_compose_news", compose)
+        out = tmp_path / "data"
+        assert main(["gen-data", "--days", "2000", "--seed", "7", "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"riskcast: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert len(calls) == 4
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_model_and_nonempty_epoch_log(self, workspace):

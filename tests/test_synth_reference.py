@@ -196,6 +196,8 @@ def _assert_bundles_identical(got, want):
     SynthConfig(n_days=500, seed=9, base_vol=0.02, regime_shift_prob=1.0, kappa=0.3),
     # About 110k news draws: six chunks, the last one short.
     SynthConfig(n_days=3000, seed=3),
+    # Two whole chunks of days, none short.
+    SynthConfig(n_days=1024, seed=13),
 ], ids=lambda cfg: f"{cfg.n_days}d-seed{cfg.seed}-kappa{cfg.kappa}-nl{cfg.nonlinearity}")
 def test_bundle_matches_per_draw_reference(cfg):
     _assert_bundles_identical(synth_generate(cfg), ref_synth_generate(cfg))
