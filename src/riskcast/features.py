@@ -294,28 +294,24 @@ def _same_day_onto(days: np.ndarray, source: TimeSeriesFrame,
 
 def align_by_date(market: TimeSeriesFrame, *,
                   financial: TimeSeriesFrame | None = None) -> TimeSeriesFrame:
-    """Join the financial (and macro) columns onto the market frame's date
-    grid, each forward-filled from its most recent prior report.  Market rows
-    dated before a column's first report have no defensible fill and are
-    dropped.  Sentiment and policy join afterwards, by :func:`join_same_day`.
+    """Join the financial (and macro) columns onto every market day, each
+    forward-filled from its most recent prior report; a row dated before a
+    column's first report holds NaN there, and no row is dropped.  A column
+    with no report on or before the last market day is a ``DataError``.
+    Sentiment and policy join afterwards, by :func:`join_same_day`.
     """
     if len(market) == 0:
         raise DataError("market frame is empty")
     columns: dict[str, np.ndarray] = dict(market.columns)
-    drop_mask = np.zeros(len(market), dtype=bool)
-
-    if financial is not None and financial.columns:
+    if financial is not None:
         for name, values in _forward_fill_onto(market.days, financial).items():
             _add_column(columns, name, values)
-            drop_mask |= ~np.isfinite(values)
-
-    keep = np.flatnonzero(~drop_mask)
-    if keep.size == 0:  # only a financial column can drop a row of a nonempty market
-        raise DataError(
-            f"alignment produced no rows: market covers {market.span()} "
-            f"but financial data covers {financial.span()}"
-        )
-    return TimeSeriesFrame(market.days[keep], {n: v[keep] for n, v in columns.items()})
+            if np.isnan(values[-1]):
+                raise DataError(
+                    f"alignment produced no rows: market covers {market.span()} "
+                    f"but financial data covers {financial.span()}"
+                )
+    return TimeSeriesFrame(market.days, columns)
 
 
 def _add_column(columns: dict[str, np.ndarray], name: str, values: np.ndarray) -> None:

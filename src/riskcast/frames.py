@@ -107,13 +107,6 @@ class DatedLabels:
         return DatedLabels(self.days[keep], list(itertools.compress(self.labels, keep.tolist())))
 
 
-def drop_incomplete_rows(frame: TimeSeriesFrame) -> TimeSeriesFrame:
-    """Remove every row that has a NaN in any column (warm-up trimming);
-    ``frame`` has at least one column."""
-    keep = np.flatnonzero(np.isfinite(frame.matrix(frame.column_names)).all(axis=1))
-    return TimeSeriesFrame(frame.days[keep], {n: v[keep] for n, v in frame.columns.items()})
-
-
 def merge_outer(a: TimeSeriesFrame, b: TimeSeriesFrame) -> TimeSeriesFrame:
     """Outer join on dates; absent observations become NaN.
 

@@ -9,6 +9,7 @@ starting with ``#`` are ignored.  The file must be UTF-8 text.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParameterError, SchemaError, read_text
@@ -39,6 +40,9 @@ _NEGATIVE_TERMS = (
 )
 
 
+_TOKEN = re.compile(r"[a-z0-9]+")  # the only terms the scorer can count
+
+
 @dataclass(frozen=True)
 class SentimentLexicon:
     positive: frozenset[str] = field(default_factory=frozenset)
@@ -60,7 +64,10 @@ def default_lexicon() -> SentimentLexicon:
 
 def load_lexicon(path) -> SentimentLexicon:
     """Read a ``[positive]`` / ``[negative]`` sectioned term file.  Lines end
-    at LF, CR or CRLF; a file that is not UTF-8 is a ``file:line`` SchemaError."""
+    at LF, CR or CRLF.  Each of these is a ``file:line`` SchemaError: a byte
+    that is not UTF-8, an unknown section, and a term before any section,
+    under both sections, or that is not one token (a run of ASCII
+    ``[a-z0-9]`` once lower-cased)."""
     sections: dict[str, set[str]] = {"positive": set(), "negative": set()}
     current: str | None = None
     lines = io.StringIO(read_text(path, SchemaError), newline=None)
@@ -77,5 +84,13 @@ def load_lexicon(path) -> SentimentLexicon:
         if current is None:
             raise SchemaError(f"{path}:{lineno}: term {line!r} appears before any "
                               "section header")
-        sections[current].add(line.lower())
+        term = line.lower()
+        other = "negative" if current == "positive" else "positive"
+        if not _TOKEN.fullmatch(term):
+            raise SchemaError(f"{path}:{lineno}: term {line!r} is not one token of ASCII "
+                              "[a-z0-9], so it can never count")
+        if term in sections[other]:
+            raise SchemaError(f"{path}:{lineno}: term {line!r} is also under [{other}]; "
+                              "the sections must be disjoint")
+        sections[current].add(term)
     return SentimentLexicon(frozenset(sections["positive"]), frozenset(sections["negative"]))

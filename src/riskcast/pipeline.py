@@ -29,7 +29,7 @@ from .features import (
     sentiment_scores,
     trailing_volatility,
 )
-from .frames import TimeSeriesFrame, drop_incomplete_rows
+from .frames import TimeSeriesFrame
 from .lexicon import SentimentLexicon
 from .preprocess import PipelineConfig, Preprocess, SplitSpec
 
@@ -43,32 +43,36 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
                    test_block_of: Preprocess | None = None) -> TimeSeriesFrame:
     """Aligned frame of raw (unstandardized) feature and target columns.
 
-    Rows with any missing value (moving-average warm-up, rows before the
-    first financial report, the unknowable final target rows excepted) are
-    dropped so the windowing stage sees a dense table.  Sentiment and policy
-    are joined after that drop, since their same-day fills are never missing;
-    the columns stay in market, financial, sentiment, policy order.
+    The one place that decides where rows start: at the first row whose
+    every value is finite, after the moving-average warm-up and the first
+    financial report.  A value that is not finite after that row (an
+    overflow in the market features) is a ``DataError`` naming its column
+    and date, so no row inside the history is ever dropped.  Sentiment and
+    policy, whose same-day fills are never missing, join after the cut.
 
     With ``test_block_of``, the frame starts at the first row that the test
-    block of that recipe's split reads (:func:`first_test_row`), and only
-    the news dated on or after that row's day is scored.  Each of its rows is
+    block of that recipe's split reads, the windows counted and checked as
+    :func:`chronological_split` does; window ``i`` reads rows ``i`` on.  A
+    history too short for one window is kept, so that windowing reports it.
+    Only news dated on or after the first row is scored, and each row is
     bitwise that row of the full frame.
     """
     market = bundle.market
     close = market.column("close")
-    returns = daily_returns(close)
-    rvol = trailing_volatility(returns, cfg.horizon)
-    market_feat = TimeSeriesFrame(market.days, {
-        "close": close,
-        "ma5": moving_average(close, 5),
-        "ma20": moving_average(close, 20),
-        "ma60": moving_average(close, 60),
-        "volume_log": np.log1p(market.column("volume")),
-        "ret1": returns,
-        "rvol": rvol,
-        TARGET_COLUMN: rvol.copy(),
-    })
-    financial = bundle.financial if len(bundle.financial) else None
+    # An overflow leaves a non-finite value, refused below by column and date.
+    with np.errstate(over="ignore", invalid="ignore"):
+        returns = daily_returns(close)
+        rvol = trailing_volatility(returns, cfg.horizon)
+        market_feat = TimeSeriesFrame(market.days, {
+            "close": close,
+            "ma5": moving_average(close, 5),
+            "ma20": moving_average(close, 20),
+            "ma60": moving_average(close, 60),
+            "volume_log": np.log1p(market.column("volume")),
+            "ret1": returns,
+            "rvol": rvol,
+            TARGET_COLUMN: rvol.copy(),
+        })
     policy = None
     if policy_vocab:
         try:
@@ -78,32 +82,24 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
             # takes the vocabulary from the events themselves.
             raise DataError(f"policy.csv: {exc}, which is missing from the model's "
                             f"policy vocabulary {policy_vocab}") from None
-    rows = drop_incomplete_rows(align_by_date(market_feat, financial=financial))
-
-    news = bundle.news
-    start = 0 if test_block_of is None else first_test_row(rows.days, test_block_of)
-    if start:
-        rows = TimeSeriesFrame(rows.days[start:], {n: v[start:] for n, v in rows.columns.items()})
-        news = news.select(news.days >= rows.days[0])
+    rows = align_by_date(market_feat, financial=bundle.financial)
+    finite = np.isfinite(rows.matrix(rows.column_names))
+    complete = finite.all(axis=1)
+    start = int(complete.argmax()) if complete.any() else len(rows)
+    gaps = np.argwhere(~finite[start:])
+    if len(gaps):
+        row, col = gaps[0]
+        raise DataError(f"feature {rows.column_names[col]!r} is not finite on "
+                        f"{rows.dates[start + row]}, inside the history")
+    n_samples = cfg.n_samples(len(rows) - start)
+    if test_block_of is not None and n_samples:
+        n_train, n_val, _ = split_counts(n_samples, test_block_of.split)
+        start += n_train + n_val
+    rows = TimeSeriesFrame(rows.days[start:], {n: v[start:] for n, v in rows.columns.items()})
+    first_day = rows.days[0] if len(rows) else np.inf
+    news = bundle.news.select(bundle.news.days >= first_day)
     sentiment = aggregate_daily_sentiment(news.days, sentiment_scores(news.labels, lexicon))
     return join_same_day(rows, sentiment=sentiment, policy=policy)
-
-
-def first_test_row(days: np.ndarray, preprocess: Preprocess) -> int:
-    """First row, of the aligned rows dated ``days``, that the test block of
-    ``preprocess``'s split reads.
-
-    The windows over those rows are counted and checked as
-    :func:`chronological_split` counts and checks them.  Window ``i`` reads
-    rows ``i .. i + window - 1``, so the test block, the windows from
-    ``n_train + n_val`` on, reads the rows from ``n_train + n_val`` on.  A
-    history too short for one window gives row 0, so that windowing reports it.
-    """
-    n_samples = preprocess.config.n_samples(len(days))
-    if n_samples < 1:
-        return 0
-    n_train, n_val, _ = split_counts(n_samples, preprocess.split)
-    return n_train + n_val
 
 
 def _samples(frame: TimeSeriesFrame, preprocess: Preprocess) -> SampleSet:

@@ -151,9 +151,6 @@ def fit(model, train: SampleSet, val: SampleSet, cfg: TrainConfig):
     if len(train) == 0 or len(val) == 0:
         raise DataError("fit requires nonempty train and validation sets")
     log = TrainLog()
-    if cfg.max_epochs == 0:
-        return model, log
-
     shuffle_rng = SeededRng(derive_seed(cfg.seed, _SHUFFLE_TAG))
     dropout_rng = SeededRng(derive_seed(cfg.seed, _DROPOUT_TAG))
     params = model.params()

@@ -893,6 +893,30 @@ class TestInputNotUtf8:
                                               rf"\(invalid start byte\)$"):
             load_lexicon(path)
 
+    def test_lexicon_term_under_both_sections_exits_3_at_its_line(self, workspace, tmp_path,
+                                                                   capsys):
+        """A term listed under both sections, in any case, is a schema error
+        at the line of its second listing, not a usage error naming no file."""
+        _, data_dir, _, _ = workspace
+        path, out = tmp_path / "lexicon.txt", tmp_path / "out.rcm"
+        path.write_text("[positive]\nrally\n[negative]\ncrash\nRally\n")
+        with pytest.raises(SchemaError, match=rf"^{path}:5: term 'Rally' is also under "
+                                              rf"\[positive\]; the sections must be disjoint$"):
+            load_lexicon(path)
+        assert self._run("train", data_dir, None, out, ["--lexicon", str(path)]) == 3
+        assert capsys.readouterr().err == (f"riskcast: error: {path}:5: term 'Rally' is also "
+                                           "under [positive]; the sections must be disjoint\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("term", ["profit-taking", "new high", "Überrally"])
+    def test_lexicon_term_that_is_not_one_token_is_refused_at_its_line(self, tmp_path, term):
+        """Texts are split into runs of ASCII ``[a-z0-9]``, so any other term
+        could never count."""
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"[positive]\nrally\n[negative]\n{term}\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=rf"^{path}:4: term {term!r} is not one token "):
+            load_lexicon(path)
+
 
 class TestCompare:
     def test_table_and_csv(self, workspace, capsys):

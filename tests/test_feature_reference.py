@@ -27,7 +27,7 @@ from riskcast.features import (
     sentiment_score,
     trailing_volatility,
 )
-from riskcast.frames import day_numbers, drop_incomplete_rows, merge_outer
+from riskcast.frames import day_numbers, merge_outer
 from riskcast.models import linreg_fit
 from riskcast.pipeline import (
     MARKET_CHANNELS,
@@ -122,19 +122,20 @@ def ref_same_day_onto(dates, source, fill):
 
 def ref_align_by_date(market, financial=None, sentiment=None, policy=None):
     columns = dict(market.columns)
-    drop_mask = np.zeros(len(market), dtype=bool)
     if financial is not None and financial.columns:
-        for name, values in ref_forward_fill_onto(market.dates, financial).items():
-            columns[name] = values
-            drop_mask |= ~np.isfinite(values)
+        columns.update(ref_forward_fill_onto(market.dates, financial))
     if sentiment is not None and sentiment.columns:
         columns.update(ref_same_day_onto(market.dates, sentiment, _NEUTRAL))
     if policy is not None and policy.columns:
         columns.update(ref_same_day_onto(market.dates, policy,
                                          dict.fromkeys(policy.columns, 0.0)))
-    keep = np.flatnonzero(~drop_mask)
-    return TimeSeriesFrame(day_numbers([market.dates[i] for i in keep]),
-                           {n: v[keep] for n, v in columns.items()})
+    return TimeSeriesFrame(market.days, columns)
+
+
+def ref_drop_incomplete_rows(frame):
+    keep = [row for row in range(len(frame))
+            if all(np.isfinite(values[row]) for values in frame.columns.values())]
+    return TimeSeriesFrame(frame.days[keep], {n: v[keep] for n, v in frame.columns.items()})
 
 
 def ref_build_windows(aligned, seq_cols, static_cols, target_col, window, horizon):
@@ -175,7 +176,7 @@ def ref_assemble_frame(bundle, lexicon, cfg, policy_vocab):
                                 sentiment=ref_aggregate_daily_sentiment(scored),
                                 policy=ref_one_hot_encode(label_pairs(bundle.policy),
                                                           policy_vocab))
-    return drop_incomplete_rows(aligned)
+    return ref_drop_incomplete_rows(aligned)
 
 
 def _aggregate(items):

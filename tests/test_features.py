@@ -21,7 +21,7 @@ from riskcast import (
     sentiment_score,
 )
 from riskcast.features import SentimentScore, daily_returns, join_same_day, trailing_volatility
-from riskcast.frames import day_numbers, drop_incomplete_rows, merge_outer
+from riskcast.frames import day_numbers, merge_outer
 from riskcast.lexicon import SentimentLexicon
 
 
@@ -251,12 +251,22 @@ class TestAlign:
         aligned = align_by_date(market, financial=fin)
         assert np.all(aligned.column("profit") == 42.0)
 
-    def test_rows_before_first_report_dropped(self):
+    def test_rows_before_first_report_hold_nan(self):
+        """Alignment keeps every market day; the pipeline decides where rows start."""
         market = self._market(10)
         fin = TimeSeriesFrame(day_numbers([market.dates[3]]), {"profit": np.array([1.0])})
         aligned = align_by_date(market, financial=fin)
-        assert aligned.dates[0] == market.dates[3]
-        assert len(aligned) == 7
+        assert aligned.dates == market.dates
+        assert np.array_equal(aligned.column("close"), market.column("close"))
+        assert np.isnan(aligned.column("profit")[:3]).all()
+        assert np.array_equal(aligned.column("profit")[3:], np.ones(7))
+
+    def test_first_report_on_the_last_market_day_keeps_every_row(self):
+        market = self._market(6)
+        fin = TimeSeriesFrame(day_numbers([market.dates[-1]]), {"profit": np.array([2.0])})
+        aligned = align_by_date(market, financial=fin)
+        assert len(aligned) == 6
+        assert np.flatnonzero(np.isfinite(aligned.column("profit"))).tolist() == [5]
 
     def test_sentiment_gaps_neutral_filled_and_policy_zero_filled(self):
         market = self._market(4)
@@ -281,6 +291,14 @@ class TestAlign:
         market = self._market(3)
         fin = TimeSeriesFrame(market.days, {"close": np.ones(3)})
         with pytest.raises(DataError):
+            align_by_date(market, financial=fin)
+
+    def test_one_column_reported_only_after_the_market_raises(self):
+        market = self._market(5)
+        late = market.dates[-1] + dt.timedelta(days=1)
+        fin = TimeSeriesFrame(day_numbers([market.dates[0], late]),
+                              {"profit": np.array([1.0, 2.0]), "cpi": np.array([np.nan, 3.0])})
+        with pytest.raises(DataError, match="alignment produced no rows"):
             align_by_date(market, financial=fin)
 
 
@@ -344,15 +362,6 @@ class TestFrameHelpers:
         days = [dt.date(2020, 1, 2), dt.date(2020, 1, 2)]
         with pytest.raises(DataError):
             TimeSeriesFrame(day_numbers(days), {"x": np.zeros(2)})
-
-    def test_drop_incomplete_rows(self):
-        frame = TimeSeriesFrame(day_numbers(_days(dt.date(2020, 1, 1), 4)), {
-            "x": np.array([1.0, np.nan, 3.0, 4.0]),
-            "y": np.array([1.0, 2.0, np.nan, 4.0]),
-        })
-        kept = drop_incomplete_rows(frame)
-        assert len(kept) == 2
-        assert kept.dates == [dt.date(2020, 1, 1), dt.date(2020, 1, 4)]
 
     def test_merge_outer_joins_on_dates(self):
         a = TimeSeriesFrame(day_numbers(_days(dt.date(2020, 1, 1), 2)), {"x": np.array([1.0, 2.0])})

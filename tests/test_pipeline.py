@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,34 @@ class TestBuildSamples:
         pre = datasets[3]
         spec = split_for(pre)
         assert (spec.train_frac, spec.val_frac, spec.test_frac) == (0.70, 0.15, 0.15)
+
+
+class TestRowStart:
+    """``assemble_frame`` alone decides where the rows start."""
+
+    @pytest.mark.parametrize("report_row", [10, 100], ids=["report-in-warm-up",
+                                                         "report-after-warm-up"])
+    def test_frame_starts_at_the_later_of_warm_up_and_first_report(self, bundle, report_row):
+        market = bundle.market
+        one_report = TimeSeriesFrame(market.days[[report_row]], {"profit": np.array([1.0])})
+        frame = assemble_frame(dataclasses.replace(bundle, financial=one_report),
+                               default_lexicon(), PipelineConfig(), sorted(set(bundle.policy.labels)))
+        # The 60-day moving average is first complete on row 59.
+        assert frame.days.tolist() == market.days[max(59, report_row):].tolist()
+        assert np.isfinite(frame.matrix(frame.column_names)).all()
+
+    @pytest.mark.parametrize("block", [False, True], ids=["full", "test-block"])
+    def test_a_non_finite_feature_inside_the_history_is_refused(self, bundle, datasets, block):
+        """An overflow far before the test block is refused by the test-block
+        build too, so evaluation refuses whatever training refuses."""
+        close = bundle.market.column("close").copy()
+        close[200] *= 1e-302
+        market = TimeSeriesFrame(bundle.market.days, {**bundle.market.columns, "close": close})
+        pre = datasets[3]
+        day = bundle.market.dates[201]
+        with pytest.raises(DataError, match=rf"^feature 'rvol' is not finite on {day}, "):
+            assemble_frame(dataclasses.replace(bundle, market=market), default_lexicon(),
+                           pre.config, pre.policy_vocab, test_block_of=pre if block else None)
 
 
 def test_degenerate_policy_free_bundle_still_works():

@@ -14,7 +14,10 @@ between its output and the unedited run's, with the linear baseline:
 - ``same model as`` another edit: the two edited copies give byte-identical
   model files;
 - ``same test block``: ``evaluate`` of the unedited model scores as many
-  test samples.
+  test samples;
+- ``refused``: ``train --baseline linreg`` and ``predict`` with the unedited
+  model each exit 3, write no file, and print one stderr line, an error
+  naming the feature column that is not finite and its date, and no warning.
 
 A row that fails today is marked expected-to-fail, strictly, with a reason
 that names the ROADMAP item that mends it; that change removes the mark.
@@ -22,6 +25,7 @@ that names the ROADMAP item that mends it; that change removes the mark.
 
 import contextlib
 import io
+import warnings
 from itertools import groupby
 
 import pytest
@@ -161,6 +165,25 @@ def _same_test_block(base, data, tmp_path):
     assert _test_samples(data, model) == _test_samples(base_data, model)
 
 
+def _refused(column, day):
+    """Both commands refuse the edit, naming ``column`` on ``day``."""
+    def relation(base, data, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (["train", "--baseline", "linreg", "--out", str(out / "linear.rcm")],
+                     ["predict", "--model", str(base[1]), "--out", str(out / "p.csv")]):
+            with contextlib.redirect_stderr(io.StringIO()) as err, \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*argv, "--data", str(data)]) == 3
+            assert [str(w.message) for w in caught] == []
+            assert err.getvalue().splitlines() == [
+                f"riskcast: error: feature {column!r} is not finite on {day}, "
+                "inside the history"]
+            assert list(out.iterdir()) == []
+    return relation
+
+
 # (id, edit, relation, reason it fails today or None).
 PROPERTIES = [
     ("causality-cut-every-file-at-2021-12-31",
@@ -183,6 +206,8 @@ PROPERTIES = [
      "ROADMAP item 10: daily sentiment means are summed in file order"),
     ("order-news-file-reversed-as-within-day-reversal",
      _reverse_news_file, _same_model_as(_reverse_news_within_days), None),
+    ("interior-close-2018-11-01-times-1e-302",
+     _market_columns(slice(999, 1000), ["close"], 1e-302), _refused("rvol", "2018-11-02"), None),
     ("scale-open-and-close-times-10",
      _market_columns(slice(None), ["open", "close"], 10.0), _same_model,
      "ROADMAP item 11: z-scoring price levels is scale-free only in exact arithmetic"),
