@@ -12,6 +12,7 @@ import errno
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 
 from . import data_io, pipeline
@@ -428,13 +429,21 @@ _EXIT_CODES = {ParameterError: 2, DataError: 3, DimensionError: 3, NumericalErro
               ModelIOError: 5, OSError: 5}
 
 
+def _show_warning(message, *_) -> None:
+    print(f"riskcast: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except tuple(_EXIT_CODES) as exc:
-        print(f"riskcast: error: {exc}", file=sys.stderr)
-        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    # A warning that the filters let through is one stderr line, like an
+    # error, without Python's source path and code line.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except tuple(_EXIT_CODES) as exc:
+            print(f"riskcast: error: {exc}", file=sys.stderr)
+            return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

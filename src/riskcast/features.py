@@ -4,13 +4,17 @@ event encoding, cross-source date alignment, and windowed sample assembly.
 All functions here are pure over immutable inputs.  Windowing is strictly
 causal: trailing moving averages, targets taken after the input window, and
 an exhaustive no-lookahead guarantee on every produced sample.
+
+Financial columns are forward-filled onto the market days.  Daily sentiment
+and policy indicators are built straight onto the day ordinals they join,
+so no frame holds a day that is not one of its rows; a row takes only the
+news and events dated on its own day.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -33,8 +37,8 @@ _NEUTRAL_SENTIMENT = {"pos": 0.0, "neg": 0.0, "neu": 1.0, "compound": 0.0}
 def moving_average(series, window: int) -> np.ndarray:
     """Trailing mean over the last ``window`` entries; causal by construction.
 
-    The first ``window - 1`` entries have no full window and are NaN.  A
-    window longer than the series yields an all-NaN result with a warning.
+    The first ``window - 1`` entries have no full window and are NaN, so a
+    window longer than the series yields an all-NaN result.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.size == 0:
@@ -43,11 +47,6 @@ def moving_average(series, window: int) -> np.ndarray:
         raise ParameterError(f"moving average window must be >= 1, got {window}")
     out = np.full(series.size, np.nan)
     if window > series.size:
-        warnings.warn(
-            f"moving average window {window} exceeds series length {series.size}; "
-            "result is all-missing",
-            stacklevel=2,
-        )
         return out
     # Each row is reduced by the same pairwise sum as np.mean over that 1-d window.
     out[window - 1:] = sliding_window_view(series, window).mean(axis=1)
@@ -153,36 +152,27 @@ def sentiment_score(text: str, lexicon: SentimentLexicon) -> SentimentScore:
     return SentimentScore(*sentiment_scores([text], lexicon)[0].tolist())
 
 
-def _calendar_rows(days: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row of each day ordinal of ``days`` in the calendar range from the
-    earliest to the latest of them, and that range's day ordinals."""
-    first = days.min()
-    return days - first, first + np.arange(days.max() - first + 1)
-
-
-def aggregate_daily_sentiment(days: np.ndarray, scores) -> TimeSeriesFrame:
-    """Per-day mean of each score component over a continuous daily range.
+def aggregate_daily_sentiment(days: np.ndarray, scores, onto: np.ndarray) -> TimeSeriesFrame:
+    """Per-day mean of each score component on the sorted day ordinals ``onto``.
 
     ``scores`` holds one row of :data:`SENTIMENT_COLUMNS` per day ordinal of
-    ``days`` (as from :func:`sentiment_scores`).  The output covers every
-    calendar day from the earliest to the latest date; days without items
-    are filled with the neutral score (0, 0, 1, 0).  No items yield an
-    empty frame.
+    ``days`` (as from :func:`sentiment_scores`).  A day of ``onto`` with items
+    holds their mean, a day without items the neutral score (0, 0, 1, 0);
+    items dated on no day of ``onto`` are left out.
     """
-    if not len(days):
-        return TimeSeriesFrame([], {name: np.array([]) for name in SENTIMENT_COLUMNS})
-    rows, calendar = _calendar_rows(days)
-    counts = np.bincount(rows)
+    on = np.isin(days, onto)
+    rows = np.searchsorted(onto, days[on])
+    counts = np.bincount(rows, minlength=len(onto))
     observed = counts > 0
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64).reshape(len(days), len(SENTIMENT_COLUMNS))
     cols = {}
     for j, name in enumerate(SENTIMENT_COLUMNS):
         # bincount adds each day's items in item order, like a left-to-right sum.
-        sums = np.bincount(rows, weights=scores[:, j])
-        col = np.full(len(calendar), _NEUTRAL_SENTIMENT[name])
+        sums = np.bincount(rows, weights=scores[on, j], minlength=len(onto))
+        col = np.full(len(onto), _NEUTRAL_SENTIMENT[name])
         col[observed] = sums[observed] / counts[observed]
         cols[name] = col
-    return TimeSeriesFrame(calendar, cols)
+    return TimeSeriesFrame(onto, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +225,28 @@ def apply_standardize(frame: TimeSeriesFrame, stats: dict[str, ColumnStats]) -> 
 # ---------------------------------------------------------------------------
 
 
-def one_hot_encode(events: DatedLabels, vocabulary: list[str]) -> TimeSeriesFrame:
-    """Indicator columns per category over the events' calendar range.
+def one_hot_encode(events: DatedLabels, vocabulary: list[str],
+                   onto: np.ndarray) -> TimeSeriesFrame:
+    """Indicator columns per category on the sorted day ordinals ``onto``.
 
-    Multiple events on one day set multiple 1s (multi-hot).  Categories not
-    in the vocabulary are rejected.  No events yield an empty frame with the
-    vocabulary columns.
+    Multiple events on one day set multiple 1s (multi-hot); a day without
+    events is all zero, and events dated on no day of ``onto`` are left out.
+    Every event's category is checked: one not in the vocabulary is rejected.
     """
     if not vocabulary:
         raise ParameterError("one-hot vocabulary must be nonempty")
     if len(set(vocabulary)) != len(vocabulary):
         raise ParameterError("one-hot vocabulary contains duplicates")
     col_index = {cat: i for i, cat in enumerate(vocabulary)}
-    if not len(events):
-        return TimeSeriesFrame([], {cat: np.array([]) for cat in vocabulary})
     cols = list(map(col_index.get, events.labels))
     if None in cols:
         at = cols.index(None)
         day = dt.date.fromordinal(int(events.days[at]))
         raise DataError(f"unknown category {events.labels[at]!r} on {day}")
-    rows, calendar = _calendar_rows(events.days)
-    matrix = np.zeros((len(calendar), len(vocabulary)))
-    matrix[rows, cols] = 1.0
-    return TimeSeriesFrame(calendar, {cat: matrix[:, i] for cat, i in col_index.items()})
+    on = np.isin(events.days, onto)
+    matrix = np.zeros((len(onto), len(vocabulary)))
+    matrix[np.searchsorted(onto, events.days[on]), np.array(cols, dtype=np.int64)[on]] = 1.0
+    return TimeSeriesFrame(onto, {cat: matrix[:, i] for cat, i in col_index.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +268,6 @@ def _forward_fill_onto(days: np.ndarray, source: TimeSeriesFrame) -> dict[str, n
     return out
 
 
-def _same_day_onto(days: np.ndarray, source: TimeSeriesFrame,
-                   fill: dict[str, float]) -> dict[str, np.ndarray]:
-    """Each column's finite value dated exactly on ``days``, else ``fill[name]``."""
-    _, rows, src = np.intersect1d(days, source.days, assume_unique=True, return_indices=True)
-    out = {}
-    for name, values in source.columns.items():
-        col = np.full(days.size, fill[name])
-        finite = np.isfinite(values[src])
-        col[rows[finite]] = values[src[finite]]
-        out[name] = col
-    return out
-
-
 def align_by_date(market: TimeSeriesFrame, *,
                   financial: TimeSeriesFrame | None = None) -> TimeSeriesFrame:
     """Join the financial (and macro) columns onto every market day, each
@@ -307,10 +283,9 @@ def align_by_date(market: TimeSeriesFrame, *,
         for name, values in _forward_fill_onto(market.days, financial).items():
             _add_column(columns, name, values)
             if np.isnan(values[-1]):
-                raise DataError(
-                    f"alignment produced no rows: market covers {market.span()} "
-                    f"but financial data covers {financial.span()}"
-                )
+                covers = f"covers {financial.span()}" if len(financial) else "has no rows"
+                raise DataError(f"alignment produced no rows: market covers "
+                                f"{market.span()} but financial data {covers}")
     return TimeSeriesFrame(market.days, columns)
 
 
@@ -320,26 +295,13 @@ def _add_column(columns: dict[str, np.ndarray], name: str, values: np.ndarray) -
     columns[name] = values
 
 
-def join_same_day(
-    frame: TimeSeriesFrame,
-    *,
-    sentiment: TimeSeriesFrame | None = None,
-    policy: TimeSeriesFrame | None = None,
-) -> TimeSeriesFrame:
-    """``frame`` with the sentiment, then the policy columns added: each row
-    takes the value dated on its own day, else the neutral score (sentiment)
-    or zero (policy).  Neither fill is NaN, so no row is dropped, and a row's
-    values do not depend on the other rows: joining a block of rows gives
-    those rows of the whole join.  ``frame`` may be empty.
-    """
+def join_same_day(frame: TimeSeriesFrame, *sources: TimeSeriesFrame) -> TimeSeriesFrame:
+    """``frame`` with the columns of each of ``sources`` added in turn.  Each
+    source is dated on ``frame``'s own days, as :func:`aggregate_daily_sentiment`
+    and :func:`one_hot_encode` date it when given them."""
     columns: dict[str, np.ndarray] = dict(frame.columns)
-    if sentiment is not None and sentiment.columns:
-        for name, values in _same_day_onto(frame.days, sentiment, _NEUTRAL_SENTIMENT).items():
-            _add_column(columns, name, values)
-
-    if policy is not None and policy.columns:
-        no_event = dict.fromkeys(policy.columns, 0.0)
-        for name, values in _same_day_onto(frame.days, policy, no_event).items():
+    for source in sources:
+        for name, values in source.columns.items():
             _add_column(columns, name, values)
     return TimeSeriesFrame(frame.days, columns)
 

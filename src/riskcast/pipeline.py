@@ -47,15 +47,19 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
     every value is finite, after the moving-average warm-up and the first
     financial report.  A value that is not finite after that row (an
     overflow in the market features) is a ``DataError`` naming its column
-    and date, so no row inside the history is ever dropped.  Sentiment and
-    policy, whose same-day fills are never missing, join after the cut.
+    and date, so no row inside the history is ever dropped.
+
+    Policy is encoded onto the market days before alignment, so an unknown
+    category is the first fault reported, and its columns are cut with the
+    rows.  Only the news dated on a row's day is scored, and its daily means
+    are aggregated onto the rows' days.  Neither sentiment's neutral fill nor
+    policy's zero is missing, so neither moves the cut.
 
     With ``test_block_of``, the frame starts at the first row that the test
     block of that recipe's split reads, the windows counted and checked as
     :func:`chronological_split` does; window ``i`` reads rows ``i`` on.  A
     history too short for one window is kept, so that windowing reports it.
-    Only news dated on or after the first row is scored, and each row is
-    bitwise that row of the full frame.
+    Each row is bitwise that row of the full frame.
     """
     market = bundle.market
     close = market.column("close")
@@ -73,10 +77,10 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
             "rvol": rvol,
             TARGET_COLUMN: rvol.copy(),
         })
-    policy = None
+    policy = TimeSeriesFrame(market.days)
     if policy_vocab:
         try:
-            policy = one_hot_encode(bundle.policy, policy_vocab)
+            policy = one_hot_encode(bundle.policy, policy_vocab, market.days)
         except DataError as exc:
             # Only a recipe's vocabulary can lack a category: make_datasets
             # takes the vocabulary from the events themselves.
@@ -95,11 +99,12 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
     if test_block_of is not None and n_samples:
         n_train, n_val, _ = split_counts(n_samples, test_block_of.split)
         start += n_train + n_val
-    rows = TimeSeriesFrame(rows.days[start:], {n: v[start:] for n, v in rows.columns.items()})
-    first_day = rows.days[0] if len(rows) else np.inf
-    news = bundle.news.select(bundle.news.days >= first_day)
-    sentiment = aggregate_daily_sentiment(news.days, sentiment_scores(news.labels, lexicon))
-    return join_same_day(rows, sentiment=sentiment, policy=policy)
+    days = rows.days[start:]
+    rows, policy = (TimeSeriesFrame(days, {n: v[start:] for n, v in frame.columns.items()})
+                    for frame in (rows, policy))
+    news = bundle.news.select(np.isin(bundle.news.days, days))
+    sentiment = aggregate_daily_sentiment(news.days, sentiment_scores(news.labels, lexicon), days)
+    return join_same_day(rows, sentiment, policy)
 
 
 def _samples(frame: TimeSeriesFrame, preprocess: Preprocess) -> SampleSet:

@@ -300,7 +300,7 @@ def test_criterion_7_feature_engineering_oracles():
         worst = max(worst, float(np.max(np.abs(z - (series - mean) / std))))
 
         events = [(dates[rng.randint(n)], vocab[rng.randint(3)]) for _ in range(6)]
-        hot = one_hot_encode(dated_labels(events), vocab)
+        hot = one_hot_encode(dated_labels(events), vocab, day_numbers(dates))
         per_day = {}
         for day, cat in events:
             per_day.setdefault(day, set()).add(cat)

@@ -1,3 +1,4 @@
+import datetime as dt
 import errno
 import hashlib
 import json
@@ -6,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -441,21 +443,70 @@ class TestPredict:
     def test_too_short_history_writes_header_only_with_warning(self, workspace,
                                                                tmp_path, capsys):
         _, data_dir, hybrid, _ = workspace
-        short_dir = tmp_path / "short"
-        short_dir.mkdir()
-        market_lines = (data_dir / "market.csv").read_text().splitlines()[:31]
-        cutoff = market_lines[-1].split(",")[0]
-        for name in DATA_FILES:
-            lines = (data_dir / name).read_text().splitlines()
-            kept = [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[0] <= cutoff]
-            (short_dir / name).write_text("\n".join(kept) + "\n")
         out = tmp_path / "short_preds.csv"
-        with pytest.warns(UserWarning):
-            rc = main(["predict", "--model", str(hybrid), "--data", str(short_dir),
-                       "--out", str(out)])
+        rc, err = _quiet_main(["predict", "--model", str(hybrid),
+                               "--data", str(_short_history(data_dir, tmp_path)),
+                               "--out", str(out)], capsys)
         assert rc == 0
         assert out.read_text() == "date,risk_score\n"
-        assert "no admissible prediction windows" in capsys.readouterr().err
+        assert len(err) == 1
+        assert err[0].startswith("riskcast: warning: no admissible prediction windows (")
+
+    def test_evaluate_on_a_too_short_history_prints_one_error(self, workspace, tmp_path,
+                                                               capsys):
+        _, data_dir, hybrid, _ = workspace
+        rc, err = _quiet_main(["evaluate", "--model", str(hybrid),
+                               "--data", str(_short_history(data_dir, tmp_path))], capsys)
+        assert rc == 3
+        assert len(err) == 1
+        assert err[0].startswith("riskcast: error: ")
+
+
+def _quiet_main(argv, capsys) -> tuple[int, list[str]]:
+    """``main(argv)``'s exit code and stderr lines with every warning shown,
+    after checking that no Python warning escaped it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return rc, capsys.readouterr().err.splitlines()
+
+
+def _short_history(data_dir, tmp_path):
+    """A copy of the data files cut after the 30th market day."""
+    short_dir = tmp_path / "short"
+    short_dir.mkdir()
+    market_lines = (data_dir / "market.csv").read_text().splitlines()[:31]
+    cutoff = market_lines[-1].split(",")[0]
+    for name in DATA_FILES:
+        lines = (data_dir / name).read_text().splitlines()
+        kept = [lines[0]] + [ln for ln in lines[1:] if ln.split(",")[0] <= cutoff]
+        (short_dir / name).write_text("\n".join(kept) + "\n")
+    return short_dir
+
+
+class TestWarnings:
+    def test_market_rows_out_of_order_print_one_warning_line(self, workspace, tmp_path,
+                                                             capsys):
+        """The rows load sorted: the model is the sorted file's, byte for byte."""
+        _, data_dir, _, _ = workspace
+        reversed_dir = tmp_path / "reversed"
+        reversed_dir.mkdir()
+        for name in DATA_FILES:
+            lines = (data_dir / name).read_text().splitlines(keepends=True)
+            if name == "market.csv":
+                lines = lines[:1] + lines[:0:-1]
+            (reversed_dir / name).write_text("".join(lines))
+        models, errs = [], []
+        for data in (data_dir, reversed_dir):
+            models.append(tmp_path / f"{data.name}.rcm")
+            rc, err = _quiet_main(["train", "--data", str(data), "--baseline", "linreg",
+                                   "--out", str(models[-1])], capsys)
+            assert rc == 0
+            errs.append(err)
+        assert errs == [[], [f"riskcast: warning: {reversed_dir / 'market.csv'}: "
+                             "rows are out of date order; loading sorted"]]
+        assert models[0].read_bytes() == models[1].read_bytes()
 
 
 class TestMissingDataFile:
@@ -597,7 +648,7 @@ def _first_category(category):
 
 
 _ALL_COMMANDS = ("train", "predict", "evaluate")
-_UNKNOWN_TO_THE_MODEL = ("policy.csv: unknown category {!r} on 2015-05-20, which is missing "
+_UNKNOWN_TO_THE_MODEL = ("policy.csv: unknown category {!r} on {}, which is missing "
                          "from the model's policy vocabulary "
                          "['rate_cut', 'rate_hike', 'regulation_tightening']")
 # (id, commands, file, edit, message).  A model's recipe reads no extra
@@ -618,9 +669,9 @@ _NAME_FAULTS = [
     ("category-rate-cut", ("train",), "policy.csv", _first_category("rate cut"),
      "column names must be nonempty and whitespace-free: 'rate cut'"),
     ("category-rate-cut", ("predict", "evaluate"), "policy.csv", _first_category("rate cut"),
-     _UNKNOWN_TO_THE_MODEL.format("rate cut")),
+     _UNKNOWN_TO_THE_MODEL.format("rate cut", "2015-05-20")),
     ("category-omega", ("predict", "evaluate"), "policy.csv", _first_category("omega"),
-     _UNKNOWN_TO_THE_MODEL.format("omega")),
+     _UNKNOWN_TO_THE_MODEL.format("omega", "2015-05-20")),
 ]
 
 
@@ -648,6 +699,23 @@ class TestDataNameFaults:
             rc = _predict_or_train(command, linear, bad, out)
         assert rc == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_category_on_a_saturday_exits_3(self, workspace, tmp_path, capsys):
+        """Every event's category is checked, also one dated on no market day."""
+        _, data_dir, _, linear = workspace
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        for data_file in DATA_FILES:
+            (bad / data_file).write_bytes((data_dir / data_file).read_bytes())
+        first = dt.date.fromisoformat((data_dir / "market.csv").read_text().split("\n")[1][:10])
+        saturday = first + dt.timedelta(days=5 - first.weekday())
+        with open(bad / "policy.csv", "a", encoding="utf-8") as handle:
+            handle.write(f"{saturday},omega\n")
+        out = tmp_path / "out.csv"
+        assert _predict_or_train("predict", linear, bad, out) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"riskcast: error: {_UNKNOWN_TO_THE_MODEL.format('omega', saturday)}"]
         assert not out.exists()
 
 

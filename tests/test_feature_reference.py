@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import label_pairs
+from conftest import dated_labels, label_pairs
 from riskcast import SeededRng, SynthConfig, TimeSeriesFrame, default_lexicon, synth_generate
 from riskcast.features import (
     SENTIMENT_COLUMNS,
@@ -24,6 +24,7 @@ from riskcast.features import (
     daily_returns,
     join_same_day,
     moving_average,
+    one_hot_encode,
     sentiment_score,
     trailing_volatility,
 )
@@ -179,10 +180,17 @@ def ref_assemble_frame(bundle, lexicon, cfg, policy_vocab):
     return ref_drop_incomplete_rows(aligned)
 
 
-def _aggregate(items):
-    """:func:`aggregate_daily_sentiment` of ``(date, score)`` pairs."""
+def _aggregate(items, onto):
+    """:func:`aggregate_daily_sentiment` of ``(date, score)`` pairs onto the
+    day ordinals ``onto``."""
     return aggregate_daily_sentiment(day_numbers([day for day, _ in items]),
-                                     [score for _, score in items])
+                                     [score for _, score in items], onto)
+
+
+def ref_sentiment_onto(items, dates):
+    """The reference calendar-day means of ``items`` looked up on ``dates``."""
+    return TimeSeriesFrame(day_numbers(dates), ref_same_day_onto(
+        dates, ref_aggregate_daily_sentiment(items), _NEUTRAL))
 
 
 def _assert_frames_equal(got, want):
@@ -296,12 +304,13 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
         (dt.date(2021, 3, 9), SentimentScore(0.3, 0.1, 0.6, 0.4)),    # Tuesday
         (dt.date(2021, 4, 2), SentimentScore(0.0, 0.8, 0.2, -0.8)),   # after the market
     ]
-    sentiment = _aggregate(items)
-    policy = TimeSeriesFrame(day_numbers([dt.date(2021, 2, 1), dt.date(2021, 3, 3),
-                                          dt.date(2021, 3, 13)]),
-                             {"hike": np.array([1.0, 1.0, 1.0])})
-    aligned = join_same_day(align_by_date(market), sentiment=sentiment, policy=policy)
-    _assert_frames_equal(aligned, ref_align_by_date(market, sentiment=sentiment, policy=policy))
+    events = [(dt.date(2021, 2, 1), "hike"), (dt.date(2021, 3, 3), "hike"),
+              (dt.date(2021, 3, 13), "hike")]   # before the market, Wednesday, Saturday
+    aligned = join_same_day(align_by_date(market), _aggregate(items, market.days),
+                            one_hot_encode(dated_labels(events), ["hike"], market.days))
+    _assert_frames_equal(aligned, ref_align_by_date(
+        market, sentiment=ref_aggregate_daily_sentiment(items),
+        policy=ref_one_hot_encode(events, ["hike"])))
     compound = dict(zip(aligned.dates, aligned.column("compound")))
     assert compound[dt.date(2021, 3, 8)] == 0.0   # weekend news does not carry to Monday
     assert compound[dt.date(2021, 3, 9)] == 0.4
@@ -314,7 +323,7 @@ def test_sentiment_and_policy_outside_market_range_or_off_trading_days():
 
 def test_sentiment_frame_without_rows_fills_neutral():
     market = TimeSeriesFrame(day_numbers(_days(dt.date(2021, 3, 1), 4)), {"close": np.ones(4)})
-    aligned = join_same_day(align_by_date(market), sentiment=_aggregate([]))
+    aligned = join_same_day(align_by_date(market), _aggregate([], market.days))
     assert np.array_equal(aligned.column("neu"), np.ones(4))
     assert np.array_equal(aligned.column("pos"), np.zeros(4))
 
@@ -337,8 +346,9 @@ def test_aggregate_many_items_per_day_is_a_left_to_right_sum_bitwise():
         (day + dt.timedelta(days=3), SentimentScore(0.1, 0.4, 0.5, 0.6)),
         (day, SentimentScore(0.25, 0.5, 0.125, 0.0625)),
     ]
-    got = _aggregate(items)
-    _assert_frames_equal(got, ref_aggregate_daily_sentiment(items))
+    dates = _days(day, 4)
+    got = _aggregate(items, day_numbers(dates))
+    _assert_frames_equal(got, ref_sentiment_onto(items, dates))
     assert got.column("pos")[0] == (1e-16 + 1e-16 + 1.0 + 0.25) / 4
     assert np.array_equal(got.column("neu")[1:3], [1.0, 1.0])
 
@@ -348,7 +358,8 @@ def test_aggregate_bitwise_on_generated_news():
     lexicon = default_lexicon()
     items = [(day, sentiment_score(text, lexicon)) for day, text in label_pairs(bundle.news)]
     assert len(items) > len({day for day, _ in items})
-    _assert_frames_equal(_aggregate(items), ref_aggregate_daily_sentiment(items))
+    dates = bundle.market.dates
+    _assert_frames_equal(_aggregate(items, day_numbers(dates)), ref_sentiment_onto(items, dates))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,8 +45,9 @@ class TestMovingAverage:
         series = np.array([3.0, -1.0, 2.5])
         assert np.array_equal(moving_average(series, 1), series)
 
-    def test_oversized_window_warns_and_returns_all_missing(self):
-        with pytest.warns(UserWarning):
+    def test_oversized_window_returns_all_missing_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = moving_average([1.0, 2.0], 5)
         assert np.isnan(out).all()
 
@@ -109,7 +111,7 @@ class TestAggregateDailySentiment:
     def test_single_item_per_day_passes_through(self):
         day = dt.date(2020, 1, 6)
         score = SentimentScore(0.25, 0.25, 0.5, 0.1)
-        frame = aggregate_daily_sentiment(day_numbers([day]), [score])
+        frame = aggregate_daily_sentiment(day_numbers([day]), [score], day_numbers([day]))
         assert frame.dates == [day]
         assert frame.column("compound")[0] == 0.1
 
@@ -117,14 +119,16 @@ class TestAggregateDailySentiment:
         day = dt.date(2020, 1, 6)
         items = [(day, SentimentScore(0.0, 0.0, 1.0, 0.2)),
                  (day, SentimentScore(0.0, 0.0, 1.0, 0.6))]
-        frame = aggregate_daily_sentiment(day_numbers([day, day]), [s for _, s in items])
+        frame = aggregate_daily_sentiment(day_numbers([day, day]), [s for _, s in items],
+                                          day_numbers([day]))
         assert frame.column("compound")[0] == pytest.approx(0.4)
 
     def test_gap_day_filled_neutral(self):
         items = [(dt.date(2020, 1, 6), SentimentScore(0.5, 0.0, 0.5, 0.8)),
                  (dt.date(2020, 1, 8), SentimentScore(0.0, 0.5, 0.5, -0.8))]
         frame = aggregate_daily_sentiment(day_numbers([d for d, _ in items]),
-                                          [s for _, s in items])
+                                          [s for _, s in items],
+                                          day_numbers(_days(dt.date(2020, 1, 6), 3)))
         assert len(frame) == 3
         gap = 1  # 2020-01-07
         assert frame.column("pos")[gap] == 0.0
@@ -132,7 +136,28 @@ class TestAggregateDailySentiment:
         assert frame.column("compound")[gap] == 0.0
 
     def test_empty_items_give_empty_frame(self):
-        assert len(aggregate_daily_sentiment(day_numbers([]), [])) == 0
+        frame = aggregate_daily_sentiment(day_numbers([]), [], day_numbers([]))
+        assert len(frame) == 0
+        assert frame.column_names == ["pos", "neg", "neu", "compound"]
+
+    def test_no_items_fill_every_day_neutral(self):
+        onto = day_numbers(_days(dt.date(2020, 1, 6), 3))
+        frame = aggregate_daily_sentiment(day_numbers([]), [], onto)
+        assert frame.days.tolist() == onto.tolist()
+        assert frame.matrix(frame.column_names).tolist() == [[0.0, 0.0, 1.0, 0.0]] * 3
+
+    def test_items_off_the_days_are_left_out(self):
+        """Items before, between and after the days change no day's mean."""
+        onto = day_numbers([dt.date(2020, 1, 6), dt.date(2020, 1, 8)])
+        on_day = (dt.date(2020, 1, 8), SentimentScore(0.5, 0.0, 0.5, 0.8))
+        off_days = [(dt.date(2020, 1, d), SentimentScore(0.0, 0.5, 0.5, -0.8))
+                    for d in (3, 7, 9)]
+        items = [off_days[0], on_day, *off_days[1:]]
+        frame = aggregate_daily_sentiment(day_numbers([d for d, _ in items]),
+                                          [s for _, s in items], onto)
+        assert frame.days.tolist() == onto.tolist()
+        assert frame.column("compound").tolist() == [0.0, 0.8]
+        assert frame.column("neu").tolist() == [1.0, 0.5]
 
 
 class TestStandardization:
@@ -193,26 +218,39 @@ class TestOneHot:
 
     def test_single_event_row(self):
         day = dt.date(2021, 3, 1)
-        frame = one_hot_encode(dated_labels([(day, "gamma")]), self.VOCAB)
+        frame = one_hot_encode(dated_labels([(day, "gamma")]), self.VOCAB, day_numbers([day]))
         row = [frame.column(c)[0] for c in self.VOCAB]
         assert row == [0.0, 0.0, 1.0, 0.0]
 
     def test_absence_row_is_all_zero(self):
         events = [(dt.date(2021, 3, 1), "alpha"), (dt.date(2021, 3, 3), "beta")]
-        frame = one_hot_encode(dated_labels(events), self.VOCAB)
+        frame = one_hot_encode(dated_labels(events), self.VOCAB,
+                               day_numbers(_days(dt.date(2021, 3, 1), 3)))
         middle = [frame.column(c)[1] for c in self.VOCAB]
         assert middle == [0.0, 0.0, 0.0, 0.0]
 
     def test_two_events_same_day_multi_hot(self):
         day = dt.date(2021, 3, 1)
-        frame = one_hot_encode(dated_labels([(day, "alpha"), (day, "delta")]), self.VOCAB)
+        frame = one_hot_encode(dated_labels([(day, "alpha"), (day, "delta")]), self.VOCAB,
+                               day_numbers([day]))
         row = [frame.column(c)[0] for c in self.VOCAB]
         assert row == [1.0, 0.0, 0.0, 1.0]
 
     def test_unknown_category_error_names_it(self):
         events = [(dt.date(2021, 3, 1), "alpha"), (dt.date(2021, 3, 2), "omega")]
         with pytest.raises(DataError, match="^unknown category 'omega' on 2021-03-02$"):
-            one_hot_encode(dated_labels(events), self.VOCAB)
+            one_hot_encode(dated_labels(events), self.VOCAB, day_numbers([dt.date(2021, 3, 1)]))
+
+    def test_events_off_the_days_are_left_out_but_checked(self):
+        events = [(dt.date(2021, 2, 27), "beta"), (dt.date(2021, 3, 1), "alpha"),
+                  (dt.date(2021, 3, 6), "delta")]
+        onto = day_numbers([dt.date(2021, 3, 1), dt.date(2021, 3, 2)])
+        frame = one_hot_encode(dated_labels(events), self.VOCAB, onto)
+        assert frame.days.tolist() == onto.tolist()
+        assert frame.matrix(self.VOCAB).tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0] * 4]
+        with pytest.raises(DataError, match="^unknown category 'omega' on 2021-03-06$"):
+            one_hot_encode(dated_labels([*events, (dt.date(2021, 3, 6), "omega")]),
+                           self.VOCAB, onto)
 
     def test_row_sums_equal_distinct_event_counts(self):
         """Indicator columns are 0/1, so a row sums to the number of
@@ -226,7 +264,7 @@ class TestOneHot:
             category = self.VOCAB[rng.randint(4)]
             events.append((day, category))
             seen.setdefault(day, set()).add(category)
-        frame = one_hot_encode(dated_labels(events), self.VOCAB)
+        frame = one_hot_encode(dated_labels(events), self.VOCAB, day_numbers(_days(start, 30)))
         matrix = frame.matrix(self.VOCAB)
         for i, day in enumerate(frame.dates):
             assert matrix[i].sum() == len(seen.get(day, set()))
@@ -270,12 +308,10 @@ class TestAlign:
 
     def test_sentiment_gaps_neutral_filled_and_policy_zero_filled(self):
         market = self._market(4)
-        sent = TimeSeriesFrame(day_numbers([market.dates[1]]), {
-            "pos": np.array([0.4]), "neg": np.array([0.1]),
-            "neu": np.array([0.5]), "compound": np.array([0.6]),
-        })
-        pol = TimeSeriesFrame(day_numbers([market.dates[2]]), {"hike": np.array([1.0])})
-        aligned = join_same_day(align_by_date(market), sentiment=sent, policy=pol)
+        sent = aggregate_daily_sentiment(day_numbers([market.dates[1]]),
+                                         [SentimentScore(0.4, 0.1, 0.5, 0.6)], market.days)
+        pol = one_hot_encode(dated_labels([(market.dates[2], "hike")]), ["hike"], market.days)
+        aligned = join_same_day(align_by_date(market), sent, pol)
         assert np.array_equal(aligned.column("neu"), [1.0, 0.5, 1.0, 1.0])
         assert np.array_equal(aligned.column("compound"), [0.0, 0.6, 0.0, 0.0])
         assert np.array_equal(aligned.column("hike"), [0.0, 0.0, 1.0, 0.0])
@@ -286,6 +322,17 @@ class TestAlign:
                               {"profit": np.array([1.0])})
         with pytest.raises(DataError, match="alignment produced no rows"):
             align_by_date(market, financial=fin)
+
+    def test_policy_category_named_like_a_sentiment_column_rejected(self):
+        market = self._market(3)
+        sent = aggregate_daily_sentiment(day_numbers([]), [], market.days)
+        pol = one_hot_encode(dated_labels([(market.dates[0], "pos")]), ["pos"], market.days)
+        with pytest.raises(DataError, match="^duplicate column name across sources: 'pos'$"):
+            join_same_day(align_by_date(market), sent, pol)
+
+    def test_financial_data_without_rows_raises(self):
+        with pytest.raises(DataError, match="financial data has no rows"):
+            align_by_date(self._market(3), financial=TimeSeriesFrame([], {"x": []}))
 
     def test_duplicate_column_names_rejected(self):
         market = self._market(3)

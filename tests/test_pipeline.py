@@ -215,6 +215,28 @@ class TestRowStart:
                            pre.config, pre.policy_vocab, test_block_of=pre if block else None)
 
 
+@pytest.mark.parametrize("block", [False, True], ids=["full", "test-block"])
+def test_news_before_the_first_row_or_after_the_last_leaves_sentiment_unchanged(
+        bundle, datasets, block):
+    pre = datasets[3]
+
+    def sentiment_with(days):
+        news = DatedLabels(np.concatenate((bundle.news.days, days)),
+                           bundle.news.labels + ["crash collapse crisis"] * len(days))
+        frame = assemble_frame(dataclasses.replace(bundle, news=news), default_lexicon(),
+                               pre.config, pre.policy_vocab, test_block_of=pre if block else None)
+        return frame.matrix(["pos", "neg", "neu", "compound"]), frame.days
+
+    unedited, days = sentiment_with([])
+    market = bundle.market.days
+    before = market[market < days[0]]
+    assert len(before) >= 59  # the warm-up rows, and the rows before the test block
+    outside = [market[0] - 3, *before[::10], before[-1], days[-1] + 1, days[-1] + 30]
+    assert np.array_equal(sentiment_with(outside)[0], unedited)
+    # The same item on the first row does reach the frame.
+    assert not np.array_equal(sentiment_with([days[0]])[0], unedited)
+
+
 def test_degenerate_policy_free_bundle_still_works():
     bundle = synth_generate(SynthConfig(n_days=400, seed=56))
     bundle.policy = DatedLabels([], [])

@@ -24,6 +24,7 @@ that names the ROADMAP item that mends it; that change removes the mark.
 """
 
 import contextlib
+import datetime as dt
 import io
 import warnings
 from itertools import groupby
@@ -124,6 +125,17 @@ def _policy_event_on_last_day(category):
     return edit
 
 
+def _weekend_items(name, lines):
+    """A news item and an event of the file's first category on every
+    Saturday and Sunday between its first and last date."""
+    if name not in ("news.csv", "policy.csv"):
+        return lines
+    first, last = (dt.date.fromisoformat(line[:10]) for line in (lines[1], lines[-1]))
+    label = "crash collapse crisis bankruptcy markets" if name == "news.csv" else lines[1][11:]
+    days = (first + dt.timedelta(days=i) for i in range((last - first).days))
+    return lines + [f"{day},{label}" for day in days if day.weekday() >= 5]
+
+
 def _edited(data, out, edit):
     out.mkdir()
     for name in DATA_FILES:
@@ -204,6 +216,7 @@ PROPERTIES = [
     ("order-reverse-news-rows-within-each-day",
      _reverse_news_within_days, _same_model,
      "ROADMAP item 10: daily sentiment means are summed in file order"),
+    ("isolation-news-and-policy-on-weekends", _weekend_items, _same_model, None),
     ("order-news-file-reversed-as-within-day-reversal",
      _reverse_news_file, _same_model_as(_reverse_news_within_days), None),
     ("interior-close-2018-11-01-times-1e-302",

@@ -31,12 +31,9 @@ def _bundles_equal(a, b) -> bool:
 
 def _compound_vs_forward_vol(bundle) -> float:
     lex = default_lexicon()
-    agg = aggregate_daily_sentiment(bundle.news.days, sentiment_scores(bundle.news.labels, lex))
-    index = {d: i for i, d in enumerate(agg.dates)}
-    compound = np.array([
-        agg.column("compound")[index[d]] if d in index else 0.0
-        for d in bundle.market.dates
-    ])
+    scores = sentiment_scores(bundle.news.labels, lex)
+    compound = aggregate_daily_sentiment(bundle.news.days, scores,
+                                         bundle.market.days).column("compound")
     rvol = trailing_volatility(daily_returns(bundle.market.column("close")), 5)
     forward = np.full(len(bundle.market), np.nan)
     forward[:-5] = rvol[5:]
