@@ -46,8 +46,10 @@ _EPILOG = """\
 exit codes:
   0  success
   2  usage errors or invalid parameter values
-  3  data or schema errors (malformed CSV, misaligned sources, shape mismatches)
-  4  numerical failures (non-finite values, singular solves, gradient check above tolerance)
+  3  data or schema errors (malformed CSV, misaligned sources, shape mismatches),
+     and a data warning that a warning filter turns into an error (python -W error)
+  4  numerical failures (non-finite values, singular solves, gradient check above tolerance),
+     and a numpy RuntimeWarning that a warning filter turns into an error
   5  file I/O and model-file errors, and a worker process that died
 """
 
@@ -424,9 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The exit code of each error class, as _EPILOG lists them.  No error is an
-# instance of two of these classes.
-_EXIT_CODES = {ParameterError: 2, DataError: 3, DimensionError: 3, NumericalError: 4,
-              ModelIOError: 5, OSError: 5}
+# instance of two of these classes.  riskcast warns (UserWarning) only of data
+# faults; a filter such as ``python -W error`` raises a warning as an error.
+_EXIT_CODES = {ParameterError: 2, DataError: 3, DimensionError: 3, UserWarning: 3,
+              NumericalError: 4, RuntimeWarning: 4, ModelIOError: 5, OSError: 5}
 
 
 def _show_warning(message, *_) -> None:
@@ -436,7 +439,8 @@ def _show_warning(message, *_) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # A warning that the filters let through is one stderr line, like an
-    # error, without Python's source path and code line.
+    # error, without Python's source path and code line; one that they raise
+    # is an error.
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

@@ -14,7 +14,6 @@ news and events dated on its own day.
 from __future__ import annotations
 
 import datetime as dt
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -96,11 +95,110 @@ class SentimentScore(NamedTuple):
     compound: float
 
 
-# Texts scored per pass: bounds how many token strings are alive at once.
+# Texts scored per pass: bounds the chunk's byte buffer and its per-token
+# arrays.  On 20,000 days of generated news, 1,024 was no faster and 16,384
+# was slower.
 _SCORE_CHUNK = 4096
-# Token kinds: any other word, a positive term, a negative term, a text separator.
-_WORD, _POS, _NEG, _SEP = range(4)
+# Token kinds: any other word, a positive term, a negative term.
+_WORD, _POS, _NEG = range(3)
 _TOKEN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
+# Maps every byte but a token byte and NUL to a space, so the token bytes of
+# the result are exactly its bytes above 0x20.
+_SPACES = bytes(c if c in _TOKEN_BYTES or c == 0 else 0x20 for c in range(256))
+# _KEEP[k] keeps the first k bytes of a little-endian word and zeroes the rest.
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Odd multiplier of the key hash (2**64 over the golden ratio).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _TermTable(NamedTuple):
+    """An open-addressing (linear-probing) hash table of a lexicon's terms.
+
+    Slot ``s`` holds a term of ``lengths[s]`` bytes (0 marks an empty slot),
+    its kind and its bytes as little-endian ``uint64`` words ``words[:, s]``,
+    zero past the term's end.  A term sits in its home slot (from
+    :func:`_home_slots`) or after it, with no empty slot in between.  The
+    table does not wrap: it runs on past the last home slot and ends in an
+    empty slot, so every probe stops inside it.
+    """
+    shift: np.uint64
+    lengths: np.ndarray
+    kinds: np.ndarray
+    words: np.ndarray
+
+
+def _home_slots(lengths: np.ndarray, words, shift: np.uint64) -> np.ndarray:
+    """The home slot of each key: its length and words mixed by xor and
+    multiply, top bits kept.  All of it is ``uint64`` arithmetic, which
+    wraps; mixed with ``int64`` it would promote to ``float64``."""
+    mixed = lengths.astype(np.uint64)
+    for word in words:
+        mixed ^= word
+        mixed *= _MIX
+    return (mixed >> shift).astype(np.intp)
+
+
+def _term_table(lexicon: SentimentLexicon) -> _TermTable:
+    """The table of ``lexicon``'s terms, with at least four slots per term.
+
+    Only a term that is one token can ever count.  Terms are lower case, so
+    those are the ASCII alphanumeric ones; the others are left out.
+    """
+    terms = [t for t in lexicon.positive if t.isascii() and t.isalnum()]
+    n_pos = len(terms)
+    terms += [t for t in lexicon.negative if t.isascii() and t.isalnum()]
+    n_words = max((-(-len(t) // 8) for t in terms), default=1)
+    bits = max(1, (4 * len(terms)).bit_length())
+    shift = np.uint64(64 - bits)
+    lengths = np.array(list(map(len, terms)), dtype=np.intp)
+    words = np.array(terms, dtype=f"S{8 * n_words}").view("<u8").reshape(-1, n_words).T
+    homes = _home_slots(lengths, words, shift)
+    # Placed in home order, a term takes its home slot or the slot after the
+    # term placed before it, whichever is later.
+    order = np.argsort(homes, kind="stable")
+    rank = np.arange(len(terms))
+    slots = np.maximum.accumulate(homes[order] - rank) + rank
+    size = (1 << bits) + len(terms)
+    table = _TermTable(shift, np.zeros(size, dtype=np.intp), np.zeros(size, dtype=np.intp),
+                       np.zeros((n_words, size), dtype=np.uint64))
+    table.lengths[slots] = lengths[order]
+    table.kinds[slots] = np.repeat([_POS, _NEG], [n_pos, len(terms) - n_pos])[order]
+    table.words[:, slots] = words[:, order]
+    return table
+
+
+def _token_kinds(table: _TermTable, buf: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """The kind of each token of the byte array ``buf`` that starts at
+    ``starts`` and runs for ``lengths`` bytes.  ``buf`` must hold ``8 *
+    len(table.words)`` bytes from every token start on."""
+    # Word j of a token: the 8 bytes from its byte 8j, read unaligned (as
+    # 8-byte void items, which gather faster than an unaligned "<u8" view)
+    # with the bytes past the token's end zeroed.
+    at = np.ndarray(len(buf) - 7, dtype="V8", buffer=buf, strides=(1,))
+    words = [at[starts + 8 * j].view("<u8") & _KEEP[np.clip(lengths - 8 * j, 0, 8)]
+             for j in range(len(table.words))]
+
+    def probe(slots, lengths, words):
+        """Which tokens the terms in ``slots`` match, and which go on: a slot
+        holding another term sends a token on to the next slot, and an empty
+        slot means it is no term."""
+        found = table.lengths[slots]
+        hit = found == lengths
+        for term_words, token_words in zip(table.words, words):
+            hit &= term_words[slots] == token_words
+        return hit, np.flatnonzero(~hit & (found != 0))
+
+    slots = _home_slots(lengths, words, table.shift)
+    hit, on = probe(slots, lengths, words)
+    kinds = table.kinds[slots] * hit
+    probing = np.arange(len(starts))
+    while on.size:
+        probing, slots, lengths = probing[on], slots[on] + 1, lengths[on]
+        words = [token_words[on] for token_words in words]
+        hit, on = probe(slots, lengths, words)
+        kinds[probing[hit]] = table.kinds[slots[hit]]
+    return kinds
 
 
 def sentiment_scores(texts: Sequence[str], lexicon: SentimentLexicon) -> np.ndarray:
@@ -108,28 +206,36 @@ def sentiment_scores(texts: Sequence[str], lexicon: SentimentLexicon) -> np.ndar
     one row per text; row ``i`` is :func:`sentiment_score` of ``texts[i]``.
 
     Tokens are the maximal runs of ASCII ``[a-z0-9]`` in the lower-cased
-    text.  Each chunk of texts is lower-cased text by text and joined with a
-    NUL separator token.  In its UTF-8 bytes every non-ASCII character is
-    bytes >= 0x80, never a token byte, so mapping all bytes but token bytes
-    and NUL to spaces and splitting on spaces tokenises the whole chunk in
-    one pass; a token belongs to the text numbered by the separators before it.
+    text.  Each chunk of texts is lower-cased text by text and joined with
+    NUL separators.  In its UTF-8 bytes every non-ASCII character is bytes
+    >= 0x80, never a token byte, so after mapping all bytes but token bytes
+    and NUL to spaces, the tokens are the runs of bytes above 0x20.  Array
+    passes over the whole chunk find their starts and lengths, count each
+    text's tokens between the separators, and look every token up in one
+    hash table of the lexicon's terms (:class:`_TermTable`), comparing its
+    length and every 8-byte word exactly.
     """
-    spaces = bytes(c if c in _TOKEN_BYTES or c == 0 else 0x20 for c in range(256))
-    kinds_of = {**{t.encode("utf-8", "surrogatepass"): _POS for t in lexicon.positive},
-                **{t.encode("utf-8", "surrogatepass"): _NEG for t in lexicon.negative},
-                b"\x00": _SEP}
+    table = _term_table(lexicon)
+    pad = b" " * (8 * len(table.words))
     out = np.empty((len(texts), len(SENTIMENT_COLUMNS)))
     for start in range(0, len(texts), _SCORE_CHUNK):
         chunk = list(map(str.lower, texts[start:start + _SCORE_CHUNK]))
-        joined = " \x00 ".join(chunk)
+        joined = "\x00".join(chunk)
         if joined.count("\x00") != len(chunk) - 1:
             # A NUL inside a text is a non-token character, like a space.
-            joined = " \x00 ".join(text.replace("\x00", " ") for text in chunk)
-        tokens = joined.encode("utf-8", "surrogatepass").translate(spaces).split()
-        kinds = np.fromiter(map(kinds_of.get, tokens, itertools.repeat(_WORD)),
-                            dtype=np.int64, count=len(tokens))
-        text_of = np.cumsum(kinds == _SEP)
-        counts = np.bincount(text_of * 4 + kinds, minlength=4 * len(chunk)).reshape(-1, 4)
+            joined = "\x00".join(text.replace("\x00", " ") for text in chunk)
+        # A space before the chunk, so that every token starts and ends at an
+        # edge of the bytes above 0x20, and spaces after it to read words from.
+        buf = np.frombuffer(b" " + joined.encode("utf-8", "surrogatepass").translate(_SPACES)
+                            + pad, dtype=np.uint8)
+        token = buf > 0x20
+        edges = np.flatnonzero(token[1:] != token[:-1]) + 1
+        starts = edges[0::2]
+        lengths = edges[1::2] - starts
+        firsts = np.searchsorted(starts, np.flatnonzero(buf == 0))
+        text_of = np.repeat(np.arange(len(chunk)), np.diff(firsts, prepend=0, append=len(starts)))
+        kinds = _token_kinds(table, buf, starts, lengths)
+        counts = np.bincount(text_of * 3 + kinds, minlength=3 * len(chunk)).reshape(-1, 3)
         n_pos, n_neg = counts[:, _POS], counts[:, _NEG]
         # A text with no tokens divides by 1 and scores neutral (0, 0, 1, 0).
         n_tokens = np.maximum(counts[:, _WORD] + n_pos + n_neg, 1)

@@ -485,18 +485,24 @@ def _short_history(data_dir, tmp_path):
     return short_dir
 
 
+def _reversed_market(data_dir, tmp_path):
+    """A copy of the data files with the market rows in reverse date order."""
+    reversed_dir = tmp_path / "reversed"
+    reversed_dir.mkdir()
+    for name in DATA_FILES:
+        lines = (data_dir / name).read_text().splitlines(keepends=True)
+        if name == "market.csv":
+            lines = lines[:1] + lines[:0:-1]
+        (reversed_dir / name).write_text("".join(lines))
+    return reversed_dir
+
+
 class TestWarnings:
     def test_market_rows_out_of_order_print_one_warning_line(self, workspace, tmp_path,
                                                              capsys):
         """The rows load sorted: the model is the sorted file's, byte for byte."""
         _, data_dir, _, _ = workspace
-        reversed_dir = tmp_path / "reversed"
-        reversed_dir.mkdir()
-        for name in DATA_FILES:
-            lines = (data_dir / name).read_text().splitlines(keepends=True)
-            if name == "market.csv":
-                lines = lines[:1] + lines[:0:-1]
-            (reversed_dir / name).write_text("".join(lines))
+        reversed_dir = _reversed_market(data_dir, tmp_path)
         models, errs = [], []
         for data in (data_dir, reversed_dir):
             models.append(tmp_path / f"{data.name}.rcm")
@@ -507,6 +513,33 @@ class TestWarnings:
         assert errs == [[], [f"riskcast: warning: {reversed_dir / 'market.csv'}: "
                              "rows are out of date order; loading sorted"]]
         assert models[0].read_bytes() == models[1].read_bytes()
+
+    def test_data_warning_raised_as_an_error_exits_3(self, workspace, tmp_path, capsys):
+        """Under ``python -W error`` the warning is one error line, not a
+        traceback, and nothing is written."""
+        _, data_dir, _, _ = workspace
+        reversed_dir = _reversed_market(data_dir, tmp_path)
+        model = tmp_path / "model.rcm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--data", str(reversed_dir), "--baseline", "linreg",
+                       "--out", str(model)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"riskcast: error: {reversed_dir / 'market.csv'}: "
+            "rows are out of date order; loading sorted"]
+        assert not model.exists()
+        assert not (tmp_path / "model.rcm.log.csv").exists()
+
+    def test_numpy_runtime_warning_raised_as_an_error_exits_4(self, monkeypatch, capsys):
+        def divides_by_zero(args):
+            return int(np.log(np.zeros(1))[0])
+
+        monkeypatch.setattr(cli, "cmd_gradcheck", divides_by_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gradcheck"]) == 4
+        assert capsys.readouterr().err == "riskcast: error: divide by zero encountered in log\n"
 
 
 class TestMissingDataFile:

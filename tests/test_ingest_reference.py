@@ -17,6 +17,7 @@ down to the line each row ends on, and a rejected file is opened only once.
 import builtins
 import csv
 import datetime as dt
+import itertools
 import os
 import random
 import re
@@ -36,7 +37,13 @@ from riskcast.data_io import (
     load_news_csv,
     load_policy_csv,
 )
-from riskcast.features import _SCORE_CHUNK, sentiment_score, sentiment_scores
+from riskcast.features import (
+    _SCORE_CHUNK,
+    _home_slots,
+    _term_table,
+    sentiment_score,
+    sentiment_scores,
+)
 from riskcast.frames import day_numbers
 
 # ---------------------------------------------------------------------------
@@ -525,6 +532,82 @@ def test_news_file_with_awkward_texts_scores_like_the_reference(tmp_path):
 
 def test_no_texts_give_an_empty_score_matrix():
     assert sentiment_scores([], default_lexicon()).shape == (0, 4)
+
+
+_TOKEN_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
+# Lengths at and around the 8-byte word edges, then up to 40 bytes (5 words).
+_EDGE_LENGTHS = (1, 7, 8, 9, 15, 16, 17, 24, 25, 39, 40)
+# Terms sharing their first 8 bytes, at different and at equal lengths.
+_PREFIX_PAIRS = ("pessimism", "pessimistic", "investigation", "investigators")
+# Terms that are not one token and so can never count.
+_NON_TOKEN_TERMS = ("two words", "\x00", "Straße")
+
+
+def _fuzz_lexicon(rng: random.Random, n_terms: int) -> SentimentLexicon:
+    """``n_terms`` terms of 1 to 40 bytes, split between the two sides; from
+    50 terms on, these include the prefix pairs and the non-token terms."""
+    terms = set()
+    if n_terms >= 50:
+        terms.update(_PREFIX_PAIRS + _NON_TOKEN_TERMS)
+    lengths = itertools.chain(_EDGE_LENGTHS, iter(lambda: rng.randint(1, 40), None))
+    while len(terms) < n_terms:
+        terms.add("".join(rng.choices(_TOKEN_CHARS, k=next(lengths))))
+    terms = sorted(terms)
+    rng.shuffle(terms)
+    return SentimentLexicon(frozenset(terms[::2]), frozenset(terms[1::2]))
+
+
+def _fuzz_texts(rng: random.Random, lexicon: SentimentLexicon, n_texts: int) -> list[str]:
+    """Texts of lexicon terms (some upper case, cut short or run on), random
+    tokens of 8, 9, 16, 17 and 41 bytes, and separators of every kind."""
+    terms = sorted(lexicon.positive | lexicon.negative) or ["gain"]
+    near = [t.upper() for t in terms] + [t[:-1] for t in terms] + [t + "x" for t in terms]
+    seps = (" ", " ", "  ", ",", "\t", "\n", "é", "—", "\x00", "-", "")
+    texts = []
+    for _ in range(n_texts):
+        words = []
+        for _ in range(rng.randrange(12)):
+            roll = rng.random()
+            if roll < 0.4:
+                words.append(rng.choice(terms))
+            elif roll < 0.6:
+                words.append(rng.choice(near))
+            else:
+                words.append("".join(rng.choices(_TOKEN_CHARS, k=rng.choice((8, 9, 16, 17, 41)))))
+            words.append(rng.choice(seps))
+        texts.append("".join(words))
+    # Texts that end their chunk on the longest term, read up to its last word.
+    longest = max(terms, key=len)
+    texts[_SCORE_CHUNK - 1] += " " + longest
+    texts[-1] += longest
+    return texts
+
+
+@pytest.mark.parametrize("n_terms", [0, 1, 50, 3000])
+def test_fuzzed_lexicons_and_texts_score_like_the_reference(n_terms):
+    rng = random.Random(29 + n_terms)
+    lexicon = _fuzz_lexicon(rng, n_terms)
+    texts = _fuzz_texts(rng, lexicon, _SCORE_CHUNK + 300)
+    table = _term_table(lexicon)
+    held = np.flatnonzero(table.lengths)
+    shifted = held - _home_slots(table.lengths[held], table.words[:, held], table.shift)
+    if n_terms == 3000:
+        # Some terms sit past their home slot: finding them walks a probe
+        # chain.  The first text holds every such term.
+        assert shifted.max() >= 1
+        texts[0] = table.words[:, held[shifted > 0]].T.tobytes().replace(b"\x00", b" ").decode()
+    full = held[table.lengths[held] == 40]
+    if full.size:
+        # A token that runs on past a term filling all its words has the
+        # term's words and, at some lengths, its home slot: only the length
+        # tells them apart.
+        words = table.words[:, full[:1]]
+        home = _home_slots(np.array([40]), words, table.shift)
+        run_on = np.arange(41, 41 + 64 * len(table.lengths))
+        homes = _home_slots(run_on, [np.repeat(w, len(run_on)) for w in words], table.shift)
+        term = words.T.tobytes().decode()
+        texts[1] = f"{term} {term}{'x' * (run_on[homes == home][0] - 40)}"
+    _assert_same_scores(texts, lexicon)
 
 
 # ---------------------------------------------------------------------------
