@@ -1,12 +1,17 @@
 """CSV ingestion and writing, chronological splits, and model persistence.
 
-File schemas (ISO-8601 dates, decimal floats, RFC-4180 quoting).  Each file
-is read once by :func:`~riskcast.errors.read_text` and turned into columns,
-and every fault is located from that read.  A file with no ``"``, no CR and
-no line longer than ``csv.field_size_limit()`` is split on LF and ``,``; any
-other goes through ``csv.reader``, which parses quoted fields and CR line
-ends and refuses a field over that limit.  Both give the same rows and the
-line each ends on: blank lines are skipped, whitespace in fields is kept.
+File schemas (``YYYY-MM-DD`` dates, decimal floats, RFC-4180 quoting).  Each
+file is read once by :func:`~riskcast.errors.read_file`, as bytes and as
+text, and turned into columns, and every fault is located from that read.
+A file with no ``"``, no CR and no line longer than
+``csv.field_size_limit()`` characters is split on LF and ``,``: one array
+pass over its bytes finds each line's length, comma count and blankness,
+and one ``split`` of its text gives the fields.  Any other file goes
+through ``csv.reader``, which parses quoted fields and CR line ends and
+refuses a field over that limit.  Both give the same rows and the line each
+ends on: blank lines are skipped, whitespace in fields is kept.  A date is
+``YYYY-MM-DD`` in ASCII digits, a Gregorian date from year 1, with
+surrounding whitespace stripped; a date column is parsed as one byte array.
 News and policy load as :class:`~riskcast.frames.DatedLabels`.  The writers
 join whole column slices into lines, quoting a text field only when it holds
 a ``,``, ``"``, LF or CR:
@@ -44,9 +49,9 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ModelIOError, SchemaError, read_text
+from .errors import DataError, ModelIOError, SchemaError, read_file
 from .features import ColumnStats, SampleSet
-from .frames import DatedLabels, TimeSeriesFrame, calendar_dates, day_numbers, merge_outer
+from .frames import DatedLabels, TimeSeriesFrame, day_numbers, merge_outer
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
 from .preprocess import PipelineConfig, Preprocess, SplitSpec
@@ -60,6 +65,7 @@ MACRO_COLUMNS = ("gdp", "cpi", "interest_rate")
 DATA_FILES = ("market.csv", "financial.csv", "macro.csv", "news.csv", "policy.csv")
 # Market values no price or volume can take: per column, the fault and its test against 0.
 _MARKET_INVALID = {"close": ("non-positive", np.less_equal), "volume": ("negative", np.less)}
+_LF, _COMMA = ord("\n"), ord(",")
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +74,7 @@ _MARKET_INVALID = {"close": ("non-positive", np.less_equal), "volume": ("negativ
 
 
 def _csv_fields(path, text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    """:func:`_read_fields`' header (unstripped), fields, widths and row lines,
+    """:func:`_read_fields`' stripped header, fields, widths and row lines,
     parsed from the file's ``text`` by ``csv.reader``, which alone parses
     quoted fields and CR line ends and refuses a field over
     ``csv.field_size_limit()`` (a ``file:line`` SchemaError)."""
@@ -82,7 +88,7 @@ def _csv_fields(path, text: str) -> tuple[list[str], list[str], np.ndarray, np.n
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
     widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    return (header, list(itertools.chain.from_iterable(rows)), widths,
+    return ([name.strip() for name in header], list(itertools.chain.from_iterable(rows)), widths,
             np.array(lines, dtype=np.int64))
 
 
@@ -93,28 +99,90 @@ def _read_fields(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     one read of the file.
 
     A file with no ``"``, no CR and no line longer than
-    ``csv.field_size_limit()`` is split on LF and ``,``, which gives the
-    fields ``csv.reader`` would; any other goes to :func:`_csv_fields`.
+    ``csv.field_size_limit()`` characters is split on LF and ``,``, which
+    gives the fields ``csv.reader`` would; any other goes to
+    :func:`_csv_fields`.  The split path finds every line's end, length and
+    comma count in one array pass over the file's bytes: LF and ``,`` are
+    single bytes that never occur inside a multi-byte UTF-8 character.
     """
-    text = read_text(path, SchemaError)
-    if not text:
+    data, text = read_file(path, SchemaError)
+    if not data:
         raise SchemaError(f"{path}: file is empty, expected a header row")
-    lines = [] if '"' in text or "\r" in text else text.split("\n")
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    if not lines or lengths.max() > csv.field_size_limit():
-        header, fields, widths, row_lines = _csv_fields(path, text)
-    else:
-        del text
-        header = lines[0].split(",") if lines[0] else []
-        row_lines = 2 + np.flatnonzero(lengths[1:])
-        rows = list(filter(None, lines[1:]))
-        del lines
-        widths = 1 + np.fromiter(map(str.count, rows, itertools.repeat(",")),
-                                 dtype=np.int64, count=len(rows))
-        joined = ",".join(rows)
-        del rows
-        fields = joined.split(",") if joined else []
-    return [name.strip() for name in header], fields, widths, row_lines
+    if b'"' in data or b"\r" in data:
+        return _csv_fields(path, text)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    is_sep = raw == _LF
+    is_sep |= raw == _COMMA             # in place: one byte mask fewer held at once
+    seps = np.flatnonzero(is_sep)
+    del is_sep
+    # Each line's end as an index into ``seps``; the end of the file closes
+    # the last line, which is empty after a final LF and then not a line.
+    final_lf = data.endswith(b"\n")
+    ends = np.flatnonzero(np.append(raw[seps] == _LF, not final_lf))
+    stops = np.append(seps, len(data))[ends]
+    lengths = np.diff(stops, prepend=-1) - 1
+    commas = np.diff(ends, prepend=-1) - 1
+    over = np.flatnonzero(lengths > csv.field_size_limit())  # bytes: at least the characters
+    if any(len(data[stop - length:stop].decode()) > csv.field_size_limit()
+           for stop, length in zip(stops[over].tolist(), lengths[over].tolist())):
+        return _csv_fields(path, text)
+    del data, raw, seps
+    joined = text.replace("\n", ",")
+    del text
+    fields = joined.split(",")
+    del joined
+    header = fields[:commas[0] + 1] if lengths[0] else []
+    del fields[:commas[0] + 1]
+    if final_lf:
+        fields.pop()  # the empty field after the final LF
+    kept = lengths[1:] > 0
+    if not kept.all():
+        fields = list(itertools.compress(fields, np.repeat(kept, commas[1:] + 1).tolist()))
+    return [name.strip() for name in header], fields, commas[1:][kept] + 1, 2 + np.flatnonzero(kept)
+
+
+def _check_date(token: str) -> None:
+    """Raise ValueError unless one date field is ``YYYY-MM-DD`` in ASCII
+    digits once surrounding whitespace is stripped, a Gregorian date from
+    year 1.  The reason is the one ``date.fromisoformat`` gives for the
+    fields it refuses too."""
+    text = token.strip()
+    if not (len(text) == 10 and text.isascii() and text[4] + text[7] == "--"
+            and (text[:4] + text[5:7] + text[8:]).isdigit()):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+
+
+# The positions of a ``YYYY-MM-DD`` date's digits, and the days of each month in a common year.
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _date_ordinals(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The day ordinals of date fields and which of them :func:`_check_date`
+    accepts, parsed as one ``[n x 10]`` byte array (surrounding whitespace is
+    not stripped here).  The fields are joined with LFs: only when each is
+    exactly 10 bytes long does every LF fall at the end of a row of 11."""
+    n = len(tokens)
+    joined = ("\n".join(tokens) + "\n").encode()
+    if len(joined) != 11 * n:
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    rows = np.frombuffer(joined, dtype=np.uint8).reshape(n, 11)
+    # A byte below '0' wraps past 9; int32 holds every ordinal, even of a bad row.
+    d = (rows[:, _DATE_DIGITS] - ord("0")).astype(np.int32)
+    valid = ((d < 10).all(axis=1) & (rows[:, 4] == ord("-")) & (rows[:, 7] == ord("-"))
+             & (rows[:, 10] == _LF))
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day = d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
+    valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    # Days from civil: count from 1 March of year 0, so that a leap day ends its year.
+    year = year - (month <= 2)
+    era, year_of_era = np.divmod(year, 400)
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    return (era * 146097 + day_of_era - 305).astype(np.int64), valid
 
 
 def _check_rows(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, width: int,
@@ -126,7 +194,7 @@ def _check_rows(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, 
         if count != width:
             raise SchemaError(f"{where} expected {width} fields, got {count}")
         try:
-            dt.date.fromisoformat(row[0].strip())
+            _check_date(row[0])
         except ValueError as exc:
             raise SchemaError(f"{where} unparseable date {row[0]!r}: {exc}") from exc
         for name, token in zip(value_names, row[1:]):
@@ -143,15 +211,19 @@ def _columns(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, wid
     column: the dates as day ordinals, the ``value_names`` columns as one
     ``[columns x rows]`` float matrix, and the remaining raw columns.
 
-    A row of another width, or any bad field, is reported at its file line
-    by :func:`_check_rows`.
+    The dates are parsed in one array pass, and again stripped when any
+    fails.  A row of another width, or any bad field, is reported at its
+    file line by :func:`_check_rows`.
     """
     values = np.empty((len(value_names), len(widths)))
     try:
         if (widths != width).any():
             raise ValueError("rows with the wrong field count")
-        dates = map(dt.date.fromisoformat, map(str.strip, fields[0::width]))
-        days = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(widths))
+        days, valid = _date_ordinals(fields[0::width])
+        if not valid.all():
+            days, valid = _date_ordinals(list(map(str.strip, fields[0::width])))
+            if not valid.all():
+                raise ValueError("bad dates")
         for column, row in enumerate(values, start=1):
             row[:] = list(map(float, fields[column::width]))
     except ValueError:
@@ -199,8 +271,8 @@ def _load_numeric_csv(path, required: tuple[str, ...],
     ranked = days[order]
     repeated = ranked[1:] == ranked[:-1]
     if repeated.any():
-        dupes = calendar_dates(np.unique(ranked[1:][repeated])[:5])
-        raise SchemaError(f"{path}: duplicate dates {dupes}")
+        dupes = _iso_dates(np.unique(ranked[1:][repeated])[:5])
+        raise SchemaError(f"{path}: duplicate dates {', '.join(dupes)}")
     _reject_first(path, lines, ~np.isfinite(matrix), matrix, value_names,
                   dict.fromkeys(value_names, "non-finite"))
     invalid = invalid or {}
@@ -503,7 +575,7 @@ def _parse_model_text(path) -> tuple[dict[str, str], Preprocess | None, dict[str
     """The headers, preprocessing recipe and parameters of a model file, in
     one pass: between ``preprocess begin`` and ``preprocess end`` a line is a
     recipe field or ``stats`` line, elsewhere a header, ``param`` or ``end``."""
-    lines = iter(read_text(path, ModelIOError).splitlines())
+    lines = iter(read_file(path, ModelIOError)[1].splitlines())
     found = next(lines, "<empty file>")
     if found != MODEL_MAGIC:
         raise ModelIOError(

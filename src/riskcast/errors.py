@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and :func:`read_text`,
-which decodes every input file and raises a decode fault as one of them.
+"""Exception hierarchy shared across the package, and :func:`read_file`,
+which reads and decodes every input file and raises a decode fault as one of them.
 
 The CLI maps these onto distinct exit codes, so library code should raise
 the most specific type that applies.
@@ -38,13 +38,14 @@ class ModelIOError(RiskcastError):
     """A model file could not be written, or read back faithfully."""
 
 
-def read_text(path, error: type[RiskcastError]) -> str:
-    """The text of ``path``, decoded once as UTF-8 with its line ends kept.  A byte
-    that is not UTF-8 raises ``error`` at its ``file:line`` (lines end at LF, CR or CRLF)."""
+def read_file(path, error: type[RiskcastError]) -> tuple[bytes, str]:
+    """The bytes of ``path`` and their text, read once and decoded once as UTF-8 with
+    the line ends kept.  A byte that is not UTF-8 raises ``error`` at its ``file:line``
+    (lines end at LF, CR or CRLF)."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        return data, data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len(data[:exc.start + 1].splitlines())
         raise error(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})")

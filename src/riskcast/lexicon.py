@@ -12,7 +12,7 @@ import io
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, SchemaError, read_text
+from .errors import ParameterError, SchemaError, read_file
 
 _POSITIVE_TERMS = (
     "advance", "advances", "beat", "beats", "boom", "boost", "boosts",
@@ -70,7 +70,7 @@ def load_lexicon(path) -> SentimentLexicon:
     ``[a-z0-9]`` once lower-cased)."""
     sections: dict[str, set[str]] = {"positive": set(), "negative": set()}
     current: str | None = None
-    lines = io.StringIO(read_text(path, SchemaError), newline=None)
+    lines = io.StringIO(read_file(path, SchemaError)[1], newline=None)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -84,7 +84,7 @@ class TestMarketLoader:
                         + "".join(f"{day},1.0,2.0,3.0\n" for day in days))
         with pytest.raises(SchemaError) as err:
             load_market_csv(path)
-        assert str(err.value) == f"{path}: duplicate dates [{days[12_345]!r}]"
+        assert str(err.value) == f"{path}: duplicate dates {days[12_345].isoformat()}"
 
     def test_duplicate_report_names_the_first_five_sorted(self, tmp_path):
         days = [dt.date(1960, 1, 1) + dt.timedelta(days=i) for i in range(20_000)]
@@ -94,7 +94,8 @@ class TestMarketLoader:
                         + "".join(f"{day},1.0,2.0,3.0\n" for day in days + repeated))
         with pytest.raises(SchemaError) as err:
             load_market_csv(path)
-        assert str(err.value) == f"{path}: duplicate dates {sorted(repeated)[:5]}"
+        first_five = ", ".join(day.isoformat() for day in sorted(repeated)[:5])
+        assert str(err.value) == f"{path}: duplicate dates {first_five}"
 
     def test_unparseable_row_reports_line_number(self, tmp_path):
         path = tmp_path / "market.csv"

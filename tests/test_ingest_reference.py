@@ -64,9 +64,17 @@ def _ref_read_rows(path):
     return [name.strip() for name in header], rows
 
 
+_REF_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _ref_parse_date(token, path, lineno):
+    """The documented date rule: ``YYYY-MM-DD`` in ASCII digits once surrounding
+    whitespace is stripped, a Gregorian date from year 1."""
+    text = token.strip()
     try:
-        return dt.date.fromisoformat(token.strip())
+        if not _REF_DATE_RE.fullmatch(text):
+            raise ValueError(f"Invalid isoformat string: {text!r}")
+        return dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
     except ValueError as exc:
         raise SchemaError(f"{path}:{lineno}: unparseable date {token!r}: {exc}") from exc
 
@@ -108,7 +116,8 @@ def ref_load_numeric_csv(path, required):
     days = [day for day, _ in parsed]
     if len(set(days)) != len(days):
         dupes = sorted({d for d in days if days.count(d) > 1})
-        raise SchemaError(f"{path}: duplicate dates {dupes[:5]}")
+        raise SchemaError(f"{path}: duplicate dates "
+                          f"{', '.join(day.isoformat() for day in dupes[:5])}")
     matrix = np.array([values for _, values in parsed])
     finite = np.isfinite(matrix)
     if not finite.all():
@@ -370,13 +379,17 @@ def _assert_readers_agree(path):
     ("date,text\n2021-03-01," + "x" * 54 + "\n", "csv"),
     ("date,text" + " " * 60 + "\n2021-03-01,x\n", "csv"),
     ("date,text\n2021-03-01,x\n2021-03-02," + "x" * 65 + "\n", "csv"),
+    ("date,text\n2021-03-01," + "é" * 53 + "\n", "split"),
+    ("date,text\n2021-03-01," + "é" * 54 + "\n", "csv"),
 ], ids=["plain", "line-at-the-limit", "quoted-field", "bare-quote", "crlf", "bare-cr",
-        "line-over-the-limit", "header-over-the-limit", "field-over-the-limit"])
+        "line-over-the-limit", "header-over-the-limit", "field-over-the-limit",
+        "multi-byte-line-at-the-limit", "multi-byte-line-over-the-limit"])
 def test_each_file_takes_the_reader_its_contents_choose(tmp_path, csv_reads, small_field_limit,
                                                          text, reader):
     """A file with a quote, a CR or a line longer than the field size limit
-    goes to ``csv.reader``; any other is split.  Either way it loads like the
-    reference, and only a field over the limit is refused, at its line."""
+    goes to ``csv.reader``; any other is split.  The limit counts characters,
+    so a line of 64 two-byte characters is split.  Either way the file loads
+    like the reference, and only a field over the limit is refused, at its line."""
     path = _write(tmp_path / "news.csv", text)
     _assert_same_outcome(path)
     assert csv_reads == ([path] if reader == "csv" else [])
@@ -445,13 +458,25 @@ def _random_loader_text(rng: random.Random, name: str) -> str:
     return text if rng.random() < 0.3 else text + "\n"
 
 
+def _with_blank_lines(text: str, final_lf: bool) -> str:
+    """``text`` with a blank line before its first row, amid its rows and
+    after its last, ending with or without a final LF."""
+    head, *rows = text.split("\n")
+    middle = len(rows) // 2
+    lines = "\n".join([head, "", *rows[:middle], "", *rows[middle:], ""])
+    return lines + "\n" if final_lf else lines
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_random_unquoted_files_read_as_csv_reads_them(tmp_path, csv_reads, seed):
-    """Split files give ``csv.reader``'s header, fields and row widths, down
-    to empty, header-only and blank-line-only files."""
+    """Split files give ``csv.reader``'s header, fields, row widths and row
+    lines, down to empty, header-only and blank-line-only files, and with
+    multi-byte UTF-8 texts, blank first, middle and last lines and no final LF."""
     rng = random.Random(seed)
-    texts = ["", "\n", "\n\n", "date", "date\n", ",\n\n,"]
+    texts = ["", "\n", "\n\n", "date", "date\n", ",\n\n,", "é,日本\n\n—,\u2028\n\n\x85",
+             "date,text\n\n2021-03-01,日本 é\n\n\n2021-03-02,—,\n\n"]
     texts += [_random_plain_text(rng) for _ in range(200)]
+    texts += [_with_blank_lines(_random_plain_text(rng), final_lf=i % 2 == 0) for i in range(100)]
     for i, text in enumerate(texts):
         path = _write(tmp_path / f"{i}.csv", text)
         if text:
@@ -470,6 +495,53 @@ def test_random_unquoted_files_load_like_the_reference(tmp_path, csv_reads, name
         (tmp_path / str(i)).mkdir()
         _assert_same_outcome(_write(tmp_path / str(i) / name, _random_loader_text(rng, name)))
     assert csv_reads == []
+
+
+# ---------------------------------------------------------------------------
+# Dates
+# ---------------------------------------------------------------------------
+
+# Years with and without a leap day, at the ends of the range and at the century rules.
+_EDGE_YEARS = (1, 1600, 1900, 2000, 2100, 9999)
+
+
+@pytest.mark.parametrize("reader", ["split", "csv"])
+def test_every_day_of_edge_years_loads_to_the_fromisoformat_ordinals(tmp_path, csv_reads, reader):
+    tokens = [dt.date.fromordinal(day).isoformat() for year in _EDGE_YEARS
+              for day in range(dt.date(year, 1, 1).toordinal(),
+                               dt.date(year, 12, 31).toordinal() + 1)]
+    text = '"gain"' if reader == "csv" else "gain"
+    path = _write(tmp_path / "news.csv", "date,text\n" + "".join(f"{t},{text}\n" for t in tokens))
+    news = _assert_same_load(path)
+    assert csv_reads == ([path] if reader == "csv" else [])
+    assert len(news) == 6 * 365 + 2
+    assert news.days.tolist() == [dt.date.fromisoformat(t).toordinal() for t in tokens]
+
+
+def test_leap_day_and_padded_dates_load_like_fromisoformat(tmp_path):
+    tokens = ["2000-02-29", " 2021-01-01 ", "\t2024-02-29", "1904-02-29\u3000"]
+    path = _write(tmp_path / "policy.csv",
+                  "date,category\n" + "".join(f"{t},x\n" for t in tokens))
+    events = _assert_same_load(path)
+    assert events.days.tolist() == [dt.date.fromisoformat(t.strip()).toordinal() for t in tokens]
+
+
+@pytest.mark.parametrize("token", [
+    "0000-01-01", "2021-02-29", "1900-02-29", "2100-02-29", "2021-04-31", "2021-13-01",
+    "2021-00-10", "2021-01-00", "2021-01-32", "2021/01/01", "2021-01/01", "2021+01-01",
+    "2021-1-01", "2021-01-1 x",
+    "２０２１-01-01", "٢٠٢١-٠١-٠١", "2021-01-0١", "+021-01-01", " 2021 -01-01"])
+def test_a_bad_date_is_refused_at_its_line_with_the_fromisoformat_reason(tmp_path, token):
+    """Each of these dates is refused at its own line, after a good row and a
+    blank line, with the reason ``date.fromisoformat`` gives for it."""
+    with pytest.raises(ValueError) as reason:
+        dt.date.fromisoformat(token.strip())
+    path = _write(tmp_path / "market.csv",
+                  MARKET_HEADER + f"2021-03-01,1,2,3\n\n{token},1,2,3\n2021-03-02,1,2,3\n")
+    want = f"{path}:4: unparseable date {token!r}: {reason.value}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(want)}$"):
+        load_market_csv(path)
+    _assert_same_outcome(path)
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +744,14 @@ BAD_FILES = {
         "date,category,note\n"
         "2021-03-01,rate_cut,x\n"), ": expected header date,category, "
                                        "got ['date', 'category', 'note']"),
+    "date-without-dashes": ("market.csv", MARKET_HEADER + (
+        "2021-03-01,1,2,3\n"
+        "20210101,1,2,3\n"), ":3: unparseable date '20210101': "
+                               "Invalid isoformat string: '20210101'"),
+    "iso-week-date": ("news.csv", (
+        "date,text\n"
+        "2021-W01-1,gain\n"), ":2: unparseable date '2021-W01-1': "
+                             "Invalid isoformat string: '2021-W01-1'"),
     "policy-bad-date": ("policy.csv", (
         "date,category\n"
         "2021-03-01,rate_hike\n"
@@ -690,8 +770,7 @@ BAD_FILES = {
         "2021-03-02,1,2,3\n"
         "2021-03-04,1,2,3\n"
         "2021-03-02,1,2,3\n"
-        "2021-03-01,1,2,3\n"), ": duplicate dates [datetime.date(2021, 3, 2), "
-                               "datetime.date(2021, 3, 4)]"),
+        "2021-03-01,1,2,3\n"), ": duplicate dates 2021-03-02, 2021-03-04"),
     "first-non-finite-in-file-order": ("market.csv", MARKET_HEADER + (
         "2021-03-05,1,2,3\n"
         "\n"
@@ -738,7 +817,8 @@ def test_bad_file_raises_the_reference_message(tmp_path, case):
                                   "multi-line-quoted-value-counted",
                                   "news-multi-line-text-then-bad-date",
                                   "field-over-the-limit", "news-extra-header-column",
-                                  "policy-extra-header-column", "market-repeated-column"])
+                                  "policy-extra-header-column", "market-repeated-column",
+                                  "date-without-dashes", "iso-week-date"])
 def test_bad_file_through_the_cli_exits_3_with_file_line(tmp_path, capsys, case):
     name, text, fragment = BAD_FILES[case]
     data = tmp_path / "data"
