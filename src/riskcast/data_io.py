@@ -12,9 +12,14 @@ refuses a field over that limit.  Both give the same rows and the line each
 ends on: blank lines are skipped, whitespace in fields is kept.  A date is
 ``YYYY-MM-DD`` in ASCII digits, a Gregorian date from year 1, with
 surrounding whitespace stripped; a date column is parsed as one byte array.
-News and policy load as :class:`~riskcast.frames.DatedLabels`.  The writers
-join whole column slices into lines, quoting a text field only when it holds
-a ``,``, ``"``, LF or CR:
+A value is an ASCII decimal float as ``float()`` reads it, with no ``_``.
+One leading UTF-8 byte-order mark is dropped.  News and policy load as
+:class:`~riskcast.frames.DatedLabels`.  The writers build the bytes of
+``_ROWS_PER_WRITE`` rows at a time from whole column slices, with no Python
+object per value: dates by civil-from-days arithmetic, floats as the
+shortest round-trip digits (Schubfach) laid out as ``repr`` lays them out,
+and text fields encoded once, quoted only when they hold a ``,``, ``"``, LF
+or CR:
 
 * ``market.csv``    - ``date,open,close,volume``
 * ``financial.csv`` - ``date,profit,debt_ratio,cash_flow``
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import itertools
 import os
@@ -51,7 +57,7 @@ import numpy as np
 
 from .errors import DataError, ModelIOError, SchemaError, read_file
 from .features import ColumnStats, SampleSet
-from .frames import DatedLabels, TimeSeriesFrame, day_numbers, merge_outer
+from .frames import DatedLabels, TimeSeriesFrame, calendar_dates, day_numbers, merge_outer
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
 from .preprocess import PipelineConfig, Preprocess, SplitSpec
@@ -199,6 +205,8 @@ def _check_rows(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, 
             raise SchemaError(f"{where} unparseable date {row[0]!r}: {exc}") from exc
         for name, token in zip(value_names, row[1:]):
             try:
+                if not token.isascii() or "_" in token:
+                    raise ValueError("not an ASCII decimal float")
                 float(token)
             except ValueError as exc:
                 raise SchemaError(f"{where} unparseable value {token!r} "
@@ -225,7 +233,12 @@ def _columns(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, wid
             if not valid.all():
                 raise ValueError("bad dates")
         for column, row in enumerate(values, start=1):
-            row[:] = list(map(float, fields[column::width]))
+            tokens = fields[column::width]
+            # float() also takes digit-group underscores and any Unicode digit.
+            joined = "".join(tokens)
+            if not joined.isascii() or "_" in joined:
+                raise ValueError("a value that is not an ASCII decimal float")
+            row[:] = list(map(float, tokens))
     except ValueError:
         _check_rows(path, fields, widths, lines, width, value_names)
         raise
@@ -271,8 +284,8 @@ def _load_numeric_csv(path, required: tuple[str, ...],
     ranked = days[order]
     repeated = ranked[1:] == ranked[:-1]
     if repeated.any():
-        dupes = _iso_dates(np.unique(ranked[1:][repeated])[:5])
-        raise SchemaError(f"{path}: duplicate dates {', '.join(dupes)}")
+        dupes = calendar_dates(np.unique(ranked[1:][repeated])[:5])
+        raise SchemaError(f"{path}: duplicate dates {', '.join(map(str, dupes))}")
     _reject_first(path, lines, ~np.isfinite(matrix), matrix, value_names,
                   dict.fromkeys(value_names, "non-finite"))
     invalid = invalid or {}
@@ -320,16 +333,259 @@ def load_policy_csv(path) -> DatedLabels:
 # ---------------------------------------------------------------------------
 
 
-# ``datetime64[D]`` counts days from 1970-01-01; day ordinals from 0001-01-01.
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 # Rows formatted at once: whole columns are faster to format than single
 # rows, and slices of them keep the writers' transient memory small.
 _ROWS_PER_WRITE = 4096
 
+# Offsets into :func:`_digit_tables`' stripped tables.
+_BLANK, _LAST = 10000, 20000
 
-def _iso_dates(days: np.ndarray) -> list[str]:
-    """``date.isoformat()`` of each day ordinal, formatted in one array call."""
-    return np.datetime_as_string((days - _EPOCH_ORDINAL).astype("datetime64[D]")).tolist()
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each number 0 to 9999 as its 4 ASCII digits in one uint32; and two
+    tables that turn zeros into NULs, for the leading zeros of integer digits
+    and the trailing zeros of fraction digits.  Each of those is the plain
+    digits, then the stripped ones (0 all NULs) from :data:`_BLANK`, then the
+    stripped ones with 0 as one ``0`` from :data:`_LAST`.  Made on first use,
+    as import time counts in every command."""
+    numbers, places = np.arange(10000)[:, None], np.array([1000, 100, 10, 1])
+    chars = (numbers // places % 10 + ord("0")).astype(np.uint8)
+
+    def table(*kept):
+        return np.concatenate([(chars * digits).view("<u4").reshape(-1) for digits in kept])
+
+    return (table(True), table(True, numbers >= places, numbers >= places * [1, 1, 1, 0]),
+            table(True, numbers % (10 * places) > 0, numbers % (10 * places) > [-1, 0, 0, 0]))
+
+
+_DATE_CELL = np.dtype([("year", "<u4"), ("dash1", "u1"), ("month", "<u2"), ("dash2", "u1"),
+                       ("day", "<u2")])
+
+
+def _date_cells(days: np.ndarray) -> np.ndarray:
+    """``date.isoformat()`` of each day ordinal from 1 to 3,652,059, as the
+    rows of an ``[n x 10]`` uint8 array.  Civil from days, the inverse of
+    :func:`_date_ordinals`: count from 1 March of year 0, so that a leap day
+    ends its year, and split into eras of 400 years."""
+    era, day_of_era = np.divmod(days + 305, 146097)
+    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524
+                   - day_of_era // 146096) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    shifted_month = (5 * day_of_year + 2) // 153          # 0 is March
+    month = shifted_month + np.where(shifted_month < 10, 3, -9)
+    digits4 = _digit_tables()[0]
+    digits2 = digits4.view("<u2")[1::2]         # the last 2 of 4 digits
+    cells = np.empty(len(days), dtype=_DATE_CELL)
+    cells["year"] = digits4[era * 400 + year_of_era + (month <= 2)]
+    cells["dash1"] = cells["dash2"] = ord("-")
+    cells["month"] = digits2[month]
+    cells["day"] = digits2[day_of_year - (153 * shifted_month + 2) // 5 + 1]
+    return cells.view(np.uint8).reshape(len(days), 10)
+
+
+# Shortest round-trip digits of a double by Schubfach (Giulietti 2020, "The
+# Schubfach way to render doubles"), on uint64 arrays.  ``_u(n)`` is a uint64
+# scalar, so that no operation leaves uint64.
+_u = np.uint64
+_LOW32, _LOW63 = _u(2**32 - 1), _u(2**63 - 1)
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_G_K_MIN = -324                     # g(k) is tabled for k in [-324, 292]
+
+
+@functools.cache
+def _schubfach_g() -> tuple[np.ndarray, ...]:
+    """g(k) = floor(10^-k * 2^(125 - floor(-k log2 10))) + 1, a 126-bit integer,
+    as its high and low 63 bits and each of those as 32-bit halves.  Made on
+    first use."""
+    high, low = [], []
+    for k in range(_G_K_MIN, 293):
+        if k <= 0:
+            power = 10 ** -k
+            shift = 126 - power.bit_length()
+            g = (power << shift if shift >= 0 else power >> -shift) + 1
+        else:
+            power = 10 ** k
+            g = (1 << (125 + power.bit_length())) // power + 1
+        high.append(g >> 63)
+        low.append(g & (2**63 - 1))
+    g1, g0 = np.array(high, dtype=np.uint64), np.array(low, dtype=np.uint64)
+    return g1, g0, g1 >> _u(32), g1 & _LOW32, g0 >> _u(32), g0 & _LOW32
+
+
+def _mul_high(a_high, a_low, b_high, b_low):
+    """The high 64 bits of the 128-bit product of ``a`` < 2^63 and ``b`` < 2^60,
+    each given as its 32-bit halves."""
+    cross = a_high * b_low
+    cross += a_low * b_high         # < 2^63 + 2^60: no carry out
+    low = a_low * b_low
+    low >>= _u(32)
+    low += cross & _LOW32
+    low >>= _u(32)
+    cross >>= _u(32)
+    cross += low
+    cross += a_high * b_high
+    return cross
+
+
+def _round_to_odd(g, cp):
+    """floor(g * cp / 2^127), its last bit set when the floor is inexact: Schubfach's
+    ``rop`` for the 126-bit g (:func:`_schubfach_g`' halves) and ``cp`` < 2^60."""
+    g1, g0, g1_high, g1_low, g0_high, g0_low = g
+    cp_high, cp_low = cp >> _u(32), cp & _LOW32
+    z = g1 * cp                     # the low 64 bits
+    z >>= _u(1)
+    z += _mul_high(g0_high, g0_low, cp_high, cp_low)
+    v = _mul_high(g1_high, g1_low, cp_high, cp_low)
+    v += z >> _u(63)
+    z &= _LOW63
+    z += _LOW63
+    z >>= _u(63)
+    v |= z
+    return v
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest decimal ``d * 10^k`` that reads back as each positive normal
+    double of ``x``, nearest to it and with an even last digit on a tie, as
+    ``repr`` chooses it: ``d`` uint64 of at most 17 digits, ``k`` int64.  An
+    integer below 2^53 is itself, with k = 0."""
+    bits = x.view(np.uint64)
+    fraction = bits & _u(2**52 - 1)
+    c = fraction | _u(2**52)
+    biased = (bits >> _u(52)).astype(np.int64)
+    q = biased - 1075
+    # At a power of two the interval below is half as wide (but not at the smallest normal).
+    closer = (fraction == 0) & (biased > 1)
+    k = (q * 661971961083 - closer * 274743187321) >> 41
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    g = tuple(column[k - _G_K_MIN] for column in _schubfach_g())
+    cb = c << _u(2)
+    vb = _round_to_odd(g, cb << h)
+    odd = c & _u(1)
+    lower = _round_to_odd(g, (cb - _u(2) + closer.astype(np.uint64)) << h) + odd
+    upper = _round_to_odd(g, (cb + _u(2)) << h) - odd
+    s = vb >> _u(2)
+    # One digit fewer: the one multiple of 10 that the interval can hold.
+    tens = s // _u(10) * _u(40)
+    up_in, over_in = lower <= tens, tens + _u(40) <= upper
+    s4 = s << _u(2)
+    s_in, next_in = lower <= s4, s4 + _u(4) <= upper
+    tie_up = (vb > s4 + _u(2)) | ((vb == s4 + _u(2)) & (s & _u(1)).astype(bool))
+    d = np.where(up_in != over_in, (tens >> _u(2)) + _u(10) * over_in,
+                 s + np.where(s_in != next_in, next_in, tie_up))
+    power = d == _POW10[17]         # 10^17 becomes 10^16, to keep 17 digits
+    d[power] = _POW10[16]
+    k += power
+    # An integer below 2^53 with a fraction below 1 ulp: c >> (1075 - biased).
+    shift = np.clip(1075 - biased, 0, 63).astype(np.uint64)
+    integer = (q < 0) & (q > -53) & ((c >> shift) << shift == c)
+    d[integer] = (c >> shift)[integer]
+    k[integer] = 0
+    return d, k
+
+
+def _blocks(values, n_blocks: int) -> list[np.ndarray]:
+    """The ``n_blocks`` 4-digit blocks of the uint64 ``values`` < 10^(4 n_blocks),
+    most significant first, as intp."""
+    blocks = []
+    for _ in range(n_blocks - 1):
+        high = values // _u(10000)
+        blocks.append((values - high * _u(10000)).astype(np.intp))
+        values = high
+    blocks.append(values.astype(np.intp))
+    return blocks[::-1]
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 of ``values`` as the rows of an ``[n x width]``
+    uint8 array, padded with NULs.
+
+    A value with e digits before its decimal point, -4 < e <= 16 (e < 1
+    counts the zeros after the point as -e), is laid out as ``repr`` does: integer digits (``0`` if none), a point and
+    fraction digits (``0`` if none), behind a ``-`` if negative.  Each part is
+    written in 4-digit blocks from :func:`_digit_tables`, which turn the zeros
+    before the integer and after the fraction into NULs.  Zero,
+    subnormals, non-finite values and the exponent form go through ``repr`` one
+    at a time.
+    """
+    magnitude = np.abs(values)
+    biased = magnitude.view(np.uint64) >> _u(52)
+    normal = (biased != 0) & (biased != 2047)
+    digits, k = _shortest_digits(np.where(normal, magnitude, 1.0))
+    point = 16 + (digits >= _POW10[16]) + k           # digits before the point
+    fixed = normal & (point > -4) & (point <= 16)
+    # The integer part is the value's own: no shortest decimal crosses an integer below 2^53.
+    integer = np.where(fixed, magnitude, 0.0).astype(np.uint64)
+    places = np.where(fixed, np.maximum(-k, 0), 0)    # fraction digits, at most 20
+    fraction = digits - integer * _POW10[np.minimum(places, 19)]
+    fraction[places == 0] = 0
+    # The fraction left-aligned in 20 digits: the first 8, then the last 12.
+    over = _POW10[np.maximum(places - 8, 0)]
+    high = fraction // over
+    low = (fraction - high * over) * _POW10[np.clip(20 - places, 0, 19)]
+    high *= _POW10[np.maximum(8 - places, 0)]
+    n_int = 1 + int((integer.max(initial=0) >= _POW10[[4, 8, 12]]).sum())   # 4-digit blocks
+    n_frac = max(1, -(-int(places.max(initial=0)) // 4))
+
+    _, leading, trailing = _digit_tables()
+    columns = []
+    for i, block in enumerate(_blocks(integer, n_int)):
+        above_zero = integer < _POW10[4 * (n_int - i)]      # no digit before this block
+        columns.append(leading[block + (_LAST if i == n_int - 1 else _BLANK) * above_zero])
+    columns.append(np.full(len(values), ord("."), dtype="<u4"))
+    fraction_blocks = (_blocks(high, 2) + _blocks(low, 3))[:n_frac]
+    below_zero = np.ones(len(values), dtype=bool)           # no digit after this block
+    tail = []
+    for i in range(n_frac - 1, -1, -1):
+        block = fraction_blocks[i]
+        tail.append(trailing[block + (_LAST if i == 0 else _BLANK) * below_zero])
+        below_zero &= block == 0
+    columns += tail[::-1]
+    body = np.stack(columns, axis=1).view(np.uint8)
+    rows = np.flatnonzero(~fixed)
+    width = max(1 + body.shape[1], 24 if rows.size else 0)  # no repr is longer than 24
+    cells = np.zeros((len(values), width), dtype=np.uint8)
+    cells[:, 0] = np.where(np.signbit(values), ord("-"), 0)
+    cells[:, 1:1 + body.shape[1]] = body
+    if rows.size:
+        texts = [repr(value).encode().ljust(width, b"\0") for value in values[rows].tolist()]
+        cells[rows] = np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(rows.size, width)
+    return cells
+
+
+def _csv_lines(cells: list[np.ndarray]):
+    """One CSV line per row of the ``[n x width]`` uint8 ``cells`` blocks, with
+    a ``,`` between them and an LF after the last, as one uint8 array: NUL
+    bytes pad the cells and are dropped."""
+    n = len(cells[0])
+    comma, lf = np.full((n, 1), _COMMA, dtype=np.uint8), np.full((n, 1), _LF, dtype=np.uint8)
+    rows = np.concatenate([cells[0], *itertools.chain.from_iterable(
+        (comma, cell) for cell in cells[1:]), lf], axis=1).ravel()
+    return rows[rows != 0]
+
+
+def _labelled_lines(dates: np.ndarray, labels: Sequence[str]):
+    """One ``date,label`` line per row of the ``[n x 10]`` uint8 ``dates`` and
+    entry of ``labels`` (fields as written), as one uint8 array.  The labels
+    are joined and encoded once; the dates fill the gaps left before each."""
+    joined = "\n".join(labels) + "\n"
+    text = joined.encode()
+    if len(text) == len(joined):    # ASCII: a label's characters are its bytes
+        lengths = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+    else:
+        lengths = np.fromiter(map(len, map(str.encode, labels)), dtype=np.int64,
+                              count=len(labels))
+    lengths += 1
+    starts = np.cumsum(lengths) - lengths + 11 * np.arange(len(labels))
+    at = (starts[:, None] + np.arange(11)).ravel()
+    lines = np.empty(len(text) + at.size, dtype=np.uint8)
+    is_text = np.ones(lines.size, dtype=bool)
+    is_text[at] = False
+    lines[is_text] = np.frombuffer(text, dtype=np.uint8)
+    lines[at] = np.concatenate((dates, np.full((len(dates), 1), _COMMA, dtype=np.uint8)),
+                               axis=1).ravel()
+    return lines
 
 
 # The characters RFC 4180 quotes a field for: the delimiter, the quote, LF and CR.
@@ -352,46 +608,40 @@ def _quoted(fields: Sequence[str]) -> Sequence[str]:
             for field in fields]
 
 
-def _write_csv(path, header: list[str], n_rows: int, columns) -> None:
-    """``header``, then the rows whose fields ``columns(part)`` gives column by
-    column, as strings, for each slice ``part`` of ``n_rows``."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(_quoted(header)) + "\n")
+def _write_csv(path, header: list[str], n_rows: int, lines) -> None:
+    """``header``, then the bytes ``lines(part)`` gives for each slice ``part`` of ``n_rows``."""
+    with open(path, "wb") as handle:
+        handle.write((",".join(_quoted(header)) + "\n").encode())
         for start in range(0, n_rows, _ROWS_PER_WRITE):
-            part = slice(start, start + _ROWS_PER_WRITE)
-            handle.write("\n".join(map(",".join, zip(*columns(part)))) + "\n")
-
-
-def _write_dated(days: np.ndarray, values: Sequence, path, header: list[str], fmt) -> None:
-    """One row per day ordinal of ``days`` and its entry of ``values``;
-    ``fmt`` turns a slice of ``values`` into fields."""
-    _write_csv(path, header, len(days),
-               lambda part: (_iso_dates(days[part]), fmt(values[part])))
+            handle.write(lines(slice(start, start + _ROWS_PER_WRITE)))
 
 
 def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
     """``date`` column followed by the frame's columns, full float precision."""
     names = frame.column_names
+    _write_csv(path, ["date", *names], len(frame), lambda part: _csv_lines(
+        [_date_cells(frame.days[part]), *(_float_cells(frame.columns[name][part])
+                                          for name in names)]))
 
-    def columns(part):
-        values = (map(repr, frame.columns[name][part].tolist()) for name in names)
-        return _iso_dates(frame.days[part]), *values
 
-    _write_csv(path, ["date", *names], len(frame), columns)
+def _write_labels(items: DatedLabels, path, header: list[str]) -> None:
+    _write_csv(path, header, len(items), lambda part: _labelled_lines(
+        _date_cells(items.days[part]), _quoted(items.labels[part])))
 
 
 def write_news_csv(items: DatedLabels, path) -> None:
-    _write_dated(items.days, items.labels, path, ["date", "text"], _quoted)
+    _write_labels(items, path, ["date", "text"])
 
 
 def write_policy_csv(events: DatedLabels, path) -> None:
-    _write_dated(events.days, events.labels, path, ["date", "category"], _quoted)
+    _write_labels(events, path, ["date", "category"])
 
 
 def write_predictions_csv(predictions: list[tuple[dt.date, float]], path) -> None:
     dates, scores = zip(*predictions) if predictions else ((), ())
-    _write_dated(day_numbers(dates), scores, path, ["date", "risk_score"],
-                 lambda scores: map(repr, scores))
+    days, scores = day_numbers(dates), np.array(scores, dtype=np.float64)
+    _write_csv(path, ["date", "risk_score"], len(days), lambda part: _csv_lines(
+        [_date_cells(days[part]), _float_cells(scores[part])]))
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,11 @@ class ModelIOError(RiskcastError):
 
 def read_file(path, error: type[RiskcastError]) -> tuple[bytes, str]:
     """The bytes of ``path`` and their text, read once and decoded once as UTF-8 with
-    the line ends kept.  A byte that is not UTF-8 raises ``error`` at its ``file:line``
-    (lines end at LF, CR or CRLF)."""
+    the line ends kept, both without one leading UTF-8 byte-order mark.  A byte that
+    is not UTF-8 raises ``error`` at its ``file:line`` (lines end at LF, CR or CRLF)."""
     with open(path, "rb") as handle:
         data = handle.read()
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data, data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -31,9 +31,10 @@ changing it changes every file.  A normal takes two uniforms (Box-Muller).
 The news and policy streams are read a chunk of days at a time: the draws
 left unread by the last chunk are topped up with fresh ones to as many as the
 chunk's days can use, so no more draws are made at once than a chunk can use.
-One loop over positions then finds where each day starts (and, for news,
-where each item starts).  A news chunk's items are composed as arrays from
-those positions, one group per filler count, before the next chunk is drawn.
+One loop over the days then finds where each starts: for news, array passes
+over every position first give the draws of a day starting there, and each
+day's item starts follow from its own.  A news chunk's items are composed as
+one array from those positions before the next chunk is drawn.
 
 :func:`synth_generate` returns the bundle and, given a directory (as
 ``gen-data`` gives it), writes the bundle's files there.
@@ -157,19 +158,20 @@ def _market(cfg: SynthConfig, sentiment: np.ndarray, regime_mult: np.ndarray,
     else:
         responses = [response] * 3
     sigmas = np.array([cfg.base_vol * regime_mult * np.exp(cfg.kappa * r) for r in responses])
-    growths = np.exp(_DRIFT + sigmas * rng_price.normals(n)).tolist()
+    down, flat, up = np.exp(_DRIFT + sigmas * rng_price.normals(n)).tolist()
     closes = []
-    picks = []
     close = 100.0
     for t in range(n):
-        pick = 1
         if t > _TREND_LOOKBACK:
-            move = closes[t - 1] - closes[t - 1 - _TREND_LOOKBACK]
-            pick += (move > 0) - (move < 0)
-        close = close * growths[pick][t]
+            move = close - closes[t - 1 - _TREND_LOOKBACK]
+            close *= up[t] if move > 0 else down[t] if move < 0 else flat[t]
+        else:
+            close *= flat[t]
         closes.append(close)
-        picks.append(pick)
     closes = np.array(closes)
+    moves = closes[_TREND_LOOKBACK:-1] - closes[:-1 - _TREND_LOOKBACK]
+    picks = np.ones(n, dtype=np.intp)
+    picks[1 + _TREND_LOOKBACK:] += (moves > 0).view(np.int8) - (moves < 0).view(np.int8)
     sigma = sigmas[picks, np.arange(n)]
     prev_closes = np.concatenate(([100.0], closes[:-1]))
     opens = prev_closes * np.exp(0.25 * sigma * rng_open.normals(n))
@@ -179,63 +181,89 @@ def _market(cfg: SynthConfig, sentiment: np.ndarray, regime_mult: np.ndarray,
     return {"open": opens, "close": closes, "volume": volumes}
 
 
+def _mod(x: np.ndarray, n: int) -> np.ndarray:
+    """``x % n`` for uint64 ``x`` and a scalar ``n``: numpy divides by a scalar
+    faster than it takes a remainder."""
+    n = np.uint64(n)
+    return x - x // n * n
+
+
 def _news_items(bits: np.ndarray, days: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Walk ``days`` days of news draws: the position in ``bits`` where each
-    item starts, the day each belongs to, and the position after the last day."""
-    # At each position p, as bytes so that indexing yields ints: the item
-    # count of a day starting there (next_float() < 0.5 and < 0.25 exactly
-    # when the draw is below 2**63 and 2**62), and the draws of an item
-    # starting there (its filler count is draw p + 8).
-    counts = (1 + (bits[:-1] < np.uint64(1 << 63)).view(np.uint8)
-              + (bits[1:] < np.uint64(1 << 62)).view(np.uint8)).tobytes()
-    fillers = 2 + (bits[2 + _WORDS_PER_ITEM:] % 3).astype(np.uint8)
-    lengths = (2 + 2 * _WORDS_PER_ITEM + 2 * fillers).tobytes()
-    items, item_days = [], []
+    item starts, the day each belongs to, and the position after the last day.
+
+    For every position ``p`` at once, as uint8: the item count of a day
+    starting there (next_float() < 0.5 and < 0.25 exactly when the draw is
+    below 2**63 and 2**62) and the draws of its up to three items, each
+    starting after the one before (an item's filler count is its draw 8).
+    Only the day starts are then walked one by one."""
+    n = bits.size - 1
+    counts = 1 + (bits[:-1] < np.uint64(1 << 63)).view(np.uint8)
+    counts += (bits[1:] < np.uint64(1 << 62)).view(np.uint8)
+    # The draws of an item starting at p, 0 past the end of ``bits``.
+    lengths = np.zeros(n + 1 + 3 * _MAX_ITEM_DRAWS, dtype=np.uint8)
+    lengths[:n - 1 - _WORDS_PER_ITEM] = 2 * (_WORDS_PER_ITEM + 3) + 2 * _mod(
+        bits[2 + _WORDS_PER_ITEM:], 3).astype(np.uint8)
+    # The draws of a day's first, second and third item, for a day starting at
+    # p: the next item starts at one of a few even offsets from p.
+    shortest, longest = 2 * (_WORDS_PER_ITEM + 3), _MAX_ITEM_DRAWS
+    drawn = [lengths[2:n + 2]]
+    offsets = 2 + drawn[0]
+    for before in (1, 2):
+        found = np.zeros(n, dtype=np.uint8)
+        for offset in range(2 + before * shortest, 2 + before * longest + 1, 2):
+            found += (offsets == offset) * lengths[offset:offset + n]
+        drawn.append(found)
+        offsets += found
+    steps = (2 + drawn[0] + (counts > 1) * (drawn[1] + (counts > 2) * drawn[2])).tobytes()
+    day_starts = []
     p = 0
-    for day in range(days):
-        n_items = counts[p]
-        p += 2
-        for _ in range(n_items):
-            items.append(p)
-            item_days.append(day)
-            p += lengths[p]
-    return np.array(items), np.array(item_days), p
+    for _ in range(days):
+        day_starts.append(p)
+        p += steps[p]
+    day_starts = np.array(day_starts)
+    per_day = counts[day_starts]
+    item_starts = day_starts[:, None] + 2 + np.cumsum(
+        np.stack([np.zeros(days, dtype=np.intp), *(d[day_starts] for d in drawn[:2])], axis=1),
+        axis=1)
+    return item_starts[np.arange(3) < per_day[:, None]], np.repeat(np.arange(days), per_day), p
 
 
 def _compose_news(bits: np.ndarray, items: np.ndarray, levels: np.ndarray,
-                  vocab: np.ndarray, n_pos_terms: int, n_neg_terms: int) -> np.ndarray:
+                  vocab: np.ndarray, n_pos_terms: int, n_neg_terms: int) -> list[str]:
     """The text of each item whose draws start at ``items``, around sentiment ``levels``.
 
-    Items are composed as arrays, one group per filler count, over indices
-    into ``vocab``: the positive terms, then the negative terms, then the
-    fillers.
-    """
-    noise = box_muller(unit_floats(bits[items]), unit_floats(bits[items + 1]),
-                       0.0, _ITEM_NOISE_SD)
+    Items are composed as one ``[items x 10]`` array of indices into
+    ``vocab``: the positive terms, then the negative terms, then the fillers,
+    each followed by a space, then all of them again followed by an LF, then
+    an empty entry that pads the rows.  The rows are joined and split once."""
+    draws = bits[np.minimum(items[:, None] + np.arange(_MAX_ITEM_DRAWS), bits.size - 1)]
+    noise = box_muller(unit_floats(draws[:, 0]), unit_floats(draws[:, 1]), 0.0, _ITEM_NOISE_SD)
     polarity = np.clip(levels + noise, -1.0, 1.0)
     n_pos = (_WORDS_PER_ITEM * (1.0 + polarity) / 2.0 + 0.5).astype(np.intp)
-    picks = bits[items[:, None] + np.arange(2, 2 + _WORDS_PER_ITEM)]
-    words = np.where(np.arange(_WORDS_PER_ITEM) < n_pos[:, None],
-                     picks % n_pos_terms, picks % n_neg_terms + n_pos_terms)
-    fillers = 2 + bits[items + 2 + _WORDS_PER_ITEM] % 3
-    texts = np.empty(items.size, dtype=object)
-    for n_fill in range(2, _MAX_FILLERS + 1):
-        rows = np.flatnonzero(fillers == n_fill)
-        fill_at = items[rows, None] + 3 + _WORDS_PER_ITEM
-        width = _WORDS_PER_ITEM + n_fill
-        fill = bits[fill_at + np.arange(n_fill)] % len(_FILLER_WORDS) + (n_pos_terms + n_neg_terms)
-        group = np.concatenate((words[rows], fill), axis=1).astype(np.intp)
-        # Fisher-Yates, as SeededRng.shuffle: one column swap per step, over all rows.
-        swaps = bits[fill_at + np.arange(n_fill, n_fill + width - 1)]
-        targets = (swaps % np.arange(width, 1, -1, dtype=np.uint64)).astype(np.intp)
-        targets += width * np.arange(rows.size)[:, None]    # flat indices into group
-        flat = group.reshape(-1)
-        for i, j in zip(range(width - 1, 0, -1), targets.T):
-            picked = flat[j]
-            flat[j] = group[:, i]
-            group[:, i] = picked
-        texts[rows] = list(map(" ".join, vocab[group].tolist()))
-    return texts
+    picks = draws[:, 2:2 + _WORDS_PER_ITEM]
+    words = np.where(np.arange(_WORDS_PER_ITEM) < n_pos[:, None], _mod(picks, n_pos_terms),
+                     _mod(picks, n_neg_terms) + np.uint64(n_pos_terms))
+    fillers = 2 + _mod(draws[:, 2 + _WORDS_PER_ITEM], 3).astype(np.intp)
+    fill = _mod(draws[:, 3 + _WORDS_PER_ITEM:3 + _WORDS_PER_ITEM + _MAX_FILLERS],
+                len(_FILLER_WORDS)) + np.uint64(n_pos_terms + n_neg_terms)
+    group = np.concatenate((words, fill), axis=1).astype(np.intp)
+    widths = _WORDS_PER_ITEM + fillers
+    # Fisher-Yates, as SeededRng.shuffle: one column swap per step, over all
+    # rows.  Step i reads an item's (draws - i)-th draw, and swaps nothing in
+    # a row i words wide or less.
+    rows = np.arange(items.size)
+    last_draws = 2 + 2 * widths
+    flat = group.reshape(-1)
+    for i in range(group.shape[1] - 1, 0, -1):
+        j = np.where(i < widths, _mod(draws[rows, last_draws - i], i + 1).astype(np.intp), i)
+        j += group.shape[1] * rows
+        picked = flat[j]
+        flat[j] = group[:, i]
+        group[:, i] = picked
+    group[rows, widths - 1] += (len(vocab) - 1) // 2    # the last word ends its line
+    group[np.arange(group.shape[1]) >= widths[:, None]] = len(vocab) - 1
+    return "".join(vocab[group].ravel().tolist()).split("\n")[:-1]
 
 
 def _news(rng: SeededRng, days: np.ndarray, sentiment: np.ndarray,
@@ -244,7 +272,8 @@ def _news(rng: SeededRng, days: np.ndarray, sentiment: np.ndarray,
 
     Each chunk of days is drawn, walked and composed before the next is
     drawn, so only one chunk's draws are alive at a time."""
-    vocab = np.array([*pos_terms, *neg_terms, *_FILLER_WORDS], dtype=object)
+    terms = [*pos_terms, *neg_terms, *_FILLER_WORDS]
+    vocab = np.array([*(t + " " for t in terms), *(t + "\n" for t in terms), ""], dtype=object)
     item_days, texts = [], []
     bits, end = np.empty(0, dtype=np.uint64), 0
     for first in range(0, len(days), _CHUNK_DAYS):
@@ -253,7 +282,7 @@ def _news(rng: SeededRng, days: np.ndarray, sentiment: np.ndarray,
         items, chunk_days, end = _news_items(bits, n_days)
         item_days.append(days[first + chunk_days])
         texts += _compose_news(bits, items, sentiment[first + chunk_days], vocab,
-                               len(pos_terms), len(neg_terms)).tolist()
+                               len(pos_terms), len(neg_terms))
     return DatedLabels(np.concatenate(item_days), texts)
 
 

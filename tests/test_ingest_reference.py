@@ -80,7 +80,11 @@ def _ref_parse_date(token, path, lineno):
 
 
 def _ref_parse_float(token, column, path, lineno):
+    """The documented value rule: an ASCII decimal float, without the digit-group
+    underscores that ``float`` also takes."""
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"not an ASCII decimal float: {token!r}")
         return float(token)
     except ValueError as exc:
         raise SchemaError(
@@ -274,7 +278,7 @@ def test_blank_lines_and_padded_dates_load_like_the_reference(tmp_path, newline)
     _assert_same_load(_write(tmp_path / "market.csv", (
         " date , open ,close,volume,extra\n"
         "\n"
-        " 2021-03-01 ,1.5,2.25, 3 ,1_000\n"
+        " 2021-03-01 ,1.5,2.25, 3 ,1000.\n"
         "\n"
         "\n"
         "2021-03-02\t, -0.0 ,1e-310,4e2,+7\n"
@@ -406,9 +410,10 @@ def test_each_file_takes_the_reader_its_contents_choose(tmp_path, csv_reads, sma
 # characters that str.splitlines (but not a CSV reader) takes for line ends.
 _PIECES = ("", " ", "  ", "\t", "x", "gain", "loss", "é", "日本", "—", "\x00", "\u2028",
            "\x85", "\x0b", "\x0c", "\x1c", "2021-03-01", " 2021-03-02", "1.5", "nan", "1_000")
-_NUMBERS = ("1.5", " 2 ", "-0.0", "1e-310", "0.1", "0.30000000000000004", "1_000", "+7", "3.",
-            ".5", "1E3", "\u20034", "1.7976931348623157e308")
-_BAD_NUMBERS = ("oops", "", "nan", "-inf", "1e500", "0x10")
+_NUMBERS = ("1.5", " 2 ", "-0.0", "1e-310", "0.1", "0.30000000000000004", "+7", "3.",
+            ".5", "1E3", "1.7976931348623157e308")
+# float() takes the last two; a value must be ASCII and hold no underscore.
+_BAD_NUMBERS = ("oops", "", "nan", "-inf", "1e500", "0x10", "1_000", "\u20034")
 
 
 def _random_plain_text(rng: random.Random) -> str:
@@ -780,6 +785,14 @@ BAD_FILES = {
         "date,gdp,cpi,interest_rate\n"
         "2021-01-01,1,2,3\n"
         "2021-02-01,1,1e500,nan\n"), ":3: non-finite value inf in column 'cpi'"),
+    "value-with-digit-group-underscore": ("market.csv", MARKET_HEADER + (
+        "2021-03-01,1,2,3\n"
+        "2021-03-02,1,1_00.5,3\n"), ":3: unparseable value '1_00.5' in column 'close'"),
+    "value-in-arabic-indic-digits": ("financial.csv", (
+        "date,profit,debt_ratio,cash_flow\n"
+        "2021-03-31,1,2,3\n"
+        "2021-06-30,\u0661\u0660\u0660.\u0665,2,3\n"),
+        ":3: unparseable value '\u0661\u0660\u0660.\u0665' in column 'profit'"),
     "missing-column": ("market.csv", "date,open,volume\n2021-03-01,1,2\n",
                        ": missing required column 'close'"),
     "date-not-first": ("market.csv", "open,date,close,volume\n1,2021-03-01,2,3\n",
@@ -818,7 +831,9 @@ def test_bad_file_raises_the_reference_message(tmp_path, case):
                                   "news-multi-line-text-then-bad-date",
                                   "field-over-the-limit", "news-extra-header-column",
                                   "policy-extra-header-column", "market-repeated-column",
-                                  "date-without-dashes", "iso-week-date"])
+                                  "date-without-dashes", "iso-week-date",
+                                  "value-with-digit-group-underscore",
+                                  "value-in-arabic-indic-digits"])
 def test_bad_file_through_the_cli_exits_3_with_file_line(tmp_path, capsys, case):
     name, text, fragment = BAD_FILES[case]
     data = tmp_path / "data"
@@ -859,3 +874,19 @@ def test_a_rejected_file_is_opened_once(tmp_path, monkeypatch, name, text, fragm
     monkeypatch.undo()
     assert str(got.value).startswith(f"{path}{fragment}")
     assert opened.count(os.fspath(path)) == 1
+
+
+def test_a_byte_order_mark_leaves_the_trained_model_unchanged(tmp_path, capsys):
+    """Spreadsheet programs start a UTF-8 CSV with U+FEFF.  One leading mark
+    is dropped from a file's bytes and text alike, so a set whose every file
+    carries one trains to the same model bytes."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    assert main(["gen-data", "--days", "2000", "--seed", "7", "--out", str(plain)]) == 0
+    marked.mkdir()
+    for name in data_io.DATA_FILES:
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+    for data in (plain, marked):
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / f"{data.name}.rcm"),
+                     "--baseline", "linreg"]) == 0
+    assert (tmp_path / "plain.rcm").read_bytes() == (tmp_path / "marked.rcm").read_bytes()
+    assert "warning" not in capsys.readouterr().err

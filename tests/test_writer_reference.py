@@ -4,11 +4,17 @@ The reference functions below write one ``csv.writer`` row per data row,
 formatting each date with ``date.isoformat()`` and each float with
 ``repr(float(...))``.  The writers under test format slices of whole columns
 at once, so their files are compared with the references' byte for byte.
+Their two array formatters are also checked on their own: floats against
+``repr`` on edge values and a million random bit patterns, dates against
+``np.datetime_as_string`` on every ordinal a ``datetime.date`` holds.
 """
 
 import csv
 import datetime as dt
+import decimal
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import dated_labels
@@ -75,9 +81,10 @@ DATES = [dt.date(1, 1, 1), dt.date(1969, 12, 31), dt.date(1970, 1, 1), dt.date(9
 # Increasing, seven of them: one per value.
 FRAME_DATES = [DATES[0], dt.date(1, 1, 2), DATES[1], DATES[2], dt.date(2000, 2, 29),
                dt.date(9999, 12, 30), DATES[3]]
-# csv quoting: a comma, a double quote and a newline, alone and together.
+# csv quoting: a comma, a double quote and a newline, alone and together;
+# then text whose bytes outnumber its characters.
 TEXTS = ["plain words", "gains, losses", 'a "strong" rally', "first line\nsecond line",
-         'all, "three"\nat once', ""]
+         'all, "three"\nat once', "", "naïve rally, 日本 — up"]
 
 
 @pytest.fixture(autouse=True, params=[2, data_io._ROWS_PER_WRITE], ids=lambda n: f"rows{n}")
@@ -130,3 +137,110 @@ def test_predictions_writer_matches_per_row_reference(tmp_path):
     predictions = [(day, value) for day in DATES for value in VALUES]
     _assert_same_bytes(tmp_path, write_predictions_csv, ref_write_predictions_csv, predictions)
     _assert_same_bytes(tmp_path, write_predictions_csv, ref_write_predictions_csv, [])
+
+
+def test_random_frame_matches_per_row_reference(tmp_path):
+    """Rows past several slices, with the values of generated data and some of
+    every kind that goes through ``repr`` one at a time."""
+    rng = np.random.default_rng(32)
+    n = 5000
+    special = rng.choice([0.0, -0.0, 5e-324, float("nan"), float("-inf"), 1e300, 1.5e-7], n)
+    frame = TimeSeriesFrame(np.sort(rng.choice(np.arange(1, 3_652_060), n, replace=False)), {
+        "close": 100 * np.exp(np.cumsum(rng.normal(0, 0.01, n))),
+        "volume": rng.lognormal(14, 0.35, n),
+        "mixed": np.where(rng.random(n) < 0.05, special, rng.normal(0, 1, n)),
+    })
+    _assert_same_bytes(tmp_path, write_frame_csv, ref_write_frame_csv, frame)
+
+
+# ---------------------------------------------------------------------------
+# The array formatters on their own
+# ---------------------------------------------------------------------------
+
+
+def _assert_repr(values) -> None:
+    """The lines the writers make of ``values``, a writer slice at a time, are ``repr``'s."""
+    values = np.asarray(values, dtype=np.float64)
+    got = b"".join(data_io._csv_lines([data_io._float_cells(values[start:start + 4096])])
+                   for start in range(0, values.size, 4096)).decode().split("\n")[:-1]
+    want = list(map(repr, values.tolist()))
+    if got != want:
+        assert len(got) == len(want)
+        assert [(w, g) for w, g in zip(want, got) if w != g][:10] == []
+
+
+POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
+
+
+class TestArrayFormatters:
+    """The formatters see whole slices, whatever their size."""
+
+    @pytest.fixture(autouse=True)
+    def rows_per_write(self):
+        """The module's slice sizes do not reach the formatters: run once."""
+
+    @pytest.mark.parametrize("values", [
+        np.concatenate([POWERS_OF_TWO, np.nextafter(POWERS_OF_TWO, np.inf),
+                        np.nextafter(POWERS_OF_TWO, 0.0)]),
+        [float(f"1e{e}") for e in range(-320, 309)],
+        [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 0.0, -0.0, 5e-324,
+         2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+         float("nan"), float("inf"), float("-inf")],
+    ], ids=["powers-of-two-and-neighbours", "powers-of-ten", "switches-and-specials"])
+    def test_float_cells_match_repr_on_edge_values(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        _assert_repr(values)
+        _assert_repr(-values)
+
+    def test_float_cells_match_repr_on_random_bit_patterns(self):
+        bits = np.random.default_rng(1).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        _assert_repr(values[np.isfinite(values)])
+
+    def test_shortest_digits_are_repr_digits_in_every_binade(self):
+        """The digit core on its own, also for values that ``repr`` writes in
+        exponent form: at a power of two the interval below is half as wide."""
+        normal = np.nextafter(np.ldexp(1.0, np.arange(-1022, 1024)), 0.0)[1:]
+        random = np.random.default_rng(2).integers(2**52, 2047 * 2**52, 100_000, dtype=np.uint64)
+        values = np.concatenate([POWERS_OF_TWO[52:], np.nextafter(POWERS_OF_TWO[52:], np.inf),
+                                 normal, random.view(np.float64)])
+        digits, k = data_io._shortest_digits(values)
+        for value, d, e in zip(values.tolist(), digits.tolist(), k.tolist()):
+            want = decimal.Decimal(repr(value)).normalize()
+            assert decimal.Decimal(d).scaleb(e).normalize() == want, value
+
+    def test_shortest_digits_keep_an_integer_below_2_53_whole(self):
+        """An integer below 2^53 is its own digits with no exponent, even with
+        trailing zeros."""
+        integers = np.array([1, 2, 10, 100, 120, 2**52 - 1, 2**52 + 2, 2**53 - 2,
+                             10**15, 9 * 10**15, 3**33, 4503599627370500])
+        digits, k = data_io._shortest_digits(integers.astype(np.float64))
+        assert digits.tolist() == integers.tolist()
+        assert not k.any()
+
+    def test_date_cells_match_datetime_as_string_on_every_ordinal(self):
+        days = np.arange(1, dt.date.max.toordinal() + 1)
+        epoch = dt.date(1970, 1, 1).toordinal()
+        want = np.datetime_as_string((days - epoch).astype("datetime64[D]")).astype("S10")
+        got = data_io._date_cells(days).reshape(-1).view("S10")
+        assert np.array_equal(got, want)
+
+
+def _write_peak(tmp_path, n_rows: int) -> int:
+    rng = np.random.default_rng(n_rows)
+    frame = TimeSeriesFrame(np.arange(1, n_rows + 1) + 730_000,
+                            {name: rng.normal(100, 5, n_rows) for name in ("a", "b", "c")})
+    tracemalloc.start()
+    try:
+        write_frame_csv(frame, tmp_path / f"{n_rows}.csv")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_does_not_grow_with_the_rows(tmp_path):
+    """Each slice of rows is formatted, joined and written before the next:
+    five slices of rows (20,480 at the default size) peak no higher than
+    twice one slice."""
+    rows = data_io._ROWS_PER_WRITE
+    assert _write_peak(tmp_path, 5 * rows) <= 2 * _write_peak(tmp_path, rows)
