@@ -337,30 +337,29 @@ def load_policy_csv(path) -> DatedLabels:
 # rows, and slices of them keep the writers' transient memory small.
 _ROWS_PER_WRITE = 4096
 
-# Offsets into :func:`_digit_tables`' stripped tables.
-_BLANK, _LAST = 10000, 20000
+# Each number 0 to 99 as its 2 ASCII digits in one uint16.  Tables this small
+# are built at import among its objects: 4-digit ones (280 KB) built at the
+# first write kept about 1 MB more resident through a later command's peak.
+_TEXTS2 = [f"{i:02d}" for i in range(100)]
+_DIGITS2 = np.frombuffer("".join(_TEXTS2).encode(), dtype="<u2")
+# Offsets into :data:`_LEADING` and :data:`_TRAILING`.
+_BLANK, _LAST = 100, 200
 
 
-@functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each number 0 to 9999 as its 4 ASCII digits in one uint32; and two
-    tables that turn zeros into NULs, for the leading zeros of integer digits
-    and the trailing zeros of fraction digits.  Each of those is the plain
-    digits, then the stripped ones (0 all NULs) from :data:`_BLANK`, then the
-    stripped ones with 0 as one ``0`` from :data:`_LAST`.  Made on first use,
-    as import time counts in every command."""
-    numbers, places = np.arange(10000)[:, None], np.array([1000, 100, 10, 1])
-    chars = (numbers // places % 10 + ord("0")).astype(np.uint8)
-
-    def table(*kept):
-        return np.concatenate([(chars * digits).view("<u4").reshape(-1) for digits in kept])
-
-    return (table(True), table(True, numbers >= places, numbers >= places * [1, 1, 1, 0]),
-            table(True, numbers % (10 * places) > 0, numbers % (10 * places) > [-1, 0, 0, 0]))
+def _stripped_digits(strip, zero: str) -> np.ndarray:
+    """:data:`_DIGITS2`; then each with ``strip`` turning zeros into NULs (0
+    all NULs) from :data:`_BLANK`; then the same with 0 as ``zero`` from
+    :data:`_LAST`."""
+    stripped = [strip(text) for text in _TEXTS2]
+    return np.frombuffer("".join([*_TEXTS2, *stripped, zero, *stripped[1:]]).encode(),
+                         dtype="<u2")
 
 
-_DATE_CELL = np.dtype([("year", "<u4"), ("dash1", "u1"), ("month", "<u2"), ("dash2", "u1"),
-                       ("day", "<u2")])
+# Integer blocks lose their leading zeros, fraction blocks their trailing ones.
+_LEADING = _stripped_digits(lambda text: text.lstrip("0").rjust(2, "\x00"), "\x000")
+_TRAILING = _stripped_digits(lambda text: text.rstrip("0").ljust(2, "\x00"), "0\x00")
+_DATE_CELL = np.dtype([("century", "<u2"), ("year", "<u2"), ("dash1", "u1"), ("month", "<u2"),
+                       ("dash2", "u1"), ("day", "<u2")])
 
 
 def _date_cells(days: np.ndarray) -> np.ndarray:
@@ -374,13 +373,12 @@ def _date_cells(days: np.ndarray) -> np.ndarray:
     day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
     shifted_month = (5 * day_of_year + 2) // 153          # 0 is March
     month = shifted_month + np.where(shifted_month < 10, 3, -9)
-    digits4 = _digit_tables()[0]
-    digits2 = digits4.view("<u2")[1::2]         # the last 2 of 4 digits
+    year = era * 400 + year_of_era + (month <= 2)
     cells = np.empty(len(days), dtype=_DATE_CELL)
-    cells["year"] = digits4[era * 400 + year_of_era + (month <= 2)]
+    cells["century"], cells["year"] = _DIGITS2[year // 100], _DIGITS2[year % 100]
     cells["dash1"] = cells["dash2"] = ord("-")
-    cells["month"] = digits2[month]
-    cells["day"] = digits2[day_of_year - (153 * shifted_month + 2) // 5 + 1]
+    cells["month"] = _DIGITS2[month]
+    cells["day"] = _DIGITS2[day_of_year - (153 * shifted_month + 2) // 5 + 1]
     return cells.view(np.uint8).reshape(len(days), 10)
 
 
@@ -485,13 +483,17 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, k
 
 
-def _blocks(values, n_blocks: int) -> list[np.ndarray]:
-    """The ``n_blocks`` 4-digit blocks of the uint64 ``values`` < 10^(4 n_blocks),
-    most significant first, as intp."""
+def _blocks(values, n_blocks: int, n_digits: int) -> list[np.ndarray]:
+    """The first ``n_blocks`` 2-digit blocks of the uint64 ``values``, each
+    read as ``n_digits`` digits, most significant first, as intp."""
+    if n_blocks <= 0:
+        return []
+    if n_digits > 2 * n_blocks:
+        values = values // _POW10[n_digits - 2 * n_blocks]
     blocks = []
     for _ in range(n_blocks - 1):
-        high = values // _u(10000)
-        blocks.append((values - high * _u(10000)).astype(np.intp))
+        high = values // _u(100)
+        blocks.append((values - high * _u(100)).astype(np.intp))
         values = high
     blocks.append(values.astype(np.intp))
     return blocks[::-1]
@@ -502,12 +504,12 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     uint8 array, padded with NULs.
 
     A value with e digits before its decimal point, -4 < e <= 16 (e < 1
-    counts the zeros after the point as -e), is laid out as ``repr`` does: integer digits (``0`` if none), a point and
-    fraction digits (``0`` if none), behind a ``-`` if negative.  Each part is
-    written in 4-digit blocks from :func:`_digit_tables`, which turn the zeros
-    before the integer and after the fraction into NULs.  Zero,
-    subnormals, non-finite values and the exponent form go through ``repr`` one
-    at a time.
+    counts the zeros after the point as -e), is laid out as ``repr`` does:
+    integer digits (``0`` if none), a point and fraction digits (``0`` if
+    none), behind a ``-`` if negative.  Each part is written in 2-digit
+    blocks from :data:`_LEADING` or :data:`_TRAILING`, which turn the zeros
+    before the integer and after the fraction into NULs.  Zero, subnormals,
+    non-finite values and the exponent form go through ``repr`` one at a time.
     """
     magnitude = np.abs(values)
     biased = magnitude.view(np.uint64) >> _u(52)
@@ -525,21 +527,20 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     high = fraction // over
     low = (fraction - high * over) * _POW10[np.clip(20 - places, 0, 19)]
     high *= _POW10[np.maximum(8 - places, 0)]
-    n_int = 1 + int((integer.max(initial=0) >= _POW10[[4, 8, 12]]).sum())   # 4-digit blocks
-    n_frac = max(1, -(-int(places.max(initial=0)) // 4))
+    n_int = 1 + int((integer.max(initial=0) >= _POW10[2:16:2]).sum())   # 2-digit blocks
+    n_frac = max(1, -(-int(places.max(initial=0)) // 2))
 
-    _, leading, trailing = _digit_tables()
     columns = []
-    for i, block in enumerate(_blocks(integer, n_int)):
-        above_zero = integer < _POW10[4 * (n_int - i)]      # no digit before this block
-        columns.append(leading[block + (_LAST if i == n_int - 1 else _BLANK) * above_zero])
-    columns.append(np.full(len(values), ord("."), dtype="<u4"))
-    fraction_blocks = (_blocks(high, 2) + _blocks(low, 3))[:n_frac]
+    for i, block in enumerate(_blocks(integer, n_int, 2 * n_int)):
+        above_zero = integer < _POW10[2 * (n_int - i)]      # no digit before this block
+        columns.append(_LEADING[block + (_LAST if i == n_int - 1 else _BLANK) * above_zero])
+    columns.append(np.full(len(values), ord("."), dtype="<u2"))
+    fraction_blocks = _blocks(high, min(n_frac, 4), 8) + _blocks(low, n_frac - 4, 12)
     below_zero = np.ones(len(values), dtype=bool)           # no digit after this block
     tail = []
     for i in range(n_frac - 1, -1, -1):
         block = fraction_blocks[i]
-        tail.append(trailing[block + (_LAST if i == 0 else _BLANK) * below_zero])
+        tail.append(_TRAILING[block + (_LAST if i == 0 else _BLANK) * below_zero])
         below_zero &= block == 0
     columns += tail[::-1]
     body = np.stack(columns, axis=1).view(np.uint8)
