@@ -245,7 +245,7 @@ class TestWriterMemory:
 
     def test_memory_does_not_grow_with_the_rows(self, tmp_path):
         """Each slice of rows is formatted, joined and written before the next.
-        A first write builds the digit tables, which outlive it."""
+        A first write builds Schubfach's table of g, which outlives it."""
         assert data_io._ROWS_PER_WRITE == 4096
         _write_peak(tmp_path, 1)
         assert _write_peak(tmp_path, 20_000) <= 2 * _write_peak(tmp_path, 4096)
