@@ -14,7 +14,13 @@ ends on: blank lines are skipped, whitespace in fields is kept.  A date is
 surrounding whitespace stripped; a date column is parsed as one byte array.
 A value is an ASCII decimal float as ``float()`` reads it, with no ``_``.
 One leading UTF-8 byte-order mark is dropped.  News and policy load as
-:class:`~riskcast.frames.DatedLabels`.  The writers build the bytes of
+:class:`~riskcast.frames.DatedLabels`.  A news file that the split would
+read, and whose every data line is a 10-byte date, a ``,`` and its text,
+is not split at all: its LF positions give each text's byte range, its
+dates are parsed from the ``[n x 10]`` bytes at the lines' starts, and its
+texts load as a :class:`~riskcast.frames.TextColumn` that sentiment is
+scored from, with no ``str`` per item.  Any other news file loads through
+the split or ``csv.reader`` like the rest.  The writers build the bytes of
 ``_ROWS_PER_WRITE`` rows at a time from whole column slices, with no Python
 object per value: dates by civil-from-days arithmetic, floats as the
 shortest round-trip digits (Schubfach) laid out as ``repr`` lays them out,
@@ -57,7 +63,8 @@ import numpy as np
 
 from .errors import DataError, ModelIOError, SchemaError, read_file
 from .features import ColumnStats, SampleSet
-from .frames import DatedLabels, TimeSeriesFrame, calendar_dates, day_numbers, merge_outer
+from .frames import (DatedLabels, TextColumn, TimeSeriesFrame, calendar_dates, day_numbers,
+                     merge_outer)
 from .models import HybridModel, LinearRegressionModel, ModelDims
 from .layers import Conv1DLayer, DenseLayer, DropoutSpec, LSTMCell
 from .preprocess import PipelineConfig, Preprocess, SplitSpec
@@ -99,10 +106,15 @@ def _csv_fields(path, text: str) -> tuple[list[str], list[str], np.ndarray, np.n
 
 
 def _read_fields(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """:func:`_fields` of one read of the file."""
+    return _fields(path, *read_file(path, SchemaError))
+
+
+def _fields(path, data: bytes, text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     """The stripped header names of a CSV file, the fields of its non-blank
     data rows in one flat list, row after row, each row's field count, and
-    the file line each row ends on (``csv.reader``'s ``line_num``), all from
-    one read of the file.
+    the file line each row ends on (``csv.reader``'s ``line_num``), from the
+    file's ``data`` and ``text`` as :func:`~riskcast.errors.read_file` gives them.
 
     A file with no ``"``, no CR and no line longer than
     ``csv.field_size_limit()`` characters is split on LF and ``,``, which
@@ -111,7 +123,6 @@ def _read_fields(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     comma count in one array pass over the file's bytes: LF and ``,`` are
     single bytes that never occur inside a multi-byte UTF-8 character.
     """
-    data, text = read_file(path, SchemaError)
     if not data:
         raise SchemaError(f"{path}: file is empty, expected a header row")
     if b'"' in data or b"\r" in data:
@@ -147,39 +158,27 @@ def _read_fields(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     return [name.strip() for name in header], fields, commas[1:][kept] + 1, 2 + np.flatnonzero(kept)
 
 
-def _check_date(token: str) -> None:
-    """Raise ValueError unless one date field is ``YYYY-MM-DD`` in ASCII
-    digits once surrounding whitespace is stripped, a Gregorian date from
-    year 1.  The reason is the one ``date.fromisoformat`` gives for the
-    fields it refuses too."""
-    text = token.strip()
-    if not (len(text) == 10 and text.isascii() and text[4] + text[7] == "--"
-            and (text[:4] + text[5:7] + text[8:]).isdigit()):
-        raise ValueError(f"Invalid isoformat string: {text!r}")
-    dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
-
-
 # The positions of a ``YYYY-MM-DD`` date's digits, and the days of each month in a common year.
 _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _date_ordinals(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The day ordinals of date fields and which of them :func:`_check_date`
-    accepts, parsed as one ``[n x 10]`` byte array (surrounding whitespace is
-    not stripped here).  The fields are joined with LFs: only when each is
-    exactly 10 bytes long does every LF fall at the end of a row of 11."""
-    n = len(tokens)
-    joined = ("\n".join(tokens) + "\n").encode()
-    if len(joined) != 11 * n:
-        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-    rows = np.frombuffer(joined, dtype=np.uint8).reshape(n, 11)
-    # A byte below '0' wraps past 9; int32 holds every ordinal, even of a bad row.
-    d = (rows[:, _DATE_DIGITS] - ord("0")).astype(np.int32)
-    valid = ((d < 10).all(axis=1) & (rows[:, 4] == ord("-")) & (rows[:, 7] == ord("-"))
-             & (rows[:, 10] == _LF))
+def _date_fields(cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Whether each row of the ``[n x 10]`` uint8 array ``cells`` is
+    ``YYYY-MM-DD`` in ASCII digits, and the year, month and day it spells
+    (int32: a byte below ``0`` wraps past 9, and int32 holds any of them)."""
+    d = (cells[:, _DATE_DIGITS] - ord("0")).astype(np.int32)
+    formed = (d < 10).all(axis=1) & (cells[:, 4] == ord("-")) & (cells[:, 7] == ord("-"))
     year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month, day = d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
+    return formed, year, d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
+
+
+def _date_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The day ordinals of the dates in the rows of the ``[n x 10]`` uint8
+    array ``cells``, and which rows are dates: ``YYYY-MM-DD`` in ASCII
+    digits, a Gregorian date from year 1 (surrounding whitespace is not
+    stripped here)."""
+    valid, year, month, day = _date_fields(cells)
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
     valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
@@ -191,6 +190,37 @@ def _date_ordinals(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return (era * 146097 + day_of_era - 305).astype(np.int64), valid
 
 
+def _token_dates(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_date_ordinals` of date fields, joined with LFs and encoded:
+    only when each is exactly 10 bytes long does every LF fall at the end
+    of a row of 11."""
+    n = len(tokens)
+    joined = ("\n".join(tokens) + "\n").encode()
+    if len(joined) != 11 * n:
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    rows = np.frombuffer(joined, dtype=np.uint8).reshape(n, 11)
+    days, valid = _date_ordinals(rows[:, :10])
+    return days, valid & (rows[:, 10] == _LF)
+
+
+def _date_fault(token: str) -> str | None:
+    """Why one date field is refused once surrounding whitespace is
+    stripped, or None when it is a date: its form from :func:`_date_fields`,
+    then its range from ``datetime.date``, in the words
+    ``date.fromisoformat`` uses for the fields it refuses too."""
+    text = token.strip()
+    cells = np.frombuffer(text.encode(), dtype=np.uint8).reshape(1, -1)
+    if cells.shape[1] == 10:
+        formed, year, month, day = _date_fields(cells)
+        if formed[0]:
+            try:
+                dt.date(int(year[0]), int(month[0]), int(day[0]))
+            except ValueError as exc:
+                return str(exc)
+            return None
+    return f"Invalid isoformat string: {text!r}"
+
+
 def _check_rows(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, width: int,
                 value_names: list[str]) -> None:
     """Raise the ``file:line`` SchemaError of the first bad row of
@@ -199,10 +229,9 @@ def _check_rows(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, 
         row, where = fields[end - count:end], f"{path}:{lineno}:"
         if count != width:
             raise SchemaError(f"{where} expected {width} fields, got {count}")
-        try:
-            _check_date(row[0])
-        except ValueError as exc:
-            raise SchemaError(f"{where} unparseable date {row[0]!r}: {exc}") from exc
+        fault = _date_fault(row[0])
+        if fault:
+            raise SchemaError(f"{where} unparseable date {row[0]!r}: {fault}")
         for name, token in zip(value_names, row[1:]):
             try:
                 if not token.isascii() or "_" in token:
@@ -227,9 +256,9 @@ def _columns(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, wid
     try:
         if (widths != width).any():
             raise ValueError("rows with the wrong field count")
-        days, valid = _date_ordinals(fields[0::width])
+        days, valid = _token_dates(fields[0::width])
         if not valid.all():
-            days, valid = _date_ordinals(list(map(str.strip, fields[0::width])))
+            days, valid = _token_dates(list(map(str.strip, fields[0::width])))
             if not valid.all():
                 raise ValueError("bad dates")
         for column, row in enumerate(values, start=1):
@@ -310,21 +339,53 @@ def load_macro_csv(path) -> TimeSeriesFrame:
     return _load_numeric_csv(path, MACRO_COLUMNS)
 
 
-def _load_dated_labels(path, label: str) -> DatedLabels:
-    """The dated labels of a file whose header is exactly ``date,<label>``, in file order."""
-    header, fields, widths, lines = _read_fields(path)
+def _load_dated_labels(path, label: str, data: bytes, text: str) -> DatedLabels:
+    """The dated labels of a file whose header is exactly ``date,<label>``,
+    in file order, from its ``data`` and ``text``."""
+    header, fields, widths, lines = _fields(path, data, text)
     if header != ["date", label]:
         raise SchemaError(f"{path}: expected header date,{label}, got {header}")
     days, _, (labels,) = _columns(path, fields, widths, lines, 2, [])
     return DatedLabels(days, labels)
 
 
+def _news_column(data: bytes) -> DatedLabels | None:
+    """The items of a news file's ``data`` as a :class:`TextColumn`, or None
+    unless its header line is ``date,text`` and it takes the split path
+    (no ``"``, no CR, no line longer than ``csv.field_size_limit()``
+    bytes) with every data line a ``YYYY-MM-DD`` date, a ``,`` and a text
+    with no ``,``: each line is at least 11 bytes long with a ``,`` as its
+    byte 10, and the lines hold as many ``,`` as there are lines.  Any other file,
+    blank lines and padded or bad dates included, is left to the split or
+    ``csv.reader`` path, which reports each fault at its line."""
+    header_end = data.find(b"\n")
+    if header_end < 0 or data[:header_end] != b"date,text" or b'"' in data or b"\r" in data:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw[header_end:] == _LF) + header_end
+    starts = ends + 1
+    stops = np.append(ends[1:], len(data))
+    if data.endswith(b"\n"):
+        starts, stops = starts[:-1], stops[:-1]
+    lengths = stops - starts
+    if len(starts) and (lengths.min() < 11 or lengths.max() > csv.field_size_limit()
+                        or (raw[starts + 10] != _COMMA).any()
+                        or np.count_nonzero(raw[header_end:] == _COMMA) != len(starts)):
+        return None
+    days, valid = _date_ordinals(raw[starts[:, None] + np.arange(10)])
+    if not valid.all():
+        return None
+    return DatedLabels(days, TextColumn(data, starts + 11, stops))
+
+
 def load_news_csv(path) -> DatedLabels:
-    return _load_dated_labels(path, "text")
+    data, text = read_file(path, SchemaError)
+    news = _news_column(data)
+    return news if news is not None else _load_dated_labels(path, "text", data, text)
 
 
 def load_policy_csv(path) -> DatedLabels:
-    events = _load_dated_labels(path, "category")
+    events = _load_dated_labels(path, "category", *read_file(path, SchemaError))
     return DatedLabels(events.days, list(map(str.strip, events.labels)))
 
 
@@ -626,8 +687,9 @@ def write_frame_csv(frame: TimeSeriesFrame, path) -> None:
 
 
 def _write_labels(items: DatedLabels, path, header: list[str]) -> None:
+    labels = items.labels       # once: a TextColumn decodes on each read
     _write_csv(path, header, len(items), lambda part: _labelled_lines(
-        _date_cells(items.days[part]), _quoted(items.labels[part])))
+        _date_cells(items.days[part]), _quoted(labels[part])))
 
 
 def write_news_csv(items: DatedLabels, path) -> None:

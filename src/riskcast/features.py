@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DimensionError, InsufficientHistoryError, ParameterError
-from .frames import DatedLabels, TimeSeriesFrame, calendar_dates
+from .frames import TEXT_GAP, DatedLabels, TextColumn, TimeSeriesFrame, calendar_dates
 from .lexicon import SentimentLexicon
 
 SENTIMENT_COLUMNS = ("pos", "neg", "neu", "compound")
@@ -102,9 +102,14 @@ _SCORE_CHUNK = 4096
 # Token kinds: any other word, a positive term, a negative term.
 _WORD, _POS, _NEG = range(3)
 _TOKEN_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
-# Maps every byte but a token byte and NUL to a space, so the token bytes of
-# the result are exactly its bytes above 0x20.
-_SPACES = bytes(c if c in _TOKEN_BYTES or c == 0 else 0x20 for c in range(256))
+# Folds ASCII A-Z to a-z and maps every other byte but a token byte to a
+# space, so the token bytes of the result are exactly its bytes above 0x20.
+_FOLD = bytes(c | 0x20 if 0x41 <= c <= 0x5A else c if c in _TOKEN_BYTES else 0x20
+              for c in range(256))
+# The only two characters beyond ASCII whose lower case holds a token byte,
+# as UTF-8: U+0130 (lower case ``i`` and U+0307, a non-token character) and
+# the Kelvin sign U+212A (lower case ``k``).
+_DOTTED_I, _KELVIN = "\u0130".encode(), "\u212a".encode()
 # _KEEP[k] keeps the first k bytes of a little-endian word and zeroes the rest.
 _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # Odd multiplier of the key hash (2**64 over the golden ratio).
@@ -170,14 +175,20 @@ def _term_table(lexicon: SentimentLexicon) -> _TermTable:
 def _token_kinds(table: _TermTable, buf: np.ndarray, starts: np.ndarray,
                  lengths: np.ndarray) -> np.ndarray:
     """The kind of each token of the byte array ``buf`` that starts at
-    ``starts`` and runs for ``lengths`` bytes.  ``buf`` must hold ``8 *
-    len(table.words)`` bytes from every token start on."""
+    ``starts`` and runs for ``lengths`` bytes.  ``buf`` must hold 8 bytes
+    from every byte of every token on."""
     # Word j of a token: the 8 bytes from its byte 8j, read unaligned (as
     # 8-byte void items, which gather faster than an unaligned "<u8" view)
-    # with the bytes past the token's end zeroed.
+    # with the bytes past the token's end zeroed.  Only a token longer than
+    # 8j bytes is read; word j of a shorter one is 0.
     at = np.ndarray(len(buf) - 7, dtype="V8", buffer=buf, strides=(1,))
-    words = [at[starts + 8 * j].view("<u8") & _KEEP[np.clip(lengths - 8 * j, 0, 8)]
-             for j in range(len(table.words))]
+    words = [at[starts].view("<u8") & _KEEP[np.minimum(lengths, 8)]]
+    for j in range(1, len(table.words)):
+        longer = np.flatnonzero(lengths > 8 * j)
+        word = np.zeros(len(starts), dtype=np.uint64)
+        word[longer] = (at[starts[longer] + 8 * j].view("<u8")
+                        & _KEEP[np.minimum(lengths[longer] - 8 * j, 8)])
+        words.append(word)
 
     def probe(slots, lengths, words):
         """Which tokens the terms in ``slots`` match, and which go on: a slot
@@ -201,50 +212,97 @@ def _token_kinds(table: _TermTable, buf: np.ndarray, starts: np.ndarray,
     return kinds
 
 
-def sentiment_scores(texts: Sequence[str], lexicon: SentimentLexicon) -> np.ndarray:
+def _chunk_scores(table: _TermTable, data: bytes, starts: np.ndarray, stops: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write the scores of the texts ``data[starts[i]:stops[i]]``, ranges as
+    a :class:`TextColumn` holds them, into the rows of ``out``.
+
+    Each run of texts that follow each other is one slice of ``data``, and
+    the slices are joined by spaces.  ``İ`` becomes ``i`` and a space and
+    the Kelvin sign ``k``, so that one ``bytes.translate`` folds the case
+    as ``str.lower`` does for every token byte.  The bytes between two texts
+    of a run (an LF and a ``YYYY-MM-DD,`` prefix) are cut out of the tokens.
+    """
+    n = len(starts)
+    heads = np.concatenate(([0], np.flatnonzero(starts[1:] - stops[:-1] > TEXT_GAP) + 1))
+    lo, hi = starts[heads], stops[np.append(heads[1:], n) - 1]
+    raw = b" ".join([data[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+    # Where each text starts and stops in the buffer, after its leading space.
+    shift = np.repeat(np.cumsum(hi - lo + 1) - hi, np.diff(heads, append=n))
+    starts, stops = starts + shift, stops + shift
+    if not raw.isascii():
+        raw = raw.replace(_DOTTED_I, b"i ")
+        if _KELVIN in raw:
+            # Each Kelvin sign shortens the buffer by 2 bytes from its end on.
+            codes = np.frombuffer(raw, dtype=np.uint8)
+            kelvins = 1 + np.flatnonzero((codes[:-2] == _KELVIN[0]) & (codes[1:-1] == _KELVIN[1])
+                                         & (codes[2:] == _KELVIN[2]))
+            starts = starts - 2 * np.searchsorted(kelvins, starts)
+            stops = stops - 2 * np.searchsorted(kelvins, stops)
+            raw = raw.replace(_KELVIN, b"k")
+    # A space before the buffer, so that every token starts and ends at an
+    # edge of the bytes above 0x20, and 8 after it to read words from.
+    buf = np.frombuffer(b" " + raw.translate(_FOLD) + b" " * 8, dtype=np.uint8)
+    token = buf > 0x20
+    # The bytes between two texts of a run belong to no token.
+    inner = np.flatnonzero(starts[1:] - stops[:-1] <= TEXT_GAP)
+    gap_stops = starts[inner + 1, None] - 1
+    token[np.minimum(stops[inner, None] + np.arange(TEXT_GAP), gap_stops)] = False
+    edges = np.flatnonzero(token[1:] != token[:-1]) + 1
+    token_starts = edges[0::2]
+    lengths = edges[1::2] - token_starts
+    firsts = np.searchsorted(token_starts, starts)
+    text_of = np.repeat(np.arange(n), np.diff(firsts, append=len(token_starts)))
+    kinds = _token_kinds(table, buf, token_starts, lengths)
+    counts = np.bincount(text_of * 3 + kinds, minlength=3 * n).reshape(-1, 3)
+    n_pos, n_neg = counts[:, _POS], counts[:, _NEG]
+    # A text with no tokens divides by 1 and scores neutral (0, 0, 1, 0).
+    n_tokens = np.maximum(counts[:, _WORD] + n_pos + n_neg, 1)
+    out[:, 0] = n_pos / n_tokens
+    out[:, 1] = n_neg / n_tokens
+    out[:, 2] = 1.0 - (out[:, 0] + out[:, 1])
+    out[:, 3] = (n_pos - n_neg) / (n_pos + n_neg + 1)
+
+
+def sentiment_scores(texts: Sequence[str] | TextColumn, lexicon: SentimentLexicon) -> np.ndarray:
     """``[n x 4]`` lexicon scores (``pos``, ``neg``, ``neu``, ``compound``),
     one row per text; row ``i`` is :func:`sentiment_score` of ``texts[i]``.
 
     Tokens are the maximal runs of ASCII ``[a-z0-9]`` in the lower-cased
-    text.  Each chunk of texts is lower-cased text by text and joined with
-    NUL separators.  In its UTF-8 bytes every non-ASCII character is bytes
-    >= 0x80, never a token byte, so after mapping all bytes but token bytes
-    and NUL to spaces, the tokens are the runs of bytes above 0x20.  Array
-    passes over the whole chunk find their starts and lengths, count each
-    text's tokens between the separators, and look every token up in one
-    hash table of the lexicon's terms (:class:`_TermTable`), comparing its
-    length and every 8-byte word exactly.
+    text.  A :class:`TextColumn` is scored from its bytes, with no ``str``
+    per text; ``str`` texts are joined with NUL separators and encoded, a
+    chunk at a time, and scored from those bytes the same way.  In UTF-8
+    every non-ASCII character is bytes >= 0x80, never a token byte, and
+    only two of them lower-case to one (see :func:`_chunk_scores`).  So
+    after folding ASCII case and mapping every other byte to a space, the
+    tokens are the runs of bytes above 0x20.  Array passes over the whole
+    chunk find their starts and lengths, count each text's tokens between
+    its bounds, and look every token up in one hash table of the lexicon's
+    terms (:class:`_TermTable`), comparing its length and every 8-byte word
+    exactly.
     """
     table = _term_table(lexicon)
-    pad = b" " * (8 * len(table.words))
     out = np.empty((len(texts), len(SENTIMENT_COLUMNS)))
     for start in range(0, len(texts), _SCORE_CHUNK):
-        chunk = list(map(str.lower, texts[start:start + _SCORE_CHUNK]))
-        joined = "\x00".join(chunk)
-        if joined.count("\x00") != len(chunk) - 1:
-            # A NUL inside a text is a non-token character, like a space.
-            joined = "\x00".join(text.replace("\x00", " ") for text in chunk)
-        # A space before the chunk, so that every token starts and ends at an
-        # edge of the bytes above 0x20, and spaces after it to read words from.
-        buf = np.frombuffer(b" " + joined.encode("utf-8", "surrogatepass").translate(_SPACES)
-                            + pad, dtype=np.uint8)
-        token = buf > 0x20
-        edges = np.flatnonzero(token[1:] != token[:-1]) + 1
-        starts = edges[0::2]
-        lengths = edges[1::2] - starts
-        firsts = np.searchsorted(starts, np.flatnonzero(buf == 0))
-        text_of = np.repeat(np.arange(len(chunk)), np.diff(firsts, prepend=0, append=len(starts)))
-        kinds = _token_kinds(table, buf, starts, lengths)
-        counts = np.bincount(text_of * 3 + kinds, minlength=3 * len(chunk)).reshape(-1, 3)
-        n_pos, n_neg = counts[:, _POS], counts[:, _NEG]
-        # A text with no tokens divides by 1 and scores neutral (0, 0, 1, 0).
-        n_tokens = np.maximum(counts[:, _WORD] + n_pos + n_neg, 1)
-        scores = out[start:start + len(chunk)]
-        scores[:, 0] = n_pos / n_tokens
-        scores[:, 1] = n_neg / n_tokens
-        scores[:, 2] = 1.0 - (scores[:, 0] + scores[:, 1])
-        scores[:, 3] = (n_pos - n_neg) / (n_pos + n_neg + 1)
+        stop = min(start + _SCORE_CHUNK, len(texts))
+        if isinstance(texts, TextColumn):
+            chunk = texts.data, texts.starts[start:stop], texts.stops[start:stop]
+        else:
+            chunk = _joined(texts[start:stop])
+        _chunk_scores(table, *chunk, out[start:stop])
     return out
+
+
+def _joined(texts: Sequence[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """``texts`` joined with NUL separators and encoded, and the byte range
+    of each text in the result, as a :class:`TextColumn` holds them."""
+    joined = "\x00".join(texts)
+    if joined.count("\x00") != len(texts) - 1:
+        # A NUL inside a text is a non-token character, like a space.
+        joined = "\x00".join(text.replace("\x00", " ") for text in texts)
+    data = joined.encode("utf-8", "surrogatepass")
+    seps = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 0)
+    return data, np.append(0, seps + 1), np.append(seps, len(data))
 
 
 def sentiment_score(text: str, lexicon: SentimentLexicon) -> SentimentScore:

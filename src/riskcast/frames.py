@@ -8,8 +8,11 @@ entry per date; missing observations are NaN, and alignment fills the gaps.
 
 ``DatedLabels`` carries news items and policy events from the CSV reader or
 the generator to the writers and the feature pipeline: one int64 day ordinal
-and one string label per item, in source order, with any number of items on
-one day.  No item is ever held as a ``(date, text)`` pair.
+and one label per item, in source order, with any number of items on one
+day.  The labels are a list of ``str``, or a :class:`TextColumn` of byte
+ranges in the file they were read from, which makes no ``str`` per item
+until a caller reads ``labels``.  No item is ever held as a ``(date, text)``
+pair.
 """
 
 from __future__ import annotations
@@ -85,26 +88,63 @@ class TimeSeriesFrame:
         return np.column_stack([self.column(n) for n in names])
 
 
+# The most bytes between two texts of a :class:`TextColumn` that follow each
+# other in its buffer: an LF and the next line's ``YYYY-MM-DD,``.
+TEXT_GAP = 12
+
+
+@dataclass(frozen=True, eq=False)
+class TextColumn:
+    """UTF-8 texts held as byte ranges of one buffer: text ``i`` is
+    ``data[starts[i]:stops[i]]``.  The ranges are in increasing order and
+    apart; two that are at most :data:`TEXT_GAP` bytes apart follow each
+    other, and the bytes between them belong to no text."""
+
+    data: bytes
+    starts: np.ndarray
+    stops: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def take(self, keep: np.ndarray) -> "TextColumn":
+        return TextColumn(self.data, self.starts[keep], self.stops[keep])
+
+    def decode(self) -> list[str]:
+        return [self.data[start:stop].decode()
+                for start, stop in zip(self.starts.tolist(), self.stops.tolist())]
+
+
 @dataclass(eq=False)
 class DatedLabels:
     """Labels (news texts, policy categories), each on the day ordinal at
-    the same position of ``days``, in source order."""
+    the same position of ``days``, in source order: ``texts`` is a list of
+    ``str`` or a :class:`TextColumn`."""
 
     days: np.ndarray
-    labels: list[str]
+    texts: list[str] | TextColumn
 
     def __post_init__(self):
         self.days = np.asarray(self.days, dtype=np.int64)
-        if self.days.shape != (len(self.labels),):
-            raise DimensionError(f"{len(self.labels)} labels need as many days, "
+        if self.days.shape != (len(self.texts),):
+            raise DimensionError(f"{len(self.texts)} labels need as many days, "
                                  f"got shape {self.days.shape}")
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.days)
+
+    @property
+    def labels(self) -> list[str]:
+        """The labels as ``str``s, decoded from a :class:`TextColumn` on each read."""
+        if isinstance(self.texts, TextColumn):
+            return self.texts.decode()
+        return self.texts
 
     def select(self, keep: np.ndarray) -> "DatedLabels":
         """The items that the boolean mask ``keep`` flags, in order."""
-        return DatedLabels(self.days[keep], list(itertools.compress(self.labels, keep.tolist())))
+        if isinstance(self.texts, TextColumn):
+            return DatedLabels(self.days[keep], self.texts.take(keep))
+        return DatedLabels(self.days[keep], list(itertools.compress(self.texts, keep.tolist())))
 
 
 def merge_outer(a: TimeSeriesFrame, b: TimeSeriesFrame) -> TimeSeriesFrame:

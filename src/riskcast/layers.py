@@ -257,6 +257,9 @@ class LSTMCell:
         order = np.r_[0:2 * hid, 3 * hid:4 * hid, 2 * hid:3 * hid]
         scale = np.ones(4 * hid)
         scale[:3 * hid] = 0.5
+        # w_t must stay F-ordered, as the column gather leaves it: a C-ordered
+        # copy of the same values makes OpenBLAS pick another kernel, which
+        # moves outputs by about 1e-16, so model files would change bytes.
         w_t = np.concatenate([self.w_x.T, self.b[None], self.w_h.T])[:, order] * scale
         n_rows = n + -n % BLOCK_ROWS
         # Step t uses row t % depth of xh and c and row t % step_depth of the rest.

@@ -53,15 +53,18 @@ from .workers import usable_cpus
 SCORE_CHUNK = 256
 
 # Fewest windows per part when ``prediction_scores`` splits a set across
-# CPUs.  Below this the per-step Python work, which holds the interpreter
-# lock, outweighs the numpy loops that run beside each other.
+# CPUs.  The per-step Python work holds the interpreter lock, so parts this
+# small do not run at once: on a 2-CPU host two parts were slower than one
+# below about 8,000 windows (by about 10% at 512 and 1,917 windows, and
+# about even at 7,917) and faster only at 19,917 windows (by 6%).
 MIN_PART = 128
 
-# Most parts ``prediction_scores`` scores at the same time.  Two parts were
-# measured faster than one; more were never measured, and since the parts
-# share the interpreter lock between numpy calls, more threads are not known
-# to help.  The cap also bounds the threads a call starts on a large host
-# whose CPU quota is smaller than its affinity mask.
+# Most parts ``prediction_scores`` scores at the same time.  On the 2-CPU
+# host above, two parts were faster than one only at about 20,000 windows;
+# more were never measured, and since the parts share the interpreter lock
+# between numpy calls, more threads are not known to help.  The cap also
+# bounds the threads a call starts on a large host whose CPU quota is
+# smaller than its affinity mask.
 MAX_PARTS = 2
 
 

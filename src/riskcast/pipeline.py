@@ -103,7 +103,7 @@ def assemble_frame(bundle: DatasetBundle, lexicon: SentimentLexicon,
     rows, policy = (TimeSeriesFrame(days, {n: v[start:] for n, v in frame.columns.items()})
                     for frame in (rows, policy))
     news = bundle.news.select(np.isin(bundle.news.days, days))
-    sentiment = aggregate_daily_sentiment(news.days, sentiment_scores(news.labels, lexicon), days)
+    sentiment = aggregate_daily_sentiment(news.days, sentiment_scores(news.texts, lexicon), days)
     return join_same_day(rows, sentiment, policy)
 
 

@@ -146,9 +146,14 @@ class SeededRng:
         return self.next_uint64() % n
 
     def shuffle(self, values) -> None:
-        """In-place Fisher-Yates shuffle of a list or 1-d array."""
-        for i in range(len(values) - 1, 0, -1):
-            j = self.next_uint64() % (i + 1)
+        """In-place Fisher-Yates shuffle of a list or 1-d array: for ``i``
+        from ``n - 1`` down to 1, swap entry ``i`` with entry ``next_uint64()
+        % (i + 1)``.  The ``n - 1`` draws are made in one call."""
+        n = len(values)
+        if n < 2:
+            return
+        picks = self.next_uint64s(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             values[i], values[j] = values[j], values[i]
 
 

@@ -44,7 +44,7 @@ from riskcast.features import (
     sentiment_score,
     sentiment_scores,
 )
-from riskcast.frames import day_numbers
+from riskcast.frames import TextColumn, day_numbers
 
 # ---------------------------------------------------------------------------
 # Per-row references
@@ -227,6 +227,24 @@ def _assert_same_scores(texts, lexicon):
         assert tuple(sentiment_score(text, lexicon)) == tuple(row)
 
 
+def _assert_column_scores(news, lexicon):
+    """The scores of ``news.texts``, a list or a :class:`TextColumn`, are
+    bitwise the reference's of its labels, as are those of an item subset
+    that leaves gaps of one, two and many items."""
+    labels = news.labels
+    want = np.array([ref_sentiment_score(t, lexicon) for t in labels],
+                    dtype=np.float64).reshape(len(labels), 4)
+    assert sentiment_scores(news.texts, lexicon).tobytes() == want.tobytes()
+    keep = np.ones(len(news), dtype=bool)
+    keep[1::3] = keep[2::7] = False
+    keep[len(keep) // 2:len(keep) // 2 + 50] = False
+    subset = news.select(keep)
+    assert type(subset.texts) is type(news.texts)
+    assert subset.labels == list(itertools.compress(labels, keep))
+    assert subset.days.tobytes() == news.days[keep].tobytes()
+    assert sentiment_scores(subset.texts, lexicon).tobytes() == want[keep].tobytes()
+
+
 def _write(path, text, newline="\n"):
     path.write_bytes(text.replace("\n", newline).encode("utf-8"))
     return path
@@ -245,7 +263,11 @@ def test_generated_bundle_loads_and_scores_bitwise(tmp_path, days, seed):
         _assert_same_load(tmp_path / name)
     news = load_news_csv(tmp_path / "news.csv")
     assert len(news) > _SCORE_CHUNK or days < 20000
+    assert isinstance(news.texts, TextColumn)
     _assert_same_scores(news.labels, default_lexicon())
+    _assert_column_scores(news, default_lexicon())
+    data_io.write_news_csv(news, tmp_path / "rewritten.csv")
+    assert (tmp_path / "rewritten.csv").read_bytes() == (tmp_path / "news.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +707,107 @@ def test_fuzzed_lexicons_and_texts_score_like_the_reference(n_terms):
         term = words.T.tobytes().decode()
         texts[1] = f"{term} {term}{'x' * (run_on[homes == home][0] - 40)}"
     _assert_same_scores(texts, lexicon)
+
+
+# ---------------------------------------------------------------------------
+# News scored from the file's bytes
+# ---------------------------------------------------------------------------
+
+_TOKEN_BYTE = re.compile("[a-z0-9]")
+
+
+def test_only_two_characters_beyond_ascii_lower_case_into_token_bytes():
+    """The byte scorer folds only ASCII case, and rewrites U+0130 and the
+    Kelvin sign U+212A as their lower case would read: a later Unicode
+    table that lower-cases another character into ASCII ``[a-z0-9]`` fails here."""
+    found = [c for c in range(0x80, 0x110000) if _TOKEN_BYTE.search(chr(c).lower())]
+    assert found == [0x130, 0x212A]
+    assert "\u0130".lower() == "i\u0307" and "\u212a".lower() == "k"
+    assert not _TOKEN_BYTE.search("\u0307")
+
+
+# Pieces of a text that the byte path reads: no ``,``, ``"``, LF or CR.
+# Upper case, U+0130 and the Kelvin sign next to letters, other non-ASCII
+# characters, NUL, and characters that str.splitlines takes for line ends.
+_BYTE_PIECES = ("gain", "GAIN", "Loss", "rally", "CRASH", "ok", "i", "kelvin", " ", "  ", "\t",
+                "\x00", "é", "日本", "—", "Straße", "ǅ", "Σσς", "\u2028", "\x85", "\x0b",
+                "\u0130", "\u0130stanbul", "x\u0130", "\u212a", "\u212aelvin", "x\u212a",
+                "\u212a\u212a", "İ\u212a")
+# Terms that a token only matches when U+0130 and the Kelvin sign fold and
+# split tokens as str.lower makes them.
+_BYTE_LEXICON = SentimentLexicon(frozenset({"gain", "rally", "ok", "kelvin", "i", "xk"}),
+                                 frozenset({"loss", "crash", "stanbul", "xi", "kk", "ik"}))
+
+
+def _random_news_lines(rng: random.Random, n_items: int) -> list[str]:
+    lines, day = ["date,text"], dt.date(2021, 1, 1)
+    for _ in range(n_items):
+        day += dt.timedelta(days=rng.randrange(2))
+        lines.append(f"{day},{''.join(rng.choices(_BYTE_PIECES, k=rng.randrange(7)))}")
+    return lines
+
+
+def _news_file(lines: list[str], layout: str) -> bytes:
+    """The bytes of the news file of ``lines`` in one of several layouts:
+    all but the last three take the byte path."""
+    if layout == "blank-lines":
+        lines = [*lines[:3], "", *lines[3:], ""]
+    elif layout == "quoted":
+        lines = [lines[0], *(f'{line[:10]},"{line[11:]}"' for line in lines[1:])]
+    elif layout == "padded-date":
+        lines = [*lines[:2], " " + lines[2], *lines[3:]]
+    text = "\n".join(lines) + ("" if layout == "no-final-lf" else "\n")
+    return (b"\xef\xbb\xbf" if layout == "bom" else b"") + text.encode()
+
+
+_LAYOUTS = ["plain", "no-final-lf", "bom", "blank-lines", "quoted", "padded-date"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_news_file_bytes_score_like_the_reference(tmp_path, csv_reads, layout, seed):
+    """A news file loads and scores like the per-item references on every
+    path: its labels, read, are the reference loader's, and its scores,
+    and those of a subset with gaps, are bitwise the reference scorer's."""
+    rng = random.Random(seed)
+    lines = _random_news_lines(rng, _SCORE_CHUNK + 700 if seed == 0 else rng.randrange(3, 300))
+    path = tmp_path / "news.csv"
+    path.write_bytes(_news_file(lines, layout))
+    news = load_news_csv(path)
+    # The reference loader keeps a byte-order mark, which the loaders drop.
+    unmarked = tmp_path / "unmarked.csv"
+    unmarked.write_bytes(path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
+    assert label_pairs(news) == ref_load_news_csv(unmarked)
+    assert isinstance(news.texts, TextColumn) == (_LAYOUTS.index(layout) < 3)
+    assert csv_reads == ([path] if layout == "quoted" else [])
+    for lexicon in (_BYTE_LEXICON, default_lexicon()):
+        _assert_column_scores(news, lexicon)
+
+
+@pytest.mark.parametrize("text", [
+    "date,text\n", "date,text", "date,text\n2021-03-01,\n", "date,text\n2021-03-01,x",
+    "date,text\n2021-03-01,gain\n2021-03-01,a,b\n\n021-03-01,x\n",
+    "date,text\n2021-03-01,gain\n2021-03-01,a,b\n2021-03-02\n",
+    "date,text\n2021-03-01,gain\n2021-03-02,a,b\n",
+    "date,text\n2021-02-29,gain\n", "date,text\n2021-03-01\t,gain\n",
+    "date,text\n2021-03-01,x\n2021-03-0,x\n", "date, text\n2021-03-01,x\n",
+    "date,text\n2021-03-01," + "x" * 53 + "\n", "date,text\n2021-03-01," + "x" * 54 + "\n",
+], ids=["header-only", "header-without-lf", "empty-text", "no-final-lf", "comma-and-blank-line",
+        "comma-and-dateless-line", "extra-comma", "bad-date", "padded-date", "short-date", "padded-header",
+        "line-at-the-limit", "line-over-the-limit"])
+def test_news_files_at_the_byte_path_edges_load_like_the_reference(tmp_path, small_field_limit,
+                                                                   text):
+    """Every file whose lines balance their ``,`` count in other ways, or that
+    the byte path leaves to the other readers, loads or fails as the
+    reference does."""
+    path = _write(tmp_path / "news.csv", text)
+    _assert_same_outcome(path)
+    try:
+        news = load_news_csv(path)
+    except SchemaError:
+        return
+    for lexicon in (_BYTE_LEXICON, default_lexicon()):
+        _assert_column_scores(news, lexicon)
 
 
 # ---------------------------------------------------------------------------

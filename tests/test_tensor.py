@@ -50,6 +50,20 @@ class TestSeededRng:
         assert sorted(a) == values
         assert a != values  # astronomically unlikely to be identity
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 1341])
+    def test_shuffle_swaps_and_draws_as_the_scalar_loop(self, n):
+        """One batched draw gives the permutation and end state of one
+        ``next_uint64`` per swap, for a list and for an array."""
+        want, scalar = list(range(n)), SeededRng(11)
+        for i in range(n - 1, 0, -1):
+            j = scalar.next_uint64() % (i + 1)
+            want[i], want[j] = want[j], want[i]
+        for values in (list(range(n)), np.arange(n)):
+            rng = SeededRng(11)
+            rng.shuffle(values)
+            assert list(values) == want
+            assert rng.state == scalar.state
+
     def test_uniform_bounds_validated(self):
         with pytest.raises(ParameterError):
             SeededRng(1).uniform(2.0, 1.0)
