@@ -224,7 +224,8 @@ def _chunk_scores(table: _TermTable, data: bytes, starts: np.ndarray, stops: np.
     of a run (an LF and a ``YYYY-MM-DD,`` prefix) are cut out of the tokens.
     """
     n = len(starts)
-    heads = np.concatenate(([0], np.flatnonzero(starts[1:] - stops[:-1] > TEXT_GAP) + 1))
+    follows = starts[1:] - stops[:-1] <= TEXT_GAP
+    heads = np.concatenate(([0], np.flatnonzero(~follows) + 1))
     lo, hi = starts[heads], stops[np.append(heads[1:], n) - 1]
     raw = b" ".join([data[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
     # Where each text starts and stops in the buffer, after its leading space.
@@ -245,7 +246,7 @@ def _chunk_scores(table: _TermTable, data: bytes, starts: np.ndarray, stops: np.
     buf = np.frombuffer(b" " + raw.translate(_FOLD) + b" " * 8, dtype=np.uint8)
     token = buf > 0x20
     # The bytes between two texts of a run belong to no token.
-    inner = np.flatnonzero(starts[1:] - stops[:-1] <= TEXT_GAP)
+    inner = np.flatnonzero(follows)
     gap_stops = starts[inner + 1, None] - 1
     token[np.minimum(stops[inner, None] + np.arange(TEXT_GAP), gap_stops)] = False
     edges = np.flatnonzero(token[1:] != token[:-1]) + 1
