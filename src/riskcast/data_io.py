@@ -19,8 +19,10 @@ read, and whose every data line is a 10-byte date, a ``,`` and its text,
 is not split at all: its LF positions give each text's byte range, its
 dates are parsed from the ``[n x 10]`` bytes at the lines' starts, and its
 texts load as a :class:`~riskcast.frames.TextColumn` that sentiment is
-scored from, with no ``str`` per item.  Any other news file loads through
-the split or ``csv.reader`` like the rest.  The writers build the bytes of
+scored from, with no ``str`` per item.  A news file is read by
+:func:`~riskcast.errors.read_bytes`, which decodes it only to check a file
+that is not ASCII; one that is not read this way is decoded then and loads
+through the split or ``csv.reader`` like the rest.  The writers build the bytes of
 ``_ROWS_PER_WRITE`` rows at a time from whole column slices, with no Python
 object per value: dates by civil-from-days arithmetic, floats as the
 shortest round-trip digits (Schubfach) laid out as ``repr`` lays them out,
@@ -61,7 +63,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ModelIOError, SchemaError, read_file
+from .errors import DataError, ModelIOError, SchemaError, read_bytes, read_file
 from .features import ColumnStats, SampleSet
 from .frames import (DatedLabels, TextColumn, TimeSeriesFrame, calendar_dates, day_numbers,
                      merge_outer)
@@ -379,9 +381,11 @@ def _news_column(data: bytes) -> DatedLabels | None:
 
 
 def load_news_csv(path) -> DatedLabels:
-    data, text = read_file(path, SchemaError)
+    data = read_bytes(path, SchemaError)
     news = _news_column(data)
-    return news if news is not None else _load_dated_labels(path, "text", data, text)
+    if news is not None:
+        return news
+    return _load_dated_labels(path, "text", data, data.decode("utf-8"))
 
 
 def load_policy_csv(path) -> DatedLabels:

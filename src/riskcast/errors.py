@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and :func:`read_file`,
-which reads and decodes every input file and raises a decode fault as one of them.
+"""Exception hierarchy shared across the package, and :func:`read_file` and
+:func:`read_bytes`, which read every input file, check that it is UTF-8 and
+raise a decode fault as one of them.
 
 The CLI maps these onto distinct exit codes, so library code should raise
 the most specific type that applies.
@@ -38,15 +39,31 @@ class ModelIOError(RiskcastError):
     """A model file could not be written, or read back faithfully."""
 
 
+def _read(path) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read().removeprefix(b"\xef\xbb\xbf")
+
+
+def _text(path, data: bytes, error: type[RiskcastError]) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[:exc.start + 1].splitlines())
+        raise error(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})")
+
+
 def read_file(path, error: type[RiskcastError]) -> tuple[bytes, str]:
     """The bytes of ``path`` and their text, read once and decoded once as UTF-8 with
     the line ends kept, both without one leading UTF-8 byte-order mark.  A byte that
     is not UTF-8 raises ``error`` at its ``file:line`` (lines end at LF, CR or CRLF)."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    data = data.removeprefix(b"\xef\xbb\xbf")
-    try:
-        return data, data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(data[:exc.start + 1].splitlines())
-        raise error(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})")
+    data = _read(path)
+    return data, _text(path, data, error)
+
+
+def read_bytes(path, error: type[RiskcastError]) -> bytes:
+    """The bytes of ``path`` as :func:`read_file` gives them, checked the same way.
+    An ASCII file is UTF-8 and is not decoded; any other is decoded once to check it."""
+    data = _read(path)
+    if not data.isascii():
+        _text(path, data, error)
+    return data

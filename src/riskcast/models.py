@@ -11,6 +11,15 @@ in its place, and the scores are bitwise the same.  The linear model is
 fitted exactly by :func:`linreg_fit`, has no backward, and its forward
 always returns ``None`` for the cache.
 
+The fit solves the ridge-jittered normal equations without a design matrix.
+A set's windows are lagged copies of the ``n+T-1`` rows they cover, so
+every entry of the Gram is a lagged cross-product of those rows, a sum over
+``n`` rows corrected by the first and last ``T-1`` of them (the covariance
+method of linear prediction).  The lag sums come from a few products over
+whole T-row blocks of the rows, the static columns and the target, so the
+fit holds O(n·(F + S)) numbers beside the Gram instead of the ``n x
+(T·F + S + 1)`` design.
+
 Inputs are batch-first: ``x_seq`` is ``[B x T x F]`` and ``x_static`` is
 ``[B x S]``, giving ``B`` scores; backward takes their ``[B]`` gradient and
 sums the parameter gradients over the batch (no input gradient is built).
@@ -292,20 +301,101 @@ class LinearRegressionModel:
         return scores, None
 
 
-def _design(samples: SampleSet) -> np.ndarray:
-    """One row per sample: ``[x_seq flattened row-major, x_static, 1]``."""
-    n = len(samples)
-    return np.hstack([samples.x_seq.reshape(n, -1), samples.x_static, np.ones((n, 1))])
+def _lag_sums(left: np.ndarray, rows: np.ndarray, t: int) -> np.ndarray:
+    """``lags[:, d] = Σ_i left[i]ᵀ rows[i+d]`` for ``d < t``, a ``[W x t x F]``
+    array, from ``left``'s ``[blocks x t·W]`` and ``rows``' ``[blocks+1 x t·F]``
+    T-row blocks: each block of ``left`` against the same block of rows, then
+    against the next one.  When ``left`` is ``rows[:blocks]`` itself, numpy
+    takes the first product as one symmetric product, so ``lags[:, 0]`` is
+    exactly symmetric."""
+    blocks, f = left.shape[0], rows.shape[1] // t
+    w = left.shape[1] // t
+    lags = np.zeros((w, t, f))
+    same = (left.T @ rows[:blocks]).reshape(t, w, t, f)
+    for p in range(t):
+        lags[:, :t - p] += same[p, :, p:]
+    del same  # one block product alive at a time bounds the fit's memory
+    nxt = (left[:, w:].T @ rows[1:, :(t - 1) * f]).reshape(t - 1, w, t - 1, f)
+    for p in range(1, t):
+        lags[:, t - p:] += nxt[p - 1, :, :p]
+    return lags
+
+
+def _normal_equations(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram ``DᵀD`` and right-hand side ``Dᵀy`` of the design ``D`` whose
+    row ``i`` is ``[x_seq[i] flattened row-major, x_static[i], 1]``, built
+    without ``D``.
+
+    Window ``i`` of a stride-1 window sequence is ``rows[i:i + T]`` of the
+    ``[n+T-1 x F]`` rows it covers, read as ``x_seq[:, 0]`` and then
+    ``x_seq[-1, 1:]``.  Each Gram block between window positions ``a`` and
+    ``a + d`` is then a lagged cross-product of those rows (the covariance
+    method of linear prediction): the lag sum ``Σ_{i<n} rows[i]ᵀ rows[i+d]``
+    plus, for each ``j < a``, the outer product of ``rows[n+j]`` and
+    ``rows[n+j+d]`` minus that of ``rows[j]`` and ``rows[j+d]``, so only the
+    last and the first T-1 rows correct it.  The lag sums of the rows, and
+    those of ``[x_static, y, 1]`` against the rows (the static and constant
+    columns, and the window part of ``Dᵀy``), come from :func:`_lag_sums`;
+    ``[x_static, y, 1]ᵀ[x_static, y, 1]`` gives the rest.  An ``x_seq``
+    that is not a window sequence is its own rows, flattened, with T = 1.
+    Equal strides on axes 0 and 1 make a window sequence; otherwise its
+    values are compared.
+    """
+    x_seq = samples.x_seq
+    n, t, f = x_seq.shape
+    if x_seq.strides[0] != x_seq.strides[1] and \
+            not np.array_equal(x_seq[1:, :-1], x_seq[:-1, 1:]):
+        x_seq = x_seq.reshape(n, 1, t * f)
+        t, f = 1, t * f
+    s = samples.static_width
+    blocks = -(-n // t)
+    # Both buffers are zero past the rows the windows and samples cover.
+    rows = np.zeros(((blocks + 1) * t, f))
+    rows[:n] = x_seq[:, 0]
+    rows[n:n + t - 1] = x_seq[-1, 1:]
+    aux = np.zeros((blocks * t, s + 2))  # [x_static, y, 1]
+    aux[:n, :s] = samples.x_static
+    aux[:n, s] = samples.y
+    aux[:n, s + 1] = 1.0
+    row_blocks = rows.reshape(blocks + 1, t * f)
+    aux_lags = _lag_sums(aux.reshape(blocks, t * (s + 2)), row_blocks, t).reshape(s + 2, t * f)
+    # The rows' own lag sums over whole blocks of them, one symmetric product,
+    # and then over the n % t rows left.
+    whole = n - n % t
+    row_lags = _lag_sums(row_blocks[:whole // t], row_blocks[:whole // t + 1], t)
+    for d in range(t):
+        row_lags[:, d] += rows[whole:n].T @ rows[whole + d:n + d]
+
+    tf = t * f
+    gram = np.empty((tf + s + 1, tf + s + 1))
+    windows = gram[:tf, :tf].reshape(t, f, t, f, copy=False)
+    windows[0] = row_lags
+    # Block (a, b) is block (a-1, b-1) plus the products of row n+a-1 and
+    # minus those of row a-1; the blocks below the diagonal mirror those above.
+    for a in range(1, t):
+        ends = rows[n + a - 1:n + t - 1]
+        starts = rows[a - 1:t - 1]
+        windows[a, :, a:] = (windows[a - 1, :, a - 1:t - 1] + ends[0, :, None, None] * ends
+                             - starts[0, :, None, None] * starts)
+        windows[a, :, :a] = windows[:a, :, a].transpose(2, 0, 1)
+    gram[:tf, tf:tf + s] = aux_lags[:s].T
+    gram[:tf, -1] = aux_lags[-1]
+    gram[tf:, :tf] = gram[:tf, tf:].T
+    small = aux[:n].T @ aux[:n]
+    keep = np.r_[0:s, s + 1]
+    gram[tf:, tf:] = small[np.ix_(keep, keep)]
+    rhs = np.concatenate([aux_lags[s], small[keep, s]])
+    return gram, rhs
 
 
 def linreg_fit(samples: SampleSet, ridge_lambda: float = 1e-8) -> LinearRegressionModel:
-    """Exact ridge-jittered normal-equations solve on flattened samples."""
+    """Exact ridge-jittered normal-equations solve on flattened samples, from
+    the Gram that :func:`_normal_equations` builds without a design matrix."""
     n = len(samples)
     if n < 2:
         raise DataError(f"linear fit needs at least 2 samples, got {n}")
-    design = _design(samples)
-    gram = design.T @ design + ridge_lambda * np.eye(design.shape[1])
-    rhs = design.T @ samples.y
+    gram, rhs = _normal_equations(samples)
+    gram += ridge_lambda * np.eye(gram.shape[0])
     try:
         beta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:

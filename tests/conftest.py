@@ -6,7 +6,7 @@ import pytest
 
 from riskcast import HybridModel, ModelDims, SampleSet, SeededRng
 from riskcast.frames import DatedLabels, calendar_dates, day_numbers
-from riskcast.models import LinearRegressionModel, _design
+from riskcast.models import LinearRegressionModel
 
 
 def numeric_grad(loss_fn, array: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -75,10 +75,17 @@ def label_pairs(labels: DatedLabels) -> list[tuple[dt.date, str]]:
     return list(zip(calendar_dates(labels.days), labels.labels))
 
 
+def design(samples: SampleSet) -> np.ndarray:
+    """The linear model's design matrix: one row ``[x_seq flattened row-major,
+    x_static, 1]`` per sample."""
+    n = len(samples)
+    return np.hstack([samples.x_seq.reshape(n, -1), samples.x_static, np.ones((n, 1))])
+
+
 def linreg_objective(model: LinearRegressionModel, samples: SampleSet) -> float:
     """Ridge objective ||y - Zb||^2 + lambda ||b||^2 (bias included)."""
     beta = np.concatenate([model.weights, model.bias])
-    resid = samples.y - _design(samples) @ beta
+    resid = samples.y - design(samples) @ beta
     return float(resid @ resid + model.ridge_lambda * (beta @ beta))
 
 

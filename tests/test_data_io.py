@@ -1,4 +1,6 @@
 import datetime as dt
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from riskcast.data_io import (
     write_news_csv,
     write_policy_csv,
 )
+from riskcast.errors import read_bytes, read_file
 from riskcast.frames import day_numbers
 from riskcast.models import LinearRegressionModel, prediction_scores
 from riskcast.preprocess import PipelineConfig, Preprocess
@@ -192,6 +195,36 @@ class TestOtherLoaders:
         path.write_text("date,body\n2020-01-01,hello\n")
         with pytest.raises(SchemaError):
             load_news_csv(path)
+
+
+class TestReadBytes:
+    """``read_bytes`` gives ``read_file``'s bytes and refuses what it refuses,
+    at the same line, but decodes no ASCII file."""
+
+    def test_ascii_file_is_not_decoded(self, tmp_path):
+        path = tmp_path / "news.csv"
+        path.write_bytes(b"date,text\n" + b"2020-01-01,markets rally\n" * 40_000)
+        tracemalloc.start()
+        try:
+            data = read_bytes(path, SchemaError)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data == read_file(path, SchemaError)[0] == path.read_bytes()
+        assert peak < 1.5 * len(data)
+
+    @pytest.mark.parametrize("text", [b"caf\xc3\xa9 gain", b"caf\xe9 gain", b"\xff"])
+    def test_other_files_are_checked_as_read_file_checks_them(self, tmp_path, text):
+        path = tmp_path / "news.csv"
+        path.write_bytes(b"date,text\r\n2020-01-01,up\n2020-01-02," + text + b"\n")
+        try:
+            want = read_file(path, SchemaError)[0]
+        except SchemaError as exc:
+            with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
+                read_bytes(path, SchemaError)
+            assert str(exc).startswith(f"{path}:3: not UTF-8: byte 0x")
+        else:
+            assert read_bytes(path, SchemaError) == want
 
 
 class TestChronologicalSplit:

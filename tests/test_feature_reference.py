@@ -439,3 +439,12 @@ def test_linreg_fit_copies_the_windows_once():
     design_bytes = len(samples) * (20 * 10 + 3 + 1) * 8  # [windows, statics, 1] per row
     _, peak = _peak_bytes(lambda: linreg_fit(samples))
     assert peak < 1.5 * design_bytes
+
+
+def test_linreg_fit_builds_no_design_matrix():
+    """The fit reads the window rows and the static columns, not a design
+    matrix: its peak stays below a quarter of the design's bytes."""
+    samples = build_windows(_wide_frame(3000), _WIDE_SEQ, _WIDE_STATIC, "y", 20, 5)
+    design_bytes = len(samples) * (20 * 10 + 3 + 1) * 8
+    _, peak = _peak_bytes(lambda: linreg_fit(samples))
+    assert peak < design_bytes / 4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import normwise_rel_error, numeric_grad, random_samples, rel_error, tiny_dims
-from riskcast import DimensionError, HybridModel, ParameterError, SeededRng
+from riskcast import DimensionError, HybridModel, ParameterError, SeededRng, layers
 from riskcast.layers import (
     Conv1DLayer,
     DenseLayer,
@@ -206,6 +206,23 @@ class TestLSTM:
             for k in range(4):
                 assert cache.gates[t, k].shape == (batch, 4)
                 assert cache.gates[t, k].flags.c_contiguous, (t, k)
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_step_weights_reach_the_product_f_ordered(self, monkeypatch, cache):
+        """Every step multiplies by an F-contiguous ``[w_x^T; b; w_h^T]``: a
+        C-ordered copy of the same values makes OpenBLAS sum in another order,
+        which moves hidden states by about 1e-16 and model files' bytes."""
+        seen = []
+
+        def spy(x, w_t, out=None):
+            seen.append(w_t.flags.f_contiguous and not w_t.flags.c_contiguous)
+            return _block_matmul(x, w_t, out=out)
+
+        monkeypatch.setattr(layers, "_block_matmul", spy)
+        rng = SeededRng(44)
+        cell = LSTMCell.initialize(15, 32, rng)
+        cell.forward(rng.normals(9 * 20 * 15).reshape(9, 20, 15), cache=cache)
+        assert seen == [True] * 20
 
     # The hybrid model's LSTM at bench dims (7 market columns of 15) and at
     # gradcheck's dims (2 of 4).

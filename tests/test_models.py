@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    design,
     linreg_objective,
     normwise_rel_error,
     numeric_grad,
@@ -23,6 +24,8 @@ from riskcast import (
     NumericalError,
     SampleSet,
     SeededRng,
+    TimeSeriesFrame,
+    build_windows,
     linreg_fit,
     predict_batch,
 )
@@ -31,6 +34,7 @@ from riskcast.models import (
     MAX_PARTS,
     MIN_PART,
     SCORE_CHUNK,
+    _normal_equations,
     prediction_scores,
 )
 from riskcast.training import mse_loss
@@ -177,15 +181,13 @@ class TestLinearRegression:
         model = linreg_fit(samples)
         exact_mse = float(np.mean((samples.y - prediction_scores(model, samples)) ** 2))
 
-        n = len(samples)
-        design = np.hstack([samples.x_seq.reshape(n, -1), samples.x_static,
-                            np.ones((n, 1))])
-        beta = np.zeros(design.shape[1])
-        lr = 1.0 / (np.linalg.norm(design, 2) ** 2)
+        rows = design(samples)
+        beta = np.zeros(rows.shape[1])
+        lr = 1.0 / (np.linalg.norm(rows, 2) ** 2)
         for _ in range(20_000):
-            resid = design @ beta - samples.y
-            beta -= lr * (2.0 * design.T @ resid + 2e-8 * beta)
-        gd_mse = float(np.mean((design @ beta - samples.y) ** 2))
+            resid = rows @ beta - samples.y
+            beta -= lr * (2.0 * rows.T @ resid + 2e-8 * beta)
+        gd_mse = float(np.mean((rows @ beta - samples.y) ** 2))
         assert exact_mse <= gd_mse + 1e-6
 
     def test_random_perturbations_never_reduce_the_objective(self):
@@ -208,6 +210,48 @@ class TestLinearRegression:
         samples = random_samples(1, tiny_dims(), seed=18)
         with pytest.raises(DataError):
             linreg_fit(samples)
+
+
+def _window_set(n: int, t: int, s: int, seed: int) -> SampleSet:
+    """``n`` windows of ``t`` rows of 4 channels with ``s`` static columns, cut
+    from a longer ``build_windows`` set, so that the view's base holds rows
+    before and after the ones its windows cover."""
+    rng = SeededRng(seed)
+    n_rows = n + t + 6
+    names = [f"x{i}" for i in range(4)] + [f"s{i}" for i in range(s)] + ["y"]
+    frame = TimeSeriesFrame(np.arange(730000, 730000 + n_rows),
+                            {name: rng.normals(n_rows) for name in names})
+    return build_windows(frame, names[:4], names[4:4 + s], "y", t, 1).subset(3, 3 + n)
+
+
+class TestNormalEquations:
+    """The Gram and right-hand side built from lag sums of the window rows
+    match ``DᵀD`` and ``Dᵀy`` of the explicit design matrix.  Mutants these
+    tests catch: an edge correction read one row off, the next-block product
+    dropped, and the rows read from ``x_seq.base`` (the whole window set)."""
+
+    @pytest.mark.parametrize("s", [0, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 20])
+    def test_match_the_design_products(self, t, s):
+        rng = SeededRng(70 + t)
+        for n in sorted({2, t - 1, t, t + 1, 3 * t, 1341} - {0, 1}):
+            views = _window_set(n, t, s, seed=71 + n)
+            assert views.x_seq.strides[0] == views.x_seq.strides[1]
+            for kind, x_seq in (("view", views.x_seq), ("copy", np.array(views.x_seq)),
+                                ("random", rng.normals(n * t * 4).reshape(n, t, 4))):
+                samples = SampleSet(x_seq, views.x_static, views.y, views.days)
+                gram, rhs = _normal_equations(samples)
+                rows = design(samples)
+                assert gram.shape == (t * 4 + s + 1,) * 2 and rhs.shape == (t * 4 + s + 1,)
+                assert normwise_rel_error(gram, rows.T @ rows) <= 1e-13, (n, kind)
+                assert normwise_rel_error(rhs, rows.T @ samples.y) <= 1e-13, (n, kind)
+                assert np.array_equal(gram, gram.T), (n, kind)
+
+    def test_view_and_copy_give_the_same_bits(self):
+        views = _window_set(1341, 20, 3, seed=72)
+        copied = SampleSet(np.array(views.x_seq), views.x_static, views.y, views.days)
+        for got, want in zip(_normal_equations(views), _normal_equations(copied)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPredictBatch:
