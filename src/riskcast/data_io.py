@@ -1,8 +1,9 @@
 """CSV ingestion and writing, chronological splits, and model persistence.
 
 File schemas (``YYYY-MM-DD`` dates, decimal floats, RFC-4180 quoting).  Each
-file is read once by :func:`~riskcast.errors.read_file`, as bytes and as
-text, and turned into columns, and every fault is located from that read.
+file is read once, as bytes and text by :func:`~riskcast.errors.read_file`
+or as bytes by :func:`~riskcast.errors.read_bytes`, and turned into columns,
+and every fault is located from that read.
 A file with no ``"``, no CR and no line longer than
 ``csv.field_size_limit()`` characters is split on LF and ``,``: one array
 pass over its bytes finds each line's length, comma count and blankness,
@@ -12,22 +13,43 @@ refuses a field over that limit.  Both give the same rows and the line each
 ends on: blank lines are skipped, whitespace in fields is kept.  A date is
 ``YYYY-MM-DD`` in ASCII digits, a Gregorian date from year 1, with
 surrounding whitespace stripped; a date column is parsed as one byte array.
-A value is an ASCII decimal float as ``float()`` reads it, with no ``_``.
-One leading UTF-8 byte-order mark is dropped.  News and policy load as
-:class:`~riskcast.frames.DatedLabels`.  A news file that the split would
-read, and whose every data line is a 10-byte date, a ``,`` and its text,
-is not split at all: its LF positions give each text's byte range, its
-dates are parsed from the ``[n x 10]`` bytes at the lines' starts, and its
-texts load as a :class:`~riskcast.frames.TextColumn` that sentiment is
-scored from, with no ``str`` per item.  A news file is read by
-:func:`~riskcast.errors.read_bytes`, which decodes it only to check a file
-that is not ASCII; one that is not read this way is decoded then and loads
-through the split or ``csv.reader`` like the rest.  The writers build the bytes of
-``_ROWS_PER_WRITE`` rows at a time from whole column slices, with no Python
-object per value: dates by civil-from-days arithmetic, floats as the
-shortest round-trip digits (Schubfach) laid out as ``repr`` lays them out,
-and text fields encoded once, quoted only when they hold a ``,``, ``"``, LF
-or CR:
+A value is an ASCII decimal float as ``float()`` reads it, with no ``_``:
+surrounding whitespace, a sign or none, then ``digits[.digits]``,
+``digits.`` or ``.digits`` with an optional exponent ``(e|E)[+-]?digits``,
+or ``inf``, ``infinity`` or ``nan`` in any case.  One leading UTF-8
+byte-order mark is dropped.
+
+A numeric file that the split would read, and whose every data line has
+its header's field count and a valid 10-byte date first, is not split:
+:func:`_numeric_columns` takes its field bounds from the LF and ``,``
+positions, its dates from the ``[n x 10]`` bytes, and its values from
+:func:`_decimal_block`'s array passes over 4,096 fields at a time.  A
+value ``[+-]?(digits[.digits]|digits.|.digits)`` under 24 bytes, with at
+most 19 digits from its first non-zero digit and 19 after its point, is
+``w / 10^f`` with ``w < 10^19``: both exact in an x87 extended double
+(64-bit significand), so the quotient is rounded once there and once to a
+double, which gives ``float()``'s correctly rounded double unless the
+extended result lies exactly halfway between two doubles (Clinger 1990,
+"How to read floating point numbers accurately"; Lemire 2021, "Number
+parsing at a gigabyte per second").  Such values, values outside that form
+and, where ``long double`` is not the x87 format, all values go to
+``float()``; a file with a fault goes to the split or ``csv.reader``.
+
+News and policy load as :class:`~riskcast.frames.DatedLabels`.  A news file
+that the split would read, and whose every data line is a 10-byte date, a
+``,`` and its text, is not split at all: its LF positions give each text's
+byte range, its dates are parsed from the ``[n x 10]`` bytes at the lines'
+starts, and its texts load as a :class:`~riskcast.frames.TextColumn` that
+sentiment is scored from, with no ``str`` per item.  News and numeric files
+are read by :func:`~riskcast.errors.read_bytes`, which decodes a file only
+to check one that is not ASCII; one that is not read from its bytes is
+decoded then and loads through the split or ``csv.reader`` like the rest.
+
+The writers build the bytes of ``_ROWS_PER_WRITE`` rows at a time from
+whole column slices, with no Python object per value: dates by
+civil-from-days arithmetic, floats as the shortest round-trip digits
+(Schubfach) laid out as ``repr`` lays them out, and text fields encoded
+once, quoted only when they hold a ``,``, ``"``, LF or CR:
 
 * ``market.csv``    - ``date,open,close,volume``
 * ``financial.csv`` - ``date,profit,debt_ratio,cash_flow``
@@ -57,6 +79,7 @@ import functools
 import io
 import itertools
 import os
+import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, fields
@@ -81,6 +104,8 @@ DATA_FILES = ("market.csv", "financial.csv", "macro.csv", "news.csv", "policy.cs
 # Market values no price or volume can take: per column, the fault and its test against 0.
 _MARKET_INVALID = {"close": ("non-positive", np.less_equal), "volume": ("negative", np.less)}
 _LF, _COMMA = ord("\n"), ord(",")
+# A uint64 scalar, so that no operation on uint64 arrays leaves uint64.
+_u = np.uint64
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +114,7 @@ _LF, _COMMA = ord("\n"), ord(",")
 
 
 def _csv_fields(path, text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    """:func:`_read_fields`' stripped header, fields, widths and row lines,
+    """:func:`_fields`' stripped header, fields, widths and row lines,
     parsed from the file's ``text`` by ``csv.reader``, which alone parses
     quoted fields and CR line ends and refuses a field over
     ``csv.field_size_limit()`` (a ``file:line`` SchemaError)."""
@@ -107,9 +132,31 @@ def _csv_fields(path, text: str) -> tuple[list[str], list[str], np.ndarray, np.n
             np.array(lines, dtype=np.int64))
 
 
-def _read_fields(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    """:func:`_fields` of one read of the file."""
-    return _fields(path, *read_file(path, SchemaError))
+def _line_scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The split path's view of a non-empty file's ``data``: its bytes as
+    uint8, the positions of its LF and ``,`` bytes, and each line's length
+    and comma count; or None for a file with a ``"``, a CR or a line longer
+    than ``csv.field_size_limit()`` characters, which only ``csv.reader``
+    reads.  One array pass over the bytes finds them all: LF and ``,`` are
+    single bytes that never occur inside a multi-byte UTF-8 character."""
+    if b'"' in data or b"\r" in data:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    is_sep = raw == _LF
+    is_sep |= raw == _COMMA             # in place: one byte mask fewer held at once
+    seps = np.flatnonzero(is_sep)
+    del is_sep
+    # Each line's end as an index into ``seps``; the end of the file closes
+    # the last line, which is empty after a final LF and then not a line.
+    ends = np.flatnonzero(np.append(raw[seps] == _LF, not data.endswith(b"\n")))
+    stops = np.append(seps, len(data))[ends]
+    lengths = np.diff(stops, prepend=-1) - 1
+    commas = np.diff(ends, prepend=-1) - 1
+    over = np.flatnonzero(lengths > csv.field_size_limit())  # bytes: at least the characters
+    if any(len(data[stop - length:stop].decode()) > csv.field_size_limit()
+           for stop, length in zip(stops[over].tolist(), lengths[over].tolist())):
+        return None
+    return raw, seps, lengths, commas
 
 
 def _fields(path, data: bytes, text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
@@ -118,34 +165,18 @@ def _fields(path, data: bytes, text: str) -> tuple[list[str], list[str], np.ndar
     the file line each row ends on (``csv.reader``'s ``line_num``), from the
     file's ``data`` and ``text`` as :func:`~riskcast.errors.read_file` gives them.
 
-    A file with no ``"``, no CR and no line longer than
-    ``csv.field_size_limit()`` characters is split on LF and ``,``, which
+    A file that :func:`_line_scan` reads is split on LF and ``,``, which
     gives the fields ``csv.reader`` would; any other goes to
-    :func:`_csv_fields`.  The split path finds every line's end, length and
-    comma count in one array pass over the file's bytes: LF and ``,`` are
-    single bytes that never occur inside a multi-byte UTF-8 character.
+    :func:`_csv_fields`.
     """
     if not data:
         raise SchemaError(f"{path}: file is empty, expected a header row")
-    if b'"' in data or b"\r" in data:
+    scan = _line_scan(data)
+    if scan is None:
         return _csv_fields(path, text)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    is_sep = raw == _LF
-    is_sep |= raw == _COMMA             # in place: one byte mask fewer held at once
-    seps = np.flatnonzero(is_sep)
-    del is_sep
-    # Each line's end as an index into ``seps``; the end of the file closes
-    # the last line, which is empty after a final LF and then not a line.
+    lengths, commas = scan[2:]
     final_lf = data.endswith(b"\n")
-    ends = np.flatnonzero(np.append(raw[seps] == _LF, not final_lf))
-    stops = np.append(seps, len(data))[ends]
-    lengths = np.diff(stops, prepend=-1) - 1
-    commas = np.diff(ends, prepend=-1) - 1
-    over = np.flatnonzero(lengths > csv.field_size_limit())  # bytes: at least the characters
-    if any(len(data[stop - length:stop].decode()) > csv.field_size_limit()
-           for stop, length in zip(stops[over].tolist(), lengths[over].tolist())):
-        return _csv_fields(path, text)
-    del data, raw, seps
+    del data, scan
     joined = text.replace("\n", ",")
     del text
     fields = joined.split(",")
@@ -192,6 +223,165 @@ def _date_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (era * 146097 + day_of_era - 305).astype(np.int64), valid
 
 
+# The byte path's values.  A field is read as the three little-endian words
+# of the ``_CELL`` bytes that end where it ends, ``_BLOCK`` fields at a time
+# (about 100 KB of arrays, which stay in a core's cache).  Its mantissa is
+# combined pairwise into a uint64 and divided by a power of 10 in x87
+# extended precision, whose 64-bit significand holds any uint64 and 10^k for
+# k <= 27 (5^27 < 2^64) exactly, and whose layout shows its rounding bits.
+_CELL, _BLOCK = 24, 4096
+_EXACT = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+          and sys.byteorder == "little")
+_POW10_LD = np.cumprod(np.full(20, 10, dtype=np.longdouble)) / 10
+_ALL, _ONES = _u(2**64 - 1), _u(0x0101010101010101)
+_WORD_STARTS = np.array([[0], [8], [16]])
+# Column n of ``_LAST_BYTES``: the masks of the words of a cell that keep its last n bytes.
+_LAST_BYTES = np.left_shift(_ALL, np.maximum(8 * (_CELL - np.arange(_CELL + 1)) - 8 * _WORD_STARTS,
+                                             0).astype(np.uint64))
+# Byte j of row k is the count of a cell's columns after column 8k + 7 - j.
+# Word k of a cell whose one set byte is a 1 at byte b, times row k, holds
+# row k's byte 7 - b in its top byte: the count of columns after that 1.
+_AFTER = np.array([[sum((16 - 8 * k + j) << (8 * j) for j in range(8))] for k in range(3)],
+                  dtype=np.uint64)
+_PLUS, _MINUS, _POINT, _ZERO = b"+-.0"
+
+
+def _pair_digits(words: np.ndarray) -> np.ndarray:
+    """Each uint64 of ``words`` that holds 8 digits (0 to 9) in its bytes,
+    the first the most significant, as the number they spell, in place:
+    each step multiplies adjacent lanes into one of twice the width, making
+    pairs, then 4-digit groups, then the number (Lemire 2021)."""
+    for factor, shift, mask in ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF),
+                                (100 << 16 | 1, 16, 0x0000FFFF0000FFFF),
+                                (10_000 << 32 | 1, 32, 0xFFFFFFFF)):
+        words *= _u(factor)
+        words >>= _u(shift)
+        words &= _u(mask)
+    return words
+
+
+def _decimal_block(words: np.ndarray, first: np.ndarray, ends: np.ndarray,
+                   lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 values of the fields of ``lengths`` bytes that end at
+    ``ends``, with ``first`` their first bytes and ``words`` the file's
+    unaligned little-endian uint64 words (``words[i]`` is bytes ``i`` to
+    ``i + 7``), and which of the fields are left to ``float()``.
+
+    A field ``[+-]?(digits[.digits]|digits.|.digits)`` with ``f <= 19``
+    digits after its point is ``w / 10^f``, with ``w`` the digits as an
+    integer, when ``w`` fits the cell's last 19 digit places (20 with the
+    point): then ``w < 10^19``.  The quotient of the two exact operands is rounded
+    once to 64 bits and then to a double, which is the correctly rounded
+    double unless the first result lies exactly halfway between two
+    doubles (low 11 significand bits ``10000000000``).  Such a field, any
+    field outside the grammar and any field of ``_CELL`` bytes or more is
+    left to ``float()``.
+    """
+    words = words[ends - _CELL + _WORD_STARTS]
+    negative = first == _MINUS
+    size = lengths - (negative | (first == _PLUS))
+    inside = np.take(_LAST_BYTES, size, axis=1, mode="clip")
+    digits = words.view(np.uint8) - np.uint8(_ZERO)
+    is_digit = (digits < 10).view(np.uint64)
+    point = (words.view(np.uint8) == _POINT).view(np.uint64)
+    point &= inside
+    stray = is_digit | point
+    stray ^= _ONES
+    stray &= inside
+    points = ((point[0] + point[1] + point[2]) * _ONES) >> _u(56)
+    after = (point * _AFTER) >> _u(56)
+    fraction = (after[0] + after[1] + after[2]).astype(np.intp)
+    has_point = points == 1
+    # A, the digits with the point as a 0, and F, only those after the point, in
+    # 8-digit groups: w = A // 10 + 9 * (F // 10) + A % 10 with a point, A without.
+    groups = np.empty((6, len(ends)), dtype=np.uint64)
+    np.multiply(is_digit, _u(0xFF), out=groups[:3])
+    groups[:3] &= inside
+    groups[:3] &= digits.view(np.uint64)
+    np.bitwise_and(groups[:3], np.take(_LAST_BYTES, fraction, axis=1, mode="clip"),
+                   out=groups[3:])
+    _pair_digits(groups)
+    tenths = groups[0::3] * _u(10**15)
+    tenths += groups[1::3] * _u(10**7)
+    tenths += groups[2::3] // _u(10)
+    mantissa = tenths[0] * np.where(has_point, _u(1), _u(10))
+    mantissa += tenths[1] * _u(9)
+    mantissa += groups[2] % _u(10)
+    slow = (stray[0] | stray[1] | stray[2]) != 0
+    slow |= points > 1
+    slow |= size <= points.astype(np.intp)
+    slow |= lengths >= _CELL
+    slow |= fraction >= len(_POW10_LD)
+    slow |= groups[0] >= np.where(has_point, _u(10_000), _u(1_000))
+    extended = mantissa.astype(np.longdouble)
+    extended /= np.take(_POW10_LD, fraction, mode="clip")
+    slow |= (extended.view(np.uint64)[::2] & _u(0x7FF)) == _u(0x400)
+    values = extended.astype(np.float64)
+    np.negative(values, out=values, where=negative)
+    return values, slow
+
+
+def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The values of the fields ``data[starts[i]:ends[i]]``, as ``float()``
+    reads them, or None when one is not an ASCII decimal float.
+    :func:`_decimal_block` converts them in blocks; ``float()`` converts the
+    fields it leaves, and every field when extended precision is not x87's."""
+    values = np.empty(len(ends))
+    slow = np.ones(len(ends), dtype=bool)
+    if _EXACT and len(data) >= 2 * _CELL:   # every cell's words are in range, some wrapping round
+        words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+        raw = np.frombuffer(data, dtype=np.uint8)
+        lengths = ends - starts
+        for start in range(0, len(ends), _BLOCK):
+            part = slice(start, start + _BLOCK)
+            first = raw[np.minimum(starts[part], len(raw) - 1)]  # an empty last field: its ","
+            values[part], slow[part] = _decimal_block(words, first, ends[part], lengths[part])
+        # A word that would start before the file wraps round to its end, which
+        # is outside the field only when the field starts at byte 8 or later.
+        slow |= starts < 8
+    for i in np.flatnonzero(slow).tolist():
+        token = data[starts[i]:ends[i]]
+        if not token.isascii() or b"_" in token:
+            return None
+        try:
+            values[i] = float(token.decode())
+        except ValueError:
+            return None
+    return values
+
+
+def _numeric_columns(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """The header, day ordinals and ``[columns x rows]`` values of a numeric
+    file's ``data``, read from its bytes, or None unless it takes the split
+    path (:func:`_line_scan`) with every data line as many fields wide as
+    its header line, at least two, and a valid 10-byte ``YYYY-MM-DD`` date
+    first, and :func:`_decimal_fields` reads every value.  Field bounds are
+    the scan's separators; blank lines, padded dates and bad fields are
+    left to the split or ``csv.reader`` path, which reports each fault at
+    its line."""
+    scan = _line_scan(data) if data else None
+    if scan is None:
+        return None
+    raw, seps, _, commas = scan
+    width, n = int(commas[0]) + 1, len(commas) - 1
+    if n == 0 or width < 2 or (commas[1:] != commas[0]).any():
+        return None
+    bounds = seps if data.endswith(b"\n") else np.append(seps, len(data))
+    header_end = width - 1                  # the header line's LF, as an index into ``bounds``
+    ends = bounds[header_end + 1:header_end + 1 + n * width].reshape(n, width)
+    starts = bounds[header_end:header_end + n * width].reshape(n, width) + 1
+    if (ends[:, 0] - starts[:, 0] != 10).any():
+        return None
+    days, valid = _date_ordinals(raw[starts[:, :1] + np.arange(10)])
+    if not valid.all():
+        return None
+    values = _decimal_fields(data, starts[:, 1:].ravel(), ends[:, 1:].ravel())
+    if values is None:
+        return None
+    header = [name.strip() for name in data[:bounds[header_end]].decode().split(",")]
+    return header, days, np.ascontiguousarray(values.reshape(n, width - 1).T)
+
+
 def _token_dates(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_date_ordinals` of date fields, joined with LFs and encoded:
     only when each is exactly 10 bytes long does every LF fall at the end
@@ -226,7 +416,7 @@ def _date_fault(token: str) -> str | None:
 def _check_rows(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, width: int,
                 value_names: list[str]) -> None:
     """Raise the ``file:line`` SchemaError of the first bad row of
-    :func:`_read_fields`' rows: wrong field count, bad date or bad value."""
+    :func:`_fields`' rows: wrong field count, bad date or bad value."""
     for end, count, lineno in zip(np.cumsum(widths).tolist(), widths.tolist(), lines.tolist()):
         row, where = fields[end - count:end], f"{path}:{lineno}:"
         if count != width:
@@ -287,6 +477,19 @@ def _reject_first(path, lines: np.ndarray, bad: np.ndarray, matrix: np.ndarray,
                           f"{float(matrix[col, row])} in column {name!r}")
 
 
+def _check_header(path, header: list[str], required: tuple[str, ...]) -> None:
+    """Refuse a numeric file's header unless ``date`` comes first, no name
+    repeats and every ``required`` column is there."""
+    if not header or header[0] != "date":
+        raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise SchemaError(f"{path}: header repeats column names {repeated}")
+    for column in required:
+        if column not in header[1:]:
+            raise SchemaError(f"{path}: missing required column {column!r}")
+
+
 def _load_numeric_csv(path, required: tuple[str, ...],
                       invalid: dict[str, tuple] | None = None) -> TimeSeriesFrame:
     """Shared loader: a ``date`` column plus named float columns.
@@ -297,20 +500,21 @@ def _load_numeric_csv(path, required: tuple[str, ...],
     (column -> fault and test against 0) are rejected.
     A bad file is reported at its first bad row in file order.
     """
-    header, fields, widths, lines = _read_fields(path)
-    if not header or header[0] != "date":
-        raise SchemaError(f"{path}: first column must be 'date', got {header[:1]}")
-    repeated = sorted({name for name in header if header.count(name) > 1})
-    if repeated:
-        raise SchemaError(f"{path}: header repeats column names {repeated}")
-    for column in required:
-        if column not in header[1:]:
-            raise SchemaError(f"{path}: missing required column {column!r}")
-    if not len(widths):
-        raise SchemaError(f"{path}: no data rows")
+    data = read_bytes(path, SchemaError)
+    columns = _numeric_columns(data)
+    if columns is not None:
+        header, days, matrix = columns
+        _check_header(path, header, required)
+        lines = np.arange(2, 2 + len(days))
+    else:
+        header, fields, widths, lines = _fields(path, data, data.decode())
+        _check_header(path, header, required)
+        if not len(widths):
+            raise SchemaError(f"{path}: no data rows")
+        days, matrix, _ = _columns(path, fields, widths, lines, len(header), header[1:])
+        del fields
+    del data, columns
     value_names = header[1:]
-    days, matrix, _ = _columns(path, fields, widths, lines, len(header), value_names)
-    del fields
     order = np.argsort(days, kind="stable")
     ranked = days[order]
     repeated = ranked[1:] == ranked[:-1]
@@ -448,9 +652,7 @@ def _date_cells(days: np.ndarray) -> np.ndarray:
 
 
 # Shortest round-trip digits of a double by Schubfach (Giulietti 2020, "The
-# Schubfach way to render doubles"), on uint64 arrays.  ``_u(n)`` is a uint64
-# scalar, so that no operation leaves uint64.
-_u = np.uint64
+# Schubfach way to render doubles"), on uint64 arrays.
 _LOW32, _LOW63 = _u(2**32 - 1), _u(2**63 - 1)
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _G_K_MIN = -324                     # g(k) is tabled for k in [-324, 292]

@@ -39,9 +39,27 @@ class ModelIOError(RiskcastError):
     """A model file could not be written, or read back faithfully."""
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
 def _read(path) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read().removeprefix(b"\xef\xbb\xbf")
+    """The bytes of ``path`` after one leading UTF-8 byte-order mark, read
+    with no copy of the file: unbuffered, the mark is read on its own and
+    the rest in one read.  A file without the mark is read again from its
+    start, or, when it cannot seek (a pipe), joined to its first bytes."""
+    with open(path, "rb", buffering=0) as handle:
+        head = b""
+        while len(head) < len(_BOM):
+            chunk = handle.read(len(_BOM) - len(head))
+            if not chunk:
+                return head
+            head += chunk
+        if head == _BOM:
+            return handle.readall()
+        if handle.seekable():
+            handle.seek(0)
+            return handle.readall()
+        return head + handle.readall()
 
 
 def _text(path, data: bytes, error: type[RiskcastError]) -> str:

@@ -62,15 +62,16 @@ from .workers import usable_cpus
 SCORE_CHUNK = 256
 
 # Fewest windows per part when ``prediction_scores`` splits a set across
-# CPUs.  The per-step Python work holds the interpreter lock, so parts this
-# small do not run at once: on a 2-CPU host two parts were slower than one
-# below about 8,000 windows (by about 10% at 512 and 1,917 windows, and
-# about even at 7,917) and faster only at 19,917 windows (by 6%).
+# CPUs.  Two parts ran faster than one on a 2-CPU host (Python 3.11, numpy
+# 2.4, OpenBLAS on 1 thread; medians of 14 in-process calls at 2000 days,
+# one part and then two, alternating): ``predict`` of 1,917 windows took
+# 83.2 against 59.5 ms wall, two faster in 14 of 14, and ``compare`` and
+# ``evaluate`` of 289 windows 18.6 against 17.4 and 19.6 against 17.5 ms,
+# 12 of 14 each.  CPU time rose by 6-9%.
 MIN_PART = 128
 
-# Most parts ``prediction_scores`` scores at the same time.  On the 2-CPU
-# host above, two parts were faster than one only at about 20,000 windows;
-# more were never measured, and since the parts share the interpreter lock
+# Most parts ``prediction_scores`` scores at the same time.  More than two
+# were never measured, and since the parts share the interpreter lock
 # between numpy calls, more threads are not known to help.  The cap also
 # bounds the threads a call starts on a large host whose CPU quota is
 # smaller than its affinity mask.

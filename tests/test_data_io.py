@@ -213,6 +213,22 @@ class TestReadBytes:
         assert data == read_file(path, SchemaError)[0] == path.read_bytes()
         assert peak < 1.5 * len(data)
 
+    def test_a_byte_order_mark_is_dropped_without_a_copy(self, tmp_path):
+        """A 1 MB file that starts with a UTF-8 byte-order mark is read with
+        the mark dropped and no second copy of its bytes."""
+        row = b"2020-01-02,99.57904883308954,100.09138017409491,1235569.780943339\n"
+        body = b"date,open,close,volume\n" + row * (1_000_000 // len(row))
+        path = tmp_path / "market.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + body)
+        tracemalloc.start()
+        try:
+            data = read_bytes(path, SchemaError)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data == body == read_file(path, SchemaError)[0]
+        assert peak < 1.5 * len(body)
+
     @pytest.mark.parametrize("text", [b"caf\xc3\xa9 gain", b"caf\xe9 gain", b"\xff"])
     def test_other_files_are_checked_as_read_file_checks_them(self, tmp_path, text):
         path = tmp_path / "news.csv"

@@ -432,15 +432,6 @@ def test_build_windows_never_builds_the_window_tensor():
     assert peak < samples.x_seq.nbytes / 4
 
 
-def test_linreg_fit_copies_the_windows_once():
-    """The design matrix is the one copy of the windows; flattening the view
-    into a copy of its own first would double the fit's peak memory."""
-    samples = build_windows(_wide_frame(3000), _WIDE_SEQ, _WIDE_STATIC, "y", 20, 5)
-    design_bytes = len(samples) * (20 * 10 + 3 + 1) * 8  # [windows, statics, 1] per row
-    _, peak = _peak_bytes(lambda: linreg_fit(samples))
-    assert peak < 1.5 * design_bytes
-
-
 def test_linreg_fit_builds_no_design_matrix():
     """The fit reads the window rows and the static columns, not a design
     matrix: its peak stays below a quarter of the design's bytes."""

@@ -17,7 +17,10 @@ down to the line each row ends on, and a rejected file is opened only once.
 import builtins
 import csv
 import datetime as dt
+import decimal
+import fractions
 import itertools
+import math
 import os
 import random
 import re
@@ -30,6 +33,7 @@ from conftest import label_pairs
 from riskcast import SchemaError, SentimentLexicon, TimeSeriesFrame, default_lexicon
 from riskcast import data_io
 from riskcast.cli import main
+from riskcast.errors import read_file
 from riskcast.data_io import (
     load_financial_csv,
     load_macro_csv,
@@ -379,13 +383,18 @@ def _assert_same_outcome(path):
         _assert_same_load(path)
 
 
+def _read_fields(path):
+    """``data_io._fields`` of one read of the file."""
+    return data_io._fields(path, *read_file(path, SchemaError))
+
+
 def _assert_readers_agree(path):
     """Both readers give the reference's header, fields, row widths and row
     lines (``reader.line_num`` after each row)."""
     header, rows = _ref_read_rows(path)
     want = (header, [field for _, row in rows for field in row], [len(row) for _, row in rows])
     want_lines = [line for line, _ in rows]
-    got_header, got_fields, got_widths, got_lines = data_io._read_fields(path)
+    got_header, got_fields, got_widths, got_lines = _read_fields(path)
     assert got_widths.dtype == np.int64
     assert (got_header, got_fields, got_widths.tolist()) == want
     assert got_lines.tolist() == want_lines
@@ -510,7 +519,7 @@ def test_random_unquoted_files_read_as_csv_reads_them(tmp_path, csv_reads, seed)
             _assert_readers_agree(path)
         else:
             with pytest.raises(SchemaError, match="file is empty"):
-                data_io._read_fields(path)
+                _read_fields(path)
     assert csv_reads == []
 
 
@@ -1013,3 +1022,262 @@ def test_a_byte_order_mark_leaves_the_trained_model_unchanged(tmp_path, capsys):
                      "--baseline", "linreg"]) == 0
     assert (tmp_path / "plain.rcm").read_bytes() == (tmp_path / "marked.rcm").read_bytes()
     assert "warning" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Values read from the file's bytes
+# ---------------------------------------------------------------------------
+
+
+def _digits(rng: random.Random, n: int) -> str:
+    """``n`` random digits, the first not 0."""
+    return str(rng.randrange(10 ** (n - 1), 10 ** n))
+
+
+def _decimal_token(rng: random.Random) -> str:
+    """A decimal of 1 to 19 significant digits times 10^q, q from -19 to 19,
+    in the grammar ``[+-]?(digits[.digits]|digits.|.digits)``: a sign or none,
+    leading zeros, trailing zeros, and no integer or no fraction digits."""
+    digits, q = _digits(rng, rng.randint(1, 19)), rng.randint(-19, 19)
+    if q >= 0:
+        whole, fraction = digits + "0" * q, ""
+    else:
+        padded = digits.rjust(-q, "0")
+        whole, fraction = padded[:q] or "0", padded[q:]
+    whole = "0" * rng.choice((0, 0, 0, 1, 3)) + whole
+    fraction += "0" * rng.choice((0, 0, 0, 1, 2))
+    if fraction or rng.random() < 0.3:
+        token = f"{whole}.{fraction}"
+        if whole.strip("0") == "" and fraction and rng.random() < 0.5:
+            token = token.lstrip("0")          # ".5"
+    else:
+        token = whole
+    return rng.choice(("", "", "-", "+")) + token
+
+
+def _repr_tokens(rng: np.random.Generator, n: int) -> list[str]:
+    """``repr`` of ``n`` doubles from 1e-6 to 1e20, either sign, as the writers lay floats out."""
+    return list(map(repr, (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n)
+                           * 10.0 ** rng.integers(-6, 20, n)).tolist()))
+
+
+def _midpoint_tokens(rng: random.Random) -> list[str]:
+    """The exact midpoint between a double and the next, then that midpoint
+    rounded down and up to 17, 18 and 19 significant digits, from decimal:
+    the midpoints of doubles from 2^49 up are at most 19 digits long, and
+    a rounded one can lie closer to the midpoint than an x87 extended
+    double can tell apart."""
+    if rng.random() < 0.5:
+        low = float(rng.randrange(2**49, 2**64))
+    else:
+        low = rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-5, 18)
+    with decimal.localcontext(decimal.Context(prec=800)):
+        middle = (decimal.Decimal(low) + decimal.Decimal(math.nextafter(low, math.inf))) / 2
+    tokens = [format(middle, "f")]
+    for places in (17, 18, 19):
+        exponent = middle.adjusted() + 1 - places
+        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING):
+            near = middle.quantize(decimal.Decimal(1).scaleb(exponent), rounding=rounding)
+            tokens.append(format(near, "f"))
+    return tokens
+
+
+# Tokens at the grammar's and the conversion's edges: zeros and signs, no
+# integer or no fraction digits, 19 and 20 significant digits, 19 and 20
+# fraction digits, and tokens outside the grammar that float() reads.
+_EDGE_TOKENS = ["0", "-0", "+0", "0.0", "-0.0", "00", "000.000", ".5", "5.", "-.5", "+5.",
+                "9" * 19, "9" * 20, "1" + "0" * 18, "1" + "0" * 19, "18446744073709551615",
+                "18446744073709551616", ".0000000000000000001", "0.00000000000000000001",
+                "9007199254740993", "4503599627370496.5", "1.000000000000000111",
+                "1.000000000000000112", "1e5", "-2.5E-3", " 1", "1 ", "inf", "-nan"]
+
+
+def _token_bytes(tokens: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """``tokens`` as one file's bytes after an 8-byte line, one per line,
+    and each token's start and end in them."""
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    ends = np.cumsum(lengths + 1) + 8
+    return b"header,\n" + "\n".join(tokens).encode() + b"\n", ends - lengths - 1, ends - 1
+
+
+_GRAMMAR = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
+def _exact_path(token: str) -> bool:
+    """Whether ``token`` is in the byte path's grammar and fits its exact
+    conversion: shorter than 24 bytes, with at most 19 digits after its point
+    and at most 19 from its first non-zero digit to its last."""
+    if len(token) >= 24 or not _GRAMMAR.fullmatch(token):
+        return False
+    whole, _, fraction = token.lstrip("+-").partition(".")
+    return len(fraction) <= 19 and len((whole + fraction).lstrip("0")) <= 19
+
+
+def _on_midpoint(token: str) -> bool:
+    """Whether the value of ``token``, rounded to a 64-bit significand, lies
+    exactly halfway between two doubles."""
+    value, double = fractions.Fraction(token), float(token)
+    toward = math.nextafter(double, math.inf if value > double else -math.inf)
+    middle = (fractions.Fraction(double) + fractions.Fraction(toward)) / 2
+    # 64-bit significands are 2^(e - 64) apart in [2^(e - 1), 2^e).
+    return middle != 0 and abs(value - middle) <= fractions.Fraction(2) ** (
+        math.frexp(abs(middle))[1] - 65)
+
+
+@pytest.fixture(scope="module")
+def decimal_tokens() -> tuple[list[str], list[str]]:
+    """Over a million tokens: random decimals, ``repr`` of random doubles,
+    exact and near midpoints between adjacent doubles and the edge tokens;
+    and the midpoint tokens alone."""
+    rng = random.Random(35)
+    midpoints = [token for _ in range(10_000) for token in _midpoint_tokens(rng)]
+    tokens = [_decimal_token(rng) for _ in range(450_000)]
+    tokens += _repr_tokens(np.random.default_rng(35), 500_000)
+    return tokens + midpoints + _EDGE_TOKENS, midpoints
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """The tokens ``data_io`` converts with ``float()``, in call order."""
+    calls = []
+
+    def spy(token):
+        calls.append(token)
+        return float(token)
+
+    monkeypatch.setattr(data_io, "float", spy, raising=False)
+    return calls
+
+
+def test_decimal_tokens_read_from_bytes_as_float_reads_them(decimal_tokens, float_calls):
+    """Every token converts to the bits ``float()`` gives it.  ``float()`` is
+    left exactly the tokens outside the grammar or the exact conversion, and
+    those whose extended result lies on a midpoint, exact midpoints and
+    19-digit tokens next to them among them."""
+    tokens, midpoints = decimal_tokens
+    data, starts, ends = _token_bytes(tokens)
+    got = data_io._decimal_fields(data, starts, ends)
+    assert len(tokens) > 10**6
+    assert got.tobytes() == np.array(list(map(float, tokens))).tobytes()
+    slow = set(float_calls)
+    exact = set(filter(_exact_path, tokens))
+    assert len(exact) > len(set(tokens)) / 2
+    assert slow | exact == set(tokens)
+    assert all(map(_on_midpoint, slow & exact))
+    on_midpoint = set(filter(_on_midpoint, exact.intersection(midpoints)))
+    assert on_midpoint <= slow
+    assert len(on_midpoint) > 1000 and len(on_midpoint - set(midpoints[::7])) > 100
+    assert {"9007199254740993", "4503599627370496.5", "1.000000000000000111"} <= slow
+    assert "1.000000000000000112" not in slow
+
+
+def test_decimal_tokens_read_through_float_without_extended_precision(decimal_tokens,
+                                                                        float_calls, monkeypatch):
+    """Where extended precision is not x87's, ``float()`` converts every
+    token, to the same bits."""
+    monkeypatch.setattr(data_io, "_EXACT", False)
+    tokens, _ = decimal_tokens
+    data, starts, ends = _token_bytes(tokens)
+    got = data_io._decimal_fields(data, starts, ends)
+    assert float_calls == tokens
+    assert got.tobytes() == np.array(list(map(float, tokens))).tobytes()
+
+
+@pytest.mark.parametrize("name", ["market.csv", "financial.csv", "macro.csv"])
+def test_generated_numeric_files_take_the_byte_path(tmp_path, monkeypatch, float_calls, name):
+    """A numeric file as ``gen-data`` writes it is read from its bytes, not
+    split, and ``float()`` converts only values whose extended result lies
+    on a midpoint: a silent fall back to the slow path fails here."""
+    assert main(["gen-data", "--days", "2000", "--seed", "7", "--out", str(tmp_path)]) == 0
+
+    def no_split(path, *_):
+        raise AssertionError(f"{path} was split")
+
+    monkeypatch.setattr(data_io, "_fields", no_split)
+    frame = NUMERIC[name][0](tmp_path / name)
+    assert len(frame) > 0
+    assert all(_exact_path(token) and _on_midpoint(token) for token in float_calls)
+    assert len(float_calls) < len(frame) * len(frame.column_names) / 1000
+
+
+# Bytes a mutation writes: the grammar's own, separators, an exponent, padding,
+# an underscore, a letter, a quote and a two-byte character.
+_MUTATIONS = [*"0123456789", ".", ".", "+", "-", "e", ",", "\n", " ", "\t", "_", "x", '"', "é"]
+
+
+def _grammar_file(rng: random.Random, header: str) -> bytes:
+    """A numeric file of up to 30 dated rows whose values come from the
+    grammar (and now and then an exponent, ``inf``, ``nan`` or padding),
+    with or without a final LF, and then, in most files, one byte
+    replaced, inserted or deleted."""
+    day = dt.date(2021, 1, 1)
+    lines = [header]
+    for _ in range(rng.randint(1, 30)):
+        day += dt.timedelta(days=rng.randint(1, 3))
+        values = [_decimal_token(rng) if rng.random() < 0.9 else
+                  rng.choice(["12.375", "1e5", "inf", "nan", " 2 ", "-.5E-3", "1.5e-07"])
+                  for _ in range(header.count(","))]
+        lines.append(",".join([day.isoformat(), *values]))
+    data = bytearray(("\n".join(lines) + ("\n" if rng.random() < 0.8 else "")).encode())
+    if rng.random() < 0.8:
+        at = rng.randrange(len(data))
+        kind = rng.choice(("replace", "insert", "delete"))
+        data[at:at + (kind != "insert")] = b"" if kind == "delete" else rng.choice(
+            _MUTATIONS).encode()
+    return bytes(data)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["financial.csv", "macro.csv"])
+def test_mutated_grammar_files_load_like_the_reference(tmp_path, monkeypatch, name, seed):
+    """A grammar-based differential test (McKeeman 1998): files written from
+    the value grammar, most with one byte mutated, load exactly when the
+    reference loader loads them, to the same values, or fail with its
+    ``file:line`` message; many take the byte path and many are left to
+    the split or ``csv.reader`` path."""
+    taken = []
+    numeric_columns = data_io._numeric_columns
+
+    def spy(data):
+        columns = numeric_columns(data)
+        taken.append(columns is not None)
+        return columns
+
+    monkeypatch.setattr(data_io, "_numeric_columns", spy)
+    rng = random.Random(1000 * seed + len(name))
+    header = {"financial.csv": "date,profit,debt_ratio,cash_flow",
+              "macro.csv": "date,gdp,cpi,interest_rate"}[name]
+    for i in range(150):
+        (tmp_path / str(i)).mkdir()
+        path = tmp_path / str(i) / name
+        path.write_bytes(_grammar_file(rng, header))
+        with warnings.catch_warnings():     # a mutated date can put rows out of order
+            warnings.simplefilter("ignore")
+            _assert_same_outcome(path)
+    assert 30 < sum(taken) < len(taken) - 30
+
+
+@pytest.mark.parametrize("value", ["", ".", "+", "-", "+.", "-.", "..5", "5..", "1.2.3", "+-1",
+                                   "--1", "1-", "1+", "e5", "1e", " ", "_1", "1_0", "1,5",
+                                   "١", "0x1", "1.5\x00", "inf", "-nan", "\t7 ", "+.5", "-5."])
+def test_a_value_at_the_grammar_edge_loads_or_fails_like_the_reference(tmp_path, value):
+    """A value with no digit, two points or signs, a sign after its digits,
+    a bare or half exponent, padding, a separator, a non-ASCII digit or
+    ``inf`` and ``nan`` loads or fails as the reference does, among rows
+    that the byte path reads."""
+    rows = [f"2021-03-{day:02d},1.5,-0.25,{day}" for day in range(1, 29)]
+    rows[13] = f"2021-03-14,1.5,{value},14"
+    path = _write(tmp_path / "macro.csv", "date,gdp,cpi,interest_rate\n" + "\n".join(rows) + "\n")
+    _assert_same_outcome(path)
+
+
+def test_fields_at_the_start_of_the_bytes_read_as_float_reads_them():
+    """A field that starts in the first 8 bytes, whose cell would wrap round
+    to the end of the bytes, converts to ``float()``'s bits, though the
+    bytes end with a number that such a cell would read."""
+    tokens = ["12345.5", "-0.125", *(["9.75"] * 20), "88888888.8"]
+    data = "\n".join(tokens).encode()
+    ends = np.cumsum([len(token) + 1 for token in tokens]) - 1
+    starts = ends - [len(token) for token in tokens]
+    got = data_io._decimal_fields(data, starts, ends)
+    assert got.tobytes() == np.array(list(map(float, tokens))).tobytes()
