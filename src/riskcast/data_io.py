@@ -1,49 +1,46 @@
 """CSV ingestion and writing, chronological splits, and model persistence.
 
 File schemas (``YYYY-MM-DD`` dates, decimal floats, RFC-4180 quoting).  Each
-file is read once, as bytes and text by :func:`~riskcast.errors.read_file`
-or as bytes by :func:`~riskcast.errors.read_bytes`, and turned into columns,
-and every fault is located from that read.
-A file with no ``"``, no CR and no line longer than
-``csv.field_size_limit()`` characters is split on LF and ``,``: one array
-pass over its bytes finds each line's length, comma count and blankness,
-and one ``split`` of its text gives the fields.  Any other file goes
-through ``csv.reader``, which parses quoted fields and CR line ends and
-refuses a field over that limit.  Both give the same rows and the line each
-ends on: blank lines are skipped, whitespace in fields is kept.  A date is
-``YYYY-MM-DD`` in ASCII digits, a Gregorian date from year 1, with
-surrounding whitespace stripped; a date column is parsed as one byte array.
-A value is an ASCII decimal float as ``float()`` reads it, with no ``_``:
+file is read once, as bytes by :func:`~riskcast.errors.read_bytes`, which
+decodes a file only to check one that is not ASCII.  One leading UTF-8
+byte-order mark is dropped.  A date is ``YYYY-MM-DD`` in ASCII digits, a
+Gregorian date from year 1, with surrounding whitespace stripped.  A value
+is an ASCII decimal float as ``float()`` reads it, with no ``_``:
 surrounding whitespace, a sign or none, then ``digits[.digits]``,
 ``digits.`` or ``.digits`` with an optional exponent ``(e|E)[+-]?digits``,
-or ``inf``, ``infinity`` or ``nan`` in any case.  One leading UTF-8
-byte-order mark is dropped.
+or ``inf``, ``infinity`` or ``nan`` in any case.
 
-A numeric file that the split would read, and whose every data line has
-its header's field count and a valid 10-byte date first, is not split:
-:func:`_numeric_columns` takes its field bounds from the LF and ``,``
-positions, its dates from the ``[n x 10]`` bytes, and its values from
-:func:`_decimal_block`'s array passes over 4,096 fields at a time.  A
-value ``[+-]?(digits[.digits]|digits.|.digits)`` under 24 bytes, with at
-most 19 digits from its first non-zero digit and 19 after its point, is
-``w / 10^f`` with ``w < 10^19``: both exact in an x87 extended double
-(64-bit significand), so the quotient is rounded once there and once to a
-double, which gives ``float()``'s correctly rounded double unless the
+Two tokenizers feed one parser, and a file's bytes choose its tokenizer
+once, before any field is parsed.  A file with a ``"``, a CR or a line
+longer than ``csv.field_size_limit()`` characters goes to ``csv.reader``
+(:func:`_csv_fields`), which parses quoted fields and CR line ends and
+refuses a field over that limit.  Any other goes to :func:`_line_scan`,
+whose field bounds are the positions of the file's LF and ``,`` bytes.
+Both give the same rows (:class:`_Rows`): a byte buffer, each field's
+bounds in it, and each row's width and the line it ends on.  Blank lines
+are skipped and whitespace in fields is kept; for ``csv.reader`` the
+buffer is the fields re-encoded.
+
+The parser reads whole columns in array passes.  Dates come from the
+``[n x 10]`` bytes at each field's start, past any ASCII padding.  Values
+come from :func:`_decimal_block`'s array passes over 4,096 fields at a
+time.  A value ``[+-]?(digits[.digits]|digits.|.digits)`` under 24 bytes,
+with at most 19 digits from its first non-zero digit and 19 after its
+point, is ``w / 10^f`` with ``w < 10^19``: both exact in an x87 extended
+double (64-bit significand), so the quotient is rounded once there and once
+to a double, which gives ``float()``'s correctly rounded double unless the
 extended result lies exactly halfway between two doubles (Clinger 1990,
 "How to read floating point numbers accurately"; Lemire 2021, "Number
-parsing at a gigabyte per second").  Such values, values outside that form
-and, where ``long double`` is not the x87 format, all values go to
-``float()``; a file with a fault goes to the split or ``csv.reader``.
-
-News and policy load as :class:`~riskcast.frames.DatedLabels`.  A news file
-that the split would read, and whose every data line is a 10-byte date, a
-``,`` and its text, is not split at all: its LF positions give each text's
-byte range, its dates are parsed from the ``[n x 10]`` bytes at the lines'
-starts, and its texts load as a :class:`~riskcast.frames.TextColumn` that
-sentiment is scored from, with no ``str`` per item.  News and numeric files
-are read by :func:`~riskcast.errors.read_bytes`, which decodes a file only
-to check one that is not ASCII; one that is not read from its bytes is
-decoded then and loads through the split or ``csv.reader`` like the rest.
+parsing at a gigabyte per second").  A field the array passes cannot
+settle is read on its own: a date, such as one padded with non-ASCII
+whitespace, once :func:`_date_fault` finds it a date, and a value outside
+that form or on a midpoint (or any value where ``long double`` is not the
+x87 format) by ``float()``.  No file goes to a second tokenizer.  A file
+with a fault is reported at its first bad row by :func:`_check_rows`,
+which decodes the rows up to it.  News loads as a
+:class:`~riskcast.frames.TextColumn` of byte ranges of the buffer, which
+sentiment is scored from with no ``str`` per item; policy categories are
+decoded and stripped.
 
 The writers build the bytes of ``_ROWS_PER_WRITE`` rows at a time from
 whole column slices, with no Python object per value: dates by
@@ -104,6 +101,8 @@ DATA_FILES = ("market.csv", "financial.csv", "macro.csv", "news.csv", "policy.cs
 # Market values no price or volume can take: per column, the fault and its test against 0.
 _MARKET_INVALID = {"close": ("non-positive", np.less_equal), "volume": ("negative", np.less)}
 _LF, _COMMA = ord("\n"), ord(",")
+# The bytes of a file scanned for separators at once.
+_SCAN = 1 << 18
 # A uint64 scalar, so that no operation on uint64 arrays leaves uint64.
 _u = np.uint64
 
@@ -113,82 +112,113 @@ _u = np.uint64
 # ---------------------------------------------------------------------------
 
 
-def _csv_fields(path, text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    """:func:`_fields`' stripped header, fields, widths and row lines,
-    parsed from the file's ``text`` by ``csv.reader``, which alone parses
-    quoted fields and CR line ends and refuses a field over
-    ``csv.field_size_limit()`` (a ``file:line`` SchemaError)."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows, lines = [], []
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """The stripped header names and the data rows of a CSV file, as byte
+    ranges of one buffer ``data``: field ``j`` of row ``i`` is
+    ``data[bounds[at[i] + j] + 1:bounds[at[i] + j + 1]]``, row ``i`` holds
+    ``widths[i]`` fields and ends on file line ``lines[i]`` (``csv.reader``'s
+    ``line_num``).  Blank lines are not rows."""
+
+    header: list[str]
+    data: bytes
+    bounds: np.ndarray
+    at: np.ndarray
+    widths: np.ndarray
+    lines: np.ndarray
+
+    def fields(self, columns: range, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The starts and ends of the fields in ``columns`` of ``rows``, column after column."""
+        at = (np.arange(columns.start, columns.stop)[:, None] + self.at[rows]).ravel()
+        return self.bounds[at] + 1, self.bounds[at + 1]
+
+    def row(self, i: int) -> list[str]:
+        """The fields of row ``i``, decoded."""
+        bounds = self.bounds[self.at[i]:self.at[i] + self.widths[i] + 1].tolist()
+        return [self.data[a + 1:b].decode() for a, b in zip(bounds, bounds[1:])]
+
+
+def _csv_fields(path, data: bytes) -> _Rows:
+    """The rows of a file's ``data`` as ``csv.reader`` parses them, which
+    alone parses quoted fields and CR line ends and refuses a field over
+    ``csv.field_size_limit()`` (a ``file:line`` SchemaError).  The reader
+    takes its lines from ``TextIOWrapper``, which decodes a few KB at a time
+    and ends a line at LF, CR or CRLF only, as a file opened with
+    ``newline=""`` does.  The buffer is the fields re-encoded, each after
+    one LF, ``_BLOCK`` fields at a time, so that no ``str`` outlives its
+    block."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    pieces, sizes, widths, lines, fields = [], [], [], [], []
+
+    def encode():
+        joined = "\n" + "\n".join(fields)
+        pieces.append(joined.encode())
+        # ASCII: a field's characters are its bytes.
+        sizes.extend(map(len, fields) if len(pieces[-1]) == len(joined)
+                     else (len(field.encode()) for field in fields))
+        fields.clear()
+
     try:
         header = next(reader)
-        for row in filter(None, reader):
-            rows.append(row)
-            lines.append(reader.line_num)
+        for row in reader:
+            if row:
+                fields += row
+                widths.append(len(row))
+                lines.append(reader.line_num)
+                if len(fields) >= _BLOCK:
+                    encode()
     except csv.Error as exc:
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    return ([name.strip() for name in header], list(itertools.chain.from_iterable(rows)), widths,
-            np.array(lines, dtype=np.int64))
+    encode()
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(np.array(sizes, dtype=np.int64) + 1, out=bounds[1:])
+    widths = np.array(widths, dtype=np.int64)
+    return _Rows([name.strip() for name in header], b"".join(pieces), bounds,
+                 np.cumsum(widths) - widths, widths, np.array(lines, dtype=np.int64))
 
 
-def _line_scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The split path's view of a non-empty file's ``data``: its bytes as
-    uint8, the positions of its LF and ``,`` bytes, and each line's length
-    and comma count; or None for a file with a ``"``, a CR or a line longer
-    than ``csv.field_size_limit()`` characters, which only ``csv.reader``
-    reads.  One array pass over the bytes finds them all: LF and ``,`` are
-    single bytes that never occur inside a multi-byte UTF-8 character."""
+def _line_scan(data: bytes) -> _Rows | None:
+    """The rows of a non-empty file's ``data`` split on LF and ``,``, or None
+    for a file with a ``"``, a CR or a line longer than
+    ``csv.field_size_limit()`` characters, which only ``csv.reader`` reads.
+    The LF and ``,`` positions, found in array passes over the bytes, bound
+    every field: they are single bytes that never occur inside a multi-byte
+    UTF-8 character.  This gives the fields ``csv.reader`` would."""
     if b'"' in data or b"\r" in data:
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    is_sep = raw == _LF
-    is_sep |= raw == _COMMA             # in place: one byte mask fewer held at once
-    seps = np.flatnonzero(is_sep)
-    del is_sep
-    # Each line's end as an index into ``seps``; the end of the file closes
-    # the last line, which is empty after a final LF and then not a line.
-    ends = np.flatnonzero(np.append(raw[seps] == _LF, not data.endswith(b"\n")))
-    stops = np.append(seps, len(data))[ends]
+    # A slice at a time: its masks stay in a core's cache, and no mask of the whole file is held.
+    parts = []
+    for start in range(0, len(raw), _SCAN):
+        part = raw[start:start + _SCAN]
+        parts.append(np.flatnonzero((part == _LF) | (part == _COMMA)) + start)
+    seps = np.concatenate(parts)
+    # Each line's closing separator as an index into ``bounds``; the end of
+    # the file closes the last line, which is empty after a final LF and then
+    # not a line.
+    closes = np.flatnonzero(np.append(raw[seps] == _LF, not data.endswith(b"\n")))
+    bounds = seps if data.endswith(b"\n") else np.append(seps, len(data))
+    stops = bounds[closes]
     lengths = np.diff(stops, prepend=-1) - 1
-    commas = np.diff(ends, prepend=-1) - 1
     over = np.flatnonzero(lengths > csv.field_size_limit())  # bytes: at least the characters
     if any(len(data[stop - length:stop].decode()) > csv.field_size_limit()
            for stop, length in zip(stops[over].tolist(), lengths[over].tolist())):
         return None
-    return raw, seps, lengths, commas
+    header = data[:stops[0]].decode().split(",") if lengths[0] else []
+    rows = np.flatnonzero(lengths[1:]) + 1      # the lines after the header that are not blank
+    at = closes[rows - 1]
+    return _Rows([name.strip() for name in header], data, bounds, at, closes[rows] - at, rows + 1)
 
 
-def _fields(path, data: bytes, text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    """The stripped header names of a CSV file, the fields of its non-blank
-    data rows in one flat list, row after row, each row's field count, and
-    the file line each row ends on (``csv.reader``'s ``line_num``), from the
-    file's ``data`` and ``text`` as :func:`~riskcast.errors.read_file` gives them.
-
-    A file that :func:`_line_scan` reads is split on LF and ``,``, which
-    gives the fields ``csv.reader`` would; any other goes to
-    :func:`_csv_fields`.
-    """
+def _rows(path, data: bytes) -> _Rows:
+    """The rows of a CSV file's ``data``, as :func:`~riskcast.errors.read_bytes`
+    gives them, from the one tokenizer its bytes choose: :func:`_line_scan`,
+    or :func:`_csv_fields` for a file with a ``"``, a CR or a line over
+    ``csv.field_size_limit()`` characters."""
     if not data:
         raise SchemaError(f"{path}: file is empty, expected a header row")
-    scan = _line_scan(data)
-    if scan is None:
-        return _csv_fields(path, text)
-    lengths, commas = scan[2:]
-    final_lf = data.endswith(b"\n")
-    del data, scan
-    joined = text.replace("\n", ",")
-    del text
-    fields = joined.split(",")
-    del joined
-    header = fields[:commas[0] + 1] if lengths[0] else []
-    del fields[:commas[0] + 1]
-    if final_lf:
-        fields.pop()  # the empty field after the final LF
-    kept = lengths[1:] > 0
-    if not kept.all():
-        fields = list(itertools.compress(fields, np.repeat(kept, commas[1:] + 1).tolist()))
-    return [name.strip() for name in header], fields, commas[1:][kept] + 1, 2 + np.flatnonzero(kept)
+    rows = _line_scan(data)
+    return _csv_fields(path, data) if rows is None else rows
 
 
 # The positions of a ``YYYY-MM-DD`` date's digits, and the days of each month in a common year.
@@ -196,22 +226,16 @@ _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _date_fields(cells: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Whether each row of the ``[n x 10]`` uint8 array ``cells`` is
-    ``YYYY-MM-DD`` in ASCII digits, and the year, month and day it spells
-    (int32: a byte below ``0`` wraps past 9, and int32 holds any of them)."""
-    d = (cells[:, _DATE_DIGITS] - ord("0")).astype(np.int32)
-    formed = (d < 10).all(axis=1) & (cells[:, 4] == ord("-")) & (cells[:, 7] == ord("-"))
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    return formed, year, d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
-
-
 def _date_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The day ordinals of the dates in the rows of the ``[n x 10]`` uint8
     array ``cells``, and which rows are dates: ``YYYY-MM-DD`` in ASCII
     digits, a Gregorian date from year 1 (surrounding whitespace is not
     stripped here)."""
-    valid, year, month, day = _date_fields(cells)
+    d = (cells[:, _DATE_DIGITS] - ord("0")).astype(np.int32)   # a byte below "0" wraps past 9
+    valid = (d < 10).all(axis=1) & (cells[:, 4] == ord("-")) & (cells[:, 7] == ord("-"))
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day = d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
+    del d
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
     valid &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
@@ -223,7 +247,7 @@ def _date_ordinals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (era * 146097 + day_of_era - 305).astype(np.int64), valid
 
 
-# The byte path's values.  A field is read as the three little-endian words
+# The values.  A field is read as the three little-endian words
 # of the ``_CELL`` bytes that end where it ends, ``_BLOCK`` fields at a time
 # (about 100 KB of arrays, which stay in a core's cache).  Its mantissa is
 # combined pairwise into a uint64 and divided by a power of 10 in x87
@@ -340,130 +364,122 @@ def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.nda
         # is outside the field only when the field starts at byte 8 or later.
         slow |= starts < 8
     for i in np.flatnonzero(slow).tolist():
-        token = data[starts[i]:ends[i]]
-        if not token.isascii() or b"_" in token:
+        value = _float(data[starts[i]:ends[i]].decode())
+        if value is None:
             return None
-        try:
-            values[i] = float(token.decode())
-        except ValueError:
-            return None
+        values[i] = value
     return values
 
 
-def _numeric_columns(data: bytes) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """The header, day ordinals and ``[columns x rows]`` values of a numeric
-    file's ``data``, read from its bytes, or None unless it takes the split
-    path (:func:`_line_scan`) with every data line as many fields wide as
-    its header line, at least two, and a valid 10-byte ``YYYY-MM-DD`` date
-    first, and :func:`_decimal_fields` reads every value.  Field bounds are
-    the scan's separators; blank lines, padded dates and bad fields are
-    left to the split or ``csv.reader`` path, which reports each fault at
-    its line."""
-    scan = _line_scan(data) if data else None
-    if scan is None:
-        return None
-    raw, seps, _, commas = scan
-    width, n = int(commas[0]) + 1, len(commas) - 1
-    if n == 0 or width < 2 or (commas[1:] != commas[0]).any():
-        return None
-    bounds = seps if data.endswith(b"\n") else np.append(seps, len(data))
-    header_end = width - 1                  # the header line's LF, as an index into ``bounds``
-    ends = bounds[header_end + 1:header_end + 1 + n * width].reshape(n, width)
-    starts = bounds[header_end:header_end + n * width].reshape(n, width) + 1
-    if (ends[:, 0] - starts[:, 0] != 10).any():
-        return None
-    days, valid = _date_ordinals(raw[starts[:, :1] + np.arange(10)])
-    if not valid.all():
-        return None
-    values = _decimal_fields(data, starts[:, 1:].ravel(), ends[:, 1:].ravel())
-    if values is None:
-        return None
-    header = [name.strip() for name in data[:bounds[header_end]].decode().split(",")]
-    return header, days, np.ascontiguousarray(values.reshape(n, width - 1).T)
-
-
-def _token_dates(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_date_ordinals` of date fields, joined with LFs and encoded:
-    only when each is exactly 10 bytes long does every LF fall at the end
-    of a row of 11."""
-    n = len(tokens)
-    joined = ("\n".join(tokens) + "\n").encode()
-    if len(joined) != 11 * n:
-        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-    rows = np.frombuffer(joined, dtype=np.uint8).reshape(n, 11)
-    days, valid = _date_ordinals(rows[:, :10])
-    return days, valid & (rows[:, 10] == _LF)
+def _float(token: str) -> float | None:
+    """``float()`` of one value field, or None when it is not an ASCII
+    decimal float: ``float()`` also takes digit-group underscores and any
+    Unicode digit."""
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    return None
 
 
 def _date_fault(token: str) -> str | None:
     """Why one date field is refused once surrounding whitespace is
-    stripped, or None when it is a date: its form from :func:`_date_fields`,
-    then its range from ``datetime.date``, in the words
+    stripped, or None when it is a date: its form, ``YYYY-MM-DD`` in ASCII
+    digits, then its range from ``datetime.date``, in the words
     ``date.fromisoformat`` uses for the fields it refuses too."""
     text = token.strip()
-    cells = np.frombuffer(text.encode(), dtype=np.uint8).reshape(1, -1)
-    if cells.shape[1] == 10:
-        formed, year, month, day = _date_fields(cells)
-        if formed[0]:
-            try:
-                dt.date(int(year[0]), int(month[0]), int(day[0]))
-            except ValueError as exc:
-                return str(exc)
-            return None
+    if (len(text) == 10 and text.isascii() and text[4] == text[7] == "-"
+            and (text[:4] + text[5:7] + text[8:]).isdigit()):
+        try:
+            dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+        except ValueError as exc:
+            return str(exc)
+        return None
     return f"Invalid isoformat string: {text!r}"
 
 
-def _check_rows(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, width: int,
-                value_names: list[str]) -> None:
-    """Raise the ``file:line`` SchemaError of the first bad row of
-    :func:`_fields`' rows: wrong field count, bad date or bad value."""
-    for end, count, lineno in zip(np.cumsum(widths).tolist(), widths.tolist(), lines.tolist()):
-        row, where = fields[end - count:end], f"{path}:{lineno}:"
+def _check_rows(path, rows: _Rows, width: int, value_names: list[str]) -> None:
+    """Raise the ``file:line`` SchemaError of the first bad row of a file
+    with a fault: wrong field count, bad date or bad value.  The rows up to
+    it are decoded, one at a time."""
+    for i, (count, lineno) in enumerate(zip(rows.widths.tolist(), rows.lines.tolist())):
+        row, where = rows.row(i), f"{path}:{lineno}:"
         if count != width:
             raise SchemaError(f"{where} expected {width} fields, got {count}")
         fault = _date_fault(row[0])
         if fault:
             raise SchemaError(f"{where} unparseable date {row[0]!r}: {fault}")
         for name, token in zip(value_names, row[1:]):
-            try:
-                if not token.isascii() or "_" in token:
-                    raise ValueError("not an ASCII decimal float")
-                float(token)
-            except ValueError as exc:
-                raise SchemaError(f"{where} unparseable value {token!r} "
-                                  f"in column {name!r}") from exc
+            if _float(token) is None:
+                raise SchemaError(f"{where} unparseable value {token!r} in column {name!r}")
+    raise AssertionError(f"{path}: a fault that no row shows")
 
 
-def _columns(path, fields: list[str], widths: np.ndarray, lines: np.ndarray, width: int,
-             value_names: list[str]) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
-    """Parse the flat ``fields`` of rows ``width`` fields wide column by
-    column: the dates as day ordinals, the ``value_names`` columns as one
-    ``[columns x rows]`` float matrix, and the remaining raw columns.
+# The ASCII bytes that ``str.strip`` strips.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\v\f\r\x1c\x1d\x1e\x1f")] = True
 
-    The dates are parsed in one array pass, and again stripped when any
-    fails.  A row of another width, or any bad field, is reported at its
-    file line by :func:`_check_rows`.
-    """
-    values = np.empty((len(value_names), len(widths)))
-    try:
-        if (widths != width).any():
-            raise ValueError("rows with the wrong field count")
-        days, valid = _token_dates(fields[0::width])
-        if not valid.all():
-            days, valid = _token_dates(list(map(str.strip, fields[0::width])))
-            if not valid.all():
-                raise ValueError("bad dates")
-        for column, row in enumerate(values, start=1):
-            tokens = fields[column::width]
-            # float() also takes digit-group underscores and any Unicode digit.
-            joined = "".join(tokens)
-            if not joined.isascii() or "_" in joined:
-                raise ValueError("a value that is not an ASCII decimal float")
-            row[:] = list(map(float, tokens))
-    except ValueError:
-        _check_rows(path, fields, widths, lines, width, value_names)
-        raise
-    return days, values, [fields[column::width] for column in range(len(values) + 1, width)]
+
+def _dates(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The day ordinals of the date fields ``data[starts[i]:ends[i]]``, or
+    None when one is not a date.  :func:`_date_ordinals` reads them from
+    their ``[n x 10]`` bytes: 10 bytes from the start of a field that long,
+    or from the first byte past the ASCII whitespace of a longer field that
+    holds exactly 10 other bytes.  Each field left, such as one padded with
+    non-ASCII whitespace, is read on its own, once :func:`_date_fault` finds
+    it a date."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    firsts, sizes = starts, ends - starts
+    padded = np.flatnonzero(sizes > 10)
+    if padded.size:
+        # Every byte of the padded fields, field after field.
+        size = sizes[padded]
+        heads = np.cumsum(size) - size
+        at = np.arange(heads[-1] + size[-1]) + np.repeat(starts[padded] - heads, size)
+        space = _SPACE[raw[at]]
+        firsts, sizes = starts.copy(), sizes.copy()
+        firsts[padded] = np.minimum.reduceat(np.where(space, len(raw), at), heads)
+        sizes[padded] = np.add.reduceat(~space, heads, dtype=np.intp)
+    # The 10 bytes from each first byte, as the unaligned uint64 and uint16 of
+    # the file there; a field too short to be a date reads other bytes.
+    cells = np.zeros(len(starts), dtype=[("head", "<u8"), ("tail", "<u2")])
+    if len(data) >= 10:
+        firsts = np.minimum(firsts, len(data) - 10)
+        cells["head"] = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))[firsts]
+        cells["tail"] = np.ndarray((len(data) - 1,), "<u2", data, strides=(1,))[firsts + 8]
+    days, valid = _date_ordinals(cells.view(np.uint8).reshape(-1, 10))
+    valid &= sizes == 10
+    for i in np.flatnonzero(~valid).tolist():
+        token = data[starts[i]:ends[i]].decode()
+        if _date_fault(token):
+            return None
+        days[i] = dt.date.fromisoformat(token.strip()).toordinal()
+    return days
+
+
+def _dated_columns(path, rows: _Rows, width: int,
+                   value_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The day ordinals of ``rows``, which must be ``width`` fields wide, and
+    the ``[columns x rows]`` values of the ``value_names`` columns after the
+    date, read in array passes over a block of rows at a time.  A file with
+    a fault is reported at its first bad row by :func:`_check_rows`."""
+    days = _dates(rows.data, *rows.fields(range(1))) if (rows.widths == width).all() else None
+    values = np.empty((len(value_names), len(rows.widths)))
+    # Rows a block at a time, whose values fill one of ``_decimal_fields``' blocks.
+    step = max(1, _BLOCK // max(1, len(value_names)))
+    for start in range(0, len(rows.widths), step):
+        if days is None or not value_names:
+            break
+        part = slice(start, start + step)
+        block = _decimal_fields(rows.data, *rows.fields(range(1, 1 + len(value_names)), part))
+        if block is None:
+            days = None
+        else:
+            values[:, part] = block.reshape(len(value_names), -1)
+    if days is None:
+        _check_rows(path, rows, width, value_names)
+    return days, values
 
 
 def _reject_first(path, lines: np.ndarray, bad: np.ndarray, matrix: np.ndarray,
@@ -500,21 +516,14 @@ def _load_numeric_csv(path, required: tuple[str, ...],
     (column -> fault and test against 0) are rejected.
     A bad file is reported at its first bad row in file order.
     """
-    data = read_bytes(path, SchemaError)
-    columns = _numeric_columns(data)
-    if columns is not None:
-        header, days, matrix = columns
-        _check_header(path, header, required)
-        lines = np.arange(2, 2 + len(days))
-    else:
-        header, fields, widths, lines = _fields(path, data, data.decode())
-        _check_header(path, header, required)
-        if not len(widths):
-            raise SchemaError(f"{path}: no data rows")
-        days, matrix, _ = _columns(path, fields, widths, lines, len(header), header[1:])
-        del fields
-    del data, columns
+    rows = _rows(path, read_bytes(path, SchemaError))
+    header, lines = rows.header, rows.lines
+    _check_header(path, header, required)
+    if not len(lines):
+        raise SchemaError(f"{path}: no data rows")
     value_names = header[1:]
+    days, matrix = _dated_columns(path, rows, len(header), value_names)
+    del rows
     order = np.argsort(days, kind="stable")
     ranked = days[order]
     repeated = ranked[1:] == ranked[:-1]
@@ -545,56 +554,23 @@ def load_macro_csv(path) -> TimeSeriesFrame:
     return _load_numeric_csv(path, MACRO_COLUMNS)
 
 
-def _load_dated_labels(path, label: str, data: bytes, text: str) -> DatedLabels:
-    """The dated labels of a file whose header is exactly ``date,<label>``,
-    in file order, from its ``data`` and ``text``."""
-    header, fields, widths, lines = _fields(path, data, text)
-    if header != ["date", label]:
-        raise SchemaError(f"{path}: expected header date,{label}, got {header}")
-    days, _, (labels,) = _columns(path, fields, widths, lines, 2, [])
-    return DatedLabels(days, labels)
-
-
-def _news_column(data: bytes) -> DatedLabels | None:
-    """The items of a news file's ``data`` as a :class:`TextColumn`, or None
-    unless its header line is ``date,text`` and it takes the split path
-    (no ``"``, no CR, no line longer than ``csv.field_size_limit()``
-    bytes) with every data line a ``YYYY-MM-DD`` date, a ``,`` and a text
-    with no ``,``: each line is at least 11 bytes long with a ``,`` as its
-    byte 10, and the lines hold as many ``,`` as there are lines.  Any other file,
-    blank lines and padded or bad dates included, is left to the split or
-    ``csv.reader`` path, which reports each fault at its line."""
-    header_end = data.find(b"\n")
-    if header_end < 0 or data[:header_end] != b"date,text" or b'"' in data or b"\r" in data:
-        return None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(raw[header_end:] == _LF) + header_end
-    starts = ends + 1
-    stops = np.append(ends[1:], len(data))
-    if data.endswith(b"\n"):
-        starts, stops = starts[:-1], stops[:-1]
-    lengths = stops - starts
-    if len(starts) and (lengths.min() < 11 or lengths.max() > csv.field_size_limit()
-                        or (raw[starts + 10] != _COMMA).any()
-                        or np.count_nonzero(raw[header_end:] == _COMMA) != len(starts)):
-        return None
-    days, valid = _date_ordinals(raw[starts[:, None] + np.arange(10)])
-    if not valid.all():
-        return None
-    return DatedLabels(days, TextColumn(data, starts + 11, stops))
+def _load_dated_labels(path, label: str) -> tuple[np.ndarray, TextColumn]:
+    """The days and labels of a file whose header is exactly ``date,<label>``,
+    in file order, the labels as byte ranges of the tokenizer's buffer."""
+    rows = _rows(path, read_bytes(path, SchemaError))
+    if rows.header != ["date", label]:
+        raise SchemaError(f"{path}: expected header date,{label}, got {rows.header}")
+    days, _ = _dated_columns(path, rows, 2, [])
+    return days, TextColumn(rows.data, *rows.fields(range(1, 2)))
 
 
 def load_news_csv(path) -> DatedLabels:
-    data = read_bytes(path, SchemaError)
-    news = _news_column(data)
-    if news is not None:
-        return news
-    return _load_dated_labels(path, "text", data, data.decode("utf-8"))
+    return DatedLabels(*_load_dated_labels(path, "text"))
 
 
 def load_policy_csv(path) -> DatedLabels:
-    events = _load_dated_labels(path, "category", *read_file(path, SchemaError))
-    return DatedLabels(events.days, list(map(str.strip, events.labels)))
+    days, categories = _load_dated_labels(path, "category")
+    return DatedLabels(days, [category.strip() for category in categories.decode()])
 
 
 # ---------------------------------------------------------------------------

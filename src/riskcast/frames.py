@@ -10,8 +10,8 @@ entry per date; missing observations are NaN, and alignment fills the gaps.
 the generator to the writers and the feature pipeline: one int64 day ordinal
 and one label per item, in source order, with any number of items on one
 day.  The labels are a list of ``str``, or a :class:`TextColumn` of byte
-ranges in the file they were read from, which makes no ``str`` per item
-until a caller reads ``labels``.  No item is ever held as a ``(date, text)``
+ranges in the buffer the CSV reader read them into, which makes no ``str``
+per item until a caller reads ``labels``.  No item is ever held as a ``(date, text)``
 pair.
 """
 
@@ -89,7 +89,7 @@ class TimeSeriesFrame:
 
 
 # The most bytes between two texts of a :class:`TextColumn` that follow each
-# other in its buffer: an LF and the next line's ``YYYY-MM-DD,``.
+# other in its buffer: a separator, the next row's ``YYYY-MM-DD`` and another.
 TEXT_GAP = 12
 
 

@@ -8,10 +8,14 @@ exact message: a bad file is reported at its first bad row in file order,
 with the csv line number (blank lines and the lines of quoted multi-line
 fields count).
 
-A file is read by one of two readers, chosen by its contents: split on LF
-and ``,``, or ``csv.reader`` for a file with a quote, a CR or a line longer
-than ``csv.field_size_limit()``.  Both are checked against the references,
-down to the line each row ends on, and a rejected file is opened only once.
+Each file is tokenized once, by the one tokenizer its bytes choose:
+``csv.reader`` for a file with a quote, a CR or a line longer than
+``csv.field_size_limit()``, and a byte tokenizer that bounds fields at LF
+and ``,`` for any other.  Both give one parser the same rows, whose fields
+it reads in array passes; a field those cannot settle is read on its own,
+and a file is never handed to a second tokenizer.  Both tokenizers are
+checked against the references, down to the line each row ends on, and a
+rejected file is opened only once.
 """
 
 import builtins
@@ -24,6 +28,8 @@ import math
 import os
 import random
 import re
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,7 +39,7 @@ from conftest import label_pairs
 from riskcast import SchemaError, SentimentLexicon, TimeSeriesFrame, default_lexicon
 from riskcast import data_io
 from riskcast.cli import main
-from riskcast.errors import read_file
+from riskcast.errors import read_bytes
 from riskcast.data_io import (
     load_financial_csv,
     load_macro_csv,
@@ -340,7 +346,7 @@ def test_header_only_news_and_policy_load_empty(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The two readers
+# The two tokenizers
 # ---------------------------------------------------------------------------
 
 _CSV_FIELDS = data_io._csv_fields
@@ -351,12 +357,12 @@ _SMALL_LIMIT = 64
 
 @pytest.fixture
 def csv_reads(monkeypatch):
-    """The paths that the loaders hand to the ``csv.reader`` path, in call order."""
+    """The paths that the loaders hand to the ``csv.reader`` tokenizer, in call order."""
     calls = []
 
-    def spy(path, text):
+    def spy(path, data):
         calls.append(path)
-        return _CSV_FIELDS(path, text)
+        return _CSV_FIELDS(path, data)
 
     monkeypatch.setattr(data_io, "_csv_fields", spy)
     return calls
@@ -383,14 +389,21 @@ def _assert_same_outcome(path):
         _assert_same_load(path)
 
 
+def _decoded(rows):
+    """The header, the decoded fields row after row, the row widths and the
+    row lines of a tokenizer's rows."""
+    fields = [field for i in range(len(rows.widths)) for field in rows.row(i)]
+    return rows.header, fields, rows.widths, rows.lines
+
+
 def _read_fields(path):
-    """``data_io._fields`` of one read of the file."""
-    return data_io._fields(path, *read_file(path, SchemaError))
+    """The decoded rows of one read of the file, from the tokenizer its bytes choose."""
+    return _decoded(data_io._rows(path, read_bytes(path, SchemaError)))
 
 
 def _assert_readers_agree(path):
-    """Both readers give the reference's header, fields, row widths and row
-    lines (``reader.line_num`` after each row)."""
+    """The chosen tokenizer and ``csv.reader``'s give the reference's header,
+    fields, row widths and row lines (``reader.line_num`` after each row)."""
     header, rows = _ref_read_rows(path)
     want = (header, [field for _, row in rows for field in row], [len(row) for _, row in rows])
     want_lines = [line for line, _ in rows]
@@ -398,8 +411,8 @@ def _assert_readers_agree(path):
     assert got_widths.dtype == np.int64
     assert (got_header, got_fields, got_widths.tolist()) == want
     assert got_lines.tolist() == want_lines
-    text = path.read_bytes().decode("utf-8")
-    csv_header, csv_fields, csv_widths, csv_lines = _CSV_FIELDS(path, text)
+    csv_header, csv_fields, csv_widths, csv_lines = _decoded(
+        _CSV_FIELDS(path, read_bytes(path, SchemaError)))
     assert ([name.strip() for name in csv_header], csv_fields, csv_widths.tolist()) == want
     assert csv_lines.tolist() == want_lines
 
@@ -422,9 +435,10 @@ def _assert_readers_agree(path):
 def test_each_file_takes_the_reader_its_contents_choose(tmp_path, csv_reads, small_field_limit,
                                                          text, reader):
     """A file with a quote, a CR or a line longer than the field size limit
-    goes to ``csv.reader``; any other is split.  The limit counts characters,
-    so a line of 64 two-byte characters is split.  Either way the file loads
-    like the reference, and only a field over the limit is refused, at its line."""
+    goes to ``csv.reader``; any other to the byte tokenizer.  The limit
+    counts characters, so a line of 64 two-byte characters takes the byte
+    tokenizer.  Either way the file loads like the reference, and only a
+    field over the limit is refused, at its line."""
     path = _write(tmp_path / "news.csv", text)
     _assert_same_outcome(path)
     assert csv_reads == ([path] if reader == "csv" else [])
@@ -505,8 +519,8 @@ def _with_blank_lines(text: str, final_lf: bool) -> str:
 
 @pytest.mark.parametrize("seed", range(3))
 def test_random_unquoted_files_read_as_csv_reads_them(tmp_path, csv_reads, seed):
-    """Split files give ``csv.reader``'s header, fields, row widths and row
-    lines, down to empty, header-only and blank-line-only files, and with
+    """The byte tokenizer gives ``csv.reader``'s header, fields, row widths
+    and row lines, down to empty, header-only and blank-line-only files, and with
     multi-byte UTF-8 texts, blank first, middle and last lines and no final LF."""
     rng = random.Random(seed)
     texts = ["", "\n", "\n\n", "date", "date\n", ",\n\n,", "é,日本\n\n—,\u2028\n\n\x85",
@@ -758,7 +772,7 @@ def _random_news_lines(rng: random.Random, n_items: int) -> list[str]:
 
 def _news_file(lines: list[str], layout: str) -> bytes:
     """The bytes of the news file of ``lines`` in one of several layouts:
-    all but the last three take the byte path."""
+    all but ``quoted`` take the byte tokenizer."""
     if layout == "blank-lines":
         lines = [*lines[:3], "", *lines[3:], ""]
     elif layout == "quoted":
@@ -775,8 +789,8 @@ _LAYOUTS = ["plain", "no-final-lf", "bom", "blank-lines", "quoted", "padded-date
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("layout", _LAYOUTS)
 def test_news_file_bytes_score_like_the_reference(tmp_path, csv_reads, layout, seed):
-    """A news file loads and scores like the per-item references on every
-    path: its labels, read, are the reference loader's, and its scores,
+    """A news file loads and scores like the per-item references from either
+    tokenizer: its labels, read, are the reference loader's, and its scores,
     and those of a subset with gaps, are bitwise the reference scorer's."""
     rng = random.Random(seed)
     lines = _random_news_lines(rng, _SCORE_CHUNK + 700 if seed == 0 else rng.randrange(3, 300))
@@ -787,7 +801,7 @@ def test_news_file_bytes_score_like_the_reference(tmp_path, csv_reads, layout, s
     unmarked = tmp_path / "unmarked.csv"
     unmarked.write_bytes(path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
     assert label_pairs(news) == ref_load_news_csv(unmarked)
-    assert isinstance(news.texts, TextColumn) == (_LAYOUTS.index(layout) < 3)
+    assert isinstance(news.texts, TextColumn)
     assert csv_reads == ([path] if layout == "quoted" else [])
     for lexicon in (_BYTE_LEXICON, default_lexicon()):
         _assert_column_scores(news, lexicon)
@@ -806,8 +820,8 @@ def test_news_file_bytes_score_like_the_reference(tmp_path, csv_reads, layout, s
         "line-at-the-limit", "line-over-the-limit"])
 def test_news_files_at_the_byte_path_edges_load_like_the_reference(tmp_path, small_field_limit,
                                                                    text):
-    """Every file whose lines balance their ``,`` count in other ways, or that
-    the byte path leaves to the other readers, loads or fails as the
+    """Every file whose lines balance their ``,`` count in other ways, or whose
+    fields the array passes cannot all settle, loads or fails as the
     reference does."""
     path = _write(tmp_path / "news.csv", text)
     _assert_same_outcome(path)
@@ -1185,19 +1199,116 @@ def test_decimal_tokens_read_through_float_without_extended_precision(decimal_to
 
 @pytest.mark.parametrize("name", ["market.csv", "financial.csv", "macro.csv"])
 def test_generated_numeric_files_take_the_byte_path(tmp_path, monkeypatch, float_calls, name):
-    """A numeric file as ``gen-data`` writes it is read from its bytes, not
-    split, and ``float()`` converts only values whose extended result lies
-    on a midpoint: a silent fall back to the slow path fails here."""
+    """A numeric file as ``gen-data`` writes it is read by the byte
+    tokenizer, its dates in one array pass, and ``float()`` converts only
+    values whose extended result lies on a midpoint: a silent fall back to
+    ``csv.reader`` or to reading fields one at a time fails here."""
     assert main(["gen-data", "--days", "2000", "--seed", "7", "--out", str(tmp_path)]) == 0
 
-    def no_split(path, *_):
-        raise AssertionError(f"{path} was split")
+    def no_slow_path(*args):
+        raise AssertionError(f"slow path taken for {args[0]!r}")
 
-    monkeypatch.setattr(data_io, "_fields", no_split)
+    monkeypatch.setattr(data_io, "_csv_fields", no_slow_path)
+    monkeypatch.setattr(data_io, "_date_fault", no_slow_path)
     frame = NUMERIC[name][0](tmp_path / name)
     assert len(frame) > 0
     assert all(_exact_path(token) and _on_midpoint(token) for token in float_calls)
     assert len(float_calls) < len(frame) * len(frame.column_names) / 1000
+
+
+@pytest.fixture(scope="module")
+def generated_20000(tmp_path_factory):
+    """The directory of the files ``gen-data`` writes for 20,000 days, seed 7."""
+    out = tmp_path_factory.mktemp("generated_20000")
+    assert main(["gen-data", "--days", "20000", "--seed", "7", "--out", str(out)]) == 0
+    return out
+
+
+def _traced_peak(load, path):
+    """What ``load(path)`` returns, and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+        return loaded, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("change", ["padded-date", "blank-line", "bad-value"])
+def test_a_market_file_with_one_odd_row_is_tokenized_once(tmp_path, monkeypatch, csv_reads,
+                                                          generated_20000, change):
+    """One padded date, one blank line or one bad value amid the 20,000 rows
+    of a generated ``market.csv`` is settled within the file's one byte
+    tokenization: it loads, or fails, as the reference does, and is never
+    scanned again or handed to ``csv.reader``."""
+    lines = (generated_20000 / "market.csv").read_bytes().split(b"\n")
+    if change == "padded-date":
+        lines[10_000] = b" " + lines[10_000]
+    elif change == "blank-line":
+        lines.insert(10_000, b"")
+    else:
+        lines[10_000] = lines[10_000].replace(b",", b",x", 1)
+    path = tmp_path / "market.csv"
+    path.write_bytes(b"\n".join(lines))
+    scans = []
+    line_scan = data_io._line_scan
+
+    def spy(data):
+        scans.append(len(data))
+        return line_scan(data)
+
+    monkeypatch.setattr(data_io, "_line_scan", spy)
+    _assert_same_outcome(path)
+    assert scans == [path.stat().st_size]
+    assert csv_reads == []
+
+
+def test_the_generated_policy_file_takes_the_byte_tokenizer(csv_reads, generated_20000):
+    """``gen-data``'s ``policy.csv`` reaches neither ``csv.reader`` nor a
+    ``str.split`` of more than its header line."""
+    path = generated_20000 / "policy.csv"
+    split_sizes = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "split" \
+                and isinstance(getattr(arg, "__self__", None), str):
+            split_sizes.append(len(arg.__self__))
+
+    sys.setprofile(profile)
+    try:
+        events = load_policy_csv(path)
+    finally:
+        sys.setprofile(None)
+    assert len(events) > 100
+    assert csv_reads == []
+    assert max(split_sizes, default=0) <= len(path.read_bytes().split(b"\n", 1)[0])
+    assert label_pairs(events) == ref_load_policy_csv(path)
+
+
+def test_a_generated_market_file_loads_in_under_4_times_its_size(generated_20000):
+    """The byte tokenizer's field bounds are the one array of separator
+    positions, read a column and a block of rows at a time."""
+    path = generated_20000 / "market.csv"
+    frame, peak = _traced_peak(load_market_csv, path)
+    assert len(frame) > 19_000
+    assert peak < 4 * path.stat().st_size
+
+
+def test_a_quoted_news_file_loads_in_under_5_times_its_size(tmp_path, csv_reads, generated_20000):
+    """``csv.reader`` reads its lines from a decoder of a few KB at a time,
+    and its fields are re-encoded a block at a time: the file's text is
+    never held whole, neither decoded nor at 4 bytes a character."""
+    plain = generated_20000 / "news.csv"
+    head, *lines = plain.read_bytes().rstrip(b"\n").split(b"\n")
+    path = tmp_path / "news.csv"
+    path.write_bytes(b"\n".join([head, *(b'%s,"%s"' % (line[:10], line[11:]) for line in lines)])
+                     + b"\n")
+    news, peak = _traced_peak(load_news_csv, path)
+    assert csv_reads == [path]
+    assert peak < 5 * path.stat().st_size
+    want = load_news_csv(plain)
+    assert news.days.tobytes() == want.days.tobytes()
+    assert news.labels == want.labels
 
 
 # Bytes a mutation writes: the grammar's own, separators, an exponent, padding,
@@ -1233,17 +1344,17 @@ def test_mutated_grammar_files_load_like_the_reference(tmp_path, monkeypatch, na
     """A grammar-based differential test (McKeeman 1998): files written from
     the value grammar, most with one byte mutated, load exactly when the
     reference loader loads them, to the same values, or fail with its
-    ``file:line`` message; many take the byte path and many are left to
-    the split or ``csv.reader`` path."""
-    taken = []
-    numeric_columns = data_io._numeric_columns
+    ``file:line`` message; the array passes settle every field of many, and
+    many reach the per-field date check, for a date those leave or while
+    the first bad row is sought."""
+    per_field = []
+    date_fault = data_io._date_fault
 
-    def spy(data):
-        columns = numeric_columns(data)
-        taken.append(columns is not None)
-        return columns
+    def spy(token):
+        per_field[-1] = True
+        return date_fault(token)
 
-    monkeypatch.setattr(data_io, "_numeric_columns", spy)
+    monkeypatch.setattr(data_io, "_date_fault", spy)
     rng = random.Random(1000 * seed + len(name))
     header = {"financial.csv": "date,profit,debt_ratio,cash_flow",
               "macro.csv": "date,gdp,cpi,interest_rate"}[name]
@@ -1251,10 +1362,11 @@ def test_mutated_grammar_files_load_like_the_reference(tmp_path, monkeypatch, na
         (tmp_path / str(i)).mkdir()
         path = tmp_path / str(i) / name
         path.write_bytes(_grammar_file(rng, header))
+        per_field.append(False)
         with warnings.catch_warnings():     # a mutated date can put rows out of order
             warnings.simplefilter("ignore")
             _assert_same_outcome(path)
-    assert 30 < sum(taken) < len(taken) - 30
+    assert 30 < sum(per_field) < len(per_field) - 30
 
 
 @pytest.mark.parametrize("value", ["", ".", "+", "-", "+.", "-.", "..5", "5..", "1.2.3", "+-1",
@@ -1264,7 +1376,7 @@ def test_a_value_at_the_grammar_edge_loads_or_fails_like_the_reference(tmp_path,
     """A value with no digit, two points or signs, a sign after its digits,
     a bare or half exponent, padding, a separator, a non-ASCII digit or
     ``inf`` and ``nan`` loads or fails as the reference does, among rows
-    that the byte path reads."""
+    that the array passes read."""
     rows = [f"2021-03-{day:02d},1.5,-0.25,{day}" for day in range(1, 29)]
     rows[13] = f"2021-03-14,1.5,{value},14"
     path = _write(tmp_path / "macro.csv", "date,gdp,cpi,interest_rate\n" + "\n".join(rows) + "\n")
