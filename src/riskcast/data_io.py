@@ -36,8 +36,8 @@ settle is read on its own: a date, such as one padded with non-ASCII
 whitespace, once :func:`_date_fault` finds it a date, and a value outside
 that form or on a midpoint (or any value where ``long double`` is not the
 x87 format) by ``float()``.  No file goes to a second tokenizer.  A file
-with a fault is reported at its first bad row by :func:`_check_rows`,
-which decodes the rows up to it.  News loads as a
+with a fault is reported at its first bad row, which the array passes
+name and :func:`_check_row` alone decodes.  News loads as a
 :class:`~riskcast.frames.TextColumn` of byte ranges of the buffer, which
 sentiment is scored from with no ``str`` per item; policy categories are
 decoded and stripped.
@@ -128,8 +128,8 @@ class _Rows:
     lines: np.ndarray
 
     def fields(self, columns: range, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """The starts and ends of the fields in ``columns`` of ``rows``, column after column."""
-        at = (np.arange(columns.start, columns.stop)[:, None] + self.at[rows]).ravel()
+        """The starts and ends of the fields in ``columns`` of ``rows``, row after row."""
+        at = (self.at[rows][:, None] + np.arange(columns.start, columns.stop)).ravel()
         return self.bounds[at] + 1, self.bounds[at + 1]
 
     def row(self, i: int) -> list[str]:
@@ -345,9 +345,11 @@ def _decimal_block(words: np.ndarray, first: np.ndarray, ends: np.ndarray,
     return values, slow
 
 
-def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+def _decimal_fields(data: bytes, starts: np.ndarray,
+                    ends: np.ndarray) -> tuple[np.ndarray, int | None]:
     """The values of the fields ``data[starts[i]:ends[i]]``, as ``float()``
-    reads them, or None when one is not an ASCII decimal float.
+    reads them, and the first ``i`` whose field is not an ASCII decimal float
+    (None when every one is; the values from it on are then unset).
     :func:`_decimal_block` converts them in blocks; ``float()`` converts the
     fields it leaves, and every field when extended precision is not x87's."""
     values = np.empty(len(ends))
@@ -366,9 +368,9 @@ def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.nda
     for i in np.flatnonzero(slow).tolist():
         value = _float(data[starts[i]:ends[i]].decode())
         if value is None:
-            return None
+            return values, i
         values[i] = value
-    return values
+    return values, None
 
 
 def _float(token: str) -> float | None:
@@ -399,21 +401,20 @@ def _date_fault(token: str) -> str | None:
     return f"Invalid isoformat string: {text!r}"
 
 
-def _check_rows(path, rows: _Rows, width: int, value_names: list[str]) -> None:
-    """Raise the ``file:line`` SchemaError of the first bad row of a file
-    with a fault: wrong field count, bad date or bad value.  The rows up to
-    it are decoded, one at a time."""
-    for i, (count, lineno) in enumerate(zip(rows.widths.tolist(), rows.lines.tolist())):
-        row, where = rows.row(i), f"{path}:{lineno}:"
-        if count != width:
-            raise SchemaError(f"{where} expected {width} fields, got {count}")
-        fault = _date_fault(row[0])
-        if fault:
-            raise SchemaError(f"{where} unparseable date {row[0]!r}: {fault}")
-        for name, token in zip(value_names, row[1:]):
-            if _float(token) is None:
-                raise SchemaError(f"{where} unparseable value {token!r} in column {name!r}")
-    raise AssertionError(f"{path}: a fault that no row shows")
+def _check_row(path, rows: _Rows, i: int, width: int, value_names: list[str]) -> None:
+    """Raise the ``file:line`` SchemaError of row ``i``, the first bad row
+    of a file, which the array passes found: its wrong field count, else
+    its bad date, else its first bad value.  Only this row is decoded."""
+    row, where = rows.row(i), f"{path}:{rows.lines[i]}:"
+    if len(row) != width:
+        raise SchemaError(f"{where} expected {width} fields, got {len(row)}")
+    fault = _date_fault(row[0])
+    if fault:
+        raise SchemaError(f"{where} unparseable date {row[0]!r}: {fault}")
+    for name, token in zip(value_names, row[1:]):
+        if _float(token) is None:
+            raise SchemaError(f"{where} unparseable value {token!r} in column {name!r}")
+    raise AssertionError(f"{path}:{rows.lines[i]}: a fault that the row does not show")
 
 
 # The ASCII bytes that ``str.strip`` strips.
@@ -421,9 +422,10 @@ _SPACE = np.zeros(256, dtype=bool)
 _SPACE[list(b" \t\n\v\f\r\x1c\x1d\x1e\x1f")] = True
 
 
-def _dates(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The day ordinals of the date fields ``data[starts[i]:ends[i]]``, or
-    None when one is not a date.  :func:`_date_ordinals` reads them from
+def _dates(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The day ordinals of the date fields ``data[starts[i]:ends[i]]``, and
+    the first ``i`` whose field is not a date (None when every one is; the
+    days from it on are then unset).  :func:`_date_ordinals` reads them from
     their ``[n x 10]`` bytes: 10 bytes from the start of a field that long,
     or from the first byte past the ASCII whitespace of a longer field that
     holds exactly 10 other bytes.  Each field left, such as one padded with
@@ -453,32 +455,38 @@ def _dates(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | No
     for i in np.flatnonzero(~valid).tolist():
         token = data[starts[i]:ends[i]].decode()
         if _date_fault(token):
-            return None
+            return days, i
         days[i] = dt.date.fromisoformat(token.strip()).toordinal()
-    return days
+    return days, None
 
 
 def _dated_columns(path, rows: _Rows, width: int,
                    value_names: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The day ordinals of ``rows``, which must be ``width`` fields wide, and
     the ``[columns x rows]`` values of the ``value_names`` columns after the
-    date, read in array passes over a block of rows at a time.  A file with
-    a fault is reported at its first bad row by :func:`_check_rows`."""
-    days = _dates(rows.data, *rows.fields(range(1))) if (rows.widths == width).all() else None
-    values = np.empty((len(value_names), len(rows.widths)))
+    date, read in array passes over a block of rows at a time.  The passes
+    name the first bad row of a file with a fault: the first row of another
+    width, or an earlier one with a bad date or value; :func:`_check_row`
+    reports it."""
+    n_rows, n_values = len(rows.widths), len(value_names)
+    # Only rows before the first faulty one are read: the first row of
+    # another width bounds the dates, and the first bad date the values.
+    wrong = np.flatnonzero(rows.widths != width)
+    first = int(wrong[0]) if wrong.size else n_rows
+    days, bad = _dates(rows.data, *rows.fields(range(1), slice(0, first)))
+    first = first if bad is None else bad
+    values = np.empty((n_values, n_rows))
     # Rows a block at a time, whose values fill one of ``_decimal_fields``' blocks.
-    step = max(1, _BLOCK // max(1, len(value_names)))
-    for start in range(0, len(rows.widths), step):
-        if days is None or not value_names:
+    step = max(1, _BLOCK // max(1, n_values))
+    for start in range(0, first if n_values else 0, step):
+        part = slice(start, min(start + step, first))
+        block, bad = _decimal_fields(rows.data, *rows.fields(range(1, 1 + n_values), part))
+        if bad is not None:
+            first = start + bad // n_values
             break
-        part = slice(start, start + step)
-        block = _decimal_fields(rows.data, *rows.fields(range(1, 1 + len(value_names)), part))
-        if block is None:
-            days = None
-        else:
-            values[:, part] = block.reshape(len(value_names), -1)
-    if days is None:
-        _check_rows(path, rows, width, value_names)
+        values[:, part] = block.reshape(-1, n_values).T
+    if first < n_rows:
+        _check_row(path, rows, first, width, value_names)
     return days, values
 
 

@@ -23,6 +23,7 @@ parameter updates stay single-writer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,15 +142,31 @@ class Conv1DLayer:
             )
         dbias = dy.sum(axis=(0, 1))
         dkernels = np.empty_like(self.kernels)
+        # One contraction over all B*out_len positions per kernel tap, the
+        # product np.tensordot would take: dy's rows as the F-ordered view
+        # [C_out x B*out_len].  A C-ordered copy of the same values makes
+        # OpenBLAS pick another kernel, which moves the sums by about 1e-16.
+        dy_t = dy.reshape(-1, self.c_out).T
         for m in range(k):
-            # One contraction over all B*out_len positions.
-            dkernels[:, m, :] = np.tensordot(dy, x[:, m:m + out_len], axes=([0, 1], [0, 1]))
+            dkernels[:, m, :] = np.dot(dy_t, x[:, m:m + out_len].reshape(-1, self.c_in))
         return dkernels, dbias
 
 
 # ---------------------------------------------------------------------------
 # LSTM
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_layout(hid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column order that takes the stored (i, f, g, o) gate blocks to
+    (i, f, o, g), and the column scale that halves the sigmoid blocks; both
+    read-only, built once per hidden size."""
+    order = np.r_[0:2 * hid, 3 * hid:4 * hid, 2 * hid:3 * hid]
+    scale = np.ones(4 * hid)
+    scale[:3 * hid] = 0.5
+    order.flags.writeable = scale.flags.writeable = False
+    return order, scale
 
 
 @dataclass
@@ -186,20 +203,26 @@ class LSTMCell:
     pre-scaled by 0.5, so one tanh pass gives
     ``sigmoid(z) = (tanh(z * 0.5) + 1) * 0.5`` and ``tanh(z)``.  Scaling by a
     power of two is exact, so every activation is bitwise that of the
-    (i, f, g, o) arithmetic.
+    (i, f, g, o) arithmetic.  The permutation and the scale are built once
+    per hidden size (``_gate_layout``).
 
     Each step is one product: a buffer ``xh`` holds the rows
     ``[x_t, 1, h_{t-1}]`` of every sample, zero-padded to whole
     ``BLOCK_ROWS`` blocks, and ``_block_matmul`` multiplies step ``t``'s rows
     by ``[w_x^T; b; w_h^T]``.  The input term, the bias and the recurrence of
     a step thus come out of one block product, and ``h_t`` is written
-    straight into row ``t+1``.  The product goes to a row-major scratch
-    buffer that the step's one tanh reads through a ``[4 x B x H]``
-    transposed view, writing the gates gate-major, so each gate of each
-    step, and every later elementwise op, is a contiguous ``[B x H]`` block.
+    straight into row ``t+1``; with a cache, every ``x_t`` is copied into
+    ``xh`` in one call before the first step.  The product goes to a
+    row-major scratch buffer that the step's one tanh reads through a
+    ``[4 x B x H]`` transposed view, writing the gates gate-major, so each
+    gate of each step, and every later elementwise op, is a contiguous
+    ``[B x H]`` block written into a buffer allocated before the loop.
     Every buffer is time-major and the cache is these buffers themselves.
     Backward writes the gate gradients into a row-major ``dz`` with the rows
-    of ``xh``, so one contraction gives ``dw_x``, ``db`` and ``dw_h``.
+    of ``xh``, so one contraction gives ``dw_x``, ``db`` and ``dw_h``; its
+    time loop, too, writes ``dh`` and its one temporary into buffers
+    allocated before the loop, and skips the recurrent terms that step 0
+    would hand to a step before it.
 
     Scoring needs no cache.  With ``cache=False`` the buffers are only as
     deep as one step needs: ``xh`` and ``c`` are two-row rings (step ``t``
@@ -253,10 +276,7 @@ class LSTMCell:
         if xs.ndim != 3 or xs.shape[2] != f_in:
             raise DimensionError(f"lstm input must be [B x T x {f_in}], got {list(xs.shape)}")
         n, t_len = xs.shape[:2]
-        # (i, f, g, o) columns to (i, f, o, g), with the sigmoid columns halved.
-        order = np.r_[0:2 * hid, 3 * hid:4 * hid, 2 * hid:3 * hid]
-        scale = np.ones(4 * hid)
-        scale[:3 * hid] = 0.5
+        order, scale = _gate_layout(hid)
         # w_t must stay F-ordered, as the column gather leaves it: a C-ordered
         # copy of the same values makes OpenBLAS pick another kernel, which
         # moves outputs by about 1e-16, so model files would change bytes.
@@ -283,9 +303,12 @@ class LSTMCell:
         c_a[0] = 0.0
         tc_a = np.empty((step_depth, n, hid))
         i_g = np.empty((n, hid))
+        if cache:
+            xh[:t_len, :n, :f_in] = xs.transpose(1, 0, 2)
         for t in range(t_len):
             row, nxt, cur = t % depth, (t + 1) % depth, t % step_depth
-            xh[row, :n, :f_in] = xs[:, t]
+            if not cache:
+                xh[row, :n, :f_in] = xs[:, t]
             _block_matmul(xh[row], w_t, out=z)
             i, f, o, g = np.tanh(z_gates, out=gates[cur])
             sig = gates[cur, :3]
@@ -333,12 +356,14 @@ class LSTMCell:
         dz[:, n:] = 0.0
         dz_gates = dz[:, :n].reshape(t_len, n, 4, hid).transpose(0, 2, 1, 3)
         dc = np.zeros((n, hid))
+        dh_next, tmp = np.empty((n, hid)), np.empty((n, hid))
         for t in range(t_len - 1, -1, -1):
-            dc += dh * dc_dh[t]
+            dc += np.multiply(dh, dc_dh[t], out=tmp)
             np.multiply(local[t, :3], dc, out=dz_gates[t, :3])
             np.multiply(local[t, 3], dh, out=dz_gates[t, 3])
-            dh = dz[t, :n] @ self.w_h
-            dc *= f[t]
+            if t:
+                dh = np.matmul(dz[t, :n], self.w_h, out=dh_next)
+                dc *= f[t]
         dz_rows = dz.reshape(-1, 4 * hid)
         # Rows [x_t, 1, h_{t-1}] give the columns [dw_x | db | dw_h].
         dw = dz_rows.T @ cache.xh[:t_len].reshape(-1, f_in + 1 + hid)

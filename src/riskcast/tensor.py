@@ -157,6 +157,39 @@ class SeededRng:
             values[i], values[j] = values[j], values[i]
 
 
+class FloatBlocks:
+    """A :class:`SeededRng`'s ``next_floats``, drawn ``block`` floats at a time.
+
+    Every call returns exactly the floats that ``rng.next_floats(n)`` would
+    return at that point of the stream, as one ``next_floats`` call of the
+    generator serves many calls here.  The generator runs up to one block
+    ahead of what has been read, so this reader must be its only user.  A
+    returned array is a view of a block that is never written again.
+    """
+
+    __slots__ = ("_rng", "_block", "_buf", "_pos")
+
+    def __init__(self, rng: SeededRng, block: int):
+        self._rng = rng
+        self._block = block
+        self._buf = np.empty(0)
+        self._pos = 0
+
+    def next_floats(self, n: int) -> np.ndarray:
+        n = operator.index(n)
+        if n < 0:
+            raise ParameterError(f"draw count must be >= 0, got {n}")
+        end = self._pos + n
+        if end > self._buf.size:
+            rest = self._buf[self._pos:]
+            fresh = self._rng.next_floats(max(self._block, n - rest.size))
+            self._buf = np.concatenate([rest, fresh]) if rest.size else fresh
+            self._pos, end = 0, n
+        out = self._buf[self._pos:end]
+        self._pos = end
+        return out
+
+
 def as_tensor(values) -> np.ndarray:
     """Validate ``values`` as a dense float64 tensor.
 

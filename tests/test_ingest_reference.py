@@ -1022,6 +1022,43 @@ def test_a_rejected_file_is_opened_once(tmp_path, monkeypatch, name, text, fragm
     assert opened.count(os.fspath(path)) == 1
 
 
+@pytest.mark.parametrize("edits, line, fragment", [
+    ([(5991, ",2.25,", ",oops,")], 5991, ": unparseable value 'oops' in column 'close'"),
+    ([(5992, ",1.5,", ",1.5,1.5,")], 5992, ": expected 4 fields, got 5"),
+    ([(5993, "-05-2", "-05-x")], 5993, ": unparseable date '2017-05-x8'"),
+    ([(4100, ",4098", ",4098_0"), (4101, ",1.5,", ",x,")], 4100,
+     ": unparseable value '4098_0' in column 'volume'"),
+    ([(5000, ",1.5,", ",1.5e,"), (5001, "2014-", "2014/")], 5000,
+     ": unparseable value '1.5e' in column 'open'"),
+    ([(5001, ",1.5,", ",1.5e,"), (5000, "2014-", "2014/")], 5000,
+     ": unparseable date '2014/"),
+], ids=["value", "width", "date", "later-column-first", "value-before-date",
+        "date-before-value"])
+def test_a_late_fault_decodes_only_its_row(tmp_path, monkeypatch, edits, line, fragment):
+    """The array passes name the first bad row in file order, so only that
+    row is decoded to word the message, however many good rows come before
+    it; the message is the reference's."""
+    lines = [MARKET_HEADER[:-1]] + [
+        f"{dt.date(2001, 1, 1) + dt.timedelta(days=i)},1.5,2.25,{i}" for i in range(6000)]
+    for at, old, new in edits:
+        assert old in lines[at - 1]
+        lines[at - 1] = lines[at - 1].replace(old, new, 1)
+    path = _write(tmp_path / "market.csv", "\n".join(lines) + "\n")
+    decoded = []
+    real_row = data_io._Rows.row
+    monkeypatch.setattr(data_io._Rows, "row",
+                        lambda self, i: decoded.append(i) or real_row(self, i))
+    new, ref = LOADERS["market.csv"]
+    with pytest.raises(SchemaError) as got:
+        new(path)
+    monkeypatch.undo()
+    with pytest.raises(SchemaError) as want:
+        ref(path)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{path}:{line}{fragment}")
+    assert decoded == [line - 2]
+
+
 def test_a_byte_order_mark_leaves_the_trained_model_unchanged(tmp_path, capsys):
     """Spreadsheet programs start a UTF-8 CSV with U+FEFF.  One leading mark
     is dropped from a file's bytes and text alike, so a set whose every file
@@ -1170,7 +1207,8 @@ def test_decimal_tokens_read_from_bytes_as_float_reads_them(decimal_tokens, floa
     19-digit tokens next to them among them."""
     tokens, midpoints = decimal_tokens
     data, starts, ends = _token_bytes(tokens)
-    got = data_io._decimal_fields(data, starts, ends)
+    got, bad = data_io._decimal_fields(data, starts, ends)
+    assert bad is None
     assert len(tokens) > 10**6
     assert got.tobytes() == np.array(list(map(float, tokens))).tobytes()
     slow = set(float_calls)
@@ -1192,7 +1230,8 @@ def test_decimal_tokens_read_through_float_without_extended_precision(decimal_to
     monkeypatch.setattr(data_io, "_EXACT", False)
     tokens, _ = decimal_tokens
     data, starts, ends = _token_bytes(tokens)
-    got = data_io._decimal_fields(data, starts, ends)
+    got, bad = data_io._decimal_fields(data, starts, ends)
+    assert bad is None
     assert float_calls == tokens
     assert got.tobytes() == np.array(list(map(float, tokens))).tobytes()
 
@@ -1391,5 +1430,6 @@ def test_fields_at_the_start_of_the_bytes_read_as_float_reads_them():
     data = "\n".join(tokens).encode()
     ends = np.cumsum([len(token) + 1 for token in tokens]) - 1
     starts = ends - [len(token) for token in tokens]
-    got = data_io._decimal_fields(data, starts, ends)
+    got, bad = data_io._decimal_fields(data, starts, ends)
+    assert bad is None
     assert got.tobytes() == np.array(list(map(float, tokens))).tobytes()

@@ -83,6 +83,21 @@ class TestConv1D:
         assert rel_error(dk, numeric_grad(loss, layer.kernels)) < GRAD_TOL
         assert rel_error(db, numeric_grad(loss, layer.bias)) < GRAD_TOL
 
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_backward_is_tensordot_bitwise(self, batch):
+        """Each tap's kernel gradient is bitwise ``np.tensordot``'s
+        contraction over the batch and time axes, at the model's conv dims."""
+        rng = SeededRng(34 + batch)
+        layer = Conv1DLayer.initialize(7, 8, 3, rng)
+        x = rng.normals(batch * 22 * 7).reshape(batch, 22, 7)
+        y, cache = layer.forward(x)
+        dy = rng.normals(y.size).reshape(y.shape)
+        dk, db = layer.backward(cache, dy)
+        for m in range(3):
+            want = np.tensordot(dy, x[:, m:m + 20], axes=([0, 1], [0, 1]))
+            assert dk[:, m].tobytes() == want.tobytes(), m
+        assert db.tobytes() == dy.sum(axis=(0, 1)).tobytes()
+
     def test_backward_rejects_mismatched_upstream(self):
         layer = Conv1DLayer(np.zeros((1, 2, 1)), np.zeros(1))
         _, cache = layer.forward(np.zeros((1, 4, 1)))

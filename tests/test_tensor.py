@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riskcast import DimensionError, NumericalError, ParameterError, SeededRng
-from riskcast.tensor import as_tensor, derive_seed, float_bits, mix64
+from riskcast.tensor import FloatBlocks, as_tensor, derive_seed, float_bits, mix64
 
 
 class TestSeededRng:
@@ -80,6 +80,48 @@ class TestSeededRng:
     def test_mix64_avalanches_small_inputs(self):
         outputs = {mix64(i) for i in range(100)}
         assert len(outputs) == 100
+
+
+class TestFloatBlocks:
+    @pytest.mark.parametrize("block", [1, 5, 16, 1000])
+    def test_reads_are_the_direct_draws_across_refills(self, block):
+        """Reads of many sizes, some larger than a block and some ending
+        exactly on a block's end, give the floats of direct ``next_floats``
+        calls, bit for bit and in order."""
+        sizes = [3, 2, 0, 11, 16, 1, 40, 7, 5, 9, 17]
+        blocks = FloatBlocks(SeededRng(77), block)
+        direct = SeededRng(77)
+        for n in sizes:
+            assert blocks.next_floats(n).tobytes() == direct.next_floats(n).tobytes()
+
+    def test_refills_draw_one_block_at_a_time(self):
+        calls = []
+
+        class Counting(SeededRng):
+            __slots__ = ()
+
+            def next_floats(self, n):
+                calls.append(n)
+                return super().next_floats(n)
+
+        blocks = FloatBlocks(Counting(3), 8)
+        for _ in range(10):
+            blocks.next_floats(3)
+        blocks.next_floats(20)
+        assert calls == [8, 8, 8, 8, 18]
+
+    def test_earlier_reads_survive_a_refill(self):
+        blocks = FloatBlocks(SeededRng(4), 4)
+        first = blocks.next_floats(3)
+        kept = first.copy()
+        blocks.next_floats(6)
+        assert first.tobytes() == kept.tobytes()
+
+    def test_bad_counts_are_refused_as_the_generator_refuses_them(self):
+        with pytest.raises(ParameterError):
+            FloatBlocks(SeededRng(1), 4).next_floats(-1)
+        with pytest.raises(TypeError):
+            FloatBlocks(SeededRng(1), 4).next_floats(2.0)
 
 
 class TestAsTensor:

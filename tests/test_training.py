@@ -25,8 +25,9 @@ from riskcast import (
     grid_search,
     mse_loss,
 )
+from riskcast import training
 from riskcast.tensor import derive_seed, float_bits
-from riskcast.training import validation_mse
+from riskcast.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, TrainLog, validation_mse
 
 
 class TestMseLoss:
@@ -106,6 +107,25 @@ class TestAdam:
             adam_step(sb, b, grad.reshape(6), cfg)
         assert np.array_equal(a.reshape(6), b)
 
+    def test_in_place_update_is_the_textbook_formula_bitwise(self):
+        """The moments and the parameter are bitwise those of Adam's
+        expressions as written, step after step."""
+        rng = SeededRng(8)
+        cfg = TrainConfig(learning_rate=3e-3)
+        param = rng.normals(50)
+        want, m, v = param.copy(), np.zeros(50), np.zeros(50)
+        state = AdamState.zeros_like(param)
+        for t in range(1, 8):
+            grad = rng.normals(50)
+            adam_step(state, param, grad, cfg)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat, v_hat = m / (1.0 - ADAM_BETA1 ** t), v / (1.0 - ADAM_BETA2 ** t)
+            want -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            assert state.t == t
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+            assert param.tobytes() == want.tobytes()
+
     def test_shape_mismatch(self):
         param = np.zeros(3)
         with pytest.raises(DimensionError):
@@ -150,7 +170,77 @@ def _fresh_linear_model(dims):
     return _TrainableLinear(np.zeros(n_features), 0.0)
 
 
+def _reference_fit(model, train, val, cfg):
+    """``fit`` as one Adam step per parameter and a plain ``SeededRng`` for
+    dropout: the loop that the flat update and the block reader must match."""
+    shuffle_rng = SeededRng(derive_seed(cfg.seed, training._SHUFFLE_TAG))
+    dropout_rng = SeededRng(derive_seed(cfg.seed, training._DROPOUT_TAG))
+    params = model.params()
+    states = {name: AdamState.zeros_like(p) for name, p in params.items()}
+    log, best_val, best, since = TrainLog(), np.inf, None, 0
+    order = list(range(len(train)))
+    for epoch in range(1, cfg.max_epochs + 1):
+        shuffle_rng.shuffle(order)
+        sse = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            preds, cache = model.forward(train.x_seq[batch], train.x_static[batch],
+                                         rng=dropout_rng)
+            loss, dpred = mse_loss(train.y[batch], preds)
+            sse += loss * len(batch)
+            grads = model.backward(cache, dpred)
+            for name in params:
+                adam_step(states[name], params[name], grads[name], cfg)
+        val_loss = validation_mse(model, val)
+        log.train_mse.append(sse / len(train))
+        log.val_mse.append(val_loss)
+        if val_loss < best_val:
+            best_val, best, log.best_epoch, since = val_loss, {
+                name: p.copy() for name, p in params.items()}, epoch, 0
+        else:
+            since += 1
+            if since >= cfg.patience:
+                log.stopped_early = True
+                break
+    for name, p in params.items():
+        np.copyto(p, best[name])
+    return model, log
+
+
 class TestFit:
+    # Dropout read in its default blocks, and in blocks smaller than one
+    # batch's draws and than an epoch's, so that reads cross refills.
+    @pytest.mark.parametrize("block", [training.DROPOUT_BLOCK, 5, 40])
+    @pytest.mark.parametrize("patience", [10, 1])
+    def test_hybrid_fit_is_the_per_parameter_loop_bitwise(self, monkeypatch, block, patience):
+        """Three epochs (or up to six, stopping early) of a hybrid with
+        dropout, in batches of 16 that do not divide the 61 samples: the
+        parameters and the log are bitwise the reference loop's."""
+        monkeypatch.setattr(training, "DROPOUT_BLOCK", block)
+        dims = tiny_dims()
+        train = random_samples(61, dims, seed=30)
+        val = random_samples(19, dims, seed=31)
+        cfg = TrainConfig(learning_rate=0.05, max_epochs=3 if patience > 1 else 6,
+                          batch_size=16, patience=patience, seed=32)
+        got, got_log = fit(tiny_hybrid(seed=33, dropout_p=0.3), train, val, cfg)
+        want, want_log = _reference_fit(tiny_hybrid(seed=33, dropout_p=0.3), train, val, cfg)
+        assert got_log == want_log
+        assert got_log.n_epochs > 1 and got_log.best_epoch >= 1
+        for name, value in want.params().items():
+            assert got.params()[name].tobytes() == value.tobytes(), name
+
+    def test_linear_fit_is_the_per_parameter_loop_bitwise(self):
+        """``fit`` asks the model for no more than ``params``, ``forward`` and
+        ``backward``: the trainable linear model, which has no dims, fits
+        bitwise as the reference loop fits it."""
+        train, val, dims = _linear_sets(n_train=37)
+        cfg = TrainConfig(learning_rate=0.02, max_epochs=3, batch_size=8, seed=34)
+        got, got_log = fit(_fresh_linear_model(dims), train, val, cfg)
+        want, want_log = _reference_fit(_fresh_linear_model(dims), train, val, cfg)
+        assert got_log == want_log
+        for name, value in want.params().items():
+            assert got.params()[name].tobytes() == value.tobytes(), name
+
     def test_planted_overfitting_stops_and_restores(self):
         train, val, dims = _linear_sets()
         model = _fresh_linear_model(dims)
